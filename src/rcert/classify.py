@@ -12,8 +12,6 @@ flatlining, never a confirmed first-kind solution.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dynamics import (
@@ -23,6 +21,7 @@ from .dynamics import (
     Trajectory,
     integrate,
 )
+from .errors import RcertError
 from .fields import EquationSpec, InitialData
 from .serialize import format_float
 
@@ -204,14 +203,6 @@ class SweepCell:
     error: str = ""
 
 
-def _threads() -> int:
-    raw = os.environ.get("RCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(
     eq: EquationSpec,
     ic_rectangle: tuple[tuple[float, float], tuple[float, float]],
@@ -222,10 +213,11 @@ def sweep(
 ) -> list[SweepCell]:
     """Classify the trajectory for every initial pair on a raster.
 
-    Per-cell failures are recorded as ``Undetermined`` cells with the error
-    message, never aborting the sweep.  Cells are integrated independently;
-    RCERT_THREADS caps the worker pool, and the raster is assembled in raster
-    order after all cells finish, so the output is deterministic.
+    A cell whose integration fails with a toolkit or arithmetic error is
+    recorded as an ``Undetermined`` cell whose ``error`` names the exception
+    class and message; the sweep goes on.  Any other exception is a bug and
+    propagates.  Cells are integrated one after another in raster order, so
+    the output is deterministic.
     """
     (p_lo, p_hi), (d_lo, d_hi) = ic_rectangle
     n_phi, n_dphi = resolution
@@ -242,20 +234,15 @@ def sweep(
         for j in range(n_dphi)
     ]
 
-    def run(cell: tuple[float, float]) -> SweepCell:
-        phi0, phi1 = cell
+    def run(phi0: float, phi1: float) -> SweepCell:
         try:
             traj = integrate(eq, InitialData(t1=start, phi0=phi0, phi1=phi1), opts)
-            c = classify(traj, policy)
-            return SweepCell(phi0, phi1, c.kind, c.zero_count, c.escape_time)
-        except Exception as exc:  # per-cell errors become Undetermined cells
-            return SweepCell(phi0, phi1, UNDETERMINED, 0, None, error=str(exc))
+        except (RcertError, ArithmeticError) as exc:
+            return SweepCell(phi0, phi1, UNDETERMINED, 0, None, error=f"{type(exc).__name__}: {exc}")
+        c = classify(traj, policy)
+        return SweepCell(phi0, phi1, c.kind, c.zero_count, c.escape_time)
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, cells_ic))
-    return [run(c) for c in cells_ic]
+    return [run(phi0, phi1) for phi0, phi1 in cells_ic]
 
 
 def export_raster_csv(cells: list[SweepCell], path) -> None:

@@ -276,6 +276,8 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
             region=cfg.region or Rectangle(eq.t0, eq.t0 + cfg.options.horizon, -float("inf"), float("inf")),
             grid=cfg.grid,
             epsilon=cfg.options.epsilon,
+            quad_abs_tol=cfg.options.quad_abs_tol,
+            quad_rel_tol=cfg.options.quad_rel_tol,
         )
         cert.uniform_bound = ab.A if ab.A is not None else ab.B
         cert.details["closed_form_case"] = ab.case

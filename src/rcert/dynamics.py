@@ -10,7 +10,9 @@ an embedded Dormand-Prince 5(4) pair with a fourth-degree continuous extension
 and a proportional-integral controller working in error-per-unit-step form:
 the accepted local error is proportional to the step length, which makes the
 accumulated error (and hence every residual oracle built on trajectories)
-scale linearly with the requested tolerance.
+scale linearly with the requested tolerance.  The stepper is written out for
+the two components (phi, psi); a scalar equation rides in the first component
+with the second held at zero.
 
 Finite escape is only declared when two independent signals agree: the state
 norm |phi| + |psi| has passed ``escape_threshold`` and the step size has
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -52,27 +54,26 @@ REACHED_HORIZON = "reached_horizon"
 FINITE_ESCAPE = "finite_escape"
 STEP_COLLAPSE = "step_collapse"
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau.  The zero entries a72, e2 and d2 are left out of
+# the written-out sums below: with every stage value finite, each would add a
+# signed zero to a partial sum that is never -0.0, which changes nothing.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+# The seventh row is also the fifth-order solution (first same as last).
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Fifth-order minus fourth-order weights: the local error estimate.
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 # Coefficients of the quartic continuous extension.
-_D = (
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-)
+_D1 = -12715105075 / 11282082432
+_D3 = 87487479700 / 32700410799
+_D4 = -10690763975 / 1880347072
+_D5 = 701980252875 / 199316789632
+_D6 = -1453857185 / 822651844
+_D7 = 69997945 / 29380423
 
 _SAFETY = 0.9
 _KI = 0.175
@@ -104,16 +105,7 @@ class IntegrationOptions:
             raise ValueError("tolerances must be positive")
 
     def tightened(self, factor: float) -> "IntegrationOptions":
-        return IntegrationOptions(
-            rel_tol=self.rel_tol / factor,
-            abs_tol=self.abs_tol / factor,
-            horizon=self.horizon,
-            escape_threshold=self.escape_threshold,
-            min_step=self.min_step,
-            max_zeros=self.max_zeros,
-            zero_tol=self.zero_tol,
-            max_steps=self.max_steps,
-        )
+        return replace(self, rel_tol=self.rel_tol / factor, abs_tol=self.abs_tol / factor)
 
 
 @dataclass(frozen=True)
@@ -139,196 +131,276 @@ class TerminalStatus:
 
 
 class _DenseSegment:
-    """Quartic interpolant on one accepted step."""
+    """Quartic interpolant of both components on the accepted step from ``t`` to ``t + h``.
 
-    __slots__ = ("t", "h", "r1", "r2", "r3", "r4", "r5")
+    With ``th = (s - t) / h``, the first component at ``s`` is
+    ``a1 + th * (a2 + (1 - th) * (a3 + th * (a4 + (1 - th) * a5)))`` and the
+    second is the same expression in ``b1``..``b5``.
+    """
 
-    def __init__(self, t, h, y, ynew, k1, k7, ks):
+    __slots__ = ("t", "h", "a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
+
+    def __init__(self, t, h, a1, a2, a3, a4, a5, b1, b2, b3, b4, b5):
         self.t = t
         self.h = h
-        n = len(y)
-        ydiff = tuple(ynew[i] - y[i] for i in range(n))
-        bspl = tuple(h * k1[i] - ydiff[i] for i in range(n))
-        self.r1 = tuple(y)
-        self.r2 = ydiff
-        self.r3 = bspl
-        self.r4 = tuple(ydiff[i] - h * k7[i] - bspl[i] for i in range(n))
-        self.r5 = tuple(h * sum(_D[j] * ks[j][i] for j in range(7)) for i in range(n))
+        self.a1, self.a2, self.a3, self.a4, self.a5 = a1, a2, a3, a4, a5
+        self.b1, self.b2, self.b3, self.b4, self.b5 = b1, b2, b3, b4, b5
 
-    def eval(self, t: float) -> tuple[float, ...]:
+    def first(self, t: float) -> float:
         th = (t - self.t) / self.h
         th1 = 1.0 - th
-        return tuple(
-            self.r1[i] + th * (self.r2[i] + th1 * (self.r3[i] + th * (self.r4[i] + th1 * self.r5[i])))
-            for i in range(len(self.r1))
-        )
+        return self.a1 + th * (self.a2 + th1 * (self.a3 + th * (self.a4 + th1 * self.a5)))
+
+    def second(self, t: float) -> float:
+        th = (t - self.t) / self.h
+        th1 = 1.0 - th
+        return self.b1 + th * (self.b2 + th1 * (self.b3 + th * (self.b4 + th1 * self.b5)))
+
+
+class _StartNode:
+    """The first node of a solution: the dense output there is the stored initial value."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: float, b: float):
+        self.a = a
+        self.b = b
+
+    def first(self, t: float) -> float:
+        return self.a
+
+    def second(self, t: float) -> float:
+        return self.b
 
 
 class _RawSolution:
-    """Node values plus dense segments, shared by the system and scalar solvers."""
+    """Node values plus dense segments, shared by the system and scalar solvers.
 
-    def __init__(self, ts, ys, fs, segments, terminal, zeros, tangential, zeros_truncated):
+    ``ys0``/``ys1`` are the two components at the nodes ``ts`` and ``fs0`` is
+    the derivative of component 0 there.  Segment ``i`` covers
+    ``[ts[i], ts[i + 1]]``.
+    """
+
+    def __init__(self, ts, ys0, ys1, fs0, segments, terminal, zeros, tangential, zeros_truncated):
         self.ts = ts
-        self.ys = ys
-        self.fs = fs
+        self.ys0 = ys0
+        self.ys1 = ys1
+        self.fs0 = fs0
         self.segments = segments
         self.terminal = terminal
         self.zeros = zeros
         self.tangential = tangential
         self.zeros_truncated = zeros_truncated
+        self._start = _StartNode(ys0[0], ys1[0])
+        self._last = len(segments) - 1
 
-    def eval(self, t: float) -> tuple[float, ...]:
+    def segment_at(self, t: float) -> _DenseSegment | _StartNode:
+        """The dense output that holds ``t``: both components via ``first``/``second``."""
         ts = self.ts
         if not (ts[0] <= t <= ts[-1]):
             raise DomainError(f"t={t!r} outside the computed span [{ts[0]!r}, {ts[-1]!r}]")
         if t == ts[0]:
-            return tuple(self.ys[0])
-        idx = bisect_right(ts, t) - 1
-        idx = min(idx, len(self.segments) - 1)
-        return self.segments[idx].eval(t)
+            return self._start
+        return self.segments[min(bisect_right(ts, t) - 1, self._last)]
 
 
-def _norm(values: Sequence[float], scales: Sequence[float]) -> float:
-    acc = 0.0
-    for v, s in zip(values, scales):
-        r = v / s
-        acc += r * r
-    return math.sqrt(acc / len(values))
+class _NonFiniteStage(ArithmeticError):
+    """A stage derivative or the propagated solution is not finite; the step is rejected."""
+
+
+def _rms(ra: float, rb: float, n_eq: int) -> float:
+    """Root mean square of the scaled components over ``n_eq`` equations."""
+    return math.sqrt((ra * ra + rb * rb) / n_eq)
+
+
+def _floor_at(t: float, min_step: float) -> float:
+    """The smallest step length allowed at ``t``."""
+    return max(min_step, 32.0 * _EPS * max(1.0, abs(t)))
+
+
+def _escape_or_collapse(t: float, ya: float, yb: float, opts: IntegrationOptions, reason: str, h_attempt: float) -> TerminalStatus:
+    if abs(ya) + abs(yb) > opts.escape_threshold:
+        return TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=max(h_attempt, _floor_at(t, opts.min_step)))
+    return TerminalStatus(STEP_COLLAPSE, t, reason=reason)
 
 
 def _solve(
-    f: Callable[[float, tuple[float, ...]], tuple[float, ...]],
+    f: Callable[[float, float, float], tuple[float, float]],
     t0: float,
-    y0: tuple[float, ...],
+    ya: float,
+    yb: float,
+    n_eq: int,
     opts: IntegrationOptions,
     *,
     track_zeros: bool = False,
 ) -> _RawSolution:
+    """Dormand-Prince 5(4) on the two components (ya, yb) with rhs ``f(t, ya, yb)``.
+
+    ``n_eq`` is the number of equations the error norm averages over: 2 for
+    the system, 1 for a scalar equation carried in ``ya`` with ``yb`` held at
+    zero.  Every sum is written out in the tableau's left-to-right order,
+    starting from ``0.0 +``, so the trajectory does not depend on how the
+    sums are grouped.
+    """
     horizon = opts.horizon
     if horizon <= t0:
         raise DomainError("horizon must exceed the start time")
     span = horizon - t0
-    n = len(y0)
     rtol, atol = opts.rel_tol, opts.abs_tol
+    min_step = opts.min_step
+    zero_tol = opts.zero_tol
     tol_rate = 1.0 / span  # accepted scaled error per unit step
-
-    def floor_at(t: float) -> float:
-        return max(opts.min_step, 32.0 * _EPS * max(1.0, abs(t)))
+    isfinite = math.isfinite
 
     t = t0
-    y = tuple(float(v) for v in y0)
-    k1 = tuple(f(t, y))
-    if any(not math.isfinite(v) for v in k1):
-        raise FieldEvaluationError("rhs", t, y[0], float("nan"))
+    ya, yb = float(ya), float(yb)
+    k1a, k1b = f(t, ya, yb)
+    if not (isfinite(k1a) and isfinite(k1b)):
+        raise FieldEvaluationError("rhs", t, ya, float("nan"))
 
     ts = [t]
-    ys = [y]
-    fs = [k1]
+    ys0 = [ya]
+    ys1 = [yb]
+    fs0 = [k1a]
     segments: list[_DenseSegment] = []
     zeros: list[float] = []
     tangential = False
     zeros_truncated = False
 
     # Initial step length, then the controller takes over.
-    sc = [atol + rtol * abs(v) for v in y]
-    d0 = _norm(y, sc)
-    d1 = _norm(k1, sc)
+    sa = atol + rtol * abs(ya)
+    sb = atol + rtol * abs(yb)
+    d0 = _rms(ya / sa, yb / sb, n_eq)
+    d1 = _rms(k1a / sa, k1b / sb, n_eq)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, span)
-    y_pr = tuple(y[i] + h * k1[i] for i in range(n))
     try:
-        f_pr = f(t + h, y_pr)
-        d2 = _norm([f_pr[i] - k1[i] for i in range(n)], sc) / h
+        fa, fb = f(t + h, ya + h * k1a, yb + h * k1b)
+        d2 = _rms((fa - k1a) / sa, (fb - k1b) / sb, n_eq) / h
         if max(d1, d2) > 1e-15:
             h = min(100.0 * h, (0.01 / max(d1, d2)) ** 0.2, span)
     except (FieldEvaluationError, OverflowError):
         pass
-    h = max(h, floor_at(t))
+    floor = _floor_at(t, min_step)
+    h = max(h, floor)
 
     ratio_prev = 1.0
     rejected = False
-    s_last = 0.0 if y[0] == 0.0 else math.copysign(1.0, y[0])
+    s_last = 0.0 if ya == 0.0 else math.copysign(1.0, ya)
     t_sign = t  # time of the last node with a definite sign of component 0
     pending_zero: float | None = None
 
-    def norm1(state: tuple[float, ...]) -> float:
-        return sum(abs(v) for v in state)
-
-    def escape_or_collapse(reason: str, h_attempt: float) -> TerminalStatus:
-        if norm1(y) > opts.escape_threshold:
-            return TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=max(h_attempt, floor_at(t)))
-        return TerminalStatus(STEP_COLLAPSE, t, reason=reason)
-
-    terminal: TerminalStatus | None = None
     steps = 0
-    while terminal is None:
+    while True:
         steps += 1
         if steps > opts.max_steps:
             raise RcertError(f"step budget of {opts.max_steps} exceeded at t={t!r}")
         remaining = horizon - t
-        if remaining <= floor_at(t):
+        if remaining <= floor:
             terminal = TerminalStatus(REACHED_HORIZON, horizon)
             break
-        h = min(h, remaining)
-        if h < floor_at(t) or t + h == t:
-            terminal = escape_or_collapse("step size collapsed", h)
+        if remaining < h:
+            h = remaining
+        if h < floor or t + h == t:
+            terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", h)
             break
 
         # Stage sweep; a non-finite stage rejects the step outright.
-        ks = [k1]
-        bad = False
         try:
-            for s in range(6):
-                ti = t + _C[s + 1] * h
-                row = _A[s]
-                yi = tuple(y[i] + h * sum(row[j] * ks[j][i] for j in range(len(row))) for i in range(n))
-                ki = f(ti, yi)
-                if any(not math.isfinite(v) for v in ki):
-                    bad = True
-                    break
-                ks.append(tuple(ki))
-        except (FieldEvaluationError, OverflowError):
-            bad = True
-        if not bad:
-            ynew = tuple(y[i] + h * sum(_A[5][j] * ks[j][i] for j in range(6)) for i in range(n))
-            if any(not math.isfinite(v) for v in ynew):
-                bad = True
-        if bad:
+            k2a, k2b = f(t + _C2 * h, ya + h * (0.0 + _A21 * k1a), yb + h * (0.0 + _A21 * k1b))
+            if not (isfinite(k2a) and isfinite(k2b)):
+                raise _NonFiniteStage
+            k3a, k3b = f(
+                t + _C3 * h,
+                ya + h * (0.0 + _A31 * k1a + _A32 * k2a),
+                yb + h * (0.0 + _A31 * k1b + _A32 * k2b),
+            )
+            if not (isfinite(k3a) and isfinite(k3b)):
+                raise _NonFiniteStage
+            k4a, k4b = f(
+                t + _C4 * h,
+                ya + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+                yb + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+            )
+            if not (isfinite(k4a) and isfinite(k4b)):
+                raise _NonFiniteStage
+            k5a, k5b = f(
+                t + _C5 * h,
+                ya + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+                yb + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+            )
+            if not (isfinite(k5a) and isfinite(k5b)):
+                raise _NonFiniteStage
+            k6a, k6b = f(
+                t + h,
+                ya + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+                yb + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+            )
+            if not (isfinite(k6a) and isfinite(k6b)):
+                raise _NonFiniteStage
+            yna = ya + h * (0.0 + _A71 * k1a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a)
+            ynb = yb + h * (0.0 + _A71 * k1b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b)
+            k7a, k7b = f(t + h, yna, ynb)
+            if not (isfinite(k7a) and isfinite(k7b) and isfinite(yna) and isfinite(ynb)):
+                raise _NonFiniteStage
+        except (FieldEvaluationError, OverflowError, _NonFiniteStage):
             h *= 0.25
             rejected = True
-            if h < floor_at(t):
-                terminal = escape_or_collapse("non-finite evaluation", h)
+            if h < floor:
+                terminal = _escape_or_collapse(t, ya, yb, opts, "non-finite evaluation", h)
                 break
             continue
 
-        k7 = ks[6]  # stage 7 shares the time t+h with the propagated solution
-        err = tuple(h * sum(_E[j] * ks[j][i] for j in range(7)) for i in range(n))
-        scales = [atol + rtol * max(abs(y[i]), abs(ynew[i])) for i in range(n)]
-        err_norm = _norm(err, scales)
-        ratio = err_norm / (tol_rate * h) if h > 0 else math.inf
-        if not math.isfinite(ratio):
+        ea = h * (0.0 + _E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
+        eb = h * (0.0 + _E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
+        err_norm = _rms(ea / (atol + rtol * max(abs(ya), abs(yna))), eb / (atol + rtol * max(abs(yb), abs(ynb))), n_eq)
+        ratio = err_norm / (tol_rate * h)
+        if not isfinite(ratio):
             ratio = math.inf
 
         if ratio <= 1.0:
             ratio_c = max(ratio, 1e-10)
-            fac = _SAFETY * ratio_c ** (-_KI) * max(ratio_prev, 1e-10) ** _KP
+            fac = _SAFETY * ratio_c ** (-_KI) * ratio_prev ** _KP
             fac = min(5.0, max(0.2, fac))
             if rejected:
                 fac = min(1.0, fac)
-            segments.append(_DenseSegment(t, h, y, ynew, ks[0], k7, ks))
-            t, y, k1 = t + h, ynew, tuple(k7)
+            # Dense coefficients: the node value, the increment, the two
+            # Hermite corrections and the quartic term.
+            da = yna - ya
+            db = ynb - yb
+            ba = h * k1a - da
+            bb = h * k1b - db
+            segments.append(
+                _DenseSegment(
+                    t,
+                    h,
+                    ya,
+                    da,
+                    ba,
+                    da - h * k7a - ba,
+                    h * (0.0 + _D1 * k1a + _D3 * k3a + _D4 * k4a + _D5 * k5a + _D6 * k6a + _D7 * k7a),
+                    yb,
+                    db,
+                    bb,
+                    db - h * k7b - bb,
+                    h * (0.0 + _D1 * k1b + _D3 * k3b + _D4 * k4b + _D5 * k5b + _D6 * k6b + _D7 * k7b),
+                )
+            )
+            t = t + h
+            ya, yb, k1a, k1b = yna, ynb, k7a, k7b  # stage 7 is the next step's stage 1
             ts.append(t)
-            ys.append(y)
-            fs.append(k1)
+            ys0.append(ya)
+            ys1.append(yb)
+            fs0.append(k1a)
+            floor = _floor_at(t, min_step)
             ratio_prev = ratio_c
             rejected = False
             h = h * fac
 
             # --- event bookkeeping on the accepted node -------------------
             if track_zeros:
-                phi = y[0]
-                s_new = 0.0 if phi == 0.0 else math.copysign(1.0, phi)
-                if abs(phi) <= opts.zero_tol and abs(fs[-1][0]) <= opts.zero_tol:
+                s_new = 0.0 if ya == 0.0 else math.copysign(1.0, ya)
+                if abs(ya) <= zero_tol and abs(k1a) <= zero_tol:
                     tangential = True
                 if s_new == 0.0:
                     pending_zero = t
@@ -336,7 +408,7 @@ def _solve(
                     if pending_zero is not None:
                         zeros.append(pending_zero)
                     else:
-                        zeros.append(_locate_zero(segments, t_sign, t, opts.zero_tol))
+                        zeros.append(_locate_zero(ts, segments, t_sign, t, zero_tol))
                     pending_zero = None
                     s_last, t_sign = s_new, t
                     if len(zeros) >= opts.max_zeros:
@@ -352,21 +424,20 @@ def _solve(
             rejected = True
             fac = max(0.1, min(0.5, _SAFETY * ratio ** -0.25))
             h_new = h * fac
-            if h_new < floor_at(t):
-                terminal = escape_or_collapse("local error saturated", h_new)
+            if h_new < floor:
+                terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", h_new)
                 break
             h = h_new
 
-    return _RawSolution(ts, ys, fs, segments, terminal, zeros, tangential, zeros_truncated)
+    return _RawSolution(ts, ys0, ys1, fs0, segments, terminal, zeros, tangential, zeros_truncated)
 
 
-def _locate_zero(segments, t_lo: float, t_hi: float, zero_tol: float) -> float:
-    """Bisect the dense output for the sign change bracketed by [t_lo, t_hi]."""
+def _locate_zero(ts: list[float], segments: list[_DenseSegment], t_lo: float, t_hi: float, zero_tol: float) -> float:
+    """Bisect the dense output of component 0 for the sign change bracketed by [t_lo, t_hi]."""
+    last = len(segments) - 1
 
     def phi(t: float) -> float:
-        idx = min(bisect_right([s.t for s in segments], t) - 1, len(segments) - 1)
-        idx = max(idx, 0)
-        return segments[idx].eval(t)[0]
+        return segments[max(min(bisect_right(ts, t) - 1, last), 0)].first(t)
 
     f_lo = phi(t_lo)
     lo, hi = t_lo, t_hi
@@ -413,13 +484,14 @@ class Trajectory:
         return float(self.ts[-1])
 
     def state_at(self, t: float) -> tuple[float, float]:
-        return self._raw.eval(t)[:2]
+        seg = self._raw.segment_at(t)
+        return seg.first(t), seg.second(t)
 
     def phi_at(self, t: float) -> float:
-        return self._raw.eval(t)[0]
+        return self._raw.segment_at(t).first(t)
 
     def psi_at(self, t: float) -> float:
-        return self._raw.eval(t)[1]
+        return self._raw.segment_at(t).second(t)
 
     def dphi_at(self, t: float) -> float:
         phi, psi = self.state_at(t)
@@ -446,25 +518,21 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
 
     p0, q0, r0 = eq.p0, eq.q0, eq.r0
 
-    def f(t: float, y: tuple[float, ...]) -> tuple[float, float]:
-        phi, psi = y
+    def f(t: float, phi: float, psi: float) -> tuple[float, float]:
         p = p0(t, phi)
         if p <= 0.0:
             raise DomainError(f"p0 is not positive at (t={t!r}, w={phi!r}): {p!r}")
         return psi / p, -r0(t, phi) * phi - q0(t, phi) / p * psi
 
-    raw = _solve(f, ic.t1, (ic.phi0, p_init * ic.phi1), opts, track_zeros=True)
-    ts = np.array(raw.ts)
-    ys = np.array(raw.ys)
-    fs = np.array(raw.fs)
+    raw = _solve(f, ic.t1, ic.phi0, p_init * ic.phi1, 2, opts, track_zeros=True)
     return Trajectory(
         eq=eq,
         ic=ic,
         opts=opts,
-        ts=ts,
-        phis=ys[:, 0],
-        psis=ys[:, 1],
-        dphis=fs[:, 0],
+        ts=np.array(raw.ts),
+        phis=np.array(raw.ys0),
+        psis=np.array(raw.ys1),
+        dphis=np.array(raw.fs0),
         zeros=list(raw.zeros),
         terminal=raw.terminal,
         tangential=raw.tangential,
@@ -479,12 +547,16 @@ def solve_scalar(
     y0: float,
     opts: IntegrationOptions,
 ) -> _RawSolution:
-    """Integrate a scalar ODE with the same stepper and escape detection."""
+    """Integrate a scalar ODE with the same stepper and escape detection.
 
-    def f(t: float, y: tuple[float, ...]) -> tuple[float]:
-        return (rhs(t, y[0]),)
+    The scalar is the stepper's first component; the second is held at zero
+    and the error norm averages over one equation.
+    """
 
-    return _solve(f, t0, (y0,), opts, track_zeros=False)
+    def f(t: float, y: float, _zero: float) -> tuple[float, float]:
+        return rhs(t, y), 0.0
+
+    return _solve(f, t0, y0, 0.0, 1, opts)
 
 
 @dataclass(frozen=True)

@@ -359,7 +359,7 @@ def uniqueness_interval(
 # JSON equation documents
 # ---------------------------------------------------------------------------
 
-_FIELD_KINDS = ("power", "constant", "polynomial", "emden_fowler", "van_der_pol")
+_EQUATION_KINDS = ("custom", "emden_fowler", "van_der_pol")
 
 
 def _require_keys(doc: Mapping, allowed: set[str], required: set[str], path: str) -> None:
@@ -509,7 +509,7 @@ def equation_from_json(doc: Mapping, path: str = "equation") -> EquationSpec:
         r0 = _scalar_field_from_json(doc["r0"], f"{path}.r0", "r0")
         return EquationSpec(p0=p0, q0=q0, r0=r0, t0=_number(doc, "t0", path))
 
-    raise ConfigError(f"{path}.kind", f"unknown equation kind {kind!r} (expected one of {_FIELD_KINDS})")
+    raise ConfigError(f"{path}.kind", f"unknown equation kind {kind!r} (expected one of {_EQUATION_KINDS})")
 
 
 def load_equation(path: str) -> EquationSpec:

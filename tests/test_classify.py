@@ -99,6 +99,7 @@ class TestSweep:
         errored = [c for c in cells if c.error]
         assert errored
         assert all(c.kind == UNDETERMINED for c in errored)
+        assert all(c.error.startswith("DomainError: ") for c in errored)
 
     def test_raster_csv_layout(self, tmp_path, harmonic_eq):
         cells = sweep(harmonic_eq, ((0.5, 1.0), (0.0, 1.0)), (2, 2), IntegrationOptions(horizon=30.0))
@@ -113,11 +114,15 @@ class TestSweep:
             assert fields[2] == OSCILLATORY
             assert fields[4] == ""  # no escapes
 
-    def test_threaded_sweep_matches_sequential(self, harmonic_eq, monkeypatch):
-        seq = sweep(harmonic_eq, ((0.5, 1.5), (0.0, 1.0)), (2, 2), IntegrationOptions(horizon=20.0))
-        monkeypatch.setenv("RCERT_THREADS", "4")
-        par = sweep(harmonic_eq, ((0.5, 1.5), (0.0, 1.0)), (2, 2), IntegrationOptions(horizon=20.0))
-        assert seq == par
+    def test_programming_error_propagates(self):
+        # A bug in a coefficient (here a KeyError) is not a numerical failure
+        # and must not be turned into an Undetermined cell.
+        def broken(t, w):
+            return {}["missing"]
+
+        eq = make_eq(r_fn=broken)
+        with pytest.raises(KeyError):
+            sweep(eq, ((0.5, 1.0), (0.0, 1.0)), (2, 2), IntegrationOptions(horizon=5.0))
 
 
 class TestPolicyKnobs:

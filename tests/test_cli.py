@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import rcert.cli
 from rcert.cli import main
 from rcert.serialize import validate_certificate_dict
 
@@ -159,6 +160,22 @@ class TestCaseStudyCommands:
         assert report["normal_form"]["sigma1"] == pytest.approx((0.0 + 4.0) / 3.0 - 6.0)
         assert report["classification"]["kind"] == "GlobalMonotoneNonvanishing"
         assert (out / "trajectory.csv").exists()
+
+    def test_emden_passes_quadrature_tolerances(self, tmp_path, monkeypatch):
+        seen = []
+        original = rcert.cli.check_t3_1
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("quad_abs_tol"), kwargs.get("quad_rel_tol")))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rcert.cli, "check_t3_1", spy)
+        doc = json.loads(json.dumps(EF_CONFIG))
+        doc["grid"] = {"nt": 9, "nw": 9}
+        doc["options"] = {"horizon": 50.0, "quad_abs_tol": 1e-11, "quad_rel_tol": 1e-9}
+        cfg = write_config(tmp_path, doc)
+        run_cli(["emden", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert seen == [(1e-11, 1e-9)]
 
     def test_emden_stability_block(self, tmp_path):
         doc = json.loads(json.dumps(EF_CONFIG))

@@ -208,6 +208,10 @@ class TestEquationFromJson:
         with pytest.raises(ConfigError) as err:
             equation_from_json({"kind": "mystery"})
         assert "equation.kind" in str(err.value)
+        # the message lists the equation kinds, not the field kinds
+        for kind in ("custom", "emden_fowler", "van_der_pol"):
+            assert repr(kind) in str(err.value)
+        assert "polynomial" not in str(err.value)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
