@@ -16,13 +16,21 @@ certificate embeds the w-range that was actually sampled so downstream
 claims stay scoped.  Components that no finite computation can decide
 (oscillation of a comparison family, divergence of improper integrals) are
 decided heuristically and flagged as such inside the certificate.
+
+Every checker runs on one scan primitive, :func:`_scan`, over an ordered
+table of pointwise checks and row rules.  The witness is the first failure in
+t-major order, then w, then table order.  The scan samples one row (fixed t)
+at a time, so a non-finite sample anywhere on the witness row raises, and a
+scan that reaches a point with p0 <= 0 under q0/p0 raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dynamics import IntegrationOptions, integrate
 from .errors import DomainError, RangeOverflowError
@@ -33,6 +41,8 @@ from .fields import (
     InitialData,
     Rectangle,
     ScalarField,
+    _even_monotone_break,
+    _first_where,
 )
 from .quadrature import (
     CONVERGING,
@@ -148,16 +158,219 @@ def _region_record(ts, w_lo, w_hi, grid: GridSpec, sampled: tuple[float, float] 
     return rec
 
 
-def _default_region(eq: EquationSpec, span: float = 50.0) -> Rectangle:
-    return Rectangle(eq.t0, eq.t0 + span, -math.inf, math.inf)
-
-
 def _ratio_precondition(ic: InitialData) -> str | None:
     if ic.phi0 == 0.0:
         return "phi0 must be nonzero"
     if ic.phi1 / ic.phi0 < 0.0:
         return "phi1/phi0 must be nonnegative"
     return None
+
+
+# ---------------------------------------------------------------------------
+# The hypothesis scan
+# ---------------------------------------------------------------------------
+
+
+class _Check(NamedTuple):
+    """A pointwise check that fails where ``quantity op bound`` holds.
+
+    The detail writes a bound of t as ``label=value`` and a constant as ``label``.
+    """
+
+    hypothesis: str
+    quantity: str
+    op: str
+    bound: Callable[[float], float] | float
+    label: str
+    note: str = ""
+
+
+_OPS = {"<": operator.lt, ">": operator.gt}
+
+
+def _rows(ts, ws, keep=None) -> list[tuple[float, list[float]]]:
+    """(t, w-row) pairs over a fixed w axis, keeping the w that ``keep`` accepts."""
+    if keep is not None:
+        ws = [w for w in ws if keep(w)]
+    return [(t, ws) for t in ts]
+
+
+def _scan(rows, fields: dict, stages, seen: list[float] | None = None):
+    """The first failure of a hypothesis scan over (t, w), one row at a time.
+
+    ``rows`` gives the (t, ws) pairs in scan order.  On each row every
+    :class:`ScalarField` in ``fields`` is sampled once at every w before any
+    check runs; the other entries derive a row from the rows before them and
+    may stop early with an outcome (see :func:`_ratio`).  The stages run in
+    order and return None or a hit (j, outcome), where j indexes ws (None for
+    a witness without w).  The first hit ends the scan: an exception outcome
+    is raised, a Witness or an Inconclusive reason is returned.  None means
+    every check held.  ``seen`` becomes [min, max] of the w checked.
+    """
+    for t, ws in rows:
+        row, stops, sampled = {}, {}, {}
+        for name, f in fields.items():
+            if isinstance(f, ScalarField):
+                if id(f) not in sampled:
+                    sampled[id(f)] = [f(t, w) for w in ws]
+                row[name] = sampled[id(f)]
+            else:
+                row[name], stop = f(t, ws, row)
+                if stop is not None:
+                    stops[name] = stop
+        for stage in stages:
+            hit = stage(t, ws, row, stops)
+            if hit is not None:
+                j, outcome = hit
+                if isinstance(outcome, Exception):
+                    raise outcome
+                if seen is not None and j is not None:
+                    seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[j])]
+                return outcome
+        if seen is not None and ws:
+            seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[-1])]
+    return None
+
+
+def _ratio(num: str, den: str):
+    """The derived row num/den; the only place a q/p field ratio is computed.
+
+    The row stops at the first w where den <= 0, and a check that reaches
+    that point raises :class:`DomainError` instead of dividing.
+    """
+
+    def derive(t, ws, row):
+        d = row[den]
+        j = _first_where(d, operator.le, 0.0)
+        values = list(map(operator.truediv, row[num][:j], d[:j]))
+        return values, None if j is None else DomainError(f"{den} is not positive at (t={t!r}, w={ws[j]!r}): {d[j]!r}")
+
+    return derive
+
+
+_PQR = ("p0", "q0", "r0", "q0/p0")
+
+
+def _eq_fields(eq: EquationSpec, *names: str) -> dict:
+    """The rows a scan takes from ``eq``, among p0, q0, r0 and q0/p0."""
+    known = {"p0": eq.p0, "q0": eq.q0, "r0": eq.r0, "q0/p0": _ratio("q0", "p0")}
+    return {name: known[name] for name in names}
+
+
+def _points(*checks: _Check):
+    """A stage of pointwise checks: the first failure in w order, then table order.
+
+    A derived row that stops early fails its checks at the stop point, where
+    the stop decides the outcome.
+    """
+
+    def stage(t, ws, row, stops):
+        hit = None
+        for c in checks:
+            values = row[c.quantity]
+            bound = c.bound(t) if callable(c.bound) else c.bound
+            j = _first_where(values, _OPS[c.op], bound)
+            if j is None and c.quantity in stops:
+                j = len(values)
+            if j is not None and (hit is None or j < hit[0]):
+                hit = j, c, bound
+        if hit is None:
+            return None
+        j, c, bound = hit
+        values = row[c.quantity]
+        if j == len(values):
+            return j, stops[c.quantity]
+        rhs = f"{c.label}={bound!r}" if callable(c.bound) else c.label
+        return j, Witness(c.hypothesis, t, ws[j], f"{c.quantity}={values[j]!r} {c.op} {rhs}{c.note}")
+
+    return stage
+
+
+def _stopped(row, stops, *names):
+    """The hit of a rule that reads whole rows, when one of ``names`` stops early."""
+    for name in names:
+        if name in stops:
+            return len(row[name]), stops[name]
+    return None
+
+
+def _even_monotone(hypothesis: str, *names: str):
+    """A row rule: each named row, in turn, must be even-monotone in w."""
+
+    def rule(t, ws, row, stops):
+        for name in names:
+            hit = _stopped(row, stops, name)
+            if hit is not None:
+                return hit
+            broken = _even_monotone_break(ws, row[name])
+            if broken is not None:
+                j, verb, side = broken
+                return j + 1, Witness(hypothesis, t, ws[j + 1], f"{name} {verb} on the {side} side")
+        return None
+
+    return rule
+
+
+def _cross_term(t, ws, row):
+    """|p0*r0/q0| of T3_2: 0 where q0 = r0 = 0; the row stops where q0 = 0 but r0 != 0."""
+    values = []
+    for j, (p, q, r) in enumerate(zip(row["p0"], row["q0"], row["r0"])):
+        if q == 0.0 and r != 0.0:
+            return values, f"ratio undefined: q0 = 0 with r0 = {r!r} at (t={t!r}, w={ws[j]!r})"
+        values.append(0.0 if q == 0.0 else abs(p * r / q))
+    return values, None
+
+
+# ---------------------------------------------------------------------------
+# The criteria
+# ---------------------------------------------------------------------------
+
+
+def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_envelope, fields, stages) -> Certificate:
+    """T3_1 and T3_2: precondition, growth envelope, then the scan of |w| <= envelope + epsilon."""
+    if region is None:
+        region = Rectangle(eq.t0, eq.t0 + 50.0, -math.inf, math.inf)
+    pre = _ratio_precondition(ic)
+    if pre is not None:
+        rec = _region_record((ic.t1, region.t_max), None, None, grid, None)
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=f"precondition: {pre}")
+    eps = 1e-3 * abs(ic.phi0) if epsilon is None else epsilon
+    c1 = ic.phi0
+    c2 = eq.p0(ic.t1, ic.phi0) * ic.phi1 / ic.phi0
+    ts = grid.t_axis(ic.t1, region.t_max)
+    envelope = make_envelope(c1, c2, ts)
+    try:
+        bound_vals = [envelope(t) for t in ts]
+    except RangeOverflowError as exc:
+        rec = _region_record(ts, None, None, grid, None)
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=f"range: {exc}")
+
+    def rows():
+        for t, v in zip(ts, bound_vals):
+            w_lo, w_hi = max(region.w_min, -(v + eps)), min(region.w_max, v + eps)
+            yield t, grid.w_axis(w_lo, w_hi) if w_lo <= w_hi else []
+
+    seen = [math.inf, -math.inf]
+    outcome = _scan(rows(), fields, stages, seen)
+    rec = _region_record(ts, region.w_min, region.w_max, grid, tuple(seen) if seen[0] <= seen[1] else None)
+    if isinstance(outcome, str):
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=outcome)
+    if outcome is not None:
+        return Certificate(theorem, FALSIFIED, hypotheses, rec, epsilon=eps, witness=outcome)
+    details = {"c1": c1, "c2": c2}
+    if ic.phi1 != 0.0:
+        details["derivative_nonvanishing"] = True
+    return Certificate(
+        theorem,
+        VERIFIED,
+        hypotheses,
+        rec,
+        conclusion=GLOBAL_MONOTONE,
+        epsilon=eps,
+        bound=envelope,
+        bound_samples=list(zip(ts, bound_vals)),
+        details=details,
+    )
 
 
 def check_t3_1(
@@ -180,83 +393,17 @@ def check_t3_1(
     the derivative never vanishes either.
     """
     hypotheses = ("p0 >= P", "q0/p0 >= Q", "R <= r0 <= 0")
-    theorem = "T3_1"
-    if region is None:
-        region = _default_region(eq)
-    pre = _ratio_precondition(ic)
-    if pre is not None:
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [ic.t1, region.t_max], "w": None, "nt": grid.nt, "nw": grid.nw},
-            reason=f"precondition: {pre}",
-        )
-    eps = 1e-3 * abs(ic.phi0) if epsilon is None else epsilon
-    c1 = ic.phi0
-    c2 = eq.p0(ic.t1, ic.phi0) * ic.phi1 / ic.phi0
-    ts = grid.t_axis(ic.t1, region.t_max)
-
-    envelope = FBound(b, ic.t1, c1, c2, abs_tol=quad_abs_tol, rel_tol=quad_rel_tol)
-    try:
-        bound_vals = [envelope(t) for t in ts]
-    except RangeOverflowError as exc:
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [ts[0], ts[-1]], "w": None, "nt": grid.nt, "nw": grid.nw},
-            epsilon=eps,
-            reason=f"range: {exc}",
-        )
-
-    w_seen = [math.inf, -math.inf]
-    witness = _sweep_sandwich(eq, b, ts, [v + eps for v in bound_vals], region, grid, w_seen)
-    sampled = (w_seen[0], w_seen[1]) if w_seen[0] <= w_seen[1] else None
-    rec = _region_record(ts, region.w_min, region.w_max, grid, sampled)
-    if witness is not None:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, epsilon=eps, witness=witness)
-    details = {"c1": c1, "c2": c2}
-    if ic.phi1 != 0.0:
-        details["derivative_nonvanishing"] = True
-    return Certificate(
-        theorem,
-        VERIFIED,
-        hypotheses,
-        rec,
-        conclusion=GLOBAL_MONOTONE,
-        epsilon=eps,
-        bound=envelope,
-        bound_samples=list(zip(ts, bound_vals)),
-        details=details,
+    sandwich = _points(
+        _Check("p0 >= P", "p0", "<", b.P, "P"),
+        _Check("q0/p0 >= Q", "q0/p0", "<", b.Q, "Q"),
+        _Check("R <= r0 <= 0", "r0", ">", 0.0, "0"),
+        _Check("R <= r0 <= 0", "r0", "<", b.R, "R"),
     )
 
+    def envelope(c1, c2, ts):
+        return FBound(b, ic.t1, c1, c2, abs_tol=quad_abs_tol, rel_tol=quad_rel_tol)
 
-def _sweep_sandwich(eq, b, ts, w_caps, region, grid, w_seen) -> Witness | None:
-    """Shared (t, w) sweep for the three sandwich inequalities of the F check."""
-    for t, cap in zip(ts, w_caps):
-        Pv = b.P(t)
-        Qv = b.Q(t)
-        Rv = b.R(t)
-        w_lo = max(region.w_min, -cap)
-        w_hi = min(region.w_max, cap)
-        if w_lo > w_hi:
-            continue
-        for w in grid.w_axis(w_lo, w_hi):
-            w_seen[0] = min(w_seen[0], w)
-            w_seen[1] = max(w_seen[1], w)
-            p = eq.p0(t, w)
-            if p < Pv:
-                return Witness("p0 >= P", t, w, f"p0={p!r} < P={Pv!r}")
-            q = eq.q0(t, w)
-            if q / p < Qv:
-                return Witness("q0/p0 >= Q", t, w, f"q0/p0={q / p!r} < Q={Qv!r}")
-            r = eq.r0(t, w)
-            if r > 0.0:
-                return Witness("R <= r0 <= 0", t, w, f"r0={r!r} > 0")
-            if r < Rv:
-                return Witness("R <= r0 <= 0", t, w, f"r0={r!r} < R={Rv!r}")
-    return None
+    return _envelope_check("T3_1", hypotheses, eq, ic, region, grid, epsilon, envelope, _eq_fields(eq, *_PQR), [sandwich])
 
 
 def check_t3_2(
@@ -279,112 +426,35 @@ def check_t3_2(
     Inconclusive rather than guessed around.
     """
     hypotheses = ("p0 >= P", "q0 >= Q >= 0", "r0 <= 0", "|p0*r0/q0| <= Qtilde")
-    theorem = "T3_2"
-    if region is None:
-        region = _default_region(eq)
-    pre = _ratio_precondition(ic)
-    if pre is not None:
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [ic.t1, region.t_max], "w": None, "nt": grid.nt, "nw": grid.nw},
-            reason=f"precondition: {pre}",
-        )
-    eps = 1e-3 * abs(ic.phi0) if epsilon is None else epsilon
-    c1 = ic.phi0
-    c2 = eq.p0(ic.t1, ic.phi0) * ic.phi1 / ic.phi0
-    ts = grid.t_axis(ic.t1, region.t_max)
 
-    # Running maximum of qtilde, sampled on a refinement of the time grid.
-    fine = GridSpec(nt=4 * (grid.nt - 1) + 1, nw=2).t_axis(ic.t1, region.t_max)
-    cummax: list[float] = []
-    acc = -math.inf
-    for t in fine:
-        acc = max(acc, qtilde(t))
-        cummax.append(acc)
-
-    def running_max(tau: float) -> float:
-        from bisect import bisect_right
-
-        idx = max(0, min(len(fine) - 1, bisect_right(fine, tau) - 1))
-        return max(cummax[idx], qtilde(tau))
-
-    envelope = GBound(b, running_max, ic.t1, c1, c2, abs_tol=quad_abs_tol, rel_tol=quad_rel_tol)
-    try:
-        bound_vals = [envelope(t) for t in ts]
-    except RangeOverflowError as exc:
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [ts[0], ts[-1]], "w": None, "nt": grid.nt, "nw": grid.nw},
-            epsilon=eps,
-            reason=f"range: {exc}",
-        )
-
-    w_seen = [math.inf, -math.inf]
-    witness = None
-    reason = None
-    for t, cap in zip(ts, [v + eps for v in bound_vals]):
-        Pv = b.P(t)
+    def q_sign(t, ws, row, stops):
         Qv = b.Q(t)
-        Qt = qtilde(t)
-        if Qv < 0.0:
-            witness = Witness("q0 >= Q >= 0", t, None, f"Q={Qv!r} < 0")
-            break
-        w_lo = max(region.w_min, -cap)
-        w_hi = min(region.w_max, cap)
-        if w_lo > w_hi:
-            continue
-        for w in grid.w_axis(w_lo, w_hi):
-            w_seen[0] = min(w_seen[0], w)
-            w_seen[1] = max(w_seen[1], w)
-            p = eq.p0(t, w)
-            if p < Pv:
-                witness = Witness("p0 >= P", t, w, f"p0={p!r} < P={Pv!r}")
-                break
-            q = eq.q0(t, w)
-            if q < Qv:
-                witness = Witness("q0 >= Q >= 0", t, w, f"q0={q!r} < Q={Qv!r}")
-                break
-            r = eq.r0(t, w)
-            if r > 0.0:
-                witness = Witness("r0 <= 0", t, w, f"r0={r!r} > 0")
-                break
-            if q == 0.0:
-                if r != 0.0:
-                    reason = f"ratio undefined: q0 = 0 with r0 = {r!r} at (t={t!r}, w={w!r})"
-                    break
-                ratio = 0.0
-            else:
-                ratio = abs(p * r / q)
-            if ratio > Qt:
-                witness = Witness("|p0*r0/q0| <= Qtilde", t, w, f"|p0*r0/q0|={ratio!r} > Qtilde={Qt!r}")
-                break
-        if witness is not None or reason is not None:
-            break
+        return (None, Witness("q0 >= Q >= 0", t, None, f"Q={Qv!r} < 0")) if Qv < 0.0 else None
 
-    sampled = (w_seen[0], w_seen[1]) if w_seen[0] <= w_seen[1] else None
-    rec = _region_record(ts, region.w_min, region.w_max, grid, sampled)
-    if reason is not None:
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=reason)
-    if witness is not None:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, epsilon=eps, witness=witness)
-    details = {"c1": c1, "c2": c2}
-    if ic.phi1 != 0.0:
-        details["derivative_nonvanishing"] = True
-    return Certificate(
-        theorem,
-        VERIFIED,
-        hypotheses,
-        rec,
-        conclusion=GLOBAL_MONOTONE,
-        epsilon=eps,
-        bound=envelope,
-        bound_samples=list(zip(ts, bound_vals)),
-        details=details,
+    points = _points(
+        _Check("p0 >= P", "p0", "<", b.P, "P"),
+        _Check("q0 >= Q >= 0", "q0", "<", b.Q, "Q"),
+        _Check("r0 <= 0", "r0", ">", 0.0, "0"),
+        _Check("|p0*r0/q0| <= Qtilde", "|p0*r0/q0|", ">", qtilde, "Qtilde"),
     )
+
+    def envelope(c1, c2, ts):
+        # Running maximum of qtilde, sampled on a refinement of the time grid.
+        fine = GridSpec(nt=4 * (grid.nt - 1) + 1, nw=2).t_axis(ts[0], ts[-1])
+        cummax: list[float] = []
+        acc = -math.inf
+        for t in fine:
+            acc = max(acc, qtilde(t))
+            cummax.append(acc)
+
+        def running_max(tau: float) -> float:
+            idx = max(0, min(len(fine) - 1, bisect_right(fine, tau) - 1))
+            return max(cummax[idx], qtilde(tau))
+
+        return GBound(b, running_max, ic.t1, c1, c2, abs_tol=quad_abs_tol, rel_tol=quad_rel_tol)
+
+    fields = {**_eq_fields(eq, "p0", "q0", "r0"), "|p0*r0/q0|": _cross_term}
+    return _envelope_check("T3_2", hypotheses, eq, ic, region, grid, epsilon, envelope, fields, [q_sign, points])
 
 
 def check_t3_3(
@@ -413,14 +483,9 @@ def check_t3_3(
     theorem = "T3_3"
     if region is None:
         region = Rectangle(eq0.t0, majorant.t_end, -1.0, 1.0)
+    whole = _region_record((region.t_min, region.t_max), None, None, grid, None)
     if majorant.zeros or majorant.tangential:
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [region.t_min, region.t_max], "w": None, "nt": grid.nt, "nw": grid.nw},
-            reason="majorant has a zero on its span",
-        )
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason="majorant has a zero on its span")
     t_base = majorant.t_start
     if abs(ic0.t1 - t_base) > 1e-12 * max(1.0, abs(t_base)):
         raise DomainError("comparison initial data must start where the majorant starts")
@@ -430,23 +495,13 @@ def check_t3_3(
     positive_branch = phi1_0 >= ic0.phi0 > 0.0 and dphi1_0 > ic0.phi1 >= 0.0
     negative_branch = phi1_0 <= ic0.phi0 < 0.0 and dphi1_0 < ic0.phi1 <= 0.0
     if not (positive_branch or negative_branch):
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [region.t_min, region.t_max], "w": None, "nt": grid.nt, "nw": grid.nw},
-            reason="precondition: initial ordering of values/derivatives fails",
-        )
+        reason = "precondition: initial ordering of values/derivatives fails"
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason=reason)
     y0 = eq0.p0(ic0.t1, ic0.phi0) * ic0.phi1 / ic0.phi0
     y1 = eq1.p0(t_base, phi1_0) * dphi1_0 / phi1_0
     if not y0 < y1:
-        return Certificate(
-            theorem,
-            INCONCLUSIVE,
-            hypotheses,
-            {"t": [region.t_min, region.t_max], "w": None, "nt": grid.nt, "nw": grid.nw},
-            reason=f"precondition: initial ratio ordering fails (y0={y0!r} >= y1={y1!r})",
-        )
+        reason = f"precondition: initial ratio ordering fails (y0={y0!r} >= y1={y1!r})"
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason=reason)
 
     W = max(abs(region.w_min), abs(region.w_max))
     nw = grid.nw if grid.nw % 2 == 1 else grid.nw + 1
@@ -455,76 +510,36 @@ def check_t3_3(
     ws[half] = 0.0
     ts = grid.t_axis(region.t_min, region.t_max)
 
-    witness = None
-    for t in ts:
-        p0row = [eq0.p0(t, w) for w in ws]
-        p1row = [eq1.p0(t, w) for w in ws]
-        for w, a, c in zip(ws, p0row, p1row):
+    def p_match(t, ws, row, stops):
+        for j, (a, c) in enumerate(zip(row["p0"], row["p1"])):
             if abs(a - c) > p_match_rtol * max(1.0, abs(a), abs(c)):
-                witness = Witness("p0 == p1, even-monotone in w", t, w, f"p0={a!r} != p1={c!r}")
-                break
-        if witness:
-            break
-        for i in range(half, nw - 1):
-            if p0row[i] > p0row[i + 1]:
-                witness = Witness(
-                    "p0 == p1, even-monotone in w", t, ws[i + 1], "p0 decreases on the nonnegative side"
-                )
-                break
-        if witness:
-            break
-        for i in range(0, half):
-            if p0row[i] < p0row[i + 1]:
-                witness = Witness(
-                    "p0 == p1, even-monotone in w", t, ws[i + 1], "p0 increases on the nonpositive side"
-                )
-                break
-        if witness:
-            break
+                return j, Witness(hypotheses[2], t, ws[j], f"p0={a!r} != p1={c!r}")
+        return None
 
-        r0row = [eq0.r0(t, w) for w in ws]
-        q0row = [eq0.q0(t, w) / p0row[i] for i, w in enumerate(ws)]
-        band_min_r = r0row[half]
-        band_max_q = q0row[half]
-        for k in range(0, half + 1):
-            iL, iR = half - k, half + k
-            band_min_r = min(band_min_r, r0row[iL], r0row[iR])
-            band_max_q = max(band_max_q, q0row[iL], q0row[iR])
-            for idx in ([iR] if k == 0 else [iL, iR]):
-                w1 = ws[idx]
-                if r0row[idx] > 0.0:
-                    witness = Witness("r1(w1) <= r0(w) <= 0 for |w| <= |w1|", t, w1, f"r0={r0row[idx]!r} > 0")
-                    break
-                r1v = eq1.r0(t, w1)
-                if r1v > band_min_r:
-                    witness = Witness(
-                        "r1(w1) <= r0(w) <= 0 for |w| <= |w1|",
-                        t,
-                        w1,
-                        f"r1(w1)={r1v!r} > min r0 over band = {band_min_r!r}",
-                    )
-                    break
-                q1v = eq1.q0(t, w1) / eq1.p0(t, w1)
-                if band_max_q > q1v:
-                    witness = Witness(
-                        "q0/p0(w) <= q1/p1(w1) for |w| <= |w1|",
-                        t,
-                        w1,
-                        f"max q0/p0 over band = {band_max_q!r} > q1/p1(w1)={q1v!r}",
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    def band(t, ws, row, stops):
+        # Matched pairs |w| <= |w1|: prefix extrema of the band grow from w = 0 outwards.
+        hit = _stopped(row, stops, "q0/p0", "q1/p1")
+        if hit is not None:
+            return hit
+        r0, q0, r1, q1 = row["r0"], row["q0/p0"], row["r1"], row["q1/p1"]
+        min_r, max_q = r0[half], q0[half]
+        for k in range(half + 1):
+            lo, hi = half - k, half + k
+            min_r = min(min_r, r0[lo], r0[hi])
+            max_q = max(max_q, q0[lo], q0[hi])
+            for j in (hi,) if k == 0 else (lo, hi):
+                if r0[j] > 0.0:
+                    return j, Witness(hypotheses[3], t, ws[j], f"r0={r0[j]!r} > 0")
+                if r1[j] > min_r:
+                    return j, Witness(hypotheses[3], t, ws[j], f"r1(w1)={r1[j]!r} > min r0 over band = {min_r!r}")
+                if max_q > q1[j]:
+                    return j, Witness(hypotheses[4], t, ws[j], f"max q0/p0 over band = {max_q!r} > q1/p1(w1)={q1[j]!r}")
+        return None
 
-    rec = {
-        "t": [ts[0], ts[-1]],
-        "w": [-W, W],
-        "nt": grid.nt,
-        "nw": nw,
-        "w_sampled": [-W, W],
-    }
+    fields = {**_eq_fields(eq0, *_PQR), "p1": eq1.p0, "q1": eq1.q0, "r1": eq1.r0, "q1/p1": _ratio("q1", "p1")}
+    stages = [p_match, _even_monotone(hypotheses[2], "p0"), band]
+    witness = _scan(_rows(ts, ws), fields, stages)
+    rec = _region_record(ts, -W, W, GridSpec(grid.nt, nw), (-W, W))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
     return Certificate(
@@ -556,24 +571,12 @@ def check_t3_4(
         region = Rectangle(eq.t0, eq.t0 + 50.0, -10.0, 10.0)
     ts = grid.t_axis(region.t_min, region.t_max)
     ws = grid.w_axis(region.w_min, region.w_max)
-    witness = None
-    for t in ts:
-        Pv = b.P(t)
-        Qv = b.Q(t)
-        for w in ws:
-            p = eq.p0(t, w)
-            if p < Pv:
-                witness = Witness("p0 >= P", t, w, f"p0={p!r} < P={Pv!r}")
-                break
-            if eq.q0(t, w) / p < Qv:
-                witness = Witness("q0/p0 >= Q", t, w, f"q0/p0={eq.q0(t, w) / p!r} < Q={Qv!r}")
-                break
-            r = eq.r0(t, w)
-            if r < 0.0:
-                witness = Witness("r0 >= 0", t, w, f"r0={r!r} < 0")
-                break
-        if witness:
-            break
+    points = _points(
+        _Check("p0 >= P", "p0", "<", b.P, "P"),
+        _Check("q0/p0 >= Q", "q0/p0", "<", b.Q, "Q"),
+        _Check("r0 >= 0", "r0", "<", 0.0, "0"),
+    )
+    witness = _scan(_rows(ts, ws), _eq_fields(eq, *_PQR), [points])
     rec = _region_record(ts, region.w_min, region.w_max, grid, (ws[0], ws[-1]))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
@@ -613,6 +616,7 @@ def check_t3_5(
         "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail",
         "band ordering vs family on N <= |w| <= eps with diverging double tail",
     )
+    _, outer, oscillate, capped, annulus = hypotheses
     theorem = "T3_5"
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
@@ -629,61 +633,39 @@ def check_t3_5(
     def falsified(witness: Witness) -> Certificate:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness, heuristic_flags=flags, details=details)
 
+    def probe_outcome(status: str, hypothesis: str, converged: str, inconclusive: str) -> Certificate | None:
+        # A converging tail falsifies its hypothesis; only a diverging one lets the check go on.
+        if status == CONVERGING:
+            return falsified(Witness(hypothesis, eq.t0, None, converged))
+        if status != DIVERGING:
+            return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=inconclusive, heuristic_flags=flags, details=details)
+        return None
+
     # r0 >= 0 everywhere on the sampled rectangle.
-    for t in ts:
-        for w in ws:
-            r = eq.r0(t, w)
-            if r < 0.0:
-                return falsified(Witness("r0 >= 0", t, w, f"r0={r!r} < 0"))
+    witness = _scan(_rows(ts, ws), _eq_fields(eq, "r0"), [_points(_Check("r0 >= 0", "r0", "<", 0.0, "0"))])
+    if witness is not None:
+        return falsified(witness)
 
     # Outer-band coefficient orderings against the family.
     for eps in eps_list:
         if not 0.0 < eps <= eps0:
             raise DomainError(f"eps sample {eps!r} outside (0, eps0]")
         p_e, q_e, r_e = family(eps)
-        for t in ts:
-            pe, qe, re = p_e(t), q_e(t), r_e(t)
-            for w in ws:
-                if abs(w) < eps:
-                    continue
-                p = eq.p0(t, w)
-                if p > pe:
-                    return falsified(
-                        Witness("band ordering vs family for |w| >= eps", t, w, f"p0={p!r} > p_eps={pe!r} (eps={eps!r})")
-                    )
-                if eq.q0(t, w) / p < qe / pe:
-                    return falsified(
-                        Witness(
-                            "band ordering vs family for |w| >= eps",
-                            t,
-                            w,
-                            f"q0/p0={eq.q0(t, w) / p!r} < q_eps/p_eps={qe / pe!r} (eps={eps!r})",
-                        )
-                    )
-                if eq.r0(t, w) < re:
-                    return falsified(
-                        Witness("band ordering vs family for |w| >= eps", t, w, f"r0={eq.r0(t, w)!r} < r_eps={re!r} (eps={eps!r})")
-                    )
+        note = f" (eps={eps!r})"
+        points = _points(
+            _Check(outer, "p0", ">", p_e, "p_eps", note),
+            _Check(outer, "q0/p0", "<", lambda t: q_e(t) / p_e(t), "q_eps/p_eps", note),
+            _Check(outer, "r0", "<", r_e, "r_eps", note),
+        )
+        witness = _scan(_rows(ts, ws, lambda w: abs(w) >= eps), _eq_fields(eq, *_PQR), [points])
+        if witness is not None:
+            return falsified(witness)
 
     # Bounded band: coefficient caps and the reciprocal-weight tail.
-    for t in ts:
-        Pv = b.P(t)
-        Qv = b.Q(t)
-        for w in ws:
-            if abs(w) > N:
-                continue
-            p = eq.p0(t, w)
-            if p > Pv:
-                return falsified(Witness("p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail", t, w, f"p0={p!r} > P={Pv!r}"))
-            if eq.q0(t, w) / p > Qv:
-                return falsified(
-                    Witness(
-                        "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail",
-                        t,
-                        w,
-                        f"q0/p0={eq.q0(t, w) / p!r} > Q={Qv!r}",
-                    )
-                )
+    points = _points(_Check(capped, "p0", ">", b.P, "P"), _Check(capped, "q0/p0", ">", b.Q, "Q"))
+    witness = _scan(_rows(ts, ws, lambda w: abs(w) <= N), _eq_fields(eq, "p0", "q0", "q0/p0"), [points])
+    if witness is not None:
+        return falsified(witness)
     VQ = CumulativeIntegral(b.Q, eq.t0, abs_rate=1e-13, rel_tol=1e-11)
 
     def reciprocal_tail(tau: float) -> float:
@@ -692,21 +674,10 @@ def check_t3_5(
             raise DomainError(f"P({tau!r}) = {p!r} <= 0")
         return math.exp(-VQ(tau)) / p
 
-    verdict1 = divergence_probe(reciprocal_tail, eq.t0, horizons)
-    details["reciprocal_tail_status"] = verdict1.status
-    if verdict1.status == CONVERGING:
-        return falsified(
-            Witness(
-                "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail",
-                eq.t0,
-                None,
-                "reciprocal-weight tail probe converged",
-            )
-        )
-    if verdict1.status != DIVERGING:
-        return Certificate(
-            theorem, INCONCLUSIVE, hypotheses, rec, reason="reciprocal tail probe inconclusive", heuristic_flags=flags, details=details
-        )
+    status = details["reciprocal_tail_status"] = divergence_probe(reciprocal_tail, eq.t0, horizons).status
+    outcome = probe_outcome(status, capped, "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive")
+    if outcome is not None:
+        return outcome
 
     # Outer annulus: orderings against the family plus the double-integral tail.
     tail_status = {}
@@ -714,47 +685,21 @@ def check_t3_5(
         if eps < N:
             raise DomainError(f"tail eps sample {eps!r} below N")
         p_e, q_e, r_e = family(eps)
-        for t in ts:
-            pe, qe = p_e(t), q_e(t)
-            re = r_e(t)
-            for w in ws:
-                if not (N <= abs(w) <= eps):
-                    continue
-                p = eq.p0(t, w)
-                if p > pe:
-                    return falsified(
-                        Witness("band ordering vs family on N <= |w| <= eps with diverging double tail", t, w, f"p0={p!r} > p_eps={pe!r} (eps={eps!r})")
-                    )
-                if eq.q0(t, w) / p > qe:
-                    return falsified(
-                        Witness(
-                            "band ordering vs family on N <= |w| <= eps with diverging double tail",
-                            t,
-                            w,
-                            f"q0/p0={eq.q0(t, w) / p!r} > q_eps={qe!r} (eps={eps!r})",
-                        )
-                    )
-                if eq.r0(t, w) < re:
-                    return falsified(
-                        Witness("band ordering vs family on N <= |w| <= eps with diverging double tail", t, w, f"r0={eq.r0(t, w)!r} < r_eps={re!r} (eps={eps!r})")
-                    )
+        note = f" (eps={eps!r})"
+        points = _points(
+            _Check(annulus, "p0", ">", p_e, "p_eps", note),
+            _Check(annulus, "q0/p0", ">", q_e, "q_eps", note),
+            _Check(annulus, "r0", "<", r_e, "r_eps", note),
+        )
+        witness = _scan(_rows(ts, ws, lambda w: N <= abs(w) <= eps), _eq_fields(eq, *_PQR), [points])
+        if witness is not None:
+            return falsified(witness)
         integrand = weighted_tail_integrand(b.P, q_e, r_e, eq.t0)
-        verdict2 = divergence_probe(integrand, eq.t0, horizons)
-        tail_status[repr(eps)] = verdict2.status
-        if verdict2.status == CONVERGING:
+        status = tail_status[repr(eps)] = divergence_probe(integrand, eq.t0, horizons).status
+        if status != DIVERGING:
             details["double_tail_status"] = tail_status
-            return falsified(
-                Witness(
-                    "band ordering vs family on N <= |w| <= eps with diverging double tail",
-                    eq.t0,
-                    None,
-                    f"double-integral tail probe converged at eps={eps!r}",
-                )
-            )
-        if verdict2.status != DIVERGING:
-            details["double_tail_status"] = tail_status
-            return Certificate(
-                theorem, INCONCLUSIVE, hypotheses, rec, reason=f"double tail probe inconclusive at eps={eps!r}", heuristic_flags=flags, details=details
+            return probe_outcome(
+                status, annulus, f"double-integral tail probe converged at eps={eps!r}", f"double tail probe inconclusive at eps={eps!r}"
             )
     details["double_tail_status"] = tail_status
 
@@ -768,7 +713,7 @@ def check_t3_5(
             details["comparison_zero_counts"] = zero_counts
             return falsified(
                 Witness(
-                    "comparison equations oscillate (zero count)",
+                    oscillate,
                     eq.t0,
                     None,
                     f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}",
@@ -824,36 +769,9 @@ def check_t3_6(
         region = Rectangle(eq.t0, eq.t0 + 50.0, -10.0, 10.0)
     ts = grid.t_axis(region.t_min, region.t_max)
     ws = grid.w_axis(region.w_min, region.w_max)
-    witness = None
-    for t in ts:
-        rows = {
-            "p0": [eq.p0(t, w) for w in ws],
-            "q0/p0": [eq.q0(t, w) / eq.p0(t, w) for w in ws],
-            "-r0": [-eq.r0(t, w) for w in ws],
-        }
-        for w, r in zip(ws, rows["-r0"]):
-            if -r < 0.0:
-                witness = Witness("r0 >= 0", t, w, f"r0={-r!r} < 0")
-                break
-        if witness:
-            break
-        for label, row in rows.items():
-            for i in range(len(ws) - 1):
-                a, bw = ws[i], ws[i + 1]
-                if bw <= 0.0 and row[i] < row[i + 1]:
-                    witness = Witness(
-                        "p0, q0/p0, -r0 even-monotone in w", t, bw, f"{label} increases on the nonpositive side"
-                    )
-                    break
-                if a >= 0.0 and row[i] > row[i + 1]:
-                    witness = Witness(
-                        "p0, q0/p0, -r0 even-monotone in w", t, bw, f"{label} decreases on the nonnegative side"
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    fields = {**_eq_fields(eq, *_PQR), "-r0": lambda t, ws, row: ([-v for v in row["r0"]], None)}
+    stages = [_points(_Check("r0 >= 0", "r0", "<", 0.0, "0")), _even_monotone(hypotheses[1], "p0", "q0/p0", "-r0")]
+    witness = _scan(_rows(ts, ws), fields, stages)
     rec = _region_record(ts, region.w_min, region.w_max, grid, (ws[0], ws[-1]))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)

@@ -279,7 +279,8 @@ def _solve(
         d2 = _rms((fa - k1a) / sa, (fb - k1b) / sb, n_eq) / h
         if max(d1, d2) > 1e-15:
             h = min(100.0 * h, (0.01 / max(d1, d2)) ** 0.2, span)
-    except (FieldEvaluationError, OverflowError):
+    except (FieldEvaluationError, OverflowError, ZeroDivisionError):
+        # h is 0 when d1 overflows to inf; the floor below then sets the first step.
         pass
     floor = _floor_at(t, min_step)
     h = max(h, floor)

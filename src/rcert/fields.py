@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import compress, count, repeat
 from typing import Callable, Mapping
 
 from .errors import ConfigError, DomainError, FieldEvaluationError
@@ -202,43 +204,64 @@ def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec =
     For every tag the report carries either a confirmation on all grid points
     or the first counterexample point in (t-major, w-minor) scan order.  A tag
     falsified on some grid stays falsified on every refinement that contains
-    the witness point.
+    the witness point.  The grid is scanned one row at a time and the scan
+    ends at the row where the last open tag fails.
     """
+    from .certificates import _rows, _scan
+
+    tags = sorted(fld.tags)
+    found: dict[str, TagCheck] = {}
+
+    def rule(t, ws, row, stops):
+        values = row["value"]
+        for tag in tags:
+            if tag not in found:
+                hit = _tag_violation(tag, t, ws, values)
+                if hit is not None:
+                    found[tag] = hit
+        # A hit without an outcome ends the scan once every tag has its witness.
+        return (None, None) if found and len(found) == len(tags) else None
+
     ts = grid.t_axis(region.t_min, region.t_max)
-    ws = grid.w_axis(region.w_min, region.w_max)
-    values = [[fld(t, w) for w in ws] for t in ts]
-
-    checks = []
-    for tag in sorted(fld.tags):
-        if tag == "monotone_in_w_even":
-            checks.append(_check_even_monotone(values, ts, ws))
-        else:
-            checks.append(_check_sign(tag, values, ts, ws))
-    return TagReport(field_name=fld.name, region=region, grid=grid, checks=tuple(checks))
+    _scan(_rows(ts, grid.w_axis(region.w_min, region.w_max)), {"value": fld}, [rule])
+    checks = tuple(found.get(tag, TagCheck(tag, True)) for tag in tags)
+    return TagReport(field_name=fld.name, region=region, grid=grid, checks=checks)
 
 
-def _check_sign(tag: str, values, ts, ws) -> TagCheck:
-    ok = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0, "nonpositive": lambda v: v <= 0.0}[tag]
-    for i, t in enumerate(ts):
-        for j, w in enumerate(ws):
-            v = values[i][j]
-            if not ok(v):
-                return TagCheck(tag, False, (t, w), f"value {v!r} violates '{tag}'")
-    return TagCheck(tag, True)
+#: The comparison with 0.0 that falsifies each sign tag.
+_SIGN_VIOLATIONS = {"positive": operator.le, "nonnegative": operator.lt, "nonpositive": operator.gt}
 
 
-def _check_even_monotone(values, ts, ws) -> TagCheck:
-    # Nonincreasing over adjacent pairs with w <= 0, nondecreasing with w >= 0.
-    tag = "monotone_in_w_even"
-    for i, t in enumerate(ts):
-        row = values[i]
-        for j in range(len(ws) - 1):
-            a, b = ws[j], ws[j + 1]
-            if b <= 0.0 and row[j] < row[j + 1]:
-                return TagCheck(tag, False, (t, b), f"increases across w in [{a!r}, {b!r}] on the nonpositive side")
-            if a >= 0.0 and row[j] > row[j + 1]:
-                return TagCheck(tag, False, (t, b), f"decreases across w in [{a!r}, {b!r}] on the nonnegative side")
-    return TagCheck(tag, True)
+def _first_where(values, op, bound) -> int | None:
+    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None."""
+    return next(compress(count(), map(op, values, repeat(bound))), None)
+
+
+def _even_monotone_break(ws, values) -> tuple[int, str, str] | None:
+    """The first adjacent pair (j, j + 1) that breaks even monotonicity in w.
+
+    A pair with ``ws[j + 1] <= 0`` must not increase and a pair with
+    ``ws[j] >= 0`` must not decrease.  Returns (j, verb, side), or None.
+    """
+    for j in range(len(ws) - 1):
+        if ws[j + 1] <= 0.0 and values[j] < values[j + 1]:
+            return j, "increases", "nonpositive"
+        if ws[j] >= 0.0 and values[j] > values[j + 1]:
+            return j, "decreases", "nonnegative"
+    return None
+
+
+def _tag_violation(tag: str, t: float, ws, values) -> TagCheck | None:
+    if tag == "monotone_in_w_even":
+        hit = _even_monotone_break(ws, values)
+        if hit is None:
+            return None
+        j, verb, side = hit
+        return TagCheck(tag, False, (t, ws[j + 1]), f"{verb} across w in [{ws[j]!r}, {ws[j + 1]!r}] on the {side} side")
+    j = _first_where(values, _SIGN_VIOLATIONS[tag], 0.0)
+    if j is None:
+        return None
+    return TagCheck(tag, False, (t, ws[j]), f"value {values[j]!r} violates '{tag}'")
 
 
 @dataclass(frozen=True)

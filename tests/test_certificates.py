@@ -5,7 +5,9 @@ import pytest
 
 from rcert import (
     BoundTriple,
+    DomainError,
     FALSIFIED,
+    FieldEvaluationError,
     GLOBAL_FOR_ALL_IC,
     GLOBAL_MONOTONE,
     GridSpec,
@@ -15,6 +17,7 @@ from rcert import (
     OSC_OR_SINGULAR_FIRST_KIND,
     Rectangle,
     SINGULAR_SECOND_KIND_IF_NONEXTENDABLE,
+    ScalarField,
     VERIFIED,
     check_t3_1,
     check_t3_2,
@@ -24,6 +27,7 @@ from rcert import (
     check_t3_6,
     classify,
     integrate,
+    verify_structural_tags,
 )
 from rcert.applications import (
     EFParams,
@@ -311,3 +315,100 @@ class TestCertificateContracts:
         ]
         for cert in certs:
             validate_certificate_dict(cert.to_dict())
+
+
+class TestScanOrder:
+    """Row-at-a-time sampling and the scan order of the checkers."""
+
+    BOX = Rectangle(0.0, 4.0, -2.0, 2.0)
+
+    def test_non_finite_sample_on_witness_row_raises(self):
+        # r0 < 0 fails at the first grid point, but q0 is not finite at w = 2
+        # on the same row: the whole row is sampled before any check runs.
+        eq = make_eq(q_fn=lambda t, w: 1.0 / (2.0 - w), r=-1.0)
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: -10.0)
+        with pytest.raises(FieldEvaluationError) as err:
+            check_t3_4(eq, b, region=self.BOX, grid=GridSpec(17, 17))
+        assert (err.value.t, err.value.w) == (0.0, 2.0)
+
+    def test_non_finite_sample_after_witness_row_is_never_sampled(self):
+        eq = make_eq(q_fn=lambda t, w: 1.0 / (4.0 - t), r=-1.0)
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: -10.0)
+        cert = check_t3_4(eq, b, region=self.BOX, grid=GridSpec(17, 17))
+        assert cert.status == FALSIFIED
+        assert (cert.witness.hypothesis, cert.witness.t, cert.witness.w) == ("r0 >= 0", 0.0, -2.0)
+
+    def test_sampled_range_ends_at_the_witness(self):
+        # The witness row is sampled whole, but the recorded w range ends at
+        # the witness, the last point checked.
+        eq = make_eq(r_fn=lambda t, w: 0.1 * w - 0.01)
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: -1.0)
+        cert = check_t3_1(eq, InitialData(0.0, 1.0, 0.0), b, region=Rectangle(0.0, 4.0, -math.inf, math.inf), grid=GridSpec(17, 17))
+        assert (cert.witness.t, cert.witness.w) == (0.0, pytest.approx(1.001 / 8))
+        assert cert.region["w_sampled"] == [-1.001, cert.witness.w]
+
+    def test_tag_scan_stops_at_the_last_witness_row(self):
+        fld = ScalarField(lambda t, w: w + 1.0 / (1.0 - t), tags={"positive"})
+        report = verify_structural_tags(fld, Rectangle(0.0, 1.0, -2.0, 2.0), GridSpec(nt=5, nw=5))
+        assert report["positive"].witness == (0.0, -2.0)
+
+    def test_comparison_monotonicity_checked_in_w_order(self, kneser_setup):
+        # p0 breaks even monotonicity on both sides of w = 0; the first break
+        # in w order, on the nonpositive side, is the witness.
+        _, maj = kneser_setup
+        p = lambda t, w: 2.0 + 0.01 * min(w + 1.0, 0.0) - 0.01 * max(w - 1.0, 0.0)
+        eq = make_eq(p_fn=p, r_fn=lambda t, w: -(t ** -6.0) * abs(w) ** 2, t0=1.0)
+        cert = check_t3_3(eq, eq, maj, InitialData(1.0, 1.0, 0.0), region=Rectangle(1.0, 10.0, -5.0, 5.0), grid=GridSpec(9, 9))
+        assert cert.status == FALSIFIED
+        assert (cert.witness.t, cert.witness.w) == (1.0, -3.75)
+        assert cert.witness.detail == "p0 increases on the nonpositive side"
+
+
+class TestTableOrder:
+    """At one grid point the checks fail in table order."""
+
+    BOX = Rectangle(0.0, 4.0, -2.0, 2.0)
+
+    def test_sandwich_lower_bound_before_sign(self):
+        eq = make_eq(p=0.5, r=1.0)
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: -1.0)
+        cert = check_t3_1(eq, InitialData(0.0, 1.0, 0.0), b, region=Rectangle(0.0, 4.0, -math.inf, math.inf), grid=GridSpec(9, 9))
+        assert (cert.witness.hypothesis, cert.witness.detail) == ("p0 >= P", "p0=0.5 < P=1.0")
+
+    def test_ratio_before_restoring_sign(self):
+        cert = check_t3_4(make_eq(q=-1.0, r=-1.0), BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0), region=self.BOX, grid=GridSpec(9, 9))
+        assert (cert.witness.hypothesis, cert.witness.t, cert.witness.w) == ("q0/p0 >= Q", 0.0, -2.0)
+
+    def test_comparison_match_before_monotonicity(self, kneser_setup):
+        _, maj = kneser_setup
+        r = lambda t, w: -(t ** -6.0) * abs(w) ** 2
+        eq0 = make_eq(p_fn=lambda t, w: 2.0 - 0.01 * w, r_fn=r, t0=1.0)
+        eq1 = make_eq(p=2.0, r_fn=r, t0=1.0)
+        cert = check_t3_3(eq0, eq1, maj, InitialData(1.0, 1.0, 0.0), region=Rectangle(1.0, 10.0, -5.0, 5.0), grid=GridSpec(9, 9))
+        assert (cert.witness.t, cert.witness.w, cert.witness.detail) == (1.0, -5.0, "p0=2.05 != p1=2.0")
+
+
+class TestNonpositiveP0:
+    BOX = Rectangle(0.0, 4.0, -2.0, 2.0)
+    SQUARE_P = dict(p_fn=lambda t, w: w * w, r=1.0)
+
+    def test_t3_4_ratio_at_zero_p0_is_domain_error(self):
+        b = BoundTriple(P=lambda t: 0.0, Q=lambda t: -1.0)
+        with pytest.raises(DomainError, match=r"p0 is not positive at \(t=0\.0, w=0\.0\): 0\.0"):
+            check_t3_4(make_eq(**self.SQUARE_P), b, region=self.BOX, grid=GridSpec(17, 17))
+
+    def test_t3_6_ratio_at_zero_p0_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"p0 is not positive at \(t=0\.0, w=0\.0\)"):
+            check_t3_6(make_eq(**self.SQUARE_P), region=self.BOX, grid=GridSpec(17, 17))
+
+    def test_negative_p0_is_domain_error(self):
+        b = BoundTriple(P=lambda t: -5.0, Q=lambda t: -1.0)
+        with pytest.raises(DomainError, match=r"p0 is not positive at \(t=0\.0, w=-2\.0\): -2\.5"):
+            check_t3_4(make_eq(p_fn=lambda t, w: w - 0.5, r=1.0), b, region=self.BOX, grid=GridSpec(17, 17))
+
+    def test_earlier_witness_wins(self):
+        # p0 >= P fails at w = -0.5, before the scan reaches p0 = 0 at w = 0.
+        b = BoundTriple(P=lambda t: 0.5, Q=lambda t: -1.0)
+        cert = check_t3_4(make_eq(**self.SQUARE_P), b, region=self.BOX, grid=GridSpec(17, 17))
+        assert cert.status == FALSIFIED
+        assert (cert.witness.hypothesis, cert.witness.t, cert.witness.w) == ("p0 >= P", 0.0, -0.5)

@@ -247,6 +247,15 @@ class TestConfigValidation:
         assert code == 1
         assert "van_der_pol" in capsys.readouterr().err
 
+    def test_vanishing_p0_under_ratio_is_an_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(NEGATIVE_R_CONFIG))
+        doc["equation"]["p0"] = {"kind": "power", "w_power": 2}
+        doc["equation"]["r0"] = {"kind": "constant", "value": 1.0}
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["certify", "t3_6", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: p0 is not positive at (t=0.0, w=0.0): 0.0" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):

@@ -8,6 +8,7 @@ from rcert import (
     DomainError,
     FINITE_ESCAPE,
     REACHED_HORIZON,
+    STEP_COLLAPSE,
     InitialData,
     IntegrationOptions,
     export_trajectory_csv,
@@ -99,6 +100,13 @@ class TestFiniteEscape:
         eq = make_eq(p_fn=lambda t, w: 1.0 - t)
         with pytest.raises(DomainError):
             integrate(eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=2.0))
+
+    def test_overflowing_first_derivative_ends_in_terminal_status(self):
+        # |phi''| ~ 1e300 at the start: the scaled first-derivative norm
+        # overflows to inf, which made the initial step 0 and divided by it.
+        eq = make_eq(r_fn=lambda t, w: -1e300 * w * w)
+        traj = integrate(eq, InitialData(0.0, 1.0, 1.0), IntegrationOptions(horizon=5.0))
+        assert traj.terminal.kind in (FINITE_ESCAPE, STEP_COLLAPSE)
 
 
 class TestZeroBookkeeping:
