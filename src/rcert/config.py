@@ -8,6 +8,7 @@ offending entry so misconfigured runs fail fast and legibly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -26,6 +27,8 @@ __all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config"
 
 _COMMANDS = ("certify", "integrate", "classify", "sweep", "emden", "vdp")
 _THEOREMS = ("t3_1", "t3_2", "t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
+# Theorems whose hypotheses are sampled on a fixed w axis (t3_1 and t3_2 clip w to their envelope).
+_FIXED_W_THEOREMS = ("t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
 
 
 @dataclass(frozen=True)
@@ -254,6 +257,10 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
         raise ConfigError("config.sweep", "required by command 'sweep'")
     if command == "certify" and theorem == "t3_2" and qtilde is None:
         raise ConfigError("config.qtilde", "required by certify t3_2")
+    fixed_w = command == "vdp" or (command == "certify" and theorem in _FIXED_W_THEOREMS)
+    if fixed_w and region is not None and not (math.isfinite(region.w_min) and math.isfinite(region.w_max)):
+        what = f"certify {theorem}" if command == "certify" else f"command {command!r}"
+        raise ConfigError("config.region.w", f"a finite w range is required by {what} when a region is given")
     if command in ("emden",) and eq_kind != "emden_fowler":
         raise ConfigError("config.equation.kind", "command 'emden' needs an emden_fowler equation")
     if command in ("vdp",) and eq_kind != "van_der_pol":

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, FieldEvaluationError, RcertError
 from .fields import EquationSpec, InitialData
-from .quadrature import CumulativeIntegral
+from .quadrature import weighted_chain
 
 __all__ = [
     "IntegrationOptions",
@@ -623,6 +623,18 @@ def _mesh(traj: Trajectory, a: float, b: float, cap: int = 129) -> list[float]:
     return [a] + inside + [b]
 
 
+def _weighted_coefficients(traj: Trajectory) -> Callable[[float], tuple[float, float, float]]:
+    """(q0/p0, r0*phi, p0) along ``traj``: the K/W chain of the flux and Volterra identities."""
+    eq = traj.eq
+
+    def coefficients(s: float) -> tuple[float, float, float]:
+        phi = traj.phi_at(s)
+        p = eq.p0(s, phi)
+        return eq.q0(s, phi) / p, eq.r0(s, phi) * phi, p
+
+    return coefficients
+
+
 def flux_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
     """Deviation of psi from its exponential-weighted integral representation.
 
@@ -632,26 +644,15 @@ def flux_residual(traj: Trajectory, a: float | None = None, b: float | None = No
     """
     a = traj.t_start if a is None else a
     b = traj.t_end if b is None else b
-    eq = traj.eq
-
-    def qp(tau: float) -> float:
-        phi = traj.phi_at(tau)
-        return eq.q0(tau, phi) / eq.p0(tau, phi)
-
-    K = CumulativeIntegral(qp, a, abs_rate=1e-13, rel_tol=1e-11)
-
-    def weighted_r(s: float) -> float:
-        phi = traj.phi_at(s)
-        return math.exp(K(s)) * eq.r0(s, phi) * phi
-
-    W = CumulativeIntegral(weighted_r, a, abs_rate=1e-13, rel_tol=1e-11)
+    chain = weighted_chain(_weighted_coefficients(traj), a)
     psi_a = traj.psi_at(a)
 
     worst = 0.0
     scale = 1.0
     for t in _mesh(traj, a, b):
-        expk = math.exp(-K(t))
-        rhs = psi_a * expk - expk * W(t)
+        K, W = chain(t)
+        expk = math.exp(-K)
+        rhs = psi_a * expk - expk * W
         psi = traj.psi_at(t)
         scale = max(scale, abs(psi))
         worst = max(worst, abs(psi - rhs))
@@ -662,35 +663,15 @@ def volterra_residual(traj: Trajectory, a: float | None = None, b: float | None 
     """Deviation of phi from its double-integral representation, scaled by max |phi|."""
     a = traj.t_start if a is None else a
     b = traj.t_end if b is None else b
-    eq = traj.eq
-
-    def qp(tau: float) -> float:
-        phi = traj.phi_at(tau)
-        return eq.q0(tau, phi) / eq.p0(tau, phi)
-
-    K = CumulativeIntegral(qp, a, abs_rate=1e-13, rel_tol=1e-11)
-
-    def weighted_r(s: float) -> float:
-        phi = traj.phi_at(s)
-        return math.exp(K(s)) * eq.r0(s, phi) * phi
-
-    W = CumulativeIntegral(weighted_r, a, abs_rate=1e-13, rel_tol=1e-11)
-
-    def lead(tau: float) -> float:
-        return math.exp(-K(tau)) / eq.p0(tau, traj.phi_at(tau))
-
-    def tail(tau: float) -> float:
-        return math.exp(-K(tau)) * W(tau) / eq.p0(tau, traj.phi_at(tau))
-
-    T1 = CumulativeIntegral(lead, a, abs_rate=1e-13, rel_tol=1e-11)
-    T2 = CumulativeIntegral(tail, a, abs_rate=1e-13, rel_tol=1e-11)
+    chain = weighted_chain(_weighted_coefficients(traj), a, lead=True)
     phi_a = traj.phi_at(a)
     psi_a = traj.psi_at(a)
 
     worst = 0.0
     scale = 1.0
     for t in _mesh(traj, a, b):
-        rhs = phi_a + psi_a * T1(t) - T2(t)
+        _, _, T1, T2 = chain(t)
+        rhs = phi_a + psi_a * T1 - T2
         phi = traj.phi_at(t)
         scale = max(scale, abs(phi))
         worst = max(worst, abs(phi - rhs))

@@ -205,11 +205,14 @@ def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec =
     or the first counterexample point in (t-major, w-minor) scan order.  A tag
     falsified on some grid stays falsified on every refinement that contains
     the witness point.  The grid is scanned one row at a time and the scan
-    ends at the row where the last open tag fails.
+    ends at the row where the last open tag fails; a field without tags is
+    not sampled at all.
     """
     from .certificates import _rows, _scan
 
     tags = sorted(fld.tags)
+    if not tags:
+        return TagReport(field_name=fld.name, region=region, grid=grid, checks=())
     found: dict[str, TagCheck] = {}
 
     def rule(t, ws, row, stops):

@@ -16,6 +16,22 @@ nodes, which matters because the envelopes are evaluated on whole time grids
 inside hypothesis sweeps.  All inner antiderivatives are therefore memoized
 on a shared growing mesh (:class:`CumulativeIntegral`) so each new query only
 integrates the gap from the nearest known point.
+
+Two memos serve the nesting:
+
+* nested :class:`CumulativeIntegral` memos, where an outer integrand queries
+  an inner memo at each of its quadrature nodes.  Every such query integrates
+  its own small gap, so one outer panel costs about 15 inner panels.  The
+  envelopes (``FBound``, ``GBound``), ``i_plus``, ``i_minus``,
+  ``weighted_tail_integrand`` and ``riccati.representation_residual`` use
+  this form;
+* one :class:`CumulativeChain`, which walks a gap once for a whole
+  lower-triangular chain of integrands: each level is sampled once per
+  Kronrod node, and the inner levels are read at the same nodes through the
+  panel's node integration matrix.  The residual oracles' K/W integrals
+  (``weighted_chain``: ``dynamics.flux_residual``,
+  ``dynamics.volterra_residual``, ``riccati.cauchy_residual`` and
+  ``riccati.difference_residual``) use this form.
 """
 
 from __future__ import annotations
@@ -23,6 +39,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -212,6 +230,160 @@ class CumulativeIntegral:
         ts.insert(i, t)
         self._vals.insert(i, val)
         return val
+
+
+# The 15 Kronrod nodes in ascending order, with the K15 weights and the G7
+# weights (zero on the Kronrod-only nodes) in the same order.
+_NODES = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
+_WK15 = _WGK[:7] + (_WGK[7],) + _WGK[6::-1]
+_WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
+
+
+@cache
+def _node_integration_matrix() -> tuple[tuple[float, ...], ...]:
+    """S with S[i][j] = integral_{-1}^{x_i} l_j, l_j the Lagrange basis on the 15 nodes.
+
+    ``sum_j S[i][j] f(x_j)`` integrates the degree-14 interpolant of f from -1
+    to node i.  Built on first use, in the Legendre basis (which keeps the
+    Vandermonde solve well conditioned): with V[i][n] = P_n(x_i) and
+    B[i][n] = integral_{-1}^{x_i} P_n, S = B V^-1.
+    """
+    import numpy as np
+
+    n = len(_NODES)
+    V = np.zeros((n, n + 1))
+    for i, x in enumerate(_NODES):
+        V[i, 0], V[i, 1] = 1.0, x
+        for d in range(1, n):
+            V[i, d + 1] = ((2 * d + 1) * x * V[i, d] - d * V[i, d - 1]) / (d + 1)
+    B = np.empty((n, n))
+    B[:, 0] = np.array(_NODES) + 1.0
+    for d in range(1, n):
+        B[:, d] = (V[:, d + 1] - V[:, d - 1]) / (2 * d + 1)
+    S = np.linalg.solve(V[:, :n].T, B.T).T
+    return tuple(tuple(float(v) for v in row) for row in S)
+
+
+class CumulativeChain:
+    """Memoized antiderivatives Y_0..Y_{m-1} of a lower-triangular chain of integrands.
+
+    ``Y_k(t) = integral_base^t f_k(sample(s), [Y_0(s), ..., Y_{k-1}(s)]) ds``;
+    ``sample`` runs once per node for the work the levels share.  A query
+    returns the tuple (Y_0(t), ..., Y_{m-1}(t)) and, like
+    :class:`CumulativeIntegral`, integrates only the gap from the nearest
+    known knot, in either direction.
+
+    The gap is walked in order in adaptive GK15 panels.  Each f_k is sampled
+    once at the panel's 15 Kronrod nodes; the inner levels are read at the
+    same nodes through the node integration matrix, so no integrand queries
+    another memo.  A panel is accepted when every level passes the
+    |K15 - G7| test of :func:`adaptive_quad` against its own budget
+    ``max(ABS_RATE * gap, REL_TOL * |whole gap estimate|)``, shared out by
+    length.  A non-finite integrand sample raises
+    :class:`QuadratureBudgetError`, so no nan is ever recorded.
+    """
+
+    # The residual oracles' budget, per unit length and relative.
+    ABS_RATE = 1e-13
+    REL_TOL = 1e-11
+    MAX_INTERVALS = 4096
+
+    def __init__(self, sample: Callable[[float], object], integrands: Sequence[Callable[[object, list[float]], float]], base: float):
+        self._sample = sample
+        self._fns = tuple(integrands)
+        self._S = _node_integration_matrix()
+        self._ts = [base]
+        self._vals = [(0.0,) * len(self._fns)]
+
+    def __call__(self, t: float) -> tuple[float, ...]:
+        ts = self._ts
+        i = bisect_left(ts, t)
+        if i < len(ts) and ts[i] == t:
+            return self._vals[i]
+        j = i - 1
+        if j < 0 or (i < len(ts) and (ts[i] - t) < (t - ts[j])):
+            j = i
+        val = self._walk(ts[j], t, self._vals[j])
+        ts.insert(i, t)
+        self._vals.insert(i, val)
+        return val
+
+    def _walk(self, a: float, b: float, start: tuple[float, ...]) -> tuple[float, ...]:
+        gap = abs(b - a)
+        abs_tol = self.ABS_RATE * max(gap, 1e-30)
+        ys = start
+        scales = None
+        lo = a
+        ends = [b]
+        used = 1
+        while ends:
+            hi = ends[-1]
+            span = abs(hi - lo)
+            floor = span <= 1e-15 * max(abs(lo), abs(hi), 1.0)
+            budget = None if scales is None or floor else [s * span / gap for s in scales]
+            incs = self._panel(lo, hi, ys, budget)
+            if scales is None:
+                # The first panel spans the whole gap and sets every level's budget.
+                scales = [max(abs_tol, self.REL_TOL * abs(v)) for v, _ in incs]
+                if not floor and any(e > s for (_, e), s in zip(incs, scales)):
+                    incs = None
+            if incs is not None:
+                ys = tuple(y + v for y, (v, _) in zip(ys, incs))
+                lo = hi
+                ends.pop()
+                continue
+            if used >= self.MAX_INTERVALS:
+                raise QuadratureBudgetError(
+                    f"tolerance not reached within {self.MAX_INTERVALS} subintervals on [{a!r}, {b!r}]"
+                )
+            ends.append(0.5 * (lo + hi))
+            used += 2
+        return ys
+
+    def _panel(
+        self, lo: float, hi: float, start: tuple[float, ...], budget: list[float] | None
+    ) -> list[tuple[float, float]] | None:
+        """(increment, error) per level on [lo, hi], or None at the first level over ``budget``."""
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        data = [self._sample(c + h * x) for x in _NODES]
+        rows = [[] for _ in data]
+        last = len(self._fns) - 1
+        out = []
+        for k, f in enumerate(self._fns):
+            fv = [f(d, row) for d, row in zip(data, rows)]
+            resk = sum(map(mul, _WK15, fv))
+            err = abs(h * (resk - sum(map(mul, _WG7, fv))))
+            if not math.isfinite(err):
+                raise QuadratureBudgetError(f"level {k} integrand is not finite on [{lo!r}, {hi!r}]")
+            if budget is not None and err > budget[k]:
+                return None
+            out.append((h * resk, err))
+            if k < last:
+                y = start[k]
+                for row, srow in zip(rows, self._S):
+                    row.append(y + h * sum(map(mul, srow, fv)))
+        return out
+
+
+_WEIGHTED_LEVELS = (
+    lambda c, y: c[0],  # K' = k
+    lambda c, y: math.exp(y[0]) * c[1],  # W' = e^K s
+    lambda c, y: math.exp(-y[0]) / c[2],  # T1' = e^-K / p
+    lambda c, y: math.exp(-y[0]) * y[1] / c[2],  # T2' = e^-K W / p
+)
+
+
+def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: float, *, lead: bool = False) -> CumulativeChain:
+    """The exponentially weighted integrals of the residual oracles, from ``base``.
+
+    ``coefficients(t)`` returns (k, s) or, with ``lead``, (k, s, p); it runs
+    once per quadrature node.  The chain yields (K, W) and with ``lead``
+    (K, W, T1, T2), where K = int k, W = int e^K s, T1 = int e^-K / p and
+    T2 = int e^-K W / p.  So x(base) e^-K - e^-K W solves x' = -k x - s, and
+    phi(base) + psi(base) T1 - T2 integrates that solution against 1/p.
+    """
+    return CumulativeChain(coefficients, _WEIGHTED_LEVELS if lead else _WEIGHTED_LEVELS[:2], base)
 
 
 def i_plus(

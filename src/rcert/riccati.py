@@ -18,7 +18,7 @@ from typing import Callable
 from .dynamics import FINITE_ESCAPE, IntegrationOptions, Trajectory, solve_scalar
 from .errors import DomainError
 from .fields import BoundTriple
-from .quadrature import CumulativeIntegral
+from .quadrature import CumulativeIntegral, weighted_chain
 
 __all__ = [
     "RiccatiPath",
@@ -129,23 +129,19 @@ def cauchy_residual(path: RiccatiPath) -> float:
     traj = path.traj
     eq = traj.eq
 
-    def kernel(s: float) -> float:
+    def coefficients(s: float) -> tuple[float, float]:
         phi = traj.phi_at(s)
-        return (path.y(s) + eq.q0(s, phi)) / eq.p0(s, phi)
+        return (path.y(s) + eq.q0(s, phi)) / eq.p0(s, phi), eq.r0(s, phi)
 
-    K = CumulativeIntegral(kernel, path.a, abs_rate=1e-13, rel_tol=1e-11)
-
-    def weighted_r(s: float) -> float:
-        return math.exp(K(s)) * eq.r0(s, traj.phi_at(s))
-
-    W = CumulativeIntegral(weighted_r, path.a, abs_rate=1e-13, rel_tol=1e-11)
+    chain = weighted_chain(coefficients, path.a)
     y_a = path.y(path.a)
 
     mesh = path.mesh
     worst = 0.0
     for t in mesh:
-        expk = math.exp(-K(t))
-        rhs = y_a * expk - expk * W(t)
+        K, W = chain(t)
+        expk = math.exp(-K)
+        rhs = y_a * expk - expk * W
         worst = max(worst, abs(path.y(t) - rhs))
     return worst / max(_sup_abs(path.y, mesh), 1.0)
 
@@ -167,38 +163,31 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
 
     traj0, traj1 = path0.traj, path1.traj
     eq0, eq1 = traj0.eq, traj1.eq
-    other = (traj1, eq1) if j == 0 else (traj0, eq0)
-    traj_k, eq_k = other
-    yj = path0.y if j == 0 else path1.y
 
-    def kernel(s: float) -> float:
-        phi_k = traj_k.phi_at(s)
-        return (path0.y(s) + path1.y(s) + eq_k.q0(s, phi_k)) / eq_k.p0(s, phi_k)
+    def coefficients(s: float) -> tuple[float, float]:
+        phi0 = traj0.phi_at(s)
+        phi1 = traj1.phi_at(s)
+        p0v = eq0.p0(s, phi0)
+        p1v = eq1.p0(s, phi1)
+        q0v = eq0.q0(s, phi0)
+        q1v = eq1.q0(s, phi1)
+        y0 = path0.y(s)
+        y1 = path1.y(s)
+        yv = y0 if j == 0 else y1
+        kernel = (y0 + y1 + q1v) / p1v if j == 0 else (y0 + y1 + q0v) / p0v
+        bracket = (1.0 / p1v - 1.0 / p0v) * yv * yv + (q1v / p1v - q0v / p0v) * yv + eq1.r0(s, phi1) - eq0.r0(s, phi0)
+        return kernel, bracket
 
-    K = CumulativeIntegral(kernel, a, abs_rate=1e-13, rel_tol=1e-11)
-
-    def bracket(tau: float) -> float:
-        phi0 = traj0.phi_at(tau)
-        phi1 = traj1.phi_at(tau)
-        p0v = eq0.p0(tau, phi0)
-        p1v = eq1.p0(tau, phi1)
-        yv = yj(tau)
-        return (
-            (1.0 / p1v - 1.0 / p0v) * yv * yv
-            + (eq1.q0(tau, phi1) / p1v - eq0.q0(tau, phi0) / p0v) * yv
-            + eq1.r0(tau, phi1)
-            - eq0.r0(tau, phi0)
-        )
-
-    W = CumulativeIntegral(lambda s: math.exp(K(s)) * bracket(s), a, abs_rate=1e-13, rel_tol=1e-11)
+    chain = weighted_chain(coefficients, a)
     gap_a = path1.y(a) - path0.y(a)
 
     mesh = [a + (b - a) * k / 64 for k in range(65)]
     worst = 0.0
     sup_gap = 0.0
     for t in mesh:
-        expk = math.exp(-K(t))
-        rhs = gap_a * expk - expk * W(t)
+        K, W = chain(t)
+        expk = math.exp(-K)
+        rhs = gap_a * expk - expk * W
         gap = path1.y(t) - path0.y(t)
         sup_gap = max(sup_gap, abs(gap))
         worst = max(worst, abs(gap - rhs))

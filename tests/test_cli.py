@@ -247,6 +247,29 @@ class TestConfigValidation:
         assert code == 1
         assert "van_der_pol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, base",
+        [
+            (["certify", "t3_3"], EF_CONFIG),
+            (["certify", "t3_4"], EF_CONFIG),
+            (["certify", "t3_6"], EF_CONFIG),
+            (["certify", "t3_5"], VDP_CONFIG),
+            (["certify", "t4_2"], VDP_CONFIG),
+            (["vdp"], VDP_CONFIG),
+        ],
+    )
+    def test_fixed_w_axis_needs_region_w(self, tmp_path, capsys, args, base):
+        doc = json.loads(json.dumps(base))
+        doc["region"] = {"t": [doc["equation"]["t0"], 10.0]}
+        doc["grid"] = {"nt": 9, "nw": 9}
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(args + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.region.w"), err
+        assert "nan" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_vanishing_p0_under_ratio_is_an_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(NEGATIVE_R_CONFIG))
         doc["equation"]["p0"] = {"kind": "power", "w_power": 2}

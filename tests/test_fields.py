@@ -81,6 +81,15 @@ class TestVerifyStructuralTags:
         assert report["positive"].witness == (0.0, 0.0)
 
 
+    def test_tagless_field_is_not_sampled(self):
+        calls = []
+        f = ScalarField(lambda t, w: calls.append((t, w)) or 1.0)
+        report = verify_structural_tags(f, Rectangle(0.0, 1.0, -2.0, 2.0), GridSpec(nt=33, nw=33))
+        assert report.checks == ()
+        assert report.all_hold
+        assert calls == []
+
+
 class TestLipschitzEstimate:
     def test_identity_slope(self):
         f = ScalarField(lambda t, w: w)

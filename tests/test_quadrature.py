@@ -12,6 +12,7 @@ from rcert import (
     HorizonSpec,
     NegativeIntegrandError,
     NonPositiveWeightError,
+    QuadratureBudgetError,
     RangeOverflowError,
     adaptive_quad,
     divergence_probe,
@@ -20,7 +21,7 @@ from rcert import (
     i_minus,
     i_plus,
 )
-from rcert.quadrature import weighted_tail_integrand
+from rcert.quadrature import _NODES, CumulativeChain, _node_integration_matrix, weighted_chain, weighted_tail_integrand
 
 ONE = lambda t: 1.0
 ZERO = lambda t: 0.0
@@ -138,6 +139,69 @@ class TestCumulativeIntegral:
     def test_backward_queries(self):
         acc = CumulativeIntegral(math.cos, 1.0)
         assert acc(-1.0) == pytest.approx(math.sin(-1.0) - math.sin(1.0), abs=1e-10)
+
+
+class TestCumulativeChain:
+    C = 0.7
+
+    def closed_form(self, t):
+        c = self.C
+        return (c * t, math.expm1(c * t) / c, -math.expm1(-c * t) / c, t / c + math.expm1(-c * t) / (c * c))
+
+    def test_constant_coefficients_closed_form(self):
+        # q = c, r = p = 1: K = ct, W = (e^{ct} - 1)/c, T1 = (1 - e^{-ct})/c, T2 = t/c - (1 - e^{-ct})/c^2.
+        chain = weighted_chain(lambda t: (self.C, 1.0, 1.0), 0.0, lead=True)
+        # Ascending, repeated, backward from a knot, and left of the base.
+        for t in (0.5, 1.25, 3.0, 3.0, 2.2, 0.9, 0.9, 6.0, -1.5, -0.75):
+            got = chain(t)
+            for value, expect in zip(got, self.closed_form(t)):
+                assert value == pytest.approx(expect, rel=1e-12)
+
+    def test_backward_from_a_right_base(self):
+        # The coefficients do not depend on t, so the chain from base 4 is the closed form at t - 4.
+        chain = weighted_chain(lambda t: (self.C, 1.0, 1.0), 4.0, lead=True)
+        for t in (1.0, 2.5, 1.0, 3.9):
+            for value, expect in zip(chain(t), self.closed_form(t - 4.0)):
+                assert value == pytest.approx(expect, rel=1e-12)
+
+    def test_matches_nested_cumulative_integrals(self):
+        q = math.sin
+        r = lambda t: math.exp(-t) * math.cos(t)
+        p = lambda t: 1.0 + 0.25 * t * t
+        K = CumulativeIntegral(q, 0.0, abs_rate=1e-14, rel_tol=1e-13)
+        W = CumulativeIntegral(lambda s: math.exp(K(s)) * r(s), 0.0, abs_rate=1e-14, rel_tol=1e-13)
+        T1 = CumulativeIntegral(lambda s: math.exp(-K(s)) / p(s), 0.0, abs_rate=1e-14, rel_tol=1e-13)
+        T2 = CumulativeIntegral(lambda s: math.exp(-K(s)) * W(s) / p(s), 0.0, abs_rate=1e-14, rel_tol=1e-13)
+        chain = weighted_chain(lambda t: (q(t), r(t), p(t)), 0.0, lead=True)
+        for t in (0.3, 1.7, 4.0, 2.5, 6.0, 5.9, -2.0):
+            for value, ref in zip(chain(t), (K(t), W(t), T1(t), T2(t))):
+                assert value == pytest.approx(ref, abs=1e-11)
+
+    def test_node_matrix_integrates_degree_14_exactly(self):
+        S = _node_integration_matrix()
+        for d in range(15):
+            for x, row in zip(_NODES, S):
+                exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+                assert abs(sum(s * xj ** d for s, xj in zip(row, _NODES)) - exact) <= 1e-14
+
+    def test_nan_integrand_raises(self):
+        chain = CumulativeChain(float, [lambda t, y: 1.0, lambda t, y: math.nan if t > 0.5 else y[0]], 0.0)
+        assert chain(0.25) == pytest.approx((0.25, 0.03125), rel=1e-14)
+        for _ in range(2):
+            with pytest.raises(QuadratureBudgetError):
+                chain(1.0)
+        assert chain(0.5) == pytest.approx((0.5, 0.125), rel=1e-14)
+
+    def test_overflowing_exponential_raises(self):
+        chain = weighted_chain(lambda t: (1000.0, 1.0), 0.0)
+        with pytest.raises(OverflowError):
+            chain(1.0)
+
+    def test_budget_exhaustion_raises(self):
+        # About 16k periods on [0, 1] need more panels than the budget allows.
+        chain = CumulativeChain(float, [lambda t, y: math.sin(1e5 * t)], 0.0)
+        with pytest.raises(QuadratureBudgetError):
+            chain(1.0)
 
 
 class TestDivergenceProbe:
