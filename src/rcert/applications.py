@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 
 from .certificates import (
     Certificate,
@@ -39,6 +41,7 @@ from .fields import (
     InitialData,
     Rectangle,
     ScalarField,
+    _row_factor,
 )
 from .quadrature import HorizonSpec, TimeFunction
 
@@ -92,24 +95,35 @@ def ef_equation(p: EFParams, t0: float = 1.0) -> EquationSpec:
     def p0(t: float, w: float) -> float:
         return t ** rho
 
+    # Row evaluators: the same arithmetic per sample, with the factors that do
+    # not depend on w computed once per row.
+    def p0_row(t, ws):
+        return [float(t ** rho)] * len(ws)
+
     if p.variant == "absolute":
 
         def r0(t: float, w: float) -> float:
             return -(t ** sigma) * abs(w) ** (n - 1.0)
 
+        def r0_row(t, ws):
+            return list(map(mul, repeat(_row_factor(-(t ** sigma))), map(pow, map(abs, ws), repeat(n - 1.0))))
+
     else:
         exponent = n - 1.0
-        integral = float(exponent).is_integer()
+        power = int(exponent) if float(exponent).is_integer() else exponent
 
         def r0(t: float, w: float) -> float:
-            if integral:
-                return -(t ** sigma) * w ** int(exponent)
-            return -(t ** sigma) * w ** exponent  # negative w raises for fractional n
+            return -(t ** sigma) * w ** power  # negative w raises for fractional n
+
+        def r0_row(t, ws):
+            return list(map(mul, repeat(_row_factor(-(t ** sigma))), map(pow, ws, repeat(power))))
 
     return EquationSpec(
-        p0=ScalarField(p0, tags=frozenset({"positive"}), name="t^rho"),
-        q0=ScalarField(lambda t, w: 0.0, tags=frozenset({"nonnegative", "nonpositive"}), name="0"),
-        r0=ScalarField(r0, tags=frozenset({"nonpositive"}) if p.variant == "absolute" else frozenset(), name="-t^sigma*g(w)"),
+        p0=ScalarField(p0, tags=frozenset({"positive"}), name="t^rho", row_fn=p0_row),
+        q0=ScalarField(lambda t, w: 0.0, tags=frozenset({"nonnegative", "nonpositive"}), name="0", row_fn=lambda t, ws: [0.0] * len(ws)),
+        r0=ScalarField(
+            r0, tags=frozenset({"nonpositive"}) if p.variant == "absolute" else frozenset(), name="-t^sigma*g(w)", row_fn=r0_row
+        ),
         t0=t0,
     )
 
@@ -355,9 +369,14 @@ def vdp_equation(v: VdPParams, t0: float = 0.0) -> EquationSpec:
     """
     _check_vdp_signs(v, t0)
     return EquationSpec(
-        p0=ScalarField(lambda t, w: v.lam(t), tags=frozenset({"positive"}), name="lambda"),
-        q0=ScalarField(lambda t, w: v.mu(t) * (w * w - 1.0), tags=frozenset({"monotone_in_w_even"}), name="mu*(w^2-1)"),
-        r0=ScalarField(lambda t, w: v.nu(t), tags=frozenset({"nonnegative"}), name="nu"),
+        p0=ScalarField(lambda t, w: v.lam(t), tags=frozenset({"positive"}), name="lambda", row_fn=lambda t, ws: [float(v.lam(t))] * len(ws)),
+        q0=ScalarField(
+            lambda t, w: v.mu(t) * (w * w - 1.0),
+            tags=frozenset({"monotone_in_w_even"}),
+            name="mu*(w^2-1)",
+            row_fn=lambda t, ws: list(map(mul, repeat(_row_factor(v.mu(t))), map(sub, map(mul, ws, ws), repeat(1.0)))),
+        ),
+        r0=ScalarField(lambda t, w: v.nu(t), tags=frozenset({"nonnegative"}), name="nu", row_fn=lambda t, ws: [float(v.nu(t))] * len(ws)),
         t0=t0,
     )
 

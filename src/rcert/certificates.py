@@ -199,20 +199,21 @@ def _scan(rows, fields: dict, stages, seen: list[float] | None = None):
     """The first failure of a hypothesis scan over (t, w), one row at a time.
 
     ``rows`` gives the (t, ws) pairs in scan order.  On each row every
-    :class:`ScalarField` in ``fields`` is sampled once at every w before any
-    check runs; the other entries derive a row from the rows before them and
-    may stop early with an outcome (see :func:`_ratio`).  The stages run in
-    order and return None or a hit (j, outcome), where j indexes ws (None for
-    a witness without w).  The first hit ends the scan: an exception outcome
-    is raised, a Witness or an Inconclusive reason is returned.  None means
-    every check held.  ``seen`` becomes [min, max] of the w checked.
+    :class:`ScalarField` in ``fields`` is sampled once at every w, through
+    :meth:`ScalarField.sample_row`, before any check runs; the other entries
+    derive a row from the rows before them and may stop early with an
+    outcome (see :func:`_ratio`).  The stages run in order and return None or
+    a hit (j, outcome), where j indexes ws (None for a witness without w).
+    The first hit ends the scan: an exception outcome is raised, a Witness or
+    an Inconclusive reason is returned.  None means every check held.
+    ``seen`` becomes [min, max] of the w checked.
     """
     for t, ws in rows:
         row, stops, sampled = {}, {}, {}
         for name, f in fields.items():
             if isinstance(f, ScalarField):
                 if id(f) not in sampled:
-                    sampled[id(f)] = [f(t, w) for w in ws]
+                    sampled[id(f)] = f.sample_row(t, ws)
                 row[name] = sampled[id(f)]
             else:
                 row[name], stop = f(t, ws, row)

@@ -111,6 +111,13 @@ def _pair(value, path: str) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+def _ordered_pair(value, path: str) -> tuple[float, float]:
+    lo, hi = _pair(value, path)
+    if not lo <= hi:
+        raise ConfigError(path, f"expected lower <= upper, got {value!r}")
+    return lo, hi
+
+
 def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConfig:
     """Validate the document against the schema for the given command."""
     if command not in _COMMANDS:
@@ -224,9 +231,9 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
         _expect(r_doc, {"t", "w"}, "config.region")
         if "t" not in r_doc:
             raise ConfigError("config.region.t", "missing required key")
-        t_lo, t_hi = _pair(r_doc["t"], "config.region.t")
+        t_lo, t_hi = _ordered_pair(r_doc["t"], "config.region.t")
         if "w" in r_doc:
-            w_lo, w_hi = _pair(r_doc["w"], "config.region.w")
+            w_lo, w_hi = _ordered_pair(r_doc["w"], "config.region.w")
         else:
             w_lo, w_hi = float("-inf"), float("inf")
         region = Rectangle(t_lo, t_hi, w_lo, w_hi)

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from itertools import compress, count, repeat
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, DomainError, FieldEvaluationError
 
@@ -54,11 +54,16 @@ class ScalarField:
     Tags are claims to be sample-verified, never trusted blindly.  Evaluation
     through :meth:`__call__` enforces finiteness: a NaN/inf sample raises
     :class:`FieldEvaluationError`.
+
+    ``row_fn``, when given, evaluates a whole row ``(t, ws) -> list[float]``
+    for :meth:`sample_row` and must give every sample bit for bit as
+    ``__call__`` would.  Opaque callables have none.
     """
 
     fn: Callable[[float, float], float]
     tags: frozenset = frozenset()
     name: str = ""
+    row_fn: Callable[[float, Sequence[float]], list[float]] | None = None
 
     def __post_init__(self):
         tags = frozenset(self.tags)
@@ -75,6 +80,34 @@ class ScalarField:
         if not math.isfinite(value):
             raise FieldEvaluationError(self.name, t, w, value)
         return value
+
+    def sample_row(self, t: float, ws: Sequence[float]) -> list[float]:
+        """``[self(t, w) for w in ws]``, in one call when the field has a row evaluator.
+
+        A row the evaluator cannot give (it raises, or a sample is not a
+        finite float) is sampled again point by point, so the error names the
+        first failing w, its value and its cause exactly as the scalar loop
+        does.  The test sums the row: any non-finite or complex sample makes
+        the sum non-finite or complex, and a finite row whose sum overflows
+        only takes the slow path.
+        """
+        if self.row_fn is not None:
+            try:
+                values = self.row_fn(t, ws)
+            except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+                pass
+            else:
+                total = sum(values, 0.0)
+                if type(total) is float and math.isfinite(total):
+                    return values
+        return [self(t, w) for w in ws]
+
+
+def _row_factor(value) -> float:
+    """A factor a row evaluator computes once per row; a non-float sends the row to the scalar loop."""
+    if type(value) is not float:
+        raise TypeError(f"row factor {value!r} is not a float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -167,7 +200,7 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     if n == 1 or lo == hi:
         return [lo]
     step = (hi - lo) / (n - 1)
-    pts = [lo + i * step for i in range(n)]
+    pts = list(map(operator.add, repeat(lo), map(operator.mul, range(n), repeat(step))))
     pts[-1] = hi
     return pts
 
@@ -235,8 +268,18 @@ def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec =
 _SIGN_VIOLATIONS = {"positive": operator.le, "nonnegative": operator.lt, "nonpositive": operator.gt}
 
 
+#: For each comparison, the row extremum and the test on it that show no value
+#: satisfies the comparison.  A nan that min or max skips never satisfies it
+#: either, and one that they return fails the test.
+_CLEARED = {operator.lt: (min, operator.ge), operator.le: (min, operator.gt), operator.gt: (max, operator.le)}
+
+
 def _first_where(values, op, bound) -> int | None:
     """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None."""
+    if values and op in _CLEARED:
+        extremum, clear = _CLEARED[op]
+        if clear(extremum(values), bound):
+            return None
     return next(compress(count(), map(op, values, repeat(bound))), None)
 
 
@@ -455,7 +498,7 @@ def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
     if kind == "constant":
         _require_keys(doc, {"kind", "value", "tags"}, {"kind", "value"}, path)
         c = _number(doc, "value", path)
-        return ScalarField(lambda t, w: c, tags=tagset, name=name)
+        return ScalarField(lambda t, w: c, tags=tagset, name=name, row_fn=lambda t, ws: [c] * len(ws))
     if kind == "power":
         # coeff * t**t_power * (|w| or w)**w_power
         _require_keys(doc, {"kind", "coeff", "t_power", "w_power", "w_abs", "tags"}, {"kind"}, path)
@@ -472,7 +515,13 @@ def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
             tfac = 1.0 if tp == 0.0 else t ** tp
             return coeff * tfac * wfac
 
-        return ScalarField(fn, tags=tagset, name=name)
+        def row(t, ws, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
+            scale = _row_factor(coeff * (1.0 if tp == 0.0 else t ** tp))
+            if wp == 0.0:
+                return [scale * 1.0] * len(ws)
+            return list(map(operator.mul, repeat(scale), map(pow, map(abs, ws) if w_abs else ws, repeat(wp))))
+
+        return ScalarField(fn, tags=tagset, name=name, row_fn=row)
     if kind == "polynomial":
         _require_keys(doc, {"kind", "terms", "tags"}, {"kind", "terms"}, path)
         terms = doc["terms"]
@@ -490,7 +539,15 @@ def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
                 total += c * (t ** a if a else 1.0) * (w ** b if b else 1.0)
             return total
 
-        return ScalarField(poly, tags=tagset, name=name)
+        def poly_row(t, ws, parsed=tuple(parsed)):
+            totals = [0.0] * len(ws)
+            for c, a, b in parsed:
+                scale = _row_factor(c * (t ** a if a else 1.0))
+                wfacs = map(pow, ws, repeat(b)) if b else repeat(1.0)
+                totals = list(map(operator.add, totals, map(operator.mul, repeat(scale), wfacs)))
+            return totals
+
+        return ScalarField(poly, tags=tagset, name=name, row_fn=poly_row)
     raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
 
 

@@ -17,6 +17,12 @@ inside hypothesis sweeps.  All inner antiderivatives are therefore memoized
 on a shared growing mesh (:class:`CumulativeIntegral`) so each new query only
 integrates the gap from the nearest known point.
 
+``adaptive_quad`` without seeds runs one GK15 panel over the whole interval
+and returns it when it passes the acceptance test, with no stack or piece
+list; in the envelopes nearly every gap integration ends there.  Only a
+rejected first panel starts the subdivision stack, which takes that panel
+as its first entry, so no integrand sample is taken twice.
+
 Two memos serve the nesting:
 
 * nested :class:`CumulativeIntegral` memos, where an outer integrand queries
@@ -116,19 +122,34 @@ def _exp(x: float) -> float:
 
 
 def _gk15(f: TimeFunction, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate on [a, b] with |K15 - G7| as error estimate."""
+    """15-point Kronrod estimate on [a, b] with |K15 - G7| as error estimate.
+
+    Written out: f is called at c, then at c - dx and c + dx for each node
+    from the outermost in (memoized integrands insert knots in that order),
+    and both sums run left to right from the centre term.
+    """
+    x0, x1, x2, x3, x4, x5, x6 = _XGK
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        resk += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
+    dx = h * x0
+    s0 = f(c - dx) + f(c + dx)
+    dx = h * x1
+    s1 = f(c - dx) + f(c + dx)
+    dx = h * x2
+    s2 = f(c - dx) + f(c + dx)
+    dx = h * x3
+    s3 = f(c - dx) + f(c + dx)
+    dx = h * x4
+    s4 = f(c - dx) + f(c + dx)
+    dx = h * x5
+    s5 = f(c - dx) + f(c + dx)
+    dx = h * x6
+    s6 = f(c - dx) + f(c + dx)
+    resk = k7 * fc + k0 * s0 + k1 * s1 + k2 * s2 + k3 * s3 + k4 * s4 + k5 * s5 + k6 * s6
+    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
     return resk * h, abs(resk - resg) * abs(h)
 
 
@@ -156,21 +177,26 @@ def adaptive_quad(
     if b < a:
         a, b = b, a
         sign = -1.0
-    points = [a, b]
-    if seeds:
+    total_len = b - a
+    if not seeds:
+        # One panel over the whole interval; most calls end here.
+        val, err = _gk15(f, a, b)
+        scale = max(abs_tol, rel_tol * abs(val))
+        if err <= scale * total_len / total_len or total_len <= 1e-15 * max(abs(a), abs(b), 1.0):
+            return sign * (0.0 + val)
+        stack = [(a, b, val, err)]
+    else:
+        points = [a, b]
         for s in seeds:
             if a < s < b:
                 insort(points, s)
-    pieces = [(points[i], points[i + 1]) for i in range(len(points) - 1)]
-
-    total_len = b - a
-    stack = []
-    whole = 0.0
-    for lo, hi in pieces:
-        val, err = _gk15(f, lo, hi)
-        stack.append((lo, hi, val, err))
-        whole += val
-    scale = max(abs_tol, rel_tol * abs(whole))
+        stack = []
+        whole = 0.0
+        for lo, hi in zip(points, points[1:]):
+            val, err = _gk15(f, lo, hi)
+            stack.append((lo, hi, val, err))
+            whole += val
+        scale = max(abs_tol, rel_tol * abs(whole))
 
     result = 0.0
     used = len(stack)
@@ -218,17 +244,20 @@ class CumulativeIntegral:
 
     def __call__(self, t: float) -> float:
         ts = self._ts
+        vals = self._vals
         i = bisect_left(ts, t)
-        if i < len(ts) and ts[i] == t:
-            return self._vals[i]
-        j = i - 1
-        if j < 0 or (i < len(ts) and (ts[i] - t) < (t - ts[j])):
-            j = i
-        gap = abs(t - ts[j])
-        inc = adaptive_quad(self._fn, ts[j], t, self._abs_rate * max(gap, 1e-30), self._rel_tol)
-        val = self._vals[j] + inc
+        if i < len(ts):
+            right = ts[i]
+            if right == t:
+                return vals[i]
+            j = i if i == 0 or right - t < t - ts[i - 1] else i - 1
+        else:
+            j = i - 1
+        near = ts[j]
+        inc = adaptive_quad(self._fn, near, t, self._abs_rate * max(abs(t - near), 1e-30), self._rel_tol)
+        val = vals[j] + inc
         ts.insert(i, t)
-        self._vals.insert(i, val)
+        vals.insert(i, val)
         return val
 
 
@@ -479,14 +508,14 @@ class FBound:
         self.c1 = c1
         self.c2 = c2
         P, Q, R = b.P, b.Q, b.R
-        self._VQ = CumulativeIntegral(Q, t1)
+        VQ = self._VQ = CumulativeIntegral(Q, t1)
         self._iplus = CumulativeIntegral(
-            lambda tau: _exp(-self._VQ(tau)) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
+            lambda tau: _exp(-VQ(tau)) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
         )
         # iminus(Q, R)(t1; tau) = exp(-VQ(tau)) * W(tau) with W memoized once.
-        self._W = CumulativeIntegral(lambda s: _exp(self._VQ(s)) * R(s), t1)
+        W = self._W = CumulativeIntegral(lambda s: _exp(VQ(s)) * R(s), t1)
         self._outer = CumulativeIntegral(
-            lambda tau: _exp(-self._VQ(tau)) * self._W(tau) / _positive(P, tau, "P"),
+            lambda tau: _exp(-VQ(tau)) * W(tau) / _positive(P, tau, "P"),
             t1,
             abs_rate=0.1 * abs_tol,
             rel_tol=rel_tol,
@@ -526,9 +555,9 @@ class GBound:
         self.c1 = c1
         self.c2 = c2
         P, Q = b.P, b.Q
-        self._VQ = CumulativeIntegral(Q, t1)
+        VQ = self._VQ = CumulativeIntegral(Q, t1)
         self._iplus = CumulativeIntegral(
-            lambda tau: _exp(-self._VQ(tau)) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
+            lambda tau: _exp(-VQ(tau)) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
         )
         self._xint = CumulativeIntegral(
             lambda tau: x(tau) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol

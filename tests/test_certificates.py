@@ -331,6 +331,27 @@ class TestScanOrder:
             check_t3_4(eq, b, region=self.BOX, grid=GridSpec(17, 17))
         assert (err.value.t, err.value.w) == (0.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "eq, cause",
+        [
+            # |w|**2 overflows (OverflowError) from w = 2.5e199 on
+            (ef_equation(EFParams(rho=4.0, sigma=0.0, n=3.0)), OverflowError),
+            # w*w - 1 is inf from w = 2.5e199 on: a non-finite value, no exception
+            (vdp_equation(VdPParams(lam=lambda t: 1.0, mu=lambda t: 1.0, nu=lambda t: 1.0), t0=1.0), type(None)),
+        ],
+        ids=["power_law", "van_der_pol"],
+    )
+    def test_row_path_field_raises_at_first_non_finite_w(self, eq, cause):
+        # p0 >= P fails at w = -1, the first point of the row.  The row path
+        # cannot give the row, so it is sampled point by point and raises at
+        # the first non-finite w, as the scalar loop does.
+        assert eq.r0.row_fn is not None and eq.q0.row_fn is not None
+        b = BoundTriple(P=lambda t: 2.0, Q=lambda t: -10.0)
+        with pytest.raises(FieldEvaluationError) as err:
+            check_t3_4(eq, b, region=Rectangle(1.0, 4.0, -1.0, 1e200), grid=GridSpec(5, 5))
+        assert (err.value.t, err.value.w) == (1.0, 2.5e199)
+        assert type(err.value.__cause__) is cause
+
     def test_non_finite_sample_after_witness_row_is_never_sampled(self):
         eq = make_eq(q_fn=lambda t, w: 1.0 / (4.0 - t), r=-1.0)
         b = BoundTriple(P=lambda t: 1.0, Q=lambda t: -10.0)

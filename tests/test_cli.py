@@ -270,6 +270,17 @@ class TestConfigValidation:
         assert "nan" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis, pair", [("t", [50.0, 1.0]), ("w", [2.0, -2.0])])
+    def test_reversed_region_pair_is_a_config_error(self, tmp_path, capsys, axis, pair):
+        doc = json.loads(json.dumps(EF_CONFIG))
+        doc["region"] = {"t": [1.0, 50.0], "w": [-2.0, 2.0], axis: pair}
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["certify", "t3_1", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.region.{axis}"), err
+        assert not (tmp_path / "out").exists()
+
     def test_vanishing_p0_under_ratio_is_an_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(NEGATIVE_R_CONFIG))
         doc["equation"]["p0"] = {"kind": "power", "w_power": 2}
