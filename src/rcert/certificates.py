@@ -143,15 +143,17 @@ class Certificate:
         return doc
 
 
-def _region_record(ts, w_lo, w_hi, grid: GridSpec, sampled: tuple[float, float] | None) -> dict:
-    # Envelope-driven checks pass +-inf caps; the JSON record then carries
-    # only the w-range that was actually sampled.
+def _region_record(ts, w_lo, w_hi, nw: int, sampled: tuple[float, float] | None) -> dict:
+    # ``nt`` and ``nw`` are the axis sizes as sampled (an axis with equal bounds
+    # has one point); envelope checks, whose w axis changes per row, pass the
+    # grid's nw.  They also pass +-inf caps; the JSON record then carries only
+    # the w-range that was actually sampled.
     finite_w = w_lo is not None and math.isfinite(w_lo) and math.isfinite(w_hi)
     rec = {
         "t": [ts[0], ts[-1]],
         "w": [w_lo, w_hi] if finite_w else None,
-        "nt": grid.nt,
-        "nw": grid.nw,
+        "nt": len(ts),
+        "nw": nw,
     }
     if sampled is not None:
         rec["w_sampled"] = [sampled[0], sampled[1]]
@@ -331,19 +333,19 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     """T3_1 and T3_2: precondition, growth envelope, then the scan of |w| <= envelope + epsilon."""
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 50.0, -math.inf, math.inf)
+    ts = grid.t_axis(ic.t1, region.t_max)
     pre = _ratio_precondition(ic)
     if pre is not None:
-        rec = _region_record((ic.t1, region.t_max), None, None, grid, None)
+        rec = _region_record(ts, None, None, grid.nw, None)
         return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=f"precondition: {pre}")
     eps = 1e-3 * abs(ic.phi0) if epsilon is None else epsilon
     c1 = ic.phi0
     c2 = eq.p0(ic.t1, ic.phi0) * ic.phi1 / ic.phi0
-    ts = grid.t_axis(ic.t1, region.t_max)
     envelope = make_envelope(c1, c2, ts)
     try:
         bound_vals = [envelope(t) for t in ts]
     except RangeOverflowError as exc:
-        rec = _region_record(ts, None, None, grid, None)
+        rec = _region_record(ts, None, None, grid.nw, None)
         return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=f"range: {exc}")
 
     def rows():
@@ -353,7 +355,7 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
 
     seen = [math.inf, -math.inf]
     outcome = _scan(rows(), fields, stages, seen)
-    rec = _region_record(ts, region.w_min, region.w_max, grid, tuple(seen) if seen[0] <= seen[1] else None)
+    rec = _region_record(ts, region.w_min, region.w_max, grid.nw, tuple(seen) if seen[0] <= seen[1] else None)
     if isinstance(outcome, str):
         return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=outcome)
     if outcome is not None:
@@ -484,7 +486,8 @@ def check_t3_3(
     theorem = "T3_3"
     if region is None:
         region = Rectangle(eq0.t0, majorant.t_end, -1.0, 1.0)
-    whole = _region_record((region.t_min, region.t_max), None, None, grid, None)
+    ts = grid.t_axis(region.t_min, region.t_max)
+    whole = _region_record(ts, None, None, grid.nw, None)
     if majorant.zeros or majorant.tangential:
         return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason="majorant has a zero on its span")
     t_base = majorant.t_start
@@ -509,7 +512,6 @@ def check_t3_3(
     half = (nw - 1) // 2
     ws = [-W + 2.0 * W * i / (nw - 1) for i in range(nw)]
     ws[half] = 0.0
-    ts = grid.t_axis(region.t_min, region.t_max)
 
     def p_match(t, ws, row, stops):
         for j, (a, c) in enumerate(zip(row["p0"], row["p1"])):
@@ -540,7 +542,7 @@ def check_t3_3(
     fields = {**_eq_fields(eq0, *_PQR), "p1": eq1.p0, "q1": eq1.q0, "r1": eq1.r0, "q1/p1": _ratio("q1", "p1")}
     stages = [p_match, _even_monotone(hypotheses[2], "p0"), band]
     witness = _scan(_rows(ts, ws), fields, stages)
-    rec = _region_record(ts, -W, W, GridSpec(grid.nt, nw), (-W, W))
+    rec = _region_record(ts, -W, W, nw, (-W, W))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
     return Certificate(
@@ -578,7 +580,7 @@ def check_t3_4(
         _Check("r0 >= 0", "r0", "<", 0.0, "0"),
     )
     witness = _scan(_rows(ts, ws), _eq_fields(eq, *_PQR), [points])
-    rec = _region_record(ts, region.w_min, region.w_max, grid, (ws[0], ws[-1]))
+    rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
     return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=SINGULAR_SECOND_KIND_IF_NONEXTENDABLE)
@@ -627,7 +629,7 @@ def check_t3_5(
     eps_tail = list(eps_tail_samples) if eps_tail_samples is not None else [N, 2.0 * N, 4.0 * N]
     ts = grid.t_axis(region.t_min, region.t_max)
     ws = grid.w_axis(region.w_min, region.w_max)
-    rec = _region_record(ts, region.w_min, region.w_max, grid, (ws[0], ws[-1]))
+    rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     details: dict = {"eps_samples": eps_list, "eps_tail_samples": eps_tail, "N": N, "eps0": eps0}
     flags = ("comparison_oscillation_zero_count", "tail_divergence_probe")
 
@@ -773,7 +775,7 @@ def check_t3_6(
     fields = {**_eq_fields(eq, *_PQR), "-r0": lambda t, ws, row: ([-v for v in row["r0"]], None)}
     stages = [_points(_Check("r0 >= 0", "r0", "<", 0.0, "0")), _even_monotone(hypotheses[1], "p0", "q0/p0", "-r0")]
     witness = _scan(_rows(ts, ws), fields, stages)
-    rec = _region_record(ts, region.w_min, region.w_max, grid, (ws[0], ws[-1]))
+    rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
     return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=GLOBAL_FOR_ALL_IC)

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FieldEvaluationError, RcertError
-from .fields import EquationSpec, InitialData
+from .fields import EquationSpec, InitialData, system_rhs
 from .quadrature import weighted_chain
 
 __all__ = [
@@ -517,15 +517,7 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
     if p_init <= 0.0:
         raise DomainError(f"p0 is not positive at the initial point: {p_init!r}")
 
-    p0, q0, r0 = eq.p0, eq.q0, eq.r0
-
-    def f(t: float, phi: float, psi: float) -> tuple[float, float]:
-        p = p0(t, phi)
-        if p <= 0.0:
-            raise DomainError(f"p0 is not positive at (t={t!r}, w={phi!r}): {p!r}")
-        return psi / p, -r0(t, phi) * phi - q0(t, phi) / p * psi
-
-    raw = _solve(f, ic.t1, ic.phi0, p_init * ic.phi1, 2, opts, track_zeros=True)
+    raw = _solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, 2, opts, track_zeros=True)
     return Trajectory(
         eq=eq,
         ic=ic,

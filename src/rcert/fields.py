@@ -373,11 +373,13 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
     state variables u = phi and v = psi = p0 * phi'.
     """
 
+    p0, q0, r0 = eq.p0, eq.q0, eq.r0
+
     def f(t: float, u: float, v: float) -> tuple[float, float]:
-        p = eq.p0(t, u)
+        p = p0(t, u)
         if p <= 0.0:
             raise DomainError(f"p0 is not positive at (t={t!r}, w={u!r}): {p!r}")
-        return v / p, -eq.r0(t, u) * u - eq.q0(t, u) / p * v
+        return v / p, -r0(t, u) * u - q0(t, u) / p * v
 
     return f
 

@@ -1,4 +1,4 @@
-"""Adaptive quadrature for the nested growth functionals and divergence probes.
+"""Adaptive quadrature for the growth functionals, envelopes and divergence probes.
 
 The growth bounds used by the certificate checkers are built from two
 exponential-weighted integrals of time-only functions u, v, x over [t1, t]:
@@ -13,40 +13,40 @@ and from the envelopes
 
 Naive evaluation of the nesting is quadratic in the number of quadrature
 nodes, which matters because the envelopes are evaluated on whole time grids
-inside hypothesis sweeps.  All inner antiderivatives are therefore memoized
-on a shared growing mesh (:class:`CumulativeIntegral`) so each new query only
-integrates the gap from the nearest known point.
+inside hypothesis sweeps.  One memo, :class:`CumulativeChain`, carries every
+such integral.  It holds the antiderivatives of a lower-triangular chain of
+integrands on a growing set of knots, and a query walks only the gap from the
+nearest knot, in adaptive GK15 panels.  Each level is sampled once per Kronrod
+node, and the inner levels are read at the same nodes through the panel's node
+integration matrix, so no integrand ever queries another memo.  Its users:
 
-``adaptive_quad`` without seeds runs one GK15 panel over the whole interval
-and returns it when it passes the acceptance test, with no stack or piece
-list; in the envelopes nearly every gap integration ends there.  Only a
-rejected first panel starts the subdivision stack, which takes that panel
-as its first entry, so no integrand sample is taken twice.
+* the envelopes, one chain each: ``FBound`` (V = int Q, iplus, W = int e^V R
+  and the outer integral of e^-V W / P) and ``GBound`` (V, iplus and
+  int x / P);
+* ``i_plus`` (V and iplus) and ``i_minus``, which walks backward from its
+  upper limit t, so the exponent is anchored at t as in the definition;
+  ``weighted_tail_integrand`` evaluates its inner integral with ``i_minus``;
+* the residual oracles' K/W integrals (``weighted_chain``:
+  ``dynamics.flux_residual``, ``dynamics.volterra_residual``,
+  ``riccati.cauchy_residual`` and ``riccati.difference_residual``);
+* :class:`CumulativeIntegral`, the one-level chain: the tail's window search,
+  ``certificates``' reciprocal-weight tail and
+  ``riccati.representation_residual``.
 
-Two memos serve the nesting:
-
-* nested :class:`CumulativeIntegral` memos, where an outer integrand queries
-  an inner memo at each of its quadrature nodes.  Every such query integrates
-  its own small gap, so one outer panel costs about 15 inner panels.  The
-  envelopes (``FBound``, ``GBound``), ``i_plus``, ``i_minus``,
-  ``weighted_tail_integrand`` and ``riccati.representation_residual`` use
-  this form;
-* one :class:`CumulativeChain`, which walks a gap once for a whole
-  lower-triangular chain of integrands: each level is sampled once per
-  Kronrod node, and the inner levels are read at the same nodes through the
-  panel's node integration matrix.  The residual oracles' K/W integrals
-  (``weighted_chain``: ``dynamics.flux_residual``,
-  ``dynamics.volterra_residual``, ``riccati.cauchy_residual`` and
-  ``riccati.difference_residual``) use this form.
+``adaptive_quad`` integrates a plain function once; the divergence probes use
+it.  It runs one GK15 panel over the whole interval and returns it when it
+passes the acceptance test, with no stack or piece list.  Only a rejected first
+panel starts the subdivision stack, which takes that panel as its first entry,
+so no integrand sample is taken twice.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from operator import mul
+from operator import add, gt, mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -86,6 +86,11 @@ REL_TOL = 1e-8
 # Exponents beyond this are reported as range errors instead of inf/0 results.
 EXP_CAP = 690.0
 
+# (abs_rate, rel_tol) budgets of a chain level: the default of a memoized
+# antiderivative, and the residual oracles' budget.
+MEMO_BUDGET = (1e-13, 1e-12)
+ORACLE_BUDGET = (1e-13, 1e-11)
+
 # 15-point Kronrod nodes (positive half) with the embedded 7-point Gauss rule
 # on the odd-indexed nodes; weights for the interval [-1, 1].
 _XGK = (
@@ -113,6 +118,8 @@ _WG = (
     0.381830050505119,
     0.417959183673469,
 )
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
 
 
 def _exp(x: float) -> float:
@@ -121,16 +128,24 @@ def _exp(x: float) -> float:
     return math.exp(x)
 
 
+def _kronrod(h: float, fc: float, s0: float, s1: float, s2: float, s3: float, s4: float, s5: float, s6: float) -> tuple[float, float]:
+    """(K15 value, |K15 - G7|) on a panel of half-width h.
+
+    ``fc`` is the centre sample and s_i = f(c - h x_i) + f(c + h x_i) the node
+    pair sums, outermost first; both sums run left to right from the centre term.
+    """
+    resk = _K7 * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6
+    resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
+    return resk * h, abs(resk - resg) * abs(h)
+
+
 def _gk15(f: TimeFunction, a: float, b: float) -> tuple[float, float]:
     """15-point Kronrod estimate on [a, b] with |K15 - G7| as error estimate.
 
-    Written out: f is called at c, then at c - dx and c + dx for each node
-    from the outermost in (memoized integrands insert knots in that order),
-    and both sums run left to right from the centre term.
+    f is called at c, then at c - dx and c + dx for each node from the
+    outermost in.
     """
     x0, x1, x2, x3, x4, x5, x6 = _XGK
-    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
-    g0, g1, g2, g3 = _WG
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
@@ -148,9 +163,7 @@ def _gk15(f: TimeFunction, a: float, b: float) -> tuple[float, float]:
     s5 = f(c - dx) + f(c + dx)
     dx = h * x6
     s6 = f(c - dx) + f(c + dx)
-    resk = k7 * fc + k0 * s0 + k1 * s1 + k2 * s2 + k3 * s3 + k4 * s4 + k5 * s5 + k6 * s6
-    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
-    return resk * h, abs(resk - resg) * abs(h)
+    return _kronrod(h, fc, s0, s1, s2, s3, s4, s5, s6)
 
 
 def adaptive_quad(
@@ -161,13 +174,11 @@ def adaptive_quad(
     rel_tol: float = REL_TOL,
     *,
     max_intervals: int = 4096,
-    seeds: Sequence[float] | None = None,
 ) -> float:
     """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
     The local acceptance criterion distributes ``max(abs_tol, rel_tol * |I|)``
-    over subintervals proportionally to their length.  ``seeds`` optionally
-    pre-splits the interval (used to resolve known boundary layers).  Raises
+    over subintervals proportionally to their length.  Raises
     :class:`QuadratureBudgetError` when the tolerance cannot be certified
     within ``max_intervals`` subdivisions.
     """
@@ -178,28 +189,14 @@ def adaptive_quad(
         a, b = b, a
         sign = -1.0
     total_len = b - a
-    if not seeds:
-        # One panel over the whole interval; most calls end here.
-        val, err = _gk15(f, a, b)
-        scale = max(abs_tol, rel_tol * abs(val))
-        if err <= scale * total_len / total_len or total_len <= 1e-15 * max(abs(a), abs(b), 1.0):
-            return sign * (0.0 + val)
-        stack = [(a, b, val, err)]
-    else:
-        points = [a, b]
-        for s in seeds:
-            if a < s < b:
-                insort(points, s)
-        stack = []
-        whole = 0.0
-        for lo, hi in zip(points, points[1:]):
-            val, err = _gk15(f, lo, hi)
-            stack.append((lo, hi, val, err))
-            whole += val
-        scale = max(abs_tol, rel_tol * abs(whole))
-
+    # One panel over the whole interval; most calls end here.
+    val, err = _gk15(f, a, b)
+    scale = max(abs_tol, rel_tol * abs(val))
+    if err <= scale * total_len / total_len or total_len <= 1e-15 * max(abs(a), abs(b), 1.0):
+        return sign * (0.0 + val)
+    stack = [(a, b, val, err)]
     result = 0.0
-    used = len(stack)
+    used = 1
     while stack:
         lo, hi, val, err = stack.pop()
         if err <= scale * (hi - lo) / total_len or (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0):
@@ -218,54 +215,8 @@ def adaptive_quad(
     return sign * result
 
 
-class CumulativeIntegral:
-    """Memoized antiderivative ``t -> integral_base^t fn``.
-
-    Every query integrates only the gap between ``t`` and the nearest already
-    known mesh point, then records ``t`` as a new mesh point.  Repeated and
-    monotone query patterns (quadrature nodes of an outer integral, time-grid
-    sweeps) therefore cost amortized O(1) inner integrations per query.
-
-    ``abs_rate`` is an error budget per unit length, so the error chained
-    through any sequence of gap integrations stays below
-    ``abs_rate * |t - base| + rel_tol * (total variation)`` no matter how many
-    mesh points accumulate; queries at nearby points share their knot prefix,
-    which keeps *differences* of returned values accurate at gap scale.
-    Instances are created per top-level call and never shared across threads.
-    """
-
-    def __init__(self, fn: TimeFunction, base: float, abs_rate: float = 1e-13, rel_tol: float = 1e-12):
-        self._fn = fn
-        self.base = base
-        self._abs_rate = abs_rate
-        self._rel_tol = rel_tol
-        self._ts = [base]
-        self._vals = [0.0]
-
-    def __call__(self, t: float) -> float:
-        ts = self._ts
-        vals = self._vals
-        i = bisect_left(ts, t)
-        if i < len(ts):
-            right = ts[i]
-            if right == t:
-                return vals[i]
-            j = i if i == 0 or right - t < t - ts[i - 1] else i - 1
-        else:
-            j = i - 1
-        near = ts[j]
-        inc = adaptive_quad(self._fn, near, t, self._abs_rate * max(abs(t - near), 1e-30), self._rel_tol)
-        val = vals[j] + inc
-        ts.insert(i, t)
-        vals.insert(i, val)
-        return val
-
-
-# The 15 Kronrod nodes in ascending order, with the K15 weights and the G7
-# weights (zero on the Kronrod-only nodes) in the same order.
+# The 15 Kronrod nodes in ascending order.
 _NODES = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
-_WK15 = _WGK[:7] + (_WGK[7],) + _WGK[6::-1]
-_WG7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 
 
 @cache
@@ -298,29 +249,39 @@ class CumulativeChain:
 
     ``Y_k(t) = integral_base^t f_k(sample(s), [Y_0(s), ..., Y_{k-1}(s)]) ds``;
     ``sample`` runs once per node for the work the levels share.  A query
-    returns the tuple (Y_0(t), ..., Y_{m-1}(t)) and, like
-    :class:`CumulativeIntegral`, integrates only the gap from the nearest
-    known knot, in either direction.
+    returns the tuple (Y_0(t), ..., Y_{m-1}(t)).  Every query integrates only
+    the gap between ``t`` and the nearest known knot, in either direction, then
+    records ``t`` as a new knot, so repeated and monotone query patterns cost
+    amortized O(1) panels per query.
 
     The gap is walked in order in adaptive GK15 panels.  Each f_k is sampled
     once at the panel's 15 Kronrod nodes; the inner levels are read at the
     same nodes through the node integration matrix, so no integrand queries
-    another memo.  A panel is accepted when every level passes the
-    |K15 - G7| test of :func:`adaptive_quad` against its own budget
-    ``max(ABS_RATE * gap, REL_TOL * |whole gap estimate|)``, shared out by
-    length.  A non-finite integrand sample raises
+    another memo.  ``budgets`` holds one (abs_rate, rel_tol) pair per level
+    (the oracles' budget on every level by default).  A panel is accepted when
+    every level passes the |K15 - G7| test of :func:`adaptive_quad` against
+    its own budget ``max(abs_rate * gap, rel_tol * |whole gap estimate|)``,
+    shared out by length.  ``abs_rate`` is a budget per unit length, so the
+    error chained through any sequence of gaps stays below
+    ``abs_rate * |t - base| + rel_tol * (total variation)`` however many knots
+    accumulate.  A non-finite integrand sample raises
     :class:`QuadratureBudgetError`, so no nan is ever recorded.
     """
 
-    # The residual oracles' budget, per unit length and relative.
-    ABS_RATE = 1e-13
-    REL_TOL = 1e-11
     MAX_INTERVALS = 4096
 
-    def __init__(self, sample: Callable[[float], object], integrands: Sequence[Callable[[object, list[float]], float]], base: float):
+    def __init__(
+        self,
+        sample: Callable[[float], object],
+        integrands: Sequence[Callable[[object, list[float]], float]],
+        base: float,
+        budgets: Sequence[tuple[float, float]] | None = None,
+    ):
         self._sample = sample
         self._fns = tuple(integrands)
+        self._budgets = tuple(budgets) if budgets is not None else (ORACLE_BUDGET,) * len(self._fns)
         self._S = _node_integration_matrix()
+        self.base = base
         self._ts = [base]
         self._vals = [(0.0,) * len(self._fns)]
 
@@ -339,7 +300,7 @@ class CumulativeChain:
 
     def _walk(self, a: float, b: float, start: tuple[float, ...]) -> tuple[float, ...]:
         gap = abs(b - a)
-        abs_tol = self.ABS_RATE * max(gap, 1e-30)
+        width = max(gap, 1e-30)
         ys = start
         scales = None
         lo = a
@@ -349,15 +310,16 @@ class CumulativeChain:
             hi = ends[-1]
             span = abs(hi - lo)
             floor = span <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-            budget = None if scales is None or floor else [s * span / gap for s in scales]
-            incs = self._panel(lo, hi, ys, budget)
             if scales is None:
                 # The first panel spans the whole gap and sets every level's budget.
-                scales = [max(abs_tol, self.REL_TOL * abs(v)) for v, _ in incs]
-                if not floor and any(e > s for (_, e), s in zip(incs, scales)):
+                incs, errs = self._panel(lo, hi, ys, None)
+                scales = [max(rate * width, rel * abs(v)) for v, (rate, rel) in zip(incs, self._budgets)]
+                if not floor and any(map(gt, errs, scales)):
                     incs = None
+            else:
+                incs = self._panel(lo, hi, ys, None if floor else [s * span / gap for s in scales])[0]
             if incs is not None:
-                ys = tuple(y + v for y, (v, _) in zip(ys, incs))
+                ys = tuple(map(add, ys, incs))
                 lo = hi
                 ends.pop()
                 continue
@@ -371,36 +333,68 @@ class CumulativeChain:
 
     def _panel(
         self, lo: float, hi: float, start: tuple[float, ...], budget: list[float] | None
-    ) -> list[tuple[float, float]] | None:
-        """(increment, error) per level on [lo, hi], or None at the first level over ``budget``."""
+    ) -> tuple[list[float] | None, list[float]]:
+        """The increments and errors per level on [lo, hi]; no increments at the first level over ``budget``."""
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        data = [self._sample(c + h * x) for x in _NODES]
+        sample = self._sample
+        data = [sample(c + h * x) for x in _NODES]
         rows = [[] for _ in data]
         last = len(self._fns) - 1
-        out = []
+        incs = []
+        errs = []
         for k, f in enumerate(self._fns):
             fv = [f(d, row) for d, row in zip(data, rows)]
-            resk = sum(map(mul, _WK15, fv))
-            err = abs(h * (resk - sum(map(mul, _WG7, fv))))
+            f0, f1, f2, f3, f4, f5, f6, fc, g6, g5, g4, g3, g2, g1, g0 = fv
+            inc, err = _kronrod(h, fc, f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
             if not math.isfinite(err):
                 raise QuadratureBudgetError(f"level {k} integrand is not finite on [{lo!r}, {hi!r}]")
             if budget is not None and err > budget[k]:
-                return None
-            out.append((h * resk, err))
+                return None, errs
+            incs.append(inc)
+            errs.append(err)
             if k < last:
                 y = start[k]
                 for row, srow in zip(rows, self._S):
                     row.append(y + h * sum(map(mul, srow, fv)))
-        return out
+        return incs, errs
 
 
-_WEIGHTED_LEVELS = (
-    lambda c, y: c[0],  # K' = k
-    lambda c, y: math.exp(y[0]) * c[1],  # W' = e^K s
-    lambda c, y: math.exp(-y[0]) / c[2],  # T1' = e^-K / p
-    lambda c, y: math.exp(-y[0]) * y[1] / c[2],  # T2' = e^-K W / p
-)
+def _sampled(c: float, y: list[float]) -> float:
+    return c
+
+
+class CumulativeIntegral(CumulativeChain):
+    """Memoized antiderivative ``t -> integral_base^t fn``: the one-level chain.
+
+    ``abs_rate`` and ``rel_tol`` are the level's budget (see
+    :class:`CumulativeChain`); queries at nearby points share their knot
+    prefix, which keeps *differences* of returned values accurate at gap
+    scale.  Instances are created per top-level call and never shared across
+    threads.
+    """
+
+    def __init__(self, fn: TimeFunction, base: float, abs_rate: float = MEMO_BUDGET[0], rel_tol: float = MEMO_BUDGET[1]):
+        super().__init__(fn, (_sampled,), base, ((abs_rate, rel_tol),))
+
+    def __call__(self, t: float) -> float:
+        return CumulativeChain.__call__(self, t)[0]
+
+
+def _weighted_levels(exp: Callable[[float], float]) -> tuple[Callable[[tuple, list[float]], float], ...]:
+    """The chain K' = k, W' = e^K s, T1' = e^-K / p, T2' = e^-K W / p on samples (k, s, p)."""
+    return (
+        lambda c, y: c[0],
+        lambda c, y: exp(y[0]) * c[1],
+        lambda c, y: exp(-y[0]) / c[2],
+        lambda c, y: exp(-y[0]) * y[1] / c[2],
+    )
+
+
+# The oracles let math.exp raise OverflowError; the envelopes and the
+# functionals report exponents beyond EXP_CAP as RangeOverflowError.
+_WEIGHTED_LEVELS = _weighted_levels(math.exp)
+_K, _W, _T1, _T2 = _weighted_levels(_exp)
 
 
 def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: float, *, lead: bool = False) -> CumulativeChain:
@@ -415,6 +409,13 @@ def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: flo
     return CumulativeChain(coefficients, _WEIGHTED_LEVELS if lead else _WEIGHTED_LEVELS[:2], base)
 
 
+def _positive(fn: TimeFunction, tau: float, label: str) -> float:
+    value = fn(tau)
+    if value <= 0.0:
+        raise NonPositiveWeightError(f"{label}({tau!r}) = {value!r} <= 0")
+    return value
+
+
 def i_plus(
     u: TimeFunction,
     v: TimeFunction,
@@ -427,28 +428,22 @@ def i_plus(
     """Exponentially weighted reciprocal integral of a positive function u.
 
     Requires t >= t1 and u > 0 on [t1, t]; a non-positive u sample raises
-    :class:`NonPositiveWeightError`.
+    :class:`NonPositiveWeightError`.  One query of the chain V = int v,
+    iplus = int e^-V / u from t1.
     """
     if t < t1:
         raise DomainError("i_plus needs t >= t1")
     if t == t1:
         return 0.0
-    V = CumulativeIntegral(v, t1)
-
-    def g(tau: float) -> float:
-        uv = u(tau)
-        if uv <= 0.0:
-            raise NonPositiveWeightError(f"u({tau!r}) = {uv!r} <= 0")
-        return _exp(-V(tau)) / uv
-
-    return adaptive_quad(g, t1, t, abs_tol, rel_tol)
+    chain = CumulativeChain(
+        lambda s: (v(s), 0.0, _positive(u, s, "u")), (_K, _T1), t1, (MEMO_BUDGET, (abs_tol / (t - t1), rel_tol))
+    )
+    return chain(t)[1]
 
 
-def _right_anchored_seeds(a: float, b: float, levels: int = 12) -> list[float]:
-    # Dyadic points accumulating at b; resolves kernels concentrated near the
-    # upper limit that a single whole-interval estimate would miss entirely.
-    length = b - a
-    return [b - length * 0.5 ** k for k in range(1, levels + 1)]
+# Dyadic points t - (t - t1) / 2^k, k = _ANCHOR_LEVELS..1, that i_minus queries
+# before its lower limit.
+_ANCHOR_LEVELS = 12
 
 
 def i_minus(
@@ -460,34 +455,33 @@ def i_minus(
     abs_tol: float = ABS_TOL,
     rel_tol: float = REL_TOL,
 ) -> float:
-    """Weighted integral of x with the exponential weight anchored at t."""
+    """Weighted integral of x with the exponential weight anchored at t.
+
+    The chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x runs backward from t, so
+    iminus = -Y1(t1) and the exponent is -int_s^t v, never the difference of
+    two large antiderivatives.  Before t1, the chain is queried at dyadic
+    points accumulating at t, from t outward: each query walks only its own
+    gap, so a kernel concentrated near t, which one panel over [t1, t] would
+    miss entirely, is resolved.
+    """
     if t < t1:
         raise DomainError("i_minus needs t >= t1")
     if t == t1:
         return 0.0
-    V = CumulativeIntegral(v, t1)
-    Vt = V(t)
-
-    def g(tau: float) -> float:
-        return _exp(V(tau) - Vt) * x(tau)
-
-    return adaptive_quad(g, t1, t, abs_tol, rel_tol, seeds=_right_anchored_seeds(t1, t))
-
-
-def _positive(fn: TimeFunction, tau: float, label: str) -> float:
-    value = fn(tau)
-    if value <= 0.0:
-        raise NonPositiveWeightError(f"{label}({tau!r}) = {value!r} <= 0")
-    return value
+    chain = CumulativeChain(lambda s: (v(s), x(s)), (_K, _W), t, (MEMO_BUDGET, (abs_tol / (t - t1), rel_tol)))
+    length = t - t1
+    for k in range(_ANCHOR_LEVELS, 0, -1):
+        chain(t - length * 0.5 ** k)
+    return -chain(t1)[1]
 
 
 class FBound:
     """Growth envelope F(t1; t; c1; c2) as a reusable evaluator.
 
-    All inner antiderivatives are shared across calls, so evaluating the
-    envelope along an ascending time grid costs one incremental integration
-    per grid point.  Exponent overflow raises :class:`RangeOverflowError`
-    instead of silently wrapping to infinity.
+    One chain from t1 holds V = int Q, W = int e^V R, iplus = int e^-V / P and
+    the outer integral int e^-V W / P, so evaluating the envelope along an
+    ascending time grid walks each grid gap once.  Exponent overflow raises
+    :class:`RangeOverflowError` instead of silently wrapping to infinity.
     """
 
     def __init__(
@@ -508,23 +502,16 @@ class FBound:
         self.c1 = c1
         self.c2 = c2
         P, Q, R = b.P, b.Q, b.R
-        VQ = self._VQ = CumulativeIntegral(Q, t1)
-        self._iplus = CumulativeIntegral(
-            lambda tau: _exp(-VQ(tau)) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
-        )
-        # iminus(Q, R)(t1; tau) = exp(-VQ(tau)) * W(tau) with W memoized once.
-        W = self._W = CumulativeIntegral(lambda s: _exp(VQ(s)) * R(s), t1)
-        self._outer = CumulativeIntegral(
-            lambda tau: _exp(-VQ(tau)) * W(tau) / _positive(P, tau, "P"),
-            t1,
-            abs_rate=0.1 * abs_tol,
-            rel_tol=rel_tol,
+        outer = (0.1 * abs_tol, rel_tol)
+        self._chain = CumulativeChain(
+            lambda tau: (Q(tau), R(tau), _positive(P, tau, "P")), (_K, _W, _T1, _T2), t1, (MEMO_BUDGET, MEMO_BUDGET, outer, outer)
         )
 
     def exponent(self, t: float) -> float:
         if t < self.t1:
             raise DomainError("envelope evaluated left of its base point")
-        e = self.c2 * self._iplus(t) - self._outer(t)
+        _, _, iplus, outer = self._chain(t)
+        e = self.c2 * iplus - outer
         if not math.isfinite(e) or abs(e) > EXP_CAP:
             raise RangeOverflowError(f"envelope exponent {e!r} out of range at t={t!r}")
         return e
@@ -536,7 +523,10 @@ class FBound:
 
 
 class GBound:
-    """Growth envelope G_x(t1; t; c1; c2); same contracts as :class:`FBound`."""
+    """Growth envelope G_x(t1; t; c1; c2); same contracts as :class:`FBound`.
+
+    One chain from t1 holds V = int Q, iplus = int e^-V / P and int x / P.
+    """
 
     def __init__(
         self,
@@ -555,18 +545,19 @@ class GBound:
         self.c1 = c1
         self.c2 = c2
         P, Q = b.P, b.Q
-        VQ = self._VQ = CumulativeIntegral(Q, t1)
-        self._iplus = CumulativeIntegral(
-            lambda tau: _exp(-VQ(tau)) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
-        )
-        self._xint = CumulativeIntegral(
-            lambda tau: x(tau) / _positive(P, tau, "P"), t1, abs_rate=0.1 * abs_tol, rel_tol=rel_tol
+        outer = (0.1 * abs_tol, rel_tol)
+        self._chain = CumulativeChain(
+            lambda tau: (Q(tau), x(tau), _positive(P, tau, "P")),
+            (_K, _T1, lambda c, y: c[1] / c[2]),
+            t1,
+            (MEMO_BUDGET, outer, outer),
         )
 
     def exponent(self, t: float) -> float:
         if t < self.t1:
             raise DomainError("envelope evaluated left of its base point")
-        e = self.c2 * self._iplus(t) + self._xint(t)
+        _, iplus, xint = self._chain(t)
+        e = self.c2 * iplus + xint
         if not math.isfinite(e) or abs(e) > EXP_CAP:
             raise RangeOverflowError(f"envelope exponent {e!r} out of range at t={t!r}")
         return e
@@ -719,9 +710,9 @@ def weighted_tail_integrand(
     certificates.  When the antiderivative of ``q`` is nondecreasing (the only
     regime the checkers use, q >= 0), the inner integral is restricted to the
     window where the kernel exceeds exp(-window_log); the discarded mass is
-    below 1e-19 of the kernel scale.  The kernel exponent is rebuilt from the
-    window start on every evaluation: differencing one global antiderivative
-    would lose all precision once it grows past ~1e9.
+    below 1e-19 of the kernel scale.  The inner integral is ``i_minus`` over
+    that window, whose exponent is anchored at tau: differencing one global
+    antiderivative would lose all precision once it grows past ~1e9.
     """
     V = CumulativeIntegral(q, t0, rel_tol=1e-13)  # coarse, used only to find the window
 
@@ -739,15 +730,7 @@ def weighted_tail_integrand(
                     hi = mid
                 if hi - lo <= 1e-9 * max(1.0, abs(tau)):
                     break
-        start = lo
-
-        V_loc = CumulativeIntegral(q, start, rel_tol=1e-13)
-        v_tau_loc = V_loc(tau)
-
-        def g(s: float) -> float:
-            return _exp(V_loc(s) - v_tau_loc) * r(s)
-
-        val = adaptive_quad(g, start, tau, abs_tol, rel_tol, seeds=_right_anchored_seeds(start, tau, levels=8))
+        val = i_minus(q, r, lo, tau, abs_tol=abs_tol, rel_tol=rel_tol)
         return val / _positive(P, tau, "P")
 
     return inner

@@ -316,6 +316,15 @@ class TestCertificateContracts:
         for cert in certs:
             validate_certificate_dict(cert.to_dict())
 
+    def test_region_records_the_sampled_axis_sizes(self):
+        # An axis with equal bounds is sampled at one point, whatever the grid asks for.
+        eq = ef_equation(EFParams(4.0, 0.0, 3.0))
+        b = BoundTriple(P=lambda t: 0.5, Q=lambda t: -1.0)
+        one_t = check_t3_4(eq, b, region=Rectangle(1.0, 1.0, -1.0, 1.0), grid=GridSpec(9, 9))
+        one_w = check_t3_4(eq, b, region=Rectangle(1.0, 2.0, 0.5, 0.5), grid=GridSpec(9, 9))
+        both = check_t3_4(eq, b, region=Rectangle(1.0, 2.0, -1.0, 1.0), grid=GridSpec(9, 5))
+        assert [(c.region["nt"], c.region["nw"]) for c in (one_t, one_w, both)] == [(1, 9), (9, 1), (9, 5)]
+
 
 class TestScanOrder:
     """Row-at-a-time sampling and the scan order of the checkers."""

@@ -9,6 +9,7 @@ from rcert import (
     CONVERGING,
     DIVERGING,
     CumulativeIntegral,
+    FBound,
     HorizonSpec,
     NegativeIntegrandError,
     NonPositiveWeightError,
@@ -25,6 +26,45 @@ from rcert.quadrature import _NODES, CumulativeChain, _node_integration_matrix, 
 
 ONE = lambda t: 1.0
 ZERO = lambda t: 0.0
+
+
+def closed_form(value):
+    # Within 5e-15 relative: a few roundings of the chained panel sums.
+    return pytest.approx(value, rel=5e-15, abs=0.0)
+
+
+class TestClosedForms:
+    def test_i_plus(self):
+        # V = log t, so the integrand is t^-3 on [1, 4].
+        assert i_plus(lambda t: t * t, lambda t: 1.0 / t, 1.0, 4.0) == closed_form(15.0 / 32.0)
+
+    def test_i_minus(self):
+        assert i_minus(lambda t: 2.0, lambda t: t, 0.0, 5.0) == closed_form(9.0 / 4.0 + math.exp(-10.0) / 4.0)
+
+    def test_weighted_tail(self):
+        # The window [18.75, 30] drops mass below 1e-19 of the whole integral over [0, 30].
+        fn = weighted_tail_integrand(lambda t: 1.0 + t, lambda t: 4.0, math.cos, 0.0)
+        expect = (4.0 * math.cos(30.0) + math.sin(30.0) - 4.0 * math.exp(-120.0)) / (17.0 * 31.0)
+        assert fn(30.0) == closed_form(expect)
+
+    def test_power_law_envelope(self):
+        # P = t^4, Q = 0, R = -1 from t1 = 1: F = 0.5 exp(1/6 - 1/(2t^2) + 1/(3t^3)).
+        F = FBound(BoundTriple(P=lambda t: t ** 4, Q=ZERO, R=lambda t: -1.0), 1.0, 0.5, 0.0)
+        for t in (1.0, 1.5, 2.0, 4.0, 3.0, 50.0):
+            assert F(t) == closed_form(0.5 * math.exp(1.0 / 6.0 - 0.5 / t ** 2 + 1.0 / (3.0 * t ** 3)))
+
+
+class TestBoundaryLayer:
+    """Kernels concentrated at the upper limit, far narrower than the interval."""
+
+    def test_i_minus(self):
+        # Width 1e-3 at t = 100: one panel over [0, 100] sees no node inside it.
+        assert i_minus(lambda t: 1000.0, ONE, 0.0, 100.0) == pytest.approx(-math.expm1(-1e5) / 1000.0, rel=1e-12, abs=0.0)
+
+    def test_weighted_tail(self):
+        tau = 2.0 ** 19
+        fn = weighted_tail_integrand(ONE, lambda t: 15.0, ONE, 0.0)
+        assert fn(tau) == pytest.approx(-math.expm1(-15.0 * tau) / 15.0, rel=1e-12, abs=0.0)
 
 
 class TestIPlus:
@@ -141,6 +181,16 @@ class TestCumulativeIntegral:
         assert acc(-1.0) == pytest.approx(math.sin(-1.0) - math.sin(1.0), abs=1e-10)
 
 
+def nested_reference(q, r, p, t):
+    """(K, W, T1, T2)(t) of ``weighted_chain`` by nested adaptive quadrature, with no memo."""
+    tol = {"abs_tol": 1e-13, "rel_tol": 1e-12}
+    K = lambda s: adaptive_quad(q, 0.0, s, **tol)
+    W = lambda s: adaptive_quad(lambda u: math.exp(K(u)) * r(u), 0.0, s, **tol)
+    T1 = adaptive_quad(lambda s: math.exp(-K(s)) / p(s), 0.0, t, **tol)
+    T2 = adaptive_quad(lambda s: math.exp(-K(s)) * W(s) / p(s), 0.0, t, **tol)
+    return K(t), W(t), T1, T2
+
+
 class TestCumulativeChain:
     C = 0.7
 
@@ -164,18 +214,25 @@ class TestCumulativeChain:
             for value, expect in zip(chain(t), self.closed_form(t - 4.0)):
                 assert value == pytest.approx(expect, rel=1e-12)
 
-    def test_matches_nested_cumulative_integrals(self):
+    def test_matches_nested_adaptive_quadrature(self):
         q = math.sin
         r = lambda t: math.exp(-t) * math.cos(t)
         p = lambda t: 1.0 + 0.25 * t * t
-        K = CumulativeIntegral(q, 0.0, abs_rate=1e-14, rel_tol=1e-13)
-        W = CumulativeIntegral(lambda s: math.exp(K(s)) * r(s), 0.0, abs_rate=1e-14, rel_tol=1e-13)
-        T1 = CumulativeIntegral(lambda s: math.exp(-K(s)) / p(s), 0.0, abs_rate=1e-14, rel_tol=1e-13)
-        T2 = CumulativeIntegral(lambda s: math.exp(-K(s)) * W(s) / p(s), 0.0, abs_rate=1e-14, rel_tol=1e-13)
         chain = weighted_chain(lambda t: (q(t), r(t), p(t)), 0.0, lead=True)
         for t in (0.3, 1.7, 4.0, 2.5, 6.0, 5.9, -2.0):
-            for value, ref in zip(chain(t), (K(t), W(t), T1(t), T2(t))):
+            for value, ref in zip(chain(t), nested_reference(q, r, p, t)):
                 assert value == pytest.approx(ref, abs=1e-11)
+
+    def test_each_level_honours_its_own_budget(self):
+        peak = lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2)
+        exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
+        same = lambda c, y: c
+        loose = CumulativeChain(peak, [same], 0.0, [(0.1, 0.1)])(1.0)[0]
+        assert 1e-8 < abs(loose / exact - 1.0) <= 0.1
+        # The panels are shared, so a tight budget on either level makes both levels tight.
+        for budgets in ([(0.1, 0.1), (1e-14, 1e-13)], [(1e-14, 1e-13), (0.1, 0.1)]):
+            for value in CumulativeChain(peak, [same, same], 0.0, budgets)(1.0):
+                assert value == pytest.approx(exact, rel=1e-12)
 
     def test_node_matrix_integrates_degree_14_exactly(self):
         S = _node_integration_matrix()

@@ -1,9 +1,9 @@
-"""Bit-exact pins of the GK15 kernel, ``adaptive_quad`` and the nested memos.
+"""Bit-exact pins of the GK15 kernel, ``adaptive_quad`` and the chain memo.
 
-The panel sums its nodes in a fixed order and ``CumulativeIntegral`` inserts
-knots in the order the integrand is called, so every value below is compared
-exactly (``float.hex``).  A change to the quadrature arithmetic or to the
-node call order that moves any of them has to say why.
+The panel sums its nodes in a fixed order and a chain inserts knots in the
+order it is queried, so every value below is compared exactly (``float.hex``).
+A change to the quadrature arithmetic, to the node call order or to the
+knots a functional queries that moves any of them has to say why.
 """
 
 import math
@@ -41,10 +41,6 @@ DECAYING = BoundTriple(P=lambda t: 1.0 + t * t, Q=lambda t: 0.5 / (1.0 + t), R=l
 CASES = {
     "panel": lambda: [*_gk15(math.exp, 0.0, 1.0), *_gk15(bumpy, -1.0, 1.0), *_gk15(math.cos, 2.0, -1.0), *_gk15(math.sqrt, 0.0, 1.0)],
     "no_seeds": lambda: [adaptive_quad(math.exp, 0.0, 1.0), adaptive_quad(math.cos, 0.25, 3.0, 1e-12, 1e-12)],
-    "seeds": lambda: [
-        adaptive_quad(math.exp, 0.0, 1.0, seeds=[0.5, 0.75, 2.0, -1.0]),
-        adaptive_quad(math.sin, 0.0, 2.0, seeds=[1.0 - 0.5 ** k for k in range(1, 9)]),
-    ],
     "rejected_first_panel": lambda: [adaptive_quad(bumpy, -1.0, 1.0), adaptive_quad(math.sqrt, 0.0, 1.0)],
     "backward": lambda: [adaptive_quad(math.exp, 1.0, 0.0), adaptive_quad(bumpy, 1.0, -1.0), adaptive_quad(lambda x: -0.0, 1.0, 0.0)],
     "empty": lambda: [adaptive_quad(math.exp, 2.0, 2.0), adaptive_quad(lambda x: -0.0, 0.0, 1.0)],
@@ -70,7 +66,6 @@ GOLDEN = {
         "0x1.e88d336c67000p-13",
     ],
     "no_seeds": ["0x1.b7e151628aebbp+0", "-0x1.b356cce788023p-4"],
-    "seeds": ["0x1.b7e151628aebbp+0", "0x1.6a88995d4dc6cp+0"],
     "rejected_first_panel": ["0x1.8498c89b8e34bp+6", "0x1.5555555555541p-1"],
     "backward": [
         "-0x1.b7e151628aebbp+0",
@@ -108,10 +103,10 @@ GOLDEN = {
     "fbound": [
         "0x1.0000000000000p-1",
         "0x1.0b4ddfcb44b0bp-1",
-        "0x1.163f580295697p-1",
-        "0x1.26a7793f60160p-1",
-        "0x1.21a380e6f27e4p-1",
-        "0x1.2e5e5c125fdfcp-1",
+        "0x1.163f580295698p-1",
+        "0x1.26a7793f60161p-1",
+        "0x1.21a380e6f27e5p-1",
+        "0x1.2e5e5c125fdfdp-1",
         "0x1.16bac4d0cfad2p+1",
         "0x1.4a99b24139104p+1",
         "0x1.9fac5b03261e5p+1",
@@ -119,12 +114,12 @@ GOLDEN = {
     "gbound": [
         "0x1.5be95963a044ap+0",
         "0x1.75d530e0fde0ap+0",
-        "0x1.063bf2a894a5ep+1",
+        "0x1.063bf2a894a5fp+1",
         "0x1.de006449369c0p+0",
     ],
-    "i_plus": ["0x1.dfffffffffff2p-2", "0x1.4f169c8522684p+3"],
-    "i_minus": ["0x1.20005f35e6d53p+1", "-0x1.a5733303d8c98p-5"],
-    "weighted_tail": ["-0x1.711dd1f2e8ea7p-11"],
+    "i_plus": ["0x1.dffffffffffeep-2", "0x1.4f169c8522684p+3"],
+    "i_minus": ["0x1.20005f35e6d53p+1", "-0x1.a5733303d8ccap-5"],
+    "weighted_tail": ["-0x1.711dd1f2e8ec5p-11"],
 }
 
 

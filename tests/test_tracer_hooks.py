@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds every name it wraps in ``rcert``.
+
+``perfbench/tracing.py`` patches ``adaptive_quad`` in every module that binds
+it, ``CumulativeIntegral.__call__`` and the ``__init__``/``__call__``/
+``exponent`` methods of ``FBound`` and ``GBound``, each looked up in the
+class's own ``__dict__``.  A change that removes one of them breaks the traced
+benchmark runs; this test makes it break tier-1 too.
+"""
+
+import math
+from pathlib import Path
+
+import rcert.cli  # noqa: F401  (the tracer wraps every layer; the benchmark imports the CLI too)
+import rcert.quadrature as quadrature
+from rcert import BoundTriple
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_counts_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    originals = (quadrature.adaptive_quad, quadrature.CumulativeIntegral.__dict__["__call__"], quadrature.FBound.__dict__["exponent"])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: -1.0)
+        envelope = quadrature.FBound(b, 0.0, 1.0, 0.0)(1.0)
+        antiderivative = quadrature.CumulativeIntegral(math.cos, 0.0)(1.0)
+        integral = quadrature.adaptive_quad(math.exp, 0.0, 1.0)
+    finally:
+        tracer.uninstall()
+
+    assert abs(envelope / math.exp(0.5) - 1.0) < 1e-12
+    assert abs(antiderivative - math.sin(1.0)) < 1e-12
+    assert abs(integral - math.expm1(1.0)) < 1e-12
+    assert tracer.counts["quadrature.quad_calls"] == 1
+    assert tracer.counts["quadrature.integrand_evals"] == 15
+    assert tracer.counts["quadrature.cumint_queries"] == 1
+    assert tracer.group_time["envelope"] > 0.0
+    restored = (quadrature.adaptive_quad, quadrature.CumulativeIntegral.__dict__["__call__"], quadrature.FBound.__dict__["exponent"])
+    assert restored == originals

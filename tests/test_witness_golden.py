@@ -245,7 +245,7 @@ T3_6 = {
 
 
 GOLDEN = {'t3_1_p0_below_P': ('Falsified', 'p0 >= P', '0x1.0000000000000p-2', '-0x1.044993eca9aa4p-3', 'p0=0.9911527484830668 < P=1.0'),
- 't3_1_r0_below_R': ('Falsified', 'R <= r0 <= 0', '0x1.4000000000000p+0', '-0x1.7a99772135e98p+0', 'r0=-0.5624315238412861 < R=-0.5'),
+ 't3_1_r0_below_R': ('Falsified', 'R <= r0 <= 0', '0x1.4000000000000p+0', '-0x1.7a99772135e9ap+0', 'r0=-0.5624315238412864 < R=-0.5'),
  't3_1_r0_positive': ('Falsified', 'R <= r0 <= 0', '0x1.0000000000000p-1', '0x1.10c43eaf1f156p+0', 'r0=0.003274722945892948 > 0'),
  't3_1_ratio_below_Q': ('Falsified', 'q0/p0 >= Q', '0x0.0p+0', '-0x1.004189374bc6ap+0', 'q0/p0=-0.2002 < Q=0.0'),
  't3_1_verified': ('Verified',),
