@@ -30,7 +30,7 @@ from .certificates import (
 )
 from .classify import ClassifyPolicy, classify, export_raster_csv, sweep
 from .config import RunConfig, load_config
-from .dynamics import IntegrationOptions, export_trajectory_csv, integrate
+from .dynamics import IntegrationOptions, Trajectory, export_trajectory_csv, integrate
 from .errors import ConfigError, RcertError
 from .fields import EquationSpec, InitialData, Rectangle
 from .quadrature import HorizonSpec
@@ -39,12 +39,12 @@ from .serialize import write_json
 __all__ = ["run", "main"]
 
 
-def _int_opts(cfg: RunConfig, horizon: float | None = None) -> IntegrationOptions:
+def _int_opts(cfg: RunConfig) -> IntegrationOptions:
     o = cfg.options
     return IntegrationOptions(
         rel_tol=o.rel_tol,
         abs_tol=o.abs_tol,
-        horizon=o.horizon if horizon is None else horizon,
+        horizon=o.horizon,
         escape_threshold=o.escape_threshold,
         min_step=o.min_step,
         max_zeros=o.max_zeros,
@@ -78,6 +78,58 @@ def _default_bounds(cfg: RunConfig):
     raise ConfigError("config.bounds", "required for custom equations")
 
 
+def _horizon_region(cfg: RunConfig) -> Rectangle:
+    """The configured region, or [t0, t0 + horizon] with an unbounded w axis."""
+    t0 = cfg.equation.t0
+    return cfg.region or Rectangle(t0, t0 + cfg.options.horizon, -float("inf"), float("inf"))
+
+
+def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
+    """The T3_1 certificate, capped by the closed-form A/B bound for Emden-Fowler with rho > 1."""
+    ic = cfg.initial
+    cert = check_t3_1(
+        cfg.equation,
+        ic,
+        _default_bounds(cfg),
+        region=_horizon_region(cfg),
+        grid=cfg.grid,
+        epsilon=cfg.options.epsilon,
+        quad_abs_tol=cfg.options.quad_abs_tol,
+        quad_rel_tol=cfg.options.quad_rel_tol,
+    )
+    ab = None
+    if cfg.eq_kind == "emden_fowler":
+        p = _ef_params(cfg)
+        if p.rho > 1.0:
+            c2 = ic.t1 ** p.rho * ic.phi1 / ic.phi0 if ic.phi0 != 0 else 0.0
+            ab = apps.ef_bounds_A_B(p, ic.t1, ic.phi0, c2)
+            cert.uniform_bound = ab.A if ab.A is not None else ab.B
+            cert.details["closed_form_case"] = ab.case
+    return cert, ab
+
+
+def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajectory]:
+    """The T3_3 certificate against the Kneser majorant; with no region, its t span and 1.1x its sup."""
+    eq = cfg.equation
+    majorant = apps.kneser_majorant(_ef_params(cfg), eq.t0, _int_opts(cfg))
+    if region is None:
+        w_cap = 1.1 * max(float(np.max(np.abs(majorant.phis))), abs(cfg.initial.phi0))
+        region = Rectangle(eq.t0, majorant.t_end, -w_cap, w_cap)
+    return check_t3_3(eq, eq, majorant, cfg.initial, region=region, grid=cfg.grid), majorant
+
+
+def _t4_2(cfg: RunConfig) -> Certificate:
+    return apps.check_t4_2(
+        _vdp_params(cfg),
+        eps0=cfg.options.eps0,
+        t0=cfg.equation.t0,
+        region=cfg.region,
+        grid=cfg.grid,
+        osc_horizon=cfg.options.osc_horizon,
+        osc_min_zeros=cfg.options.osc_min_zeros,
+    )
+
+
 def _cert_summary(cert: Certificate) -> str:
     bits = [f"{cert.theorem}: {cert.status}"]
     if cert.conclusion:
@@ -100,25 +152,7 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
     region = cfg.region
     extra: dict = {}
     if theorem == "t3_1":
-        cert = check_t3_1(
-            eq,
-            cfg.initial,
-            _default_bounds(cfg),
-            region=region or Rectangle(eq.t0, eq.t0 + cfg.options.horizon, -float("inf"), float("inf")),
-            grid=cfg.grid,
-            epsilon=cfg.options.epsilon,
-            quad_abs_tol=cfg.options.quad_abs_tol,
-            quad_rel_tol=cfg.options.quad_rel_tol,
-        )
-        if cfg.eq_kind == "emden_fowler":
-            p = _ef_params(cfg)
-            if p.rho > 1.0:
-                ic = cfg.initial
-                c2 = ic.t1 ** p.rho * ic.phi1 / ic.phi0 if ic.phi0 != 0 else 0.0
-                ab = apps.ef_bounds_A_B(p, ic.t1, ic.phi0, c2)
-                cert.uniform_bound = ab.A if ab.A is not None else ab.B
-                cert.details["closed_form_case"] = ab.case
-        return [cert], extra
+        return [_t3_1(cfg)[0]], extra
     if theorem == "t3_2":
         return [
             check_t3_2(
@@ -126,7 +160,7 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
                 cfg.initial,
                 _default_bounds(cfg),
                 cfg.qtilde,
-                region=region or Rectangle(eq.t0, eq.t0 + cfg.options.horizon, -float("inf"), float("inf")),
+                region=_horizon_region(cfg),
                 grid=cfg.grid,
                 epsilon=cfg.options.epsilon,
                 quad_abs_tol=cfg.options.quad_abs_tol,
@@ -134,13 +168,9 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
             )
         ], extra
     if theorem == "t3_3":
-        p = _ef_params(cfg)
-        majorant = apps.kneser_majorant(p, eq.t0, _int_opts(cfg))
-        if region is None:
-            w_cap = 1.1 * max(float(np.max(np.abs(majorant.phis))), abs(cfg.initial.phi0))
-            region = Rectangle(eq.t0, majorant.t_end, -w_cap, w_cap)
+        cert, majorant = _t3_3(cfg, region)
         extra["majorant_span"] = [majorant.t_start, majorant.t_end]
-        return [check_t3_3(eq, eq, majorant, cfg.initial, region=region, grid=cfg.grid)], extra
+        return [cert], extra
     if theorem == "t3_4":
         return [check_t3_4(eq, _default_bounds(cfg), region=region, grid=cfg.grid)], extra
     if theorem == "t3_5":
@@ -162,18 +192,7 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
     if theorem == "t3_6":
         return [check_t3_6(eq, region=region, grid=cfg.grid)], extra
     if theorem == "t4_2":
-        v = _vdp_params(cfg)
-        return [
-            apps.check_t4_2(
-                v,
-                eps0=cfg.options.eps0,
-                t0=eq.t0,
-                region=region,
-                grid=cfg.grid,
-                osc_horizon=cfg.options.osc_horizon,
-                osc_min_zeros=cfg.options.osc_min_zeros,
-            )
-        ], extra
+        return [_t4_2(cfg)], extra
     raise ConfigError("command", f"unhandled theorem {theorem!r}")
 
 
@@ -266,31 +285,14 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
     report["parameters"] = {"rho": p.rho, "sigma": p.sigma, "n": p.n, "variant": p.variant, "t0": eq.t0}
 
     if p.rho > 1.0:
-        c2 = ic.t1 ** p.rho * ic.phi1 / ic.phi0 if ic.phi0 != 0 else 0.0
-        ab = apps.ef_bounds_A_B(p, ic.t1, ic.phi0, c2)
+        cert, ab = _t3_1(cfg)
         report["closed_form_bounds"] = {"A": ab.A, "B": ab.B, "case": ab.case}
-        cert = check_t3_1(
-            eq,
-            ic,
-            _default_bounds(cfg),
-            region=cfg.region or Rectangle(eq.t0, eq.t0 + cfg.options.horizon, -float("inf"), float("inf")),
-            grid=cfg.grid,
-            epsilon=cfg.options.epsilon,
-            quad_abs_tol=cfg.options.quad_abs_tol,
-            quad_rel_tol=cfg.options.quad_rel_tol,
-        )
-        cert.uniform_bound = ab.A if ab.A is not None else ab.B
-        cert.details["closed_form_case"] = ab.case
         certificates.append(cert)
     if p.rho != 1.0:
         tr = apps.ef_transform(p)
         report["normal_form"] = {"sigma1": tr.sigma1, "branch": tr.branch}
     if p.rho == 0.0 and p.sigma + p.n + 1.0 < 0.0:
-        majorant = apps.kneser_majorant(p, eq.t0, _int_opts(cfg))
-        w_cap = 1.1 * max(float(np.max(np.abs(majorant.phis))), abs(ic.phi0))
-        certificates.append(
-            check_t3_3(eq, eq, majorant, ic, region=Rectangle(eq.t0, majorant.t_end, -w_cap, w_cap), grid=cfg.grid)
-        )
+        certificates.append(_t3_3(cfg, None)[0])
     if p.rho > 1.0 and p.sigma < -1.0:
         delta = apps.conditional_stability_delta(p, eq.t0, cfg.options.stability_eps)
         outcomes = apps.conditional_stability_experiment(
@@ -317,20 +319,9 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
 
 
 def report_vdp(cfg: RunConfig, out: Path, report: dict, summaries: list[str], certificates: list[Certificate], artifacts: dict) -> None:
-    v = _vdp_params(cfg)
     eq = cfg.equation
     certificates.append(check_t3_6(eq, region=cfg.region, grid=cfg.grid))
-    certificates.append(
-        apps.check_t4_2(
-            v,
-            eps0=cfg.options.eps0,
-            t0=eq.t0,
-            region=cfg.region,
-            grid=cfg.grid,
-            osc_horizon=cfg.options.osc_horizon,
-            osc_min_zeros=cfg.options.osc_min_zeros,
-        )
-    )
+    certificates.append(_t4_2(cfg))
     rng = np.random.default_rng(cfg.options.seed)
     (p_lo, p_hi), (d_lo, d_hi) = cfg.options.ic_box
     ics = [

@@ -494,15 +494,6 @@ class Trajectory:
     def psi_at(self, t: float) -> float:
         return self._raw.segment_at(t).second(t)
 
-    def dphi_at(self, t: float) -> float:
-        phi, psi = self.state_at(t)
-        return psi / self.eq.p0(t, phi)
-
-    def y_at(self, t: float) -> float:
-        """Logarithmic-derivative ratio psi / phi (defined away from zeros)."""
-        phi, psi = self.state_at(t)
-        return psi / phi
-
 
 def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = IntegrationOptions()) -> Trajectory:
     """Integrate the system from ``ic`` until the horizon, escape, or collapse.

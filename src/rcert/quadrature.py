@@ -16,9 +16,15 @@ nodes, which matters because the envelopes are evaluated on whole time grids
 inside hypothesis sweeps.  One memo, :class:`CumulativeChain`, carries every
 such integral.  It holds the antiderivatives of a lower-triangular chain of
 integrands on a growing set of knots, and a query walks only the gap from the
-nearest knot, in adaptive GK15 panels.  Each level is sampled once per Kronrod
-node, and the inner levels are read at the same nodes through the panel's node
-integration matrix, so no integrand ever queries another memo.  Its users:
+nearest knot.  Each level is sampled once per Kronrod node, and the inner
+levels are read at the same nodes through the panel's node integration matrix,
+so no integrand ever queries another memo.
+
+Every integral here is one walk of the chain's: adaptive GK15 panels taken in
+order from one end of a gap to the other, with the QUADPACK acceptance test
+(|K15 - G7| against the gap's budget, shared out by length; Piessens et al.,
+1983).  A rejected panel is halved, and the half nearer the walk's start is
+taken first.  The users:
 
 * the envelopes, one chain each: ``FBound`` (V = int Q, iplus, W = int e^V R
   and the outer integral of e^-V W / P) and ``GBound`` (V, iplus and
@@ -31,13 +37,9 @@ integration matrix, so no integrand ever queries another memo.  Its users:
   ``riccati.cauchy_residual`` and ``riccati.difference_residual``);
 * :class:`CumulativeIntegral`, the one-level chain: the tail's window search,
   ``certificates``' reciprocal-weight tail and
-  ``riccati.representation_residual``.
-
-``adaptive_quad`` integrates a plain function once; the divergence probes use
-it.  It runs one GK15 panel over the whole interval and returns it when it
-passes the acceptance test, with no stack or piece list.  Only a rejected first
-panel starts the subdivision stack, which takes that panel as its first entry,
-so no integrand sample is taken twice.
+  ``riccati.representation_residual``;
+* ``adaptive_quad``, one walk of a plain function over [a, b] with nothing
+  memoized: ``divergence_probe``'s horizon increments.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ EXP_CAP = 690.0
 MEMO_BUDGET = (1e-13, 1e-12)
 ORACLE_BUDGET = (1e-13, 1e-11)
 
+# Panels a walk may take over one gap: one, plus two per halving.
+MAX_INTERVALS = 4096
+
 # 15-point Kronrod nodes (positive half) with the embedded 7-point Gauss rule
 # on the odd-indexed nodes; weights for the interval [-1, 1].
 _XGK = (
@@ -126,93 +131,6 @@ def _exp(x: float) -> float:
     if x > EXP_CAP:
         raise RangeOverflowError(f"exponent overflow: exp({x!r})")
     return math.exp(x)
-
-
-def _kronrod(h: float, fc: float, s0: float, s1: float, s2: float, s3: float, s4: float, s5: float, s6: float) -> tuple[float, float]:
-    """(K15 value, |K15 - G7|) on a panel of half-width h.
-
-    ``fc`` is the centre sample and s_i = f(c - h x_i) + f(c + h x_i) the node
-    pair sums, outermost first; both sums run left to right from the centre term.
-    """
-    resk = _K7 * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6
-    resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
-    return resk * h, abs(resk - resg) * abs(h)
-
-
-def _gk15(f: TimeFunction, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate on [a, b] with |K15 - G7| as error estimate.
-
-    f is called at c, then at c - dx and c + dx for each node from the
-    outermost in.
-    """
-    x0, x1, x2, x3, x4, x5, x6 = _XGK
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    dx = h * x0
-    s0 = f(c - dx) + f(c + dx)
-    dx = h * x1
-    s1 = f(c - dx) + f(c + dx)
-    dx = h * x2
-    s2 = f(c - dx) + f(c + dx)
-    dx = h * x3
-    s3 = f(c - dx) + f(c + dx)
-    dx = h * x4
-    s4 = f(c - dx) + f(c + dx)
-    dx = h * x5
-    s5 = f(c - dx) + f(c + dx)
-    dx = h * x6
-    s6 = f(c - dx) + f(c + dx)
-    return _kronrod(h, fc, s0, s1, s2, s3, s4, s5, s6)
-
-
-def adaptive_quad(
-    f: TimeFunction,
-    a: float,
-    b: float,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
-    *,
-    max_intervals: int = 4096,
-) -> float:
-    """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
-
-    The local acceptance criterion distributes ``max(abs_tol, rel_tol * |I|)``
-    over subintervals proportionally to their length.  Raises
-    :class:`QuadratureBudgetError` when the tolerance cannot be certified
-    within ``max_intervals`` subdivisions.
-    """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    total_len = b - a
-    # One panel over the whole interval; most calls end here.
-    val, err = _gk15(f, a, b)
-    scale = max(abs_tol, rel_tol * abs(val))
-    if err <= scale * total_len / total_len or total_len <= 1e-15 * max(abs(a), abs(b), 1.0):
-        return sign * (0.0 + val)
-    stack = [(a, b, val, err)]
-    result = 0.0
-    used = 1
-    while stack:
-        lo, hi, val, err = stack.pop()
-        if err <= scale * (hi - lo) / total_len or (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0):
-            result += val
-            continue
-        if used >= max_intervals:
-            raise QuadratureBudgetError(
-                f"tolerance not reached within {max_intervals} subintervals on [{a!r}, {b!r}]"
-            )
-        mid = 0.5 * (lo + hi)
-        left = _gk15(f, lo, mid)
-        right = _gk15(f, mid, hi)
-        stack.append((lo, mid, left[0], left[1]))
-        stack.append((mid, hi, right[0], right[1]))
-        used += 2
-    return sign * result
 
 
 # The 15 Kronrod nodes in ascending order.
@@ -259,16 +177,14 @@ class CumulativeChain:
     same nodes through the node integration matrix, so no integrand queries
     another memo.  ``budgets`` holds one (abs_rate, rel_tol) pair per level
     (the oracles' budget on every level by default).  A panel is accepted when
-    every level passes the |K15 - G7| test of :func:`adaptive_quad` against
-    its own budget ``max(abs_rate * gap, rel_tol * |whole gap estimate|)``,
-    shared out by length.  ``abs_rate`` is a budget per unit length, so the
+    every level's |K15 - G7| error is within its own budget
+    ``max(abs_rate * gap, rel_tol * |whole gap estimate|)``, shared out by
+    length.  ``abs_rate`` is a budget per unit length, so the
     error chained through any sequence of gaps stays below
     ``abs_rate * |t - base| + rel_tol * (total variation)`` however many knots
     accumulate.  A non-finite integrand sample raises
     :class:`QuadratureBudgetError`, so no nan is ever recorded.
     """
-
-    MAX_INTERVALS = 4096
 
     def __init__(
         self,
@@ -279,7 +195,9 @@ class CumulativeChain:
     ):
         self._sample = sample
         self._fns = tuple(integrands)
-        self._budgets = tuple(budgets) if budgets is not None else (ORACLE_BUDGET,) * len(self._fns)
+        if budgets is None:
+            budgets = (ORACLE_BUDGET,) * len(self._fns)
+        self._rates, self._rels = zip(*budgets)
         self._S = _node_integration_matrix()
         self.base = base
         self._ts = [base]
@@ -293,14 +211,21 @@ class CumulativeChain:
         j = i - 1
         if j < 0 or (i < len(ts) and (ts[i] - t) < (t - ts[j])):
             j = i
-        val = self._walk(ts[j], t, self._vals[j])
+        width = max(abs(t - ts[j]), 1e-30)
+        val = self._walk(ts[j], t, self._vals[j], [rate * width for rate in self._rates])
         ts.insert(i, t)
         self._vals.insert(i, val)
         return val
 
-    def _walk(self, a: float, b: float, start: tuple[float, ...]) -> tuple[float, ...]:
+    def _walk(self, a: float, b: float, start: tuple[float, ...], abs_tols: Sequence[float]) -> tuple[float, ...]:
+        """The levels at b, from their values ``start`` at a, in GK15 panels walked from a to b.
+
+        The first panel spans the whole gap and sets level k's budget
+        ``max(abs_tols[k], rel_k * |its increment|)``; every panel gets the
+        share of it that its length is of the gap.  A rejected panel is halved
+        and the half nearer a is taken first.
+        """
         gap = abs(b - a)
-        width = max(gap, 1e-30)
         ys = start
         scales = None
         lo = a
@@ -310,23 +235,18 @@ class CumulativeChain:
             hi = ends[-1]
             span = abs(hi - lo)
             floor = span <= 1e-15 * max(abs(lo), abs(hi), 1.0)
+            incs, errs = self._panel(lo, hi, ys, None if floor or scales is None else [s * span / gap for s in scales])
             if scales is None:
-                # The first panel spans the whole gap and sets every level's budget.
-                incs, errs = self._panel(lo, hi, ys, None)
-                scales = [max(rate * width, rel * abs(v)) for v, (rate, rel) in zip(incs, self._budgets)]
+                scales = [max(tol, rel * abs(v)) for v, tol, rel in zip(incs, abs_tols, self._rels)]
                 if not floor and any(map(gt, errs, scales)):
                     incs = None
-            else:
-                incs = self._panel(lo, hi, ys, None if floor else [s * span / gap for s in scales])[0]
             if incs is not None:
                 ys = tuple(map(add, ys, incs))
                 lo = hi
                 ends.pop()
                 continue
-            if used >= self.MAX_INTERVALS:
-                raise QuadratureBudgetError(
-                    f"tolerance not reached within {self.MAX_INTERVALS} subintervals on [{a!r}, {b!r}]"
-                )
+            if used >= MAX_INTERVALS:
+                raise QuadratureBudgetError(f"tolerance not reached within {MAX_INTERVALS} subintervals on [{a!r}, {b!r}]")
             ends.append(0.5 * (lo + hi))
             used += 2
         return ys
@@ -334,24 +254,35 @@ class CumulativeChain:
     def _panel(
         self, lo: float, hi: float, start: tuple[float, ...], budget: list[float] | None
     ) -> tuple[list[float] | None, list[float]]:
-        """The increments and errors per level on [lo, hi]; no increments at the first level over ``budget``."""
+        """The K15 increments and |K15 - G7| errors per level on [lo, hi].
+
+        No increments at the first level over ``budget``.  Each level's node
+        pairs are summed outermost first, both sums left to right from the
+        centre term.
+        """
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
         sample = self._sample
         data = [sample(c + h * x) for x in _NODES]
-        rows = [[] for _ in data]
         last = len(self._fns) - 1
+        # Inner-level values per node, which only a chain of two or more levels reads.
+        rows = [[] for _ in data] if last else [()] * len(data)
         incs = []
         errs = []
         for k, f in enumerate(self._fns):
-            fv = [f(d, row) for d, row in zip(data, rows)]
+            fv = data if f is _sampled else [f(d, row) for d, row in zip(data, rows)]
             f0, f1, f2, f3, f4, f5, f6, fc, g6, g5, g4, g3, g2, g1, g0 = fv
-            inc, err = _kronrod(h, fc, f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
+            s1 = f1 + g1
+            s3 = f3 + g3
+            s5 = f5 + g5
+            resk = _K7 * fc + _K0 * (f0 + g0) + _K1 * s1 + _K2 * (f2 + g2) + _K3 * s3 + _K4 * (f4 + g4) + _K5 * s5 + _K6 * (f6 + g6)
+            resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
+            err = abs(resk - resg) * abs(h)
             if not math.isfinite(err):
                 raise QuadratureBudgetError(f"level {k} integrand is not finite on [{lo!r}, {hi!r}]")
             if budget is not None and err > budget[k]:
                 return None, errs
-            incs.append(inc)
+            incs.append(resk * h)
             errs.append(err)
             if k < last:
                 y = start[k]
@@ -379,6 +310,20 @@ class CumulativeIntegral(CumulativeChain):
 
     def __call__(self, t: float) -> float:
         return CumulativeChain.__call__(self, t)[0]
+
+
+def adaptive_quad(f: TimeFunction, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> float:
+    """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
+
+    One walk of the one-level chain over the gap, with nothing memoized: the
+    acceptance test shares ``max(abs_tol, rel_tol * |I|)`` out over the panels
+    by length.  Raises :class:`QuadratureBudgetError` when ``f`` is not
+    finite at a node or the tolerance cannot be met within ``MAX_INTERVALS``
+    panels.
+    """
+    if a == b:
+        return 0.0
+    return CumulativeIntegral(f, a, rel_tol=rel_tol)._walk(a, b, (0.0,), (abs_tol,))[0]
 
 
 def _weighted_levels(exp: Callable[[float], float]) -> tuple[Callable[[tuple, list[float]], float], ...]:
@@ -441,8 +386,8 @@ def i_plus(
     return chain(t)[1]
 
 
-# Dyadic points t - (t - t1) / 2^k, k = _ANCHOR_LEVELS..1, that i_minus queries
-# before its lower limit.
+# Dyadic points t - (t - t1) / 2^k, k = levels..1, that i_minus queries before
+# its lower limit: at least this many levels.
 _ANCHOR_LEVELS = 12
 
 
@@ -462,7 +407,9 @@ def i_minus(
     two large antiderivatives.  Before t1, the chain is queried at dyadic
     points accumulating at t, from t outward: each query walks only its own
     gap, so a kernel concentrated near t, which one panel over [t1, t] would
-    miss entirely, is resolved.
+    miss entirely, is resolved.  The innermost gap is at most 1/|v(t)|, the
+    kernel's width at t; a non-finite (t - t1) * v(t) raises
+    :class:`QuadratureBudgetError`.
     """
     if t < t1:
         raise DomainError("i_minus needs t >= t1")
@@ -470,7 +417,11 @@ def i_minus(
         return 0.0
     chain = CumulativeChain(lambda s: (v(s), x(s)), (_K, _W), t, (MEMO_BUDGET, (abs_tol / (t - t1), rel_tol)))
     length = t - t1
-    for k in range(_ANCHOR_LEVELS, 0, -1):
+    folds = length * abs(v(t))
+    if not math.isfinite(folds):
+        raise QuadratureBudgetError(f"kernel e-folds (t - t1) * |v(t)| = {folds!r} on [{t1!r}, {t!r}] are not finite")
+    levels = max(_ANCHOR_LEVELS, math.ceil(math.log2(max(1.0, folds))))
+    for k in range(levels, 0, -1):
         chain(t - length * 0.5 ** k)
     return -chain(t1)[1]
 
@@ -710,7 +661,9 @@ def weighted_tail_integrand(
     certificates.  When the antiderivative of ``q`` is nondecreasing (the only
     regime the checkers use, q >= 0), the inner integral is restricted to the
     window where the kernel exceeds exp(-window_log); the discarded mass is
-    below 1e-19 of the kernel scale.  The inner integral is ``i_minus`` over
+    below 1e-19 of the kernel scale.  Bisection finds the window's start to
+    within one e-fold of the kernel, always on the side that keeps the whole
+    window.  The inner integral is ``i_minus`` over
     that window, whose exponent is anchored at tau: differencing one global
     antiderivative would lose all precision once it grows past ~1e9.
     """
@@ -721,14 +674,18 @@ def weighted_tail_integrand(
             return 0.0
         v_tau = V(tau)
         lo, hi = t0, tau
-        if v_tau - V(t0) > window_log:
+        v_lo, v_hi = V(t0), v_tau
+        if v_tau - v_lo > window_log:
+            # lo keeps V(tau) - V(lo) > window_log; a window start within one
+            # e-fold of the kernel is as good as an exact one.
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if v_tau - V(mid) > window_log:
-                    lo = mid
+                v_mid = V(mid)
+                if v_tau - v_mid > window_log:
+                    lo, v_lo = mid, v_mid
                 else:
-                    hi = mid
-                if hi - lo <= 1e-9 * max(1.0, abs(tau)):
+                    hi, v_hi = mid, v_mid
+                if v_hi - v_lo <= 1.0 or hi - lo <= 1e-9 * max(1.0, abs(tau)):
                     break
         val = i_minus(q, r, lo, tau, abs_tol=abs_tol, rel_tol=rel_tol)
         return val / _positive(P, tau, "P")

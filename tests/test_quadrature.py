@@ -58,8 +58,10 @@ class TestBoundaryLayer:
     """Kernels concentrated at the upper limit, far narrower than the interval."""
 
     def test_i_minus(self):
-        # Width 1e-3 at t = 100: one panel over [0, 100] sees no node inside it.
-        assert i_minus(lambda t: 1000.0, ONE, 0.0, 100.0) == pytest.approx(-math.expm1(-1e5) / 1000.0, rel=1e-12, abs=0.0)
+        # Width 1/q at t = 100: one panel over [0, 100] sees no node inside it,
+        # and from q = 1e6 on no node of a twelfth dyadic gap does either.
+        for q in (1e3, 1e6, 1e7):
+            assert i_minus(lambda t: q, ONE, 0.0, 100.0) == pytest.approx(-math.expm1(-100.0 * q) / q, rel=1e-12, abs=0.0)
 
     def test_weighted_tail(self):
         tau = 2.0 ** 19
@@ -91,6 +93,24 @@ class TestIMinus:
 
     def test_exponential_kernel(self):
         assert i_minus(ONE, ONE, 0.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+
+    def test_non_finite_kernel_at_upper_limit_raises(self):
+        with pytest.raises(QuadratureBudgetError):
+            i_minus(lambda t: math.inf if t == 1.0 else 1.0, ONE, 0.0, 1.0)
+        with pytest.raises(QuadratureBudgetError):
+            i_minus(lambda t: 1e300, ONE, 0.0, 1e10)
+
+
+def test_adaptive_quad_raises_at_the_first_non_finite_panel():
+    calls = []
+
+    def nan(x):
+        calls.append(x)
+        return math.nan
+
+    with pytest.raises(QuadratureBudgetError):
+        adaptive_quad(nan, 0.0, 1.0)
+    assert len(calls) == 15
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

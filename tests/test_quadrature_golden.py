@@ -1,9 +1,11 @@
-"""Bit-exact pins of the GK15 kernel, ``adaptive_quad`` and the chain memo.
+"""Bit-exact pins of the chain's GK15 panel, its walk and the memo.
 
-The panel sums its nodes in a fixed order and a chain inserts knots in the
-order it is queried, so every value below is compared exactly (``float.hex``).
-A change to the quadrature arithmetic, to the node call order or to the
-knots a functional queries that moves any of them has to say why.
+The panel sums its nodes in a fixed order, a walk takes its panels from one
+end of the gap to the other and a chain inserts knots in the order it is
+queried, so every value below is compared exactly (``float.hex``).
+``adaptive_quad`` is one memo-free walk of the same panels.  A change to the
+quadrature arithmetic, to the node call order or to the knots a functional
+queries that moves any of them has to say why.
 """
 
 import math
@@ -11,12 +13,18 @@ import math
 import pytest
 
 from rcert import BoundTriple, CumulativeIntegral, FBound, GBound, adaptive_quad, i_minus, i_plus
-from rcert.quadrature import _gk15, weighted_tail_integrand
+from rcert.quadrature import weighted_tail_integrand
 
 
 def bumpy(x):
     # Rejected on the first panel over [-1, 1]: a narrow peak at 0.3.
     return 1.0 / (1e-3 + (x - 0.3) ** 2)
+
+
+def panel(f, a, b):
+    """(value, error) of one GK15 panel over [a, b], as the chain computes it."""
+    incs, errs = CumulativeIntegral(f, a)._panel(a, b, (0.0,), None)
+    return [*incs, *errs]
 
 
 def calls_in_order(a, b):
@@ -39,7 +47,7 @@ POWER_LAW = BoundTriple(P=lambda t: t ** 4, Q=lambda t: 0.0, R=lambda t: -1.0)
 DECAYING = BoundTriple(P=lambda t: 1.0 + t * t, Q=lambda t: 0.5 / (1.0 + t), R=lambda t: -math.exp(-t))
 
 CASES = {
-    "panel": lambda: [*_gk15(math.exp, 0.0, 1.0), *_gk15(bumpy, -1.0, 1.0), *_gk15(math.cos, 2.0, -1.0), *_gk15(math.sqrt, 0.0, 1.0)],
+    "panel": lambda: [*panel(math.exp, 0.0, 1.0), *panel(bumpy, -1.0, 1.0), *panel(math.cos, 2.0, -1.0), *panel(math.sqrt, 0.0, 1.0)],
     "no_seeds": lambda: [adaptive_quad(math.exp, 0.0, 1.0), adaptive_quad(math.cos, 0.25, 3.0, 1e-12, 1e-12)],
     "rejected_first_panel": lambda: [adaptive_quad(bumpy, -1.0, 1.0), adaptive_quad(math.sqrt, 0.0, 1.0)],
     "backward": lambda: [adaptive_quad(math.exp, 1.0, 0.0), adaptive_quad(bumpy, 1.0, -1.0), adaptive_quad(lambda x: -0.0, 1.0, 0.0)],
@@ -66,29 +74,29 @@ GOLDEN = {
         "0x1.e88d336c67000p-13",
     ],
     "no_seeds": ["0x1.b7e151628aebbp+0", "-0x1.b356cce788023p-4"],
-    "rejected_first_panel": ["0x1.8498c89b8e34bp+6", "0x1.5555555555541p-1"],
+    "rejected_first_panel": ["0x1.8498c89b8e34bp+6", "0x1.5555555555543p-1"],
     "backward": [
         "-0x1.b7e151628aebbp+0",
         "-0x1.8498c89b8e34bp+6",
-        "-0x0.0p+0",
+        "0x0.0p+0",
     ],
     "empty": ["0x0.0p+0", "0x0.0p+0"],
     "node_order": [
-        "0x1.0000000000000p-1",
         "0x1.17fd8acbd9300p-8",
-        "0x1.fdd004ea684dap-1",
         "0x1.a0e871839dd20p-6",
-        "0x1.f2f8bc73e3117p-1",
         "0x1.14c1f6119130cp-4",
-        "0x1.dd67c13dcdd9ep-1",
         "0x1.08ac0c838bc5cp-3",
-        "0x1.bdd4fcdf1d0e9p-1",
         "0x1.a7d8bf6c40bbap-3",
-        "0x1.9609d024efd12p-1",
         "0x1.3035107730150p-2",
-        "0x1.67e577c467f58p-1",
         "0x1.959d35db47ce6p-2",
+        "0x1.0000000000000p-1",
         "0x1.353165125c18dp-1",
+        "0x1.67e577c467f58p-1",
+        "0x1.9609d024efd12p-1",
+        "0x1.bdd4fcdf1d0e9p-1",
+        "0x1.dd67c13dcdd9ep-1",
+        "0x1.f2f8bc73e3117p-1",
+        "0x1.fdd004ea684dap-1",
     ],
     "cumulative": [
         "0x1.eaee8744b05d6p-2",
@@ -119,7 +127,7 @@ GOLDEN = {
     ],
     "i_plus": ["0x1.dffffffffffeep-2", "0x1.4f169c8522684p+3"],
     "i_minus": ["0x1.20005f35e6d53p+1", "-0x1.a5733303d8ccap-5"],
-    "weighted_tail": ["-0x1.711dd1f2e8ec5p-11"],
+    "weighted_tail": ["-0x1.711dd1f2e8ec3p-11"],
 }
 
 

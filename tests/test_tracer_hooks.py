@@ -29,14 +29,17 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
         envelope = quadrature.FBound(b, 0.0, 1.0, 0.0)(1.0)
         antiderivative = quadrature.CumulativeIntegral(math.cos, 0.0)(1.0)
         integral = quadrature.adaptive_quad(math.exp, 0.0, 1.0)
+        peak = quadrature.adaptive_quad(lambda x: 1.0 / (1e-3 + (x - 0.3) ** 2), -1.0, 1.0)
     finally:
         tracer.uninstall()
 
     assert abs(envelope / math.exp(0.5) - 1.0) < 1e-12
     assert abs(antiderivative - math.sin(1.0)) < 1e-12
     assert abs(integral - math.expm1(1.0)) < 1e-12
-    assert tracer.counts["quadrature.quad_calls"] == 1
-    assert tracer.counts["quadrature.integrand_evals"] == 15
+    assert abs(peak * math.sqrt(1e-3) / (math.atan(0.7 / math.sqrt(1e-3)) + math.atan(1.3 / math.sqrt(1e-3))) - 1.0) < 1e-8
+    assert tracer.counts["quadrature.quad_calls"] == 2
+    # One panel for exp, then the 27 panels of the peak's tree.
+    assert tracer.counts["quadrature.integrand_evals"] == 15 + 405
     assert tracer.counts["quadrature.cumint_queries"] == 1
     assert tracer.group_time["envelope"] > 0.0
     restored = (quadrature.adaptive_quad, quadrature.CumulativeIntegral.__dict__["__call__"], quadrature.FBound.__dict__["exponent"])
