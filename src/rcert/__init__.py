@@ -52,6 +52,7 @@ from .classify import (
     export_raster_csv,
     sweep,
 )
+from .config import equation_from_json, time_function_from_json
 from .dynamics import (
     FINITE_ESCAPE,
     REACHED_HORIZON,
@@ -85,11 +86,8 @@ from .fields import (
     Rectangle,
     ScalarField,
     TagReport,
-    equation_from_json,
     lipschitz_estimate,
-    load_equation,
     system_rhs,
-    time_function_from_json,
     uniqueness_interval,
     verify_structural_tags,
 )

@@ -17,7 +17,7 @@ claims stay scoped.  Components that no finite computation can decide
 (oscillation of a comparison family, divergence of improper integrals) are
 decided heuristically and flagged as such inside the certificate.
 
-Every checker runs on one scan primitive, :func:`_scan`, over an ordered
+Every checker runs on one scan primitive, :func:`fields._scan`, over an ordered
 table of pointwise checks and row rules.  The witness is the first failure in
 t-major order, then w, then table order.  The scan samples one row (fixed t)
 at a time, so a non-finite sample anywhere on the witness row raises, and a
@@ -43,6 +43,8 @@ from .fields import (
     ScalarField,
     _even_monotone_break,
     _first_where,
+    _rows,
+    _scan,
 )
 from .quadrature import (
     CONVERGING,
@@ -188,51 +190,6 @@ class _Check(NamedTuple):
 
 
 _OPS = {"<": operator.lt, ">": operator.gt}
-
-
-def _rows(ts, ws, keep=None) -> list[tuple[float, list[float]]]:
-    """(t, w-row) pairs over a fixed w axis, keeping the w that ``keep`` accepts."""
-    if keep is not None:
-        ws = [w for w in ws if keep(w)]
-    return [(t, ws) for t in ts]
-
-
-def _scan(rows, fields: dict, stages, seen: list[float] | None = None):
-    """The first failure of a hypothesis scan over (t, w), one row at a time.
-
-    ``rows`` gives the (t, ws) pairs in scan order.  On each row every
-    :class:`ScalarField` in ``fields`` is sampled once at every w, through
-    :meth:`ScalarField.sample_row`, before any check runs; the other entries
-    derive a row from the rows before them and may stop early with an
-    outcome (see :func:`_ratio`).  The stages run in order and return None or
-    a hit (j, outcome), where j indexes ws (None for a witness without w).
-    The first hit ends the scan: an exception outcome is raised, a Witness or
-    an Inconclusive reason is returned.  None means every check held.
-    ``seen`` becomes [min, max] of the w checked.
-    """
-    for t, ws in rows:
-        row, stops, sampled = {}, {}, {}
-        for name, f in fields.items():
-            if isinstance(f, ScalarField):
-                if id(f) not in sampled:
-                    sampled[id(f)] = f.sample_row(t, ws)
-                row[name] = sampled[id(f)]
-            else:
-                row[name], stop = f(t, ws, row)
-                if stop is not None:
-                    stops[name] = stop
-        for stage in stages:
-            hit = stage(t, ws, row, stops)
-            if hit is not None:
-                j, outcome = hit
-                if isinstance(outcome, Exception):
-                    raise outcome
-                if seen is not None and j is not None:
-                    seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[j])]
-                return outcome
-        if seen is not None and ws:
-            seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[-1])]
-    return None
 
 
 def _ratio(num: str, den: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .certificates import (
     check_t3_6,
 )
 from .classify import ClassifyPolicy, classify, export_raster_csv, sweep
-from .config import RunConfig, load_config
+from .config import RunConfig, RunOptions, load_config
 from .dynamics import IntegrationOptions, Trajectory, export_trajectory_csv, integrate
 from .errors import ConfigError, RcertError
 from .fields import EquationSpec, InitialData, Rectangle
@@ -39,43 +39,12 @@ from .serialize import write_json
 __all__ = ["run", "main"]
 
 
+#: The integration settings a run config carries, by name.
+_INTEGRATION_OPTIONS = [f.name for f in fields(IntegrationOptions) if f.name in RunOptions.__dataclass_fields__]
+
+
 def _int_opts(cfg: RunConfig) -> IntegrationOptions:
-    o = cfg.options
-    return IntegrationOptions(
-        rel_tol=o.rel_tol,
-        abs_tol=o.abs_tol,
-        horizon=o.horizon,
-        escape_threshold=o.escape_threshold,
-        min_step=o.min_step,
-        max_zeros=o.max_zeros,
-        zero_tol=o.zero_tol,
-    )
-
-
-def _ef_params(cfg: RunConfig) -> apps.EFParams:
-    d = cfg.eq_doc
-    return apps.EFParams(rho=float(d["rho"]), sigma=float(d["sigma"]), n=float(d["n"]), variant=d.get("variant", "absolute"))
-
-
-def _vdp_params(cfg: RunConfig) -> apps.VdPParams:
-    from .fields import time_function_from_json
-
-    d = cfg.eq_doc
-    return apps.VdPParams(
-        lam=time_function_from_json(d["lambda"], "config.equation.lambda"),
-        mu=time_function_from_json(d["mu"], "config.equation.mu"),
-        nu=time_function_from_json(d["nu"], "config.equation.nu"),
-    )
-
-
-def _default_bounds(cfg: RunConfig):
-    if cfg.bounds is not None:
-        return cfg.bounds
-    if cfg.eq_kind == "emden_fowler":
-        return apps.ef_bound_triple(_ef_params(cfg))
-    if cfg.eq_kind == "van_der_pol":
-        return apps.vdp_bound_triple(_vdp_params(cfg))
-    raise ConfigError("config.bounds", "required for custom equations")
+    return IntegrationOptions(**{name: getattr(cfg.options, name) for name in _INTEGRATION_OPTIONS})
 
 
 def _horizon_region(cfg: RunConfig) -> Rectangle:
@@ -90,7 +59,7 @@ def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
     cert = check_t3_1(
         cfg.equation,
         ic,
-        _default_bounds(cfg),
+        cfg.bounds,
         region=_horizon_region(cfg),
         grid=cfg.grid,
         epsilon=cfg.options.epsilon,
@@ -98,20 +67,19 @@ def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
         quad_rel_tol=cfg.options.quad_rel_tol,
     )
     ab = None
-    if cfg.eq_kind == "emden_fowler":
-        p = _ef_params(cfg)
-        if p.rho > 1.0:
-            c2 = ic.t1 ** p.rho * ic.phi1 / ic.phi0 if ic.phi0 != 0 else 0.0
-            ab = apps.ef_bounds_A_B(p, ic.t1, ic.phi0, c2)
-            cert.uniform_bound = ab.A if ab.A is not None else ab.B
-            cert.details["closed_form_case"] = ab.case
+    p = cfg.params
+    if isinstance(p, apps.EFParams) and p.rho > 1.0:
+        c2 = ic.t1 ** p.rho * ic.phi1 / ic.phi0 if ic.phi0 != 0 else 0.0
+        ab = apps.ef_bounds_A_B(p, ic.t1, ic.phi0, c2)
+        cert.uniform_bound = ab.A if ab.A is not None else ab.B
+        cert.details["closed_form_case"] = ab.case
     return cert, ab
 
 
 def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajectory]:
     """The T3_3 certificate against the Kneser majorant; with no region, its t span and 1.1x its sup."""
     eq = cfg.equation
-    majorant = apps.kneser_majorant(_ef_params(cfg), eq.t0, _int_opts(cfg))
+    majorant = apps.kneser_majorant(cfg.params, eq.t0, _int_opts(cfg))
     if region is None:
         w_cap = 1.1 * max(float(np.max(np.abs(majorant.phis))), abs(cfg.initial.phi0))
         region = Rectangle(eq.t0, majorant.t_end, -w_cap, w_cap)
@@ -120,7 +88,7 @@ def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajec
 
 def _t4_2(cfg: RunConfig) -> Certificate:
     return apps.check_t4_2(
-        _vdp_params(cfg),
+        cfg.params,
         eps0=cfg.options.eps0,
         t0=cfg.equation.t0,
         region=cfg.region,
@@ -158,7 +126,7 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
             check_t3_2(
                 eq,
                 cfg.initial,
-                _default_bounds(cfg),
+                cfg.bounds,
                 cfg.qtilde,
                 region=_horizon_region(cfg),
                 grid=cfg.grid,
@@ -172,12 +140,12 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
         extra["majorant_span"] = [majorant.t_start, majorant.t_end]
         return [cert], extra
     if theorem == "t3_4":
-        return [check_t3_4(eq, _default_bounds(cfg), region=region, grid=cfg.grid)], extra
+        return [check_t3_4(eq, cfg.bounds, region=region, grid=cfg.grid)], extra
     if theorem == "t3_5":
-        v = _vdp_params(cfg)
+        v = cfg.params
         return [
             check_t3_5(
-                apps.vdp_equation(v, t0=cfg.equation.t0),
+                eq,
                 apps.vdp_bound_triple(v),
                 apps.vdp_family(v),
                 N=1.0,
@@ -279,7 +247,7 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
 
 
 def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], certificates: list[Certificate], artifacts: dict) -> None:
-    p = _ef_params(cfg)
+    p = cfg.params
     eq = cfg.equation
     ic = cfg.initial
     report["parameters"] = {"rho": p.rho, "sigma": p.sigma, "n": p.n, "variant": p.variant, "t0": eq.t0}
@@ -353,11 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     theorem = getattr(args, "theorem", None)
     try:
-        cfg = load_config(args.config, args.command, theorem)
-        if args.horizon is not None:
-            cfg.options = replace(cfg.options, horizon=args.horizon)
-        if args.tol is not None:
-            cfg.options = replace(cfg.options, rel_tol=args.tol)
+        overrides = {key: value for key, value in (("horizon", args.horizon), ("rel_tol", args.tol)) if value is not None}
+        cfg = load_config(args.config, args.command, theorem, overrides)
         code, _ = run(cfg, args.out)
         return code
     except ConfigError as exc:

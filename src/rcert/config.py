@@ -1,34 +1,43 @@
 """Run-configuration schema: strict validation with path-qualified messages.
 
-Configs are JSON documents with a versioned schema.  Unknown keys are
-rejected everywhere; every error message carries the dotted path to the
-offending entry so misconfigured runs fail fast and legibly.
+Configs are JSON documents with a versioned schema, and this module is the
+only one that reads them: the equation and its field and time-function
+specs, the bounds, the options and the per-command requirements.  Unknown
+keys are rejected everywhere, and so are non-finite numbers and values out
+of their range; every error message carries the dotted path to the offending
+entry so misconfigured runs fail fast and legibly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import Callable, Mapping
 
+from .applications import EFParams, VdPParams, ef_bound_triple, ef_equation, vdp_bound_triple, vdp_equation
 from .errors import ConfigError
-from .fields import (
-    BoundTriple,
-    EquationSpec,
-    GridSpec,
-    InitialData,
-    Rectangle,
-    equation_from_json,
-    time_function_from_json,
-)
+from .fields import KNOWN_TAGS, BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _row_factor
 
-__all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config"]
+__all__ = [
+    "RunOptions",
+    "SweepSpec",
+    "RunConfig",
+    "parse_config",
+    "load_config",
+    "equation_from_json",
+    "time_function_from_json",
+]
 
 _COMMANDS = ("certify", "integrate", "classify", "sweep", "emden", "vdp")
 _THEOREMS = ("t3_1", "t3_2", "t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
 # Theorems whose hypotheses are sampled on a fixed w axis (t3_1 and t3_2 clip w to their envelope).
 _FIXED_W_THEOREMS = ("t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
+# Theorems that check the coefficients against the bound triple P, Q, R.
+_BOUNDED_THEOREMS = ("t3_1", "t3_2", "t3_4")
+_EQUATION_KINDS = ("custom", "emden_fowler", "van_der_pol")
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,11 @@ class RunOptions:
     quad_rel_tol: float = 1e-8
 
 
+# Options that must be positive, and the smallest value of integer options that have one.
+_POSITIVE_OPTIONS = ("rel_tol", "abs_tol")
+_MIN_INT_OPTIONS = {"seed": 0}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     phi: tuple[float, float]
@@ -62,12 +76,13 @@ class SweepSpec:
 
 @dataclass
 class RunConfig:
+    """A validated config.  ``params`` holds the builtin equation's parameters, None for a custom one."""
+
     command: str
     theorem: str | None
     doc: dict
     equation: EquationSpec
-    eq_kind: str
-    eq_doc: dict
+    params: EFParams | VdPParams | None
     options: RunOptions
     grid: GridSpec
     initial: InitialData | None = None
@@ -77,38 +92,52 @@ class RunConfig:
     sweep: SweepSpec | None = None
 
 
-def _expect(doc: Mapping, allowed: set[str], path: str) -> None:
+def _require_keys(doc: Mapping, allowed: set[str], required: set[str], path: str) -> None:
     if not isinstance(doc, Mapping):
         raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown key")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+    missing = required - set(doc)
+    if missing:
+        raise ConfigError(f"{path}.{sorted(missing)[0]}", "missing required key")
 
 
-def _num(doc: Mapping, key: str, path: str, default=None):
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v, path: str) -> float:
+    if not _is_number(v):
+        raise ConfigError(path, f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
     return float(v)
 
 
-def _int(doc: Mapping, key: str, path: str, default: int) -> int:
+def _number(doc: Mapping, key: str, path: str, default=None) -> float:
+    if key not in doc:
+        if default is not None:
+            return default
+        raise ConfigError(f"{path}.{key}", "missing required key")
+    return _finite(doc[key], f"{path}.{key}")
+
+
+def _int(doc: Mapping, key: str, path: str, default: int, low: int | None = None) -> int:
     if key not in doc:
         return default
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
+    if low is not None and v < low:
+        raise ConfigError(f"{path}.{key}", f"expected an integer >= {low}, got {v!r}")
     return v
 
 
 def _pair(value, path: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2 or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value):
+    if not isinstance(value, list) or len(value) != 2 or not all(map(_is_number, value)):
         raise ConfigError(path, f"expected a pair of numbers, got {value!r}")
-    return float(value[0]), float(value[1])
+    return _finite(value[0], path), _finite(value[1], path)
 
 
 def _ordered_pair(value, path: str) -> tuple[float, float]:
@@ -116,6 +145,179 @@ def _ordered_pair(value, path: str) -> tuple[float, float]:
     if not lo <= hi:
         raise ConfigError(path, f"expected lower <= upper, got {value!r}")
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Equations, fields and time functions
+# ---------------------------------------------------------------------------
+
+
+def time_function_from_json(doc: Mapping, path: str) -> Callable[[float], float]:
+    """Build a time-only function from a JSON spec.
+
+    Kinds: ``constant`` ``{value}``, ``power`` ``{coeff, power}`` meaning
+    coeff * t**power, ``polynomial`` ``{coeffs}`` with ascending powers of t.
+    """
+    _require_keys(doc, {"kind", "value", "coeff", "power", "coeffs"}, {"kind"}, path)
+    kind = doc["kind"]
+    if kind == "constant":
+        _require_keys(doc, {"kind", "value"}, {"kind", "value"}, path)
+        c = _number(doc, "value", path)
+        return lambda t: c
+    if kind == "power":
+        _require_keys(doc, {"kind", "coeff", "power"}, {"kind", "power"}, path)
+        coeff = _number(doc, "coeff", path, default=1.0)
+        expo = _number(doc, "power", path)
+        return lambda t: coeff * t ** expo
+    if kind == "polynomial":
+        _require_keys(doc, {"kind", "coeffs"}, {"kind", "coeffs"}, path)
+        coeffs = doc["coeffs"]
+        if not isinstance(coeffs, list) or not all(map(_is_number, coeffs)):
+            raise ConfigError(f"{path}.coeffs", "expected a list of numbers")
+        cs = [_finite(c, f"{path}.coeffs[{k}]") for k, c in enumerate(coeffs)]
+        return lambda t: sum(c * t ** k for k, c in enumerate(cs))
+    raise ConfigError(f"{path}.kind", f"unknown time-function kind {kind!r}")
+
+
+def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
+    _require_keys(
+        doc,
+        {"kind", "value", "coeff", "t_power", "w_power", "w_abs", "terms", "tags"},
+        {"kind"},
+        path,
+    )
+    kind = doc["kind"]
+    tags = doc.get("tags", [])
+    if not isinstance(tags, list) or not all(isinstance(s, str) for s in tags):
+        raise ConfigError(f"{path}.tags", "expected a list of strings")
+    tagset = frozenset(tags)
+    if tagset - KNOWN_TAGS:
+        raise ConfigError(f"{path}.tags", f"unknown tag {sorted(tagset - KNOWN_TAGS)[0]!r}")
+
+    if kind == "constant":
+        _require_keys(doc, {"kind", "value", "tags"}, {"kind", "value"}, path)
+        c = _number(doc, "value", path)
+        return ScalarField(lambda t, w: c, tags=tagset, name=name, row_fn=lambda t, ws: [c] * len(ws))
+    if kind == "power":
+        # coeff * t**t_power * (|w| or w)**w_power
+        _require_keys(doc, {"kind", "coeff", "t_power", "w_power", "w_abs", "tags"}, {"kind"}, path)
+        coeff = _number(doc, "coeff", path, default=1.0)
+        tp = _number(doc, "t_power", path, default=0.0)
+        wp = _number(doc, "w_power", path, default=0.0)
+        w_abs = doc.get("w_abs", True)
+        if not isinstance(w_abs, bool):
+            raise ConfigError(f"{path}.w_abs", "expected a boolean")
+
+        def fn(t, w, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
+            base = abs(w) if w_abs else w
+            wfac = 1.0 if wp == 0.0 else base ** wp
+            tfac = 1.0 if tp == 0.0 else t ** tp
+            return coeff * tfac * wfac
+
+        def row(t, ws, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
+            scale = _row_factor(coeff * (1.0 if tp == 0.0 else t ** tp))
+            if wp == 0.0:
+                return [scale * 1.0] * len(ws)
+            return list(map(operator.mul, repeat(scale), map(pow, map(abs, ws) if w_abs else ws, repeat(wp))))
+
+        return ScalarField(fn, tags=tagset, name=name, row_fn=row)
+    if kind == "polynomial":
+        _require_keys(doc, {"kind", "terms", "tags"}, {"kind", "terms"}, path)
+        terms = doc["terms"]
+        if not isinstance(terms, list):
+            raise ConfigError(f"{path}.terms", "expected a list of term objects")
+        parsed = []
+        for k, term in enumerate(terms):
+            tpath = f"{path}.terms[{k}]"
+            _require_keys(term, {"c", "t", "w"}, {"c"}, tpath)
+            parsed.append((_number(term, "c", tpath), _number(term, "t", tpath, default=0.0), _number(term, "w", tpath, default=0.0)))
+
+        def poly(t, w, parsed=tuple(parsed)):
+            total = 0.0
+            for c, a, b in parsed:
+                total += c * (t ** a if a else 1.0) * (w ** b if b else 1.0)
+            return total
+
+        def poly_row(t, ws, parsed=tuple(parsed)):
+            totals = [0.0] * len(ws)
+            for c, a, b in parsed:
+                scale = _row_factor(c * (t ** a if a else 1.0))
+                wfacs = map(pow, ws, repeat(b)) if b else repeat(1.0)
+                totals = list(map(operator.add, totals, map(operator.mul, repeat(scale), wfacs)))
+            return totals
+
+        return ScalarField(poly, tags=tagset, name=name, row_fn=poly_row)
+    raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
+
+
+def _equation(doc: Mapping, path: str) -> tuple[EquationSpec, EFParams | VdPParams | None]:
+    """The equation of a JSON document and the parameters of its builtin kind (None for ``custom``)."""
+    if not isinstance(doc, Mapping) or "kind" not in doc:
+        raise ConfigError(f"{path}.kind", "missing required key")
+    kind = doc["kind"]
+
+    if kind == "emden_fowler":
+        _require_keys(doc, {"kind", "rho", "sigma", "n", "variant", "t0"}, {"kind", "rho", "sigma", "n"}, path)
+        variant = doc.get("variant", "absolute")
+        if variant not in ("absolute", "signed"):
+            raise ConfigError(f"{path}.variant", f"expected 'absolute' or 'signed', got {variant!r}")
+        ef = EFParams(rho=_number(doc, "rho", path), sigma=_number(doc, "sigma", path), n=_number(doc, "n", path), variant=variant)
+        return ef_equation(ef, t0=_number(doc, "t0", path, default=1.0)), ef
+
+    if kind == "van_der_pol":
+        _require_keys(doc, {"kind", "lambda", "mu", "nu", "t0"}, {"kind", "lambda", "mu", "nu"}, path)
+        lam = time_function_from_json(doc["lambda"], f"{path}.lambda")
+        mu = time_function_from_json(doc["mu"], f"{path}.mu")
+        nu = time_function_from_json(doc["nu"], f"{path}.nu")
+        vdp = VdPParams(lam=lam, mu=mu, nu=nu)
+        return vdp_equation(vdp, t0=_number(doc, "t0", path, default=0.0)), vdp
+
+    if kind == "custom":
+        _require_keys(doc, {"kind", "t0", "p0", "q0", "r0"}, {"kind", "t0", "p0", "q0", "r0"}, path)
+        p0 = _scalar_field_from_json(doc["p0"], f"{path}.p0", "p0")
+        if "positive" not in p0.tags:
+            p0 = replace(p0, tags=p0.tags | {"positive"})
+        q0 = _scalar_field_from_json(doc["q0"], f"{path}.q0", "q0")
+        r0 = _scalar_field_from_json(doc["r0"], f"{path}.r0", "r0")
+        return EquationSpec(p0=p0, q0=q0, r0=r0, t0=_number(doc, "t0", path)), None
+
+    raise ConfigError(f"{path}.kind", f"unknown equation kind {kind!r} (expected one of {_EQUATION_KINDS})")
+
+
+def equation_from_json(doc: Mapping, path: str = "equation") -> EquationSpec:
+    """Build an :class:`EquationSpec` from a JSON document.
+
+    Builtin kinds: ``emden_fowler`` (rho, sigma, n, variant, t0),
+    ``van_der_pol`` (lambda, mu, nu time-function specs, t0), and ``custom``
+    with explicit ``p0``/``q0``/``r0`` field specs of kind ``power``,
+    ``constant`` or ``polynomial``.  Arbitrary expressions are out of scope.
+    """
+    return _equation(doc, path)[0]
+
+
+# ---------------------------------------------------------------------------
+# Run configs
+# ---------------------------------------------------------------------------
+
+
+def _options(doc, path: str) -> RunOptions:
+    """The options section, each key checked in :class:`RunOptions` field order."""
+    spec = fields(RunOptions)
+    _require_keys(doc, {f.name for f in spec}, set(), path)
+    values = {}
+    for f in (f for f in spec if f.name in doc):
+        if f.name == "ic_box":
+            box = doc["ic_box"]
+            if not isinstance(box, list) or len(box) != 2:
+                raise ConfigError(f"{path}.ic_box", "expected [[lo, hi], [lo, hi]]")
+            values["ic_box"] = (_pair(box[0], f"{path}.ic_box[0]"), _pair(box[1], f"{path}.ic_box[1]"))
+        elif f.type == "int":
+            values[f.name] = _int(doc, f.name, path, 0, _MIN_INT_OPTIONS.get(f.name))
+        else:
+            values[f.name] = _number(doc, f.name, path)
+            if f.name in _POSITIVE_OPTIONS and not values[f.name] > 0.0:
+                raise ConfigError(f"{path}.{f.name}", f"expected a positive number, got {doc[f.name]!r}")
+    return RunOptions(**values)
 
 
 def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConfig:
@@ -128,90 +330,33 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
         if theorem not in _THEOREMS:
             raise ConfigError("command", f"unknown theorem id {theorem!r}")
 
-    _expect(doc, {"version", "equation", "initial", "bounds", "qtilde", "region", "grid", "options", "sweep"}, "config")
+    _require_keys(doc, {"version", "equation", "initial", "bounds", "qtilde", "region", "grid", "options", "sweep"}, set(), "config")
     version = doc.get("version")
     if version != 1:
         raise ConfigError("config.version", f"expected 1, got {version!r}")
     if "equation" not in doc:
         raise ConfigError("config.equation", "missing required key")
-    eq_doc = doc["equation"]
-    equation = equation_from_json(eq_doc, "config.equation")
-    eq_kind = eq_doc["kind"]
-
-    opts_doc = doc.get("options", {})
-    _expect(
-        opts_doc,
-        {
-            "horizon",
-            "rel_tol",
-            "abs_tol",
-            "epsilon",
-            "escape_threshold",
-            "min_step",
-            "zero_tol",
-            "max_zeros",
-            "seed",
-            "eps0",
-            "osc_horizon",
-            "osc_min_zeros",
-            "n_random_ics",
-            "ic_box",
-            "n_stability_ics",
-            "stability_eps",
-            "quad_abs_tol",
-            "quad_rel_tol",
-        },
-        "config.options",
-    )
-    defaults = RunOptions()
-    ic_box = defaults.ic_box
-    if "ic_box" in opts_doc:
-        box = opts_doc["ic_box"]
-        if not isinstance(box, list) or len(box) != 2:
-            raise ConfigError("config.options.ic_box", "expected [[lo, hi], [lo, hi]]")
-        ic_box = (_pair(box[0], "config.options.ic_box[0]"), _pair(box[1], "config.options.ic_box[1]"))
-    epsilon = None
-    if "epsilon" in opts_doc:
-        epsilon = _num(opts_doc, "epsilon", "config.options")
-    options = RunOptions(
-        horizon=_num(opts_doc, "horizon", "config.options", defaults.horizon),
-        rel_tol=_num(opts_doc, "rel_tol", "config.options", defaults.rel_tol),
-        abs_tol=_num(opts_doc, "abs_tol", "config.options", defaults.abs_tol),
-        epsilon=epsilon,
-        escape_threshold=_num(opts_doc, "escape_threshold", "config.options", defaults.escape_threshold),
-        min_step=_num(opts_doc, "min_step", "config.options", defaults.min_step),
-        zero_tol=_num(opts_doc, "zero_tol", "config.options", defaults.zero_tol),
-        max_zeros=_int(opts_doc, "max_zeros", "config.options", defaults.max_zeros),
-        seed=_int(opts_doc, "seed", "config.options", defaults.seed),
-        eps0=_num(opts_doc, "eps0", "config.options", defaults.eps0),
-        osc_horizon=_num(opts_doc, "osc_horizon", "config.options", defaults.osc_horizon),
-        osc_min_zeros=_int(opts_doc, "osc_min_zeros", "config.options", defaults.osc_min_zeros),
-        n_random_ics=_int(opts_doc, "n_random_ics", "config.options", defaults.n_random_ics),
-        ic_box=ic_box,
-        n_stability_ics=_int(opts_doc, "n_stability_ics", "config.options", defaults.n_stability_ics),
-        stability_eps=_num(opts_doc, "stability_eps", "config.options", defaults.stability_eps),
-        quad_abs_tol=_num(opts_doc, "quad_abs_tol", "config.options", defaults.quad_abs_tol),
-        quad_rel_tol=_num(opts_doc, "quad_rel_tol", "config.options", defaults.quad_rel_tol),
-    )
+    equation, params = _equation(doc["equation"], "config.equation")
+    options = _options(doc.get("options", {}), "config.options")
 
     grid_doc = doc.get("grid", {})
-    _expect(grid_doc, {"nt", "nw"}, "config.grid")
-    grid = GridSpec(nt=_int(grid_doc, "nt", "config.grid", 129), nw=_int(grid_doc, "nw", "config.grid", 129))
+    _require_keys(grid_doc, {"nt", "nw"}, set(), "config.grid")
+    grid = GridSpec(nt=_int(grid_doc, "nt", "config.grid", 129, 2), nw=_int(grid_doc, "nw", "config.grid", 129, 2))
 
     initial = None
     if "initial" in doc:
         ic_doc = doc["initial"]
-        _expect(ic_doc, {"t1", "phi0", "phi1"}, "config.initial")
+        _require_keys(ic_doc, {"t1", "phi0", "phi1"}, set(), "config.initial")
         initial = InitialData(
-            t1=_num(ic_doc, "t1", "config.initial", equation.t0),
-            phi0=_num(ic_doc, "phi0", "config.initial"),
-            phi1=_num(ic_doc, "phi1", "config.initial"),
+            t1=_number(ic_doc, "t1", "config.initial", equation.t0),
+            phi0=_number(ic_doc, "phi0", "config.initial"),
+            phi1=_number(ic_doc, "phi1", "config.initial"),
         )
 
     bounds = None
     if "bounds" in doc:
         b_doc = doc["bounds"]
-        _expect(b_doc, {"P", "Q", "R"}, "config.bounds")
+        _require_keys(b_doc, {"P", "Q", "R"}, set(), "config.bounds")
         if "P" not in b_doc or "Q" not in b_doc:
             raise ConfigError("config.bounds", "P and Q are required")
         R = time_function_from_json(b_doc["R"], "config.bounds.R") if "R" in b_doc else None
@@ -220,6 +365,10 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
             Q=time_function_from_json(b_doc["Q"], "config.bounds.Q"),
             R=R,
         )
+    elif isinstance(params, EFParams):
+        bounds = ef_bound_triple(params)
+    elif isinstance(params, VdPParams):
+        bounds = vdp_bound_triple(params)
 
     qtilde = None
     if "qtilde" in doc:
@@ -228,7 +377,7 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     region = None
     if "region" in doc:
         r_doc = doc["region"]
-        _expect(r_doc, {"t", "w"}, "config.region")
+        _require_keys(r_doc, {"t", "w"}, set(), "config.region")
         if "t" not in r_doc:
             raise ConfigError("config.region.t", "missing required key")
         t_lo, t_hi = _ordered_pair(r_doc["t"], "config.region.t")
@@ -241,13 +390,15 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     sweep_spec = None
     if "sweep" in doc:
         s_doc = doc["sweep"]
-        _expect(s_doc, {"phi", "dphi", "resolution"}, "config.sweep")
+        _require_keys(s_doc, {"phi", "dphi", "resolution"}, set(), "config.sweep")
         for key in ("phi", "dphi", "resolution"):
             if key not in s_doc:
                 raise ConfigError(f"config.sweep.{key}", "missing required key")
         res = s_doc["resolution"]
         if not isinstance(res, list) or len(res) != 2 or any(isinstance(x, bool) or not isinstance(x, int) for x in res):
             raise ConfigError("config.sweep.resolution", "expected a pair of integers")
+        if min(res) < 2:
+            raise ConfigError("config.sweep.resolution", f"expected integers >= 2, got {res!r}")
         sweep_spec = SweepSpec(
             phi=_pair(s_doc["phi"], "config.sweep.phi"),
             dphi=_pair(s_doc["dphi"], "config.sweep.dphi"),
@@ -268,22 +419,23 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     if fixed_w and region is not None and not (math.isfinite(region.w_min) and math.isfinite(region.w_max)):
         what = f"certify {theorem}" if command == "certify" else f"command {command!r}"
         raise ConfigError("config.region.w", f"a finite w range is required by {what} when a region is given")
-    if command in ("emden",) and eq_kind != "emden_fowler":
+    if command == "emden" and not isinstance(params, EFParams):
         raise ConfigError("config.equation.kind", "command 'emden' needs an emden_fowler equation")
-    if command in ("vdp",) and eq_kind != "van_der_pol":
+    if command == "vdp" and not isinstance(params, VdPParams):
         raise ConfigError("config.equation.kind", "command 'vdp' needs a van_der_pol equation")
-    if command == "certify" and theorem in ("t3_5", "t4_2") and eq_kind != "van_der_pol":
+    if command == "certify" and theorem in ("t3_5", "t4_2") and not isinstance(params, VdPParams):
         raise ConfigError("config.equation.kind", f"certify {theorem} needs a van_der_pol equation")
-    if command == "certify" and theorem == "t3_3" and eq_kind != "emden_fowler":
+    if command == "certify" and theorem == "t3_3" and not isinstance(params, EFParams):
         raise ConfigError("config.equation.kind", "certify t3_3 needs an emden_fowler equation (explicit-power majorant)")
+    if command == "certify" and theorem in _BOUNDED_THEOREMS and bounds is None:
+        raise ConfigError("config.bounds", "required for custom equations")
 
     return RunConfig(
         command=command,
         theorem=theorem,
         doc=doc,
         equation=equation,
-        eq_kind=eq_kind,
-        eq_doc=eq_doc,
+        params=params,
         options=options,
         grid=grid,
         initial=initial,
@@ -294,7 +446,8 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     )
 
 
-def load_config(path: str, command: str, theorem: str | None = None) -> RunConfig:
+def load_config(path: str, command: str, theorem: str | None = None, options: Mapping | None = None) -> RunConfig:
+    """Read and validate a config file; ``options`` entries replace the document's own before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -304,4 +457,6 @@ def load_config(path: str, command: str, theorem: str | None = None) -> RunConfi
         raise ConfigError("config", f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config", "top-level document must be an object")
+    if options and isinstance(doc.get("options", {}), dict):
+        doc["options"] = {**doc.get("options", {}), **options}
     return parse_config(doc, command, theorem)

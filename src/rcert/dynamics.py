@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DomainError, FieldEvaluationError, RcertError
 from .fields import EquationSpec, InitialData, system_rhs
 from .quadrature import weighted_chain
+from .serialize import canonical_json, format_float
 
 __all__ = [
     "IntegrationOptions",
@@ -576,8 +577,6 @@ def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None
 
     Columns are t, phi, psi, y with y left empty where |phi| <= zero_tol.
     """
-    from .serialize import canonical_json, format_float
-
     lines = ["t,phi,psi,y"]
     ztol = traj.opts.zero_tol
     for t, phi, psi in zip(traj.ts, traj.phis, traj.psis):

@@ -9,18 +9,22 @@ Structural claims about them (signs, even monotonicity in ``w``) are declared
 as tags and verified by sampling on finite grids: a numerical toolkit can
 falsify such claims but never prove them, so every downstream certificate
 records the rectangle and grid on which its hypotheses were actually checked.
+
+This is the bottom layer of the package: it imports nothing from it but
+``errors``, and it holds the row-wise hypothesis scan that the tag verifier
+and the certificate checkers share.  Building fields and equations from JSON
+specs belongs to the config schema, in ``config``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress, count, repeat
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .errors import ConfigError, DomainError, FieldEvaluationError
+from .errors import DomainError, FieldEvaluationError
 
 __all__ = [
     "KNOWN_TAGS",
@@ -37,9 +41,6 @@ __all__ = [
     "lipschitz_estimate",
     "uniqueness_interval",
     "system_rhs",
-    "equation_from_json",
-    "time_function_from_json",
-    "load_equation",
 ]
 
 #: Structural claims a field may declare.  ``monotone_in_w_even`` means
@@ -231,6 +232,51 @@ class TagReport:
         return all(c.holds for c in self.checks)
 
 
+def _rows(ts, ws, keep=None) -> list[tuple[float, list[float]]]:
+    """(t, w-row) pairs over a fixed w axis, keeping the w that ``keep`` accepts."""
+    if keep is not None:
+        ws = [w for w in ws if keep(w)]
+    return [(t, ws) for t in ts]
+
+
+def _scan(rows, fields: dict, stages, seen: list[float] | None = None):
+    """The first failure of a hypothesis scan over (t, w), one row at a time.
+
+    ``rows`` gives the (t, ws) pairs in scan order.  On each row every
+    :class:`ScalarField` in ``fields`` is sampled once at every w, through
+    :meth:`ScalarField.sample_row`, before any check runs; the other entries
+    derive a row from the rows before them and may stop early with an
+    outcome (see :func:`certificates._ratio`).  The stages run in order and return None or
+    a hit (j, outcome), where j indexes ws (None for a witness without w).
+    The first hit ends the scan: an exception outcome is raised, a Witness or
+    an Inconclusive reason is returned.  None means every check held.
+    ``seen`` becomes [min, max] of the w checked.
+    """
+    for t, ws in rows:
+        row, stops, sampled = {}, {}, {}
+        for name, f in fields.items():
+            if isinstance(f, ScalarField):
+                if id(f) not in sampled:
+                    sampled[id(f)] = f.sample_row(t, ws)
+                row[name] = sampled[id(f)]
+            else:
+                row[name], stop = f(t, ws, row)
+                if stop is not None:
+                    stops[name] = stop
+        for stage in stages:
+            hit = stage(t, ws, row, stops)
+            if hit is not None:
+                j, outcome = hit
+                if isinstance(outcome, Exception):
+                    raise outcome
+                if seen is not None and j is not None:
+                    seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[j])]
+                return outcome
+        if seen is not None and ws:
+            seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[-1])]
+    return None
+
+
 def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec = GridSpec()) -> TagReport:
     """Check each declared tag of ``fld`` on a uniform grid over ``region``.
 
@@ -241,8 +287,6 @@ def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec =
     ends at the row where the last open tag fails; a field without tags is
     not sampled at all.
     """
-    from .certificates import _rows, _scan
-
     tags = sorted(fld.tags)
     if not tags:
         return TagReport(field_name=fld.name, region=region, grid=grid, checks=())
@@ -424,181 +468,3 @@ def uniqueness_interval(
     if m0 == 0.0:
         return delta
     return min(delta, math.hypot(M, N) / m0)
-
-
-# ---------------------------------------------------------------------------
-# JSON equation documents
-# ---------------------------------------------------------------------------
-
-_EQUATION_KINDS = ("custom", "emden_fowler", "van_der_pol")
-
-
-def _require_keys(doc: Mapping, allowed: set[str], required: set[str], path: str) -> None:
-    if not isinstance(doc, Mapping):
-        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{path}.{sorted(missing)[0]}", "missing required key")
-
-
-def _number(doc: Mapping, key: str, path: str, default=None) -> float:
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
-
-
-def time_function_from_json(doc: Mapping, path: str) -> Callable[[float], float]:
-    """Build a time-only function from a JSON spec.
-
-    Kinds: ``constant`` ``{value}``, ``power`` ``{coeff, power}`` meaning
-    coeff * t**power, ``polynomial`` ``{coeffs}`` with ascending powers of t.
-    """
-    _require_keys(doc, {"kind", "value", "coeff", "power", "coeffs"}, {"kind"}, path)
-    kind = doc["kind"]
-    if kind == "constant":
-        _require_keys(doc, {"kind", "value"}, {"kind", "value"}, path)
-        c = _number(doc, "value", path)
-        return lambda t: c
-    if kind == "power":
-        _require_keys(doc, {"kind", "coeff", "power"}, {"kind", "power"}, path)
-        coeff = _number(doc, "coeff", path, default=1.0)
-        expo = _number(doc, "power", path)
-        return lambda t: coeff * t ** expo
-    if kind == "polynomial":
-        _require_keys(doc, {"kind", "coeffs"}, {"kind", "coeffs"}, path)
-        coeffs = doc["coeffs"]
-        if not isinstance(coeffs, list) or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
-            raise ConfigError(f"{path}.coeffs", "expected a list of numbers")
-        cs = [float(c) for c in coeffs]
-        return lambda t: sum(c * t ** k for k, c in enumerate(cs))
-    raise ConfigError(f"{path}.kind", f"unknown time-function kind {kind!r}")
-
-
-def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
-    _require_keys(
-        doc,
-        {"kind", "value", "coeff", "t_power", "w_power", "w_abs", "terms", "tags"},
-        {"kind"},
-        path,
-    )
-    kind = doc["kind"]
-    tags = doc.get("tags", [])
-    if not isinstance(tags, list) or not all(isinstance(s, str) for s in tags):
-        raise ConfigError(f"{path}.tags", "expected a list of strings")
-    tagset = frozenset(tags)
-    if tagset - KNOWN_TAGS:
-        raise ConfigError(f"{path}.tags", f"unknown tag {sorted(tagset - KNOWN_TAGS)[0]!r}")
-
-    if kind == "constant":
-        _require_keys(doc, {"kind", "value", "tags"}, {"kind", "value"}, path)
-        c = _number(doc, "value", path)
-        return ScalarField(lambda t, w: c, tags=tagset, name=name, row_fn=lambda t, ws: [c] * len(ws))
-    if kind == "power":
-        # coeff * t**t_power * (|w| or w)**w_power
-        _require_keys(doc, {"kind", "coeff", "t_power", "w_power", "w_abs", "tags"}, {"kind"}, path)
-        coeff = _number(doc, "coeff", path, default=1.0)
-        tp = _number(doc, "t_power", path, default=0.0)
-        wp = _number(doc, "w_power", path, default=0.0)
-        w_abs = doc.get("w_abs", True)
-        if not isinstance(w_abs, bool):
-            raise ConfigError(f"{path}.w_abs", "expected a boolean")
-
-        def fn(t, w, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
-            base = abs(w) if w_abs else w
-            wfac = 1.0 if wp == 0.0 else base ** wp
-            tfac = 1.0 if tp == 0.0 else t ** tp
-            return coeff * tfac * wfac
-
-        def row(t, ws, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
-            scale = _row_factor(coeff * (1.0 if tp == 0.0 else t ** tp))
-            if wp == 0.0:
-                return [scale * 1.0] * len(ws)
-            return list(map(operator.mul, repeat(scale), map(pow, map(abs, ws) if w_abs else ws, repeat(wp))))
-
-        return ScalarField(fn, tags=tagset, name=name, row_fn=row)
-    if kind == "polynomial":
-        _require_keys(doc, {"kind", "terms", "tags"}, {"kind", "terms"}, path)
-        terms = doc["terms"]
-        if not isinstance(terms, list):
-            raise ConfigError(f"{path}.terms", "expected a list of term objects")
-        parsed = []
-        for k, term in enumerate(terms):
-            tpath = f"{path}.terms[{k}]"
-            _require_keys(term, {"c", "t", "w"}, {"c"}, tpath)
-            parsed.append((_number(term, "c", tpath), _number(term, "t", tpath, default=0.0), _number(term, "w", tpath, default=0.0)))
-
-        def poly(t, w, parsed=tuple(parsed)):
-            total = 0.0
-            for c, a, b in parsed:
-                total += c * (t ** a if a else 1.0) * (w ** b if b else 1.0)
-            return total
-
-        def poly_row(t, ws, parsed=tuple(parsed)):
-            totals = [0.0] * len(ws)
-            for c, a, b in parsed:
-                scale = _row_factor(c * (t ** a if a else 1.0))
-                wfacs = map(pow, ws, repeat(b)) if b else repeat(1.0)
-                totals = list(map(operator.add, totals, map(operator.mul, repeat(scale), wfacs)))
-            return totals
-
-        return ScalarField(poly, tags=tagset, name=name, row_fn=poly_row)
-    raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
-
-
-def equation_from_json(doc: Mapping, path: str = "equation") -> EquationSpec:
-    """Build an :class:`EquationSpec` from a JSON document.
-
-    Builtin kinds: ``emden_fowler`` (rho, sigma, n, variant, t0),
-    ``van_der_pol`` (lambda, mu, nu time-function specs, t0), and ``custom``
-    with explicit ``p0``/``q0``/``r0`` field specs of kind ``power``,
-    ``constant`` or ``polynomial``.  Arbitrary expressions are out of scope.
-    """
-    if not isinstance(doc, Mapping) or "kind" not in doc:
-        raise ConfigError(f"{path}.kind", "missing required key")
-    kind = doc["kind"]
-
-    if kind == "emden_fowler":
-        from .applications import EFParams, ef_equation
-
-        _require_keys(doc, {"kind", "rho", "sigma", "n", "variant", "t0"}, {"kind", "rho", "sigma", "n"}, path)
-        variant = doc.get("variant", "absolute")
-        if variant not in ("absolute", "signed"):
-            raise ConfigError(f"{path}.variant", f"expected 'absolute' or 'signed', got {variant!r}")
-        params = EFParams(rho=_number(doc, "rho", path), sigma=_number(doc, "sigma", path), n=_number(doc, "n", path), variant=variant)
-        return ef_equation(params, t0=_number(doc, "t0", path, default=1.0))
-
-    if kind == "van_der_pol":
-        from .applications import VdPParams, vdp_equation
-
-        _require_keys(doc, {"kind", "lambda", "mu", "nu", "t0"}, {"kind", "lambda", "mu", "nu"}, path)
-        lam = time_function_from_json(doc["lambda"], f"{path}.lambda")
-        mu = time_function_from_json(doc["mu"], f"{path}.mu")
-        nu = time_function_from_json(doc["nu"], f"{path}.nu")
-        t0 = _number(doc, "t0", path, default=0.0)
-        return vdp_equation(VdPParams(lam=lam, mu=mu, nu=nu), t0=t0)
-
-    if kind == "custom":
-        _require_keys(doc, {"kind", "t0", "p0", "q0", "r0"}, {"kind", "t0", "p0", "q0", "r0"}, path)
-        p0 = _scalar_field_from_json(doc["p0"], f"{path}.p0", "p0")
-        if "positive" not in p0.tags:
-            p0 = replace(p0, tags=p0.tags | {"positive"})
-        q0 = _scalar_field_from_json(doc["q0"], f"{path}.q0", "q0")
-        r0 = _scalar_field_from_json(doc["r0"], f"{path}.r0", "r0")
-        return EquationSpec(p0=p0, q0=q0, r0=r0, t0=_number(doc, "t0", path))
-
-    raise ConfigError(f"{path}.kind", f"unknown equation kind {kind!r} (expected one of {_EQUATION_KINDS})")
-
-
-def load_equation(path: str) -> EquationSpec:
-    """Load an equation spec from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return equation_from_json(doc)

@@ -136,6 +136,25 @@ CASES = [
         {"initial": {"phi0": 1.0, "phi1": 0.0}},
         "equation.kind: certify t3_3 needs an emden_fowler equation (explicit-power majorant)",
     ),
+    # Values that passed the schema and then crashed, or ran to a report that could not be written.
+    ("rel_tol_zero", ["classify"], EF, {"options": {"rel_tol": 0}}, "options.rel_tol: expected a positive number, got 0"),
+    ("abs_tol_negative", ["classify"], EF, {"options": {"abs_tol": -1e-12}}, "options.abs_tol: expected a positive number, got -1e-12"),
+    ("grid_nt_one", ["certify", "t3_1"], EF, {"grid.nt": 1}, "grid.nt: expected an integer >= 2, got 1"),
+    ("sweep_resolution_one", ["sweep"], CUSTOM, {"sweep.resolution": [1, 2]}, "sweep.resolution: expected integers >= 2, got [1, 2]"),
+    ("seed_negative", ["vdp"], VDP, {"options.seed": -1}, "options.seed: expected an integer >= 0, got -1"),
+    ("phi0_nan", ["classify"], EF, {"initial.phi0": float("nan")}, "initial.phi0: expected a finite number, got nan"),
+    ("sweep_phi_nan", ["sweep"], CUSTOM, {"sweep.phi": [0.0, float("nan")]}, "sweep.phi: expected a finite number, got nan"),
+    ("t0_infinite", ["classify"], CUSTOM, {"equation.t0": float("inf")}, "equation.t0: expected a finite number, got inf"),
+    ("horizon_nan", ["integrate"], EF, {"options": {"horizon": float("nan")}}, "options.horizon: expected a finite number, got nan"),
+    (
+        "escape_threshold_infinite",
+        ["classify"],
+        EF,
+        {"options": {"escape_threshold": float("inf")}},
+        "options.escape_threshold: expected a finite number, got inf",
+    ),
+    ("coeff_nan", ["certify", "t3_1"], CUSTOM, {"bounds.Q.coeffs": [0.0, float("nan")]}, "bounds.Q.coeffs[1]: expected a finite number, got nan"),
+    ("custom_without_bounds", ["certify", "t3_4"], CUSTOM, {"bounds": DROP}, "bounds: required for custom equations"),
 ]
 
 
@@ -155,6 +174,29 @@ def test_config_error(tmp_path, capsys, command, base, edits, message):
     assert captured.err == f"config error: config.{message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "nan"], "options.rel_tol: expected a finite number, got nan"),
+        (["--tol", "0"], "options.rel_tol: expected a positive number, got 0.0"),
+        (["--horizon", "nan"], "options.horizon: expected a finite number, got nan"),
+    ],
+)
+def test_flags_are_validated_as_options(tmp_path, capsys, flags, message):
+    code, captured, out = run_case(tmp_path, capsys, ["classify"], EF, flags)
+    assert code == 1
+    assert captured.err == f"config error: config.{message}\n"
+    assert not out.exists()
+
+
+def test_flags_are_echoed_in_the_report(tmp_path, capsys):
+    code, _, out = run_case(tmp_path, capsys, ["integrate"], edited(EF, {"options": {"horizon": 50.0}}), ["--horizon", "6.0", "--tol", "1e-8"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["options"] == {"horizon": 6.0, "rel_tol": 1e-8}
+    assert report["terminal"]["time"] == 6.0
 
 
 def test_every_base_config_is_valid(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rcert import FieldEvaluationError, ScalarField, equation_from_json
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
-from rcert.fields import _scalar_field_from_json
+from rcert.config import _scalar_field_from_json
 
 JSON_FIELDS = {
     "constant": {"kind": "constant", "value": 2.5},
