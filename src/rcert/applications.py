@@ -347,9 +347,14 @@ class VdPParams:
     nu: TimeFunction
 
 
-def _check_vdp_signs(v: VdPParams, t0: float, span: float = 100.0, samples: int = 257) -> None:
-    for k in range(samples):
-        t = t0 + span * k / (samples - 1)
+#: The sign conditions of a Van der Pol equation are sampled on [t0, t0 + _SIGN_SPAN].
+_SIGN_SPAN = 100.0
+_SIGN_SAMPLES = 257
+
+
+def _check_vdp_signs(v: VdPParams, t0: float) -> None:
+    for k in range(_SIGN_SAMPLES):
+        t = t0 + _SIGN_SPAN * k / (_SIGN_SAMPLES - 1)
         lam = v.lam(t)
         if lam <= 0.0:
             raise DomainError(f"lambda({t!r}) = {lam!r} must be positive")

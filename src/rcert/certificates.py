@@ -417,6 +417,10 @@ def check_t3_2(
     return _envelope_check("T3_2", hypotheses, eq, ic, region, grid, epsilon, envelope, fields, [q_sign, points])
 
 
+#: Relative tolerance to which T3_3 requires p0 == p1.
+_P_MATCH_RTOL = 1e-12
+
+
 def check_t3_3(
     eq0: EquationSpec,
     eq1: EquationSpec,
@@ -424,8 +428,6 @@ def check_t3_3(
     ic0: InitialData,
     region: Rectangle | None = None,
     grid: GridSpec = GridSpec(nt=65, nw=65),
-    *,
-    p_match_rtol: float = 1e-12,
 ) -> Certificate:
     """Comparison certificate against a nonvanishing majorant trajectory.
 
@@ -472,7 +474,7 @@ def check_t3_3(
 
     def p_match(t, ws, row, stops):
         for j, (a, c) in enumerate(zip(row["p0"], row["p1"])):
-            if abs(a - c) > p_match_rtol * max(1.0, abs(a), abs(c)):
+            if abs(a - c) > _P_MATCH_RTOL * max(1.0, abs(a), abs(c)):
                 return j, Witness(hypotheses[2], t, ws[j], f"p0={a!r} != p1={c!r}")
         return None
 
@@ -557,7 +559,6 @@ def check_t3_5(
     eps_tail_samples: Sequence[float] | None = None,
     osc_horizon: float = 50.0,
     osc_min_zeros: int = 5,
-    osc_opts: IntegrationOptions | None = None,
 ) -> Certificate:
     """Oscillation-or-first-kind certificate via a comparison family.
 
@@ -667,7 +668,7 @@ def check_t3_5(
     zero_counts = {}
     for eps in eps_list:
         p_e, q_e, r_e = family(eps)
-        count = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon, osc_opts)
+        count = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon)
         zero_counts[repr(eps)] = count
         if count < osc_min_zeros:
             details["comparison_zero_counts"] = zero_counts
@@ -698,7 +699,6 @@ def _comparison_zero_count(
     q_e: TimeFunction,
     r_e: TimeFunction,
     osc_horizon: float,
-    osc_opts: IntegrationOptions | None,
 ) -> int:
     eq = EquationSpec(
         p0=ScalarField(lambda t, w: p_e(t), tags=frozenset({"positive"}), name="p_eps"),
@@ -706,9 +706,8 @@ def _comparison_zero_count(
         r0=ScalarField(lambda t, w: r_e(t), name="r_eps"),
         t0=t0,
     )
-    if osc_opts is None:
-        osc_opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)
-    traj = integrate(eq, InitialData(t1=t0, phi0=1.0, phi1=0.0), osc_opts)
+    opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)
+    traj = integrate(eq, InitialData(t1=t0, phi0=1.0, phi1=0.0), opts)
     return len(traj.zeros)
 
 

@@ -21,15 +21,7 @@ from .applications import EFParams, VdPParams, ef_bound_triple, ef_equation, vdp
 from .errors import ConfigError
 from .fields import KNOWN_TAGS, BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _row_factor
 
-__all__ = [
-    "RunOptions",
-    "SweepSpec",
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "equation_from_json",
-    "time_function_from_json",
-]
+__all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config", "equation_from_json", "time_function_from_json"]
 
 _COMMANDS = ("certify", "integrate", "classify", "sweep", "emden", "vdp")
 _THEOREMS = ("t3_1", "t3_2", "t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
@@ -147,11 +139,6 @@ def _ordered_pair(value, path: str) -> tuple[float, float]:
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# Equations, fields and time functions
-# ---------------------------------------------------------------------------
-
-
 def time_function_from_json(doc: Mapping, path: str) -> Callable[[float], float]:
     """Build a time-only function from a JSON spec.
 
@@ -180,12 +167,7 @@ def time_function_from_json(doc: Mapping, path: str) -> Callable[[float], float]
 
 
 def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
-    _require_keys(
-        doc,
-        {"kind", "value", "coeff", "t_power", "w_power", "w_abs", "terms", "tags"},
-        {"kind"},
-        path,
-    )
+    _require_keys(doc, {"kind", "value", "coeff", "t_power", "w_power", "w_abs", "terms", "tags"}, {"kind"}, path)
     kind = doc["kind"]
     tags = doc.get("tags", [])
     if not isinstance(tags, list) or not all(isinstance(s, str) for s in tags):
@@ -293,11 +275,6 @@ def equation_from_json(doc: Mapping, path: str = "equation") -> EquationSpec:
     ``constant`` or ``polynomial``.  Arbitrary expressions are out of scope.
     """
     return _equation(doc, path)[0]
-
-
-# ---------------------------------------------------------------------------
-# Run configs
-# ---------------------------------------------------------------------------
 
 
 def _options(doc, path: str) -> RunOptions:

@@ -597,10 +597,14 @@ def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None
         fh.write(canonical_json(side) + "\n")
 
 
-def _mesh(traj: Trajectory, a: float, b: float, cap: int = 129) -> list[float]:
+#: The most trajectory nodes a residual oracle checks between its end points.
+_MESH_CAP = 129
+
+
+def _mesh(traj: Trajectory, a: float, b: float) -> list[float]:
     inside = [float(t) for t in traj.ts if a < t < b]
-    if len(inside) > cap:
-        stride = max(1, len(inside) // cap)
+    if len(inside) > _MESH_CAP:
+        stride = max(1, len(inside) // _MESH_CAP)
         inside = inside[::stride]
     return [a] + inside + [b]
 

@@ -364,18 +364,17 @@ class LipschitzEstimate:
     history: tuple[float, ...] = ()
 
 
-def lipschitz_estimate(
-    fld: ScalarField,
-    region: Rectangle,
-    grid: GridSpec = GridSpec(),
-    *,
-    refinements: int = 3,
-    growth_ratio: float = 1.25,
-) -> LipschitzEstimate:
+#: Grid refinements of the Lipschitz estimate, and the growth per refinement
+#: that flags it unbounded.
+_LIPSCHITZ_REFINEMENTS = 3
+_LIPSCHITZ_GROWTH = 1.25
+
+
+def lipschitz_estimate(fld: ScalarField, region: Rectangle, grid: GridSpec = GridSpec()) -> LipschitzEstimate:
     """Estimate ``sup |d(field)/dw|`` over a rectangle by finite differences.
 
-    The grid is refined ``refinements`` times; when the estimate keeps growing
-    by ``growth_ratio`` or more across the last two refinements it is flagged
+    The grid is refined ``_LIPSCHITZ_REFINEMENTS`` times; when the estimate keeps growing
+    by ``_LIPSCHITZ_GROWTH`` or more across the last two refinements it is flagged
     unbounded (a |w|**a singularity grows the estimate by 2**(1-a) per
     refinement, while estimates of genuinely Lipschitz fields level off).  A
     non-finite sample inside the probe region is treated as an unbounded-slope
@@ -384,7 +383,7 @@ def lipschitz_estimate(
     """
     history: list[float] = []
     g = grid
-    for _ in range(max(1, refinements + 1)):
+    for _ in range(_LIPSCHITZ_REFINEMENTS + 1):
         ts = g.t_axis(region.t_min, region.t_max)
         ws = g.w_axis(region.w_min, region.w_max)
         best = 0.0
@@ -406,7 +405,7 @@ def lipschitz_estimate(
         g = g.refined()
 
     ratios = [b / a for a, b in zip(history, history[1:]) if a > 0.0]
-    unbounded = len(ratios) >= 2 and all(r >= growth_ratio for r in ratios[-2:])
+    unbounded = len(ratios) >= 2 and all(r >= _LIPSCHITZ_GROWTH for r in ratios[-2:])
     return LipschitzEstimate(history[-1], unbounded, witness, tuple(history))
 
 

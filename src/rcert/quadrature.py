@@ -588,21 +588,22 @@ class DivergenceVerdict:
     heuristic: bool = True
 
 
-def divergence_probe(
-    integrand: TimeFunction,
-    t0: float,
-    horizons: HorizonSpec = HorizonSpec(),
-    *,
-    conv_ratio: float = 0.5 * (1.0 + 1e-5),
-    div_ratio: float = 0.9,
-    tail_window: int = 8,
-    rel_tol: float = 3e-8,
-) -> DivergenceVerdict:
+#: The divergence probe looks at its last ``_TAIL_WINDOW`` increments, each
+#: integrated to ``_PROBE_REL_TOL``.  Their geometric-mean ratio votes
+#: Converging at or below ``_CONV_RATIO`` (one half, with room for quadrature
+#: error) and Diverging at or above ``_DIV_RATIO``.
+_CONV_RATIO = 0.5 * (1.0 + 1e-5)
+_DIV_RATIO = 0.9
+_TAIL_WINDOW = 8
+_PROBE_REL_TOL = 3e-8
+
+
+def divergence_probe(integrand: TimeFunction, t0: float, horizons: HorizonSpec = HorizonSpec()) -> DivergenceVerdict:
     """Classify tail growth of a nonnegative integrand over geometric horizons.
 
     Increments over [T, factor*T] that decay geometrically with ratio at most
     one half vote Converging; increments bounded away from geometric decay
-    (ratio >= ``div_ratio``) vote Diverging; anything else is Inconclusive.
+    (ratio >= ``_DIV_RATIO``) vote Diverging; anything else is Inconclusive.
     The verdict is a numerical heuristic: no finite computation decides
     behaviour at infinity, and certificates must record it as heuristic.
     """
@@ -614,17 +615,17 @@ def divergence_probe(
         return v
 
     ts = horizons.horizons(t0)
-    partial = adaptive_quad(checked, t0, ts[0], 1e-300, rel_tol) if ts[0] > t0 else 0.0
+    partial = adaptive_quad(checked, t0, ts[0], 1e-300, _PROBE_REL_TOL) if ts[0] > t0 else 0.0
     increments: list[float] = []
     pairs: list[tuple[float, float]] = []
     for k in range(len(ts) - 1):
-        inc = adaptive_quad(checked, ts[k], ts[k + 1], 1e-300, rel_tol)
+        inc = adaptive_quad(checked, ts[k], ts[k + 1], 1e-300, _PROBE_REL_TOL)
         increments.append(inc)
         partial += inc
         pairs.append((ts[k + 1], partial))
 
     floor = 1e-15 * max(1.0, max(increments, default=0.0))
-    tail = increments[-min(tail_window, len(increments)):]
+    tail = increments[-min(_TAIL_WINDOW, len(increments)):]
     if max(tail, default=0.0) <= floor:
         return DivergenceVerdict(CONVERGING, tuple(pairs), ())
 
@@ -636,31 +637,29 @@ def divergence_probe(
         return DivergenceVerdict(INCONCLUSIVE, tuple(pairs), ())
     log_mean = sum(math.log(max(r, 1e-300)) for r in ratios) / len(ratios)
     rho = math.exp(log_mean)
-    if rho <= conv_ratio:
+    if rho <= _CONV_RATIO:
         status = CONVERGING
-    elif rho >= div_ratio:
+    elif rho >= _DIV_RATIO:
         status = DIVERGING
     else:
         status = INCONCLUSIVE
     return DivergenceVerdict(status, tuple(pairs), tuple(ratios))
 
 
-def weighted_tail_integrand(
-    P: TimeFunction,
-    q: TimeFunction,
-    r: TimeFunction,
-    t0: float,
-    *,
-    window_log: float = 45.0,
-    abs_tol: float = 1e-13,
-    rel_tol: float = 1e-9,
-) -> TimeFunction:
+#: The kernel bound exp(-_WINDOW_LOG) of the tail integrand's inner window,
+#: and the tolerances of the inner integral.
+_WINDOW_LOG = 45.0
+_TAIL_ABS_TOL = 1e-13
+_TAIL_REL_TOL = 1e-9
+
+
+def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t0: float) -> TimeFunction:
     """Integrand tau -> (1/P) * integral_{t0}^{tau} exp(-int_s^tau q) r(s) ds.
 
     This is the double-integral tail condition probed for oscillation
     certificates.  When the antiderivative of ``q`` is nondecreasing (the only
     regime the checkers use, q >= 0), the inner integral is restricted to the
-    window where the kernel exceeds exp(-window_log); the discarded mass is
+    window where the kernel exceeds exp(-_WINDOW_LOG); the discarded mass is
     below 1e-19 of the kernel scale.  Bisection finds the window's start to
     within one e-fold of the kernel, always on the side that keeps the whole
     window.  The inner integral is ``i_minus`` over
@@ -675,19 +674,19 @@ def weighted_tail_integrand(
         v_tau = V(tau)
         lo, hi = t0, tau
         v_lo, v_hi = V(t0), v_tau
-        if v_tau - v_lo > window_log:
-            # lo keeps V(tau) - V(lo) > window_log; a window start within one
+        if v_tau - v_lo > _WINDOW_LOG:
+            # lo keeps V(tau) - V(lo) > _WINDOW_LOG; a window start within one
             # e-fold of the kernel is as good as an exact one.
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 v_mid = V(mid)
-                if v_tau - v_mid > window_log:
+                if v_tau - v_mid > _WINDOW_LOG:
                     lo, v_lo = mid, v_mid
                 else:
                     hi, v_hi = mid, v_mid
                 if v_hi - v_lo <= 1.0 or hi - lo <= 1e-9 * max(1.0, abs(tau)):
                     break
-        val = i_minus(q, r, lo, tau, abs_tol=abs_tol, rel_tol=rel_tol)
+        val = i_minus(q, r, lo, tau, abs_tol=_TAIL_ABS_TOL, rel_tol=_TAIL_REL_TOL)
         return val / _positive(P, tau, "P")
 
     return inner
