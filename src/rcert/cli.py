@@ -40,7 +40,7 @@ __all__ = ["run", "main"]
 
 
 #: The integration settings a run config carries, by name.
-_INTEGRATION_OPTIONS = [f.name for f in fields(IntegrationOptions) if f.name in RunOptions.__dataclass_fields__]
+_INTEGRATION_OPTIONS = [f.name for f in fields(IntegrationOptions) if f.name in {g.name for g in fields(RunOptions)}]
 
 
 def _int_opts(cfg: RunConfig) -> IntegrationOptions:

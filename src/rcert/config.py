@@ -68,7 +68,8 @@ class SweepSpec:
 
 @dataclass
 class RunConfig:
-    """A validated config.  ``params`` holds the builtin equation's parameters, None for a custom one."""
+    """A validated config.  ``params`` holds a builtin equation's parameters (None
+    for ``custom``), and ``bounds`` defaults to their envelope triple."""
 
     command: str
     theorem: str | None
@@ -102,9 +103,13 @@ def _is_number(v) -> bool:
 def _finite(v, path: str) -> float:
     if not _is_number(v):
         raise ConfigError(path, f"expected a number, got {v!r}")
-    if not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise ConfigError(path, f"expected a finite number, got {v!r}")
-    return float(v)
+    return x
 
 
 def _number(doc: Mapping, key: str, path: str, default=None) -> float:
@@ -287,7 +292,7 @@ def _options(doc, path: str) -> RunOptions:
             box = doc["ic_box"]
             if not isinstance(box, list) or len(box) != 2:
                 raise ConfigError(f"{path}.ic_box", "expected [[lo, hi], [lo, hi]]")
-            values["ic_box"] = (_pair(box[0], f"{path}.ic_box[0]"), _pair(box[1], f"{path}.ic_box[1]"))
+            values["ic_box"] = (_ordered_pair(box[0], f"{path}.ic_box[0]"), _ordered_pair(box[1], f"{path}.ic_box[1]"))
         elif f.type == "int":
             values[f.name] = _int(doc, f.name, path, 0, _MIN_INT_OPTIONS.get(f.name))
         else:
@@ -354,9 +359,7 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     region = None
     if "region" in doc:
         r_doc = doc["region"]
-        _require_keys(r_doc, {"t", "w"}, set(), "config.region")
-        if "t" not in r_doc:
-            raise ConfigError("config.region.t", "missing required key")
+        _require_keys(r_doc, {"t", "w"}, {"t"}, "config.region")
         t_lo, t_hi = _ordered_pair(r_doc["t"], "config.region.t")
         if "w" in r_doc:
             w_lo, w_hi = _ordered_pair(r_doc["w"], "config.region.w")

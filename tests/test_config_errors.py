@@ -136,7 +136,8 @@ CASES = [
         {"initial": {"phi0": 1.0, "phi1": 0.0}},
         "equation.kind: certify t3_3 needs an emden_fowler equation (explicit-power majorant)",
     ),
-    # Values that passed the schema and then crashed, or ran to a report that could not be written.
+    # Values that got past the schema: they crashed, ran to a report that could not be written,
+    # met a different error later, or left an empty output directory behind.
     ("rel_tol_zero", ["classify"], EF, {"options": {"rel_tol": 0}}, "options.rel_tol: expected a positive number, got 0"),
     ("abs_tol_negative", ["classify"], EF, {"options": {"abs_tol": -1e-12}}, "options.abs_tol: expected a positive number, got -1e-12"),
     ("grid_nt_one", ["certify", "t3_1"], EF, {"grid.nt": 1}, "grid.nt: expected an integer >= 2, got 1"),
@@ -154,6 +155,8 @@ CASES = [
         "options.escape_threshold: expected a finite number, got inf",
     ),
     ("coeff_nan", ["certify", "t3_1"], CUSTOM, {"bounds.Q.coeffs": [0.0, float("nan")]}, "bounds.Q.coeffs[1]: expected a finite number, got nan"),
+    ("ic_box_reversed", ["vdp"], VDP, {"options.ic_box": [[1.0, -1.0], [0.0, 0.0]]}, "options.ic_box[0]: expected lower <= upper, got [1.0, -1.0]"),
+    ("horizon_huge_integer", ["classify"], EF, {"options": {"horizon": 10**400}}, f"options.horizon: expected a finite number, got {10**400}"),
     ("custom_without_bounds", ["certify", "t3_4"], CUSTOM, {"bounds": DROP}, "bounds: required for custom equations"),
 ]
 
