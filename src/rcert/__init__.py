@@ -58,13 +58,11 @@ from .dynamics import (
     REACHED_HORIZON,
     STEP_COLLAPSE,
     IntegrationOptions,
-    RefinementReport,
     TerminalStatus,
     Trajectory,
     export_trajectory_csv,
     flux_residual,
     integrate,
-    refine_check,
     volterra_residual,
 )
 from .errors import (
@@ -82,13 +80,10 @@ from .fields import (
     EquationSpec,
     GridSpec,
     InitialData,
-    LipschitzEstimate,
     Rectangle,
     ScalarField,
     TagReport,
-    lipschitz_estimate,
     system_rhs,
-    uniqueness_interval,
     verify_structural_tags,
 )
 from .quadrature import (
@@ -98,7 +93,6 @@ from .quadrature import (
     DivergenceVerdict,
     FBound,
     GBound,
-    HorizonSpec,
     adaptive_quad,
     divergence_probe,
     eval_F,
@@ -113,8 +107,6 @@ from .riccati import (
     cauchy_residual,
     comparison_riccati_exists,
     difference_residual,
-    path_min_ratio,
-    ratio_dominance_margin,
     representation_residual,
     transform,
 )

@@ -43,7 +43,7 @@ from .fields import (
     ScalarField,
     _row_factor,
 )
-from .quadrature import HorizonSpec, TimeFunction
+from .quadrature import TimeFunction
 
 __all__ = [
     "EFParams",
@@ -311,7 +311,6 @@ def conditional_stability_experiment(
     eps: float,
     n_ics: int = 20,
     horizon: float = 50.0,
-    opts: IntegrationOptions | None = None,
 ) -> list[StabilityOutcome]:
     """Sample the stability manifold and track sup(|phi| + |psi|) over the horizon.
 
@@ -322,8 +321,7 @@ def conditional_stability_experiment(
     cap = math.exp(t0 ** (p.sigma + 2.0 - p.rho) / ((p.sigma + 1.0) * (p.rho - 1.0)))
     hi = min(delta, cap)
     eq = ef_equation(p, t0=t0)
-    if opts is None:
-        opts = IntegrationOptions(horizon=t0 + horizon)
+    opts = IntegrationOptions(horizon=t0 + horizon)
     outcomes = []
     for k in range(n_ics):
         phi0 = hi * (k + 1) / (n_ics + 1)
@@ -401,11 +399,10 @@ def vdp_family(v: VdPParams):
 
 
 def check_t4_2(
+    eq: EquationSpec,
     v: VdPParams,
     eps0: float = 1.0,
-    horizons: HorizonSpec = HorizonSpec(),
     *,
-    t0: float = 0.0,
     region: Rectangle | None = None,
     grid: GridSpec = GridSpec(nt=65, nw=65),
     osc_horizon: float = 50.0,
@@ -413,14 +410,14 @@ def check_t4_2(
 ) -> Certificate:
     """Aggregate certificate: global existence plus oscillation of all solutions.
 
-    Delegates the existence part to the even-monotone-structure check and the
+    ``eq`` is ``vdp_equation(v, t0)``, built once by the caller.  Delegates
+    the existence part to the even-monotone-structure check and the
     oscillation part to the comparison-family check with the unit band N = 1.
     The aggregate is Verified only if both parts are; heuristic flags of the
     oscillation part propagate.
     """
-    eq = vdp_equation(v, t0=t0)
     if region is None:
-        region = Rectangle(t0, t0 + 20.0, -8.0, 8.0)
+        region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
     existence = check_t3_6(eq, region=region, grid=grid)
     oscillation = check_t3_5(
         eq,
@@ -430,7 +427,6 @@ def check_t4_2(
         eps0=eps0,
         region=region,
         grid=grid,
-        horizons=horizons,
         osc_horizon=osc_horizon,
         osc_min_zeros=osc_min_zeros,
     )

@@ -7,8 +7,8 @@ criterion on a finite (t, w) grid and emits a :class:`Certificate`:
   the guaranteed conclusion and, where applicable, the growth envelope.
 * ``Falsified``  -- some hypothesis fails; the certificate carries the first
   concrete witness point in scan order.
-* ``Inconclusive`` -- a precondition fails or an envelope overflows; neither
-  conclusion is claimed.
+* ``Inconclusive`` -- a precondition fails, an envelope overflows, or the
+  scan of a hypothesis sampled no grid point; neither conclusion is claimed.
 
 Grid falsification, not proof: the "for all w" hypotheses of the underlying
 criteria are only checked on the recorded rectangle and grid, and every
@@ -52,7 +52,6 @@ from .quadrature import (
     CumulativeIntegral,
     FBound,
     GBound,
-    HorizonSpec,
     TimeFunction,
     divergence_probe,
     weighted_tail_integrand,
@@ -312,7 +311,10 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
 
     seen = [math.inf, -math.inf]
     outcome = _scan(rows(), fields, stages, seen)
-    rec = _region_record(ts, region.w_min, region.w_max, grid.nw, tuple(seen) if seen[0] <= seen[1] else None)
+    sampled = tuple(seen) if seen[0] <= seen[1] else None
+    rec = _region_record(ts, region.w_min, region.w_max, grid.nw, sampled)
+    if outcome is None and sampled is None:
+        outcome = "no grid point sampled: the band |w| <= envelope + epsilon is empty on the region"
     if isinstance(outcome, str):
         return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=outcome)
     if outcome is not None:
@@ -553,7 +555,6 @@ def check_t3_5(
     eps0: float,
     region: Rectangle | None = None,
     grid: GridSpec = GridSpec(nt=65, nw=65),
-    horizons: HorizonSpec = HorizonSpec(),
     *,
     eps_samples: Sequence[float] | None = None,
     eps_tail_samples: Sequence[float] | None = None,
@@ -590,6 +591,8 @@ def check_t3_5(
     rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     details: dict = {"eps_samples": eps_list, "eps_tail_samples": eps_tail, "N": N, "eps0": eps0}
     flags = ("comparison_oscillation_zero_count", "tail_divergence_probe")
+    # The w range each band hypothesis sampled; one that sampled nothing is never Verified.
+    seen = {h: [math.inf, -math.inf] for h in (outer, capped, annulus)}
 
     def falsified(witness: Witness) -> Certificate:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness, heuristic_flags=flags, details=details)
@@ -618,13 +621,13 @@ def check_t3_5(
             _Check(outer, "q0/p0", "<", lambda t: q_e(t) / p_e(t), "q_eps/p_eps", note),
             _Check(outer, "r0", "<", r_e, "r_eps", note),
         )
-        witness = _scan(_rows(ts, ws, lambda w: abs(w) >= eps), _eq_fields(eq, *_PQR), [points])
+        witness = _scan(_rows(ts, ws, lambda w: abs(w) >= eps), _eq_fields(eq, *_PQR), [points], seen[outer])
         if witness is not None:
             return falsified(witness)
 
     # Bounded band: coefficient caps and the reciprocal-weight tail.
     points = _points(_Check(capped, "p0", ">", b.P, "P"), _Check(capped, "q0/p0", ">", b.Q, "Q"))
-    witness = _scan(_rows(ts, ws, lambda w: abs(w) <= N), _eq_fields(eq, "p0", "q0", "q0/p0"), [points])
+    witness = _scan(_rows(ts, ws, lambda w: abs(w) <= N), _eq_fields(eq, "p0", "q0", "q0/p0"), [points], seen[capped])
     if witness is not None:
         return falsified(witness)
     VQ = CumulativeIntegral(b.Q, eq.t0, abs_rate=1e-13, rel_tol=1e-11)
@@ -635,7 +638,7 @@ def check_t3_5(
             raise DomainError(f"P({tau!r}) = {p!r} <= 0")
         return math.exp(-VQ(tau)) / p
 
-    status = details["reciprocal_tail_status"] = divergence_probe(reciprocal_tail, eq.t0, horizons).status
+    status = details["reciprocal_tail_status"] = divergence_probe(reciprocal_tail, eq.t0).status
     outcome = probe_outcome(status, capped, "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive")
     if outcome is not None:
         return outcome
@@ -652,11 +655,11 @@ def check_t3_5(
             _Check(annulus, "q0/p0", ">", q_e, "q_eps", note),
             _Check(annulus, "r0", "<", r_e, "r_eps", note),
         )
-        witness = _scan(_rows(ts, ws, lambda w: N <= abs(w) <= eps), _eq_fields(eq, *_PQR), [points])
+        witness = _scan(_rows(ts, ws, lambda w: N <= abs(w) <= eps), _eq_fields(eq, *_PQR), [points], seen[annulus])
         if witness is not None:
             return falsified(witness)
         integrand = weighted_tail_integrand(b.P, q_e, r_e, eq.t0)
-        status = tail_status[repr(eps)] = divergence_probe(integrand, eq.t0, horizons).status
+        status = tail_status[repr(eps)] = divergence_probe(integrand, eq.t0).status
         if status != DIVERGING:
             details["double_tail_status"] = tail_status
             return probe_outcome(
@@ -681,6 +684,10 @@ def check_t3_5(
                 )
             )
     details["comparison_zero_counts"] = zero_counts
+    unsampled = [h for h, (lo, hi) in seen.items() if lo > hi]
+    if unsampled:
+        reason = f"no grid point sampled for '{unsampled[0]}'"
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=reason, heuristic_flags=flags, details=details)
 
     return Certificate(
         theorem,

@@ -209,9 +209,8 @@ def sweep(
     resolution: tuple[int, int],
     opts: IntegrationOptions = IntegrationOptions(),
     policy: ClassifyPolicy = ClassifyPolicy(),
-    t1: float | None = None,
 ) -> list[SweepCell]:
-    """Classify the trajectory for every initial pair on a raster.
+    """Classify the trajectory from ``eq.t0`` for every initial pair on a raster.
 
     A cell whose integration fails with a toolkit or arithmetic error is
     recorded as an ``Undetermined`` cell whose ``error`` names the exception
@@ -223,7 +222,6 @@ def sweep(
     n_phi, n_dphi = resolution
     if n_phi < 2 or n_dphi < 2:
         raise ValueError("sweep needs at least a 2x2 raster")
-    start = eq.t0 if t1 is None else t1
 
     cells_ic = [
         (
@@ -236,7 +234,7 @@ def sweep(
 
     def run(phi0: float, phi1: float) -> SweepCell:
         try:
-            traj = integrate(eq, InitialData(t1=start, phi0=phi0, phi1=phi1), opts)
+            traj = integrate(eq, InitialData(t1=eq.t0, phi0=phi0, phi1=phi1), opts)
         except (RcertError, ArithmeticError) as exc:
             return SweepCell(phi0, phi1, UNDETERMINED, 0, None, error=f"{type(exc).__name__}: {exc}")
         c = classify(traj, policy)

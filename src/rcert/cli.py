@@ -33,7 +33,6 @@ from .config import RunConfig, RunOptions, load_config
 from .dynamics import IntegrationOptions, Trajectory, export_trajectory_csv, integrate
 from .errors import ConfigError, RcertError
 from .fields import EquationSpec, InitialData, Rectangle
-from .quadrature import HorizonSpec
 from .serialize import write_json
 
 __all__ = ["run", "main"]
@@ -88,9 +87,9 @@ def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajec
 
 def _t4_2(cfg: RunConfig) -> Certificate:
     return apps.check_t4_2(
+        cfg.equation,
         cfg.params,
         eps0=cfg.options.eps0,
-        t0=cfg.equation.t0,
         region=cfg.region,
         grid=cfg.grid,
         osc_horizon=cfg.options.osc_horizon,
@@ -152,7 +151,6 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
                 eps0=cfg.options.eps0,
                 region=region,
                 grid=cfg.grid,
-                horizons=HorizonSpec(),
                 osc_horizon=cfg.options.osc_horizon,
                 osc_min_zeros=cfg.options.osc_min_zeros,
             )

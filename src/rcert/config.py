@@ -54,9 +54,11 @@ class RunOptions:
     quad_rel_tol: float = 1e-8
 
 
-# Options that must be positive, and the smallest value of integer options that have one.
-_POSITIVE_OPTIONS = ("rel_tol", "abs_tol")
-_MIN_INT_OPTIONS = {"seed": 0}
+# Options that must be positive, options that must not be negative, and the
+# smallest value of integer options that have one.
+_POSITIVE_OPTIONS = ("rel_tol", "abs_tol", "escape_threshold", "min_step", "quad_abs_tol", "quad_rel_tol")
+_NONNEGATIVE_OPTIONS = ("epsilon", "zero_tol")
+_MIN_INT_OPTIONS = {"seed": 0, "max_zeros": 1, "osc_min_zeros": 1}
 
 
 @dataclass(frozen=True)
@@ -296,9 +298,11 @@ def _options(doc, path: str) -> RunOptions:
         elif f.type == "int":
             values[f.name] = _int(doc, f.name, path, 0, _MIN_INT_OPTIONS.get(f.name))
         else:
-            values[f.name] = _number(doc, f.name, path)
-            if f.name in _POSITIVE_OPTIONS and not values[f.name] > 0.0:
+            value = values[f.name] = _number(doc, f.name, path)
+            if f.name in _POSITIVE_OPTIONS and not value > 0.0:
                 raise ConfigError(f"{path}.{f.name}", f"expected a positive number, got {doc[f.name]!r}")
+            if f.name in _NONNEGATIVE_OPTIONS and not value >= 0.0:
+                raise ConfigError(f"{path}.{f.name}", f"expected a nonnegative number, got {doc[f.name]!r}")
     return RunOptions(**values)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,8 +41,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "solve_scalar",
-    "refine_check",
-    "RefinementReport",
     "export_trajectory_csv",
     "flux_residual",
     "volterra_residual",
@@ -80,6 +78,8 @@ _SAFETY = 0.9
 _KI = 0.175
 _KP = 0.08
 _EPS = 2.220446049250313e-16
+#: The most steps one integration may take before it is abandoned as a runaway.
+_MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,10 @@ class IntegrationOptions:
     min_step: float = 1e-12
     max_zeros: int = 10000
     zero_tol: float = 1e-9
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-
-    def tightened(self, factor: float) -> "IntegrationOptions":
-        return replace(self, rel_tol=self.rel_tol / factor, abs_tol=self.abs_tol / factor)
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,8 @@ def _solve(
     steps = 0
     while True:
         steps += 1
-        if steps > opts.max_steps:
-            raise RcertError(f"step budget of {opts.max_steps} exceeded at t={t!r}")
+        if steps > _MAX_STEPS:
+            raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
         remaining = horizon - t
         if remaining <= floor:
             terminal = TerminalStatus(REACHED_HORIZON, horizon)
@@ -542,34 +538,6 @@ def solve_scalar(
         return rhs(t, y), 0.0
 
     return _solve(f, t0, y0, 0.0, 1, opts)
-
-
-@dataclass(frozen=True)
-class RefinementReport:
-    max_discrepancy: float
-    t_common_end: float
-    n_samples: int
-    tolerances: tuple[float, float]
-    terminals: tuple[str, str]
-
-
-def refine_check(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = IntegrationOptions()) -> RefinementReport:
-    """Integrate at the given tolerance and at a tenth of it; compare densely."""
-    coarse = integrate(eq, ic, opts)
-    fine = integrate(eq, ic, opts.tightened(10.0))
-    t_end = min(coarse.t_end, fine.t_end)
-    n = 201
-    worst = 0.0
-    for i in range(n):
-        t = ic.t1 + (t_end - ic.t1) * i / (n - 1)
-        worst = max(worst, abs(coarse.phi_at(t) - fine.phi_at(t)))
-    return RefinementReport(
-        max_discrepancy=worst,
-        t_common_end=t_end,
-        n_samples=n,
-        tolerances=(opts.rel_tol, opts.rel_tol / 10.0),
-        terminals=(coarse.terminal.kind, fine.terminal.kind),
-    )
 
 
 def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:

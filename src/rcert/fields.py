@@ -36,10 +36,7 @@ __all__ = [
     "GridSpec",
     "TagCheck",
     "TagReport",
-    "LipschitzEstimate",
     "verify_structural_tags",
-    "lipschitz_estimate",
-    "uniqueness_interval",
     "system_rhs",
 ]
 
@@ -354,61 +351,6 @@ def _tag_violation(tag: str, t: float, ws, values) -> TagCheck | None:
     return TagCheck(tag, False, (t, ws[j]), f"value {values[j]!r} violates '{tag}'")
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Grid estimate of the Lipschitz constant of a field in its w argument."""
-
-    value: float
-    unbounded: bool
-    witness: tuple[float, float] | None = None
-    history: tuple[float, ...] = ()
-
-
-#: Grid refinements of the Lipschitz estimate, and the growth per refinement
-#: that flags it unbounded.
-_LIPSCHITZ_REFINEMENTS = 3
-_LIPSCHITZ_GROWTH = 1.25
-
-
-def lipschitz_estimate(fld: ScalarField, region: Rectangle, grid: GridSpec = GridSpec()) -> LipschitzEstimate:
-    """Estimate ``sup |d(field)/dw|`` over a rectangle by finite differences.
-
-    The grid is refined ``_LIPSCHITZ_REFINEMENTS`` times; when the estimate keeps growing
-    by ``_LIPSCHITZ_GROWTH`` or more across the last two refinements it is flagged
-    unbounded (a |w|**a singularity grows the estimate by 2**(1-a) per
-    refinement, while estimates of genuinely Lipschitz fields level off).  A
-    non-finite sample inside the probe region is treated as an unbounded-slope
-    witness rather than an error, so that regions touching a singular set of
-    the field are reported as not Lipschitz instead of aborting the probe.
-    """
-    history: list[float] = []
-    g = grid
-    for _ in range(_LIPSCHITZ_REFINEMENTS + 1):
-        ts = g.t_axis(region.t_min, region.t_max)
-        ws = g.w_axis(region.w_min, region.w_max)
-        best = 0.0
-        witness = None
-        for t in ts:
-            prev = None
-            for j, w in enumerate(ws):
-                try:
-                    val = fld(t, w)
-                except FieldEvaluationError:
-                    return LipschitzEstimate(math.inf, True, (t, w), tuple(history))
-                if prev is not None:
-                    slope = abs(val - prev) / (w - ws[j - 1])
-                    if slope > best:
-                        best = slope
-                        witness = (t, w)
-                prev = val
-        history.append(best)
-        g = g.refined()
-
-    ratios = [b / a for a, b in zip(history, history[1:]) if a > 0.0]
-    unbounded = len(ratios) >= 2 and all(r >= _LIPSCHITZ_GROWTH for r in ratios[-2:])
-    return LipschitzEstimate(history[-1], unbounded, witness, tuple(history))
-
-
 def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float, float]]:
     """First-order right-hand side (f1, f2) of the equivalent system.
 
@@ -426,44 +368,3 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
 
     return f
 
-
-def uniqueness_interval(
-    eq: EquationSpec,
-    ic: InitialData,
-    delta: float,
-    M: float,
-    N: float,
-    grid: tuple[int, int, int] = (33, 33, 33),
-) -> float:
-    """Guaranteed length of the unique-solution interval from grid maximization.
-
-    Returns ``t2 = min(delta, sqrt(M^2 + N^2) / M0)`` where ``M0`` is the grid
-    maximum of ``sqrt(f1^2 + f2^2)`` over the box |t - t1| <= delta,
-    |u - phi0| <= M, |v - phi1| <= N (clipped at t0).  Grid maximization
-    under-estimates the true supremum, so the returned t2 is an upper estimate
-    of the certified interval; refine the grid to tighten it.
-    """
-    if delta <= 0 or M < 0 or N < 0:
-        raise DomainError("uniqueness_interval needs delta > 0 and M, N >= 0")
-    nt, nu, nv = grid
-    ts = _linspace(max(eq.t0, ic.t1 - delta), ic.t1 + delta, max(2, nt))
-    us = _linspace(ic.phi0 - M, ic.phi0 + M, max(1, nu))
-    vs = _linspace(ic.phi1 - N, ic.phi1 + N, max(1, nv))
-
-    m0_sq = 0.0
-    for t in ts:
-        for u in us:
-            p = eq.p0(t, u)
-            if p <= 0.0:
-                raise DomainError(f"region touches a zero of p0 at (t={t!r}, w={u!r})")
-            # |f2| is unchanged by the sign convention used for r0 * u.
-            base = eq.r0(t, u) * u
-            ratio = eq.q0(t, u) / p
-            for v in vs:
-                f1 = v / p
-                f2 = base + ratio * v
-                m0_sq = max(m0_sq, f1 * f1 + f2 * f2)
-    m0 = math.sqrt(m0_sq)
-    if m0 == 0.0:
-        return delta
-    return min(delta, math.hypot(M, N) / m0)

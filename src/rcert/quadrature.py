@@ -70,7 +70,6 @@ __all__ = [
     "GBound",
     "eval_F",
     "eval_G",
-    "HorizonSpec",
     "DivergenceVerdict",
     "divergence_probe",
     "weighted_tail_integrand",
@@ -558,23 +557,6 @@ INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
-class HorizonSpec:
-    """Geometric horizon sequence T_k = start * factor**k for the tail probe."""
-
-    factor: float = 2.0
-    count: int = 20
-    start: float | None = None
-
-    def horizons(self, t0: float) -> list[float]:
-        start = self.start if self.start is not None else (t0 if t0 > 0 else 1.0)
-        if start < t0:
-            raise DomainError("horizon start must not precede t0")
-        if self.factor <= 1.0 or self.count < 2:
-            raise DomainError("horizon spec needs factor > 1 and count >= 2")
-        return [start * self.factor ** k for k in range(self.count + 1)]
-
-
-@dataclass(frozen=True)
 class DivergenceVerdict:
     """Heuristic verdict on an improper integral; never a proof.
 
@@ -588,20 +570,23 @@ class DivergenceVerdict:
     heuristic: bool = True
 
 
-#: The divergence probe looks at its last ``_TAIL_WINDOW`` increments, each
-#: integrated to ``_PROBE_REL_TOL``.  Their geometric-mean ratio votes
-#: Converging at or below ``_CONV_RATIO`` (one half, with room for quadrature
-#: error) and Diverging at or above ``_DIV_RATIO``.
+#: The divergence probe integrates over the horizons T_k = start * _HORIZON_FACTOR**k,
+#: k = 0 .. _HORIZON_COUNT, from start = t0 (1 when t0 <= 0).  It looks at its
+#: last ``_TAIL_WINDOW`` increments, each integrated to ``_PROBE_REL_TOL``.
+#: Their geometric-mean ratio votes Converging at or below ``_CONV_RATIO`` (one
+#: half, with room for quadrature error) and Diverging at or above ``_DIV_RATIO``.
+_HORIZON_FACTOR = 2.0
+_HORIZON_COUNT = 20
 _CONV_RATIO = 0.5 * (1.0 + 1e-5)
 _DIV_RATIO = 0.9
 _TAIL_WINDOW = 8
 _PROBE_REL_TOL = 3e-8
 
 
-def divergence_probe(integrand: TimeFunction, t0: float, horizons: HorizonSpec = HorizonSpec()) -> DivergenceVerdict:
+def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     """Classify tail growth of a nonnegative integrand over geometric horizons.
 
-    Increments over [T, factor*T] that decay geometrically with ratio at most
+    Increments over [T, 2T] that decay geometrically with ratio at most
     one half vote Converging; increments bounded away from geometric decay
     (ratio >= ``_DIV_RATIO``) vote Diverging; anything else is Inconclusive.
     The verdict is a numerical heuristic: no finite computation decides
@@ -614,7 +599,8 @@ def divergence_probe(integrand: TimeFunction, t0: float, horizons: HorizonSpec =
             raise NegativeIntegrandError(f"integrand({tau!r}) = {v!r} < 0")
         return v
 
-    ts = horizons.horizons(t0)
+    start = t0 if t0 > 0 else 1.0
+    ts = [start * _HORIZON_FACTOR ** k for k in range(_HORIZON_COUNT + 1)]
     partial = adaptive_quad(checked, t0, ts[0], 1e-300, _PROBE_REL_TOL) if ts[0] > t0 else 0.0
     increments: list[float] = []
     pairs: list[tuple[float, float]] = []

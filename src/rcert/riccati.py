@@ -12,7 +12,7 @@ linearly with the integrator tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .dynamics import FINITE_ESCAPE, IntegrationOptions, Trajectory, solve_scalar
@@ -29,8 +29,6 @@ __all__ = [
     "difference_residual",
     "comparison_riccati_exists",
     "ComparisonResult",
-    "path_min_ratio",
-    "ratio_dominance_margin",
 ]
 
 
@@ -205,12 +203,11 @@ def comparison_riccati_exists(
     b: BoundTriple,
     y_init: float,
     span: tuple[float, float],
-    opts: IntegrationOptions | None = None,
 ) -> ComparisonResult:
     """Integrate the scalar comparison equation y' = -y^2/P - (Q/P) y - R.
 
     Reports whether the solution stays finite on the span; the failure mode
-    is downward blow-up in finite time.  The default escape threshold is
+    is downward blow-up in finite time.  The escape threshold, 1e6, is
     lower than the trajectory default because the comparison variable blows
     down at a known hyperbolic rate, which drives the step size to its floor
     while |y| is still moderate.
@@ -228,30 +225,8 @@ def comparison_riccati_exists(
             raise DomainError(f"P({t!r}) = {p!r} <= 0")
         return -y * y / p - Q(t) / p * y - R(t)
 
-    if opts is None:
-        opts = IntegrationOptions(horizon=t2, escape_threshold=1e6)
-    elif opts.horizon != t2:
-        opts = replace(opts, horizon=t2)
-    raw = solve_scalar(rhs, t1, y_init, opts)
+    raw = solve_scalar(rhs, t1, y_init, IntegrationOptions(horizon=t2, escape_threshold=1e6))
     if raw.terminal.kind == FINITE_ESCAPE:
         return ComparisonResult(False, escape_time=raw.terminal.time, terminal_kind=raw.terminal.kind)
     return ComparisonResult(raw.terminal.kind == "reached_horizon", terminal_kind=raw.terminal.kind)
 
-
-def path_min_ratio(path: RiccatiPath) -> float:
-    """Minimum of y over the path mesh.
-
-    Used as a trajectory assertion: with a nonnegative starting ratio and
-    r0 <= 0 sampled along the path, the ratio must stay above -tol.
-    """
-    return min(path.y(t) for t in path.mesh)
-
-
-def ratio_dominance_margin(path0: RiccatiPath, path1: RiccatiPath) -> float:
-    """Minimum of y1 - y0 over the common mesh (comparison-order margin)."""
-    a = max(path0.a, path1.a)
-    b = min(path0.b, path1.b)
-    if not a < b:
-        raise DomainError("paths do not share a segment")
-    mesh = [a + (b - a) * k / 128 for k in range(129)]
-    return min(path1.y(t) - path0.y(t) for t in mesh)

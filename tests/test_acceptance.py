@@ -237,7 +237,7 @@ def test_criterion_09_van_der_pol():
     eq = vdp_equation(v, t0=0.0)
     existence = check_t3_6(eq, region=Rectangle(0.0, 20.0, -8.0, 8.0), grid=GridSpec(65, 65))
     assert existence.status == VERIFIED
-    aggregate = check_t4_2(v, eps0=1.0)
+    aggregate = check_t4_2(eq, v, eps0=1.0)
     assert aggregate.status == VERIFIED
     assert aggregate.heuristic_flags  # heuristic components are flagged
 

@@ -214,7 +214,7 @@ class TestVdP:
 class TestAggregateCertificate:
     def test_unit_coefficients_verified(self):
         v = VdPParams(lam=lambda t: 1.0, mu=lambda t: 1.0, nu=lambda t: 1.0)
-        cert = check_t4_2(v, eps0=1.0)
+        cert = check_t4_2(vdp_equation(v), v, eps0=1.0)
         assert cert.status == VERIFIED
         assert cert.conclusion == "GLOBAL_AND_OSCILLATORY"
         assert cert.heuristic_flags
@@ -228,7 +228,7 @@ class TestAggregateCertificate:
 
     def test_zero_restoring_splits_parts(self):
         v = VdPParams(lam=lambda t: 1.0, mu=lambda t: 1.0, nu=lambda t: 0.0)
-        cert = check_t4_2(v, eps0=1.0)
+        cert = check_t4_2(vdp_equation(v), v, eps0=1.0)
         assert cert.status == FALSIFIED
         existence, oscillation = cert.parts
         assert existence.status == VERIFIED

@@ -93,6 +93,19 @@ class TestMonotoneEnvelope:
         assert cert.status == INCONCLUSIVE
         assert "range" in cert.reason
 
+    @pytest.mark.parametrize(
+        "region, epsilon",
+        [(INF_REGION, -1.0), (Rectangle(1.0, 50.0, 2.0, 3.0), None)],
+        ids=["negative_epsilon", "region_above_the_envelope"],
+    )
+    def test_empty_band_is_inconclusive(self, ef_case, region, epsilon):
+        # the envelope stays below 0.83: both leave no grid point in the band |w| <= F(t) + epsilon
+        p, eq, b = ef_case
+        cert = check_t3_1(eq, InitialData(1.0, 0.5, 0.0), b, region=region, grid=GridSpec(33, 33), epsilon=epsilon)
+        assert cert.status == INCONCLUSIVE
+        assert cert.reason.startswith("no grid point sampled")
+        assert "w_sampled" not in cert.region
+
     def test_envelope_enforced_on_trajectory(self, ef_case):
         p, eq, b = ef_case
         ic = InitialData(1.0, 0.5, 0.0)
@@ -255,6 +268,22 @@ class TestOscillationBand:
         assert cert.status == FALSIFIED
         assert "double tail" in cert.witness.hypothesis
         assert "converged" in cert.witness.detail
+
+    @pytest.mark.parametrize(
+        "w_range, band",
+        [
+            ((-0.5, 0.5), "band ordering vs family on N <= |w| <= eps with diverging double tail"),
+            ((2.0, 8.0), "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail"),
+        ],
+        ids=["annulus", "capped_band"],
+    )
+    def test_empty_band_is_inconclusive(self, vdp_setup, w_range, band):
+        # with N = 1, |w| <= 0.5 misses the annulus N <= |w| <= eps and 2 <= w <= 8 misses |w| <= N
+        v, eq = vdp_setup
+        region = Rectangle(0.0, 10.0, *w_range)
+        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, region=region, grid=GridSpec(9, 9))
+        assert cert.status == INCONCLUSIVE
+        assert cert.reason == f"no grid point sampled for '{band}'"
 
 
 class TestEvenMonotoneStructure:

@@ -5,6 +5,7 @@ import pytest
 
 import rcert.cli
 from rcert.cli import main
+from rcert.config import load_config
 from rcert.serialize import validate_certificate_dict
 
 EF_CONFIG = {
@@ -97,6 +98,19 @@ class TestCertifyCommand:
         assert cert["theorem"] == "T4_2"
         assert [p["status"] for p in cert["parts"]] == ["Verified", "Verified"]
         validate_certificate_dict(cert)
+
+
+    def test_t4_2_builds_the_equation_once(self, tmp_path, monkeypatch):
+        # the config builds the Van der Pol equation; certify t4_2 must not build it again
+        cfg = load_config(write_config(tmp_path, VDP_CONFIG), "certify", "t4_2")
+
+        def second_build(*args, **kwargs):
+            raise AssertionError("vdp_equation called after the config was loaded")
+
+        monkeypatch.setattr("rcert.applications.vdp_equation", second_build)
+        code, report = rcert.cli.run(cfg, tmp_path / "out", echo=lambda line: None)
+        assert code == 0
+        assert report["certificates"][0]["status"] == "Verified"
 
 
 class TestClassifyAndIntegrate:

@@ -158,6 +158,21 @@ CASES = [
     ("ic_box_reversed", ["vdp"], VDP, {"options.ic_box": [[1.0, -1.0], [0.0, 0.0]]}, "options.ic_box[0]: expected lower <= upper, got [1.0, -1.0]"),
     ("horizon_huge_integer", ["classify"], EF, {"options": {"horizon": 10**400}}, f"options.horizon: expected a finite number, got {10**400}"),
     ("custom_without_bounds", ["certify", "t3_4"], CUSTOM, {"bounds": DROP}, "bounds: required for custom equations"),
+    # Options without a range: each was accepted, and some gave a Verified certificate that checked nothing.
+    ("epsilon_negative", ["certify", "t3_1"], EF, {"options": {"epsilon": -1.0}}, "options.epsilon: expected a nonnegative number, got -1.0"),
+    ("escape_threshold_zero", ["classify"], EF, {"options": {"escape_threshold": 0}}, "options.escape_threshold: expected a positive number, got 0"),
+    ("min_step_negative", ["classify"], EF, {"options": {"min_step": -1e-12}}, "options.min_step: expected a positive number, got -1e-12"),
+    ("zero_tol_negative", ["classify"], EF, {"options": {"zero_tol": -1e-9}}, "options.zero_tol: expected a nonnegative number, got -1e-09"),
+    ("max_zeros_zero", ["classify"], EF, {"options": {"max_zeros": 0}}, "options.max_zeros: expected an integer >= 1, got 0"),
+    ("quad_abs_tol_negative", ["certify", "t3_1"], EF, {"options": {"quad_abs_tol": -1.0}}, "options.quad_abs_tol: expected a positive number, got -1.0"),
+    ("quad_rel_tol_zero", ["certify", "t3_1"], EF, {"options": {"quad_rel_tol": 0.0}}, "options.quad_rel_tol: expected a positive number, got 0.0"),
+    (
+        "osc_min_zeros_zero",
+        ["certify", "t3_5"],
+        VDP,
+        {"options": {"osc_min_zeros": 0, "osc_horizon": 0.5}},
+        "options.osc_min_zeros: expected an integer >= 1, got 0",
+    ),
 ]
 
 

@@ -14,10 +14,8 @@ from rcert import (
     export_trajectory_csv,
     flux_residual,
     integrate,
-    refine_check,
     volterra_residual,
 )
-from rcert.applications import EFParams, ef_equation, kneser_solution
 from conftest import make_eq, rk4_system
 
 
@@ -122,28 +120,6 @@ class TestZeroBookkeeping:
         assert len(traj.zeros) == 2
         for z, e in zip(traj.zeros, expected):
             assert abs(z - e) <= 1e-6
-
-
-class TestRefineCheck:
-    def test_harmonic_contracts_per_decade(self, harmonic_eq):
-        ic = InitialData(0.0, 1.0, 0.0)
-        coarse = refine_check(harmonic_eq, ic, IntegrationOptions(rel_tol=1e-5, abs_tol=1e-8, horizon=10.0))
-        fine = refine_check(harmonic_eq, ic, IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=10.0))
-        assert fine.max_discrepancy <= coarse.max_discrepancy / 5.0
-
-    def test_constant_discrepancy_zero(self, constant_eq):
-        report = refine_check(constant_eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=10.0))
-        assert report.max_discrepancy <= 1e-13
-
-    def test_kneser_case_within_tolerance_scale(self):
-        p = EFParams(rho=0.0, sigma=-6.0, n=3.0)
-        eq = ef_equation(p, t0=1.0)
-        phi_B, dphi_B = kneser_solution(p)
-        ic = InitialData(1.0, phi_B(1.0), dphi_B(1.0))
-        opts = IntegrationOptions(rel_tol=1e-8, abs_tol=1e-11, horizon=10.0)
-        report = refine_check(eq, ic, opts)
-        scale = phi_B(10.0)
-        assert report.max_discrepancy <= 10.0 * opts.rel_tol * scale
 
 
 class TestIntegralIdentities:

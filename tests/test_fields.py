@@ -1,8 +1,4 @@
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rcert import (
     ConfigError,
@@ -14,9 +10,7 @@ from rcert import (
     Rectangle,
     ScalarField,
     equation_from_json,
-    lipschitz_estimate,
     system_rhs,
-    uniqueness_interval,
     verify_structural_tags,
 )
 from conftest import const_field, make_eq
@@ -88,95 +82,6 @@ class TestVerifyStructuralTags:
         assert report.checks == ()
         assert report.all_hold
         assert calls == []
-
-
-class TestLipschitzEstimate:
-    def test_identity_slope(self):
-        f = ScalarField(lambda t, w: w)
-        est = lipschitz_estimate(f, Rectangle(0.0, 1.0, -1.0, 1.0))
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert not est.unbounded
-
-    def test_linear_in_w_exact(self):
-        f = ScalarField(lambda t, w: t ** 3 - w)
-        est = lipschitz_estimate(f, Rectangle(-1.0, 1.0, -5.0, 5.0))
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert not est.unbounded
-
-    def test_negative_power_small_region_finite(self):
-        # |u|^(-1) away from the origin: slope bounded by u^(-2) <= 4
-        f = ScalarField(lambda t, w: abs(w) ** -1.0)
-        est = lipschitz_estimate(f, Rectangle(0.0, 1.0, 0.5, 1.5))
-        assert not est.unbounded
-        assert est.value == pytest.approx(4.0, rel=0.05)
-
-    def test_negative_power_large_region_unbounded(self):
-        # the region contains the singular point u = 0
-        f = ScalarField(lambda t, w: abs(w) ** -1.0)
-        est = lipschitz_estimate(f, Rectangle(0.0, 1.0, -1.0, 3.0))
-        assert est.unbounded
-
-    def test_fractional_p_field_unbounded_near_zero(self):
-        # |u|^sigma with 0 < sigma < 1 has unbounded slope at the origin
-        f = ScalarField(lambda t, w: abs(w) ** 0.5)
-        est = lipschitz_estimate(f, Rectangle(0.0, 1.0, -1.0, 3.0))
-        assert est.unbounded
-
-
-class TestUniquenessInterval:
-    def test_zero_rhs_capped_at_delta(self):
-        eq = make_eq(p=1.0, q=0.0, r=0.0)
-        ic = InitialData(0.0, 1.0, 0.0)
-        # f1 = v, f2 = 0: M0 = 1 and sqrt(2)/1 > delta
-        assert uniqueness_interval(eq, ic, delta=1.0, M=1.0, N=1.0) == pytest.approx(1.0)
-
-    def test_power_law_corner_maximum(self):
-        # p = 1, q = 0, r = -|u|^2: M0 = sqrt(1 + 64) at the (u, v) = (2, 1) corner
-        eq = make_eq(r_fn=lambda t, w: -abs(w) ** 2)
-        ic = InitialData(0.0, 1.0, 0.0)
-        t2 = uniqueness_interval(eq, ic, delta=1.0, M=1.0, N=1.0)
-        assert t2 == pytest.approx(math.sqrt(2.0) / math.sqrt(65.0), abs=1e-12)
-        assert t2 == pytest.approx(0.17541160386140583, abs=1e-12)
-
-    def test_polynomial_fields_against_dense_oracle(self):
-        # brute-force dense sampling at 10x resolution as the oracle
-        eq = EquationSpec(
-            p0=ScalarField(lambda t, w: 1.0 + t * t + w ** 4, tags={"positive"}),
-            q0=ScalarField(lambda t, w: t + w ** 3),
-            r0=ScalarField(lambda t, w: t ** 3 - w),
-            t0=0.0,
-        )
-        ic = InitialData(0.0, 0.0, 0.0)
-        coarse = uniqueness_interval(eq, ic, delta=1.0, M=1.0, N=1.0, grid=(7, 7, 7))
-        fine = uniqueness_interval(eq, ic, delta=1.0, M=1.0, N=1.0, grid=(70, 70, 70))
-        assert abs(coarse - fine) <= 0.01 * fine
-
-    def test_region_growth_never_raises_t2(self):
-        eq = make_eq(r_fn=lambda t, w: -abs(w) ** 2)
-        ic = InitialData(0.0, 1.0, 0.0)
-        base = uniqueness_interval(eq, ic, delta=1.0, M=1.0, N=1.0)
-        for scale in (1.5, 2.0, 4.0):
-            larger = uniqueness_interval(eq, ic, delta=1.0, M=scale, N=scale)
-            # the delta cap is the only way the interval stays as large
-            assert larger <= max(base, 1.0) + 1e-12
-
-    def test_p0_zero_in_region_is_domain_error(self):
-        eq = make_eq(p_fn=lambda t, w: 1.0 - abs(w))
-        ic = InitialData(0.0, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            uniqueness_interval(eq, ic, delta=0.5, M=1.0, N=0.5)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    delta=st.floats(0.1, 2.0),
-    m=st.floats(0.1, 2.0),
-    n=st.floats(0.1, 2.0),
-)
-def test_uniqueness_interval_bounded_by_delta(delta, m, n):
-    eq = make_eq(r_fn=lambda t, w: -abs(w) ** 2)
-    t2 = uniqueness_interval(eq, InitialData(0.0, 1.0, 0.0), delta=delta, M=m, N=n, grid=(5, 5, 5))
-    assert 0.0 < t2 <= delta + 1e-15
 
 
 class TestEquationFromJson:

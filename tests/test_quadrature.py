@@ -10,7 +10,6 @@ from rcert import (
     DIVERGING,
     CumulativeIntegral,
     FBound,
-    HorizonSpec,
     NegativeIntegrandError,
     NonPositiveWeightError,
     QuadratureBudgetError,
@@ -300,7 +299,7 @@ class TestDivergenceProbe:
 
     def test_negative_sample_rejected(self):
         with pytest.raises(NegativeIntegrandError):
-            divergence_probe(lambda t: -1.0, 1.0, HorizonSpec(count=2))
+            divergence_probe(lambda t: -1.0, 1.0)
 
     def test_horizons_strictly_increasing(self):
         verdict = divergence_probe(lambda t: 1.0 / t, 1.0)
