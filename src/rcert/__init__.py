@@ -61,9 +61,7 @@ from .dynamics import (
     TerminalStatus,
     Trajectory,
     export_trajectory_csv,
-    flux_residual,
     integrate,
-    volterra_residual,
 )
 from .errors import (
     ConfigError,
@@ -107,8 +105,10 @@ from .riccati import (
     cauchy_residual,
     comparison_riccati_exists,
     difference_residual,
+    flux_residual,
     representation_residual,
     transform,
+    volterra_residual,
 )
 
 __version__ = "0.1.0"

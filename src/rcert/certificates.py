@@ -47,11 +47,13 @@ from .fields import (
     _scan,
 )
 from .quadrature import (
+    ABS_TOL,
     CONVERGING,
     DIVERGING,
     CumulativeIntegral,
     FBound,
     GBound,
+    REL_TOL,
     TimeFunction,
     divergence_probe,
     weighted_tail_integrand,
@@ -343,8 +345,8 @@ def check_t3_1(
     grid: GridSpec = GridSpec(),
     epsilon: float | None = None,
     *,
-    quad_abs_tol: float = 1e-10,
-    quad_rel_tol: float = 1e-8,
+    quad_abs_tol: float = ABS_TOL,
+    quad_rel_tol: float = REL_TOL,
 ) -> Certificate:
     """Monotone global-existence certificate with the F growth envelope.
 
@@ -377,8 +379,8 @@ def check_t3_2(
     grid: GridSpec = GridSpec(),
     epsilon: float | None = None,
     *,
-    quad_abs_tol: float = 1e-10,
-    quad_rel_tol: float = 1e-8,
+    quad_abs_tol: float = ABS_TOL,
+    quad_rel_tol: float = REL_TOL,
 ) -> Certificate:
     """Global-existence certificate driven by the G envelope.
 

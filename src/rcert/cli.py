@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from . import applications as apps
 from .certificates import (
     FALSIFIED,
     INCONCLUSIVE,
+    VERIFIED,
     Certificate,
     check_t3_1,
     check_t3_2,
@@ -29,21 +29,13 @@ from .certificates import (
     check_t3_6,
 )
 from .classify import ClassifyPolicy, classify, export_raster_csv, sweep
-from .config import RunConfig, RunOptions, load_config
-from .dynamics import IntegrationOptions, Trajectory, export_trajectory_csv, integrate
+from .config import RunConfig, load_config
+from .dynamics import Trajectory, export_trajectory_csv, integrate
 from .errors import ConfigError, RcertError
 from .fields import EquationSpec, InitialData, Rectangle
 from .serialize import write_json
 
 __all__ = ["run", "main"]
-
-
-#: The integration settings a run config carries, by name.
-_INTEGRATION_OPTIONS = [f.name for f in fields(IntegrationOptions) if f.name in {g.name for g in fields(RunOptions)}]
-
-
-def _int_opts(cfg: RunConfig) -> IntegrationOptions:
-    return IntegrationOptions(**{name: getattr(cfg.options, name) for name in _INTEGRATION_OPTIONS})
 
 
 def _horizon_region(cfg: RunConfig) -> Rectangle:
@@ -53,7 +45,8 @@ def _horizon_region(cfg: RunConfig) -> Rectangle:
 
 
 def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
-    """The T3_1 certificate, capped by the closed-form A/B bound for Emden-Fowler with rho > 1."""
+    """The T3_1 certificate and, for Emden-Fowler with rho > 1, the closed-form A/B bound,
+    which caps the certificate only when it is Verified."""
     ic = cfg.initial
     cert = check_t3_1(
         cfg.equation,
@@ -70,7 +63,8 @@ def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
     if isinstance(p, apps.EFParams) and p.rho > 1.0:
         c2 = ic.t1 ** p.rho * ic.phi1 / ic.phi0 if ic.phi0 != 0 else 0.0
         ab = apps.ef_bounds_A_B(p, ic.t1, ic.phi0, c2)
-        cert.uniform_bound = ab.A if ab.A is not None else ab.B
+        if cert.status == VERIFIED:
+            cert.uniform_bound = ab.A if ab.A is not None else ab.B
         cert.details["closed_form_case"] = ab.case
     return cert, ab
 
@@ -78,7 +72,7 @@ def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
 def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajectory]:
     """The T3_3 certificate against the Kneser majorant; with no region, its t span and 1.1x its sup."""
     eq = cfg.equation
-    majorant = apps.kneser_majorant(cfg.params, eq.t0, _int_opts(cfg))
+    majorant = apps.kneser_majorant(cfg.params, eq.t0, cfg.options)
     if region is None:
         w_cap = 1.1 * max(float(np.max(np.abs(majorant.phis))), abs(cfg.initial.phi0))
         region = Rectangle(eq.t0, majorant.t_end, -w_cap, w_cap)
@@ -165,7 +159,7 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
 def _ic_outcomes(cfg: RunConfig, eq: EquationSpec, ics: list[InitialData]) -> list[dict]:
     outcomes = []
     for ic in ics:
-        traj = integrate(eq, ic, _int_opts(cfg))
+        traj = integrate(eq, ic, cfg.options)
         c = classify(traj)
         outcomes.append(
             {
@@ -196,14 +190,14 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
         certificates, extra = _certify(cfg)
         report.update(extra)
     elif cfg.command == "integrate":
-        traj = integrate(cfg.equation, cfg.initial, _int_opts(cfg))
+        traj = integrate(cfg.equation, cfg.initial, cfg.options)
         export_trajectory_csv(traj, out / "trajectory.csv", out / "trajectory.meta.json")
         artifacts["trajectory_csv"] = "trajectory.csv"
         report["terminal"] = traj.terminal.to_dict()
         report["zero_count"] = len(traj.zeros)
         summaries.append(f"integrate: {traj.terminal.kind} at t={traj.terminal.time:.6g}, {len(traj.zeros)} zero(s)")
     elif cfg.command == "classify":
-        traj = integrate(cfg.equation, cfg.initial, _int_opts(cfg))
+        traj = integrate(cfg.equation, cfg.initial, cfg.options)
         c = classify(traj)
         report["classification"] = c.to_dict()
         summaries.append(f"classify: {c.kind} ({c.zero_count} zeros, terminal {c.terminal})")
@@ -212,7 +206,7 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
             cfg.equation,
             (cfg.sweep.phi, cfg.sweep.dphi),
             cfg.sweep.resolution,
-            _int_opts(cfg),
+            cfg.options,
             ClassifyPolicy(),
         )
         export_raster_csv(cells, out / "raster.csv")
@@ -276,7 +270,7 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
             f"conditional stability: delta={delta:.6g}, {sum(o.within_eps for o in outcomes)}/{len(outcomes)} within eps"
         )
 
-    traj = integrate(eq, ic, _int_opts(cfg))
+    traj = integrate(eq, ic, cfg.options)
     export_trajectory_csv(traj, out / "trajectory.csv", out / "trajectory.meta.json")
     artifacts["trajectory_csv"] = "trajectory.csv"
     c = classify(traj)

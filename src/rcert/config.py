@@ -18,8 +18,10 @@ from itertools import repeat
 from typing import Callable, Mapping
 
 from .applications import EFParams, VdPParams, ef_bound_triple, ef_equation, vdp_bound_triple, vdp_equation
+from .dynamics import IntegrationOptions
 from .errors import ConfigError
 from .fields import KNOWN_TAGS, BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _row_factor
+from .quadrature import ABS_TOL, REL_TOL
 
 __all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config", "equation_from_json", "time_function_from_json"]
 
@@ -33,15 +35,11 @@ _EQUATION_KINDS = ("custom", "emden_fowler", "van_der_pol")
 
 
 @dataclass(frozen=True)
-class RunOptions:
-    horizon: float = 50.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+class RunOptions(IntegrationOptions):
+    """The ``options`` section: the integration options, passed to ``integrate``
+    and ``sweep`` as they are, plus the options of single commands."""
+
     epsilon: float | None = None
-    escape_threshold: float = 1e8
-    min_step: float = 1e-12
-    zero_tol: float = 1e-9
-    max_zeros: int = 10000
     seed: int = 0
     eps0: float = 1.0
     osc_horizon: float = 50.0
@@ -50,8 +48,8 @@ class RunOptions:
     ic_box: tuple[tuple[float, float], tuple[float, float]] = ((-5.0, 5.0), (-5.0, 5.0))
     n_stability_ics: int = 5
     stability_eps: float = 1.0
-    quad_abs_tol: float = 1e-10
-    quad_rel_tol: float = 1e-8
+    quad_abs_tol: float = ABS_TOL
+    quad_rel_tol: float = REL_TOL
 
 
 # Options that must be positive, options that must not be negative, and the

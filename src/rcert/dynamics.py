@@ -19,6 +19,9 @@ norm |phi| + |psi| has passed ``escape_threshold`` and the step size has
 collapsed below ``min_step`` with the local error estimate still saturated.
 A pure threshold would misfire on large-but-global solutions; a pure collapse
 would misfire on singular coefficients.
+
+This module is the stepper and its dense output only; the residual oracles
+that check its trajectories live in :mod:`rcert.riccati`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from .errors import DomainError, FieldEvaluationError, RcertError
 from .fields import EquationSpec, InitialData, system_rhs
-from .quadrature import weighted_chain
 from .serialize import canonical_json, format_float
 
 __all__ = [
@@ -42,8 +44,6 @@ __all__ = [
     "integrate",
     "solve_scalar",
     "export_trajectory_csv",
-    "flux_residual",
-    "volterra_residual",
     "REACHED_HORIZON",
     "FINITE_ESCAPE",
     "STEP_COLLAPSE",
@@ -564,69 +564,3 @@ def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(side) + "\n")
 
-
-#: The most trajectory nodes a residual oracle checks between its end points.
-_MESH_CAP = 129
-
-
-def _mesh(traj: Trajectory, a: float, b: float) -> list[float]:
-    inside = [float(t) for t in traj.ts if a < t < b]
-    if len(inside) > _MESH_CAP:
-        stride = max(1, len(inside) // _MESH_CAP)
-        inside = inside[::stride]
-    return [a] + inside + [b]
-
-
-def _weighted_coefficients(traj: Trajectory) -> Callable[[float], tuple[float, float, float]]:
-    """(q0/p0, r0*phi, p0) along ``traj``: the K/W chain of the flux and Volterra identities."""
-    eq = traj.eq
-
-    def coefficients(s: float) -> tuple[float, float, float]:
-        phi = traj.phi_at(s)
-        p = eq.p0(s, phi)
-        return eq.q0(s, phi) / p, eq.r0(s, phi) * phi, p
-
-    return coefficients
-
-
-def flux_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
-    """Deviation of psi from its exponential-weighted integral representation.
-
-    Normalized by max(|psi|, 1) over the window; small values certify that the
-    computed momentum actually satisfies the first-order balance the equation
-    implies.
-    """
-    a = traj.t_start if a is None else a
-    b = traj.t_end if b is None else b
-    chain = weighted_chain(_weighted_coefficients(traj), a)
-    psi_a = traj.psi_at(a)
-
-    worst = 0.0
-    scale = 1.0
-    for t in _mesh(traj, a, b):
-        K, W = chain(t)
-        expk = math.exp(-K)
-        rhs = psi_a * expk - expk * W
-        psi = traj.psi_at(t)
-        scale = max(scale, abs(psi))
-        worst = max(worst, abs(psi - rhs))
-    return worst / scale
-
-
-def volterra_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
-    """Deviation of phi from its double-integral representation, scaled by max |phi|."""
-    a = traj.t_start if a is None else a
-    b = traj.t_end if b is None else b
-    chain = weighted_chain(_weighted_coefficients(traj), a, lead=True)
-    phi_a = traj.phi_at(a)
-    psi_a = traj.psi_at(a)
-
-    worst = 0.0
-    scale = 1.0
-    for t in _mesh(traj, a, b):
-        _, _, T1, T2 = chain(t)
-        rhs = phi_a + psi_a * T1 - T2
-        phi = traj.phi_at(t)
-        scale = max(scale, abs(phi))
-        worst = max(worst, abs(phi - rhs))
-    return worst / scale

@@ -33,7 +33,7 @@ taken first.  The users:
   upper limit t, so the exponent is anchored at t as in the definition;
   ``weighted_tail_integrand`` evaluates its inner integral with ``i_minus``;
 * the residual oracles' K/W integrals (``weighted_chain``:
-  ``dynamics.flux_residual``, ``dynamics.volterra_residual``,
+  ``riccati.flux_residual``, ``riccati.volterra_residual``,
   ``riccati.cauchy_residual`` and ``riccati.difference_residual``);
 * :class:`CumulativeIntegral`, the one-level chain: the tail's window search,
   ``certificates``' reciprocal-weight tail and

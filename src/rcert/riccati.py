@@ -1,4 +1,4 @@
-"""Logarithmic-derivative transform and its integral-identity oracles.
+"""Logarithmic-derivative transform and the integral-identity oracles.
 
 Along a nonvanishing solution segment the ratio ``y = p0 * phi' / phi`` obeys
 a scalar quadratic (Riccati-type) equation, and the solution admits exact
@@ -7,6 +7,10 @@ computed trajectory satisfies those representations gives oracles that detect
 integration or bookkeeping errors without re-solving anything: the identities
 hold exactly for true solutions, so the normalized residuals must shrink
 linearly with the integrator tolerance.
+
+All five oracles live here and check the nodes of ``_mesh`` (the gap oracle
+takes 65 even points).  The momentum psi, the ratio y and the gap y1 - y0
+each solve x' = -k x - s, so their oracles share ``_transfer_residual``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,18 @@ __all__ = [
     "representation_residual",
     "cauchy_residual",
     "difference_residual",
+    "flux_residual",
+    "volterra_residual",
     "comparison_riccati_exists",
     "ComparisonResult",
 ]
+
+
+def _mesh(traj: Trajectory, a: float, b: float) -> list[float]:
+    """``a``, the nodes of ``traj`` strictly inside (a, b), and ``b``; from 258
+    inside nodes on, every (n // 129)-th of them."""
+    inside = [float(t) for t in traj.ts if a < t < b]
+    return [a] + inside[:: max(1, len(inside) // 129)] + [b]
 
 
 @dataclass(frozen=True)
@@ -43,11 +56,7 @@ class RiccatiPath:
 
     @property
     def mesh(self) -> list[float]:
-        inside = [float(t) for t in self.traj.ts if self.a < t < self.b]
-        if len(inside) > 160:
-            stride = max(1, len(inside) // 129)
-            inside = inside[::stride]
-        return [self.a] + inside + [self.b]
+        return _mesh(self.traj, self.a, self.b)
 
 
 def transform(traj: Trajectory, segment: tuple[float, float]) -> RiccatiPath:
@@ -95,8 +104,18 @@ def auto_segments(traj: Trajectory) -> list[tuple[float, float]]:
     return segments
 
 
-def _sup_abs(fn: Callable[[float], float], mesh: list[float]) -> float:
-    return max(abs(fn(t)) for t in mesh)
+def _transfer_residual(chain: Callable[[float], tuple[float, float]], x_a: float, x: Callable[[float], float], mesh: list[float]) -> float:
+    """max |x(t) - (x_a e^-K - e^-K W)| over ``mesh``, over max(1, max |x|): with
+    (K, W) = chain(t) from :func:`weighted_chain`, the model solves x' = -k x - s."""
+    worst = 0.0
+    scale = 1.0
+    for t in mesh:
+        K, W = chain(t)
+        expk = math.exp(-K)
+        xt = x(t)
+        scale = max(scale, abs(xt))
+        worst = max(worst, abs(xt - (x_a * expk - expk * W)))
+    return worst / scale
 
 
 def representation_residual(path: RiccatiPath) -> float:
@@ -109,12 +128,12 @@ def representation_residual(path: RiccatiPath) -> float:
 
     acc = CumulativeIntegral(integrand, path.a, abs_rate=1e-13, rel_tol=1e-11)
     phi_a = traj.phi_at(path.a)
-    mesh = path.mesh
     worst = 0.0
-    scale = max(abs(traj.phi_at(t)) for t in mesh)
-    for t in mesh:
-        recon = phi_a * math.exp(acc(t))
-        worst = max(worst, abs(traj.phi_at(t) - recon))
+    scale = 0.0
+    for t in path.mesh:
+        phi = traj.phi_at(t)
+        scale = max(scale, abs(phi))
+        worst = max(worst, abs(phi - phi_a * math.exp(acc(t))))
     return worst / max(scale, 1e-300)
 
 
@@ -131,17 +150,7 @@ def cauchy_residual(path: RiccatiPath) -> float:
         phi = traj.phi_at(s)
         return (path.y(s) + eq.q0(s, phi)) / eq.p0(s, phi), eq.r0(s, phi)
 
-    chain = weighted_chain(coefficients, path.a)
-    y_a = path.y(path.a)
-
-    mesh = path.mesh
-    worst = 0.0
-    for t in mesh:
-        K, W = chain(t)
-        expk = math.exp(-K)
-        rhs = y_a * expk - expk * W
-        worst = max(worst, abs(path.y(t) - rhs))
-    return worst / max(_sup_abs(path.y, mesh), 1.0)
+    return _transfer_residual(weighted_chain(coefficients, path.a), path.y(path.a), path.y, path.mesh)
 
 
 def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float:
@@ -176,20 +185,52 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
         bracket = (1.0 / p1v - 1.0 / p0v) * yv * yv + (q1v / p1v - q0v / p0v) * yv + eq1.r0(s, phi1) - eq0.r0(s, phi0)
         return kernel, bracket
 
-    chain = weighted_chain(coefficients, a)
-    gap_a = path1.y(a) - path0.y(a)
+    def gap(t: float) -> float:
+        return path1.y(t) - path0.y(t)
 
-    mesh = [a + (b - a) * k / 64 for k in range(65)]
+    return _transfer_residual(weighted_chain(coefficients, a), gap(a), gap, [a + (b - a) * k / 64 for k in range(65)])
+
+
+def _weighted_coefficients(traj: Trajectory) -> Callable[[float], tuple[float, float, float]]:
+    """(q0/p0, r0*phi, p0) along ``traj``: the K/W chain of the flux and Volterra identities."""
+    eq = traj.eq
+
+    def coefficients(s: float) -> tuple[float, float, float]:
+        phi = traj.phi_at(s)
+        p = eq.p0(s, phi)
+        return eq.q0(s, phi) / p, eq.r0(s, phi) * phi, p
+
+    return coefficients
+
+
+def flux_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
+    """Deviation of psi from its exponential-weighted integral representation.
+
+    Normalized by max(|psi|, 1) over the window; small values certify that the
+    computed momentum actually satisfies the first-order balance the equation
+    implies.
+    """
+    a = traj.t_start if a is None else a
+    b = traj.t_end if b is None else b
+    return _transfer_residual(weighted_chain(_weighted_coefficients(traj), a), traj.psi_at(a), traj.psi_at, _mesh(traj, a, b))
+
+
+def volterra_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
+    """Deviation of phi from its double-integral representation, scaled by max(|phi|, 1)."""
+    a = traj.t_start if a is None else a
+    b = traj.t_end if b is None else b
+    chain = weighted_chain(_weighted_coefficients(traj), a, lead=True)
+    phi_a = traj.phi_at(a)
+    psi_a = traj.psi_at(a)
+
     worst = 0.0
-    sup_gap = 0.0
-    for t in mesh:
-        K, W = chain(t)
-        expk = math.exp(-K)
-        rhs = gap_a * expk - expk * W
-        gap = path1.y(t) - path0.y(t)
-        sup_gap = max(sup_gap, abs(gap))
-        worst = max(worst, abs(gap - rhs))
-    return worst / max(sup_gap, 1.0)
+    scale = 1.0
+    for t in _mesh(traj, a, b):
+        _, _, T1, T2 = chain(t)
+        phi = traj.phi_at(t)
+        scale = max(scale, abs(phi))
+        worst = max(worst, abs(phi - (phi_a + psi_a * T1 - T2)))
+    return worst / scale
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,22 @@ class TestCertifyCommand:
         validate_certificate_dict(cert)
         assert "T3_1: Verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["certify", "t3_1"], ["emden"]], ids=["certify", "emden"])
+    def test_unverified_t3_1_has_no_closed_form_cap(self, tmp_path, capsys, command):
+        # The band |w| <= F + eps misses w in [2, 3], so T3_1 is Inconclusive and the A/B cap bounds nothing.
+        doc = json.loads(json.dumps(EF_CONFIG))
+        doc["region"]["w"] = [2.0, 3.0]
+        code = run_cli(command + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert code == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        cert = report["certificates"][0]
+        assert (cert["theorem"], cert["status"]) == ("T3_1", "Inconclusive")
+        assert cert["uniform_bound"] is None
+        assert cert["details"]["closed_form_case"] == "A<1"
+        assert "bound=" not in capsys.readouterr().out
+        if command == ["emden"]:
+            assert report["closed_form_bounds"]["case"] == "A<1"
+
     def test_falsified_exits_2_with_witness(self, tmp_path):
         cfg = write_config(tmp_path, NEGATIVE_R_CONFIG)
         code = run_cli(["certify", "t3_6", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 """The import layering of the package, read from the source with ``ast``.
 
-``fields`` is the bottom layer and imports only ``errors``; ``config`` reads
+``fields`` is the bottom layer and imports only ``errors``; ``dynamics``
+adds only ``serialize`` for its CSV export; ``config`` reads
 the schema and only the front ends (``cli`` and the package ``__init__``)
 import it; and every package import sits at the top of its module, so the
 layering is visible there.
@@ -45,6 +46,11 @@ def test_the_scan_finds_the_imports():
 
 def test_fields_imports_only_errors():
     assert {name for name, _ in package_imports(SRC / "fields.py")} == {"errors"}
+
+
+def test_dynamics_is_only_the_stepper():
+    # the residual oracles live in riccati, so the stepper needs no quadrature
+    assert {name for name, _ in package_imports(SRC / "dynamics.py")} == {"errors", "fields", "serialize"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

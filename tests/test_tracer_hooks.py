@@ -3,16 +3,20 @@
 ``perfbench/tracing.py`` patches ``adaptive_quad`` in every module that binds
 it, ``CumulativeIntegral.__call__`` and the ``__init__``/``__call__``/
 ``exponent`` methods of ``FBound`` and ``GBound``, each looked up in the
-class's own ``__dict__``.  A change that removes one of them breaks the traced
-benchmark runs; this test makes it break tier-1 too.
+class's own ``__dict__``, and counts every call of a residual oracle.  A
+change that removes one of them, or moves an oracle out of the layers the
+tracer wraps, breaks the traced benchmark runs; these tests make it break
+tier-1 too.
 """
 
 import math
 from pathlib import Path
 
+import rcert
 import rcert.cli  # noqa: F401  (the tracer wraps every layer; the benchmark imports the CLI too)
 import rcert.quadrature as quadrature
-from rcert import BoundTriple
+from rcert import BoundTriple, InitialData, IntegrationOptions
+from conftest import make_eq
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +48,25 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
     assert tracer.group_time["envelope"] > 0.0
     restored = (quadrature.adaptive_quad, quadrature.CumulativeIntegral.__dict__["__call__"], quadrature.FBound.__dict__["exponent"])
     assert restored == originals
+
+
+def test_tracer_counts_the_trajectory_oracles(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    traj = rcert.integrate(make_eq(r=1.0), InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=1.0))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        # Looked up on the package at call time, as the benchmark does, so the tracer's wrappers run.
+        residuals = [
+            rcert.flux_residual(traj),
+            rcert.volterra_residual(traj),
+            rcert.cauchy_residual(rcert.transform(traj, (0.0, 1.0))),
+        ]
+    finally:
+        tracer.uninstall()
+
+    assert max(residuals) <= 1e-8
+    assert tracer.counts["riccati.residual_calls"] == 3
+    assert tracer.counts["dynamics.dense_evals"] > 0
