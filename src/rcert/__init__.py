@@ -46,7 +46,6 @@ from .certificates import (
 )
 from .classify import (
     Classification,
-    ClassifyPolicy,
     SweepCell,
     classify,
     export_raster_csv,

@@ -149,8 +149,9 @@ class Certificate:
 def _region_record(ts, w_lo, w_hi, nw: int, sampled: tuple[float, float] | None) -> dict:
     # ``nt`` and ``nw`` are the axis sizes as sampled (an axis with equal bounds
     # has one point); envelope checks, whose w axis changes per row, pass the
-    # grid's nw.  They also pass +-inf caps; the JSON record then carries only
-    # the w-range that was actually sampled.
+    # most w points a scanned row held, 0 when nothing was sampled.  They also
+    # pass +-inf caps; the JSON record then carries only the w-range that was
+    # actually sampled.
     finite_w = w_lo is not None and math.isfinite(w_lo) and math.isfinite(w_hi)
     rec = {
         "t": [ts[0], ts[-1]],
@@ -294,7 +295,7 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     ts = grid.t_axis(ic.t1, region.t_max)
     pre = _ratio_precondition(ic)
     if pre is not None:
-        rec = _region_record(ts, None, None, grid.nw, None)
+        rec = _region_record(ts, None, None, 0, None)
         return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=f"precondition: {pre}")
     eps = 1e-3 * abs(ic.phi0) if epsilon is None else epsilon
     c1 = ic.phi0
@@ -303,18 +304,23 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     try:
         bound_vals = [envelope(t) for t in ts]
     except RangeOverflowError as exc:
-        rec = _region_record(ts, None, None, grid.nw, None)
+        rec = _region_record(ts, None, None, 0, None)
         return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=f"range: {exc}")
 
+    nw = 0
+
     def rows():
+        nonlocal nw
         for t, v in zip(ts, bound_vals):
             w_lo, w_hi = max(region.w_min, -(v + eps)), min(region.w_max, v + eps)
-            yield t, grid.w_axis(w_lo, w_hi) if w_lo <= w_hi else []
+            ws = grid.w_axis(w_lo, w_hi) if w_lo <= w_hi else []
+            nw = max(nw, len(ws))
+            yield t, ws
 
     seen = [math.inf, -math.inf]
     outcome = _scan(rows(), fields, stages, seen)
     sampled = tuple(seen) if seen[0] <= seen[1] else None
-    rec = _region_record(ts, region.w_min, region.w_max, grid.nw, sampled)
+    rec = _region_record(ts, region.w_min, region.w_max, nw, sampled)
     if outcome is None and sampled is None:
         outcome = "no grid point sampled: the band |w| <= envelope + epsilon is empty on the region"
     if isinstance(outcome, str):

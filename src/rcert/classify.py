@@ -32,7 +32,6 @@ __all__ = [
     "SINGULAR_FIRST_KIND_CANDIDATE",
     "GLOBAL_NON_OSCILLATORY",
     "UNDETERMINED",
-    "ClassifyPolicy",
     "Classification",
     "classify",
     "sweep",
@@ -47,28 +46,20 @@ SINGULAR_FIRST_KIND_CANDIDATE = "SingularOscillatoryFirstKindCandidate"
 GLOBAL_NON_OSCILLATORY = "GlobalNonOscillatory"
 UNDETERMINED = "Undetermined"
 
-
-@dataclass(frozen=True)
-class ClassifyPolicy:
-    """Thresholds mapping finite evidence to the taxonomy labels.
-
-    ``gap_ratio``/``gap_count`` define the geometric zero-gap accumulation
-    taken as the finite surrogate of infinitely many sign changes before an
-    escape time.  The dead band is ``dead_band_factor * zero_tol`` sustained
-    over the final ``dead_band_span`` fraction of the horizon.
-    """
-
-    min_zeros: int = 5
-    window: float = 0.25
-    gap_ratio: float = 0.9
-    gap_count: int = 4
-    monotone_tol: float = 1e-6
-    dead_band_factor: float = 10.0
-    dead_band_span: float = 0.05
-
-    def __post_init__(self):
-        if self.gap_count < 2:
-            raise ValueError("gap accumulation needs at least two gaps to compare")
+# Thresholds mapping finite evidence to the taxonomy labels.  The last
+# GAP_COUNT zero gaps contracting by at most GAP_RATIO each is the finite
+# surrogate of infinitely many sign changes before an escape time.  The dead
+# band is |phi|, |phi'| <= DEAD_BAND_FACTOR * zero_tol sustained over the final
+# DEAD_BAND_SPAN of the span; Oscillatory needs MIN_ZEROS zeros, the last one
+# in the final WINDOW of the span; a monotone |phi| may dip MONOTONE_TOL
+# relative.
+MIN_ZEROS = 5
+WINDOW = 0.25
+GAP_RATIO = 0.9
+GAP_COUNT = 4
+MONOTONE_TOL = 1e-6
+DEAD_BAND_FACTOR = 10.0
+DEAD_BAND_SPAN = 0.05
 
 
 @dataclass(frozen=True)
@@ -93,26 +84,26 @@ class Classification:
         }
 
 
-def _is_nondecreasing_abs(traj: Trajectory, tol: float) -> bool:
+def _is_nondecreasing_abs(traj: Trajectory) -> bool:
     prev = abs(float(traj.phis[0]))
     scale = max(1.0, float(max(abs(traj.phis.min()), abs(traj.phis.max()))))
     for v in traj.phis[1:]:
         cur = abs(float(v))
-        if cur < prev - tol * scale:
+        if cur < prev - MONOTONE_TOL * scale:
             return False
         prev = max(prev, cur)
     return True
 
 
-def _gap_ratios(zeros: list[float], count: int) -> tuple[float, ...]:
-    if len(zeros) < count + 1:
+def _gap_ratios(zeros: list[float]) -> tuple[float, ...]:
+    if len(zeros) < GAP_COUNT + 1:
         return ()
-    gaps = [b - a for a, b in zip(zeros, zeros[1:])][-count:]
+    gaps = [b - a for a, b in zip(zeros, zeros[1:])][-GAP_COUNT:]
     return tuple(g2 / g1 for g1, g2 in zip(gaps, gaps[1:]) if g1 > 0)
 
 
-def _dead_band_entry(traj: Trajectory, policy: ClassifyPolicy) -> float | None:
-    band = policy.dead_band_factor * traj.opts.zero_tol
+def _dead_band_entry(traj: Trajectory) -> float | None:
+    band = DEAD_BAND_FACTOR * traj.opts.zero_tol
     ts = traj.ts
     entry = None
     for t, phi, dphi in zip(ts, traj.phis, traj.dphis):
@@ -124,12 +115,12 @@ def _dead_band_entry(traj: Trajectory, policy: ClassifyPolicy) -> float | None:
     if entry is None:
         return None
     span = traj.t_end - traj.t_start
-    if span <= 0 or (traj.t_end - entry) < policy.dead_band_span * span:
+    if span <= 0 or (traj.t_end - entry) < DEAD_BAND_SPAN * span:
         return None
     return entry
 
 
-def classify(traj: Trajectory, policy: ClassifyPolicy = ClassifyPolicy()) -> Classification:
+def classify(traj: Trajectory) -> Classification:
     """Deterministically map a finished trajectory to a taxonomy label.
 
     Ambiguity (step collapse, tangential zeros, escape without zero-gap
@@ -137,7 +128,7 @@ def classify(traj: Trajectory, policy: ClassifyPolicy = ClassifyPolicy()) -> Cla
     """
     zeros = traj.zeros
     terminal = traj.terminal.kind
-    monotone = _is_nondecreasing_abs(traj, policy.monotone_tol)
+    monotone = _is_nondecreasing_abs(traj)
 
     if terminal == STEP_COLLAPSE or traj.tangential:
         return Classification(
@@ -149,13 +140,8 @@ def classify(traj: Trajectory, policy: ClassifyPolicy = ClassifyPolicy()) -> Cla
         )
 
     if terminal == FINITE_ESCAPE:
-        ratios = _gap_ratios(zeros, policy.gap_count)
-        accumulating = (
-            len(zeros) >= policy.gap_count + 1
-            and len(ratios) == policy.gap_count - 1
-            and all(r <= policy.gap_ratio for r in ratios)
-        )
-        if accumulating:
+        ratios = _gap_ratios(zeros)
+        if len(ratios) == GAP_COUNT - 1 and all(r <= GAP_RATIO for r in ratios):
             return Classification(
                 SINGULAR_SECOND_KIND,
                 len(zeros),
@@ -176,7 +162,7 @@ def classify(traj: Trajectory, policy: ClassifyPolicy = ClassifyPolicy()) -> Cla
         )
 
     # Reached the horizon.
-    entry = _dead_band_entry(traj, policy)
+    entry = _dead_band_entry(traj)
     if entry is not None:
         return Classification(
             SINGULAR_FIRST_KIND_CANDIDATE,
@@ -186,7 +172,7 @@ def classify(traj: Trajectory, policy: ClassifyPolicy = ClassifyPolicy()) -> Cla
             detail=f"phi and phi' inside the dead band from t={entry!r}; candidate only",
         )
     span = traj.t_end - traj.t_start
-    if len(zeros) >= policy.min_zeros and zeros and zeros[-1] >= traj.t_end - policy.window * span:
+    if len(zeros) >= MIN_ZEROS and zeros[-1] >= traj.t_end - WINDOW * span:
         return Classification(OSCILLATORY, len(zeros), terminal, monotone)
     if not zeros and monotone and float(max(abs(traj.phis.min()), abs(traj.phis.max()))) > traj.opts.zero_tol:
         return Classification(GLOBAL_MONOTONE_NONVANISHING, len(zeros), terminal, monotone)
@@ -208,7 +194,6 @@ def sweep(
     ic_rectangle: tuple[tuple[float, float], tuple[float, float]],
     resolution: tuple[int, int],
     opts: IntegrationOptions = IntegrationOptions(),
-    policy: ClassifyPolicy = ClassifyPolicy(),
 ) -> list[SweepCell]:
     """Classify the trajectory from ``eq.t0`` for every initial pair on a raster.
 
@@ -237,7 +222,7 @@ def sweep(
             traj = integrate(eq, InitialData(t1=eq.t0, phi0=phi0, phi1=phi1), opts)
         except (RcertError, ArithmeticError) as exc:
             return SweepCell(phi0, phi1, UNDETERMINED, 0, None, error=f"{type(exc).__name__}: {exc}")
-        c = classify(traj, policy)
+        c = classify(traj)
         return SweepCell(phi0, phi1, c.kind, c.zero_count, c.escape_time)
 
     return [run(phi0, phi1) for phi0, phi1 in cells_ic]

@@ -28,7 +28,7 @@ from .certificates import (
     check_t3_5,
     check_t3_6,
 )
-from .classify import ClassifyPolicy, classify, export_raster_csv, sweep
+from .classify import classify, export_raster_csv, sweep
 from .config import RunConfig, load_config
 from .dynamics import Trajectory, export_trajectory_csv, integrate
 from .errors import ConfigError, RcertError
@@ -202,13 +202,7 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
         report["classification"] = c.to_dict()
         summaries.append(f"classify: {c.kind} ({c.zero_count} zeros, terminal {c.terminal})")
     elif cfg.command == "sweep":
-        cells = sweep(
-            cfg.equation,
-            (cfg.sweep.phi, cfg.sweep.dphi),
-            cfg.sweep.resolution,
-            cfg.options,
-            ClassifyPolicy(),
-        )
+        cells = sweep(cfg.equation, (cfg.sweep.phi, cfg.sweep.dphi), cfg.sweep.resolution, cfg.options)
         export_raster_csv(cells, out / "raster.csv")
         artifacts["raster_csv"] = "raster.csv"
         hist: dict[str, int] = {}

@@ -401,6 +401,14 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     if fixed_w and region is not None and not (math.isfinite(region.w_min) and math.isfinite(region.w_max)):
         what = f"certify {theorem}" if command == "certify" else f"command {command!r}"
         raise ConfigError("config.region.w", f"a finite w range is required by {what} when a region is given")
+    scans_from_t1 = (command == "certify" and theorem in ("t3_1", "t3_2")) or (
+        command == "emden" and isinstance(params, EFParams) and params.rho > 1.0
+    )
+    if scans_from_t1 and region is not None and region.t_min != initial.t1:
+        what = f"certify {theorem}" if command == "certify" else "command 'emden' with rho > 1"
+        raise ConfigError(
+            "config.region.t", f"{what} scans its envelope from initial.t1 = {initial.t1!r}, so the lower bound must equal it, got {region.t_min!r}"
+        )
     if command == "emden" and not isinstance(params, EFParams):
         raise ConfigError("config.equation.kind", "command 'emden' needs an emden_fowler equation")
     if command == "vdp" and not isinstance(params, VdPParams):

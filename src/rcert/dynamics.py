@@ -20,8 +20,11 @@ collapsed below ``min_step`` with the local error estimate still saturated.
 A pure threshold would misfire on large-but-global solutions; a pure collapse
 would misfire on singular coefficients.
 
-This module is the stepper and its dense output only; the residual oracles
-that check its trajectories live in :mod:`rcert.riccati`.
+:func:`integrate` returns one :class:`Trajectory`: the nodes, the zeros, the
+terminal status and the dense output.  At t the dense output is the step that
+starts at the last node <= t, the last step at t_end, and the stored initial
+values at t_start.  The residual oracles that check trajectories live in
+:mod:`rcert.riccati`.
 """
 
 from __future__ import annotations
@@ -154,51 +157,59 @@ class _DenseSegment:
         return self.b1 + th * (self.b2 + th1 * (self.b3 + th * (self.b4 + th1 * self.b5)))
 
 
-class _StartNode:
-    """The first node of a solution: the dense output there is the stored initial value."""
+def _segment_at(ts: list[float], segments: list[_DenseSegment], t: float) -> _DenseSegment:
+    """The dense output that holds ``t``: both components via ``first``/``second``.
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: float, b: float):
-        self.a = a
-        self.b = b
-
-    def first(self, t: float) -> float:
-        return self.a
-
-    def second(self, t: float) -> float:
-        return self.b
+    ``segments[0]`` holds the start values and ``segments[i]`` the step from
+    ``ts[i - 1]`` to ``ts[i]``; the module docstring gives the rule.
+    """
+    if not (ts[0] <= t <= ts[-1]):
+        raise DomainError(f"t={t!r} outside the computed span [{ts[0]!r}, {ts[-1]!r}]")
+    if t == ts[0]:
+        return segments[0]
+    return segments[min(bisect_right(ts, t), len(ts) - 1)]
 
 
-class _RawSolution:
-    """Node values plus dense segments, shared by the system and scalar solvers.
+@dataclass
+class Trajectory:
+    """Dense numerical solution of the first-order system.
 
-    ``ys0``/``ys1`` are the two components at the nodes ``ts`` and ``fs0`` is
-    the derivative of component 0 there.  Segment ``i`` covers
-    ``[ts[i], ts[i + 1]]``.
+    ``ts``/``phis``/``psis`` are node values of the accepted mesh; ``dphis``
+    holds phi' at the nodes.  ``zeros`` are strictly sign-change-bracketed
+    zero crossings of phi.  Immutable by convention once returned.
     """
 
-    def __init__(self, ts, ys0, ys1, fs0, segments, terminal, zeros, tangential, zeros_truncated):
-        self.ts = ts
-        self.ys0 = ys0
-        self.ys1 = ys1
-        self.fs0 = fs0
-        self.segments = segments
-        self.terminal = terminal
-        self.zeros = zeros
-        self.tangential = tangential
-        self.zeros_truncated = zeros_truncated
-        self._start = _StartNode(ys0[0], ys1[0])
-        self._last = len(segments) - 1
+    eq: EquationSpec
+    ic: InitialData
+    opts: IntegrationOptions
+    ts: np.ndarray = field(repr=False)
+    phis: np.ndarray = field(repr=False)
+    psis: np.ndarray = field(repr=False)
+    dphis: np.ndarray = field(repr=False)
+    zeros: list[float]
+    terminal: TerminalStatus
+    tangential: bool
+    zeros_truncated: bool
+    _nodes: list[float] = field(repr=False)
+    _segments: list[_DenseSegment] = field(repr=False)
 
-    def segment_at(self, t: float) -> _DenseSegment | _StartNode:
-        """The dense output that holds ``t``: both components via ``first``/``second``."""
-        ts = self.ts
-        if not (ts[0] <= t <= ts[-1]):
-            raise DomainError(f"t={t!r} outside the computed span [{ts[0]!r}, {ts[-1]!r}]")
-        if t == ts[0]:
-            return self._start
-        return self.segments[min(bisect_right(ts, t) - 1, self._last)]
+    @property
+    def t_start(self) -> float:
+        return float(self.ts[0])
+
+    @property
+    def t_end(self) -> float:
+        return float(self.ts[-1])
+
+    def state_at(self, t: float) -> tuple[float, float]:
+        seg = _segment_at(self._nodes, self._segments, t)
+        return seg.first(t), seg.second(t)
+
+    def phi_at(self, t: float) -> float:
+        return _segment_at(self._nodes, self._segments, t).first(t)
+
+    def psi_at(self, t: float) -> float:
+        return _segment_at(self._nodes, self._segments, t).second(t)
 
 
 class _NonFiniteStage(ArithmeticError):
@@ -228,16 +239,16 @@ def _solve(
     yb: float,
     n_eq: int,
     opts: IntegrationOptions,
-    *,
-    track_zeros: bool = False,
-) -> _RawSolution:
+    eq: EquationSpec | None = None,
+    ic: InitialData | None = None,
+) -> Trajectory:
     """Dormand-Prince 5(4) on the two components (ya, yb) with rhs ``f(t, ya, yb)``.
 
     ``n_eq`` is the number of equations the error norm averages over: 2 for
-    the system, 1 for a scalar equation carried in ``ya`` with ``yb`` held at
-    zero.  Every sum is written out in the tableau's left-to-right order,
-    starting from ``0.0 +``, so the trajectory does not depend on how the
-    sums are grouped.
+    the system, whose zeros of ``ya`` are recorded (``eq`` given), 1 for a
+    scalar equation carried in ``ya`` with ``yb`` held at zero.  Every sum is
+    written out in the tableau's left-to-right order, starting from
+    ``0.0 +``, so the trajectory does not depend on how the sums are grouped.
     """
     horizon = opts.horizon
     if horizon <= t0:
@@ -259,7 +270,8 @@ def _solve(
     ys0 = [ya]
     ys1 = [yb]
     fs0 = [k1a]
-    segments: list[_DenseSegment] = []
+    # All-(-0.0) coefficients give (ya, yb) exactly at t0, -0.0 included: x + (-0.0) == x.
+    segments = [_DenseSegment(t, 1.0, ya, -0.0, -0.0, -0.0, -0.0, yb, -0.0, -0.0, -0.0, -0.0)]
     zeros: list[float] = []
     tangential = False
     zeros_truncated = False
@@ -396,7 +408,7 @@ def _solve(
             h = h * fac
 
             # --- event bookkeeping on the accepted node -------------------
-            if track_zeros:
+            if eq is not None:
                 s_new = 0.0 if ya == 0.0 else math.copysign(1.0, ya)
                 if abs(ya) <= zero_tol and abs(k1a) <= zero_tol:
                     tangential = True
@@ -427,21 +439,17 @@ def _solve(
                 break
             h = h_new
 
-    return _RawSolution(ts, ys0, ys1, fs0, segments, terminal, zeros, tangential, zeros_truncated)
+    arrays = (np.array(ts), np.array(ys0), np.array(ys1), np.array(fs0))
+    return Trajectory(eq, ic, opts, *arrays, zeros, terminal, tangential, zeros_truncated, ts, segments)
 
 
 def _locate_zero(ts: list[float], segments: list[_DenseSegment], t_lo: float, t_hi: float, zero_tol: float) -> float:
     """Bisect the dense output of component 0 for the sign change bracketed by [t_lo, t_hi]."""
-    last = len(segments) - 1
-
-    def phi(t: float) -> float:
-        return segments[max(min(bisect_right(ts, t) - 1, last), 0)].first(t)
-
-    f_lo = phi(t_lo)
+    f_lo = _segment_at(ts, segments, t_lo).first(t_lo)
     lo, hi = t_lo, t_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = phi(mid)
+        fm = _segment_at(ts, segments, mid).first(mid)
         if abs(fm) <= zero_tol or (hi - lo) <= 8.0 * _EPS * max(1.0, abs(mid)):
             return mid
         if (fm > 0) == (f_lo > 0):
@@ -449,47 +457,6 @@ def _locate_zero(ts: list[float], segments: list[_DenseSegment], t_lo: float, t_
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass
-class Trajectory:
-    """Dense numerical solution of the first-order system.
-
-    ``ts``/``phis``/``psis`` are node values of the accepted mesh; ``dphis``
-    holds phi' at the nodes.  ``zeros`` are strictly sign-change-bracketed
-    zero crossings of phi.  Immutable by convention once returned.
-    """
-
-    eq: EquationSpec
-    ic: InitialData
-    opts: IntegrationOptions
-    ts: np.ndarray = field(repr=False)
-    phis: np.ndarray = field(repr=False)
-    psis: np.ndarray = field(repr=False)
-    dphis: np.ndarray = field(repr=False)
-    zeros: list[float]
-    terminal: TerminalStatus
-    tangential: bool
-    zeros_truncated: bool
-    _raw: _RawSolution = field(repr=False)
-
-    @property
-    def t_start(self) -> float:
-        return float(self.ts[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    def state_at(self, t: float) -> tuple[float, float]:
-        seg = self._raw.segment_at(t)
-        return seg.first(t), seg.second(t)
-
-    def phi_at(self, t: float) -> float:
-        return self._raw.segment_at(t).first(t)
-
-    def psi_at(self, t: float) -> float:
-        return self._raw.segment_at(t).second(t)
 
 
 def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = IntegrationOptions()) -> Trajectory:
@@ -505,30 +472,11 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
     if p_init <= 0.0:
         raise DomainError(f"p0 is not positive at the initial point: {p_init!r}")
 
-    raw = _solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, 2, opts, track_zeros=True)
-    return Trajectory(
-        eq=eq,
-        ic=ic,
-        opts=opts,
-        ts=np.array(raw.ts),
-        phis=np.array(raw.ys0),
-        psis=np.array(raw.ys1),
-        dphis=np.array(raw.fs0),
-        zeros=list(raw.zeros),
-        terminal=raw.terminal,
-        tangential=raw.tangential,
-        zeros_truncated=raw.zeros_truncated,
-        _raw=raw,
-    )
+    return _solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, 2, opts, eq, ic)
 
 
-def solve_scalar(
-    rhs: Callable[[float, float], float],
-    t0: float,
-    y0: float,
-    opts: IntegrationOptions,
-) -> _RawSolution:
-    """Integrate a scalar ODE with the same stepper and escape detection.
+def solve_scalar(rhs: Callable[[float, float], float], t0: float, y0: float, opts: IntegrationOptions) -> TerminalStatus:
+    """How a scalar ODE integrated with the same stepper and escape detection ends.
 
     The scalar is the stepper's first component; the second is held at zero
     and the error norm averages over one equation.
@@ -537,7 +485,7 @@ def solve_scalar(
     def f(t: float, y: float, _zero: float) -> tuple[float, float]:
         return rhs(t, y), 0.0
 
-    return _solve(f, t0, y0, 0.0, 1, opts)
+    return _solve(f, t0, y0, 0.0, 1, opts).terminal
 
 
 def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .dynamics import FINITE_ESCAPE, IntegrationOptions, Trajectory, solve_scalar
+from .dynamics import FINITE_ESCAPE, REACHED_HORIZON, IntegrationOptions, Trajectory, solve_scalar
 from .errors import DomainError
 from .fields import BoundTriple
 from .quadrature import CumulativeIntegral, weighted_chain
@@ -266,8 +266,8 @@ def comparison_riccati_exists(
             raise DomainError(f"P({t!r}) = {p!r} <= 0")
         return -y * y / p - Q(t) / p * y - R(t)
 
-    raw = solve_scalar(rhs, t1, y_init, IntegrationOptions(horizon=t2, escape_threshold=1e6))
-    if raw.terminal.kind == FINITE_ESCAPE:
-        return ComparisonResult(False, escape_time=raw.terminal.time, terminal_kind=raw.terminal.kind)
-    return ComparisonResult(raw.terminal.kind == "reached_horizon", terminal_kind=raw.terminal.kind)
+    terminal = solve_scalar(rhs, t1, y_init, IntegrationOptions(horizon=t2, escape_threshold=1e6))
+    if terminal.kind == FINITE_ESCAPE:
+        return ComparisonResult(False, escape_time=terminal.time, terminal_kind=terminal.kind)
+    return ComparisonResult(terminal.kind == REACHED_HORIZON, terminal_kind=terminal.kind)
 

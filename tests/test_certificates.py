@@ -85,6 +85,7 @@ class TestMonotoneEnvelope:
         cert = check_t3_1(eq, InitialData(1.0, 0.5, -0.1), b, region=INF_REGION)
         assert cert.status == INCONCLUSIVE
         assert "precondition" in cert.reason
+        assert cert.region["nw"] == 0
 
     def test_envelope_overflow_is_inconclusive(self):
         eq = make_eq(r_fn=lambda t, w: 0.0)
@@ -92,6 +93,7 @@ class TestMonotoneEnvelope:
         cert = check_t3_1(eq, InitialData(0.0, 1.0, 0.0), b, region=Rectangle(0.0, 100.0, -math.inf, math.inf))
         assert cert.status == INCONCLUSIVE
         assert "range" in cert.reason
+        assert cert.region["nw"] == 0
 
     @pytest.mark.parametrize(
         "region, epsilon",
@@ -105,6 +107,7 @@ class TestMonotoneEnvelope:
         assert cert.status == INCONCLUSIVE
         assert cert.reason.startswith("no grid point sampled")
         assert "w_sampled" not in cert.region
+        assert cert.region["nw"] == 0
 
     def test_envelope_enforced_on_trajectory(self, ef_case):
         p, eq, b = ef_case

@@ -1,7 +1,6 @@
 import pytest
 
 from rcert import (
-    ClassifyPolicy,
     InitialData,
     IntegrationOptions,
     classify,
@@ -125,18 +124,17 @@ class TestSweep:
             sweep(eq, ((0.5, 1.0), (0.0, 1.0)), (2, 2), IntegrationOptions(horizon=5.0))
 
 
-class TestPolicyKnobs:
+class TestThresholds:
     def test_min_zeros_threshold(self, harmonic_eq):
-        traj = integrate(harmonic_eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=50.0))
-        strict = ClassifyPolicy(min_zeros=100)
-        assert classify(traj, strict).kind == GLOBAL_NON_OSCILLATORY
+        # cos t has 4 zeros before t = 13 and its 5th at 9*pi/2 ~ 14.14; Oscillatory needs 5
+        short = classify(integrate(harmonic_eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=13.0)))
+        assert (short.kind, short.zero_count) == (GLOBAL_NON_OSCILLATORY, 4)
+        long = classify(integrate(harmonic_eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=15.0)))
+        assert (long.kind, long.zero_count) == (OSCILLATORY, 5)
 
-    def test_gap_ratio_policy_gates_singular_label(self, cube_blowup_eq):
+    def test_escape_without_sign_changes_is_undetermined(self, cube_blowup_eq):
         traj = integrate(cube_blowup_eq, InitialData(0.0, 1.0, 1.0), IntegrationOptions(horizon=10.0))
-        generous = ClassifyPolicy(gap_ratio=10.0, gap_count=2)
-        # even a maximally generous gap policy needs actual sign changes
-        assert classify(traj, generous).kind == UNDETERMINED
-
-    def test_degenerate_gap_count_rejected(self):
-        with pytest.raises(ValueError):
-            ClassifyPolicy(gap_count=1)
+        c = classify(traj)
+        # a finite escape needs accumulating sign changes to be called singular
+        assert (c.kind, c.zero_count, c.zero_gap_ratios) == (UNDETERMINED, 0, ())
+        assert c.detail == "finite escape without accumulating sign changes"

@@ -123,6 +123,28 @@ CASES = [
     ("sweep_phi_pair", ["sweep"], CUSTOM, {"sweep.phi": [0.0, 1.0, 2.0]}, "sweep.phi: expected a pair of numbers, got [0.0, 1.0, 2.0]"),
     ("region_missing_t", ["certify", "t3_1"], EF, {"region": {"w": [-1.0, 1.0]}}, "region.t: missing required key"),
     ("region_reversed", ["certify", "t3_1"], EF, {"region.t": [50.0, 1.0]}, "region.t: expected lower <= upper, got [50.0, 1.0]"),
+    # The envelope scans start at initial.t1, so another region.t lower bound was silently ignored.
+    (
+        "region_t_lower_t3_1",
+        ["certify", "t3_1"],
+        EF,
+        {"region.t": [5.0, 10.0]},
+        "region.t: certify t3_1 scans its envelope from initial.t1 = 1.0, so the lower bound must equal it, got 5.0",
+    ),
+    (
+        "region_t_lower_t3_2",
+        ["certify", "t3_2"],
+        EF,
+        {"qtilde": {"kind": "constant", "value": 1.0}, "region.t": [0.5, 10.0]},
+        "region.t: certify t3_2 scans its envelope from initial.t1 = 1.0, so the lower bound must equal it, got 0.5",
+    ),
+    (
+        "region_t_lower_emden",
+        ["emden"],
+        EF,
+        {"region.t": [5.0, 10.0]},
+        "region.t: command 'emden' with rho > 1 scans its envelope from initial.t1 = 1.0, so the lower bound must equal it, got 5.0",
+    ),
     ("initial_required", ["integrate"], EF, {"initial": DROP}, "initial: required by command 'integrate'"),
     ("initial_required_t3_3", ["certify", "t3_3"], EF, {"initial": DROP}, "initial: required by command 'certify' t3_3"),
     ("emden_kind", ["emden"], CUSTOM, {}, "equation.kind: command 'emden' needs an emden_fowler equation"),
