@@ -291,7 +291,9 @@ def _cross_term(t, ws, row):
 def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_envelope, fields, stages) -> Certificate:
     """T3_1 and T3_2: precondition, growth envelope, then the scan of |w| <= envelope + epsilon."""
     if region is None:
-        region = Rectangle(eq.t0, eq.t0 + 50.0, -math.inf, math.inf)
+        region = Rectangle(ic.t1, eq.t0 + 50.0, -math.inf, math.inf)
+    if region.t_min != ic.t1:
+        raise DomainError(f"{theorem} scans its envelope from ic.t1 = {ic.t1!r}, so region.t_min must equal it, got {region.t_min!r}")
     ts = grid.t_axis(ic.t1, region.t_max)
     pre = _ratio_precondition(ic)
     if pre is not None:
@@ -456,7 +458,7 @@ def check_t3_3(
     if region is None:
         region = Rectangle(eq0.t0, majorant.t_end, -1.0, 1.0)
     ts = grid.t_axis(region.t_min, region.t_max)
-    whole = _region_record(ts, None, None, grid.nw, None)
+    whole = _region_record(ts, None, None, 0, None)
     if majorant.zeros or majorant.tangential:
         return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason="majorant has a zero on its span")
     t_base = majorant.t_start

@@ -39,9 +39,8 @@ __all__ = ["run", "main"]
 
 
 def _horizon_region(cfg: RunConfig) -> Rectangle:
-    """The configured region, or [t0, t0 + horizon] with an unbounded w axis."""
-    t0 = cfg.equation.t0
-    return cfg.region or Rectangle(t0, t0 + cfg.options.horizon, -float("inf"), float("inf"))
+    """The configured region, or [t1, t0 + horizon] with an unbounded w axis: the envelope scans start at t1."""
+    return cfg.region or Rectangle(cfg.initial.t1, cfg.equation.t0 + cfg.options.horizon, -float("inf"), float("inf"))
 
 
 def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:

@@ -404,11 +404,13 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
     scans_from_t1 = (command == "certify" and theorem in ("t3_1", "t3_2")) or (
         command == "emden" and isinstance(params, EFParams) and params.rho > 1.0
     )
-    if scans_from_t1 and region is not None and region.t_min != initial.t1:
+    if scans_from_t1:
         what = f"certify {theorem}" if command == "certify" else "command 'emden' with rho > 1"
-        raise ConfigError(
-            "config.region.t", f"{what} scans its envelope from initial.t1 = {initial.t1!r}, so the lower bound must equal it, got {region.t_min!r}"
-        )
+        scan = f"{what} scans its envelope from initial.t1 = {initial.t1!r}"
+        if region is not None and region.t_min != initial.t1:
+            raise ConfigError("config.region.t", f"{scan}, so the lower bound must equal it, got {region.t_min!r}")
+        if region is None and initial.t1 > equation.t0 + options.horizon:
+            raise ConfigError("config.options.horizon", f"{scan}, so t0 + horizon must not lie before it, got {equation.t0 + options.horizon!r}")
     if command == "emden" and not isinstance(params, EFParams):
         raise ConfigError("config.equation.kind", "command 'emden' needs an emden_fowler equation")
     if command == "vdp" and not isinstance(params, VdPParams):

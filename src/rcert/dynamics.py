@@ -258,7 +258,9 @@ def _solve(
     min_step = opts.min_step
     zero_tol = opts.zero_tol
     tol_rate = 1.0 / span  # accepted scaled error per unit step
-    isfinite = math.isfinite
+    # The step loop inlines _rms and _floor_at, and writes max(a, b) as ``b if b > a else a``
+    # and min(a, b) as ``b if b < a else a``: the values the builtins return, without the calls.
+    isfinite, sqrt, copysign, floor_eps = math.isfinite, math.sqrt, math.copysign, 32.0 * _EPS
 
     t = t0
     ya, yb = float(ya), float(yb)
@@ -266,19 +268,14 @@ def _solve(
     if not (isfinite(k1a) and isfinite(k1b)):
         raise FieldEvaluationError("rhs", t, ya, float("nan"))
 
-    ts = [t]
-    ys0 = [ya]
-    ys1 = [yb]
-    fs0 = [k1a]
+    ts, ys0, ys1, fs0 = [t], [ya], [yb], [k1a]
     # All-(-0.0) coefficients give (ya, yb) exactly at t0, -0.0 included: x + (-0.0) == x.
     segments = [_DenseSegment(t, 1.0, ya, -0.0, -0.0, -0.0, -0.0, yb, -0.0, -0.0, -0.0, -0.0)]
     zeros: list[float] = []
-    tangential = False
-    zeros_truncated = False
+    tangential = zeros_truncated = False
 
     # Initial step length, then the controller takes over.
-    sa = atol + rtol * abs(ya)
-    sb = atol + rtol * abs(yb)
+    sa, sb = atol + rtol * abs(ya), atol + rtol * abs(yb)
     d0 = _rms(ya / sa, yb / sb, n_eq)
     d1 = _rms(k1a / sa, k1b / sb, n_eq)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
@@ -300,11 +297,7 @@ def _solve(
     t_sign = t  # time of the last node with a definite sign of component 0
     pending_zero: float | None = None
 
-    steps = 0
-    while True:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
+    for _ in range(_MAX_STEPS):
         remaining = horizon - t
         if remaining <= floor:
             terminal = TerminalStatus(REACHED_HORIZON, horizon)
@@ -363,17 +356,19 @@ def _solve(
 
         ea = h * (0.0 + _E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
         eb = h * (0.0 + _E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
-        err_norm = _rms(ea / (atol + rtol * max(abs(ya), abs(yna))), eb / (atol + rtol * max(abs(yb), abs(ynb))), n_eq)
-        ratio = err_norm / (tol_rate * h)
+        ma, mna, mb, mnb = abs(ya), abs(yna), abs(yb), abs(ynb)
+        ra = ea / (atol + rtol * (mna if mna > ma else ma))
+        rb = eb / (atol + rtol * (mnb if mnb > mb else mb))
+        ratio = sqrt((ra * ra + rb * rb) / n_eq) / (tol_rate * h)
         if not isfinite(ratio):
             ratio = math.inf
 
         if ratio <= 1.0:
-            ratio_c = max(ratio, 1e-10)
+            ratio_c = 1e-10 if 1e-10 > ratio else ratio
             fac = _SAFETY * ratio_c ** (-_KI) * ratio_prev ** _KP
-            fac = min(5.0, max(0.2, fac))
+            fac = (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
             if rejected:
-                fac = min(1.0, fac)
+                fac = fac if fac < 1.0 else 1.0
             # Dense coefficients: the node value, the increment, the two
             # Hermite corrections and the quartic term.
             da = yna - ya
@@ -402,14 +397,15 @@ def _solve(
             ys0.append(ya)
             ys1.append(yb)
             fs0.append(k1a)
-            floor = _floor_at(t, min_step)
+            floor = floor_eps * (abs(t) if abs(t) > 1.0 else 1.0)
+            floor = floor if floor > min_step else min_step
             ratio_prev = ratio_c
             rejected = False
             h = h * fac
 
             # --- event bookkeeping on the accepted node -------------------
             if eq is not None:
-                s_new = 0.0 if ya == 0.0 else math.copysign(1.0, ya)
+                s_new = 0.0 if ya == 0.0 else copysign(1.0, ya)
                 if abs(ya) <= zero_tol and abs(k1a) <= zero_tol:
                     tangential = True
                 if s_new == 0.0:
@@ -438,6 +434,8 @@ def _solve(
                 terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", h_new)
                 break
             h = h_new
+    else:  # no terminal status within the step budget
+        raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
 
     arrays = (np.array(ts), np.array(ys0), np.array(ys1), np.array(fs0))
     return Trajectory(eq, ic, opts, *arrays, zeros, terminal, tangential, zeros_truncated, ts, segments)

@@ -356,6 +356,12 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
 
     f1 = v / p0(t, u) and f2 = -r0(t, u) u - q0(t, u) / p0(t, u) * v, in the
     state variables u = phi and v = psi = p0 * phi'.
+
+    When all three fields have a row evaluator (the builtins and the JSON kinds),
+    the rhs calls their raw ``fn``s.  A point where one raises anything, a sample
+    is not a float, the sum of the samples is not finite or p0 <= 0 is evaluated
+    again through the wrapped fields, so it raises or returns exactly what they do.
+    Opaque fields are only called through the wrapped fields, once per point.
     """
 
     p0, q0, r0 = eq.p0, eq.q0, eq.r0
@@ -366,5 +372,18 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
             raise DomainError(f"p0 is not positive at (t={t!r}, w={u!r}): {p!r}")
         return v / p, -r0(t, u) * u - q0(t, u) / p * v
 
-    return f
+    if p0.row_fn is None or q0.row_fn is None or r0.row_fn is None:
+        return f
+    p_fn, q_fn, r_fn, isfinite = p0.fn, q0.fn, r0.fn, math.isfinite
+
+    def raw(t: float, u: float, v: float) -> tuple[float, float]:
+        try:
+            p, r, q = p_fn(t, u), r_fn(t, u), q_fn(t, u)
+        except Exception:
+            return f(t, u, v)
+        if type(p) is type(r) is type(q) is float and isfinite(p + r + q) and p > 0.0:
+            return v / p, -r * u - q / p * v
+        return f(t, u, v)
+
+    return raw
 

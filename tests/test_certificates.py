@@ -109,6 +109,19 @@ class TestMonotoneEnvelope:
         assert "w_sampled" not in cert.region
         assert cert.region["nw"] == 0
 
+    @pytest.mark.parametrize("t_min", [5.0, 0.5])
+    def test_region_must_start_at_t1(self, ef_case, t_min):
+        # the scan runs from ic.t1; a region starting elsewhere used to be Verified over [t1, t_max]
+        p, eq, b = ef_case
+        with pytest.raises(DomainError, match=f"T3_1 scans its envelope from ic.t1 = 1.0, so region.t_min must equal it, got {t_min!r}"):
+            check_t3_1(eq, InitialData(1.0, 0.5, 0.0), b, region=Rectangle(t_min, 10.0, -1.0, 1.0), grid=GridSpec(9, 9))
+
+    def test_default_region_starts_at_t1(self, ef_case):
+        p, eq, b = ef_case
+        cert = check_t3_1(eq, InitialData(2.0, 0.5, 0.0), b, grid=GridSpec(9, 9))
+        assert cert.status == VERIFIED
+        assert cert.region["t"] == [2.0, 51.0]
+
     def test_envelope_enforced_on_trajectory(self, ef_case):
         p, eq, b = ef_case
         ic = InitialData(1.0, 0.5, 0.0)
@@ -161,6 +174,12 @@ class TestRunningMaxEnvelope:
         assert cert.status == INCONCLUSIVE
         assert "ratio undefined" in cert.reason
 
+    def test_region_must_start_at_t1(self):
+        eq = make_eq(q=1.0, r=0.0)
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 1.0)
+        with pytest.raises(DomainError, match="T3_2 scans its envelope from ic.t1 = 0.0, so region.t_min must equal it, got 5.0"):
+            check_t3_2(eq, InitialData(0.0, 1.0, 0.0), b, lambda t: 0.0, region=Rectangle(5.0, 10.0, -1.0, 1.0))
+
 
 @pytest.fixture(scope="module")
 def kneser_setup():
@@ -204,6 +223,24 @@ class TestComparisonMajorant:
         eq = make_eq(r_fn=lambda t, w: -abs(w) ** 2)
         cert = check_t3_3(eq, harmonic_eq, osc, InitialData(0.0, 0.5, 0.0))
         assert cert.status == INCONCLUSIVE
+        assert cert.reason == "majorant has a zero on its span"
+        assert cert.region["nw"] == 0  # nothing was sampled
+
+    @pytest.mark.parametrize(
+        "ic, reason",
+        [
+            (InitialData(1.0, 2.0, 0.0), "precondition: initial ordering of values/derivatives fails"),
+            (InitialData(1.0, 0.4, 0.9), "precondition: initial ratio ordering fails (y0=2.25 >= y1=2.0)"),
+        ],
+        ids=["values", "ratios"],
+    )
+    def test_failed_ordering_samples_nothing(self, kneser_setup, ic, reason):
+        # the majorant starts at (sqrt(2), 2 sqrt(2)), so y1 = 2
+        eq, maj = kneser_setup
+        cert = check_t3_3(eq, eq, maj, ic, region=Rectangle(1.0, 10.0, -5.0, 5.0), grid=GridSpec(9, 9))
+        assert cert.status == INCONCLUSIVE
+        assert cert.reason == reason
+        assert cert.region == {"t": [1.0, 10.0], "w": None, "nt": 9, "nw": 0}
 
 
 class TestNonnegativeRestoring:

@@ -1,4 +1,9 @@
+import dataclasses
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcert import (
     ConfigError,
@@ -13,6 +18,7 @@ from rcert import (
     system_rhs,
     verify_structural_tags,
 )
+from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
 from conftest import const_field, make_eq
 
 
@@ -166,3 +172,147 @@ class TestSystemRhs:
         f = system_rhs(eq)
         with pytest.raises(DomainError):
             f(0.0, -1.0, 0.0)
+
+    # --- the row-path rhs against the wrapped rhs ---------------------------
+    # Fields with a row evaluator get an rhs that calls their raw fns; an odd
+    # sample sends the point back through the wrapped fields, so every point
+    # must give the wrapped rhs's floats or its exception, message and cause.
+
+    @staticmethod
+    def row_and_wrapped(eq):
+        """The rhs of ``eq`` and of the same fields without row evaluators."""
+        opaque = {part: dataclasses.replace(getattr(eq, part), row_fn=None) for part in ("p0", "q0", "r0")}
+        return system_rhs(eq), system_rhs(EquationSpec(t0=eq.t0, **opaque))
+
+    @staticmethod
+    def outcome(f, t, u, v):
+        try:
+            a, b = f(t, u, v)
+        except Exception as exc:
+            return type(exc), str(exc), type(exc.__cause__)
+        return type(a), type(b), a.hex(), b.hex()
+
+    @staticmethod
+    def point_eq(p, q, r):
+        """Fields that give the samples p, q, r everywhere, each with a row evaluator."""
+
+        def field(fn, **kw):
+            return ScalarField(fn, row_fn=lambda t, ws: [fn(t, w) for w in ws], **kw)
+
+        return EquationSpec(p0=field(p, tags={"positive"}, name="p"), q0=field(q, name="q"), r0=field(r, name="r"), t0=0.0)
+
+    @pytest.mark.parametrize(
+        "p, q, r",
+        [
+            (lambda t, w: 2.0, lambda t, w: 1.0, lambda t, w: 1.0 / w),  # ZeroDivisionError at w = 0
+            (lambda t, w: 2.0, lambda t, w: math.exp(1e3 * t), lambda t, w: 1.0),  # OverflowError
+            (lambda t, w: 2.0, lambda t, w: math.nan, lambda t, w: 1.0),
+            (lambda t, w: 2.0, lambda t, w: 1.0, lambda t, w: math.inf),
+            (lambda t, w: 2.0, lambda t, w: -math.inf, lambda t, w: 1.0),
+            (lambda t, w: 3, lambda t, w: 2 ** 53 + 1, lambda t, w: 1.0),  # ints, converted as float() does
+            (lambda t, w: 2.0, lambda t, w: 10 ** 400, lambda t, w: 1.0),  # an int past the float range
+            (lambda t, w: True, lambda t, w: 1.0, lambda t, w: 1.0),
+            (lambda t, w: 2.0, lambda t, w: 1.0, lambda t, w: (w - 1.0) ** 0.5),  # complex
+            (lambda t, w: 0.0, lambda t, w: 1.0, lambda t, w: 1.0),
+            (lambda t, w: -0.0, lambda t, w: 1.0, lambda t, w: 1.0),
+            (lambda t, w: -1.0, lambda t, w: 1.0 / w, lambda t, w: 1.0),  # p0 <= 0 is found before q0 raises
+            (lambda t, w: -1.0, lambda t, w: 1.0, lambda t, w: {}[w]),  # ... and before r0 raises a KeyError
+            (lambda t, w: math.inf, lambda t, w: 1.0, lambda t, w: 1.0),  # v / p would be 0.0
+            (lambda t, w: 1e308, lambda t, w: 1e308, lambda t, w: 1e308),  # the sum overflows, each sample is finite
+        ],
+        ids=[
+            "zero_division",
+            "overflow",
+            "nan",
+            "inf",
+            "minus_inf",
+            "ints",
+            "huge_int",
+            "bool",
+            "complex",
+            "p0_zero",
+            "p0_minus_zero",
+            "p0_negative_first",
+            "p0_negative_before_key_error",
+            "p0_inf",
+            "sum_overflows",
+        ],
+    )
+    def test_odd_samples_match_the_wrapped_rhs(self, p, q, r):
+        row, wrapped = self.row_and_wrapped(self.point_eq(p, q, r))
+        assert row is not wrapped
+        for u in (0.0, 0.5):
+            assert self.outcome(row, 1.0, u, 0.25) == self.outcome(wrapped, 1.0, u, 0.25)
+
+    def test_fields_are_called_once_per_point(self):
+        calls = []
+
+        def counting(name, value):
+            def fn(t, w):
+                calls.append(name)
+                return value
+
+            return fn
+
+        def row(value):
+            return lambda t, ws: [value] * len(ws)
+
+        p0 = ScalarField(counting("p0", 1.0), tags={"positive"})
+        q0 = ScalarField(counting("q0", 1.0), row_fn=row(1.0))
+        r0 = ScalarField(counting("r0", 2.0))
+        # one opaque field sends every point through the wrapped fields
+        f = system_rhs(EquationSpec(p0=p0, q0=q0, r0=r0, t0=0.0))
+        for k in range(1, 4):
+            assert f(0.0, 1.0, 1.0) == (1.0, -3.0)
+            assert calls == ["p0", "r0", "q0"] * k
+        calls.clear()
+        f = system_rhs(EquationSpec(p0=dataclasses.replace(p0, row_fn=row(1.0)), q0=q0, r0=dataclasses.replace(r0, row_fn=row(2.0)), t0=0.0))
+        assert f(0.0, 1.0, 1.0) == (1.0, -3.0)
+        assert calls == ["p0", "r0", "q0"]
+
+    def test_row_fields_are_not_wrapped_on_plain_points(self, monkeypatch):
+        row, wrapped = self.row_and_wrapped(self.ROW_EQUATIONS["sweep"])
+        expected = wrapped(0.0, 0.5, 0.25)
+
+        def wrapper(self, t, w):
+            raise AssertionError("ScalarField.__call__ reached")
+
+        monkeypatch.setattr(ScalarField, "__call__", wrapper)
+        assert row(0.0, 0.5, 0.25) == expected
+
+    ROW_EQUATIONS = {
+        "sweep": equation_from_json(
+            {
+                "kind": "custom",
+                "t0": 0.0,
+                "p0": {"kind": "constant", "value": 1.0, "tags": ["positive"]},
+                "q0": {"kind": "constant", "value": 0.0},
+                "r0": {"kind": "polynomial", "terms": [{"c": 1.0}, {"c": -1.0, "w": 2}]},
+            }
+        ),
+        "power_fields": equation_from_json(
+            {
+                "kind": "custom",
+                "t0": 0.0,
+                "p0": {"kind": "power", "coeff": 2.0, "t_power": 1.5, "tags": ["positive"]},
+                "q0": {"kind": "power", "coeff": -0.5, "w_power": 2.5, "w_abs": False},
+                "r0": {"kind": "polynomial", "terms": [{"c": 1e300, "t": 2.0, "w": 4.0}, {"c": -1.0, "w": 1.0}]},
+            }
+        ),
+        "power_law": ef_equation(EFParams(rho=4.0, sigma=0.0, n=3.0)),
+        "power_law_signed_fractional": ef_equation(EFParams(rho=1.0, sigma=0.5, n=2.5, variant="signed")),
+        "van_der_pol": vdp_equation(VdPParams(lam=lambda t: 1.0 + t * t, mu=lambda t: 2.0, nu=lambda t: 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROW_EQUATIONS))
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.floats(-1e3, 1e3), u=st.floats(allow_nan=False), v=st.floats(allow_nan=False))
+    @example(t=1.0, u=-0.0, v=-0.0)
+    @example(t=-0.0, u=0.5, v=1.0)
+    @example(t=2.0, u=-0.5, v=-0.0)
+    @example(t=0.0, u=1e200, v=1e300)
+    def test_row_path_agrees_bit_for_bit(self, name, t, u, v):
+        eq = self.ROW_EQUATIONS[name]
+        assert all(f.row_fn is not None for f in (eq.p0, eq.q0, eq.r0))
+        row, wrapped = self.row_and_wrapped(eq)
+        assert self.outcome(row, t, u, v) == self.outcome(wrapped, t, u, v)
