@@ -326,6 +326,72 @@ class TestOscillationBand:
         assert cert.reason == f"no grid point sampled for '{band}'"
 
 
+BASE_DETAILS = ["eps_samples", "eps_tail_samples", "N", "eps0"]
+CAPPED = "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail"
+
+
+@pytest.fixture(scope="module")
+def vdp_from_one():
+    # the unit Van der Pol equation from t0 = 1, where P = t**k bounds p0 = 1 on the whole region
+    v = VdPParams(lam=lambda t: 1.0, mu=lambda t: 1.0, nu=lambda t: 1.0)
+    return v, vdp_equation(v, t0=1.0)
+
+
+class TestOscillationExits:
+    def test_too_few_comparison_zeros_falsified(self, vdp_from_one):
+        v, eq = vdp_from_one
+        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9), osc_min_zeros=100)
+        assert cert.status == FALSIFIED
+        assert (cert.witness.hypothesis, cert.witness.t, cert.witness.w) == ("comparison equations oscillate (zero count)", 1.0, None)
+        assert cert.witness.detail == "comparison equation at eps=1.0 produced 16 zero(s) < 100 on horizon 50.0"
+        assert list(cert.details) == BASE_DETAILS + ["reciprocal_tail_status", "double_tail_status", "comparison_zero_counts"]
+        assert cert.details["comparison_zero_counts"] == {"1.0": 16}
+
+    def test_converging_reciprocal_tail_falsified(self, vdp_from_one):
+        v, eq = vdp_from_one
+        b = BoundTriple(P=lambda t: t ** 3, Q=lambda t: 0.0)
+        cert = check_t3_5(eq, b, vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9))
+        assert cert.status == FALSIFIED
+        assert (cert.witness.hypothesis, cert.witness.t, cert.witness.w) == (CAPPED, 1.0, None)
+        assert cert.witness.detail == "reciprocal-weight tail probe converged"
+        assert list(cert.details) == BASE_DETAILS + ["reciprocal_tail_status"]
+        assert cert.details["reciprocal_tail_status"] == "Converging"
+
+    def test_inconclusive_reciprocal_tail(self, vdp_from_one):
+        v, eq = vdp_from_one
+        b = BoundTriple(P=lambda t: t ** 1.5, Q=lambda t: 0.0)
+        cert = check_t3_5(eq, b, vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9))
+        assert cert.status == INCONCLUSIVE
+        assert cert.witness is None
+        assert cert.reason == "reciprocal tail probe inconclusive"
+        assert list(cert.details) == BASE_DETAILS + ["reciprocal_tail_status"]
+        assert cert.details["reciprocal_tail_status"] == "Inconclusive"
+
+    def test_nonpositive_P_in_reciprocal_tail_raises(self, vdp_from_one):
+        # P bounds p0 on the sampled region [1, 21] but is negative far out in the probed tail
+        v, eq = vdp_from_one
+        b = BoundTriple(P=lambda t: 1.0 if t < 100.0 else -1.0, Q=lambda t: 0.0)
+        with pytest.raises(DomainError, match=r"^P\(102\.64911856025273\) = -1\.0 <= 0$"):
+            check_t3_5(eq, b, vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(N=0.0, eps0=1.0), "check_t3_5 needs eps0 > 0 and N > 0"),
+            (dict(N=1.0, eps0=0.0), "check_t3_5 needs eps0 > 0 and N > 0"),
+            (dict(N=1.0, eps0=1.0, eps_samples=[1.0, 1.5]), "eps sample 1.5 outside (0, eps0]"),
+            (dict(N=1.0, eps0=1.0, eps_samples=[0.0]), "eps sample 0.0 outside (0, eps0]"),
+            (dict(N=1.0, eps0=1.0, eps_tail_samples=[1.0, 0.5]), "tail eps sample 0.5 below N"),
+        ],
+        ids=["N", "eps0", "eps_above_eps0", "eps_zero", "tail_eps_below_N"],
+    )
+    def test_bad_band_parameters_raise(self, vdp_from_one, kwargs, message):
+        v, eq = vdp_from_one
+        with pytest.raises(DomainError) as info:
+            check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), grid=GridSpec(9, 9), **kwargs)
+        assert str(info.value) == message
+
+
 class TestEvenMonotoneStructure:
     def test_van_der_pol_structure_verified(self, vdp_setup):
         _, eq = vdp_setup

@@ -234,6 +234,84 @@ class TestCaseStudyCommands:
         assert names == ["T3_6", "T4_2"]
 
 
+KNESER_CONFIG = {
+    "version": 1,
+    "equation": {"kind": "emden_fowler", "rho": 0.0, "sigma": -5.0, "n": 3.0, "variant": "absolute", "t0": 1.0},
+    "initial": {"t1": 1.0, "phi0": 0.5, "phi1": 0.0},
+    "grid": {"nt": 17, "nw": 17},
+    "options": {"horizon": 20.0},
+}
+
+# The default T3_3 region is 1.1x the Kneser majorant's sup, and its w grid
+# -W + 2W*i/(nw - 1) is not exactly symmetric there: r0 at w and at -w differ
+# in the last bits, so comparing the equation with itself fails the band
+# ordering by one rounding.
+KNESER_WITNESS = {
+    "hypothesis": "r1(w1) <= r0(w) <= 0 for |w| <= |w1|",
+    "t": 1.0,
+    "w": -21.30140840430888,
+    "detail": "r1(w1)=-453.75000000716096 > min r0 over band = -453.7500000071613",
+}
+KNESER_LINE = "T3_3: Falsified | witness (r1(w1) <= r0(w) <= 0 for |w| <= |w1|) at t=1, w=-21.3014"
+
+
+def with_keys(base, **changes):
+    doc = json.loads(json.dumps(base))
+    doc.update(changes)
+    return doc
+
+
+class TestTheoremRuns:
+    """Each theorem the CLI runs to the end: exit code, stdout, status and witness."""
+
+    @pytest.mark.parametrize(
+        "args, doc, code, lines, status, witness",
+        [
+            (
+                ["certify", "t3_2"],
+                with_keys(EF_CONFIG, qtilde={"kind": "constant", "value": 1.0}),
+                2,
+                ["T3_2: Inconclusive | ratio undefined: q0 = 0 with r0 = -0.2505002499999999 at (t=1.0, w=-0.5005)"],
+                "Inconclusive",
+                None,
+            ),
+            (["certify", "t3_3"], KNESER_CONFIG, 2, [KNESER_LINE], "Falsified", KNESER_WITNESS),
+            (
+                ["certify", "t3_4"],
+                with_keys(EF_CONFIG, region={"t": [1.0, 10.0], "w": [-2.0, 2.0]}, grid={"nt": 9, "nw": 9}),
+                2,
+                ["T3_4: Falsified | witness (r0 >= 0) at t=1, w=-2"],
+                "Falsified",
+                {"hypothesis": "r0 >= 0", "t": 1.0, "w": -2.0, "detail": "r0=-4.0 < 0"},
+            ),
+            (
+                ["certify", "t3_5"],
+                VDP_CONFIG,
+                0,
+                ["T3_5: Verified | OSC_OR_SINGULAR_FIRST_KIND | heuristic: comparison_oscillation_zero_count,tail_divergence_probe"],
+                "Verified",
+                None,
+            ),
+            (
+                ["emden"],
+                KNESER_CONFIG,
+                2,
+                ["trajectory: GlobalMonotoneNonvanishing, terminal reached_horizon", KNESER_LINE],
+                "Falsified",
+                KNESER_WITNESS,
+            ),
+        ],
+        ids=["t3_2", "t3_3", "t3_4", "t3_5", "emden_kneser"],
+    )
+    def test_theorem_outcome(self, tmp_path, capsys, args, doc, code, lines, status, witness):
+        out = tmp_path / "out"
+        assert run_cli(args + ["--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+        (cert,) = json.loads((out / "report.json").read_text())["certificates"]
+        assert (cert["status"], cert["witness"]) == (status, witness)
+        validate_certificate_dict(cert)
+
+
 class TestConfigValidation:
     def test_unknown_key_has_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(HARMONIC_CONFIG))
