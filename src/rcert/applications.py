@@ -42,6 +42,7 @@ from .fields import (
     Rectangle,
     ScalarField,
     _row_factor,
+    _time_field,
 )
 from .quadrature import TimeFunction
 
@@ -372,14 +373,14 @@ def vdp_equation(v: VdPParams, t0: float = 0.0) -> EquationSpec:
     """
     _check_vdp_signs(v, t0)
     return EquationSpec(
-        p0=ScalarField(lambda t, w: v.lam(t), tags=frozenset({"positive"}), name="lambda", row_fn=lambda t, ws: [float(v.lam(t))] * len(ws)),
+        p0=_time_field(v.lam, {"positive"}, "lambda"),
         q0=ScalarField(
             lambda t, w: v.mu(t) * (w * w - 1.0),
             tags=frozenset({"monotone_in_w_even"}),
             name="mu*(w^2-1)",
             row_fn=lambda t, ws: list(map(mul, repeat(_row_factor(v.mu(t))), map(sub, map(mul, ws, ws), repeat(1.0)))),
         ),
-        r0=ScalarField(lambda t, w: v.nu(t), tags=frozenset({"nonnegative"}), name="nu", row_fn=lambda t, ws: [float(v.nu(t))] * len(ws)),
+        r0=_time_field(v.nu, {"nonnegative"}, "nu"),
         t0=t0,
     )
 
@@ -396,6 +397,14 @@ def vdp_family(v: VdPParams):
         return (v.lam, lambda t: v.mu(t) * (eps * eps - 1.0), v.nu)
 
     return family
+
+
+def _vdp_oscillation(
+    eq: EquationSpec, v: VdPParams, eps0: float, region: Rectangle | None, grid: GridSpec, osc_horizon: float, osc_min_zeros: int
+) -> Certificate:
+    """T3_5 on ``eq = vdp_equation(v, t0)`` against its family, with the unit band N = 1."""
+    b, family = vdp_bound_triple(v), vdp_family(v)
+    return check_t3_5(eq, b, family, N=1.0, eps0=eps0, region=region, grid=grid, osc_horizon=osc_horizon, osc_min_zeros=osc_min_zeros)
 
 
 def check_t4_2(
@@ -419,17 +428,7 @@ def check_t4_2(
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
     existence = check_t3_6(eq, region=region, grid=grid)
-    oscillation = check_t3_5(
-        eq,
-        vdp_bound_triple(v),
-        vdp_family(v),
-        N=1.0,
-        eps0=eps0,
-        region=region,
-        grid=grid,
-        osc_horizon=osc_horizon,
-        osc_min_zeros=osc_min_zeros,
-    )
+    oscillation = _vdp_oscillation(eq, v, eps0, region, grid, osc_horizon, osc_min_zeros)
     if existence.status == VERIFIED and oscillation.status == VERIFIED:
         status = VERIFIED
         conclusion = "GLOBAL_AND_OSCILLATORY"

@@ -40,11 +40,11 @@ from .fields import (
     GridSpec,
     InitialData,
     Rectangle,
-    ScalarField,
     _even_monotone_break,
     _first_where,
     _rows,
     _scan,
+    _time_field,
 )
 from .quadrature import (
     ABS_TOL,
@@ -557,6 +557,16 @@ def check_t3_4(
     return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=SINGULAR_SECOND_KIND_IF_NONEXTENDABLE)
 
 
+def _family_checks(hypothesis: str, eps: float, p_e: TimeFunction, ratio: tuple, r_e: TimeFunction) -> list[_Check]:
+    """p0 <= p_eps, the q0/p0 ordering ``ratio`` = (op, bound, label) and r0 >= r_eps, noted with eps."""
+    note = f" (eps={eps!r})"
+    return [
+        _Check(hypothesis, "p0", ">", p_e, "p_eps", note),
+        _Check(hypothesis, "q0/p0", *ratio, note),
+        _Check(hypothesis, "r0", "<", r_e, "r_eps", note),
+    ]
+
+
 def check_t3_5(
     eq: EquationSpec,
     b: BoundTriple,
@@ -574,12 +584,17 @@ def check_t3_5(
     """Oscillation-or-first-kind certificate via a comparison family.
 
     Three ingredient groups: (a) coefficient orderings against the family on
-    the outer band |w| >= eps for finitely many eps in (0, eps0]; (b) zero
+    the outer band |w| >= eps for finitely many eps in (0, eps0], the caps on
+    |w| <= N and the orderings on each annulus N <= |w| <= eps; (b) zero
     counting of the comparison equations over a finite horizon as the
     oscillation check; (c) divergence probes for the reciprocal-weight tail
     and the double-integral tail.  (b) and (c) are heuristics and are flagged
     in the certificate; the sampled eps values are recorded because no finite
     reduction of the "for every eps" hypothesis exists.
+
+    The grid decides first: every band scan of (a) runs, in that order, before
+    any probe or zero count, and a band that sampled no grid point is
+    Inconclusive without running them.
     """
     hypotheses = (
         "r0 >= 0",
@@ -588,7 +603,7 @@ def check_t3_5(
         "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail",
         "band ordering vs family on N <= |w| <= eps with diverging double tail",
     )
-    _, outer, oscillate, capped, annulus = hypotheses
+    sign, outer, oscillate, capped, annulus = hypotheses
     theorem = "T3_5"
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
@@ -601,45 +616,51 @@ def check_t3_5(
     rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     details: dict = {"eps_samples": eps_list, "eps_tail_samples": eps_tail, "N": N, "eps0": eps0}
     flags = ("comparison_oscillation_zero_count", "tail_divergence_probe")
-    # The w range each band hypothesis sampled; one that sampled nothing is never Verified.
-    seen = {h: [math.inf, -math.inf] for h in (outer, capped, annulus)}
 
     def falsified(witness: Witness) -> Certificate:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness, heuristic_flags=flags, details=details)
 
-    def probe_outcome(status: str, hypothesis: str, converged: str, inconclusive: str) -> Certificate | None:
+    # Phase 1, the grid: one band scan per row, in order (hypothesis, lo <= |w| <= hi, fields, checks).
+    pqr = _eq_fields(eq, *_PQR)
+    scans = [(sign, 0.0, math.inf, _eq_fields(eq, "r0"), [_Check(sign, "r0", "<", 0.0, "0")])]
+    outer_family, tail_family = [], []
+    for eps in eps_list:
+        if not 0.0 < eps <= eps0:
+            raise DomainError(f"eps sample {eps!r} outside (0, eps0]")
+        p_e, q_e, r_e = comparison = family(eps)
+        outer_family.append((eps, comparison))
+        ratio = ("<", lambda t, p_e=p_e, q_e=q_e: q_e(t) / p_e(t), "q_eps/p_eps")
+        scans.append((outer, eps, math.inf, pqr, _family_checks(outer, eps, p_e, ratio, r_e)))
+    checks = [_Check(capped, "p0", ">", b.P, "P"), _Check(capped, "q0/p0", ">", b.Q, "Q")]
+    scans.append((capped, 0.0, N, _eq_fields(eq, "p0", "q0", "q0/p0"), checks))
+    for eps in eps_tail:
+        if eps < N:
+            raise DomainError(f"tail eps sample {eps!r} below N")
+        p_e, q_e, r_e = comparison = family(eps)
+        tail_family.append((eps, comparison))
+        scans.append((annulus, N, eps, pqr, _family_checks(annulus, eps, p_e, (">", q_e, "q_eps"), r_e)))
+    # The w range each hypothesis sampled; one that sampled nothing is never Verified.
+    seen: dict = {}
+    for hypothesis, lo, hi, fields, checks in scans:
+        rows = _rows(ts, [w for w in ws if lo <= abs(w) <= hi])
+        witness = _scan(rows, fields, [_points(*checks)], seen.setdefault(hypothesis, [math.inf, -math.inf]))
+        if witness is not None:
+            return falsified(witness)
+    unsampled = [h for h, (lo, hi) in seen.items() if lo > hi]
+    if unsampled:
+        reason = f"no grid point sampled for '{unsampled[0]}'"
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=reason, heuristic_flags=flags, details=details)
+
+    # Phase 2, the heuristics: the tail probes, then the zero counts.
+    def probe(integrand, statuses: dict, key: str, hypothesis: str, converged: str, inconclusive: str) -> Certificate | None:
         # A converging tail falsifies its hypothesis; only a diverging one lets the check go on.
+        status = statuses[key] = divergence_probe(integrand, eq.t0).status
         if status == CONVERGING:
             return falsified(Witness(hypothesis, eq.t0, None, converged))
         if status != DIVERGING:
             return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=inconclusive, heuristic_flags=flags, details=details)
         return None
 
-    # r0 >= 0 everywhere on the sampled rectangle.
-    witness = _scan(_rows(ts, ws), _eq_fields(eq, "r0"), [_points(_Check("r0 >= 0", "r0", "<", 0.0, "0"))])
-    if witness is not None:
-        return falsified(witness)
-
-    # Outer-band coefficient orderings against the family.
-    for eps in eps_list:
-        if not 0.0 < eps <= eps0:
-            raise DomainError(f"eps sample {eps!r} outside (0, eps0]")
-        p_e, q_e, r_e = family(eps)
-        note = f" (eps={eps!r})"
-        points = _points(
-            _Check(outer, "p0", ">", p_e, "p_eps", note),
-            _Check(outer, "q0/p0", "<", lambda t: q_e(t) / p_e(t), "q_eps/p_eps", note),
-            _Check(outer, "r0", "<", r_e, "r_eps", note),
-        )
-        witness = _scan(_rows(ts, ws, lambda w: abs(w) >= eps), _eq_fields(eq, *_PQR), [points], seen[outer])
-        if witness is not None:
-            return falsified(witness)
-
-    # Bounded band: coefficient caps and the reciprocal-weight tail.
-    points = _points(_Check(capped, "p0", ">", b.P, "P"), _Check(capped, "q0/p0", ">", b.Q, "Q"))
-    witness = _scan(_rows(ts, ws, lambda w: abs(w) <= N), _eq_fields(eq, "p0", "q0", "q0/p0"), [points], seen[capped])
-    if witness is not None:
-        return falsified(witness)
     VQ = CumulativeIntegral(b.Q, eq.t0, abs_rate=1e-13, rel_tol=1e-11)
 
     def reciprocal_tail(tau: float) -> float:
@@ -648,81 +669,32 @@ def check_t3_5(
             raise DomainError(f"P({tau!r}) = {p!r} <= 0")
         return math.exp(-VQ(tau)) / p
 
-    status = details["reciprocal_tail_status"] = divergence_probe(reciprocal_tail, eq.t0).status
-    outcome = probe_outcome(status, capped, "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive")
+    outcome = probe(
+        reciprocal_tail, details, "reciprocal_tail_status", capped, "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive"
+    )
     if outcome is not None:
         return outcome
-
-    # Outer annulus: orderings against the family plus the double-integral tail.
-    tail_status = {}
-    for eps in eps_tail:
-        if eps < N:
-            raise DomainError(f"tail eps sample {eps!r} below N")
-        p_e, q_e, r_e = family(eps)
-        note = f" (eps={eps!r})"
-        points = _points(
-            _Check(annulus, "p0", ">", p_e, "p_eps", note),
-            _Check(annulus, "q0/p0", ">", q_e, "q_eps", note),
-            _Check(annulus, "r0", "<", r_e, "r_eps", note),
-        )
-        witness = _scan(_rows(ts, ws, lambda w: N <= abs(w) <= eps), _eq_fields(eq, *_PQR), [points], seen[annulus])
-        if witness is not None:
-            return falsified(witness)
+    tail_status = details["double_tail_status"] = {}
+    for eps, (p_e, q_e, r_e) in tail_family:
         integrand = weighted_tail_integrand(b.P, q_e, r_e, eq.t0)
-        status = tail_status[repr(eps)] = divergence_probe(integrand, eq.t0).status
-        if status != DIVERGING:
-            details["double_tail_status"] = tail_status
-            return probe_outcome(
-                status, annulus, f"double-integral tail probe converged at eps={eps!r}", f"double tail probe inconclusive at eps={eps!r}"
-            )
-    details["double_tail_status"] = tail_status
+        at = f" at eps={eps!r}"
+        outcome = probe(integrand, tail_status, repr(eps), annulus, "double-integral tail probe converged" + at, "double tail probe inconclusive" + at)
+        if outcome is not None:
+            return outcome
 
     # Oscillation of each sampled comparison equation, by zero counting.
-    zero_counts = {}
-    for eps in eps_list:
-        p_e, q_e, r_e = family(eps)
-        count = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon)
-        zero_counts[repr(eps)] = count
+    zero_counts = details["comparison_zero_counts"] = {}
+    for eps, (p_e, q_e, r_e) in outer_family:
+        count = zero_counts[repr(eps)] = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon)
         if count < osc_min_zeros:
-            details["comparison_zero_counts"] = zero_counts
-            return falsified(
-                Witness(
-                    oscillate,
-                    eq.t0,
-                    None,
-                    f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}",
-                )
-            )
-    details["comparison_zero_counts"] = zero_counts
-    unsampled = [h for h, (lo, hi) in seen.items() if lo > hi]
-    if unsampled:
-        reason = f"no grid point sampled for '{unsampled[0]}'"
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=reason, heuristic_flags=flags, details=details)
+            detail = f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}"
+            return falsified(Witness(oscillate, eq.t0, None, detail))
 
-    return Certificate(
-        theorem,
-        VERIFIED,
-        hypotheses,
-        rec,
-        conclusion=OSC_OR_SINGULAR_FIRST_KIND,
-        heuristic_flags=flags,
-        details=details,
-    )
+    return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=OSC_OR_SINGULAR_FIRST_KIND, heuristic_flags=flags, details=details)
 
 
-def _comparison_zero_count(
-    t0: float,
-    p_e: TimeFunction,
-    q_e: TimeFunction,
-    r_e: TimeFunction,
-    osc_horizon: float,
-) -> int:
-    eq = EquationSpec(
-        p0=ScalarField(lambda t, w: p_e(t), tags=frozenset({"positive"}), name="p_eps"),
-        q0=ScalarField(lambda t, w: q_e(t), name="q_eps"),
-        r0=ScalarField(lambda t, w: r_e(t), name="r_eps"),
-        t0=t0,
-    )
+def _comparison_zero_count(t0: float, p_e: TimeFunction, q_e: TimeFunction, r_e: TimeFunction, osc_horizon: float) -> int:
+    eq = EquationSpec(_time_field(p_e, {"positive"}, "p_eps"), _time_field(q_e, name="q_eps"), _time_field(r_e, name="r_eps"), t0)
     opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)
     traj = integrate(eq, InitialData(t1=t0, phi0=1.0, phi1=0.0), opts)
     return len(traj.zeros)

@@ -25,7 +25,6 @@ from .certificates import (
     check_t3_2,
     check_t3_3,
     check_t3_4,
-    check_t3_5,
     check_t3_6,
 )
 from .classify import classify, export_raster_csv, sweep
@@ -134,20 +133,8 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
     if theorem == "t3_4":
         return [check_t3_4(eq, cfg.bounds, region=region, grid=cfg.grid)], extra
     if theorem == "t3_5":
-        v = cfg.params
-        return [
-            check_t3_5(
-                eq,
-                apps.vdp_bound_triple(v),
-                apps.vdp_family(v),
-                N=1.0,
-                eps0=cfg.options.eps0,
-                region=region,
-                grid=cfg.grid,
-                osc_horizon=cfg.options.osc_horizon,
-                osc_min_zeros=cfg.options.osc_min_zeros,
-            )
-        ], extra
+        opts = cfg.options
+        return [apps._vdp_oscillation(eq, cfg.params, opts.eps0, region, cfg.grid, opts.osc_horizon, opts.osc_min_zeros)], extra
     if theorem == "t3_6":
         return [check_t3_6(eq, region=region, grid=cfg.grid)], extra
     if theorem == "t4_2":

@@ -101,6 +101,11 @@ class ScalarField:
         return [self(t, w) for w in ws]
 
 
+def _time_field(fn: Callable[[float], float], tags=frozenset(), name: str = "") -> ScalarField:
+    """A field that does not depend on w: ``fn(t)`` at each sample, and its row evaluator."""
+    return ScalarField(lambda t, w: fn(t), frozenset(tags), name, lambda t, ws: [float(fn(t))] * len(ws))
+
+
 def _row_factor(value) -> float:
     """A factor a row evaluator computes once per row; a non-float sends the row to the scalar loop."""
     if type(value) is not float:
@@ -229,10 +234,8 @@ class TagReport:
         return all(c.holds for c in self.checks)
 
 
-def _rows(ts, ws, keep=None) -> list[tuple[float, list[float]]]:
-    """(t, w-row) pairs over a fixed w axis, keeping the w that ``keep`` accepts."""
-    if keep is not None:
-        ws = [w for w in ws if keep(w)]
+def _rows(ts, ws) -> list[tuple[float, list[float]]]:
+    """(t, w-row) pairs over a fixed w axis."""
     return [(t, ws) for t in ts]
 
 

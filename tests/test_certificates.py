@@ -392,6 +392,58 @@ class TestOscillationExits:
         assert str(info.value) == message
 
 
+class TestGridDecidesFirst:
+    """Every band scan of T3_5 runs before any probe or zero count."""
+
+    @pytest.mark.parametrize(
+        "w_range, band",
+        [
+            ((-0.5, 0.5), "band ordering vs family on N <= |w| <= eps with diverging double tail"),
+            ((2.0, 8.0), CAPPED),
+        ],
+        ids=["annulus", "capped_band"],
+    )
+    def test_empty_band_runs_no_heuristic(self, vdp_setup, monkeypatch, w_range, band):
+        def never(*args, **kwargs):
+            raise AssertionError("a heuristic ran on an empty band")
+
+        monkeypatch.setattr("rcert.certificates.divergence_probe", never)
+        monkeypatch.setattr("rcert.certificates._comparison_zero_count", never)
+        v, eq = vdp_setup
+        region = Rectangle(0.0, 10.0, *w_range)
+        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, region=region, grid=GridSpec(9, 9))
+        assert cert.status == INCONCLUSIVE
+        assert cert.reason == f"no grid point sampled for '{band}'"
+        assert list(cert.details) == BASE_DETAILS
+
+    def test_annulus_witness_beats_converging_reciprocal_tail(self):
+        # P = 1 + t**3 makes the reciprocal tail converge; the annulus witness on the grid decides first
+        eq = make_eq(q_fn=lambda t, w: 0.01 * t * max(0.0, abs(w) - 2.0) - 0.5 * max(0.0, 1.0 - abs(w)), r=1.0)
+
+        def family(eps):
+            q = -1.0 if eps <= 1.0 else 0.0
+            return (lambda t: 1.0, lambda t: q, lambda t: 1.0)
+
+        cert = check_t3_5(
+            eq,
+            BoundTriple(P=lambda t: 1.0 + t ** 3, Q=lambda t: 0.0),
+            family,
+            N=2.0,
+            eps0=1.0,
+            region=Rectangle(0.0, 4.0, -8.0, 8.0),
+            grid=GridSpec(9, 9),
+            eps_samples=[1.0, 0.5],
+            eps_tail_samples=[2.0, 4.0],
+            osc_horizon=20.0,
+            osc_min_zeros=3,
+        )
+        assert cert.status == FALSIFIED
+        w = cert.witness
+        assert (w.hypothesis, w.t, w.w) == ("band ordering vs family on N <= |w| <= eps with diverging double tail", 0.5, -4.0)
+        assert w.detail == "q0/p0=0.01 > q_eps=0.0 (eps=4.0)"
+        assert list(cert.details) == BASE_DETAILS
+
+
 class TestEvenMonotoneStructure:
     def test_van_der_pol_structure_verified(self, vdp_setup):
         _, eq = vdp_setup
