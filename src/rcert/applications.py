@@ -400,7 +400,14 @@ def vdp_family(v: VdPParams):
 
 
 def _vdp_oscillation(
-    eq: EquationSpec, v: VdPParams, eps0: float, region: Rectangle | None, grid: GridSpec, osc_horizon: float, osc_min_zeros: int
+    eq: EquationSpec,
+    v: VdPParams,
+    *,
+    eps0: float,
+    region: Rectangle | None,
+    grid: GridSpec,
+    osc_horizon: float,
+    osc_min_zeros: int,
 ) -> Certificate:
     """T3_5 on ``eq = vdp_equation(v, t0)`` against its family, with the unit band N = 1."""
     b, family = vdp_bound_triple(v), vdp_family(v)
@@ -428,7 +435,7 @@ def check_t4_2(
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
     existence = check_t3_6(eq, region=region, grid=grid)
-    oscillation = _vdp_oscillation(eq, v, eps0, region, grid, osc_horizon, osc_min_zeros)
+    oscillation = _vdp_oscillation(eq, v, eps0=eps0, region=region, grid=grid, osc_horizon=osc_horizon, osc_min_zeros=osc_min_zeros)
     if existence.status == VERIFIED and oscillation.status == VERIFIED:
         status = VERIFIED
         conclusion = "GLOBAL_AND_OSCILLATORY"

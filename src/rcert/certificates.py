@@ -639,11 +639,11 @@ def check_t3_5(
         p_e, q_e, r_e = comparison = family(eps)
         tail_family.append((eps, comparison))
         scans.append((annulus, N, eps, pqr, _family_checks(annulus, eps, p_e, (">", q_e, "q_eps"), r_e)))
-    # The w range each hypothesis sampled; one that sampled nothing is never Verified.
-    seen: dict = {}
+    # The w range each band hypothesis sampled; one that sampled nothing is never Verified.
+    seen = {h: [math.inf, -math.inf] for h in (outer, capped, annulus)}
     for hypothesis, lo, hi, fields, checks in scans:
         rows = _rows(ts, [w for w in ws if lo <= abs(w) <= hi])
-        witness = _scan(rows, fields, [_points(*checks)], seen.setdefault(hypothesis, [math.inf, -math.inf]))
+        witness = _scan(rows, fields, [_points(*checks)], seen.get(hypothesis))
         if witness is not None:
             return falsified(witness)
     unsampled = [h for h, (lo, hi) in seen.items() if lo > hi]
@@ -669,16 +669,16 @@ def check_t3_5(
             raise DomainError(f"P({tau!r}) = {p!r} <= 0")
         return math.exp(-VQ(tau)) / p
 
-    outcome = probe(
-        reciprocal_tail, details, "reciprocal_tail_status", capped, "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive"
-    )
+    converged, inconclusive = "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive"
+    outcome = probe(reciprocal_tail, details, "reciprocal_tail_status", capped, converged, inconclusive)
     if outcome is not None:
         return outcome
     tail_status = details["double_tail_status"] = {}
     for eps, (p_e, q_e, r_e) in tail_family:
         integrand = weighted_tail_integrand(b.P, q_e, r_e, eq.t0)
         at = f" at eps={eps!r}"
-        outcome = probe(integrand, tail_status, repr(eps), annulus, "double-integral tail probe converged" + at, "double tail probe inconclusive" + at)
+        converged, inconclusive = "double-integral tail probe converged" + at, "double tail probe inconclusive" + at
+        outcome = probe(integrand, tail_status, repr(eps), annulus, converged, inconclusive)
         if outcome is not None:
             return outcome
 
@@ -690,11 +690,30 @@ def check_t3_5(
             detail = f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}"
             return falsified(Witness(oscillate, eq.t0, None, detail))
 
-    return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=OSC_OR_SINGULAR_FIRST_KIND, heuristic_flags=flags, details=details)
+    return Certificate(
+        theorem,
+        VERIFIED,
+        hypotheses,
+        rec,
+        conclusion=OSC_OR_SINGULAR_FIRST_KIND,
+        heuristic_flags=flags,
+        details=details,
+    )
 
 
-def _comparison_zero_count(t0: float, p_e: TimeFunction, q_e: TimeFunction, r_e: TimeFunction, osc_horizon: float) -> int:
-    eq = EquationSpec(_time_field(p_e, {"positive"}, "p_eps"), _time_field(q_e, name="q_eps"), _time_field(r_e, name="r_eps"), t0)
+def _comparison_zero_count(
+    t0: float,
+    p_e: TimeFunction,
+    q_e: TimeFunction,
+    r_e: TimeFunction,
+    osc_horizon: float,
+) -> int:
+    eq = EquationSpec(
+        p0=_time_field(p_e, {"positive"}, "p_eps"),
+        q0=_time_field(q_e, name="q_eps"),
+        r0=_time_field(r_e, name="r_eps"),
+        t0=t0,
+    )
     opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)
     traj = integrate(eq, InitialData(t1=t0, phi0=1.0, phi1=0.0), opts)
     return len(traj.zeros)

@@ -134,7 +134,10 @@ def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
         return [check_t3_4(eq, cfg.bounds, region=region, grid=cfg.grid)], extra
     if theorem == "t3_5":
         opts = cfg.options
-        return [apps._vdp_oscillation(eq, cfg.params, opts.eps0, region, cfg.grid, opts.osc_horizon, opts.osc_min_zeros)], extra
+        cert = apps._vdp_oscillation(
+            eq, cfg.params, eps0=opts.eps0, region=region, grid=cfg.grid, osc_horizon=opts.osc_horizon, osc_min_zeros=opts.osc_min_zeros
+        )
+        return [cert], extra
     if theorem == "t3_6":
         return [check_t3_6(eq, region=region, grid=cfg.grid)], extra
     if theorem == "t4_2":

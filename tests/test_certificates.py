@@ -328,6 +328,7 @@ class TestOscillationBand:
 
 BASE_DETAILS = ["eps_samples", "eps_tail_samples", "N", "eps0"]
 CAPPED = "p0 <= P, q0/p0 <= Q for |w| <= N with diverging reciprocal tail"
+ANNULUS = "band ordering vs family on N <= |w| <= eps with diverging double tail"
 
 
 @pytest.fixture(scope="module")
@@ -396,14 +397,17 @@ class TestGridDecidesFirst:
     """Every band scan of T3_5 runs before any probe or zero count."""
 
     @pytest.mark.parametrize(
-        "w_range, band",
+        "w_range, samples, band",
         [
-            ((-0.5, 0.5), "band ordering vs family on N <= |w| <= eps with diverging double tail"),
-            ((2.0, 8.0), CAPPED),
+            ((-0.5, 0.5), {}, ANNULUS),
+            ((2.0, 8.0), {}, CAPPED),
+            # A band with no eps sample scans nothing, so it is never Verified.
+            ((-8.0, 8.0), {"eps_samples": []}, "band ordering vs family for |w| >= eps"),
+            ((-8.0, 8.0), {"eps_tail_samples": []}, ANNULUS),
         ],
-        ids=["annulus", "capped_band"],
+        ids=["annulus", "capped_band", "no_outer_eps", "no_tail_eps"],
     )
-    def test_empty_band_runs_no_heuristic(self, vdp_setup, monkeypatch, w_range, band):
+    def test_empty_band_runs_no_heuristic(self, vdp_setup, monkeypatch, w_range, samples, band):
         def never(*args, **kwargs):
             raise AssertionError("a heuristic ran on an empty band")
 
@@ -411,7 +415,7 @@ class TestGridDecidesFirst:
         monkeypatch.setattr("rcert.certificates._comparison_zero_count", never)
         v, eq = vdp_setup
         region = Rectangle(0.0, 10.0, *w_range)
-        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, region=region, grid=GridSpec(9, 9))
+        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, region=region, grid=GridSpec(9, 9), **samples)
         assert cert.status == INCONCLUSIVE
         assert cert.reason == f"no grid point sampled for '{band}'"
         assert list(cert.details) == BASE_DETAILS
@@ -439,7 +443,7 @@ class TestGridDecidesFirst:
         )
         assert cert.status == FALSIFIED
         w = cert.witness
-        assert (w.hypothesis, w.t, w.w) == ("band ordering vs family on N <= |w| <= eps with diverging double tail", 0.5, -4.0)
+        assert (w.hypothesis, w.t, w.w) == (ANNULUS, 0.5, -4.0)
         assert w.detail == "q0/p0=0.01 > q_eps=0.0 (eps=4.0)"
         assert list(cert.details) == BASE_DETAILS
 

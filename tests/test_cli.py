@@ -245,7 +245,9 @@ KNESER_CONFIG = {
 # The default T3_3 region is 1.1x the Kneser majorant's sup, and its w grid
 # -W + 2W*i/(nw - 1) is not exactly symmetric there: r0 at w and at -w differ
 # in the last bits, so comparing the equation with itself fails the band
-# ordering by one rounding.
+# ordering by one rounding.  This witness pins that known defect (the T3_3
+# grid FOUND line in CHANGES.md) as it stands: the fix is expected to replace
+# it, and then TestTheoremRuns.test_kneser_self_comparison_not_falsified passes.
 KNESER_WITNESS = {
     "hypothesis": "r1(w1) <= r0(w) <= 0 for |w| <= |w1|",
     "t": 1.0,
@@ -310,6 +312,15 @@ class TestTheoremRuns:
         (cert,) = json.loads((out / "report.json").read_text())["certificates"]
         assert (cert["status"], cert["witness"]) == (status, witness)
         validate_certificate_dict(cert)
+
+    @pytest.mark.xfail(strict=True, reason="T3_3's w grid is not exactly symmetric; see KNESER_WITNESS")
+    @pytest.mark.parametrize("args", [["certify", "t3_3"], ["emden"]], ids=["t3_3", "emden"])
+    def test_kneser_self_comparison_not_falsified(self, tmp_path, args):
+        # An equation compared with itself satisfies every T3_3 ordering.
+        out = tmp_path / "out"
+        run_cli(args + ["--config", write_config(tmp_path, KNESER_CONFIG), "--out", str(out)])
+        (cert,) = json.loads((out / "report.json").read_text())["certificates"]
+        assert cert["status"] != "Falsified"
 
 
 class TestConfigValidation:
