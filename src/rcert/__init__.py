@@ -98,11 +98,9 @@ from .quadrature import (
     i_plus,
 )
 from .riccati import (
-    ComparisonResult,
     RiccatiPath,
     auto_segments,
     cauchy_residual,
-    comparison_riccati_exists,
     difference_residual,
     flux_residual,
     representation_residual,

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul, sub
 
 from .certificates import (
     Certificate,
@@ -34,16 +32,7 @@ from .certificates import (
 )
 from .dynamics import IntegrationOptions, Trajectory, integrate
 from .errors import DomainError
-from .fields import (
-    BoundTriple,
-    EquationSpec,
-    GridSpec,
-    InitialData,
-    Rectangle,
-    ScalarField,
-    _row_factor,
-    _time_field,
-)
+from .fields import BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, _closed_form_field, _closed_form_time, _Product
 from .quadrature import TimeFunction
 
 __all__ = [
@@ -91,47 +80,20 @@ def ef_equation(p: EFParams, t0: float = 1.0) -> EquationSpec:
     """
     if t0 <= 0.0:
         raise DomainError("power-law equations need t0 > 0")
-    rho, sigma, n = p.rho, p.sigma, p.n
-
-    def p0(t: float, w: float) -> float:
-        return t ** rho
-
-    # Row evaluators: the same arithmetic per sample, with the factors that do
-    # not depend on w computed once per row.
-    def p0_row(t, ws):
-        return [float(t ** rho)] * len(ws)
-
-    if p.variant == "absolute":
-
-        def r0(t: float, w: float) -> float:
-            return -(t ** sigma) * abs(w) ** (n - 1.0)
-
-        def r0_row(t, ws):
-            return list(map(mul, repeat(_row_factor(-(t ** sigma))), map(pow, map(abs, ws), repeat(n - 1.0))))
-
-    else:
-        exponent = n - 1.0
-        power = int(exponent) if float(exponent).is_integer() else exponent
-
-        def r0(t: float, w: float) -> float:
-            return -(t ** sigma) * w ** power  # negative w raises for fractional n
-
-        def r0_row(t, ws):
-            return list(map(mul, repeat(_row_factor(-(t ** sigma))), map(pow, ws, repeat(power))))
-
+    absolute = p.variant == "absolute"
+    r0 = _Product(-1.0, a=p.sigma, g="|w|^b" if absolute else "w^b", b=p.n - 1.0)
     return EquationSpec(
-        p0=ScalarField(p0, tags=frozenset({"positive"}), name="t^rho", row_fn=p0_row),
-        q0=ScalarField(lambda t, w: 0.0, tags=frozenset({"nonnegative", "nonpositive"}), name="0", row_fn=lambda t, ws: [0.0] * len(ws)),
-        r0=ScalarField(
-            r0, tags=frozenset({"nonpositive"}) if p.variant == "absolute" else frozenset(), name="-t^sigma*g(w)", row_fn=r0_row
-        ),
+        p0=_closed_form_field([_Product(1.0, a=p.rho)], {"positive"}, "t^rho"),
+        q0=_closed_form_field([_Product(0.0)], {"nonnegative", "nonpositive"}, "0"),
+        r0=_closed_form_field([r0], {"nonpositive"} if absolute else (), "-t^sigma*g(w)"),
         t0=t0,
     )
 
 
 def ef_bound_triple(p: EFParams) -> BoundTriple:
     """The canonical envelopes P = t**rho, Q = 0, R = -t**sigma."""
-    return BoundTriple(P=lambda t: t ** p.rho, Q=lambda t: 0.0, R=lambda t: -(t ** p.sigma))
+    P, Q, R = (_closed_form_time([_Product(c, a=a)]) for c, a in ((1.0, p.rho), (0.0, 0.0), (-1.0, p.sigma)))
+    return BoundTriple(P=P, Q=Q, R=R)
 
 
 @dataclass(frozen=True)
@@ -373,28 +335,23 @@ def vdp_equation(v: VdPParams, t0: float = 0.0) -> EquationSpec:
     """
     _check_vdp_signs(v, t0)
     return EquationSpec(
-        p0=_time_field(v.lam, {"positive"}, "lambda"),
-        q0=ScalarField(
-            lambda t, w: v.mu(t) * (w * w - 1.0),
-            tags=frozenset({"monotone_in_w_even"}),
-            name="mu*(w^2-1)",
-            row_fn=lambda t, ws: list(map(mul, repeat(_row_factor(v.mu(t))), map(sub, map(mul, ws, ws), repeat(1.0)))),
-        ),
-        r0=_time_field(v.nu, {"nonnegative"}, "nu"),
+        p0=_closed_form_field([_Product(1.0, tau=v.lam)], {"positive"}, "lambda"),
+        q0=_closed_form_field([_Product(1.0, g="w^2-1", tau=v.mu)], {"monotone_in_w_even"}, "mu*(w^2-1)"),
+        r0=_closed_form_field([_Product(1.0, tau=v.nu)], {"nonnegative"}, "nu"),
         t0=t0,
     )
 
 
 def vdp_bound_triple(v: VdPParams) -> BoundTriple:
     """Envelopes P = lam, Q = 0 for the unit band |w| <= 1."""
-    return BoundTriple(P=v.lam, Q=lambda t: 0.0, R=v.nu)
+    return BoundTriple(P=v.lam, Q=_closed_form_time([_Product(0.0)]), R=v.nu)
 
 
 def vdp_family(v: VdPParams):
     """Comparison family p_eps = lam, q_eps = mu * (eps**2 - 1), r_eps = nu."""
 
     def family(eps: float):
-        return (v.lam, lambda t: v.mu(t) * (eps * eps - 1.0), v.nu)
+        return (v.lam, _closed_form_time([_Product(eps * eps - 1.0, tau=v.mu)]), v.nu)
 
     return family
 

@@ -40,11 +40,12 @@ from .fields import (
     GridSpec,
     InitialData,
     Rectangle,
+    _closed_form_field,
     _even_monotone_break,
     _first_where,
+    _Product,
     _rows,
     _scan,
-    _time_field,
 )
 from .quadrature import (
     ABS_TOL,
@@ -481,8 +482,9 @@ def check_t3_3(
     W = max(abs(region.w_min), abs(region.w_max))
     nw = grid.nw if grid.nw % 2 == 1 else grid.nw + 1
     half = (nw - 1) // 2
-    ws = [-W + 2.0 * W * i / (nw - 1) for i in range(nw)]
-    ws[half] = 0.0
+    # Mirrored, ws[nw - 1 - i] == -ws[i], so an even field gives equal samples at +-w.
+    lower = [-W + 2.0 * W * i / (nw - 1) for i in range(half)]
+    ws = [*lower, 0.0, *(-w for w in reversed(lower))]
 
     def p_match(t, ws, row, stops):
         for j, (a, c) in enumerate(zip(row["p0"], row["p1"])):
@@ -709,9 +711,9 @@ def _comparison_zero_count(
     osc_horizon: float,
 ) -> int:
     eq = EquationSpec(
-        p0=_time_field(p_e, {"positive"}, "p_eps"),
-        q0=_time_field(q_e, name="q_eps"),
-        r0=_time_field(r_e, name="r_eps"),
+        p0=_closed_form_field([_Product(1.0, tau=p_e)], {"positive"}, "p_eps"),
+        q0=_closed_form_field([_Product(1.0, tau=q_e)], name="q_eps"),
+        r0=_closed_form_field([_Product(1.0, tau=r_e)], name="r_eps"),
         t0=t0,
     )
     opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)

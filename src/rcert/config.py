@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
 from typing import Callable, Mapping
 
 from .applications import EFParams, VdPParams, ef_bound_triple, ef_equation, vdp_bound_triple, vdp_equation
 from .dynamics import IntegrationOptions
 from .errors import ConfigError
-from .fields import KNOWN_TAGS, BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _row_factor
+from .fields import KNOWN_TAGS, BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _closed_form_field, _closed_form_time, _Product
 from .quadrature import ABS_TOL, REL_TOL
 
 __all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config", "equation_from_json", "time_function_from_json"]
@@ -154,20 +152,18 @@ def time_function_from_json(doc: Mapping, path: str) -> Callable[[float], float]
     kind = doc["kind"]
     if kind == "constant":
         _require_keys(doc, {"kind", "value"}, {"kind", "value"}, path)
-        c = _number(doc, "value", path)
-        return lambda t: c
+        return _closed_form_time([_Product(_number(doc, "value", path))])
     if kind == "power":
         _require_keys(doc, {"kind", "coeff", "power"}, {"kind", "power"}, path)
-        coeff = _number(doc, "coeff", path, default=1.0)
-        expo = _number(doc, "power", path)
-        return lambda t: coeff * t ** expo
+        return _closed_form_time([_Product(_number(doc, "coeff", path, default=1.0), a=_number(doc, "power", path))])
     if kind == "polynomial":
         _require_keys(doc, {"kind", "coeffs"}, {"kind", "coeffs"}, path)
         coeffs = doc["coeffs"]
         if not isinstance(coeffs, list) or not all(map(_is_number, coeffs)):
             raise ConfigError(f"{path}.coeffs", "expected a list of numbers")
-        cs = [_finite(c, f"{path}.coeffs[{k}]") for k, c in enumerate(coeffs)]
-        return lambda t: sum(c * t ** k for k, c in enumerate(cs))
+        # Summed from the integer 0: an empty polynomial is the integer 0.
+        products = [_Product(_finite(c, f"{path}.coeffs[{k}]"), a=float(k)) for k, c in enumerate(coeffs)]
+        return _closed_form_time(products, start=0)
     raise ConfigError(f"{path}.kind", f"unknown time-function kind {kind!r}")
 
 
@@ -183,57 +179,27 @@ def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
 
     if kind == "constant":
         _require_keys(doc, {"kind", "value", "tags"}, {"kind", "value"}, path)
-        c = _number(doc, "value", path)
-        return ScalarField(lambda t, w: c, tags=tagset, name=name, row_fn=lambda t, ws: [c] * len(ws))
+        return _closed_form_field([_Product(_number(doc, "value", path))], tagset, name)
     if kind == "power":
         # coeff * t**t_power * (|w| or w)**w_power
         _require_keys(doc, {"kind", "coeff", "t_power", "w_power", "w_abs", "tags"}, {"kind"}, path)
-        coeff = _number(doc, "coeff", path, default=1.0)
-        tp = _number(doc, "t_power", path, default=0.0)
-        wp = _number(doc, "w_power", path, default=0.0)
+        coeff, tp, wp = (_number(doc, key, path, default) for key, default in (("coeff", 1.0), ("t_power", 0.0), ("w_power", 0.0)))
         w_abs = doc.get("w_abs", True)
         if not isinstance(w_abs, bool):
             raise ConfigError(f"{path}.w_abs", "expected a boolean")
-
-        def fn(t, w, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
-            base = abs(w) if w_abs else w
-            wfac = 1.0 if wp == 0.0 else base ** wp
-            tfac = 1.0 if tp == 0.0 else t ** tp
-            return coeff * tfac * wfac
-
-        def row(t, ws, coeff=coeff, tp=tp, wp=wp, w_abs=w_abs):
-            scale = _row_factor(coeff * (1.0 if tp == 0.0 else t ** tp))
-            if wp == 0.0:
-                return [scale * 1.0] * len(ws)
-            return list(map(operator.mul, repeat(scale), map(pow, map(abs, ws) if w_abs else ws, repeat(wp))))
-
-        return ScalarField(fn, tags=tagset, name=name, row_fn=row)
+        return _closed_form_field([_Product(coeff, a=tp, g="|w|^b" if w_abs else "w^b", b=wp, w_first=True)], tagset, name)
     if kind == "polynomial":
         _require_keys(doc, {"kind", "terms", "tags"}, {"kind", "terms"}, path)
         terms = doc["terms"]
         if not isinstance(terms, list):
             raise ConfigError(f"{path}.terms", "expected a list of term objects")
-        parsed = []
+        products = []
         for k, term in enumerate(terms):
             tpath = f"{path}.terms[{k}]"
             _require_keys(term, {"c", "t", "w"}, {"c"}, tpath)
-            parsed.append((_number(term, "c", tpath), _number(term, "t", tpath, default=0.0), _number(term, "w", tpath, default=0.0)))
-
-        def poly(t, w, parsed=tuple(parsed)):
-            total = 0.0
-            for c, a, b in parsed:
-                total += c * (t ** a if a else 1.0) * (w ** b if b else 1.0)
-            return total
-
-        def poly_row(t, ws, parsed=tuple(parsed)):
-            totals = [0.0] * len(ws)
-            for c, a, b in parsed:
-                scale = _row_factor(c * (t ** a if a else 1.0))
-                wfacs = map(pow, ws, repeat(b)) if b else repeat(1.0)
-                totals = list(map(operator.add, totals, map(operator.mul, repeat(scale), wfacs)))
-            return totals
-
-        return ScalarField(poly, tags=tagset, name=name, row_fn=poly_row)
+            c, a, b = (_number(term, key, tpath, default) for key, default in (("c", None), ("t", 0.0), ("w", 0.0)))
+            products.append(_Product(c, a=a, g="w^b", b=b))
+        return _closed_form_field(products, tagset, name, start=0.0)
     raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
 
 
@@ -409,8 +375,8 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
         scan = f"{what} scans its envelope from initial.t1 = {initial.t1!r}"
         if region is not None and region.t_min != initial.t1:
             raise ConfigError("config.region.t", f"{scan}, so the lower bound must equal it, got {region.t_min!r}")
-        if region is None and initial.t1 > equation.t0 + options.horizon:
-            raise ConfigError("config.options.horizon", f"{scan}, so t0 + horizon must not lie before it, got {equation.t0 + options.horizon!r}")
+        if region is None and initial.t1 > options.horizon:
+            raise ConfigError("config.options.horizon", f"{scan}, so the horizon must not lie before it, got {options.horizon!r}")
     if command == "emden" and not isinstance(params, EFParams):
         raise ConfigError("config.equation.kind", "command 'emden' needs an emden_fowler equation")
     if command == "vdp" and not isinstance(params, VdPParams):

@@ -11,8 +11,7 @@ and a proportional-integral controller working in error-per-unit-step form:
 the accepted local error is proportional to the step length, which makes the
 accumulated error (and hence every residual oracle built on trajectories)
 scale linearly with the requested tolerance.  The stepper is written out for
-the two components (phi, psi); a scalar equation rides in the first component
-with the second held at zero.
+the two components (phi, psi).
 
 Finite escape is only declared when two independent signals agree: the state
 norm |phi| + |psi| has passed ``escape_threshold`` and the step size has
@@ -45,7 +44,6 @@ __all__ = [
     "TerminalStatus",
     "Trajectory",
     "integrate",
-    "solve_scalar",
     "export_trajectory_csv",
     "REACHED_HORIZON",
     "FINITE_ESCAPE",
@@ -216,9 +214,9 @@ class _NonFiniteStage(ArithmeticError):
     """A stage derivative or the propagated solution is not finite; the step is rejected."""
 
 
-def _rms(ra: float, rb: float, n_eq: int) -> float:
-    """Root mean square of the scaled components over ``n_eq`` equations."""
-    return math.sqrt((ra * ra + rb * rb) / n_eq)
+def _rms(ra: float, rb: float) -> float:
+    """Root mean square of the two scaled components."""
+    return math.sqrt((ra * ra + rb * rb) / 2.0)
 
 
 def _floor_at(t: float, min_step: float) -> float:
@@ -237,18 +235,15 @@ def _solve(
     t0: float,
     ya: float,
     yb: float,
-    n_eq: int,
     opts: IntegrationOptions,
-    eq: EquationSpec | None = None,
-    ic: InitialData | None = None,
+    eq: EquationSpec,
+    ic: InitialData,
 ) -> Trajectory:
-    """Dormand-Prince 5(4) on the two components (ya, yb) with rhs ``f(t, ya, yb)``.
+    """Dormand-Prince 5(4) on the two components (ya, yb) with rhs ``f(t, ya, yb)``,
+    recording the zeros of ``ya``.
 
-    ``n_eq`` is the number of equations the error norm averages over: 2 for
-    the system, whose zeros of ``ya`` are recorded (``eq`` given), 1 for a
-    scalar equation carried in ``ya`` with ``yb`` held at zero.  Every sum is
-    written out in the tableau's left-to-right order, starting from
-    ``0.0 +``, so the trajectory does not depend on how the sums are grouped.
+    Every sum is written out in the tableau's left-to-right order, starting
+    from ``0.0 +``, so the trajectory does not depend on how the sums are grouped.
     """
     horizon = opts.horizon
     if horizon <= t0:
@@ -276,13 +271,13 @@ def _solve(
 
     # Initial step length, then the controller takes over.
     sa, sb = atol + rtol * abs(ya), atol + rtol * abs(yb)
-    d0 = _rms(ya / sa, yb / sb, n_eq)
-    d1 = _rms(k1a / sa, k1b / sb, n_eq)
+    d0 = _rms(ya / sa, yb / sb)
+    d1 = _rms(k1a / sa, k1b / sb)
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = min(h, span)
     try:
         fa, fb = f(t + h, ya + h * k1a, yb + h * k1b)
-        d2 = _rms((fa - k1a) / sa, (fb - k1b) / sb, n_eq) / h
+        d2 = _rms((fa - k1a) / sa, (fb - k1b) / sb) / h
         if max(d1, d2) > 1e-15:
             h = min(100.0 * h, (0.01 / max(d1, d2)) ** 0.2, span)
     except (FieldEvaluationError, OverflowError, ZeroDivisionError):
@@ -359,7 +354,7 @@ def _solve(
         ma, mna, mb, mnb = abs(ya), abs(yna), abs(yb), abs(ynb)
         ra = ea / (atol + rtol * (mna if mna > ma else ma))
         rb = eb / (atol + rtol * (mnb if mnb > mb else mb))
-        ratio = sqrt((ra * ra + rb * rb) / n_eq) / (tol_rate * h)
+        ratio = sqrt((ra * ra + rb * rb) / 2.0) / (tol_rate * h)
         if not isfinite(ratio):
             ratio = math.inf
 
@@ -404,28 +399,27 @@ def _solve(
             h = h * fac
 
             # --- event bookkeeping on the accepted node -------------------
-            if eq is not None:
-                s_new = 0.0 if ya == 0.0 else copysign(1.0, ya)
-                if abs(ya) <= zero_tol and abs(k1a) <= zero_tol:
-                    tangential = True
-                if s_new == 0.0:
-                    pending_zero = t
-                elif s_last != 0.0 and s_new != s_last:
-                    if pending_zero is not None:
-                        zeros.append(pending_zero)
-                    else:
-                        zeros.append(_locate_zero(ts, segments, t_sign, t, zero_tol))
-                    pending_zero = None
-                    s_last, t_sign = s_new, t
-                    if len(zeros) >= opts.max_zeros:
-                        zeros_truncated = True
-                        terminal = TerminalStatus(REACHED_HORIZON, t, reason="zero cap reached")
-                        break
+            s_new = 0.0 if ya == 0.0 else copysign(1.0, ya)
+            if abs(ya) <= zero_tol and abs(k1a) <= zero_tol:
+                tangential = True
+            if s_new == 0.0:
+                pending_zero = t
+            elif s_last != 0.0 and s_new != s_last:
+                if pending_zero is not None:
+                    zeros.append(pending_zero)
                 else:
-                    if s_new == s_last and pending_zero is not None:
-                        tangential = True
-                        pending_zero = None
-                    s_last, t_sign = s_new, t
+                    zeros.append(_locate_zero(ts, segments, t_sign, t, zero_tol))
+                pending_zero = None
+                s_last, t_sign = s_new, t
+                if len(zeros) >= opts.max_zeros:
+                    zeros_truncated = True
+                    terminal = TerminalStatus(REACHED_HORIZON, t, reason="zero cap reached")
+                    break
+            else:
+                if s_new == s_last and pending_zero is not None:
+                    tangential = True
+                    pending_zero = None
+                s_last, t_sign = s_new, t
         else:
             rejected = True
             fac = max(0.1, min(0.5, _SAFETY * ratio ** -0.25))
@@ -470,20 +464,7 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
     if p_init <= 0.0:
         raise DomainError(f"p0 is not positive at the initial point: {p_init!r}")
 
-    return _solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, 2, opts, eq, ic)
-
-
-def solve_scalar(rhs: Callable[[float, float], float], t0: float, y0: float, opts: IntegrationOptions) -> TerminalStatus:
-    """How a scalar ODE integrated with the same stepper and escape detection ends.
-
-    The scalar is the stepper's first component; the second is held at zero
-    and the error norm averages over one equation.
-    """
-
-    def f(t: float, y: float, _zero: float) -> tuple[float, float]:
-        return rhs(t, y), 0.0
-
-    return _solve(f, t0, y0, 0.0, 1, opts).terminal
+    return _solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, opts, eq, ic)
 
 
 def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:

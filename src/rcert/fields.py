@@ -12,8 +12,10 @@ records the rectangle and grid on which its hypotheses were actually checked.
 
 This is the bottom layer of the package: it imports nothing from it but
 ``errors``, and it holds the row-wise hypothesis scan that the tag verifier
-and the certificate checkers share.  Building fields and equations from JSON
-specs belongs to the config schema, in ``config``.
+and the certificate checkers share.  It is also the one place that turns a
+closed form (a sum of products c * tau(t) * t**a * g(w)) into evaluators.
+Building fields and equations from JSON specs belongs to the config schema,
+in ``config``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, FieldEvaluationError
 
@@ -55,7 +57,8 @@ class ScalarField:
 
     ``row_fn``, when given, evaluates a whole row ``(t, ws) -> list[float]``
     for :meth:`sample_row` and must give every sample bit for bit as
-    ``__call__`` would.  Opaque callables have none.
+    ``__call__`` would.  Closed forms get theirs from :func:`_closed_form_field`;
+    opaque callables have none.
     """
 
     fn: Callable[[float, float], float]
@@ -101,16 +104,86 @@ class ScalarField:
         return [self(t, w) for w in ws]
 
 
-def _time_field(fn: Callable[[float], float], tags=frozenset(), name: str = "") -> ScalarField:
-    """A field that does not depend on w: ``fn(t)`` at each sample, and its row evaluator."""
-    return ScalarField(lambda t, w: fn(t), frozenset(tags), name, lambda t, ws: [float(fn(t))] * len(ws))
+class _Product(NamedTuple):
+    """One product ``c * tau(t) * t**a * g(w)`` of a closed-form coefficient.
+
+    ``g`` names a w-factor of :data:`_W_FACTORS` (None for none) and ``b`` is
+    its exponent; ``tau`` is an opaque time factor, or None.  ``w_first``
+    evaluates g(w) before the time part: the value is the same, but a sample
+    that fails in both parts raises from g(w).
+    """
+
+    c: float
+    a: float = 0.0
+    g: str | None = None
+    b: float = 0.0
+    tau: Callable[[float], float] | None = None
+    w_first: bool = False
 
 
-def _row_factor(value) -> float:
-    """A factor a row evaluator computes once per row; a non-float sends the row to the scalar loop."""
-    if type(value) is not float:
-        raise TypeError(f"row factor {value!r} is not a float")
-    return value
+#: The source of each w-factor at w and over the row ws, with ``{b}`` its exponent.
+#: libm ``pow`` is not correctly rounded, so ``w * w`` is a factor of its own.
+_W_FACTORS = {
+    "|w|^b": ("abs(w) ** {b}", "map(pow, map(abs, ws), repeat({b}))"),
+    "w^b": ("w ** {b}", "map(pow, ws, repeat({b}))"),
+    "w^2-1": ("(w * w - 1.0)", "map(sub, map(mul, ws, ws), repeat(1.0))"),
+}
+
+
+def _times(c: str, value: float, factors: list[str]) -> str:
+    """The source of ``c * f1 * f2 * ...``, with a coefficient of +-1 left out."""
+    if not factors:
+        return c
+    return {1.0: "", -1.0: "-"}.get(value, f"{c} * ") + " * ".join(factors)
+
+
+def _closed_form(products: Sequence[_Product], start: float | None = None) -> dict:
+    """Compile ``start + P0 + P1 + ...`` into ``fn(t, w)``, ``row(t, ws)`` and, without w-factors, ``time(t)``.
+
+    Sums and products run left to right, and with ``start`` None the value is
+    the one product.  As :mod:`dataclasses` compiles ``__init__``, the source
+    holds only the operations the products need: it leaves out zero exponents
+    and coefficients of +-1, since ``x ** 0.0 == 1.0`` and ``+-1.0 * x == +-x``
+    for every float.  ``row`` takes each product's time part once per row, as
+    a float, so a time part that is not a real number sends the row to the
+    scalar loop.
+    """
+    env = {"start": start, "repeat": repeat, "add": operator.add, "mul": operator.mul, "sub": operator.sub}
+    values, rows, scales = ["start"] * (start is not None), ["repeat(start)"] * (start is not None), []
+    for k, p in enumerate(products):
+        env.update({f"c{k}": p.c, f"a{k}": p.a, f"b{k}": p.b, f"tau{k}": p.tau})
+        factors = [f"tau{k}(t)"] * (p.tau is not None) + [f"t ** a{k}"] * (p.a != 0.0)
+        time_part = _times(f"c{k}", p.c, factors)
+        scales.append(f"    s{k} = float({time_part})\n")
+        if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):  # |w| ** 0.0 == w ** 0.0 == 1.0
+            values.append(time_part)
+            rows.append(f"repeat(s{k})")
+        else:
+            at_w, over_ws = (s.format(b=f"b{k}") for s in _W_FACTORS[p.g])
+            values.append(f"{at_w} * ({time_part})" if p.w_first and factors else _times(f"c{k}", p.c, factors + [at_w]))
+            rows.append(f"map(mul, repeat(s{k}), {over_ws})")
+    value, row = " + ".join(values), rows[0]
+    for r in rows[1:]:
+        row = f"map(add, {row}, {r})"
+    source = f"def fn(t, w):\n    return {value}\ndef row(t, ws):\n{''.join(scales)}"
+    if "ws" in row:
+        source += f"    return list({row})\n"
+    else:  # no w-factor: one value for the whole row
+        total = " + ".join(["start"] * (start is not None) + [f"s{k}" for k in range(len(products))])
+        source += f"    return [{total}] * len(ws)\ndef time(t):\n    return {value}\n"
+    exec(compile(source, "<closed form>", "exec"), env)
+    return env
+
+
+def _closed_form_field(products: Sequence[_Product], tags=frozenset(), name: str = "", start: float | None = None) -> ScalarField:
+    """The field of a sum of products, with its row evaluator (see :func:`_closed_form`)."""
+    env = _closed_form(products, start)
+    return ScalarField(env["fn"], frozenset(tags), name, env["row"])
+
+
+def _closed_form_time(products: Sequence[_Product], start: float | None = None) -> Callable[[float], float]:
+    """The time function of a sum of products without w-factors (see :func:`_closed_form`)."""
+    return _closed_form(products, start)["time"]
 
 
 @dataclass(frozen=True)

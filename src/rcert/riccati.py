@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .dynamics import FINITE_ESCAPE, REACHED_HORIZON, IntegrationOptions, Trajectory, solve_scalar
+from .dynamics import Trajectory
 from .errors import DomainError
-from .fields import BoundTriple
 from .quadrature import CumulativeIntegral, weighted_chain
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "difference_residual",
     "flux_residual",
     "volterra_residual",
-    "comparison_riccati_exists",
-    "ComparisonResult",
 ]
 
 
@@ -231,43 +228,3 @@ def volterra_residual(traj: Trajectory, a: float | None = None, b: float | None 
         scale = max(scale, abs(phi))
         worst = max(worst, abs(phi - (phi_a + psi_a * T1 - T2)))
     return worst / scale
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    exists_on_span: bool
-    escape_time: float | None = None
-    terminal_kind: str = ""
-
-
-def comparison_riccati_exists(
-    b: BoundTriple,
-    y_init: float,
-    span: tuple[float, float],
-) -> ComparisonResult:
-    """Integrate the scalar comparison equation y' = -y^2/P - (Q/P) y - R.
-
-    Reports whether the solution stays finite on the span; the failure mode
-    is downward blow-up in finite time.  The escape threshold, 1e6, is
-    lower than the trajectory default because the comparison variable blows
-    down at a known hyperbolic rate, which drives the step size to its floor
-    while |y| is still moderate.
-    """
-    if b.R is None:
-        raise DomainError("the comparison equation needs the R component")
-    t1, t2 = span
-    if not t1 < t2:
-        raise DomainError("empty span")
-    P, Q, R = b.P, b.Q, b.R
-
-    def rhs(t: float, y: float) -> float:
-        p = P(t)
-        if p <= 0.0:
-            raise DomainError(f"P({t!r}) = {p!r} <= 0")
-        return -y * y / p - Q(t) / p * y - R(t)
-
-    terminal = solve_scalar(rhs, t1, y_init, IntegrationOptions(horizon=t2, escape_threshold=1e6))
-    if terminal.kind == FINITE_ESCAPE:
-        return ComparisonResult(False, escape_time=terminal.time, terminal_kind=terminal.kind)
-    return ComparisonResult(terminal.kind == REACHED_HORIZON, terminal_kind=terminal.kind)
-

@@ -158,6 +158,20 @@ class TestClassifyAndIntegrate:
         assert meta["terminal"]["time"] == 6.0
         assert len(meta["zeros"]) == 2
 
+    @pytest.mark.parametrize("t0", [1.0, 2.0])
+    def test_default_region_ends_where_integrate_does(self, tmp_path, t0):
+        # options.horizon is the absolute end time: the envelope scan without a
+        # region and the trajectory both end there, whatever t0 is.
+        doc = json.loads(json.dumps(EF_CONFIG))
+        del doc["region"]
+        doc["equation"]["t0"] = doc["initial"]["t1"] = t0
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["certify", "t3_1", "--config", cfg, "--out", str(tmp_path / "cert")]) == 0
+        (cert,) = json.loads((tmp_path / "cert" / "report.json").read_text())["certificates"]
+        assert cert["region"]["t"] == [t0, 50.0]
+        assert run_cli(["integrate", "--config", cfg, "--out", str(tmp_path / "traj")]) == 0
+        assert json.loads((tmp_path / "traj" / "report.json").read_text())["terminal"]["time"] == 50.0
+
 
 class TestSweepCommand:
     def test_raster_artifact(self, tmp_path):
@@ -242,19 +256,10 @@ KNESER_CONFIG = {
     "options": {"horizon": 20.0},
 }
 
-# The default T3_3 region is 1.1x the Kneser majorant's sup, and its w grid
-# -W + 2W*i/(nw - 1) is not exactly symmetric there: r0 at w and at -w differ
-# in the last bits, so comparing the equation with itself fails the band
-# ordering by one rounding.  This witness pins that known defect (the T3_3
-# grid FOUND line in CHANGES.md) as it stands: the fix is expected to replace
-# it, and then TestTheoremRuns.test_kneser_self_comparison_not_falsified passes.
-KNESER_WITNESS = {
-    "hypothesis": "r1(w1) <= r0(w) <= 0 for |w| <= |w1|",
-    "t": 1.0,
-    "w": -21.30140840430888,
-    "detail": "r1(w1)=-453.75000000716096 > min r0 over band = -453.7500000071613",
-}
-KNESER_LINE = "T3_3: Falsified | witness (r1(w1) <= r0(w) <= 0 for |w| <= |w1|) at t=1, w=-21.3014"
+# The default T3_3 region is 1.1x the Kneser majorant's sup.  The w grid is
+# mirrored, so comparing the equation with itself samples r0 at w and -w
+# alike, and every T3_3 ordering holds.
+KNESER_LINE = "T3_3: Verified | GLOBAL_MONOTONE"
 
 
 def with_keys(base, **changes):
@@ -277,7 +282,7 @@ class TestTheoremRuns:
                 "Inconclusive",
                 None,
             ),
-            (["certify", "t3_3"], KNESER_CONFIG, 2, [KNESER_LINE], "Falsified", KNESER_WITNESS),
+            (["certify", "t3_3"], KNESER_CONFIG, 0, [KNESER_LINE], "Verified", None),
             (
                 ["certify", "t3_4"],
                 with_keys(EF_CONFIG, region={"t": [1.0, 10.0], "w": [-2.0, 2.0]}, grid={"nt": 9, "nw": 9}),
@@ -297,10 +302,10 @@ class TestTheoremRuns:
             (
                 ["emden"],
                 KNESER_CONFIG,
-                2,
+                0,
                 ["trajectory: GlobalMonotoneNonvanishing, terminal reached_horizon", KNESER_LINE],
-                "Falsified",
-                KNESER_WITNESS,
+                "Verified",
+                None,
             ),
         ],
         ids=["t3_2", "t3_3", "t3_4", "t3_5", "emden_kneser"],
@@ -313,7 +318,6 @@ class TestTheoremRuns:
         assert (cert["status"], cert["witness"]) == (status, witness)
         validate_certificate_dict(cert)
 
-    @pytest.mark.xfail(strict=True, reason="T3_3's w grid is not exactly symmetric; see KNESER_WITNESS")
     @pytest.mark.parametrize("args", [["certify", "t3_3"], ["emden"]], ids=["t3_3", "emden"])
     def test_kneser_self_comparison_not_falsified(self, tmp_path, args):
         # An equation compared with itself satisfies every T3_3 ordering.

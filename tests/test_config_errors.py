@@ -145,20 +145,20 @@ CASES = [
         {"region.t": [5.0, 10.0]},
         "region.t: command 'emden' with rho > 1 scans its envelope from initial.t1 = 1.0, so the lower bound must equal it, got 5.0",
     ),
-    # Without a region the scan runs from initial.t1 to t0 + horizon, which must not come first.
+    # Without a region the scan runs from initial.t1 to the horizon, which must not come first.
     (
         "horizon_before_t1_t3_1",
         ["certify", "t3_1"],
         EF,
         {"region": DROP, "initial.t1": 60.0},
-        "options.horizon: certify t3_1 scans its envelope from initial.t1 = 60.0, so t0 + horizon must not lie before it, got 51.0",
+        "options.horizon: certify t3_1 scans its envelope from initial.t1 = 60.0, so the horizon must not lie before it, got 50.0",
     ),
     (
         "horizon_before_t1_emden",
         ["emden"],
         EF,
         {"region": DROP, "initial.t1": 60.0, "options": {"horizon": 20.0}},
-        "options.horizon: command 'emden' with rho > 1 scans its envelope from initial.t1 = 60.0, so t0 + horizon must not lie before it, got 21.0",
+        "options.horizon: command 'emden' with rho > 1 scans its envelope from initial.t1 = 60.0, so the horizon must not lie before it, got 20.0",
     ),
     ("initial_required", ["integrate"], EF, {"initial": DROP}, "initial: required by command 'integrate'"),
     ("initial_required_t3_3", ["certify", "t3_3"], EF, {"initial": DROP}, "initial: required by command 'certify' t3_3"),

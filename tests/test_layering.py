@@ -61,3 +61,34 @@ def test_no_package_import_inside_a_function(path):
 def test_only_the_front_ends_import_config():
     importers = {p.name for p in MODULES if any(name == "config" for name, _ in package_imports(p))}
     assert importers == {"cli.py", "__init__.py"}
+
+
+#: What ``fields`` uses to write evaluators.  Other modules build a closed-form
+#: field through ``_closed_form_field`` or ``_closed_form_time`` only.
+EVALUATOR_INTERNALS = {"_closed_form", "_times", "_W_FACTORS"}
+
+
+def row_evaluator_uses(source: str) -> list[str]:
+    """Each ``row_fn=`` argument, ``ScalarField`` call with a fourth positional
+    argument, and import of an evaluator internal of ``fields`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            found.extend(f"row_fn= at line {node.lineno}" for k in node.keywords if k.arg == "row_fn")
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if callee == "ScalarField" and len(node.args) > 3:
+                found.append(f"ScalarField with a row evaluator at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fields":
+            found.extend(f"imports {a.name}" for a in node.names if a.name in EVALUATOR_INTERNALS)
+    return sorted(found)
+
+
+def test_the_row_scan_finds_row_evaluators():
+    source = "from .fields import ScalarField, _closed_form\nScalarField(f, (), 'f', row)\nreplace(fld, row_fn=None)\n"
+    assert row_evaluator_uses(source) == ["ScalarField with a row evaluator at line 2", "imports _closed_form", "row_fn= at line 3"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=[p.name for p in MODULES if p.name != "fields.py"])
+def test_only_fields_builds_row_evaluators(path):
+    # A closed-form field is a list of products; fields alone turns it into evaluators.
+    assert row_evaluator_uses(path.read_text(encoding="utf-8")) == []

@@ -4,13 +4,11 @@ from dataclasses import replace
 import pytest
 
 from rcert import (
-    BoundTriple,
     DomainError,
     InitialData,
     IntegrationOptions,
     auto_segments,
     cauchy_residual,
-    comparison_riccati_exists,
     difference_residual,
     integrate,
     representation_residual,
@@ -120,26 +118,6 @@ class TestDifferenceResidual:
     def test_bad_j_rejected(self, harmonic_path):
         with pytest.raises(DomainError):
             difference_residual(harmonic_path, harmonic_path, 2)
-
-
-class TestComparisonRiccati:
-    def test_flat_equation_exists(self):
-        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: 0.0)
-        result = comparison_riccati_exists(b, 0.0, (0.0, 5.0))
-        assert result.exists_on_span
-
-    def test_downward_blowup_near_half_pi(self):
-        # y' = -y^2 - 1 from 0 is -tan(t): escapes downward at pi/2
-        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: 1.0)
-        result = comparison_riccati_exists(b, 0.0, (0.0, 3.0))
-        assert not result.exists_on_span
-        assert result.escape_time == pytest.approx(math.pi / 2, abs=1e-3)
-
-    def test_tanh_solution_global(self):
-        # y' = -y^2 + 1 from 0 is tanh(t): global
-        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: -1.0)
-        result = comparison_riccati_exists(b, 0.0, (0.0, 10.0))
-        assert result.exists_on_span
 
 
 class TestTrajectoryAssertions:

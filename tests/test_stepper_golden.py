@@ -10,11 +10,9 @@ import pytest
 from rcert import (
     FINITE_ESCAPE,
     REACHED_HORIZON,
-    BoundTriple,
     DomainError,
     InitialData,
     IntegrationOptions,
-    comparison_riccati_exists,
     integrate,
 )
 from conftest import make_eq
@@ -75,11 +73,3 @@ def test_one_node_run(harmonic_eq):
     with pytest.raises(DomainError):
         traj.phi_at(1e-14)
 
-
-def test_scalar_comparison_escape_time():
-    # y' = -y^2 - 1 from 0 is -tan(t), which escapes downward at pi/2
-    b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: 1.0)
-    result = comparison_riccati_exists(b, 0.0, (0.0, 3.0))
-    assert not result.exists_on_span
-    assert result.terminal_kind == FINITE_ESCAPE
-    assert result.escape_time.hex() == "0x1.921fb3d0284a0p+0"
