@@ -275,7 +275,8 @@ def conditional_stability_experiment(
     n_ics: int = 20,
     horizon: float = 50.0,
 ) -> list[StabilityOutcome]:
-    """Sample the stability manifold and track sup(|phi| + |psi|) over the horizon.
+    """Sample the stability manifold and track sup(|phi| + |psi|) from t0 to ``horizon``,
+    the absolute end time (as ``IntegrationOptions.horizon``), not a duration.
 
     The manifold is one-sided: phi(t0) in [0, delta) with phi'(t0) = 0; the
     experiment keeps that one-sidedness and does not generalize it.
@@ -284,12 +285,12 @@ def conditional_stability_experiment(
     cap = math.exp(t0 ** (p.sigma + 2.0 - p.rho) / ((p.sigma + 1.0) * (p.rho - 1.0)))
     hi = min(delta, cap)
     eq = ef_equation(p, t0=t0)
-    opts = IntegrationOptions(horizon=t0 + horizon)
+    opts = IntegrationOptions(horizon=horizon)
     outcomes = []
     for k in range(n_ics):
         phi0 = hi * (k + 1) / (n_ics + 1)
         traj = integrate(eq, InitialData(t1=t0, phi0=phi0, phi1=0.0), opts)
-        sup = float(max(abs(traj.phis) + abs(traj.psis)))
+        sup = max(abs(phi) + abs(psi) for phi, psi in zip(traj.phis, traj.psis))
         outcomes.append(StabilityOutcome(phi0=phi0, sup_norm=sup, within_eps=sup < eps, terminal=traj.terminal.kind))
     return outcomes
 

@@ -466,8 +466,8 @@ def check_t3_3(
     if abs(ic0.t1 - t_base) > 1e-12 * max(1.0, abs(t_base)):
         raise DomainError("comparison initial data must start where the majorant starts")
 
-    phi1_0 = float(majorant.phis[0])
-    dphi1_0 = float(majorant.dphis[0])
+    phi1_0 = majorant.phis[0]
+    dphi1_0 = majorant.dphis[0]
     positive_branch = phi1_0 >= ic0.phi0 > 0.0 and dphi1_0 > ic0.phi1 >= 0.0
     negative_branch = phi1_0 <= ic0.phi0 < 0.0 and dphi1_0 < ic0.phi1 <= 0.0
     if not (positive_branch or negative_branch):

@@ -85,10 +85,10 @@ class Classification:
 
 
 def _is_nondecreasing_abs(traj: Trajectory) -> bool:
-    prev = abs(float(traj.phis[0]))
-    scale = max(1.0, float(max(abs(traj.phis.min()), abs(traj.phis.max()))))
+    prev = abs(traj.phis[0])
+    scale = max(1.0, max(map(abs, traj.phis)))
     for v in traj.phis[1:]:
-        cur = abs(float(v))
+        cur = abs(v)
         if cur < prev - MONOTONE_TOL * scale:
             return False
         prev = max(prev, cur)
@@ -104,12 +104,11 @@ def _gap_ratios(zeros: list[float]) -> tuple[float, ...]:
 
 def _dead_band_entry(traj: Trajectory) -> float | None:
     band = DEAD_BAND_FACTOR * traj.opts.zero_tol
-    ts = traj.ts
     entry = None
-    for t, phi, dphi in zip(ts, traj.phis, traj.dphis):
+    for t, phi, dphi in zip(traj.ts, traj.phis, traj.dphis):
         if abs(phi) <= band and abs(dphi) <= band:
             if entry is None:
-                entry = float(t)
+                entry = t
         else:
             entry = None
     if entry is None:
@@ -174,7 +173,7 @@ def classify(traj: Trajectory) -> Classification:
     span = traj.t_end - traj.t_start
     if len(zeros) >= MIN_ZEROS and zeros[-1] >= traj.t_end - WINDOW * span:
         return Classification(OSCILLATORY, len(zeros), terminal, monotone)
-    if not zeros and monotone and float(max(abs(traj.phis.min()), abs(traj.phis.max()))) > traj.opts.zero_tol:
+    if not zeros and monotone and max(map(abs, traj.phis)) > traj.opts.zero_tol:
         return Classification(GLOBAL_MONOTONE_NONVANISHING, len(zeros), terminal, monotone)
     return Classification(GLOBAL_NON_OSCILLATORY, len(zeros), terminal, monotone)
 

@@ -10,10 +10,9 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import applications as apps
 from .certificates import (
@@ -73,7 +72,7 @@ def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajec
     eq = cfg.equation
     majorant = apps.kneser_majorant(cfg.params, eq.t0, cfg.options)
     if region is None:
-        w_cap = 1.1 * max(float(np.max(np.abs(majorant.phis))), abs(cfg.initial.phi0))
+        w_cap = 1.1 * max(max(map(abs, majorant.phis)), abs(cfg.initial.phi0))
         region = Rectangle(eq.t0, majorant.t_end, -w_cap, w_cap)
     return check_t3_3(eq, eq, majorant, cfg.initial, region=region, grid=cfg.grid), majorant
 
@@ -266,10 +265,10 @@ def report_vdp(cfg: RunConfig, out: Path, report: dict, summaries: list[str], ce
     eq = cfg.equation
     certificates.append(check_t3_6(eq, region=cfg.region, grid=cfg.grid))
     certificates.append(_t4_2(cfg))
-    rng = np.random.default_rng(cfg.options.seed)
+    rng = random.Random(cfg.options.seed)
     (p_lo, p_hi), (d_lo, d_hi) = cfg.options.ic_box
     ics = [
-        InitialData(t1=eq.t0, phi0=float(rng.uniform(p_lo, p_hi)), phi1=float(rng.uniform(d_lo, d_hi)))
+        InitialData(t1=eq.t0, phi0=rng.uniform(p_lo, p_hi), phi1=rng.uniform(d_lo, d_hi))
         for _ in range(cfg.options.n_random_ics)
     ]
     outcomes = _ic_outcomes(cfg, eq, ics)

@@ -33,8 +33,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, FieldEvaluationError, RcertError
 from .fields import EquationSpec, InitialData, system_rhs
 from .serialize import canonical_json, format_float
@@ -180,34 +178,33 @@ class Trajectory:
     eq: EquationSpec
     ic: InitialData
     opts: IntegrationOptions
-    ts: np.ndarray = field(repr=False)
-    phis: np.ndarray = field(repr=False)
-    psis: np.ndarray = field(repr=False)
-    dphis: np.ndarray = field(repr=False)
+    ts: list[float] = field(repr=False)
+    phis: list[float] = field(repr=False)
+    psis: list[float] = field(repr=False)
+    dphis: list[float] = field(repr=False)
     zeros: list[float]
     terminal: TerminalStatus
     tangential: bool
     zeros_truncated: bool
-    _nodes: list[float] = field(repr=False)
     _segments: list[_DenseSegment] = field(repr=False)
 
     @property
     def t_start(self) -> float:
-        return float(self.ts[0])
+        return self.ts[0]
 
     @property
     def t_end(self) -> float:
-        return float(self.ts[-1])
+        return self.ts[-1]
 
     def state_at(self, t: float) -> tuple[float, float]:
-        seg = _segment_at(self._nodes, self._segments, t)
+        seg = _segment_at(self.ts, self._segments, t)
         return seg.first(t), seg.second(t)
 
     def phi_at(self, t: float) -> float:
-        return _segment_at(self._nodes, self._segments, t).first(t)
+        return _segment_at(self.ts, self._segments, t).first(t)
 
     def psi_at(self, t: float) -> float:
-        return _segment_at(self._nodes, self._segments, t).second(t)
+        return _segment_at(self.ts, self._segments, t).second(t)
 
 
 class _NonFiniteStage(ArithmeticError):
@@ -257,8 +254,7 @@ def _solve(
     # and min(a, b) as ``b if b < a else a``: the values the builtins return, without the calls.
     isfinite, sqrt, copysign, floor_eps = math.isfinite, math.sqrt, math.copysign, 32.0 * _EPS
 
-    t = t0
-    ya, yb = float(ya), float(yb)
+    t, ya, yb = float(t0), float(ya), float(yb)
     k1a, k1b = f(t, ya, yb)
     if not (isfinite(k1a) and isfinite(k1b)):
         raise FieldEvaluationError("rhs", t, ya, float("nan"))
@@ -431,8 +427,7 @@ def _solve(
     else:  # no terminal status within the step budget
         raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
 
-    arrays = (np.array(ts), np.array(ys0), np.array(ys1), np.array(fs0))
-    return Trajectory(eq, ic, opts, *arrays, zeros, terminal, tangential, zeros_truncated, ts, segments)
+    return Trajectory(eq, ic, opts, ts, ys0, ys1, fs0, zeros, terminal, tangential, zeros_truncated, segments)
 
 
 def _locate_zero(ts: list[float], segments: list[_DenseSegment], t_lo: float, t_hi: float, zero_tol: float) -> float:
@@ -476,7 +471,7 @@ def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None
     ztol = traj.opts.zero_tol
     for t, phi, psi in zip(traj.ts, traj.phis, traj.psis):
         y = "" if abs(phi) <= ztol else format_float(psi / phi)
-        lines.append(f"{format_float(float(t))},{format_float(float(phi))},{format_float(float(psi))},{y}")
+        lines.append(f"{format_float(t)},{format_float(phi)},{format_float(psi)},{y}")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

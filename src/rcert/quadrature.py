@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from operator import add, gt, mul
 from typing import Callable, Sequence
 
@@ -125,40 +124,36 @@ _WG = (
 _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
 
+# The 15 Kronrod nodes in ascending order.
+_NODES = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
+# S[i][j] = integral_{-1}^{x_i} l_j, l_j the Lagrange basis on the 15 nodes:
+# ``sum_j S[i][j] f(x_j)`` integrates the degree-14 interpolant of f from -1 to
+# node i.  In the Legendre basis, with V[i][n] = P_n(x_i) and
+# B[i][n] = integral_{-1}^{x_i} P_n, S = B V^-1, solved in float64.  Each entry
+# lies within 1e-15 of the exact S of these float nodes.
+_S = (
+    (0.01039810525715238, -0.0028376999628309395, 0.0016278819329846792, -0.0011184159471467265, 0.000845482170423758, -0.0006660012401333515, 0.000532680720730693, -0.00043004167601942017, 0.00034898962842267573, -0.000280737088267925, 0.0002195798589256748, -0.0001645134714355331, 0.0001157666324964656, -7.017288569558047e-05, 2.3724949580204878e-05),
+    (0.025967696354437617, 0.028987587053519948, -0.006276971608824144, 0.0037399577429909053, -0.002680230688065736, 0.0020571023090825017, -0.0016213754337679994, 0.0012971827975541501, -0.0010465132222001671, 0.000838503193963733, -0.0006540394501768934, 0.0004890842676087998, -0.00034372160264507524, 0.00020818624250022318, -7.036029873689923e-05),
+    (0.021059903885712272, 0.07071053241517147, 0.0500573892970003, -0.010315610667241232, 0.006099495123991557, -0.00431472273996404, 0.003256914114814386, -0.0025394084289457842, 0.0020152761210600555, -0.0015971233180033307, 0.001236463922030895, -0.0009198416842916179, 0.0006442104681227557, -0.00038936395091630847, 0.00013146208168965477),
+    (0.024236184152056396, 0.05862983739852264, 0.11577288646005474, 0.06880965050073674, -0.013705874401949964, 0.007859179092448645, -0.005408509406280098, 0.00401068356429496, -0.0030879850396535696, 0.00240012223793888, -0.0018341356193319234, 0.0013524757177608634, -0.0009416740293352852, 0.000567143618117725, -0.00019116984477477987),
+    (0.02197989967049653, 0.06616329139221915, 0.09859441737818897, 0.15428110906917986, 0.08347990224492223, -0.015957881816527856, 0.00884168511858522, -0.0059543665532499875, 0.004350376888855941, -0.003275954491987981, 0.002453052740727697, -0.0017847044978320991, 0.001231776612384001, -0.0007379943938058889, 0.00024815517015316425),
+    (0.023679164003462164, 0.060776564963338095, 0.10908590350998529, 0.1330098010432568, 0.1849812839570818, 0.0942381352810252, -0.017360080873307388, 0.009401251736913807, -0.006235259125478402, 0.004454822440644841, -0.003231692973727778, 0.0023043228419333886, -0.0015702030000657927, 0.000933719392744448, -0.00031288457520354564),
+    (0.02233178195809235, 0.06493667418740443, 0.10151611110403719, 0.14596055631452787, 0.16008901153232227, 0.20814026453167675, 0.10153268989812615, -0.01828821320699535, 0.009754318893787346, -0.00632660677307881, 0.004354703315635878, -0.0030092225551495585, 0.0020116352000165414, -0.0011831510424944692, 0.00039449163419341535),
+    (0.02342744782115437, 0.061605104032083774, 0.10736068530367802, 0.13669032964334285, 0.17504757138884802, 0.18067499562890435, 0.2230022570247953, 0.10474107054236358, -0.018569316949496397, 0.009675582435881432, -0.006042844749580466, 0.003962930072182999, -0.002570674981427206, 0.0014869885978950966, -0.0004921258106255948),
+    (0.022540830376335405, 0.06427524367247325, 0.1027783751222343, 0.14366248227067546, 0.16465002332363168, 0.19667718483786453, 0.19467862118151147, 0.2277703542917224, 0.10290025017717266, -0.017789686466890855, 0.008915715106945367, -0.005307296599001938, 0.0032738992182136054, -0.0018445815574256678, 0.00060354005243643),
+    (0.02324820658573217, 0.06215837323723438, 0.10636021332231656, 0.13834893687359257, 0.17223641961299535, 0.18589575562414107, 0.2106681992007773, 0.20008088934781335, 0.22179302094860626, 0.09611244278376044, -0.015976557317814118, 0.007643458672269165, -0.0042958931877346085, 0.0023155276666407465, -0.0007438419929335798),
+    (0.022687166840375653, 0.06383008702378466, 0.10355823370986686, 0.14243796421335805, 0.16655167389853998, 0.19362653255677376, 0.20008256318644296, 0.21543650763797698, 0.19559125495671364, 0.20630845988131363, 0.0855248243943453, -0.01362784935365401, 0.006195592944061917, -0.0030711987622402625, 0.000955422340032126),
+    (0.02312649185530337, 0.06252494901186113, 0.10573168435158598, 0.13930078399776505, 0.17083886225859962, 0.18795045582684694, 0.20752092511495251, 0.2054714575204322, 0.20984144948157915, 0.18249139897233704, 0.18271060104121745, 0.07184360921478908, -0.010982876137803965, 0.004462255231456204, -0.0013008621415277497),
+    (0.02280385992883875, 0.06348145658089512, 0.10414579985412811, 0.14157310139981752, 0.16776826271723674, 0.19194770138278902, 0.202417663954239, 0.21202154951367283, 0.20117602596048453, 0.19466530080474986, 0.162905231515276, 0.1509688703827669, 0.054732621025250366, -0.007618439785192548, 0.0018754181248163766),
+    (0.02300568230926528, 0.06288390638747877, 0.10513373192489585, 0.14016417544791698, 0.1696587660894445, 0.1895120748708222, 0.20547945329749903, 0.20818495828717287, 0.20605431550906697, 0.18829347575570335, 0.17168495732733327, 0.13691330197253487, 0.11106698193107488, 0.03410450557645891, -0.0030323743439089586),
+    (0.022911597060948585, 0.06316226551567433, 0.10467424368975436, 0.14081777318696131, 0.16878514678034195, 0.19063131515305387, 0.20408395044687616, 0.2099121827607465, 0.20390025935456818, 0.1910165793049192, 0.1681592444688438, 0.14177167566267254, 0.10316212838926607, 0.06592979259280979, 0.012537216753376256),
+)
+
 
 def _exp(x: float) -> float:
     if x > EXP_CAP:
         raise RangeOverflowError(f"exponent overflow: exp({x!r})")
     return math.exp(x)
-
-
-# The 15 Kronrod nodes in ascending order.
-_NODES = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
-
-
-@cache
-def _node_integration_matrix() -> tuple[tuple[float, ...], ...]:
-    """S with S[i][j] = integral_{-1}^{x_i} l_j, l_j the Lagrange basis on the 15 nodes.
-
-    ``sum_j S[i][j] f(x_j)`` integrates the degree-14 interpolant of f from -1
-    to node i.  Built on first use, in the Legendre basis (which keeps the
-    Vandermonde solve well conditioned): with V[i][n] = P_n(x_i) and
-    B[i][n] = integral_{-1}^{x_i} P_n, S = B V^-1.
-    """
-    import numpy as np
-
-    n = len(_NODES)
-    V = np.zeros((n, n + 1))
-    for i, x in enumerate(_NODES):
-        V[i, 0], V[i, 1] = 1.0, x
-        for d in range(1, n):
-            V[i, d + 1] = ((2 * d + 1) * x * V[i, d] - d * V[i, d - 1]) / (d + 1)
-    B = np.empty((n, n))
-    B[:, 0] = np.array(_NODES) + 1.0
-    for d in range(1, n):
-        B[:, d] = (V[:, d + 1] - V[:, d - 1]) / (2 * d + 1)
-    S = np.linalg.solve(V[:, :n].T, B.T).T
-    return tuple(tuple(float(v) for v in row) for row in S)
 
 
 class CumulativeChain:
@@ -197,7 +192,6 @@ class CumulativeChain:
         if budgets is None:
             budgets = (ORACLE_BUDGET,) * len(self._fns)
         self._rates, self._rels = zip(*budgets)
-        self._S = _node_integration_matrix()
         self.base = base
         self._ts = [base]
         self._vals = [(0.0,) * len(self._fns)]
@@ -285,7 +279,7 @@ class CumulativeChain:
             errs.append(err)
             if k < last:
                 y = start[k]
-                for row, srow in zip(rows, self._S):
+                for row, srow in zip(rows, _S):
                     row.append(y + h * sum(map(mul, srow, fv)))
         return incs, errs
 

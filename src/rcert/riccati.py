@@ -16,6 +16,7 @@ each solve x' = -k x - s, so their oracles share ``_transfer_residual``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +39,7 @@ __all__ = [
 def _mesh(traj: Trajectory, a: float, b: float) -> list[float]:
     """``a``, the nodes of ``traj`` strictly inside (a, b), and ``b``; from 258
     inside nodes on, every (n // 129)-th of them."""
-    inside = [float(t) for t in traj.ts if a < t < b]
+    inside = [t for t in traj.ts if a < t < b]
     return [a] + inside[:: max(1, len(inside) // 129)] + [b]
 
 
@@ -90,12 +91,12 @@ def auto_segments(traj: Trajectory) -> list[tuple[float, float]]:
     ts = traj.ts
     segments = []
     for lo, hi in zip(cuts, cuts[1:]):
-        left = ts.searchsorted(lo, side="right")
-        right = ts.searchsorted(hi, side="left") - 1
+        left = bisect_right(ts, lo)
+        right = bisect_left(ts, hi) - 1
         if right - left < 2:
             continue
-        a = float(ts[left]) if lo != traj.t_start else float(lo)
-        b = float(ts[right]) if hi != traj.t_end else float(hi)
+        a = ts[left] if lo != traj.t_start else lo
+        b = ts[right] if hi != traj.t_end else hi
         if a < b:
             segments.append((a, b))
     return segments

@@ -1,5 +1,9 @@
 import json
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,42 @@ class TestCaseStudyCommands:
         assert block["delta"] == pytest.approx(math.exp(-1.0) / 4.0)
         assert all(o["within_eps"] for o in block["outcomes"])
 
+    def test_stability_trajectories_end_at_the_horizon(self, tmp_path, monkeypatch):
+        # options.horizon is the absolute end time: from t0 = 1 with horizon 30 the runs end at 30, not 31.
+        ends = []
+        original = rcert.applications.integrate
+
+        def spy(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            ends.append(traj.t_end)
+            return traj
+
+        monkeypatch.setattr(rcert.applications, "integrate", spy)
+        doc = json.loads(json.dumps(EF_CONFIG))
+        doc["equation"].update({"rho": 2.0, "sigma": -2.0})
+        doc["initial"] = {"t1": 1.0, "phi0": 0.05, "phi1": 0.0}
+        doc["grid"] = {"nt": 9, "nw": 9}
+        doc["options"] = {"horizon": 30.0, "n_stability_ics": 3}
+        out = tmp_path / "out"
+        assert run_cli(["emden", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert ends == [30.0] * 3
+        report = json.loads((out / "report.json").read_text())
+        assert [o["terminal"] for o in report["conditional_stability"]["outcomes"]] == ["reached_horizon"] * 3
+
+    def test_vdp_ic_draws(self, tmp_path):
+        # phi0 then phi1 for each IC, in turn, from random.Random(seed).uniform over ic_box.
+        doc = json.loads(json.dumps(VDP_CONFIG))
+        doc["grid"] = {"nt": 9, "nw": 9}
+        doc["options"].update({"seed": 11, "n_random_ics": 3, "ic_box": [[-1.0, 2.0], [0.5, 1.5]], "horizon": 5.0})
+        cfg = write_config(tmp_path, doc)
+        for name in ("a", "b"):
+            assert run_cli(["vdp", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        report = (tmp_path / "a" / "report.json").read_bytes()
+        assert report == (tmp_path / "b" / "report.json").read_bytes()
+        rng = random.Random(11)
+        expected = [(rng.uniform(-1.0, 2.0), rng.uniform(0.5, 1.5)) for _ in range(3)]
+        assert [(o["phi0"], o["phi1"]) for o in json.loads(report)["ic_outcomes"]] == expected
+
     def test_vdp_runner(self, tmp_path):
         cfg = write_config(tmp_path, VDP_CONFIG)
         out = tmp_path / "out"
@@ -412,6 +452,31 @@ class TestConfigValidation:
         code = run_cli(["certify", "t3_6", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error: p0 is not positive at (t=0.0, w=0.0): 0.0" in capsys.readouterr().err
+
+
+class TestWithoutNumpy:
+    def test_commands_run_without_numpy(self, tmp_path):
+        # A fresh interpreter in which ``import numpy`` fails runs the package to the same exit codes.
+        sweep = json.loads(json.dumps(HARMONIC_CONFIG))
+        del sweep["initial"]
+        sweep["sweep"] = {"phi": [0.5, 1.5], "dphi": [0.0, 1.0], "resolution": [2, 2]}
+        sweep["options"] = {"horizon": 10.0}
+        runs = [
+            ["certify", "t3_1", "--config", write_config(tmp_path, EF_CONFIG, "ef.json")],
+            ["sweep", "--config", write_config(tmp_path, sweep, "sweep.json")],
+            ["vdp", "--config", write_config(tmp_path, VDP_CONFIG, "vdp.json")],
+        ]
+        runs = [args + ["--out", str(tmp_path / f"out{k}")] for k, args in enumerate(runs)]
+        script = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            f"sys.path.insert(0, {str(Path(rcert.cli.__file__).parents[1])!r})\n"
+            "from rcert.cli import main\n"
+            f"print(json.dumps([main(args) for args in {runs!r}]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, 0, 0]
 
 
 class TestDeterminism:

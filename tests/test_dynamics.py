@@ -24,7 +24,7 @@ class TestConstantSolution:
         traj = integrate(constant_eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=10.0))
         assert traj.terminal.kind == REACHED_HORIZON
         assert traj.zeros == []
-        assert np.max(np.abs(traj.phis - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.asarray(traj.phis) - 1.0)) <= 1e-12
         assert np.max(np.abs(traj.psis)) <= 1e-12
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from rcert import (
     i_minus,
     i_plus,
 )
-from rcert.quadrature import _NODES, CumulativeChain, _node_integration_matrix, weighted_chain, weighted_tail_integrand
+from rcert.quadrature import _NODES, _S, CumulativeChain, weighted_chain, weighted_tail_integrand
 
 ONE = lambda t: 1.0
 ZERO = lambda t: 0.0
@@ -254,11 +255,38 @@ class TestCumulativeChain:
                 assert value == pytest.approx(exact, rel=1e-12)
 
     def test_node_matrix_integrates_degree_14_exactly(self):
-        S = _node_integration_matrix()
         for d in range(15):
-            for x, row in zip(_NODES, S):
+            for x, row in zip(_NODES, _S):
                 exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
                 assert abs(sum(s * xj ** d for s, xj in zip(row, _NODES)) - exact) <= 1e-14
+
+    def test_node_matrix_matches_exact_rationals(self):
+        # S V = B with V[j][k] = P_k(x_j) and B[i][k] = integral_{-1}^{x_i} P_k, solved
+        # exactly on the float nodes: Legendre recurrence, then Gauss-Jordan on [V^T | B^T].
+        n = len(_NODES)
+        xs = [Fraction(x) for x in _NODES]
+        P = []
+        for x in xs:
+            row = [Fraction(1), x]
+            for d in range(1, n):
+                row.append(((2 * d + 1) * x * row[d] - d * row[d - 1]) / (d + 1))
+            P.append(row)
+        B = [[x + 1] + [(p[k + 1] - p[k - 1]) / (2 * k + 1) for k in range(1, n)] for x, p in zip(xs, P)]
+        aug = [[P[j][k] for j in range(n)] + [B[i][k] for i in range(n)] for k in range(n)]
+        for c in range(n):
+            pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+            aug[c], aug[pivot] = aug[pivot], aug[c]
+            top = [v / aug[c][c] for v in aug[c]]
+            aug[c] = top
+            for r in range(n):
+                f = aug[r][c]
+                if r != c and f != 0:
+                    aug[r] = [v - f * t for v, t in zip(aug[r], top)]
+        # aug[j][n + i] is now the exact S[i][j].
+        assert len(_S) == n and all(len(row) == n for row in _S)
+        for i, row in enumerate(_S):
+            for j, s in enumerate(row):
+                assert abs(Fraction(s) - aug[j][n + i]) <= Fraction(1e-15)
 
     def test_nan_integrand_raises(self):
         chain = CumulativeChain(float, [lambda t, y: 1.0, lambda t, y: math.nan if t > 0.5 else y[0]], 0.0)
