@@ -31,15 +31,16 @@ taken first.  The users:
   int x / P);
 * ``i_plus`` (V and iplus) and ``i_minus``, which walks backward from its
   upper limit t, so the exponent is anchored at t as in the definition;
-  ``weighted_tail_integrand`` evaluates its inner integral with ``i_minus``;
+  ``weighted_tail_integrand`` steps its inner integral from sample to
+  sample, each step one such backward walk;
 * the residual oracles' K/W integrals (``weighted_chain``:
   ``riccati.flux_residual``, ``riccati.volterra_residual``,
   ``riccati.cauchy_residual`` and ``riccati.difference_residual``);
-* :class:`CumulativeIntegral`, the one-level chain: the tail's window search,
+* :class:`CumulativeIntegral`, the one-level chain: the tail's int q,
   ``certificates``' reciprocal-weight tail and
   ``riccati.representation_residual``;
 * ``adaptive_quad``, one walk of a plain function over [a, b] with nothing
-  memoized: ``divergence_probe``'s horizon increments.
+  memoized: ``divergence_probe``'s horizon increments and ``i_minus``'s int v.
 """
 
 from __future__ import annotations
@@ -379,9 +380,31 @@ def i_plus(
     return chain(t)[1]
 
 
-# Dyadic points t - (t - t1) / 2^k, k = levels..1, that i_minus queries before
-# its lower limit: at least this many levels.
-_ANCHOR_LEVELS = 12
+# Dyadic levels that i_minus queries beyond the kernel's e-folds on its gap.
+_ANCHOR_MARGIN = 1
+
+
+def _anchored(
+    v: TimeFunction, x: TimeFunction, t1: float, t: float, v_integral: float, abs_tol: float, rel_tol: float
+) -> tuple[float, ...]:
+    """(Y0(t1), Y1(t1)) of the chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x, walked backward from t.
+
+    The chain is first queried at t - (t - t1) / 2^k, k = levels..1: each
+    query walks only its own gap, so a kernel concentrated near t, which one
+    panel over [t1, t] would miss, is resolved.  levels = ceil(log2 max(1,
+    folds)) + ``_ANCHOR_MARGIN`` for the kernel's e-folds max((t - t1) |v(t)|,
+    |v_integral|), v_integral = int_{t1}^{t} v, so the innermost gap is at
+    most 1/|v(t)| and (t - t1)/|v_integral|; the second sees a kernel that
+    vanishes at t.  Non-finite folds raise :class:`QuadratureBudgetError`.
+    """
+    length = t - t1
+    folds = max(length * abs(v(t)), abs(v_integral))
+    if not math.isfinite(folds):
+        raise QuadratureBudgetError(f"kernel e-folds {folds!r} on [{t1!r}, {t!r}] are not finite")
+    chain = CumulativeChain(lambda s: (v(s), x(s)), (_K, _W), t, (MEMO_BUDGET, (abs_tol / length, rel_tol)))
+    for k in range(math.ceil(math.log2(max(1.0, folds))) + _ANCHOR_MARGIN, 0, -1):
+        chain(t - length * 0.5 ** k)
+    return chain(t1)
 
 
 def i_minus(
@@ -397,26 +420,15 @@ def i_minus(
 
     The chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x runs backward from t, so
     iminus = -Y1(t1) and the exponent is -int_s^t v, never the difference of
-    two large antiderivatives.  Before t1, the chain is queried at dyadic
-    points accumulating at t, from t outward: each query walks only its own
-    gap, so a kernel concentrated near t, which one panel over [t1, t] would
-    miss entirely, is resolved.  The innermost gap is at most 1/|v(t)|, the
-    kernel's width at t; a non-finite (t - t1) * v(t) raises
-    :class:`QuadratureBudgetError`.
+    two large antiderivatives; :func:`_anchored` sets its dyadic depth from
+    int_{t1}^{t} v, one :func:`adaptive_quad`.  Non-finite e-folds, such as
+    a non-finite (t - t1) * v(t), raise :class:`QuadratureBudgetError`.
     """
     if t < t1:
         raise DomainError("i_minus needs t >= t1")
     if t == t1:
         return 0.0
-    chain = CumulativeChain(lambda s: (v(s), x(s)), (_K, _W), t, (MEMO_BUDGET, (abs_tol / (t - t1), rel_tol)))
-    length = t - t1
-    folds = length * abs(v(t))
-    if not math.isfinite(folds):
-        raise QuadratureBudgetError(f"kernel e-folds (t - t1) * |v(t)| = {folds!r} on [{t1!r}, {t!r}] are not finite")
-    levels = max(_ANCHOR_LEVELS, math.ceil(math.log2(max(1.0, folds))))
-    for k in range(levels, 0, -1):
-        chain(t - length * 0.5 ** k)
-    return -chain(t1)[1]
+    return -_anchored(v, x, t1, t, adaptive_quad(v, t1, t), abs_tol, rel_tol)[1]
 
 
 class FBound:
@@ -634,39 +646,62 @@ _TAIL_REL_TOL = 1e-9
 
 
 def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t0: float) -> TimeFunction:
-    """Integrand tau -> (1/P) * integral_{t0}^{tau} exp(-int_s^tau q) r(s) ds.
+    """Integrand tau -> u(tau) / P(tau), u(tau) = integral_{t0}^{tau} exp(-int_s^tau q) r(s) ds.
 
     This is the double-integral tail condition probed for oscillation
-    certificates.  When the antiderivative of ``q`` is nondecreasing (the only
-    regime the checkers use, q >= 0), the inner integral is restricted to the
-    window where the kernel exceeds exp(-_WINDOW_LOG); the discarded mass is
-    below 1e-19 of the kernel scale.  Bisection finds the window's start to
-    within one e-fold of the kernel, always on the side that keeps the whole
-    window.  The inner integral is ``i_minus`` over
-    that window, whose exponent is anchored at tau: differencing one global
-    antiderivative would lose all precision once it grows past ~1e9.
+    certificates.  u solves u' = r - q u, u(t0) = 0, so a query steps from
+    the nearest memoized knot k below tau (t0 at first) by the exact
+    exponential-integrator step (Hochbruck & Ostermann, Acta Numerica 19, 2010)
+
+        u(tau) = exp(-int_k^tau q) u(k) + i_minus(q, r, k, tau),
+
+    whose factor, from the same anchored walk, is at most 1 when q >= 0 (the
+    only regime the checkers use): an error in u(k) is damped.  With
+    V = int q, when V(tau) - V(k) > _WINDOW_LOG the memo term is below
+    exp(-_WINDOW_LOG) u(k) and is dropped, and the step starts at the window
+    where the kernel exceeds exp(-_WINDOW_LOG), found on V to within one
+    e-fold on the side that keeps the whole window.  So each step is one
+    anchored walk over at most the window, its depth read from V.  The
+    exponent is anchored at tau: differencing one global antiderivative
+    would lose all precision once it grows past ~1e9.
     """
-    V = CumulativeIntegral(q, t0, rel_tol=1e-13)  # coarse, used only to find the window
+    V = CumulativeIntegral(q, t0, rel_tol=1e-13)  # coarse: the window and the dyadic depth
+    knots, us, vs = [t0], [0.0], [0.0]  # (k, u(k), V(k)), ascending in k
 
     def inner(tau: float) -> float:
         if tau <= t0:
             return 0.0
+        i = bisect_left(knots, tau)
+        if i < len(knots) and knots[i] == tau:
+            return us[i] / _positive(P, tau, "P")
+        k, u_k, v_k = knots[i - 1], us[i - 1], vs[i - 1]
         v_tau = V(tau)
-        lo, hi = t0, tau
-        v_lo, v_hi = V(t0), v_tau
-        if v_tau - v_lo > _WINDOW_LOG:
-            # lo keeps V(tau) - V(lo) > _WINDOW_LOG; a window start within one
-            # e-fold of the kernel is as good as an exact one.
+        if v_tau - v_k <= _WINDOW_LOG:
+            decay, w = _anchored(q, r, k, tau, v_tau - v_k, _TAIL_ABS_TOL, _TAIL_REL_TOL)
+            u = _exp(decay) * u_k - w
+        else:
+            # Keep V(tau) - V(lo) > _WINDOW_LOG >= V(tau) - V(hi) until lo is
+            # within one e-fold of the window.  A probe interpolates V to the
+            # middle of that e-fold, or bisects after two that moved one end.
+            lo, hi = k, tau
+            v_lo, v_hi = v_k, v_tau
+            hi_moved = stuck = None
             for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                v_mid = V(mid)
-                if v_tau - v_mid > _WINDOW_LOG:
-                    lo, v_lo = mid, v_mid
-                else:
-                    hi, v_hi = mid, v_mid
-                if v_hi - v_lo <= 1.0 or hi - lo <= 1e-9 * max(1.0, abs(tau)):
+                if v_tau - v_lo <= _WINDOW_LOG + 1.0 or hi - lo <= 1e-9 * max(1.0, abs(tau)):
                     break
-        val = i_minus(q, r, lo, tau, abs_tol=_TAIL_ABS_TOL, rel_tol=_TAIL_REL_TOL)
-        return val / _positive(P, tau, "P")
+                share = 0.5 if stuck else (v_tau - _WINDOW_LOG - 0.5 - v_lo) / (v_hi - v_lo)
+                mid = lo + (hi - lo) * share
+                v_mid = V(mid)
+                last, hi_moved = hi_moved, v_tau - v_mid <= _WINDOW_LOG
+                stuck = hi_moved == last
+                if hi_moved:
+                    hi, v_hi = mid, v_mid
+                else:
+                    lo, v_lo = mid, v_mid
+            u = -_anchored(q, r, lo, tau, v_tau - v_lo, _TAIL_ABS_TOL, _TAIL_REL_TOL)[1]
+        knots.insert(i, tau)
+        us.insert(i, u)
+        vs.insert(i, v_tau)
+        return u / _positive(P, tau, "P")
 
     return inner

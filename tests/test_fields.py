@@ -19,6 +19,7 @@ from rcert import (
     verify_structural_tags,
 )
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
+from rcert.fields import _closed_form_field, _closed_form_time, _compiled, _Product
 from conftest import const_field, make_eq
 
 
@@ -44,6 +45,30 @@ class TestScalarField:
     def test_initial_data_finite(self):
         with pytest.raises(ValueError):
             InitialData(0.0, float("nan"), 0.0)
+
+
+class TestClosedFormCompileCache:
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        _compiled.cache_clear()
+        sources = []
+        monkeypatch.setattr("rcert.fields.compile", lambda source, *args: sources.append(source) or compile(source, *args), raising=False)
+        return sources
+
+    def test_same_source_keeps_each_forms_coefficients(self, compiles):
+        f = _closed_form_field([_Product(2.0, a=1.0, g="|w|^b", b=2.0)], start=0.5)
+        g = _closed_form_field([_Product(3.0, a=2.0, g="|w|^b", b=1.0)], start=-1.0)
+        assert len(compiles) == 1
+        # Equal code, but each form's own object, so no two share the interpreter's caches.
+        assert f.fn.__code__ == g.fn.__code__ and f.fn.__code__ is not g.fn.__code__
+        assert (f(2.0, -3.0), g(2.0, -3.0)) == (36.5, 35.0)
+        assert (f.sample_row(2.0, [1.0, -3.0]), g.sample_row(2.0, [1.0, -3.0])) == ([4.5, 36.5], [11.0, 35.0])
+
+    def test_same_source_keeps_each_forms_time_factor(self, compiles):
+        f = _closed_form_time([_Product(2.0, tau=math.cos)])
+        g = _closed_form_time([_Product(0.5, tau=math.exp)])
+        assert len(compiles) == 1
+        assert (f(0.0), g(0.0), f(1.0), g(1.0)) == (2.0, 0.5, 2.0 * math.cos(1.0), 0.5 * math.e)
 
 
 class TestVerifyStructuralTags:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,26 @@ from rcert import (
     i_minus,
     i_plus,
 )
+from rcert.applications import VdPParams, vdp_bound_triple, vdp_family
 from rcert.quadrature import _NODES, _S, CumulativeChain, weighted_chain, weighted_tail_integrand
 
 ONE = lambda t: 1.0
 ZERO = lambda t: 0.0
+
+
+def _probe_table():
+    """(P, q, r, t0, status, ratios) of the double-tail probes, as recorded before the tail's recurrence."""
+    vdp = VdPParams(ONE, ONE, ONE)
+    family = vdp_family(vdp)
+    table = {f"vdp_eps{eps}": (vdp_bound_triple(vdp).P, family(eps)[1], ONE, 0.0, DIVERGING, [ratio] * 7) for eps, ratio in ((1.0, 4.0), (1.5, 2.0), (2.0, 2.0), (4.0, 2.0), (8.0, 2.0))}
+    table["t_2/t_1/t"] = (lambda t: t, lambda t: 2.0 / t, lambda t: 1.0 / t, 1.0, DIVERGING, [1.000000024185061, 1.000000006046265, 1.0000000015115662, 1.0000000003778915, 1.000000000094473, 1.0000000000236184, 1.0000000000059044])
+    table["1_t_1"] = (ONE, lambda t: t, ONE, 0.0, DIVERGING, [0.9999999758149372, 0.9999999939537348, 0.9999999984884335, 0.9999999996221086, 0.9999999999055271, 0.9999999999763818, 0.9999999999940956])
+    table["t^2_1e3_1"] = (lambda t: t * t, lambda t: 1e3, ONE, 1.0, CONVERGING, [0.5] * 7)
+    table["1+t_1+1/(1+t)_2"] = (lambda t: 1.0 + t, lambda t: 1.0 + 1.0 / (1.0 + t), lambda t: 2.0, 0.0, DIVERGING, [1.0001760997096192, 1.0000880524859397, 1.0000440269007846, 1.0000220136148499, 1.00001100684854, 1.0000055034345487, 1.0000027517198442])
+    return table
+
+
+PROBE_TABLE = _probe_table()
 
 
 def closed_form(value):
@@ -67,6 +84,13 @@ class TestBoundaryLayer:
         tau = 2.0 ** 19
         fn = weighted_tail_integrand(ONE, lambda t: 15.0, ONE, 0.0)
         assert fn(tau) == pytest.approx(-math.expm1(-15.0 * tau) / 15.0, rel=1e-12, abs=0.0)
+
+    def test_i_minus_kernel_vanishing_at_t(self):
+        # v = c (5 - s)^2 is 0 at t = 5, so (t - t1) |v(t)| says nothing of the
+        # kernel's width (3 / c)^(1/3); its e-folds show in int v = 125 c / 3.
+        for c in (1e4, 1e6, 1e9):
+            expect = math.gamma(4.0 / 3.0) * (3.0 / c) ** (1.0 / 3.0)
+            assert i_minus(lambda t: c * (5.0 - t) ** 2, ONE, 0.0, 5.0) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestIPlus:
@@ -352,3 +376,27 @@ class TestWeightedTailIntegrand:
     def test_probe_on_tail_diverges(self):
         fn = weighted_tail_integrand(ONE, lambda t: 3.0, ONE, 1.0)
         assert divergence_probe(fn, 1.0).status == DIVERGING
+
+    @pytest.mark.parametrize("case", sorted(PROBE_TABLE))
+    def test_probe_status_and_ratios(self, case):
+        P, q, r, t0, status, ratios = PROBE_TABLE[case]
+        verdict = divergence_probe(weighted_tail_integrand(P, q, r, t0), t0)
+        assert verdict.status == status
+        assert verdict.ratios == pytest.approx(ratios, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "P, q, r, t0",
+        [(lambda t: 1.0 + t, lambda t: 1.0 + 1.0 / (1.0 + t), lambda t: 2.0, 0.0), (ONE, lambda t: 15.0, math.cos, 0.0), (ONE, lambda t: t, ONE, 0.0)],
+        ids=["slow_kernel", "windowed_oscillating", "narrowing_kernel"],
+    )
+    def test_query_order_does_not_matter(self, P, q, r, t0):
+        taus = [t0 + 0.01 * 1.37 ** k for k in range(40)]
+        shuffled = list(taus)
+        random.Random(5).shuffle(shuffled)
+        values = []
+        for order in (taus, taus[::-1], shuffled):
+            fn = weighted_tail_integrand(P, q, r, t0)
+            values.append({tau: fn(tau) for tau in order})
+        for other in values[1:]:
+            for tau in taus:
+                assert other[tau] == pytest.approx(values[0][tau], rel=1e-9, abs=0.0)

@@ -126,8 +126,8 @@ GOLDEN = {
         "0x1.de006449369c0p+0",
     ],
     "i_plus": ["0x1.dffffffffffeep-2", "0x1.4f169c8522684p+3"],
-    "i_minus": ["0x1.20005f35e6d53p+1", "-0x1.a5733303d8ccap-5"],
-    "weighted_tail": ["-0x1.711dd1f2e8ec3p-11"],
+    "i_minus": ["0x1.20005f35e6d52p+1", "-0x1.a5733303d8cc9p-5"],
+    "weighted_tail": ["-0x1.711dd1f2e8eabp-11"],
 }
 
 
