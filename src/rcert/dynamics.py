@@ -13,11 +13,26 @@ accumulated error (and hence every residual oracle built on trajectories)
 scale linearly with the requested tolerance.  The stepper is written out for
 the two components (phi, psi).
 
-Finite escape is only declared when two independent signals agree: the state
-norm |phi| + |psi| has passed ``escape_threshold`` and the step size has
-collapsed below ``min_step`` with the local error estimate still saturated.
-A pure threshold would misfire on large-but-global solutions; a pure collapse
-would misfire on singular coefficients.
+Finite escape is only declared once the state norm |phi| + |psi| has passed
+``escape_threshold``, and then on one of two signals:
+
+* a stable blow-up rate.  The stepper records the time at which the norm
+  first passes each level ``escape_threshold * 2**k``, interpolated linearly
+  between the two nodes around the crossing.  Under a power-law blow-up,
+  norm ~ C (T* - t)**-p, these times approach T* geometrically with ratio
+  2**(-1/p).  When the last two ratios of successive gaps agree and are well
+  below 1, and no zero has been recorded since the first of the four
+  crossings used, the run stops at the node that passed the level, and
+  Aitken extrapolation of the crossing times brackets T* (Stuart & Floater,
+  "On the computation of blow-up", 1990; :func:`_blowup_estimate`);
+* a collapse: the step size has fallen below ``min_step``, with the local
+  error estimate still saturated or the stages not finite.  This ends
+  escapes whose rate never settles, such as those whose zeros accumulate at
+  the escape time.
+
+A pure threshold would misfire on large-but-global solutions (e**t, e**(t**2)
+and polynomials give gap ratios of at least 1, or ratios that keep drifting);
+a pure collapse would misfire on singular coefficients.
 
 :func:`integrate` returns one :class:`Trajectory`: the nodes, the zeros, the
 terminal status and the dense output.  At t the dense output is the step that
@@ -79,6 +94,11 @@ _KP = 0.08
 _EPS = 2.220446049250313e-16
 #: The most steps one integration may take before it is abandoned as a runaway.
 _MAX_STEPS = 2_000_000
+# The blow-up signal: norm levels grow by _LEVEL_FACTOR; the gap ratio must be
+# at most _RATE_CAP and the last two ratios agree to _RATE_AGREEMENT relative.
+_LEVEL_FACTOR = 2.0
+_RATE_CAP = 0.9
+_RATE_AGREEMENT = 0.01
 
 
 @dataclass(frozen=True)
@@ -86,8 +106,9 @@ class IntegrationOptions:
     """Tolerances and guards for :func:`integrate`.
 
     ``rel_tol``/``abs_tol`` target the accumulated error over the whole run
-    (error-per-unit-step control).  ``escape_threshold`` and ``min_step``
-    together drive finite-escape detection; ``zero_tol`` bounds |phi| at
+    (error-per-unit-step control).  A finite escape is declared only past the
+    norm ``escape_threshold``, on a stable blow-up rate or on a step below
+    ``min_step`` (see the module docstring); ``zero_tol`` bounds |phi| at
     recorded zero crossings.
     """
 
@@ -102,14 +123,20 @@ class IntegrationOptions:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not self.escape_threshold > 0:
+            raise ValueError("escape_threshold must be positive")
 
 
 @dataclass(frozen=True)
 class TerminalStatus:
     """How an integration ended.
 
-    ``bracket`` is only set for finite escapes: the true escape time lies in
-    (time, time + bracket) up to the resolution of the collapsed step.
+    ``time`` is the last computed node.  ``bracket`` is only set for finite
+    escapes whose norm-level crossing times give an Aitken estimate T^ of the
+    escape time: the true escape time lies in (time, time + bracket), with
+    ``bracket = (T^ - time) + err`` and ``err`` the error bound of
+    :func:`_blowup_estimate`.  An escape that collapses before that estimate
+    exists has no bracket.
     """
 
     kind: str
@@ -221,9 +248,48 @@ def _floor_at(t: float, min_step: float) -> float:
     return max(min_step, 32.0 * _EPS * max(1.0, abs(t)))
 
 
-def _escape_or_collapse(t: float, ya: float, yb: float, opts: IntegrationOptions, reason: str, h_attempt: float) -> TerminalStatus:
+def _blowup_estimate(crossings: list[float], last_zero: float | None) -> tuple[float, float, bool] | None:
+    """Aitken extrapolation of the escape time from the norm-level crossing times.
+
+    ``crossings`` are the times at which the norm first passed successive
+    levels, a factor ``_LEVEL_FACTOR`` apart; ``last_zero`` is the latest
+    recorded zero, if any.  From the last four, a < b < c < d, with gap ratios
+    rho1 = (c - b)/(b - a) and rho2 = (d - c)/(c - b), the estimate is
+    T^ = d + (d - c) rho2/(1 - rho2), and T^' is the same from (a, b, c).
+
+    Returns None when the crossings do not approach a limit geometrically
+    (fewer than four, not strictly increasing, or a ratio of at least 1).
+    Otherwise returns (T^, err, stable).  ``err`` bounds |T* - T^| by the
+    geometric tail |T^ - T^'| rho2/(1 - rho2) of estimates whose differences
+    shrink at least at the rate rho2.  ``stable`` holds when
+    rho2 <= _RATE_CAP, |rho2 - rho1| <= _RATE_AGREEMENT * rho2 and no zero
+    was recorded at or after a.
+    """
+    if len(crossings) < 4:
+        return None
+    a, b, c, d = crossings[-4:]
+    if not a < b < c < d:
+        return None
+    rho1 = (c - b) / (b - a)
+    rho2 = (d - c) / (c - b)
+    if rho1 >= 1.0 or rho2 >= 1.0:
+        return None
+    t_hat = d + (d - c) * rho2 / (1.0 - rho2)
+    t_prev = c + (c - b) * rho1 / (1.0 - rho1)
+    err = abs(t_hat - t_prev) * rho2 / (1.0 - rho2)
+    stable = rho2 <= _RATE_CAP and abs(rho2 - rho1) <= _RATE_AGREEMENT * rho2 and (last_zero is None or last_zero < a)
+    return t_hat, err, stable
+
+
+def _escape_or_collapse(
+    t: float, ya: float, yb: float, opts: IntegrationOptions, reason: str, crossings: list[float]
+) -> TerminalStatus:
     if abs(ya) + abs(yb) > opts.escape_threshold:
-        return TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=max(h_attempt, _floor_at(t, opts.min_step)))
+        estimate = _blowup_estimate(crossings, None)
+        bracket = None if estimate is None else (estimate[0] - t) + estimate[1]
+        if bracket is not None and bracket <= 0.0:  # the estimate lies behind the collapse
+            bracket = None
+        return TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=bracket)
     return TerminalStatus(STEP_COLLAPSE, t, reason=reason)
 
 
@@ -264,6 +330,12 @@ def _solve(
     segments = [_DenseSegment(t, 1.0, ya, -0.0, -0.0, -0.0, -0.0, yb, -0.0, -0.0, -0.0, -0.0)]
     zeros: list[float] = []
     tangential = zeros_truncated = False
+    # Times at which the norm first passed escape_threshold * _LEVEL_FACTOR**k, and the next level.
+    crossings: list[float] = []
+    level = opts.escape_threshold
+    while abs(ya) + abs(yb) > level:
+        crossings.append(t)
+        level *= _LEVEL_FACTOR
 
     # Initial step length, then the controller takes over.
     sa, sb = atol + rtol * abs(ya), atol + rtol * abs(yb)
@@ -296,7 +368,7 @@ def _solve(
         if remaining < h:
             h = remaining
         if h < floor or t + h == t:
-            terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", h)
+            terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", crossings)
             break
 
         # Stage sweep; a non-finite stage rejects the step outright.
@@ -341,7 +413,7 @@ def _solve(
             h *= 0.25
             rejected = True
             if h < floor:
-                terminal = _escape_or_collapse(t, ya, yb, opts, "non-finite evaluation", h)
+                terminal = _escape_or_collapse(t, ya, yb, opts, "non-finite evaluation", crossings)
                 break
             continue
 
@@ -416,12 +488,26 @@ def _solve(
                     tangential = True
                     pending_zero = None
                 s_last, t_sign = s_new, t
+
+            # --- blow-up signal, checked only when the norm passes a new level ---
+            if mna + mnb > level:
+                # Each level crossed in this step gets the time at which the norm,
+                # linear between the two nodes, passes it; no earlier node passed it.
+                t_prev, n_prev, n_new = ts[-2], ma + mb, mna + mnb
+                while n_new > level:
+                    crossings.append(t_prev + (t - t_prev) * ((level - n_prev) / (n_new - n_prev)))
+                    level *= _LEVEL_FACTOR
+                estimate = _blowup_estimate(crossings, zeros[-1] if zeros else None)
+                if estimate is not None and estimate[2]:
+                    t_hat, err, _ = estimate
+                    terminal = TerminalStatus(FINITE_ESCAPE, t, reason="blow-up rate stable", bracket=(t_hat - t) + err)
+                    break
         else:
             rejected = True
             fac = max(0.1, min(0.5, _SAFETY * ratio ** -0.25))
             h_new = h * fac
             if h_new < floor:
-                terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", h_new)
+                terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", crossings)
                 break
             h = h_new
     else:  # no terminal status within the step budget

@@ -13,10 +13,51 @@ from rcert import (
     IntegrationOptions,
     export_trajectory_csv,
     flux_residual,
+    equation_from_json,
     integrate,
     volterra_residual,
 )
+from rcert import dynamics
+from rcert.classify import SINGULAR_SECOND_KIND, classify
+from rcert.dynamics import _blowup_estimate
 from conftest import make_eq, rk4_system
+from test_rhs_golden import SWEEP_EQ
+
+
+def gauss(f, a, b, pieces=4):
+    """Composite 40-point Gauss-Legendre rule, independent of rcert's quadrature."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(a, b, pieces + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        total += half * float(np.dot(w, f(half * x + 0.5 * (hi + lo))))
+    return total
+
+
+def escape_time(potential, phi0, dphi0):
+    """Blow-up time of phi'' = -V'(phi) from (0, phi0, dphi0), dphi0 > 0, with energy above every barrier.
+
+    The energy integral of dx / sqrt(dphi0^2 + 2 V(phi0) - 2 V(x)) from phi0 to
+    infinity, with the tail taken in s = 1/x.
+    """
+    e2 = dphi0 * dphi0 + 2.0 * potential(phi0)
+
+    def speed(x):
+        return np.sqrt(e2 - 2.0 * potential(x))
+
+    split = max(2.0, phi0 + 1.0)
+    return gauss(lambda x: 1.0 / speed(x), phi0, split) + gauss(lambda s: 1.0 / (s * s * speed(1.0 / s)), 0.0, 1.0 / split)
+
+
+#: The escaping golden runs: phi'' = phi^3 from (0, 1, 1) to horizon 10 and the
+#: two escaping cells of the sweep of phi'' + (1 - phi^2) phi = 0 to horizon 100,
+#: with their potentials V.
+ESCAPES = {
+    "cube": (lambda x: -0.25 * x**4, (1.0, 1.0), 10.0),
+    "sweep_escape_lower": (lambda x: 0.5 * x * x - 0.25 * x**4, (-0.5, 1.0), 100.0),
+    "sweep_escape_upper": (lambda x: 0.5 * x * x - 0.25 * x**4, (-0.5 + (0.6 - -0.5), 1.0), 100.0),
+}
 
 
 class TestConstantSolution:
@@ -94,6 +135,81 @@ class TestFiniteEscape:
         assert traj.terminal.kind == REACHED_HORIZON
         assert float(np.max(np.abs(traj.phis))) > 1e8
 
+    def test_fast_linear_solution_reaches_horizon(self, constant_eq):
+        # phi = 1 + 1e8 t starts near escape_threshold and is global
+        traj = integrate(constant_eq, InitialData(0.0, 1.0, 1e8), IntegrationOptions(horizon=10.0))
+        assert traj.terminal.kind == REACHED_HORIZON
+
+    @pytest.mark.xfail(strict=True, reason="round-off in the DP5 error estimate collapses the first step (ROADMAP item 2(a))")
+    def test_faster_linear_solution_reaches_horizon(self, constant_eq):
+        # phi = 1 + 1e9 t is global, yet the first step's error ratio never
+        # falls below 1: the run ends finite_escape at t = 0 after one node.
+        traj = integrate(constant_eq, InitialData(0.0, 1.0, 1e9), IntegrationOptions(horizon=10.0))
+        assert traj.terminal.kind == REACHED_HORIZON
+
+    def test_gaussian_growth_not_flagged(self):
+        # phi = e^{t^2} solves phi'' = (4t^2 + 2) phi: its crossing times of the
+        # doubling norm levels approach no limit, so it is never an escape.
+        eq = make_eq(r_fn=lambda t, w: -(4.0 * t * t + 2.0))
+        traj = integrate(eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=6.5))
+        assert traj.terminal.kind == REACHED_HORIZON
+        assert abs(traj.phis[-1]) + abs(traj.psis[-1]) > 1e19
+
+    @pytest.mark.parametrize("stop", ["rate", "collapse"])
+    @pytest.mark.parametrize("name", sorted(ESCAPES))
+    def test_bracket_holds_escape_time(self, name, stop, cube_blowup_eq, monkeypatch):
+        potential, (phi0, dphi0), horizon = ESCAPES[name]
+        eq = cube_blowup_eq if name == "cube" else equation_from_json(SWEEP_EQ)
+        if stop == "collapse":
+            monkeypatch.setattr(dynamics, "_RATE_CAP", 0.0)  # no rate is stable: the step collapses
+        traj = integrate(eq, InitialData(0.0, phi0, dphi0), IntegrationOptions(horizon=horizon))
+        t_star = escape_time(potential, phi0, dphi0)
+        term = traj.terminal
+        assert term.kind == FINITE_ESCAPE
+        assert (term.reason == "blow-up rate stable") == (stop == "rate")
+        assert term.time == traj.t_end
+        assert term.time < t_star < term.time + term.bracket
+        if name == "cube":
+            assert t_star == pytest.approx(1.3110287771460599, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("k", [0.0, 1200.0])
+    def test_zero_after_first_crossing_delays_the_stop(self, k):
+        # phi = 1/(1 - t) - k solves phi'' = 2 phi' / (1 - t) and escapes at
+        # T* = 1 with psi = 1/(1 - t)^2.  The norm passes 1e6 * 2^j near
+        # 1 - t = 1e-3 * 2^(-j/2); for k = 1200 phi vanishes at 1 - t = 1/1200,
+        # after the first crossing, so the stop waits for one more level.
+        eq = make_eq(q_fn=lambda t, w: -2.0 / (1.0 - t))
+        traj = integrate(eq, InitialData(0.0, 1.0 - k, 1.0), IntegrationOptions(horizon=2.0, escape_threshold=1e6))
+        term = traj.terminal
+        assert term.reason == "blow-up rate stable"
+        assert term.time < 1.0 < term.time + term.bracket
+        norm = (abs(traj.phis[-1]) + abs(traj.psis[-1])) / 1e6
+        if k:
+            assert traj.zeros == [pytest.approx(1.0 - 1.0 / k, abs=1e-9)]
+            assert 16.0 < norm < 32.0
+        else:
+            assert traj.zeros == []
+            assert 8.0 < norm < 16.0
+
+    def test_accumulating_zeros_keep_the_collapse_rule(self):
+        # (1 - t)^2 phi'' - 5 (1 - t) phi' + 29 phi = 0 has the solutions
+        # (1 - t)^-2 cos(5 log(1 - t) + c): the norm blows up at t = 1 while
+        # zero gaps shrink by e^{-pi/5}.  Zeros keep arriving after every
+        # crossing, so the run ends on the collapse rule with its tail of zeros.
+        eq = make_eq(q_fn=lambda t, w: -5.0 / (1.0 - t), r_fn=lambda t, w: 29.0 / (1.0 - t) ** 2)
+        traj = integrate(eq, InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=2.0, rel_tol=1e-6))
+        assert traj.terminal.kind == FINITE_ESCAPE
+        assert traj.terminal.reason == "local error saturated"
+        first = next(t for t, a, b in zip(traj.ts, traj.phis, traj.psis) if abs(a) + abs(b) > 1e8)
+        assert sum(z > first for z in traj.zeros) >= 4
+        assert classify(traj).kind == SINGULAR_SECOND_KIND
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_escape_threshold_must_be_positive(self, threshold):
+        # the norm levels double from the threshold, which must grow past any finite norm
+        with pytest.raises(ValueError, match="escape_threshold"):
+            IntegrationOptions(escape_threshold=threshold)
+
     def test_p0_vanishing_is_domain_error(self):
         eq = make_eq(p_fn=lambda t, w: 1.0 - t)
         with pytest.raises(DomainError):
@@ -166,3 +282,83 @@ class TestCsvExport:
         export_trajectory_csv(harmonic_traj, a)
         export_trajectory_csv(harmonic_traj, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def power_law_crossings(p, correction=0.0, levels=4, t_star=1.5, s0=1e-2):
+    """Times at which (T* - t)^-p (1 + correction (T* - t)) first passes s0^-p 2^k, k < levels."""
+    times = []
+    for k in range(levels):
+        level = s0**-p * 2.0**k
+        lo, hi = 0.0, t_star  # s = T* - t; the norm decreases in s
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid**-p * (1.0 + correction * mid) > level:
+                lo = mid
+            else:
+                hi = mid
+        times.append(t_star - lo)
+    return times
+
+
+def never_stable(times):
+    return all(
+        (est := _blowup_estimate(times[:j], None)) is None or not est[2] for j in range(4, len(times) + 1)
+    )
+
+
+class TestBlowupRule:
+    @pytest.mark.parametrize("correction", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 6.0])
+    def test_fires_on_power_laws_and_brackets_t_star(self, p, correction):
+        times = power_law_crossings(p, correction=correction)
+        t_hat, err, stable = _blowup_estimate(times, None)
+        assert stable
+        t = times[-1]
+        if correction:
+            assert t < 1.5 < t + ((t_hat - t) + err)
+        else:
+            assert t_hat == pytest.approx(1.5, abs=1e-13)
+
+    def test_uses_the_last_four_crossings(self):
+        # a drifting start, then a power law: the rule waits for four power-law crossings
+        times = [1.0, 1.2, 1.35] + power_law_crossings(2.0)
+        assert never_stable(times[:6])
+        assert _blowup_estimate(times, None)[2]
+
+    @pytest.mark.parametrize(
+        "inverse",
+        [
+            math.log,  # e^t
+            lambda v: math.sqrt(math.log(v)),  # e^{t^2}
+            lambda v: math.log(math.log(v)),  # e^{e^t}
+            lambda v: v,  # t
+            lambda v: v ** 0.5,  # t^2
+            lambda v: v ** 0.2,  # t^5
+            lambda v: v ** 0.05,  # t^20
+        ],
+        ids=["exp", "exp_square", "exp_exp", "t", "t2", "t5", "t20"],
+    )
+    def test_never_fires_on_global_growth(self, inverse):
+        times = [inverse(1e8 * 2.0**k) for k in range(200)]
+        assert never_stable(times)
+
+    def test_zero_at_or_after_first_crossing_blocks(self):
+        times = power_law_crossings(2.0)
+        a = times[0]
+        assert _blowup_estimate(times, a)[2] is False
+        assert _blowup_estimate(times, times[2])[2] is False
+        assert _blowup_estimate(times, math.nextafter(a, 0.0))[2] is True
+
+    @pytest.mark.parametrize(
+        "times", [[1.0, 2.0, 3.0], [1.0, 1.0, 1.5, 1.75], [1.0, 1.5, 1.5, 1.75], [1.0, 1.5, 2.0, 2.5], [1.0, 1.5, 1.6, 1.8]]
+    )
+    def test_no_estimate_without_geometric_approach(self, times):
+        # too few, repeated, evenly spaced or widening crossing times
+        assert _blowup_estimate(times, None) is None
+
+    def test_rate_cap(self):
+        # gap ratio 0.95 is stable but too close to 1 to call a blow-up
+        times = [1.0, 2.0, 2.95, 2.95 + 0.95**2]
+        t_hat, err, stable = _blowup_estimate(times, None)
+        assert t_hat == pytest.approx(21.0)
+        assert not stable

@@ -71,9 +71,9 @@ PINS = {
         ],
     ),
     "sweep_escape_lower": Pin(
-        31859,
-        ("finite_escape", "step size collapsed", "0x1.8a09868f49b8fp+1"),
-        ("0x1.8a09868f49b8fp+1", "0x1.0fa4907e654a1p+18", "0x1.97a292f6f7f94p+35"),
+        14114,
+        ("finite_escape", "blow-up rate stable", "0x1.8a08508994c8cp+1"),
+        ("0x1.8a08508994c8cp+1", "0x1.06ccc1afd890fp+15", "0x1.7d86e49ffd99bp+29"),
         ["0x1.dfd00c2394257p-2"],
     ),
     "sweep_oscillating_upper": Pin(
@@ -91,9 +91,9 @@ PINS = {
         ],
     ),
     "sweep_escape_upper": Pin(
-        27066,
-        ("finite_escape", "local error saturated", "0x1.fe06160fbf029p+0"),
-        ("0x1.fe06160fbf029p+0", "0x1.0978235007195p+18", "0x1.855134d81ab48p+35"),
+        13912,
+        ("finite_escape", "blow-up rate stable", "0x1.fe03abf847500p+0"),
+        ("0x1.fe03abf847500p+0", "0x1.06c9d422a3fc9p+15", "0x1.7d7e644ecce4ep+29"),
         [],
     ),
     "van_der_pol": Pin(
