@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Sequence
 
 from .dynamics import IntegrationOptions, integrate
-from .errors import DomainError, RangeOverflowError
+from .errors import DomainError, FieldEvaluationError, RangeOverflowError
 from .fields import (
     BoundTriple,
     EquationSpec,
@@ -44,6 +44,7 @@ from .fields import (
     _even_monotone_break,
     _first_where,
     _Product,
+    _quotient,
     _rows,
     _scan,
 )
@@ -204,8 +205,7 @@ def _ratio(num: str, den: str):
 
     def derive(t, ws, row):
         d = row[den]
-        j = _first_where(d, operator.le, 0.0)
-        values = list(map(operator.truediv, row[num][:j], d[:j]))
+        values, j = _quotient(row[num], d)
         return values, None if j is None else DomainError(f"{den} is not positive at (t={t!r}, w={ws[j]!r}): {d[j]!r}")
 
     return derive
@@ -224,14 +224,21 @@ def _points(*checks: _Check):
     """A stage of pointwise checks: the first failure in w order, then table order.
 
     A derived row that stops early fails its checks at the stop point, where
-    the stop decides the outcome.
+    the stop decides the outcome.  A bound of t that is not finite at t raises
+    :class:`FieldEvaluationError`, named by its label: no sample fails a check
+    against NaN, nor a lower bound of -inf, so the check would hold vacuously.
     """
 
     def stage(t, ws, row, stops):
         hit = None
         for c in checks:
             values = row[c.quantity]
-            bound = c.bound(t) if callable(c.bound) else c.bound
+            if callable(c.bound):
+                bound = c.bound(t)
+                if not math.isfinite(bound):
+                    raise FieldEvaluationError(c.label, t, None, bound)
+            else:
+                bound = c.bound
             j = _first_where(values, _OPS[c.op], bound)
             if j is None and c.quantity in stops:
                 j = len(values)

@@ -92,7 +92,9 @@ class ScalarField:
         first failing w, its value and its cause exactly as the scalar loop
         does.  The test sums the row: any non-finite or complex sample makes
         the sum non-finite or complex, and a finite row whose sum overflows
-        only takes the slow path.
+        only takes the slow path.  A closed form without a w-factor is
+        evaluated once per row and returns a flat row (:class:`_Flat`), whose
+        test is its one value.
         """
         if self.row_fn is not None:
             try:
@@ -100,10 +102,25 @@ class ScalarField:
             except (OverflowError, TypeError, ValueError, ZeroDivisionError):
                 pass
             else:
-                total = sum(values, 0.0)
+                total = values[0] if type(values) is _Flat and values else sum(values, 0.0)
                 if type(total) is float and math.isfinite(total):
                     return values
         return [self(t, w) for w in ws]
+
+
+class _Flat(list):
+    """A row whose every element is one value, as a full-length list.
+
+    Only the row evaluator of a closed form without a w-factor and
+    :func:`_quotient` of two flat rows make one, so every element is the same
+    float object.  Row consumers that index, zip or slice it need not know;
+    the hot ones (:func:`_first_where`, :func:`_even_monotone_break`,
+    :func:`_quotient`) decide it from its first element and give what the
+    general path gives on equal values.  A slice or a ``map`` of it is a plain
+    list and takes the general path.
+    """
+
+    __slots__ = ()
 
 
 class _Product(NamedTuple):
@@ -158,13 +175,15 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
     and coefficients of +-1, since ``x ** 0.0 == 1.0`` and ``+-1.0 * x == +-x``
     for every float.  ``row`` takes each product's time part once per row, as
     a float, so a time part that is not a real number sends the row to the
-    scalar loop.  The source is compiled once per text (see :func:`_compiled`)
+    scalar loop.  A form without a w-factor is sampled once per row: ``row``
+    returns its one value as a flat row (:class:`_Flat`) of ``len(ws)``
+    elements.  The source is compiled once per text (see :func:`_compiled`)
     and run in a fresh namespace, which holds this form's own coefficients.
     Each form gets its own copy of the functions' code: the interpreter keeps
     its caches of global lookups in the code object, so forms sharing one
     would evict each other's caches whenever they are called in turn.
     """
-    env = {"start": start, "repeat": repeat, "add": operator.add, "mul": operator.mul, "sub": operator.sub}
+    env = {"start": start, "_Flat": _Flat, "repeat": repeat, "add": operator.add, "mul": operator.mul, "sub": operator.sub}
     values, rows, scales = ["start"] * (start is not None), ["repeat(start)"] * (start is not None), []
     for k, p in enumerate(products):
         env.update({f"c{k}": p.c, f"a{k}": p.a, f"b{k}": p.b, f"tau{k}": p.tau})
@@ -186,7 +205,7 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
         source += f"    return list({row})\n"
     else:  # no w-factor: one value for the whole row
         total = " + ".join(["start"] * (start is not None) + [f"s{k}" for k in range(len(products))])
-        source += f"    return [{total}] * len(ws)\ndef time(t):\n    return {value}\n"
+        source += f"    return _Flat(repeat({total}, len(ws)))\ndef time(t):\n    return {value}\n"
     code = _compiled(source)
     exec(code.replace(co_consts=tuple(c.replace() if isinstance(c, CodeType) else c for c in code.co_consts)), env)
     return env
@@ -289,11 +308,22 @@ class GridSpec:
         return GridSpec(nt=(self.nt - 1) * factor + 1, nw=(self.nw - 1) * factor + 1)
 
 
+@lru_cache(maxsize=32)
+def _float_range(n: int) -> tuple[float, ...]:
+    """``(0.0, 1.0, ..., n - 1.0)``, built once per axis size."""
+    return tuple(map(float, range(n)))
+
+
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``lo + i * step`` for i < n - 1, then ``hi``.
+
+    The indices are floats, so each product is float by float: ``float(i) * step``
+    is ``i * step`` bit for bit for every i below 2**53, without converting i.
+    """
     if n == 1 or lo == hi:
         return [lo]
     step = (hi - lo) / (n - 1)
-    pts = list(map(operator.add, repeat(lo), map(operator.mul, range(n), repeat(step))))
+    pts = [lo + i * step for i in _float_range(n)]
     pts[-1] = hi
     return pts
 
@@ -409,7 +439,13 @@ _CLEARED = {operator.lt: (min, operator.ge), operator.le: (min, operator.gt), op
 
 
 def _first_where(values, op, bound) -> int | None:
-    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None."""
+    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None.
+
+    A flat row (:class:`_Flat`) is decided by one comparison: index 0 or None,
+    as the general path gives for equal values.
+    """
+    if type(values) is _Flat:
+        return 0 if values and op(values[0], bound) else None
     if values and op in _CLEARED:
         extremum, clear = _CLEARED[op]
         if clear(extremum(values), bound):
@@ -421,14 +457,29 @@ def _even_monotone_break(ws, values) -> tuple[int, str, str] | None:
     """The first adjacent pair (j, j + 1) that breaks even monotonicity in w.
 
     A pair with ``ws[j + 1] <= 0`` must not increase and a pair with
-    ``ws[j] >= 0`` must not decrease.  Returns (j, verb, side), or None.
+    ``ws[j] >= 0`` must not decrease.  Returns (j, verb, side), or None, as
+    for a flat row.
     """
+    if type(values) is _Flat:
+        return None
     for j in range(len(ws) - 1):
         if ws[j + 1] <= 0.0 and values[j] < values[j + 1]:
             return j, "increases", "nonpositive"
         if ws[j] >= 0.0 and values[j] > values[j + 1]:
             return j, "decreases", "nonnegative"
     return None
+
+
+def _quotient(num, den) -> tuple[list[float], int | None]:
+    """The elementwise ``num / den`` up to the first ``den <= 0``, and that index.
+
+    The index is None when every ``den`` is positive; the quotient then covers
+    the whole row, and is flat when both rows are.
+    """
+    j = _first_where(den, operator.le, 0.0)
+    if j is None and type(num) is _Flat and type(den) is _Flat and den:
+        return _Flat(repeat(num[0] / den[0], len(den))), None
+    return list(map(operator.truediv, num[:j], den[:j])), j
 
 
 def _tag_violation(tag: str, t: float, ws, values) -> TagCheck | None:

@@ -585,6 +585,31 @@ class TestScanOrder:
         assert cert.witness.detail == "p0 increases on the nonpositive side"
 
 
+class TestNonFiniteBound:
+    """A bound of t that is not finite raises instead of holding vacuously."""
+
+    BOX = Rectangle(0.0, 4.0, -2.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "bounds, label, t, value",
+        [
+            (dict(P=lambda t: math.nan, Q=lambda t: 0.0), "P", 0.0, math.nan),
+            (dict(P=lambda t: 1.0, Q=lambda t: -math.inf), "Q", 0.0, -math.inf),
+            (dict(P=lambda t: 1.0 if t < 2.0 else math.inf, Q=lambda t: 0.0), "P", 2.0, math.inf),
+        ],
+        ids=["P_nan", "Q_minus_inf", "P_inf_from_t2"],
+    )
+    def test_t3_4_raises_named_by_the_bound(self, harmonic_eq, bounds, label, t, value):
+        with pytest.raises(FieldEvaluationError) as err:
+            check_t3_4(harmonic_eq, BoundTriple(**bounds), region=self.BOX, grid=GridSpec(9, 9))
+        assert (err.value.name, err.value.t, err.value.w) == (label, t, None)
+        assert repr(err.value.value) == repr(value)
+
+    def test_finite_bounds_still_verify(self, harmonic_eq):
+        cert = check_t3_4(harmonic_eq, BoundTriple(P=lambda t: 1.0, Q=lambda t: -1e308), region=self.BOX, grid=GridSpec(9, 9))
+        assert cert.status == VERIFIED
+
+
 class TestTableOrder:
     """At one grid point the checks fail in table order."""
 

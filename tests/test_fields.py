@@ -115,6 +115,33 @@ class TestVerifyStructuralTags:
         assert calls == []
 
 
+def range_linspace(lo, hi, n):
+    """The axis as built from ``range(n)``: ``lo + i * step``, the last point ``hi``."""
+    if lo == hi:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    pts = [lo + i * step for i in range(n)]
+    pts[-1] = hi
+    return pts
+
+
+class TestGridAxes:
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2), n=st.integers(2, 4097))
+    @example(ends=[0.0, 1.0], n=4097)
+    @example(ends=[-0.0, 1e-300], n=3)
+    @example(ends=[-1e300, 1e300], n=1025)
+    @example(ends=[50.5, 50.5], n=129)
+    def test_axes_keep_the_range_construction_bits(self, ends, n):
+        lo, hi = sorted(ends)
+        expected = [v.hex() for v in range_linspace(lo, hi, n)]
+        for axis in (GridSpec(nt=n, nw=2).t_axis(lo, hi), GridSpec(nt=2, nw=n).w_axis(lo, hi)):
+            assert [v.hex() for v in axis] == expected
+            if math.isfinite(hi - lo):
+                # by value: lo + 0.0 is 0.0 for lo = -0.0, and an axis with lo == hi is [lo]
+                assert axis[0] == lo and axis[-1] == hi
+
+
 class TestEquationFromJson:
     def test_emden_fowler_kind(self):
         eq = equation_from_json({"kind": "emden_fowler", "rho": 4.0, "sigma": 0.0, "n": 3.0, "t0": 1.0})

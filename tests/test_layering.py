@@ -92,3 +92,25 @@ def test_the_row_scan_finds_row_evaluators():
 def test_only_fields_builds_row_evaluators(path):
     # A closed-form field is a list of products; fields alone turns it into evaluators.
     assert row_evaluator_uses(path.read_text(encoding="utf-8")) == []
+
+
+def flat_row_uses(source: str) -> list[int]:
+    """The lines of ``source`` that name ``_Flat``: as a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "_Flat" or isinstance(node, ast.Attribute) and node.attr == "_Flat":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "_Flat" for a in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_flat_row_scan_finds_flat_rows():
+    source = "from .fields import _Flat\nif type(row) is fields._Flat:\n    pass\nrow = _Flat(values)\n"
+    assert flat_row_uses(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=[p.name for p in MODULES if p.name != "fields.py"])
+def test_only_fields_names_flat_rows(path):
+    # How a row is represented is one module's decision; other modules index, zip and slice rows.
+    assert flat_row_uses(path.read_text(encoding="utf-8")) == []

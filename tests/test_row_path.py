@@ -8,6 +8,7 @@ first (t, w), the same value and the same cause.
 
 import contextlib
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from rcert import FieldEvaluationError, ScalarField, equation_from_json
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
 from rcert.config import _scalar_field_from_json
+from rcert.fields import _even_monotone_break, _first_where, _Flat, _quotient
 
 JSON_FIELDS = {
     "constant": {"kind": "constant", "value": 2.5},
@@ -58,6 +60,16 @@ def _fields():
 
 
 FIELDS = _fields()
+
+#: The fields with no w-factor: their row evaluator returns a flat row.
+W_FREE = {
+    "constant",
+    "constant_negative_zero",
+    "polynomial_empty",
+    "power_time_only",
+    *(f"{eq}.{part}" for eq in ("ef_absolute", "ef_absolute_fractional", "ef_signed", "ef_signed_fractional") for part in ("p0", "q0")),
+    *(f"{eq}.{part}" for eq in ("vdp", "vdp_json") for part in ("p0", "r0")),
+}
 
 
 @contextlib.contextmanager
@@ -112,6 +124,45 @@ def test_row_path_matches_scalar_loop(name, t, ws):
     assert row == scalar
     if scalar[0] == "ok" and math.isfinite(sum(fld(t, w) for w in ws)):
         assert calls == []  # the row came from the row evaluator
+
+
+BOUNDS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(t=TS, ws=WS, bound=BOUNDS, den_name=st.sampled_from(sorted(FIELDS)))
+@example(t=1.0, ws=[], bound=0.0, den_name="constant")
+@example(t=1.0, ws=[0.5, -1.0], bound=-0.0, den_name="constant_negative_zero")
+@example(t=2.0, ws=[0.5, -1.0, 3.0], bound=math.inf, den_name="vdp.q0")
+def test_flat_rows_agree_with_the_plain_path(name, t, ws, bound, den_name):
+    fld, den_fld = FIELDS[name], FIELDS[den_name]
+    scalar = outcome(lambda: [fld(t, w) for w in ws])
+    den_scalar = outcome(lambda: [den_fld(t, w) for w in ws])
+    if scalar[0] != "ok" or den_scalar[0] != "ok":
+        return  # failing rows: test_row_path_matches_scalar_loop
+    row, den = fld.sample_row(t, ws), den_fld.sample_row(t, ws)
+    if ws:  # an empty row may come from the scalar loop: a time part of t can fail
+        assert (type(row) is _Flat) == (name in W_FREE)
+    assert hexes(row) == scalar[1]
+    plain = list(row)
+    # the first index where a comparison holds, with the row's own value among the bounds
+    for b in (bound, *row[:1]):
+        for op in (operator.lt, operator.le, operator.gt):
+            assert _first_where(row, op, b) == _first_where(plain, op, b)
+    assert _even_monotone_break(ws, row) == _even_monotone_break(ws, plain)
+    # the quotient and its stop index, flat or plain on either side
+    stop = next((j for j, d in enumerate(den) if d <= 0.0), None)
+    expected = hexes(n / d for n, d in zip(plain[:stop], den[:stop]))
+    for num_row, den_row in ((row, den), (plain, den), (row, list(den)), (plain, list(den))):
+        values, j = _quotient(num_row, den_row)
+        assert (hexes(values), j) == (expected, stop)
+        flat = type(num_row) is type(den_row) is _Flat and stop is None and len(ws) > 0
+        assert (type(values) is _Flat) == flat
 
 
 @pytest.mark.parametrize(
