@@ -406,11 +406,14 @@ def check_t4_2(
         status = INCONCLUSIVE
         conclusion = None
         reason = "a component certificate is inconclusive"
+    region = {k: v for k, v in existence.region.items() if k != "coverage"}
+    if status == VERIFIED:
+        region["coverage"] = "rows" if existence.region["coverage"] == oscillation.region["coverage"] == "rows" else "grid"
     return Certificate(
         theorem="T4_2",
         status=status,
         hypotheses=("existence part", "oscillation part"),
-        region=existence.region,
+        region=region,
         conclusion=conclusion,
         reason=reason,
         witness=oscillation.witness or existence.witness,

@@ -10,18 +10,19 @@ criterion on a finite (t, w) grid and emits a :class:`Certificate`:
 * ``Inconclusive`` -- a precondition fails, an envelope overflows, or the
   scan of a hypothesis sampled no grid point; neither conclusion is claimed.
 
-Grid falsification, not proof: the "for all w" hypotheses of the underlying
-criteria are only checked on the recorded rectangle and grid, and every
-certificate embeds the w-range that was actually sampled so downstream
-claims stay scoped.  Components that no finite computation can decide
-(oscillation of a comparison family, divergence of improper integrals) are
-decided heuristically and flagged as such inside the certificate.
+Grid falsification, not proof: the "for all w" hypotheses are checked on the
+recorded rectangle at the grid times, and a Verified region's ``coverage``
+says how: "rows" when every row cleared from ranges, so at every float w of
+it, "grid" when the checks held at the grid points.  Components that no
+finite computation can decide (oscillation of a comparison family,
+divergence of improper integrals) are decided heuristically and flagged.
 
 Every checker runs on one scan primitive, :func:`fields._scan`, over an ordered
 table of pointwise checks and row rules.  The witness is the first failure in
-t-major order, then w, then table order.  The scan samples one row (fixed t)
-at a time, so a non-finite sample anywhere on the witness row raises, and a
-scan that reaches a point with p0 <= 0 under q0/p0 raises DomainError.
+t-major order, then w, then table order.  A row (fixed t) clears without
+samples only when closed-form ranges prove every sample finite and passing;
+any other row is sampled, so a non-finite sample anywhere on it raises, and
+a scan that reaches a point with p0 <= 0 under q0/p0 raises DomainError.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from .fields import (
     GridSpec,
     InitialData,
     Rectangle,
+    _axis_ends,
     _closed_form_field,
     _even_monotone_break,
     _first_where,
     _Product,
-    _quotient,
     _rows,
     _scan,
 )
@@ -149,11 +150,10 @@ class Certificate:
 
 
 def _region_record(ts, w_lo, w_hi, nw: int, sampled: tuple[float, float] | None) -> dict:
-    # ``nt`` and ``nw`` are the axis sizes as sampled (an axis with equal bounds
+    # ``nt`` and ``nw`` are the axis sizes scanned (an axis with equal bounds
     # has one point); envelope checks, whose w axis changes per row, pass the
-    # most w points a scanned row held, 0 when nothing was sampled.  They also
-    # pass +-inf caps; the JSON record then carries only the w-range that was
-    # actually sampled.
+    # most w points a scanned row held, 0 when no row had one, and +-inf caps:
+    # the JSON record then carries only the w-range actually checked.
     finite_w = w_lo is not None and math.isfinite(w_lo) and math.isfinite(w_hi)
     rec = {
         "t": [ts[0], ts[-1]],
@@ -164,6 +164,11 @@ def _region_record(ts, w_lo, w_hi, nw: int, sampled: tuple[float, float] | None)
     if sampled is not None:
         rec["w_sampled"] = [sampled[0], sampled[1]]
     return rec
+
+
+def _covered(rec: dict, covered: bool) -> dict:
+    """A Verified region record: "rows" when every row was cleared at every float w, "grid" when at its points."""
+    return {**rec, "coverage": "rows" if covered else "grid"}
 
 
 def _ratio_precondition(ic: InitialData) -> str | None:
@@ -200,14 +205,23 @@ def _ratio(num: str, den: str):
     """The derived row num/den; the only place a q/p field ratio is computed.
 
     The row stops at the first w where den <= 0, and a check that reaches
-    that point raises :class:`DomainError` instead of dividing.
+    that point raises :class:`DomainError` instead of dividing.  Its range is
+    that of the corner quotients when den > 0: division rounds monotonically.
     """
 
     def derive(t, ws, row):
-        d = row[den]
-        values, j = _quotient(row[num], d)
+        n, d = row[num], row[den]
+        j = _first_where(d, operator.le, 0.0)
+        values = list(map(operator.truediv, n[:j], d[:j]))
         return values, None if j is None else DomainError(f"{den} is not positive at (t={t!r}, w={ws[j]!r}): {d[j]!r}")
 
+    def enclose(ranges):
+        (a, b), (c, d) = ranges[num], ranges[den]
+        if c > 0.0:  # else None: a row where den may be <= 0 is sampled, and stops there
+            corners = (a / c, a / d, b / c, b / d)
+            return min(corners), max(corners)
+
+    derive.enclose = enclose
     return derive
 
 
@@ -227,18 +241,23 @@ def _points(*checks: _Check):
     the stop decides the outcome.  A bound of t that is not finite at t raises
     :class:`FieldEvaluationError`, named by its label: no sample fails a check
     against NaN, nor a lower bound of -inf, so the check would hold vacuously.
+    It clears a row whose ranges clear every check (see :func:`fields._scan`).
     """
+
+    def bounds(t):
+        for c in checks:
+            bound = c.bound(t) if callable(c.bound) else c.bound
+            if not math.isfinite(bound):
+                raise FieldEvaluationError(c.label, t, None, bound)
+            yield bound
+
+    def clears(t, ranges):
+        return all(_first_where(ranges[c.quantity], _OPS[c.op], bound) is None for c, bound in zip(checks, bounds(t)))
 
     def stage(t, ws, row, stops):
         hit = None
-        for c in checks:
+        for c, bound in zip(checks, bounds(t)):
             values = row[c.quantity]
-            if callable(c.bound):
-                bound = c.bound(t)
-                if not math.isfinite(bound):
-                    raise FieldEvaluationError(c.label, t, None, bound)
-            else:
-                bound = c.bound
             j = _first_where(values, _OPS[c.op], bound)
             if j is None and c.quantity in stops:
                 j = len(values)
@@ -253,6 +272,7 @@ def _points(*checks: _Check):
         rhs = f"{c.label}={bound!r}" if callable(c.bound) else c.label
         return j, Witness(c.hypothesis, t, ws[j], f"{c.quantity}={values[j]!r} {c.op} {rhs}{c.note}")
 
+    stage.clears = clears
     return stage
 
 
@@ -322,13 +342,12 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     def rows():
         nonlocal nw
         for t, v in zip(ts, bound_vals):
-            w_lo, w_hi = max(region.w_min, -(v + eps)), min(region.w_max, v + eps)
-            ws = grid.w_axis(w_lo, w_hi) if w_lo <= w_hi else []
-            nw = max(nw, len(ws))
-            yield t, ws
+            lo, hi, n = _axis_ends(max(region.w_min, -(v + eps)), min(region.w_max, v + eps), grid.nw)
+            nw = max(nw, n)
+            yield t, ((lo, hi),), n
 
     seen = [math.inf, -math.inf]
-    outcome = _scan(rows(), fields, stages, seen)
+    outcome, covered = _scan(rows(), fields, stages, seen)
     sampled = tuple(seen) if seen[0] <= seen[1] else None
     rec = _region_record(ts, region.w_min, region.w_max, nw, sampled)
     if outcome is None and sampled is None:
@@ -344,7 +363,7 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
         theorem,
         VERIFIED,
         hypotheses,
-        rec,
+        _covered(rec, covered),
         conclusion=GLOBAL_MONOTONE,
         epsilon=eps,
         bound=envelope,
@@ -521,7 +540,7 @@ def check_t3_3(
 
     fields = {**_eq_fields(eq0, *_PQR), "p1": eq1.p0, "q1": eq1.q0, "r1": eq1.r0, "q1/p1": _ratio("q1", "p1")}
     stages = [p_match, _even_monotone(hypotheses[2], "p0"), band]
-    witness = _scan(_rows(ts, ws), fields, stages)
+    witness, covered = _scan(_rows(ts, ws), fields, stages)
     rec = _region_record(ts, -W, W, nw, (-W, W))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
@@ -529,7 +548,7 @@ def check_t3_3(
         theorem,
         VERIFIED,
         hypotheses,
-        rec,
+        _covered(rec, covered),
         conclusion=GLOBAL_MONOTONE,
         details={"y0": y0, "y1": y1, "majorant_span": [majorant.t_start, majorant.t_end]},
     )
@@ -559,11 +578,11 @@ def check_t3_4(
         _Check("q0/p0 >= Q", "q0/p0", "<", b.Q, "Q"),
         _Check("r0 >= 0", "r0", "<", 0.0, "0"),
     )
-    witness = _scan(_rows(ts, ws), _eq_fields(eq, *_PQR), [points])
+    witness, covered = _scan(_rows(ts, ws), _eq_fields(eq, *_PQR), [points])
     rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
-    return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=SINGULAR_SECOND_KIND_IF_NONEXTENDABLE)
+    return Certificate(theorem, VERIFIED, hypotheses, _covered(rec, covered), conclusion=SINGULAR_SECOND_KIND_IF_NONEXTENDABLE)
 
 
 def _family_checks(hypothesis: str, eps: float, p_e: TimeFunction, ratio: tuple, r_e: TimeFunction) -> list[_Check]:
@@ -650,11 +669,15 @@ def check_t3_5(
         scans.append((annulus, N, eps, pqr, _family_checks(annulus, eps, p_e, (">", q_e, "q_eps"), r_e)))
     # The w range each band hypothesis sampled; one that sampled nothing is never Verified.
     seen = {h: [math.inf, -math.inf] for h in (outer, capped, annulus)}
+    covered = True
     for hypothesis, lo, hi, fields, checks in scans:
-        rows = _rows(ts, [w for w in ws if lo <= abs(w) <= hi])
-        witness = _scan(rows, fields, [_points(*checks)], seen.get(hypothesis))
+        band = [w for w in ws if lo <= abs(w) <= hi]  # with lo > 0, two runs: ranges leave out the gap
+        halves = ([w for w in band if w < 0.0], [w for w in band if w >= 0.0]) if lo > 0.0 else (band,)
+        rows = _rows(ts, band, tuple((h[0], h[-1]) for h in halves if h))
+        witness, band_covered = _scan(rows, fields, [_points(*checks)], seen.get(hypothesis))
         if witness is not None:
             return falsified(witness)
+        covered = covered and band_covered
     unsampled = [h for h, (lo, hi) in seen.items() if lo > hi]
     if unsampled:
         reason = f"no grid point sampled for '{unsampled[0]}'"
@@ -703,7 +726,7 @@ def check_t3_5(
         theorem,
         VERIFIED,
         hypotheses,
-        rec,
+        _covered(rec, covered),
         conclusion=OSC_OR_SINGULAR_FIRST_KIND,
         heuristic_flags=flags,
         details=details,
@@ -747,8 +770,8 @@ def check_t3_6(
     ws = grid.w_axis(region.w_min, region.w_max)
     fields = {**_eq_fields(eq, *_PQR), "-r0": lambda t, ws, row: ([-v for v in row["r0"]], None)}
     stages = [_points(_Check("r0 >= 0", "r0", "<", 0.0, "0")), _even_monotone(hypotheses[1], "p0", "q0/p0", "-r0")]
-    witness = _scan(_rows(ts, ws), fields, stages)
+    witness, covered = _scan(_rows(ts, ws), fields, stages)
     rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
     if witness is not None:
         return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
-    return Certificate(theorem, VERIFIED, hypotheses, rec, conclusion=GLOBAL_FOR_ALL_IC)
+    return Certificate(theorem, VERIFIED, hypotheses, _covered(rec, covered), conclusion=GLOBAL_FOR_ALL_IC)

@@ -59,14 +59,16 @@ class ScalarField:
 
     ``row_fn``, when given, evaluates a whole row ``(t, ws) -> list[float]``
     for :meth:`sample_row` and must give every sample bit for bit as
-    ``__call__`` would.  Closed forms get theirs from :func:`_closed_form_field`;
-    opaque callables have none.
+    ``__call__`` would.  Closed forms get theirs from :func:`_closed_form_field`
+    and keep ``products`` and ``start``, for :func:`_enclose`; opaque callables have none.
     """
 
     fn: Callable[[float, float], float]
     tags: frozenset = frozenset()
     name: str = ""
     row_fn: Callable[[float, Sequence[float]], list[float]] | None = None
+    products: tuple[_Product, ...] | None = None
+    start: float | None = None
 
     def __post_init__(self):
         tags = frozenset(self.tags)
@@ -92,9 +94,7 @@ class ScalarField:
         first failing w, its value and its cause exactly as the scalar loop
         does.  The test sums the row: any non-finite or complex sample makes
         the sum non-finite or complex, and a finite row whose sum overflows
-        only takes the slow path.  A closed form without a w-factor is
-        evaluated once per row and returns a flat row (:class:`_Flat`), whose
-        test is its one value.
+        only takes the slow path.
         """
         if self.row_fn is not None:
             try:
@@ -102,25 +102,10 @@ class ScalarField:
             except (OverflowError, TypeError, ValueError, ZeroDivisionError):
                 pass
             else:
-                total = values[0] if type(values) is _Flat and values else sum(values, 0.0)
+                total = sum(values, 0.0)
                 if type(total) is float and math.isfinite(total):
                     return values
         return [self(t, w) for w in ws]
-
-
-class _Flat(list):
-    """A row whose every element is one value, as a full-length list.
-
-    Only the row evaluator of a closed form without a w-factor and
-    :func:`_quotient` of two flat rows make one, so every element is the same
-    float object.  Row consumers that index, zip or slice it need not know;
-    the hot ones (:func:`_first_where`, :func:`_even_monotone_break`,
-    :func:`_quotient`) decide it from its first element and give what the
-    general path gives on equal values.  A slice or a ``map`` of it is a plain
-    list and takes the general path.
-    """
-
-    __slots__ = ()
 
 
 class _Product(NamedTuple):
@@ -140,13 +125,9 @@ class _Product(NamedTuple):
     w_first: bool = False
 
 
-#: The source of each w-factor at w and over the row ws, with ``{b}`` its exponent.
+#: The source of each w-factor at w, with ``{b}`` its exponent.
 #: libm ``pow`` is not correctly rounded, so ``w * w`` is a factor of its own.
-_W_FACTORS = {
-    "|w|^b": ("abs(w) ** {b}", "map(pow, map(abs, ws), repeat({b}))"),
-    "w^b": ("w ** {b}", "map(pow, ws, repeat({b}))"),
-    "w^2-1": ("(w * w - 1.0)", "map(sub, map(mul, ws, ws), repeat(1.0))"),
-}
+_W_FACTORS = {"|w|^b": "abs(w) ** {b}", "w^b": "w ** {b}", "w^2-1": "(w * w - 1.0)"}
 
 
 def _times(c: str, value: float, factors: list[str]) -> str:
@@ -175,16 +156,15 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
     and coefficients of +-1, since ``x ** 0.0 == 1.0`` and ``+-1.0 * x == +-x``
     for every float.  ``row`` takes each product's time part once per row, as
     a float, so a time part that is not a real number sends the row to the
-    scalar loop.  A form without a w-factor is sampled once per row: ``row``
-    returns its one value as a flat row (:class:`_Flat`) of ``len(ws)``
-    elements.  The source is compiled once per text (see :func:`_compiled`)
-    and run in a fresh namespace, which holds this form's own coefficients.
+    scalar loop.  A form without a w-factor is evaluated once per row.  The
+    source is compiled once per text (see :func:`_compiled`) and run in a
+    fresh namespace, which holds this form's own coefficients.
     Each form gets its own copy of the functions' code: the interpreter keeps
     its caches of global lookups in the code object, so forms sharing one
     would evict each other's caches whenever they are called in turn.
     """
-    env = {"start": start, "_Flat": _Flat, "repeat": repeat, "add": operator.add, "mul": operator.mul, "sub": operator.sub}
-    values, rows, scales = ["start"] * (start is not None), ["repeat(start)"] * (start is not None), []
+    env = {"start": start}
+    values, terms, scales = ["start"] * (start is not None), ["start"] * (start is not None), []
     for k, p in enumerate(products):
         env.update({f"c{k}": p.c, f"a{k}": p.a, f"b{k}": p.b, f"tau{k}": p.tau})
         factors = [f"tau{k}(t)"] * (p.tau is not None) + [f"t ** a{k}"] * (p.a != 0.0)
@@ -192,20 +172,17 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
         scales.append(f"    s{k} = float({time_part})\n")
         if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):  # |w| ** 0.0 == w ** 0.0 == 1.0
             values.append(time_part)
-            rows.append(f"repeat(s{k})")
+            terms.append(f"s{k}")
         else:
-            at_w, over_ws = (s.format(b=f"b{k}") for s in _W_FACTORS[p.g])
+            at_w = _W_FACTORS[p.g].format(b=f"b{k}")
             values.append(f"{at_w} * ({time_part})" if p.w_first and factors else _times(f"c{k}", p.c, factors + [at_w]))
-            rows.append(f"map(mul, repeat(s{k}), {over_ws})")
-    value, row = " + ".join(values), rows[0]
-    for r in rows[1:]:
-        row = f"map(add, {row}, {r})"
+            terms.append(f"s{k} * {at_w}")
+    value, row = " + ".join(values), " + ".join(terms)
     source = f"def fn(t, w):\n    return {value}\ndef row(t, ws):\n{''.join(scales)}"
-    if "ws" in row:
-        source += f"    return list({row})\n"
+    if "w" in row:  # a w-factor: ``start`` and ``s<k>`` hold no w
+        source += f"    return [{row} for w in ws]\n"
     else:  # no w-factor: one value for the whole row
-        total = " + ".join(["start"] * (start is not None) + [f"s{k}" for k in range(len(products))])
-        source += f"    return _Flat(repeat({total}, len(ws)))\ndef time(t):\n    return {value}\n"
+        source += f"    return [{row}] * len(ws)\ndef time(t):\n    return {value}\n"
     code = _compiled(source)
     exec(code.replace(co_consts=tuple(c.replace() if isinstance(c, CodeType) else c for c in code.co_consts)), env)
     return env
@@ -214,7 +191,7 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
 def _closed_form_field(products: Sequence[_Product], tags=frozenset(), name: str = "", start: float | None = None) -> ScalarField:
     """The field of a sum of products, with its row evaluator (see :func:`_closed_form`)."""
     env = _closed_form(products, start)
-    return ScalarField(env["fn"], frozenset(tags), name, env["row"])
+    return ScalarField(env["fn"], frozenset(tags), name, env["row"], tuple(products), start)
 
 
 def _closed_form_time(products: Sequence[_Product], start: float | None = None) -> Callable[[float], float]:
@@ -308,24 +285,24 @@ class GridSpec:
         return GridSpec(nt=(self.nt - 1) * factor + 1, nw=(self.nw - 1) * factor + 1)
 
 
-@lru_cache(maxsize=32)
-def _float_range(n: int) -> tuple[float, ...]:
-    """``(0.0, 1.0, ..., n - 1.0)``, built once per axis size."""
-    return tuple(map(float, range(n)))
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``lo + i * step`` for i < n - 1, then ``hi``.
-
-    The indices are floats, so each product is float by float: ``float(i) * step``
-    is ``i * step`` bit for bit for every i below 2**53, without converting i.
-    """
-    if n == 1 or lo == hi:
-        return [lo]
+    """``lo + i * step`` for i < n - 1, then ``hi``; no point when lo > hi (see :func:`_axis_ends`)."""
+    lo, hi, n = _axis_ends(lo, hi, n)
+    if n < 2:
+        return [lo] * n
     step = (hi - lo) / (n - 1)
-    pts = [lo + i * step for i in _float_range(n)]
-    pts[-1] = hi
-    return pts
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def _axis_ends(lo: float, hi: float, n: int) -> tuple[float, float, int]:
+    """The first and last point and the size of :func:`_linspace`'s axis; an overflowing span raises, as its step is inf."""
+    if lo > hi:
+        return math.inf, -math.inf, 0
+    if n == 1 or lo == hi:
+        return lo, lo, 1
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"grid axis over [{lo!r}, {hi!r}] spans {hi - lo!r}: the region is too wide to grid")
+    return lo + 0.0, hi, n  # the first point is lo + 0.0 * step, and -0.0 + 0.0 is 0.0
 
 
 @dataclass(frozen=True)
@@ -354,47 +331,100 @@ class TagReport:
         return all(c.holds for c in self.checks)
 
 
-def _rows(ts, ws) -> list[tuple[float, list[float]]]:
-    """(t, w-row) pairs over a fixed w axis."""
-    return [(t, ws) for t in ts]
+def _rows(ts, ws, spans=None) -> list[tuple[float, tuple, list[float]]]:
+    """(t, spans, w-row) rows over a fixed w axis; ``spans`` holds the (first, last) w of its runs, by default one."""
+    spans = spans if spans is not None else ((ws[0], ws[-1]),) if ws else ()
+    return [(t, spans, ws) for t in ts]
 
 
-def _scan(rows, fields: dict, stages, seen: list[float] | None = None):
-    """The first failure of a hypothesis scan over (t, w), one row at a time.
+def _scan(rows, fields: dict, stages, seen: list[float] | None = None) -> tuple[object, bool]:
+    """The first failure of a hypothesis scan over (t, w), one row at a time, and whether every row cleared.
 
-    ``rows`` gives the (t, ws) pairs in scan order.  On each row every
-    :class:`ScalarField` in ``fields`` is sampled once at every w, through
-    :meth:`ScalarField.sample_row`, before any check runs; the other entries
-    derive a row from the rows before them and may stop early with an
-    outcome (see :func:`certificates._ratio`).  The stages run in order and return None or
-    a hit (j, outcome), where j indexes ws (None for a witness without w).
-    The first hit ends the scan: an exception outcome is raised, a Witness or
-    an Inconclusive reason is returned.  None means every check held.
+    ``rows`` gives (t, spans, ws): the (first, last) w of each run of the row,
+    and the w values or the size n of the axis ``_linspace(lo, hi, n)`` of one
+    span.  A row clears, unbuilt and unsampled, when each field has a finite
+    range over its spans (:func:`_enclose`, or a derived row's ``enclose``) on
+    which each stage ``clears``: its checks hold at every float w of them.  Any
+    other row samples every :class:`ScalarField` at every w before any check,
+    so a non-finite sample raises; derived rows may stop early (see
+    :func:`certificates._ratio`).  Stages return None or a hit
+    (j, outcome), j indexing ws (None for no w); the first hit ends the scan,
+    raising an exception or returning a Witness or Inconclusive reason.
     ``seen`` becomes [min, max] of the w checked.
     """
-    for t, ws in rows:
-        row, stops, sampled = {}, {}, {}
-        for name, f in fields.items():
-            if isinstance(f, ScalarField):
-                if id(f) not in sampled:
-                    sampled[id(f)] = f.sample_row(t, ws)
-                row[name] = sampled[id(f)]
-            else:
-                row[name], stop = f(t, ws, row)
-                if stop is not None:
-                    stops[name] = stop
-        for stage in stages:
-            hit = stage(t, ws, row, stops)
-            if hit is not None:
-                j, outcome = hit
-                if isinstance(outcome, Exception):
-                    raise outcome
-                if seen is not None and j is not None:
-                    seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[j])]
-                return outcome
+    decided = all(hasattr(s, "clears") for s in stages)
+    covered = decided = decided and all(f.products is not None if isinstance(f, ScalarField) else hasattr(f, "enclose") for f in fields.values())
+    for t, spans, ws in rows:
+        if not (decided and ws and _row_clears(t, spans, fields, stages)):
+            covered = covered and not ws
+            ws = _linspace(*spans[0], ws) if type(ws) is int else ws
+            row, stops, sampled = {}, {}, {}
+            for name, f in fields.items():
+                if isinstance(f, ScalarField):
+                    if id(f) not in sampled:
+                        sampled[id(f)] = f.sample_row(t, ws)
+                    row[name] = sampled[id(f)]
+                else:
+                    row[name], stop = f(t, ws, row)
+                    if stop is not None:
+                        stops[name] = stop
+            for stage in stages:
+                hit = stage(t, ws, row, stops)
+                if hit is not None:
+                    j, outcome = hit
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    if seen is not None and j is not None:
+                        seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[j])]
+                    return outcome, False
         if seen is not None and ws:
-            seen[:] = [min(seen[0], ws[0]), max(seen[1], ws[-1])]
-    return None
+            seen[:] = [min(seen[0], spans[0][0]), max(seen[1], spans[-1][1])]  # ws[0] and ws[-1]
+    return None, covered
+
+
+def _row_clears(t: float, spans, fields: dict, stages) -> bool:
+    """Whether every field has a finite range over the spans at t, and every stage clears on them (see :func:`_scan`)."""
+    ranges = {}
+    for name, f in fields.items():
+        r = _enclose(f, t, spans) if isinstance(f, ScalarField) else f.enclose(ranges)
+        if r is None or not (math.isfinite(r[0]) and math.isfinite(r[1])):
+            return False
+        ranges[name] = r
+    return all(stage.clears(t, ranges) for stage in stages)
+
+
+def _enclose(fld: ScalarField, t: float, spans) -> tuple[float, float] | None:
+    """(min, max) of every sample of a closed form at t with w in the spans; None, or a non-finite end, if one may fail.
+
+    Each w-factor is monotone on either side of 0, so has its extremes at the
+    ends of the spans or at 0 inside one.  ``w * w - 1.0``, products and sums
+    are correctly rounded, so monotone: the row evaluator's operations on the
+    ranges bound its samples.  Only pow's range is widened, but not below 0
+    where no power is negative.  The time part is the row evaluator's to the
+    bit (``x * 1.0 == x``, ``t ** 0.0 == 1.0``).  A pole, an overflow or a
+    complex power raises.
+    """
+    ends = [w for lo, hi in spans for w in ((lo, hi, 0.0) if lo < 0.0 < hi else (lo, hi))]
+    bottom = top = 0.0 if fld.start is None else fld.start  # 0.0 + x == x, but for the sign of a zero
+    try:
+        for p in fld.products:
+            s = float(p.c * (1.0 if p.tau is None else p.tau(t)) * t ** p.a)
+            if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):
+                low = high = 1.0
+            elif p.g == "w^2-1":
+                low, high = min(w * w for w in ends) - 1.0, max(w * w for w in ends) - 1.0
+            else:
+                powers = [(abs(w) if p.g == "|w|^b" else w) ** p.b for w in ends]
+                low, high = min(powers), max(powers)
+                for _ in range(8):  # pow is within one ulp of the power: CHANGES.md derives this margin
+                    low, high = math.nextafter(low, -math.inf), math.nextafter(high, math.inf)
+                if p.g == "|w|^b" or min(ends) >= 0.0 or p.b % 2.0 == 0.0:
+                    low = max(low, 0.0)
+            low, high = (s * low, s * high) if s >= 0.0 else (s * high, s * low)
+            bottom, top = bottom + low, top + high
+    except (ArithmeticError, TypeError, ValueError):
+        return None
+    return bottom, top
 
 
 def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec = GridSpec()) -> TagReport:
@@ -439,13 +469,7 @@ _CLEARED = {operator.lt: (min, operator.ge), operator.le: (min, operator.gt), op
 
 
 def _first_where(values, op, bound) -> int | None:
-    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None.
-
-    A flat row (:class:`_Flat`) is decided by one comparison: index 0 or None,
-    as the general path gives for equal values.
-    """
-    if type(values) is _Flat:
-        return 0 if values and op(values[0], bound) else None
+    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None; a (min, max) range is a row of two."""
     if values and op in _CLEARED:
         extremum, clear = _CLEARED[op]
         if clear(extremum(values), bound):
@@ -457,29 +481,14 @@ def _even_monotone_break(ws, values) -> tuple[int, str, str] | None:
     """The first adjacent pair (j, j + 1) that breaks even monotonicity in w.
 
     A pair with ``ws[j + 1] <= 0`` must not increase and a pair with
-    ``ws[j] >= 0`` must not decrease.  Returns (j, verb, side), or None, as
-    for a flat row.
+    ``ws[j] >= 0`` must not decrease.  Returns (j, verb, side), or None.
     """
-    if type(values) is _Flat:
-        return None
     for j in range(len(ws) - 1):
         if ws[j + 1] <= 0.0 and values[j] < values[j + 1]:
             return j, "increases", "nonpositive"
         if ws[j] >= 0.0 and values[j] > values[j + 1]:
             return j, "decreases", "nonnegative"
     return None
-
-
-def _quotient(num, den) -> tuple[list[float], int | None]:
-    """The elementwise ``num / den`` up to the first ``den <= 0``, and that index.
-
-    The index is None when every ``den`` is positive; the quotient then covers
-    the whole row, and is flat when both rows are.
-    """
-    j = _first_where(den, operator.le, 0.0)
-    if j is None and type(num) is _Flat and type(den) is _Flat and den:
-        return _Flat(repeat(num[0] / den[0], len(den))), None
-    return list(map(operator.truediv, num[:j], den[:j])), j
 
 
 def _tag_violation(tag: str, t: float, ws, values) -> TagCheck | None:

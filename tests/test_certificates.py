@@ -26,6 +26,7 @@ from rcert import (
     check_t3_5,
     check_t3_6,
     classify,
+    equation_from_json,
     integrate,
     verify_structural_tags,
 )
@@ -658,3 +659,60 @@ class TestNonpositiveP0:
         cert = check_t3_4(make_eq(**self.SQUARE_P), b, region=self.BOX, grid=GridSpec(17, 17))
         assert cert.status == FALSIFIED
         assert (cert.witness.hypothesis, cert.witness.t, cert.witness.w) == ("p0 >= P", 0.0, -0.5)
+
+
+class TestCoverage:
+    """A Verified certificate records whether its rows were cleared by their ranges or checked at grid points."""
+
+    BOX = Rectangle(0.0, 4.0, -2.0, 2.0)
+    BOUNDS = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0)
+
+    @staticmethod
+    def closed_form_eq(r0_doc):
+        one, zero = {"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 0.0}
+        return equation_from_json({"kind": "custom", "t0": 0.0, "p0": one, "q0": zero, "r0": r0_doc})
+
+    def test_power_law_rows_are_cleared(self, ef_case):
+        p, eq, b = ef_case
+        cert = check_t3_1(eq, InitialData(1.0, 0.5, 0.0), b, region=INF_REGION, grid=GridSpec(65, 65))
+        assert (cert.status, cert.region["coverage"]) == (VERIFIED, "rows")
+        validate_certificate_dict(cert.to_dict())
+
+    def test_a_dip_between_grid_points_records_grid_and_falsifies_on_a_finer_grid(self):
+        # r0 = (w - 0.3)**2 - 0.001 is negative only for |w - 0.3| < 0.032; the 9-point grid steps by 0.5
+        eq = self.closed_form_eq({"kind": "polynomial", "terms": [{"c": 1.0, "w": 2.0}, {"c": -0.6, "w": 1.0}, {"c": 0.089}]})
+        coarse = check_t3_4(eq, self.BOUNDS, region=self.BOX, grid=GridSpec(9, 9))
+        assert (coarse.status, coarse.region["coverage"]) == (VERIFIED, "grid")
+        fine = check_t3_4(eq, self.BOUNDS, region=self.BOX, grid=GridSpec(9, 9).refined(8))
+        assert fine.status == FALSIFIED and fine.witness.hypothesis == "r0 >= 0"
+        assert abs(fine.witness.w - 0.3) < 0.032
+        assert "coverage" not in fine.region
+
+    def test_without_the_dip_every_row_clears(self):
+        eq = self.closed_form_eq({"kind": "polynomial", "terms": [{"c": 1.0, "w": 2.0}, {"c": 0.089}]})
+        cert = check_t3_4(eq, self.BOUNDS, region=self.BOX, grid=GridSpec(9, 9))
+        assert (cert.status, cert.region["coverage"]) == (VERIFIED, "rows")
+
+    def test_opaque_fields_and_row_rules_record_grid(self, harmonic_eq):
+        assert check_t3_4(harmonic_eq, self.BOUNDS, region=self.BOX, grid=GridSpec(9, 9)).region["coverage"] == "grid"
+        eq = self.closed_form_eq({"kind": "constant", "value": 1.0})
+        assert check_t3_6(eq, region=self.BOX, grid=GridSpec(9, 9)).region["coverage"] == "grid"  # even-monotone rule
+
+    def test_falsified_and_inconclusive_carry_no_coverage(self, ef_case):
+        eq = self.closed_form_eq({"kind": "constant", "value": -1.0})
+        assert "coverage" not in check_t3_4(eq, self.BOUNDS, region=self.BOX, grid=GridSpec(9, 9)).region
+        p, ef, b = ef_case
+        assert "coverage" not in check_t3_1(ef, InitialData(1.0, 0.0, 0.0), b, region=INF_REGION).region
+
+    def test_a_cleared_row_still_raises_on_a_nan_bound(self):
+        eq = self.closed_form_eq({"kind": "constant", "value": 1.0})
+        with pytest.raises(FieldEvaluationError) as err:
+            check_t3_4(eq, BoundTriple(P=lambda t: 1.0 if t < 2.0 else math.nan, Q=lambda t: 0.0), region=self.BOX, grid=GridSpec(9, 9))
+        assert (err.value.name, err.value.t, err.value.w) == ("P", 2.0, None)
+
+    def test_an_envelope_band_too_wide_to_grid_raises_though_its_rows_clear(self):
+        # constant fields clear every row, so no axis is built; the parent sampled them at NaN and was Verified
+        eq = self.closed_form_eq({"kind": "constant", "value": 0.0})
+        b = BoundTriple(P=lambda t: 1.0, Q=lambda t: 0.0, R=lambda t: -1.0)
+        with pytest.raises(DomainError, match="spans inf: the region is too wide to grid"):
+            check_t3_1(eq, InitialData(0.0, 1.0, 0.0), b, region=Rectangle(0.0, 1.0, -math.inf, math.inf), epsilon=1e308)

@@ -83,6 +83,14 @@ class TestCertifyCommand:
         validate_certificate_dict(cert)
         assert "T3_1: Verified" in capsys.readouterr().out
 
+    def test_a_region_too_wide_to_grid_names_the_grid(self, tmp_path, capsys):
+        # hi - lo of the w axis overflows; the axis was [nan, inf, inf, inf, 1e308] and the error blamed r0
+        doc = json.loads(json.dumps(EF_CONFIG))
+        doc["region"]["w"], doc["grid"] = [-1e308, 1e308], {"nt": 5, "nw": 5}
+        code = run_cli(["certify", "t3_4", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: grid axis over [-1e+308, 1e+308] spans inf: the region is too wide to grid\n"
+
     @pytest.mark.parametrize("command", [["certify", "t3_1"], ["emden"]], ids=["certify", "emden"])
     def test_unverified_t3_1_has_no_closed_form_cap(self, tmp_path, capsys, command):
         # The band |w| <= F + eps misses w in [2, 3], so T3_1 is Inconclusive and the A/B cap bounds nothing.

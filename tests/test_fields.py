@@ -19,7 +19,7 @@ from rcert import (
     verify_structural_tags,
 )
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
-from rcert.fields import _closed_form_field, _closed_form_time, _compiled, _Product
+from rcert.fields import _axis_ends, _closed_form_field, _closed_form_time, _compiled, _Product
 from conftest import const_field, make_eq
 
 
@@ -134,12 +134,23 @@ class TestGridAxes:
     @example(ends=[50.5, 50.5], n=129)
     def test_axes_keep_the_range_construction_bits(self, ends, n):
         lo, hi = sorted(ends)
+        if not math.isfinite(hi - lo):
+            return  # test_an_axis_whose_span_overflows_raises
         expected = [v.hex() for v in range_linspace(lo, hi, n)]
         for axis in (GridSpec(nt=n, nw=2).t_axis(lo, hi), GridSpec(nt=2, nw=n).w_axis(lo, hi)):
             assert [v.hex() for v in axis] == expected
-            if math.isfinite(hi - lo):
-                # by value: lo + 0.0 is 0.0 for lo = -0.0, and an axis with lo == hi is [lo]
-                assert axis[0] == lo and axis[-1] == hi
+            # by value: lo + 0.0 is 0.0 for lo = -0.0, and an axis with lo == hi is [lo]
+            assert axis[0] == lo and axis[-1] == hi
+            # the ends and size a scan takes without building the axis
+            assert [v.hex() for v in _axis_ends(lo, hi, n)[:2]] == [axis[0].hex(), axis[-1].hex()]
+            assert _axis_ends(lo, hi, n)[2] == len(axis)
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf)])
+    def test_an_axis_whose_span_overflows_raises(self, lo, hi):
+        # hi - lo = inf made the step inf: [nan, inf, inf, inf, 1e308], blamed on the field sampled there
+        for build in (GridSpec(5, 5).w_axis, GridSpec(5, 5).t_axis, lambda lo, hi: _axis_ends(lo, hi, 5)):
+            with pytest.raises(DomainError, match=r"grid axis over \[.*\] spans inf: the region is too wide to grid"):
+                build(lo, hi)
 
 
 class TestEquationFromJson:

@@ -114,3 +114,8 @@ def test_the_flat_row_scan_finds_flat_rows():
 def test_only_fields_names_flat_rows(path):
     # How a row is represented is one module's decision; other modules index, zip and slice rows.
     assert flat_row_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_fields_has_no_flat_row_type():
+    # A w-free row is a plain list; the scan decides it from its range, as any closed-form row, in one loop.
+    assert flat_row_uses((SRC / "fields.py").read_text(encoding="utf-8")) == []

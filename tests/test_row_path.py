@@ -1,12 +1,16 @@
-"""The row path of ``ScalarField.sample_row`` against the scalar loop.
+"""The row path of ``ScalarField.sample_row`` against the scalar loop, and row ranges against the samples.
 
 Every builtin and JSON field kind has a row evaluator.  On any row it must
 give the scalar loop's samples bit for bit, and on a row the scalar loop
 cannot sample it must raise the same :class:`FieldEvaluationError`: the same
-first (t, w), the same value and the same cause.
+first (t, w), the same value and the same cause.  Every kind also has a range
+over a row (``fields._enclose``): where it is finite, every sample of the row,
+and of any w between its ends, is a finite float inside it, and a scan that
+clears rows by their ranges decides as one that samples them all.
 """
 
 import contextlib
+import dataclasses
 import math
 import operator
 
@@ -16,8 +20,9 @@ from hypothesis import strategies as st
 
 from rcert import FieldEvaluationError, ScalarField, equation_from_json
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
+from rcert.certificates import _Check, _points, _ratio
 from rcert.config import _scalar_field_from_json
-from rcert.fields import _even_monotone_break, _first_where, _Flat, _quotient
+from rcert.fields import _axis_ends, _enclose, _first_where, _linspace, _scan
 
 JSON_FIELDS = {
     "constant": {"kind": "constant", "value": 2.5},
@@ -61,7 +66,7 @@ def _fields():
 
 FIELDS = _fields()
 
-#: The fields with no w-factor: their row evaluator returns a flat row.
+#: The fields with no w-factor: one value per row, which is also their range.
 W_FREE = {
     "constant",
     "constant_negative_zero",
@@ -126,43 +131,97 @@ def test_row_path_matches_scalar_loop(name, t, ws):
         assert calls == []  # the row came from the row evaluator
 
 
-BOUNDS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+#: Row ends: signed zeros, subnormals, the smallest normal, and ends whose powers overflow.
+ENDS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 0.5, -1.0, 1.0, 3.0, 1e154, -1e160]),
+)
 
 
-def hexes(values):
-    return [v.hex() for v in values]
+@st.composite
+def rows(draw):
+    """(lo, hi, n): a row of n points, sometimes with lo == hi."""
+    a = draw(ENDS)
+    b = a if draw(st.booleans()) and draw(st.booleans()) else draw(ENDS)
+    return (*sorted((a, b)), draw(st.integers(min_value=2, max_value=9)))
+
+
+@st.composite
+def spans(draw):
+    """One or two rows, the second above the first, as a band with a gap has them."""
+    first = draw(rows())
+    if draw(st.booleans()):
+        return [first]
+    second = draw(rows())
+    return [first, second] if second[0] >= first[1] else [second, first] if first[0] >= second[1] else [first]
+
+
+def near(values):
+    """The row's extremes and their neighbours one ulp away."""
+    out = []
+    for v in (min(values), max(values)):
+        out += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(t=TS, row=spans(), between=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4))
+@example(t=1.0, row=[(-1.0, 1.0, 9)], between=[0.5])
+@example(t=1.0, row=[(-0.0, 0.0, 3)], between=[])
+@example(t=2.0, row=[(-1e-310, 5e-324, 5)], between=[0.25])
+@example(t=1.0, row=[(-3.0, -1.0, 5)], between=[0.5])
+@example(t=1.0, row=[(-3.0, -0.5, 5), (0.5, 3.0, 5)], between=[0.5])
+def test_enclosure_holds_every_sample(name, t, row, between):
+    fld = FIELDS[name]
+    rng = _enclose(fld, t, [(lo, hi) for lo, hi, _ in row])
+    if rng is None or not (math.isfinite(rng[0]) and math.isfinite(rng[1])):
+        return  # no claim: the scan samples such a row
+    ws = [w for lo, hi, n in row for w in _linspace(lo, hi, n) + [min(hi, lo + f * (hi - lo)) for f in between]]
+    values = fld.sample_row(t, ws)  # a finite range means no sample raises
+    assert all(type(v) is float and rng[0] <= v <= rng[1] for v in values)
+    if name in W_FREE:
+        assert rng == (values[0], values[0])
+    for op in (operator.lt, operator.le, operator.gt):
+        for bound in near(values):
+            if _first_where(rng, op, bound) is None:
+                assert _first_where(values, op, bound) is None
+
+
+def scan_outcome(fields, stage, t, lo, hi, n):
+    """What ``_scan`` gives on one row: its outcome, w range and flag, or the error it raises."""
+    seen = [math.inf, -math.inf]
+    try:
+        first, last, size = _axis_ends(lo, hi, n)
+        outcome, covered = _scan([(t, ((first, last),), size)], fields, [stage], seen)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc)), None
+    return (outcome, [x.hex() for x in seen]), covered
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=40, deadline=None)
-@given(t=TS, ws=WS, bound=BOUNDS, den_name=st.sampled_from(sorted(FIELDS)))
-@example(t=1.0, ws=[], bound=0.0, den_name="constant")
-@example(t=1.0, ws=[0.5, -1.0], bound=-0.0, den_name="constant_negative_zero")
-@example(t=2.0, ws=[0.5, -1.0, 3.0], bound=math.inf, den_name="vdp.q0")
-def test_flat_rows_agree_with_the_plain_path(name, t, ws, bound, den_name):
-    fld, den_fld = FIELDS[name], FIELDS[den_name]
-    scalar = outcome(lambda: [fld(t, w) for w in ws])
-    den_scalar = outcome(lambda: [den_fld(t, w) for w in ws])
-    if scalar[0] != "ok" or den_scalar[0] != "ok":
-        return  # failing rows: test_row_path_matches_scalar_loop
-    row, den = fld.sample_row(t, ws), den_fld.sample_row(t, ws)
-    if ws:  # an empty row may come from the scalar loop: a time part of t can fail
-        assert (type(row) is _Flat) == (name in W_FREE)
-    assert hexes(row) == scalar[1]
-    plain = list(row)
-    # the first index where a comparison holds, with the row's own value among the bounds
-    for b in (bound, *row[:1]):
-        for op in (operator.lt, operator.le, operator.gt):
-            assert _first_where(row, op, b) == _first_where(plain, op, b)
-    assert _even_monotone_break(ws, row) == _even_monotone_break(ws, plain)
-    # the quotient and its stop index, flat or plain on either side
-    stop = next((j for j, d in enumerate(den) if d <= 0.0), None)
-    expected = hexes(n / d for n, d in zip(plain[:stop], den[:stop]))
-    for num_row, den_row in ((row, den), (plain, den), (row, list(den)), (plain, list(den))):
-        values, j = _quotient(num_row, den_row)
-        assert (hexes(values), j) == (expected, stop)
-        flat = type(num_row) is type(den_row) is _Flat and stop is None and len(ws) > 0
-        assert (type(values) is _Flat) == flat
+@given(t=TS, row=rows(), den_name=st.sampled_from(sorted(FIELDS)), pick=st.integers(min_value=0, max_value=35))
+@example(t=1.0, row=(-1.0, 1.0, 9), den_name="constant", pick=4)
+@example(t=1.0, row=(-0.5, 2.0, 5), den_name="constant_negative_zero", pick=1)
+@example(t=2.0, row=(-3.0, 3.0, 9), den_name="vdp.q0", pick=7)
+def test_flat_rows_agree_with_the_plain_path(name, t, row, den_name, pick):
+    # Rows cleared by their ranges (a w-free form's one value among them) against the plain path, which samples every row.
+    lo, hi, n = row
+    fld, den = FIELDS[name], FIELDS[den_name]
+    ws = _linspace(lo, hi, n)
+    samples = outcome(lambda: fld.sample_row(t, ws) + den.sample_row(t, ws))
+    candidates = near([float.fromhex(v) for v in samples[1]]) + [0.0] if samples[0] == "ok" else [0.0]
+    bound = candidates[pick % len(candidates)]
+    op = "<>"[pick % 2]
+    checks = _Check("f", "f", op, lambda t: bound, "B"), _Check("f/d", "f/d", "<>"[pick // 2 % 2], bound, "0")
+    fields = {"f": fld, "d": den, "f/d": _ratio("f", "d")}
+    plain = {k: dataclasses.replace(v, products=None) if isinstance(v, ScalarField) else v for k, v in fields.items()}
+    fast, covered = scan_outcome(fields, _points(*checks), t, lo, hi, n)
+    slow, _ = scan_outcome(plain, _points(*checks), t, lo, hi, n)
+    assert fast == slow
+    if covered:  # a cleared row: every check held at every sample
+        assert fast[0] is None
 
 
 @pytest.mark.parametrize(
