@@ -79,9 +79,7 @@ from .fields import (
     InitialData,
     Rectangle,
     ScalarField,
-    TagReport,
     system_rhs,
-    verify_structural_tags,
 )
 from .quadrature import (
     CONVERGING,

@@ -80,12 +80,11 @@ def ef_equation(p: EFParams, t0: float = 1.0) -> EquationSpec:
     """
     if t0 <= 0.0:
         raise DomainError("power-law equations need t0 > 0")
-    absolute = p.variant == "absolute"
-    r0 = _Product(-1.0, a=p.sigma, g="|w|^b" if absolute else "w^b", b=p.n - 1.0)
+    r0 = _Product(-1.0, a=p.sigma, g="|w|^b" if p.variant == "absolute" else "w^b", b=p.n - 1.0)
     return EquationSpec(
-        p0=_closed_form_field([_Product(1.0, a=p.rho)], {"positive"}, "t^rho"),
-        q0=_closed_form_field([_Product(0.0)], {"nonnegative", "nonpositive"}, "0"),
-        r0=_closed_form_field([r0], {"nonpositive"} if absolute else (), "-t^sigma*g(w)"),
+        p0=_closed_form_field([_Product(1.0, a=p.rho)], "t^rho"),
+        q0=_closed_form_field([_Product(0.0)], "0"),
+        r0=_closed_form_field([r0], "-t^sigma*g(w)"),
         t0=t0,
     )
 
@@ -336,9 +335,9 @@ def vdp_equation(v: VdPParams, t0: float = 0.0) -> EquationSpec:
     """
     _check_vdp_signs(v, t0)
     return EquationSpec(
-        p0=_closed_form_field([_Product(1.0, tau=v.lam)], {"positive"}, "lambda"),
-        q0=_closed_form_field([_Product(1.0, g="w^2-1", tau=v.mu)], {"monotone_in_w_even"}, "mu*(w^2-1)"),
-        r0=_closed_form_field([_Product(1.0, tau=v.nu)], {"nonnegative"}, "nu"),
+        p0=_closed_form_field([_Product(1.0, tau=v.lam)], "lambda"),
+        q0=_closed_form_field([_Product(1.0, g="w^2-1", tau=v.mu)], "mu*(w^2-1)"),
+        r0=_closed_form_field([_Product(1.0, tau=v.nu)], "nu"),
         t0=t0,
     )
 

@@ -31,6 +31,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import compress, count, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .dynamics import IntegrationOptions, integrate
@@ -43,8 +44,6 @@ from .fields import (
     Rectangle,
     _axis_ends,
     _closed_form_field,
-    _even_monotone_break,
-    _first_where,
     _Product,
     _rows,
     _scan,
@@ -200,6 +199,20 @@ class _Check(NamedTuple):
 
 _OPS = {"<": operator.lt, ">": operator.gt}
 
+#: For each comparison, the row extremum and the test on it that show no value
+#: satisfies the comparison.  A nan that min or max skips never satisfies it
+#: either, and one that they return fails the test.
+_CLEARED = {operator.lt: (min, operator.ge), operator.le: (min, operator.gt), operator.gt: (max, operator.le)}
+
+
+def _first_where(values, op, bound) -> int | None:
+    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None; a (min, max) range is a row of two."""
+    if values and op in _CLEARED:
+        extremum, clear = _CLEARED[op]
+        if clear(extremum(values), bound):
+            return None
+    return next(compress(count(), map(op, values, repeat(bound))), None)
+
 
 def _ratio(num: str, den: str):
     """The derived row num/den; the only place a q/p field ratio is computed.
@@ -285,17 +298,24 @@ def _stopped(row, stops, *names):
 
 
 def _even_monotone(hypothesis: str, *names: str):
-    """A row rule: each named row, in turn, must be even-monotone in w."""
+    """A row rule: each named row, in turn, must be even-monotone in w.
+
+    The witness is the second point of the first adjacent pair that breaks it:
+    a pair with ``ws[j + 1] <= 0`` must not increase, and a pair with
+    ``ws[j] >= 0`` must not decrease.
+    """
 
     def rule(t, ws, row, stops):
         for name in names:
             hit = _stopped(row, stops, name)
             if hit is not None:
                 return hit
-            broken = _even_monotone_break(ws, row[name])
-            if broken is not None:
-                j, verb, side = broken
-                return j + 1, Witness(hypothesis, t, ws[j + 1], f"{name} {verb} on the {side} side")
+            values = row[name]
+            for j in range(len(ws) - 1):
+                if ws[j + 1] <= 0.0 and values[j] < values[j + 1]:
+                    return j + 1, Witness(hypothesis, t, ws[j + 1], f"{name} increases on the nonpositive side")
+                if ws[j] >= 0.0 and values[j] > values[j + 1]:
+                    return j + 1, Witness(hypothesis, t, ws[j + 1], f"{name} decreases on the nonnegative side")
         return None
 
     return rule
@@ -741,9 +761,9 @@ def _comparison_zero_count(
     osc_horizon: float,
 ) -> int:
     eq = EquationSpec(
-        p0=_closed_form_field([_Product(1.0, tau=p_e)], {"positive"}, "p_eps"),
-        q0=_closed_form_field([_Product(1.0, tau=q_e)], name="q_eps"),
-        r0=_closed_form_field([_Product(1.0, tau=r_e)], name="r_eps"),
+        p0=_closed_form_field([_Product(1.0, tau=p_e)], "p_eps"),
+        q0=_closed_form_field([_Product(1.0, tau=q_e)], "q_eps"),
+        r0=_closed_form_field([_Product(1.0, tau=r_e)], "r_eps"),
         t0=t0,
     )
     opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .applications import EFParams, VdPParams, ef_bound_triple, ef_equation, vdp_bound_triple, vdp_equation
 from .dynamics import IntegrationOptions
 from .errors import ConfigError
-from .fields import KNOWN_TAGS, BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _closed_form_field, _closed_form_time, _Product
+from .fields import BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, ScalarField, _closed_form_field, _closed_form_time, _Product
 from .quadrature import ABS_TOL, REL_TOL
 
 __all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config", "equation_from_json", "time_function_from_json"]
@@ -170,16 +170,19 @@ def time_function_from_json(doc: Mapping, path: str) -> Callable[[float], float]
 def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
     _require_keys(doc, {"kind", "value", "coeff", "t_power", "w_power", "w_abs", "terms", "tags"}, {"kind"}, path)
     kind = doc["kind"]
+    # ``tags``: [] on any field, or ["positive"] on p0, a no-op that states what the rhs enforces.
     tags = doc.get("tags", [])
     if not isinstance(tags, list) or not all(isinstance(s, str) for s in tags):
         raise ConfigError(f"{path}.tags", "expected a list of strings")
-    tagset = frozenset(tags)
-    if tagset - KNOWN_TAGS:
-        raise ConfigError(f"{path}.tags", f"unknown tag {sorted(tagset - KNOWN_TAGS)[0]!r}")
+    for tag in tags:
+        if name != "p0":
+            raise ConfigError(f"{path}.tags", f"{name} takes no tags, got {tag!r}")
+        if tag != "positive":
+            raise ConfigError(f"{path}.tags", f"unknown tag {tag!r}")
 
     if kind == "constant":
         _require_keys(doc, {"kind", "value", "tags"}, {"kind", "value"}, path)
-        return _closed_form_field([_Product(_number(doc, "value", path))], tagset, name)
+        return _closed_form_field([_Product(_number(doc, "value", path))], name)
     if kind == "power":
         # coeff * t**t_power * (|w| or w)**w_power
         _require_keys(doc, {"kind", "coeff", "t_power", "w_power", "w_abs", "tags"}, {"kind"}, path)
@@ -187,7 +190,7 @@ def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
         w_abs = doc.get("w_abs", True)
         if not isinstance(w_abs, bool):
             raise ConfigError(f"{path}.w_abs", "expected a boolean")
-        return _closed_form_field([_Product(coeff, a=tp, g="|w|^b" if w_abs else "w^b", b=wp, w_first=True)], tagset, name)
+        return _closed_form_field([_Product(coeff, a=tp, g="|w|^b" if w_abs else "w^b", b=wp, w_first=True)], name)
     if kind == "polynomial":
         _require_keys(doc, {"kind", "terms", "tags"}, {"kind", "terms"}, path)
         terms = doc["terms"]
@@ -199,7 +202,7 @@ def _scalar_field_from_json(doc: Mapping, path: str, name: str) -> ScalarField:
             _require_keys(term, {"c", "t", "w"}, {"c"}, tpath)
             c, a, b = (_number(term, key, tpath, default) for key, default in (("c", None), ("t", 0.0), ("w", 0.0)))
             products.append(_Product(c, a=a, g="w^b", b=b))
-        return _closed_form_field(products, tagset, name, start=0.0)
+        return _closed_form_field(products, name, start=0.0)
     raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
 
 
@@ -228,8 +231,6 @@ def _equation(doc: Mapping, path: str) -> tuple[EquationSpec, EFParams | VdPPara
     if kind == "custom":
         _require_keys(doc, {"kind", "t0", "p0", "q0", "r0"}, {"kind", "t0", "p0", "q0", "r0"}, path)
         p0 = _scalar_field_from_json(doc["p0"], f"{path}.p0", "p0")
-        if "positive" not in p0.tags:
-            p0 = replace(p0, tags=p0.tags | {"positive"})
         q0 = _scalar_field_from_json(doc["q0"], f"{path}.q0", "q0")
         r0 = _scalar_field_from_json(doc["r0"], f"{path}.r0", "r0")
         return EquationSpec(p0=p0, q0=q0, r0=r0, t0=_number(doc, "t0", path)), None

@@ -1,19 +1,19 @@
-"""Coefficient fields, equation specifications, and structural-property probes.
+"""Coefficient fields, equation specifications, and the row-wise hypothesis scan.
 
 The equations handled by this package have the divergence form
 
     (p0(t, phi) * phi')' + q0(t, phi) * phi' + r0(t, phi) * phi = 0,   t >= t0,
 
 with p0 > 0.  Coefficients are black-box evaluators ``(t, w) -> float``.
-Structural claims about them (signs, even monotonicity in ``w``) are declared
-as tags and verified by sampling on finite grids: a numerical toolkit can
-falsify such claims but never prove them, so every downstream certificate
-records the rectangle and grid on which its hypotheses were actually checked.
+Claims about them (signs, even monotonicity in ``w``) are checked by the
+certificates, by sampling on finite grids: a numerical toolkit can falsify
+such claims but never prove them, so every certificate records the rectangle
+and grid on which its hypotheses were actually checked.
 
 This is the bottom layer of the package: it imports nothing from it but
-``errors``, and it holds the row-wise hypothesis scan that the tag verifier
-and the certificate checkers share.  It is also the one place that turns a
-closed form (a sum of products c * tau(t) * t**a * g(w)) into evaluators.
+``errors``.  It holds the row-wise hypothesis scan, its ranges and axes, and
+is the one place that turns a closed form (a sum of products
+c * tau(t) * t**a * g(w)) into evaluators.
 Building fields and equations from JSON specs belongs to the config schema,
 in ``config``.
 """
@@ -21,41 +21,30 @@ in ``config``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, repeat
 from types import CodeType
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, FieldEvaluationError
 
 __all__ = [
-    "KNOWN_TAGS",
     "ScalarField",
     "EquationSpec",
     "InitialData",
     "BoundTriple",
     "Rectangle",
     "GridSpec",
-    "TagCheck",
-    "TagReport",
-    "verify_structural_tags",
     "system_rhs",
 ]
-
-#: Structural claims a field may declare.  ``monotone_in_w_even`` means
-#: nonincreasing in w on (-inf, 0] and nondecreasing on [0, +inf) for each t.
-KNOWN_TAGS = frozenset({"positive", "nonnegative", "nonpositive", "monotone_in_w_even"})
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A coefficient field ``(t, w) -> float`` with optional declared tags.
+    """A coefficient field ``(t, w) -> float``.
 
-    Tags are claims to be sample-verified, never trusted blindly.  Evaluation
-    through :meth:`__call__` enforces finiteness: a NaN/inf sample raises
-    :class:`FieldEvaluationError`.
+    Evaluation through :meth:`__call__` enforces finiteness: a NaN/inf sample
+    raises :class:`FieldEvaluationError`.
 
     ``row_fn``, when given, evaluates a whole row ``(t, ws) -> list[float]``
     for :meth:`sample_row` and must give every sample bit for bit as
@@ -64,18 +53,10 @@ class ScalarField:
     """
 
     fn: Callable[[float, float], float]
-    tags: frozenset = frozenset()
     name: str = ""
     row_fn: Callable[[float, Sequence[float]], list[float]] | None = None
     products: tuple[_Product, ...] | None = None
     start: float | None = None
-
-    def __post_init__(self):
-        tags = frozenset(self.tags)
-        unknown = tags - KNOWN_TAGS
-        if unknown:
-            raise ValueError(f"unknown field tags: {sorted(unknown)}")
-        object.__setattr__(self, "tags", tags)
 
     def __call__(self, t: float, w: float) -> float:
         try:
@@ -188,10 +169,10 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
     return env
 
 
-def _closed_form_field(products: Sequence[_Product], tags=frozenset(), name: str = "", start: float | None = None) -> ScalarField:
-    """The field of a sum of products, with its row evaluator (see :func:`_closed_form`)."""
+def _closed_form_field(products: Sequence[_Product], name: str = "", start: float | None = None) -> ScalarField:
+    """The field ``name`` of a sum of products, with its row evaluator and, for :func:`_enclose`, its products (see :func:`_closed_form`)."""
     env = _closed_form(products, start)
-    return ScalarField(env["fn"], frozenset(tags), name, env["row"], tuple(products), start)
+    return ScalarField(env["fn"], name, env["row"], tuple(products), start)
 
 
 def _closed_form_time(products: Sequence[_Product], start: float | None = None) -> Callable[[float], float]:
@@ -203,8 +184,9 @@ def _closed_form_time(products: Sequence[_Product], start: float | None = None) 
 class EquationSpec:
     """The coefficient triple (p0, q0, r0) plus the start time t0.
 
-    ``p0`` must carry the ``positive`` tag; positivity itself is re-checked at
-    every point the integrator and the probes actually touch.
+    p0 > 0 is not declared but enforced where it is used: the rhs
+    (:func:`system_rhs`) and the scans' ``q0/p0`` row raise
+    :class:`DomainError` at a point where p0 <= 0.
     """
 
     p0: ScalarField
@@ -213,8 +195,6 @@ class EquationSpec:
     t0: float
 
     def __post_init__(self):
-        if "positive" not in self.p0.tags:
-            raise ValueError("p0 must be tagged 'positive'")
         if not math.isfinite(self.t0):
             raise ValueError("t0 must be finite")
 
@@ -303,32 +283,6 @@ def _axis_ends(lo: float, hi: float, n: int) -> tuple[float, float, int]:
     if not math.isfinite(hi - lo):
         raise DomainError(f"grid axis over [{lo!r}, {hi!r}] spans {hi - lo!r}: the region is too wide to grid")
     return lo + 0.0, hi, n  # the first point is lo + 0.0 * step, and -0.0 + 0.0 is 0.0
-
-
-@dataclass(frozen=True)
-class TagCheck:
-    tag: str
-    holds: bool
-    witness: tuple[float, float] | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class TagReport:
-    field_name: str
-    region: Rectangle
-    grid: GridSpec
-    checks: tuple[TagCheck, ...]
-
-    def __getitem__(self, tag: str) -> TagCheck:
-        for c in self.checks:
-            if c.tag == tag:
-                return c
-        raise KeyError(tag)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
 
 
 def _rows(ts, ws, spans=None) -> list[tuple[float, tuple, list[float]]]:
@@ -425,83 +379,6 @@ def _enclose(fld: ScalarField, t: float, spans) -> tuple[float, float] | None:
     except (ArithmeticError, TypeError, ValueError):
         return None
     return bottom, top
-
-
-def verify_structural_tags(fld: ScalarField, region: Rectangle, grid: GridSpec = GridSpec()) -> TagReport:
-    """Check each declared tag of ``fld`` on a uniform grid over ``region``.
-
-    For every tag the report carries either a confirmation on all grid points
-    or the first counterexample point in (t-major, w-minor) scan order.  A tag
-    falsified on some grid stays falsified on every refinement that contains
-    the witness point.  The grid is scanned one row at a time and the scan
-    ends at the row where the last open tag fails; a field without tags is
-    not sampled at all.
-    """
-    tags = sorted(fld.tags)
-    if not tags:
-        return TagReport(field_name=fld.name, region=region, grid=grid, checks=())
-    found: dict[str, TagCheck] = {}
-
-    def rule(t, ws, row, stops):
-        values = row["value"]
-        for tag in tags:
-            if tag not in found:
-                hit = _tag_violation(tag, t, ws, values)
-                if hit is not None:
-                    found[tag] = hit
-        # A hit without an outcome ends the scan once every tag has its witness.
-        return (None, None) if found and len(found) == len(tags) else None
-
-    ts = grid.t_axis(region.t_min, region.t_max)
-    _scan(_rows(ts, grid.w_axis(region.w_min, region.w_max)), {"value": fld}, [rule])
-    checks = tuple(found.get(tag, TagCheck(tag, True)) for tag in tags)
-    return TagReport(field_name=fld.name, region=region, grid=grid, checks=checks)
-
-
-#: The comparison with 0.0 that falsifies each sign tag.
-_SIGN_VIOLATIONS = {"positive": operator.le, "nonnegative": operator.lt, "nonpositive": operator.gt}
-
-
-#: For each comparison, the row extremum and the test on it that show no value
-#: satisfies the comparison.  A nan that min or max skips never satisfies it
-#: either, and one that they return fails the test.
-_CLEARED = {operator.lt: (min, operator.ge), operator.le: (min, operator.gt), operator.gt: (max, operator.le)}
-
-
-def _first_where(values, op, bound) -> int | None:
-    """Index of the first ``v`` in ``values`` with ``op(v, bound)``, or None; a (min, max) range is a row of two."""
-    if values and op in _CLEARED:
-        extremum, clear = _CLEARED[op]
-        if clear(extremum(values), bound):
-            return None
-    return next(compress(count(), map(op, values, repeat(bound))), None)
-
-
-def _even_monotone_break(ws, values) -> tuple[int, str, str] | None:
-    """The first adjacent pair (j, j + 1) that breaks even monotonicity in w.
-
-    A pair with ``ws[j + 1] <= 0`` must not increase and a pair with
-    ``ws[j] >= 0`` must not decrease.  Returns (j, verb, side), or None.
-    """
-    for j in range(len(ws) - 1):
-        if ws[j + 1] <= 0.0 and values[j] < values[j + 1]:
-            return j, "increases", "nonpositive"
-        if ws[j] >= 0.0 and values[j] > values[j + 1]:
-            return j, "decreases", "nonnegative"
-    return None
-
-
-def _tag_violation(tag: str, t: float, ws, values) -> TagCheck | None:
-    if tag == "monotone_in_w_even":
-        hit = _even_monotone_break(ws, values)
-        if hit is None:
-            return None
-        j, verb, side = hit
-        return TagCheck(tag, False, (t, ws[j + 1]), f"{verb} across w in [{ws[j]!r}, {ws[j + 1]!r}] on the {side} side")
-    j = _first_where(values, _SIGN_VIOLATIONS[tag], 0.0)
-    if j is None:
-        return None
-    return TagCheck(tag, False, (t, ws[j]), f"value {values[j]!r} violates '{tag}'")
 
 
 def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float, float]]:

@@ -5,13 +5,13 @@ import pytest
 from rcert import EquationSpec, InitialData, IntegrationOptions, ScalarField, integrate
 
 
-def const_field(value, tags=(), name=""):
-    return ScalarField(lambda t, w: value, tags=frozenset(tags), name=name or str(value))
+def const_field(value, name=""):
+    return ScalarField(lambda t, w: value, name=name or str(value))
 
 
 def make_eq(p=1.0, q=0.0, r=0.0, t0=0.0, r_fn=None, q_fn=None, p_fn=None):
     """Build an equation from constants or (t, w) callables."""
-    p0 = ScalarField(p_fn, tags=frozenset({"positive"})) if p_fn else const_field(p, tags={"positive"})
+    p0 = ScalarField(p_fn) if p_fn else const_field(p)
     q0 = ScalarField(q_fn) if q_fn else const_field(q)
     r0 = ScalarField(r_fn) if r_fn else const_field(r)
     return EquationSpec(p0=p0, q0=q0, r0=r0, t0=t0)

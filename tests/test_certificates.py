@@ -17,7 +17,6 @@ from rcert import (
     OSC_OR_SINGULAR_FIRST_KIND,
     Rectangle,
     SINGULAR_SECOND_KIND_IF_NONEXTENDABLE,
-    ScalarField,
     VERIFIED,
     check_t3_1,
     check_t3_2,
@@ -28,7 +27,6 @@ from rcert import (
     classify,
     equation_from_json,
     integrate,
-    verify_structural_tags,
 )
 from rcert.applications import (
     EFParams,
@@ -568,11 +566,6 @@ class TestScanOrder:
         cert = check_t3_1(eq, InitialData(0.0, 1.0, 0.0), b, region=Rectangle(0.0, 4.0, -math.inf, math.inf), grid=GridSpec(17, 17))
         assert (cert.witness.t, cert.witness.w) == (0.0, pytest.approx(1.001 / 8))
         assert cert.region["w_sampled"] == [-1.001, cert.witness.w]
-
-    def test_tag_scan_stops_at_the_last_witness_row(self):
-        fld = ScalarField(lambda t, w: w + 1.0 / (1.0 - t), tags={"positive"})
-        report = verify_structural_tags(fld, Rectangle(0.0, 1.0, -2.0, 2.0), GridSpec(nt=5, nw=5))
-        assert report["positive"].witness == (0.0, -2.0)
 
     def test_comparison_monotonicity_checked_in_w_order(self, kneser_setup):
         # p0 breaks even monotonicity on both sides of w = 0; the first break

@@ -98,6 +98,10 @@ CASES = [
     ("field_kind_missing", ["classify"], CUSTOM, {"equation.q0.kind": DROP}, "equation.q0.kind: missing required key"),
     ("field_tag", ["classify"], CUSTOM, {"equation.p0.tags": ["even"]}, "equation.p0.tags: unknown tag 'even'"),
     ("field_tags_not_list", ["classify"], CUSTOM, {"equation.p0.tags": "positive"}, "equation.p0.tags: expected a list of strings"),
+    ("field_tag_p0_nonnegative", ["classify"], CUSTOM, {"equation.p0.tags": ["positive", "nonnegative"]}, "equation.p0.tags: unknown tag 'nonnegative'"),
+    ("field_tag_r0", ["classify"], CUSTOM, {"equation.r0.tags": ["nonpositive"]}, "equation.r0.tags: r0 takes no tags, got 'nonpositive'"),
+    ("field_tag_q0", ["classify"], CUSTOM, {"equation.q0.tags": ["monotone_in_w_even"]}, "equation.q0.tags: q0 takes no tags, got 'monotone_in_w_even'"),
+    ("field_tag_q0_positive", ["classify"], CUSTOM, {"equation.q0.tags": ["positive"]}, "equation.q0.tags: q0 takes no tags, got 'positive'"),
     ("field_w_abs", ["classify"], CUSTOM, {"equation.r0.w_abs": 1}, "equation.r0.w_abs: expected a boolean"),
     ("field_constant_extra", ["classify"], CUSTOM, {"equation.p0.coeff": 1.0}, "equation.p0.coeff: unknown key"),
     ("field_not_object", ["classify"], CUSTOM, {"equation.q0": 1.0}, "equation.q0: expected an object, got float"),
@@ -252,6 +256,19 @@ def test_flags_are_echoed_in_the_report(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["options"] == {"horizon": 6.0, "rel_tol": 1e-8}
     assert report["terminal"]["time"] == 6.0
+
+
+def test_tags_are_a_no_op(tmp_path, capsys):
+    # Empty tags on any field, and p0's "positive", load and change no output.
+    runs = []
+    for edits in ({"equation.p0.tags": DROP}, {"equation.p0.tags": [], "equation.q0.tags": [], "equation.r0.tags": []}, {}):
+        (tmp_path / str(len(runs))).mkdir()
+        code, captured, out = run_case(tmp_path / str(len(runs)), capsys, ["classify"], edited(CUSTOM, edits))
+        report = json.loads((out / "report.json").read_text())
+        report.pop("config", None)
+        runs.append((code, captured.out.replace(str(out), "OUT"), report))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0
 
 
 def test_every_base_config_is_valid(tmp_path, capsys):

@@ -12,22 +12,16 @@ from rcert import (
     FieldEvaluationError,
     GridSpec,
     InitialData,
-    Rectangle,
     ScalarField,
     equation_from_json,
     system_rhs,
-    verify_structural_tags,
 )
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
 from rcert.fields import _axis_ends, _closed_form_field, _closed_form_time, _compiled, _Product
-from conftest import const_field, make_eq
+from conftest import make_eq
 
 
 class TestScalarField:
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            ScalarField(lambda t, w: 1.0, tags={"bogus"})
-
     def test_non_finite_raises(self):
         f = ScalarField(lambda t, w: float("inf"), name="bad")
         with pytest.raises(FieldEvaluationError):
@@ -37,10 +31,6 @@ class TestScalarField:
         f = ScalarField(lambda t, w: w ** 0.5)
         with pytest.raises(FieldEvaluationError):
             f(0.0, -1.0)
-
-    def test_p0_must_be_tagged_positive(self):
-        with pytest.raises(ValueError):
-            EquationSpec(p0=const_field(1.0), q0=const_field(0.0), r0=const_field(0.0), t0=0.0)
 
     def test_initial_data_finite(self):
         with pytest.raises(ValueError):
@@ -69,50 +59,6 @@ class TestClosedFormCompileCache:
         g = _closed_form_time([_Product(0.5, tau=math.exp)])
         assert len(compiles) == 1
         assert (f(0.0), g(0.0), f(1.0), g(1.0)) == (2.0, 0.5, 2.0 * math.cos(1.0), 0.5 * math.e)
-
-
-class TestVerifyStructuralTags:
-    def test_even_square_holds(self):
-        f = ScalarField(lambda t, w: w * w, tags={"monotone_in_w_even"})
-        report = verify_structural_tags(f, Rectangle(0.0, 1.0, -2.0, 2.0))
-        assert report["monotone_in_w_even"].holds
-
-    def test_negative_absolute_power_nonpositive(self):
-        f = ScalarField(lambda t, w: -abs(w) ** 2, tags={"nonpositive"})
-        report = verify_structural_tags(f, Rectangle(0.0, 1.0, -3.0, 3.0))
-        assert report["nonpositive"].holds
-
-    def test_cubic_minus_w_falsified_with_witness(self):
-        # t^3 - w dips negative at w = 1 already; a {-1, 0, 1, 2} grid pins
-        # the first counterexample at (0, 1).
-        f = ScalarField(lambda t, w: t ** 3 - w, tags={"nonnegative"})
-        report = verify_structural_tags(f, Rectangle(0.0, 1.0, -1.0, 2.0), GridSpec(nt=2, nw=4))
-        check = report["nonnegative"]
-        assert not check.holds
-        assert check.witness == (0.0, 1.0)
-
-    def test_falsification_survives_refinement(self):
-        f = ScalarField(lambda t, w: t ** 3 - w, tags={"nonnegative"})
-        coarse = GridSpec(nt=2, nw=4)
-        for factor in (2, 4):
-            refined = coarse.refined(factor)
-            report = verify_structural_tags(f, Rectangle(0.0, 1.0, -1.0, 2.0), refined)
-            assert not report["nonnegative"].holds
-
-    def test_positive_tag_falsified_at_zero(self):
-        f = ScalarField(lambda t, w: w, tags={"positive"})
-        report = verify_structural_tags(f, Rectangle(0.0, 1.0, 0.0, 1.0), GridSpec(nt=2, nw=3))
-        assert not report["positive"].holds
-        assert report["positive"].witness == (0.0, 0.0)
-
-
-    def test_tagless_field_is_not_sampled(self):
-        calls = []
-        f = ScalarField(lambda t, w: calls.append((t, w)) or 1.0)
-        report = verify_structural_tags(f, Rectangle(0.0, 1.0, -2.0, 2.0), GridSpec(nt=33, nw=33))
-        assert report.checks == ()
-        assert report.all_hold
-        assert calls == []
 
 
 def range_linspace(lo, hi, n):
@@ -262,7 +208,7 @@ class TestSystemRhs:
         def field(fn, **kw):
             return ScalarField(fn, row_fn=lambda t, ws: [fn(t, w) for w in ws], **kw)
 
-        return EquationSpec(p0=field(p, tags={"positive"}, name="p"), q0=field(q, name="q"), r0=field(r, name="r"), t0=0.0)
+        return EquationSpec(p0=field(p, name="p"), q0=field(q, name="q"), r0=field(r, name="r"), t0=0.0)
 
     @pytest.mark.parametrize(
         "p, q, r",
@@ -320,7 +266,7 @@ class TestSystemRhs:
         def row(value):
             return lambda t, ws: [value] * len(ws)
 
-        p0 = ScalarField(counting("p0", 1.0), tags={"positive"})
+        p0 = ScalarField(counting("p0", 1.0))
         q0 = ScalarField(counting("q0", 1.0), row_fn=row(1.0))
         r0 = ScalarField(counting("r0", 2.0))
         # one opaque field sends every point through the wrapped fields

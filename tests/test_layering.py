@@ -8,6 +8,7 @@ layering is visible there.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,13 @@ def test_no_package_import_inside_a_function(path):
     assert [name for name, in_function in package_imports(path) if in_function] == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_exported_name_exists(path):
+    # A name left in ``__all__`` after its definition is gone breaks ``import *``.
+    module = importlib.import_module("rcert" if path.stem == "__init__" else f"rcert.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
 def test_only_the_front_ends_import_config():
     importers = {p.name for p in MODULES if any(name == "config" for name, _ in package_imports(p))}
     assert importers == {"cli.py", "__init__.py"}
@@ -69,14 +77,14 @@ EVALUATOR_INTERNALS = {"_closed_form", "_times", "_W_FACTORS"}
 
 
 def row_evaluator_uses(source: str) -> list[str]:
-    """Each ``row_fn=`` argument, ``ScalarField`` call with a fourth positional
+    """Each ``row_fn=`` argument, ``ScalarField`` call with a third positional
     argument, and import of an evaluator internal of ``fields`` in ``source``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             found.extend(f"row_fn= at line {node.lineno}" for k in node.keywords if k.arg == "row_fn")
             callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if callee == "ScalarField" and len(node.args) > 3:
+            if callee == "ScalarField" and len(node.args) > 2:
                 found.append(f"ScalarField with a row evaluator at line {node.lineno}")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fields":
             found.extend(f"imports {a.name}" for a in node.names if a.name in EVALUATOR_INTERNALS)
@@ -84,7 +92,7 @@ def row_evaluator_uses(source: str) -> list[str]:
 
 
 def test_the_row_scan_finds_row_evaluators():
-    source = "from .fields import ScalarField, _closed_form\nScalarField(f, (), 'f', row)\nreplace(fld, row_fn=None)\n"
+    source = "from .fields import ScalarField, _closed_form\nScalarField(f, 'f', row)\nreplace(fld, row_fn=None)\n"
     assert row_evaluator_uses(source) == ["ScalarField with a row evaluator at line 2", "imports _closed_form", "row_fn= at line 3"]
 
 

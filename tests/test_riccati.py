@@ -5,8 +5,10 @@ import pytest
 
 from rcert import (
     DomainError,
+    GridSpec,
     InitialData,
     IntegrationOptions,
+    Rectangle,
     auto_segments,
     cauchy_residual,
     difference_residual,
@@ -131,13 +133,12 @@ class TestTrajectoryAssertions:
 
     def test_majorant_ratio_dominates(self):
         # comparison-order margin: the majorant's ratio stays above, given
-        # sign hypotheses that the structural probes confirm on the region
-        from rcert import Rectangle, verify_structural_tags
-
+        # r0 <= 0, confirmed at every sample of the default grid on the region
         p = EFParams(rho=0.0, sigma=-6.0, n=3.0)
         eq = ef_equation(p, t0=1.0)
-        report = verify_structural_tags(eq.r0, Rectangle(1.0, 20.0, -600.0, 600.0))
-        assert report["nonpositive"].holds
+        grid, region = GridSpec(), Rectangle(1.0, 20.0, -600.0, 600.0)
+        ws = grid.w_axis(region.w_min, region.w_max)
+        assert all(eq.r0(t, w) <= 0.0 for t in grid.t_axis(region.t_min, region.t_max) for w in ws)
         opts = IntegrationOptions(horizon=20.0)
         lower = transform(integrate(eq, InitialData(1.0, 1.0, 1.0), opts), (1.0, 19.0))
         upper = transform(kneser_majorant(p, 1.0, opts), (1.0, 19.0))

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from rcert import FieldEvaluationError, ScalarField, equation_from_json
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
-from rcert.certificates import _Check, _points, _ratio
+from rcert.certificates import _Check, _first_where, _points, _ratio
 from rcert.config import _scalar_field_from_json
-from rcert.fields import _axis_ends, _enclose, _first_where, _linspace, _scan
+from rcert.fields import _axis_ends, _enclose, _linspace, _scan
 
 JSON_FIELDS = {
     "constant": {"kind": "constant", "value": 2.5},

@@ -1,4 +1,4 @@
-"""Pinned outcomes of the criterion checkers and the structural-tag verifier.
+"""Pinned outcomes of the criterion checkers.
 
 Every check of every checker is driven to its own first failure on a small
 grid, and seeded random polynomial fields go through ``check_t3_4`` and
@@ -20,14 +20,12 @@ from rcert import (
     InitialData,
     IntegrationOptions,
     Rectangle,
-    ScalarField,
     check_t3_1,
     check_t3_2,
     check_t3_3,
     check_t3_4,
     check_t3_5,
     check_t3_6,
-    verify_structural_tags,
 )
 from rcert.applications import EFParams, ef_equation, kneser_majorant
 from conftest import make_eq
@@ -54,13 +52,6 @@ def outcome(cert):
     if cert.reason is not None:
         return (cert.status, cert.reason)
     return (cert.status,)
-
-
-def tag_outcome(report):
-    return tuple(
-        (c.tag, c.holds, None if c.witness is None else (_hex(c.witness[0]), _hex(c.witness[1])), c.detail)
-        for c in report.checks
-    )
 
 
 # -- T3_1: p0 >= P, q0/p0 >= Q, R <= r0 <= 0 --------------------------------
@@ -367,40 +358,6 @@ GOLDEN = {'t3_1_p0_below_P': ('Falsified', 'p0 >= P', '0x1.0000000000000p-2', '-
  't3_6_verified': ('Verified',)}
 
 
-GOLDEN_TAGS = {'all_hold': (('monotone_in_w_even', True, None, ''), ('nonnegative', True, None, ''), ('positive', True, None, '')),
- 'even_decreases_nonnegative': (('monotone_in_w_even',
-                                 False,
-                                 ('0x1.0000000000000p+0', '0x1.9000000000000p+0'),
-                                 'decreases across w in [1.125, 1.5625] on the nonnegative side'),),
- 'even_increases_nonpositive': (('monotone_in_w_even',
-                                 False,
-                                 ('0x0.0p+0', '-0x1.1000000000000p+0'),
-                                 'increases across w in [-1.5, -1.0625] on the nonpositive side'),),
- 'nonnegative': (('nonnegative', False, ('0x0.0p+0', '0x1.0000000000000p-2'), "value -0.25 violates 'nonnegative'"),),
- 'nonpositive': (('nonpositive', False, ('0x0.0p+0', '0x1.2000000000000p+0'), "value 0.125 violates 'nonpositive'"),),
- 'positive': (('positive', False, ('0x0.0p+0', '-0x1.8000000000000p+0'), "value -1.5 violates 'positive'"),),
- 'two_fail': (('monotone_in_w_even',
-               False,
-               ('0x0.0p+0', '-0x1.1000000000000p+0'),
-               'increases across w in [-1.5, -1.0625] on the nonpositive side'),
-              ('nonpositive', False, ('0x0.0p+0', '0x1.0000000000000p-2'), "value 0.015625 violates 'nonpositive'"))}
-
-
-TAG_FIELDS = {
-    "positive": ScalarField(lambda t, w: w + 0.3 * t, tags={"positive"}, name="positive"),
-    "nonnegative": ScalarField(lambda t, w: t ** 3 - w, tags={"nonnegative"}, name="nonnegative"),
-    "nonpositive": ScalarField(lambda t, w: w - 1.0 + 0.5 * t, tags={"nonpositive"}, name="nonpositive"),
-    "even_increases_nonpositive": ScalarField(lambda t, w: -w * w + 0.1 * t, tags={"monotone_in_w_even"}),
-    "even_decreases_nonnegative": ScalarField(lambda t, w: w * w - 3.0 * t * max(w - 1.0, 0.0), tags={"monotone_in_w_even"}),
-    "all_hold": ScalarField(lambda t, w: 1.0 + w * w + t, tags={"positive", "nonnegative", "monotone_in_w_even"}),
-    "two_fail": ScalarField(lambda t, w: w ** 3 - 0.2 * t, tags={"nonpositive", "monotone_in_w_even"}),
-}
-
-
-def tag_report(name):
-    return verify_structural_tags(TAG_FIELDS[name], Rectangle(0.0, 1.0, -1.5, 2.0), GridSpec(nt=5, nw=9))
-
-
 # -- seeded random polynomial fields ------------------------------------------
 
 
@@ -517,11 +474,6 @@ def test_checker_witness_pinned(name):
 @pytest.mark.parametrize("name", sorted(T3_3))
 def test_comparison_witness_pinned(name, majorant):
     assert outcome(T3_3[name](majorant)) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", sorted(TAG_FIELDS))
-def test_tag_witness_pinned(name):
-    assert tag_outcome(tag_report(name)) == GOLDEN_TAGS[name]
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
