@@ -11,7 +11,9 @@ and a proportional-integral controller working in error-per-unit-step form:
 the accepted local error is proportional to the step length, which makes the
 accumulated error (and hence every residual oracle built on trajectories)
 scale linearly with the requested tolerance.  The stepper is written out for
-the two components (phi, psi).
+the two components (phi, psi), and takes the right-hand side of
+:func:`rcert.fields.system_rhs`: for closed-form equations one function
+compiled per equation, so each stage is one call.
 
 Finite escape is only declared once the state norm |phi| + |psi| has passed
 ``escape_threshold``, and then on one of two signals:
@@ -35,7 +37,8 @@ and polynomials give gap ratios of at least 1, or ratios that keep drifting);
 a pure collapse would misfire on singular coefficients.
 
 :func:`integrate` returns one :class:`Trajectory`: the nodes, the zeros, the
-terminal status and the dense output.  At t the dense output is the step that
+terminal status and the dense output, one tuple of coefficients per accepted
+step.  At t the dense output is the step that
 starts at the last node <= t, the last step at t_end, and the stored initial
 values at t_start.  The residual oracles that check trajectories live in
 :mod:`rcert.riccati`.
@@ -109,7 +112,9 @@ class IntegrationOptions:
     (error-per-unit-step control).  A finite escape is declared only past the
     norm ``escape_threshold``, on a stable blow-up rate or on a step below
     ``min_step`` (see the module docstring); ``zero_tol`` bounds |phi| at
-    recorded zero crossings.
+    recorded zero crossings.  A value on which the stepper's arithmetic would
+    invent a verdict (a NaN or infinite tolerance or horizon, ``max_zeros`` < 1)
+    raises ``ValueError`` naming the option.
     """
 
     rel_tol: float = 1e-9
@@ -121,10 +126,18 @@ class IntegrationOptions:
     zero_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol", "min_step"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 <= self.zero_tol < math.inf:
+            raise ValueError(f"zero_tol must be finite and nonnegative, got {self.zero_tol!r}")
         if not self.escape_threshold > 0:
-            raise ValueError("escape_threshold must be positive")
+            raise ValueError(f"escape_threshold must be positive, got {self.escape_threshold!r}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon!r}")
+        if self.max_zeros < 1:
+            raise ValueError(f"max_zeros must be at least 1, got {self.max_zeros!r}")
 
 
 @dataclass(frozen=True)
@@ -153,44 +166,26 @@ class TerminalStatus:
         return d
 
 
-class _DenseSegment:
-    """Quartic interpolant of both components on the accepted step from ``t`` to ``t + h``.
+def _dense_at(ts: list[float], ys: list[float], dense: list[tuple], j: int, t: float) -> float:
+    """One component of the dense output at ``t``: ``ys`` holds its node values, and ``j`` is 1 for phi, 5 for psi.
 
-    With ``th = (s - t) / h``, the first component at ``s`` is
-    ``a1 + th * (a2 + (1 - th) * (a3 + th * (a4 + (1 - th) * a5)))`` and the
-    second is the same expression in ``b1``..``b5``.
-    """
-
-    __slots__ = ("t", "h", "a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "b4", "b5")
-
-    def __init__(self, t, h, a1, a2, a3, a4, a5, b1, b2, b3, b4, b5):
-        self.t = t
-        self.h = h
-        self.a1, self.a2, self.a3, self.a4, self.a5 = a1, a2, a3, a4, a5
-        self.b1, self.b2, self.b3, self.b4, self.b5 = b1, b2, b3, b4, b5
-
-    def first(self, t: float) -> float:
-        th = (t - self.t) / self.h
-        th1 = 1.0 - th
-        return self.a1 + th * (self.a2 + th1 * (self.a3 + th * (self.a4 + th1 * self.a5)))
-
-    def second(self, t: float) -> float:
-        th = (t - self.t) / self.h
-        th1 = 1.0 - th
-        return self.b1 + th * (self.b2 + th1 * (self.b3 + th * (self.b4 + th1 * self.b5)))
-
-
-def _segment_at(ts: list[float], segments: list[_DenseSegment], t: float) -> _DenseSegment:
-    """The dense output that holds ``t``: both components via ``first``/``second``.
-
-    ``segments[0]`` holds the start values and ``segments[i]`` the step from
-    ``ts[i - 1]`` to ``ts[i]``; the module docstring gives the rule.
+    ``dense[k]`` holds the step from ``ts[k]`` to ``ts[k] + h`` as
+    ``(h, a2, a3, a4, a5, b2, b3, b4, b5)``.  With ``th = (t - ts[k]) / h``,
+    phi is ``phis[k] + th * (a2 + (1 - th) * (a3 + th * (a4 + (1 - th) * a5)))``
+    and psi is the same in ``psis[k]`` and ``b2``..``b5``.  The module docstring
+    gives the rule for which step holds ``t``.
     """
     if not (ts[0] <= t <= ts[-1]):
         raise DomainError(f"t={t!r} outside the computed span [{ts[0]!r}, {ts[-1]!r}]")
     if t == ts[0]:
-        return segments[0]
-    return segments[min(bisect_right(ts, t), len(ts) - 1)]
+        return ys[0]
+    k = bisect_right(ts, t) - 1
+    if k == len(ts) - 1:  # t_end
+        k -= 1
+    d = dense[k]
+    th = (t - ts[k]) / d[0]
+    th1 = 1.0 - th
+    return ys[k] + th * (d[j] + th1 * (d[j + 1] + th * (d[j + 2] + th1 * d[j + 3])))
 
 
 @dataclass
@@ -199,7 +194,10 @@ class Trajectory:
 
     ``ts``/``phis``/``psis`` are node values of the accepted mesh; ``dphis``
     holds phi' at the nodes.  ``zeros`` are strictly sign-change-bracketed
-    zero crossings of phi.  Immutable by convention once returned.
+    zero crossings of phi.  ``_dense`` holds one tuple of the step length and
+    the eight dense coefficients per accepted step (see :func:`_dense_at`); the
+    node values are read from ``ts``/``phis``/``psis``.  Immutable by
+    convention once returned.
     """
 
     eq: EquationSpec
@@ -213,7 +211,7 @@ class Trajectory:
     terminal: TerminalStatus
     tangential: bool
     zeros_truncated: bool
-    _segments: list[_DenseSegment] = field(repr=False)
+    _dense: list[tuple] = field(repr=False)
 
     @property
     def t_start(self) -> float:
@@ -224,14 +222,21 @@ class Trajectory:
         return self.ts[-1]
 
     def state_at(self, t: float) -> tuple[float, float]:
-        seg = _segment_at(self.ts, self._segments, t)
-        return seg.first(t), seg.second(t)
+        ts = self.ts
+        if not ts[0] < t < ts[-1]:  # t_start, t_end or outside
+            return _dense_at(ts, self.phis, self._dense, 1, t), _dense_at(ts, self.psis, self._dense, 5, t)
+        k = bisect_right(ts, t) - 1
+        h, a2, a3, a4, a5, b2, b3, b4, b5 = self._dense[k]
+        th = (t - ts[k]) / h
+        th1 = 1.0 - th
+        phi = self.phis[k] + th * (a2 + th1 * (a3 + th * (a4 + th1 * a5)))
+        return phi, self.psis[k] + th * (b2 + th1 * (b3 + th * (b4 + th1 * b5)))
 
     def phi_at(self, t: float) -> float:
-        return _segment_at(self.ts, self._segments, t).first(t)
+        return _dense_at(self.ts, self.phis, self._dense, 1, t)
 
     def psi_at(self, t: float) -> float:
-        return _segment_at(self.ts, self._segments, t).second(t)
+        return _dense_at(self.ts, self.psis, self._dense, 5, t)
 
 
 class _NonFiniteStage(ArithmeticError):
@@ -307,9 +312,11 @@ def _solve(
 
     Every sum is written out in the tableau's left-to-right order, starting
     from ``0.0 +``, so the trajectory does not depend on how the sums are grouped.
+    The loop tests each stage for finiteness without a function call and keeps
+    each accepted step's dense output as a plain tuple (see :func:`_dense_at`).
     """
     horizon = opts.horizon
-    if horizon <= t0:
+    if not horizon > t0:
         raise DomainError("horizon must exceed the start time")
     span = horizon - t0
     rtol, atol = opts.rel_tol, opts.abs_tol
@@ -318,16 +325,18 @@ def _solve(
     tol_rate = 1.0 / span  # accepted scaled error per unit step
     # The step loop inlines _rms and _floor_at, and writes max(a, b) as ``b if b > a else a``
     # and min(a, b) as ``b if b < a else a``: the values the builtins return, without the calls.
-    isfinite, sqrt, copysign, floor_eps = math.isfinite, math.sqrt, math.copysign, 32.0 * _EPS
+    # It tests floats for finiteness as ``0.0 * a * b == 0.0``, isfinite(a) and isfinite(b)
+    # without the calls: 0.0 times a finite float is +-0.0, and 0.0 times inf or NaN is NaN,
+    # which stays NaN through every later product and compares unequal to 0.0.
+    sqrt, copysign, floor_eps = math.sqrt, math.copysign, 32.0 * _EPS
 
     t, ya, yb = float(t0), float(ya), float(yb)
     k1a, k1b = f(t, ya, yb)
-    if not (isfinite(k1a) and isfinite(k1b)):
+    if not (math.isfinite(k1a) and math.isfinite(k1b)):
         raise FieldEvaluationError("rhs", t, ya, float("nan"))
 
     ts, ys0, ys1, fs0 = [t], [ya], [yb], [k1a]
-    # All-(-0.0) coefficients give (ya, yb) exactly at t0, -0.0 included: x + (-0.0) == x.
-    segments = [_DenseSegment(t, 1.0, ya, -0.0, -0.0, -0.0, -0.0, yb, -0.0, -0.0, -0.0, -0.0)]
+    dense: list[tuple] = []  # dense[k]: the step from ts[k], see _dense_at
     zeros: list[float] = []
     tangential = zeros_truncated = False
     # Times at which the norm first passed escape_threshold * _LEVEL_FACTOR**k, and the next level.
@@ -374,40 +383,40 @@ def _solve(
         # Stage sweep; a non-finite stage rejects the step outright.
         try:
             k2a, k2b = f(t + _C2 * h, ya + h * (0.0 + _A21 * k1a), yb + h * (0.0 + _A21 * k1b))
-            if not (isfinite(k2a) and isfinite(k2b)):
+            if not 0.0 * k2a * k2b == 0.0:
                 raise _NonFiniteStage
             k3a, k3b = f(
                 t + _C3 * h,
                 ya + h * (0.0 + _A31 * k1a + _A32 * k2a),
                 yb + h * (0.0 + _A31 * k1b + _A32 * k2b),
             )
-            if not (isfinite(k3a) and isfinite(k3b)):
+            if not 0.0 * k3a * k3b == 0.0:
                 raise _NonFiniteStage
             k4a, k4b = f(
                 t + _C4 * h,
                 ya + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
                 yb + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
             )
-            if not (isfinite(k4a) and isfinite(k4b)):
+            if not 0.0 * k4a * k4b == 0.0:
                 raise _NonFiniteStage
             k5a, k5b = f(
                 t + _C5 * h,
                 ya + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
                 yb + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
             )
-            if not (isfinite(k5a) and isfinite(k5b)):
+            if not 0.0 * k5a * k5b == 0.0:
                 raise _NonFiniteStage
             k6a, k6b = f(
                 t + h,
                 ya + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
                 yb + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
             )
-            if not (isfinite(k6a) and isfinite(k6b)):
+            if not 0.0 * k6a * k6b == 0.0:
                 raise _NonFiniteStage
             yna = ya + h * (0.0 + _A71 * k1a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a)
             ynb = yb + h * (0.0 + _A71 * k1b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b)
             k7a, k7b = f(t + h, yna, ynb)
-            if not (isfinite(k7a) and isfinite(k7b) and isfinite(yna) and isfinite(ynb)):
+            if not 0.0 * k7a * k7b * yna * ynb == 0.0:
                 raise _NonFiniteStage
         except (FieldEvaluationError, OverflowError, _NonFiniteStage):
             h *= 0.25
@@ -423,7 +432,7 @@ def _solve(
         ra = ea / (atol + rtol * (mna if mna > ma else ma))
         rb = eb / (atol + rtol * (mnb if mnb > mb else mb))
         ratio = sqrt((ra * ra + rb * rb) / 2.0) / (tol_rate * h)
-        if not isfinite(ratio):
+        if not 0.0 * ratio == 0.0:
             ratio = math.inf
 
         if ratio <= 1.0:
@@ -438,16 +447,13 @@ def _solve(
             db = ynb - yb
             ba = h * k1a - da
             bb = h * k1b - db
-            segments.append(
-                _DenseSegment(
-                    t,
+            dense.append(
+                (
                     h,
-                    ya,
                     da,
                     ba,
                     da - h * k7a - ba,
                     h * (0.0 + _D1 * k1a + _D3 * k3a + _D4 * k4a + _D5 * k5a + _D6 * k6a + _D7 * k7a),
-                    yb,
                     db,
                     bb,
                     db - h * k7b - bb,
@@ -476,7 +482,7 @@ def _solve(
                 if pending_zero is not None:
                     zeros.append(pending_zero)
                 else:
-                    zeros.append(_locate_zero(ts, segments, t_sign, t, zero_tol))
+                    zeros.append(_locate_zero(ts, ys0, dense, t_sign, t, zero_tol))
                 pending_zero = None
                 s_last, t_sign = s_new, t
                 if len(zeros) >= opts.max_zeros:
@@ -513,16 +519,16 @@ def _solve(
     else:  # no terminal status within the step budget
         raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
 
-    return Trajectory(eq, ic, opts, ts, ys0, ys1, fs0, zeros, terminal, tangential, zeros_truncated, segments)
+    return Trajectory(eq, ic, opts, ts, ys0, ys1, fs0, zeros, terminal, tangential, zeros_truncated, dense)
 
 
-def _locate_zero(ts: list[float], segments: list[_DenseSegment], t_lo: float, t_hi: float, zero_tol: float) -> float:
+def _locate_zero(ts: list[float], phis: list[float], dense: list[tuple], t_lo: float, t_hi: float, zero_tol: float) -> float:
     """Bisect the dense output of component 0 for the sign change bracketed by [t_lo, t_hi]."""
-    f_lo = _segment_at(ts, segments, t_lo).first(t_lo)
+    f_lo = _dense_at(ts, phis, dense, 1, t_lo)
     lo, hi = t_lo, t_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = _segment_at(ts, segments, mid).first(mid)
+        fm = _dense_at(ts, phis, dense, 1, mid)
         if abs(fm) <= zero_tol or (hi - lo) <= 8.0 * _EPS * max(1.0, abs(mid)):
             return mid
         if (fm > 0) == (f_lo > 0):

@@ -137,33 +137,45 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> di
     and coefficients of +-1, since ``x ** 0.0 == 1.0`` and ``+-1.0 * x == +-x``
     for every float.  ``row`` takes each product's time part once per row, as
     a float, so a time part that is not a real number sends the row to the
-    scalar loop.  A form without a w-factor is evaluated once per row.  The
-    source is compiled once per text (see :func:`_compiled`) and run in a
-    fresh namespace, which holds this form's own coefficients.
-    Each form gets its own copy of the functions' code: the interpreter keeps
-    its caches of global lookups in the code object, so forms sharing one
-    would evict each other's caches whenever they are called in turn.
+    scalar loop.  A form without a w-factor is evaluated once per row.
     """
-    env = {"start": start}
-    values, terms, scales = ["start"] * (start is not None), ["start"] * (start is not None), []
-    for k, p in enumerate(products):
-        env.update({f"c{k}": p.c, f"a{k}": p.a, f"b{k}": p.b, f"tau{k}": p.tau})
-        factors = [f"tau{k}(t)"] * (p.tau is not None) + [f"t ** a{k}"] * (p.a != 0.0)
-        time_part = _times(f"c{k}", p.c, factors)
-        scales.append(f"    s{k} = float({time_part})\n")
-        if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):  # |w| ** 0.0 == w ** 0.0 == 1.0
-            values.append(time_part)
-            terms.append(f"s{k}")
-        else:
-            at_w = _W_FACTORS[p.g].format(b=f"b{k}")
-            values.append(f"{at_w} * ({time_part})" if p.w_first and factors else _times(f"c{k}", p.c, factors + [at_w]))
-            terms.append(f"s{k} * {at_w}")
-    value, row = " + ".join(values), " + ".join(terms)
+    env, value, terms, scales = _form_source(products, start)
+    row = " + ".join(terms)
     source = f"def fn(t, w):\n    return {value}\ndef row(t, ws):\n{''.join(scales)}"
     if "w" in row:  # a w-factor: ``start`` and ``s<k>`` hold no w
         source += f"    return [{row} for w in ws]\n"
     else:  # no w-factor: one value for the whole row
         source += f"    return [{row}] * len(ws)\ndef time(t):\n    return {value}\n"
+    return _run(source, env)
+
+
+def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "") -> tuple[dict, str, list[str], list[str]]:
+    """The namespace, value source, row terms and row scale lines of a closed form; every name in them starts with ``prefix``."""
+    env = {f"{prefix}start": start}
+    values, terms, scales = [f"{prefix}start"] * (start is not None), [f"{prefix}start"] * (start is not None), []
+    for k, p in enumerate(products):
+        c, a, b, tau, s = (f"{prefix}{n}{k}" for n in ("c", "a", "b", "tau", "s"))
+        env.update({c: p.c, a: p.a, b: p.b, tau: p.tau})
+        factors = [f"{tau}(t)"] * (p.tau is not None) + [f"t ** {a}"] * (p.a != 0.0)
+        time_part = _times(c, p.c, factors)
+        scales.append(f"    {s} = float({time_part})\n")
+        if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):  # |w| ** 0.0 == w ** 0.0 == 1.0
+            values.append(time_part)
+            terms.append(s)
+        else:
+            at_w = _W_FACTORS[p.g].format(b=b)
+            values.append(f"{at_w} * ({time_part})" if p.w_first and factors else _times(c, p.c, factors + [at_w]))
+            terms.append(f"{s} * {at_w}")
+    return env, " + ".join(values), terms, scales
+
+
+def _run(source: str, env: dict) -> dict:
+    """``env`` after running ``source`` in it (compiled once per text, see :func:`_compiled`).
+
+    Each run gets its own copy of the functions' code: the interpreter keeps
+    its caches of global lookups in the code object, so forms sharing one
+    would evict each other's caches whenever they are called in turn.
+    """
     code = _compiled(source)
     exec(code.replace(co_consts=tuple(c.replace() if isinstance(c, CodeType) else c for c in code.co_consts)), env)
     return env
@@ -384,36 +396,42 @@ def _enclose(fld: ScalarField, t: float, spans) -> tuple[float, float] | None:
 def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float, float]]:
     """First-order right-hand side (f1, f2) of the equivalent system.
 
-    f1 = v / p0(t, u) and f2 = -r0(t, u) u - q0(t, u) / p0(t, u) * v, in the
-    state variables u = phi and v = psi = p0 * phi'.
+    f1 = v / p0(t, w) and f2 = -r0(t, w) w - q0(t, w) / p0(t, w) * v, in the
+    state variables w = phi and v = psi = p0 * phi'.
 
-    When all three fields have a row evaluator (the builtins and the JSON kinds),
-    the rhs calls their raw ``fn``s.  A point where one raises anything, a sample
-    is not a float, the sum of the samples is not finite or p0 <= 0 is evaluated
-    again through the wrapped fields, so it raises or returns exactly what they do.
-    Opaque fields are only called through the wrapped fields, once per point.
+    When all three fields are closed forms (the builtins and the JSON kinds),
+    the rhs is one function compiled from their products: it evaluates p0, r0
+    and q0 in that order, each with the source of its field's ``fn``.  A point
+    where one raises anything, a sample is not a float, the sum of the samples
+    is not finite or p0 <= 0 is evaluated again through the wrapped fields, so
+    it raises or returns exactly what they do.  Opaque fields are only called
+    through the wrapped fields, once per point.
     """
 
     p0, q0, r0 = eq.p0, eq.q0, eq.r0
 
-    def f(t: float, u: float, v: float) -> tuple[float, float]:
-        p = p0(t, u)
+    def f(t: float, w: float, v: float) -> tuple[float, float]:
+        p = p0(t, w)
         if p <= 0.0:
-            raise DomainError(f"p0 is not positive at (t={t!r}, w={u!r}): {p!r}")
-        return v / p, -r0(t, u) * u - q0(t, u) / p * v
+            raise DomainError(f"p0 is not positive at (t={t!r}, w={w!r}): {p!r}")
+        return v / p, -r0(t, w) * w - q0(t, w) / p * v
 
-    if p0.row_fn is None or q0.row_fn is None or r0.row_fn is None:
+    if p0.products is None or q0.products is None or r0.products is None:
         return f
-    p_fn, q_fn, r_fn, isfinite = p0.fn, q0.fn, r0.fn, math.isfinite
-
-    def raw(t: float, u: float, v: float) -> tuple[float, float]:
-        try:
-            p, r, q = p_fn(t, u), r_fn(t, u), q_fn(t, u)
-        except Exception:
-            return f(t, u, v)
-        if type(p) is type(r) is type(q) is float and isfinite(p + r + q) and p > 0.0:
-            return v / p, -r * u - q / p * v
-        return f(t, u, v)
-
-    return raw
-
+    env, lines = {"f": f}, []
+    for name, fld in (("p", p0), ("r", r0), ("q", q0)):
+        form_env, value, _, _ = _form_source(fld.products, fld.start, f"{name}_")
+        env.update(form_env)
+        lines.append(f"        {name} = {value}\n")
+    # 0.0 * x == 0.0 holds for a finite float x and fails for inf and NaN (0.0 * inf is NaN).
+    source = (
+        "def rhs(t, w, v):\n"
+        "    try:\n"
+        f"{''.join(lines)}"
+        "    except Exception:\n"
+        "        return f(t, w, v)\n"
+        "    if type(p) is type(r) is type(q) is float and 0.0 * (p + r + q) == 0.0 and p > 0.0:\n"
+        "        return v / p, -r * w - q / p * v\n"
+        "    return f(t, w, v)\n"
+    )
+    return _run(source, env)["rhs"]

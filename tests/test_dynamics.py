@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rcert import (
     DomainError,
@@ -102,6 +105,14 @@ class TestHarmonic:
     def test_zero_values_small(self, harmonic_traj):
         for z in harmonic_traj.zeros:
             assert abs(harmonic_traj.phi_at(z)) <= harmonic_traj.opts.zero_tol
+
+    def test_state_at_is_phi_at_and_psi_at(self, harmonic_traj):
+        # state_at evaluates both components of one step inline; it must give the single-component values bit for bit
+        ts = harmonic_traj.ts
+        points = ts + [a + (b - a) * k / 3 for a, b in zip(ts, ts[1:]) for k in (1, 2)] + [math.nextafter(ts[0], math.inf), math.nextafter(ts[-1], 0.0)]
+        for t in points:
+            state = harmonic_traj.state_at(t)
+            assert (state[0].hex(), state[1].hex()) == (harmonic_traj.phi_at(t).hex(), harmonic_traj.psi_at(t).hex())
 
 
 def traj_err(traj, t):
@@ -221,6 +232,65 @@ class TestFiniteEscape:
         eq = make_eq(r_fn=lambda t, w: -1e300 * w * w)
         traj = integrate(eq, InitialData(0.0, 1.0, 1.0), IntegrationOptions(horizon=5.0))
         assert traj.terminal.kind in (FINITE_ESCAPE, STEP_COLLAPSE)
+
+
+class TestOptionRanges:
+    # On these values integrate's arithmetic would invent a verdict: on the unit
+    # Van der Pol from (0, 1, 0), rel_tol or horizon NaN end step_collapse at
+    # t = 0, abs_tol inf ends finite_escape at t ~ 12.2, horizon inf divides by
+    # zero, and max_zeros 0 stops only after the first zero.
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rel_tol", math.nan),
+            ("rel_tol", 0.0),
+            ("abs_tol", math.inf),
+            ("abs_tol", -1e-12),
+            ("min_step", math.nan),
+            ("min_step", math.inf),
+            ("min_step", 0.0),
+            ("zero_tol", math.nan),
+            ("zero_tol", math.inf),
+            ("zero_tol", -1e-9),
+            ("horizon", math.nan),
+            ("horizon", math.inf),
+            ("horizon", -math.inf),
+            ("max_zeros", 0),
+        ],
+    )
+    def test_out_of_range_option_raises_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            IntegrationOptions(**{name: value})
+
+    def test_edge_values_are_accepted(self):
+        IntegrationOptions(zero_tol=0.0, max_zeros=1, escape_threshold=math.inf, horizon=-1.0)
+
+    def test_nan_horizon_is_a_domain_error(self):
+        # a horizon that does not exceed the start time, NaN included, never starts the stepper
+        eq = make_eq(r=1.0)
+        opts = IntegrationOptions()
+        object.__setattr__(opts, "horizon", math.nan)
+        with pytest.raises(DomainError, match="horizon must exceed the start time"):
+            integrate(eq, InitialData(0.0, 1.0, 0.0), opts)
+
+
+FINITENESS_EXAMPLES = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, sys.float_info.max, -sys.float_info.max, 1.0]
+
+
+def finite_pair_examples(test):
+    for a in FINITENESS_EXAMPLES:
+        for b in FINITENESS_EXAMPLES:
+            test = example(a=a, b=b)(test)
+    return test
+
+
+@finite_pair_examples
+@given(a=st.floats(), b=st.floats())
+def test_call_free_finiteness_test(a, b):
+    # The stepper tests its stage values for finiteness as 0.0 * a * b == 0.0.
+    assert (0.0 * a * b == 0.0) == (math.isfinite(a) and math.isfinite(b))
+    # ... and the last stage, with the new node, as a product of four.
+    assert (0.0 * a * b * b * a == 0.0) == (math.isfinite(a) and math.isfinite(b))
 
 
 class TestZeroBookkeeping:

@@ -168,6 +168,15 @@ class TestEquationFromJson:
         assert eq.r0(7.0, -3.0) == pytest.approx(-9.0)
 
 
+def at(value):
+    """The product whose sample is ``value`` everywhere: its source is ``tau0(t)``, so ``value`` passes through as it is."""
+    return _Product(1.0, tau=lambda t: value)
+
+
+W_INVERSE = _Product(1.0, g="w^b", b=-1.0)  # ZeroDivisionError at w = 0
+W_ROOT = _Product(1.0, g="w^b", b=0.5)  # complex at w < 0
+
+
 class TestSystemRhs:
     def test_components_match_hand_values(self):
         eq = make_eq(p=2.0, q=1.0, r=3.0)
@@ -182,15 +191,15 @@ class TestSystemRhs:
         with pytest.raises(DomainError):
             f(0.0, -1.0, 0.0)
 
-    # --- the row-path rhs against the wrapped rhs ---------------------------
-    # Fields with a row evaluator get an rhs that calls their raw fns; an odd
+    # --- the compiled rhs against the wrapped rhs ---------------------------
+    # Closed-form fields get one rhs compiled from their products; an odd
     # sample sends the point back through the wrapped fields, so every point
     # must give the wrapped rhs's floats or its exception, message and cause.
 
     @staticmethod
     def row_and_wrapped(eq):
-        """The rhs of ``eq`` and of the same fields without row evaluators."""
-        opaque = {part: dataclasses.replace(getattr(eq, part), row_fn=None) for part in ("p0", "q0", "r0")}
+        """The rhs of ``eq`` and of the same fields as opaque callables."""
+        opaque = {part: dataclasses.replace(getattr(eq, part), row_fn=None, products=None) for part in ("p0", "q0", "r0")}
         return system_rhs(eq), system_rhs(EquationSpec(t0=eq.t0, **opaque))
 
     @staticmethod
@@ -203,31 +212,27 @@ class TestSystemRhs:
 
     @staticmethod
     def point_eq(p, q, r):
-        """Fields that give the samples p, q, r everywhere, each with a row evaluator."""
-
-        def field(fn, **kw):
-            return ScalarField(fn, row_fn=lambda t, ws: [fn(t, w) for w in ws], **kw)
-
-        return EquationSpec(p0=field(p, name="p"), q0=field(q, name="q"), r0=field(r, name="r"), t0=0.0)
+        """Closed forms of one product each, named p, q and r."""
+        return EquationSpec(p0=_closed_form_field([p], "p"), q0=_closed_form_field([q], "q"), r0=_closed_form_field([r], "r"), t0=0.0)
 
     @pytest.mark.parametrize(
         "p, q, r",
         [
-            (lambda t, w: 2.0, lambda t, w: 1.0, lambda t, w: 1.0 / w),  # ZeroDivisionError at w = 0
-            (lambda t, w: 2.0, lambda t, w: math.exp(1e3 * t), lambda t, w: 1.0),  # OverflowError
-            (lambda t, w: 2.0, lambda t, w: math.nan, lambda t, w: 1.0),
-            (lambda t, w: 2.0, lambda t, w: 1.0, lambda t, w: math.inf),
-            (lambda t, w: 2.0, lambda t, w: -math.inf, lambda t, w: 1.0),
-            (lambda t, w: 3, lambda t, w: 2 ** 53 + 1, lambda t, w: 1.0),  # ints, converted as float() does
-            (lambda t, w: 2.0, lambda t, w: 10 ** 400, lambda t, w: 1.0),  # an int past the float range
-            (lambda t, w: True, lambda t, w: 1.0, lambda t, w: 1.0),
-            (lambda t, w: 2.0, lambda t, w: 1.0, lambda t, w: (w - 1.0) ** 0.5),  # complex
-            (lambda t, w: 0.0, lambda t, w: 1.0, lambda t, w: 1.0),
-            (lambda t, w: -0.0, lambda t, w: 1.0, lambda t, w: 1.0),
-            (lambda t, w: -1.0, lambda t, w: 1.0 / w, lambda t, w: 1.0),  # p0 <= 0 is found before q0 raises
-            (lambda t, w: -1.0, lambda t, w: 1.0, lambda t, w: {}[w]),  # ... and before r0 raises a KeyError
-            (lambda t, w: math.inf, lambda t, w: 1.0, lambda t, w: 1.0),  # v / p would be 0.0
-            (lambda t, w: 1e308, lambda t, w: 1e308, lambda t, w: 1e308),  # the sum overflows, each sample is finite
+            (at(2.0), at(1.0), W_INVERSE),  # ZeroDivisionError at w = 0
+            (at(2.0), _Product(1.0, tau=lambda t: math.exp(1e3 * t)), at(1.0)),  # OverflowError
+            (at(2.0), at(math.nan), at(1.0)),
+            (at(2.0), at(1.0), at(math.inf)),
+            (at(2.0), at(-math.inf), at(1.0)),
+            (at(3), at(2 ** 53 + 1), at(1.0)),  # ints, converted as float() does
+            (at(2.0), at(10 ** 400), at(1.0)),  # an int past the float range
+            (at(True), at(1.0), at(1.0)),
+            (at(2.0), at(1.0), W_ROOT),  # complex at w < 0
+            (at(0.0), at(1.0), at(1.0)),
+            (at(-0.0), at(1.0), at(1.0)),
+            (at(-1.0), W_INVERSE, at(1.0)),  # p0 <= 0 is found before q0 raises
+            (at(-1.0), at(1.0), _Product(1.0, tau=lambda t: {}[t])),  # ... and before r0 raises a KeyError
+            (at(math.inf), at(1.0), at(1.0)),  # v / p would be 0.0
+            (at(1e308), at(1e308), at(1e308)),  # the sum overflows, each sample is finite
         ],
         ids=[
             "zero_division",
@@ -249,35 +254,45 @@ class TestSystemRhs:
     )
     def test_odd_samples_match_the_wrapped_rhs(self, p, q, r):
         row, wrapped = self.row_and_wrapped(self.point_eq(p, q, r))
-        assert row is not wrapped
-        for u in (0.0, 0.5):
+        assert (row.__name__, wrapped.__name__) == ("rhs", "f")
+        for u in (0.0, 0.5, -0.5):
             assert self.outcome(row, 1.0, u, 0.25) == self.outcome(wrapped, 1.0, u, 0.25)
 
     def test_fields_are_called_once_per_point(self):
         calls = []
 
         def counting(name, value):
-            def fn(t, w):
+            def fn(t, w=None):
                 calls.append(name)
                 return value
 
             return fn
 
-        def row(value):
-            return lambda t, ws: [value] * len(ws)
+        def closed(name, value):
+            return _closed_form_field([_Product(1.0, tau=counting(name, value))], name)
 
-        p0 = ScalarField(counting("p0", 1.0))
-        q0 = ScalarField(counting("q0", 1.0), row_fn=row(1.0))
-        r0 = ScalarField(counting("r0", 2.0))
+        q0 = closed("q0", 1.0)
         # one opaque field sends every point through the wrapped fields
-        f = system_rhs(EquationSpec(p0=p0, q0=q0, r0=r0, t0=0.0))
+        f = system_rhs(EquationSpec(p0=ScalarField(counting("p0", 1.0)), q0=q0, r0=ScalarField(counting("r0", 2.0)), t0=0.0))
         for k in range(1, 4):
             assert f(0.0, 1.0, 1.0) == (1.0, -3.0)
             assert calls == ["p0", "r0", "q0"] * k
         calls.clear()
-        f = system_rhs(EquationSpec(p0=dataclasses.replace(p0, row_fn=row(1.0)), q0=q0, r0=dataclasses.replace(r0, row_fn=row(2.0)), t0=0.0))
+        f = system_rhs(EquationSpec(p0=closed("p0", 1.0), q0=q0, r0=closed("r0", 2.0), t0=0.0))
         assert f(0.0, 1.0, 1.0) == (1.0, -3.0)
         assert calls == ["p0", "r0", "q0"]
+
+    def test_equations_of_one_shape_share_the_rhs_source(self, monkeypatch):
+        _compiled.cache_clear()
+        sources = []
+        monkeypatch.setattr("rcert.fields.compile", lambda source, *args: sources.append(source) or compile(source, *args), raising=False)
+        eqs = [vdp_equation(VdPParams(lam=lambda t, c=c: c, mu=lambda t: 1.0, nu=lambda t: 1.0)) for c in (1.0, 2.0)]
+        assert not any("def rhs" in source for source in sources)  # building the equations compiles no rhs
+        del sources[:]
+        one, two = (system_rhs(eq) for eq in eqs)
+        assert len(sources) == 1 and sources[0].startswith("def rhs(t, w, v):")
+        assert one.__code__ == two.__code__ and one.__code__ is not two.__code__
+        assert (one(0.0, 2.0, 1.0), two(0.0, 2.0, 1.0)) == ((1.0, -5.0), (0.5, -3.5))
 
     def test_row_fields_are_not_wrapped_on_plain_points(self, monkeypatch):
         row, wrapped = self.row_and_wrapped(self.ROW_EQUATIONS["sweep"])
@@ -322,6 +337,6 @@ class TestSystemRhs:
     @example(t=0.0, u=1e200, v=1e300)
     def test_row_path_agrees_bit_for_bit(self, name, t, u, v):
         eq = self.ROW_EQUATIONS[name]
-        assert all(f.row_fn is not None for f in (eq.p0, eq.q0, eq.r0))
+        assert all(f.products is not None for f in (eq.p0, eq.q0, eq.r0))
         row, wrapped = self.row_and_wrapped(eq)
         assert self.outcome(row, t, u, v) == self.outcome(wrapped, t, u, v)

@@ -1,8 +1,8 @@
-"""Bit-exact pins of trajectories whose three fields all have a row evaluator.
+"""Bit-exact pins of trajectories whose three fields are all closed forms.
 
 ``tests/test_stepper_golden.py`` builds its equations from opaque callables,
-so its runs never reach the rhs that calls the raw field functions of the
-builtin and JSON field kinds.  These runs do: the four cells of the
+so its runs never reach the rhs compiled from the products of the builtin
+and JSON field kinds.  These runs do: the four cells of the
 ``sweep_mixed`` benchmark raster of phi'' + (1 - phi^2) phi = 0 (JSON
 ``constant`` and ``polynomial`` fields), a Van der Pol run, a power-law run,
 and a fractional signed power law whose trajectory reaches w < 0, where the
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import pytest
 
-from rcert import InitialData, IntegrationOptions, equation_from_json, integrate
+from rcert import InitialData, IntegrationOptions, ScalarField, equation_from_json, integrate
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
 
 SWEEP_EQ = {
@@ -117,16 +117,37 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_row_path_run(name):
-    build, ic, horizon = RUNS[name]
-    eq = build()
-    assert all(f.row_fn is not None for f in (eq.p0, eq.q0, eq.r0))
-    traj = integrate(eq, InitialData(*ic), IntegrationOptions(horizon=horizon))
-    got = Pin(
+def pin(traj) -> Pin:
+    return Pin(
         len(traj.ts),
         (traj.terminal.kind, traj.terminal.reason, traj.terminal.time.hex()),
         (float(traj.ts[-1]).hex(), float(traj.phis[-1]).hex(), float(traj.psis[-1]).hex()),
         [z.hex() for z in traj.zeros],
     )
-    assert got == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_row_path_run(name):
+    build, ic, horizon = RUNS[name]
+    eq = build()
+    assert all(f.products is not None for f in (eq.p0, eq.q0, eq.r0))
+    assert pin(integrate(eq, InitialData(*ic), IntegrationOptions(horizon=horizon))) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(RUNS) - {"power_law_complex_fallback"}))
+def test_compiled_rhs_never_reaches_the_wrapped_fields(name, monkeypatch):
+    # The one ScalarField.__call__ is integrate's start momentum psi(t1) = p0(t1, phi0) * phi1;
+    # the compiled rhs takes every stage, so the fallback through the wrapped fields never runs.
+    build, ic, horizon = RUNS[name]
+    eq = build()
+    calls, call = [], ScalarField.__call__
+
+    def start_momentum_only(fld, t, w):
+        calls.append((fld, t, w))
+        if calls != [(eq.p0, ic[0], ic[1])]:
+            raise AssertionError(f"ScalarField.__call__ reached: {fld.name} at ({t!r}, {w!r})")
+        return call(fld, t, w)
+
+    monkeypatch.setattr(ScalarField, "__call__", start_momentum_only)
+    assert pin(integrate(eq, InitialData(*ic), IntegrationOptions(horizon=horizon))) == PINS[name]
+    assert len(calls) == 1
