@@ -331,6 +331,32 @@ class TestCumulativeChain:
         with pytest.raises(QuadratureBudgetError):
             chain(1.0)
 
+    def test_first_non_positive_weight_in_node_order_raises(self):
+        # P is 0 from 0.6 on: the first panel, [0, 1], samples its nodes in
+        # ascending order and stops at the first one past 0.6.
+        seen = []
+
+        def P(t):
+            seen.append(t)
+            return 1.0 if t < 0.6 else 0.0
+
+        nodes = [0.5 + 0.5 * x for x in _NODES]
+        first = next(i for i, tau in enumerate(nodes) if tau >= 0.6)
+        with pytest.raises(NonPositiveWeightError, match=rf"^P\({nodes[first]!r}\) = 0\.0 <= 0$"):
+            FBound(BoundTriple(P=P, Q=ONE, R=ONE), 0.0, 1.0, 1.0)(1.0)
+        assert seen == nodes[: first + 1]
+
+    def test_first_overflowing_exponent_in_node_order_raises(self):
+        # V = int Q = 1000 t passes EXP_CAP = 690 first at the node nearest
+        # above t = 0.69, where the W level evaluates e^V.
+        taus = [0.5 + 0.5 * x for x in _NODES]
+        first = next(i for i, tau in enumerate(taus) if 1000.0 * tau > 690.0)
+        assert 1000.0 * taus[first - 1] < 680.0 < 700.0 < 1000.0 * taus[first]
+        with pytest.raises(RangeOverflowError, match=r"^exponent overflow: exp\(") as info:
+            FBound(BoundTriple(P=ONE, Q=lambda t: 1000.0, R=ONE), 0.0, 1.0, 1.0)(1.0)
+        exponent = float(str(info.value)[len("exponent overflow: exp(") : -1])
+        assert exponent == pytest.approx(1000.0 * taus[first], rel=1e-13)
+
 
 class TestDivergenceProbe:
     def test_zero_integrand_converges(self):
