@@ -16,9 +16,10 @@ nodes, which matters because the envelopes are evaluated on whole time grids
 inside hypothesis sweeps.  One memo, :class:`CumulativeChain`, carries every
 such integral.  It holds the antiderivatives of a lower-triangular chain of
 integrands on a growing set of knots, and a query walks only the gap from the
-nearest knot.  Each level is sampled once per Kronrod node, and the inner
-levels are read at the same nodes through the panel's node integration matrix,
-so no integrand ever queries another memo.
+nearest knot.  Each level is evaluated once per panel on the samples at the
+15 Kronrod nodes, and the inner levels are read at the same nodes through the
+panel's node integration matrix, so no integrand ever queries another memo.
+A node integral is one left-to-right sum, the same bits on every interpreter.
 
 Every integral here is one walk of the chain's: adaptive GK15 panels taken in
 order from one end of a gap to the other, with the QUADPACK acceptance test
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, gt, mul
+from operator import add, gt
 from typing import Callable, Sequence
 
 from .errors import (
@@ -161,18 +162,19 @@ class CumulativeChain:
     """Memoized antiderivatives Y_0..Y_{m-1} of a lower-triangular chain of integrands.
 
     ``Y_k(t) = integral_base^t f_k(sample(s), [Y_0(s), ..., Y_{k-1}(s)]) ds``;
-    ``sample`` runs once per node for the work the levels share.  A query
+    ``sample`` runs once per node for the work the levels share, and each f_k
+    once per panel, on all 15 nodes (see :meth:`_panel`).  A query
     returns the tuple (Y_0(t), ..., Y_{m-1}(t)).  Every query integrates only
     the gap between ``t`` and the nearest known knot, in either direction, then
     records ``t`` as a new knot, so repeated and monotone query patterns cost
     amortized O(1) panels per query.
 
-    The gap is walked in order in adaptive GK15 panels.  Each f_k is sampled
-    once at the panel's 15 Kronrod nodes; the inner levels are read at the
-    same nodes through the node integration matrix, so no integrand queries
-    another memo.  ``budgets`` holds one (abs_rate, rel_tol) pair per level
-    (the oracles' budget on every level by default).  A panel is accepted when
-    every level's |K15 - G7| error is within its own budget
+    The gap is walked in order in adaptive GK15 panels.  The inner levels are
+    read at the panel's 15 Kronrod nodes through the node integration matrix,
+    one left-to-right sum per node on every interpreter, so no integrand
+    queries another memo.  ``budgets`` holds one (abs_rate, rel_tol) pair per
+    level (the oracles' budget on every level by default).  A panel is
+    accepted when every level's |K15 - G7| error is within its own budget
     ``max(abs_rate * gap, rel_tol * |whole gap estimate|)``, shared out by
     length.  ``abs_rate`` is a budget per unit length, so the
     error chained through any sequence of gaps stays below
@@ -184,7 +186,7 @@ class CumulativeChain:
     def __init__(
         self,
         sample: Callable[[float], object],
-        integrands: Sequence[Callable[[object, list[float]], float]],
+        integrands: Sequence[Callable[[list, list], Sequence[float]]],
         base: float,
         budgets: Sequence[tuple[float, float]] | None = None,
     ):
@@ -252,19 +254,22 @@ class CumulativeChain:
 
         No increments at the first level over ``budget``.  Each level's node
         pairs are summed outermost first, both sums left to right from the
-        centre term.
+        centre term.  Level k is called once, as ``f_k(cols, ys)``, and
+        returns its 15 node values in node order: ``cols`` holds the sample
+        columns (the samples themselves in a chain of one level) and ``ys``
+        the node values of levels 0..k-1, from :func:`_node_integrals`.
         """
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
         sample = self._sample
         data = [sample(c + h * x) for x in _NODES]
         last = len(self._fns) - 1
-        # Inner-level values per node, which only a chain of two or more levels reads.
-        rows = [[] for _ in data] if last else [()] * len(data)
+        cols = list(zip(*data)) if last else data
+        ys = []
         incs = []
         errs = []
         for k, f in enumerate(self._fns):
-            fv = data if f is _sampled else [f(d, row) for d, row in zip(data, rows)]
+            fv = data if f is _sampled else f(cols, ys)
             f0, f1, f2, f3, f4, f5, f6, fc, g6, g5, g4, g3, g2, g1, g0 = fv
             s1 = f1 + g1
             s3 = f3 + g3
@@ -279,14 +284,28 @@ class CumulativeChain:
             incs.append(resk * h)
             errs.append(err)
             if k < last:
-                y = start[k]
-                for row, srow in zip(rows, _S):
-                    row.append(y + h * sum(map(mul, srow, fv)))
+                ys.append(_node_integrals(start[k], h, fv))
         return incs, errs
 
 
-def _sampled(c: float, y: list[float]) -> float:
-    return c
+def _node_integrals(y: float, h: float, fv: Sequence[float]) -> tuple[float, ...]:
+    """``y + h * (0.0 + S[i][0] * fv[0] + ... + S[i][14] * fv[14])`` for the 15 nodes i.
+
+    One left-to-right sum per node on every interpreter (``sum()`` of floats
+    is compensated from Python 3.12 on), written out from ``_S`` as straight
+    code and compiled on the first call, which then replaces this function.
+    """
+    global _node_integrals
+    names = ", ".join(f"f{j}" for j in range(len(_NODES)))
+    sums = ", ".join("y + h * (0.0 + " + " + ".join(f"{s!r} * f{j}" for j, s in enumerate(row)) + ")" for row in _S)
+    scope: dict = {}
+    exec(f"def _node_integrals(y, h, fv):\n    {names} = fv\n    return ({sums})\n", scope)
+    _node_integrals = scope["_node_integrals"]
+    return _node_integrals(y, h, fv)
+
+
+def _sampled(cols: list, ys: list) -> list:
+    return cols
 
 
 class CumulativeIntegral(CumulativeChain):
@@ -320,13 +339,13 @@ def adaptive_quad(f: TimeFunction, a: float, b: float, abs_tol: float = ABS_TOL,
     return CumulativeIntegral(f, a, rel_tol=rel_tol)._walk(a, b, (0.0,), (abs_tol,))[0]
 
 
-def _weighted_levels(exp: Callable[[float], float]) -> tuple[Callable[[tuple, list[float]], float], ...]:
-    """The chain K' = k, W' = e^K s, T1' = e^-K / p, T2' = e^-K W / p on samples (k, s, p)."""
+def _weighted_levels(exp: Callable[[float], float]) -> tuple[Callable[[list, list], Sequence[float]], ...]:
+    """The chain K' = k, W' = e^K s, T1' = e^-K / p, T2' = e^-K W / p on sample columns (k, s, p)."""
     return (
         lambda c, y: c[0],
-        lambda c, y: exp(y[0]) * c[1],
-        lambda c, y: exp(-y[0]) / c[2],
-        lambda c, y: exp(-y[0]) * y[1] / c[2],
+        lambda c, y: [exp(v) * s for v, s in zip(y[0], c[1])],
+        lambda c, y: [exp(-v) / p for v, p in zip(y[0], c[2])],
+        lambda c, y: [exp(-v) * w / p for v, w, p in zip(y[0], y[1], c[2])],
     )
 
 
@@ -504,7 +523,7 @@ class GBound:
         outer = (0.1 * abs_tol, rel_tol)
         self._chain = CumulativeChain(
             lambda tau: (Q(tau), x(tau), _positive(P, tau, "P")),
-            (_K, _T1, lambda c, y: c[1] / c[2]),
+            (_K, _T1, lambda c, y: [u / p for u, p in zip(c[1], c[2])]),
             t1,
             (MEMO_BUDGET, outer, outer),
         )
@@ -597,7 +616,10 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     (ratio >= ``_DIV_RATIO``) vote Diverging; anything else is Inconclusive.
     The verdict is a numerical heuristic: no finite computation decides
     behaviour at infinity, and certificates must record it as heuristic.
+    A non-finite ``t0`` raises :class:`DomainError`.
     """
+    if not math.isfinite(t0):
+        raise DomainError(f"divergence_probe needs a finite t0, got {t0!r}")
 
     def checked(tau: float) -> float:
         v = integrand(tau)

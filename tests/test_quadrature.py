@@ -11,6 +11,7 @@ from rcert import (
     CONVERGING,
     DIVERGING,
     CumulativeIntegral,
+    DomainError,
     FBound,
     NegativeIntegrandError,
     NonPositiveWeightError,
@@ -270,12 +271,13 @@ class TestCumulativeChain:
     def test_each_level_honours_its_own_budget(self):
         peak = lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2)
         exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
-        same = lambda c, y: c
-        loose = CumulativeChain(peak, [same], 0.0, [(0.1, 0.1)])(1.0)[0]
+        # A one-level chain's integrand sees the samples, a longer chain's the sample columns.
+        loose = CumulativeChain(peak, [lambda cols, ys: cols], 0.0, [(0.1, 0.1)])(1.0)[0]
         assert 1e-8 < abs(loose / exact - 1.0) <= 0.1
         # The panels are shared, so a tight budget on either level makes both levels tight.
+        same = lambda cols, ys: cols[0]
         for budgets in ([(0.1, 0.1), (1e-14, 1e-13)], [(1e-14, 1e-13), (0.1, 0.1)]):
-            for value in CumulativeChain(peak, [same, same], 0.0, budgets)(1.0):
+            for value in CumulativeChain(lambda t: (peak(t),), [same, same], 0.0, budgets)(1.0):
                 assert value == pytest.approx(exact, rel=1e-12)
 
     def test_node_matrix_integrates_degree_14_exactly(self):
@@ -313,7 +315,8 @@ class TestCumulativeChain:
                 assert abs(Fraction(s) - aug[j][n + i]) <= Fraction(1e-15)
 
     def test_nan_integrand_raises(self):
-        chain = CumulativeChain(float, [lambda t, y: 1.0, lambda t, y: math.nan if t > 0.5 else y[0]], 0.0)
+        levels = [lambda cols, ys: [1.0] * 15, lambda cols, ys: [math.nan if t > 0.5 else y for t, y in zip(cols[0], ys[0])]]
+        chain = CumulativeChain(lambda t: (t,), levels, 0.0)
         assert chain(0.25) == pytest.approx((0.25, 0.03125), rel=1e-14)
         for _ in range(2):
             with pytest.raises(QuadratureBudgetError):
@@ -327,7 +330,7 @@ class TestCumulativeChain:
 
     def test_budget_exhaustion_raises(self):
         # About 16k periods on [0, 1] need more panels than the budget allows.
-        chain = CumulativeChain(float, [lambda t, y: math.sin(1e5 * t)], 0.0)
+        chain = CumulativeChain(float, [lambda cols, ys: [math.sin(1e5 * t) for t in cols]], 0.0)
         with pytest.raises(QuadratureBudgetError):
             chain(1.0)
 
@@ -359,6 +362,11 @@ class TestCumulativeChain:
 
 
 class TestDivergenceProbe:
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t0_raises(self, t0):
+        with pytest.raises(DomainError, match=rf"^divergence_probe needs a finite t0, got {t0!r}$"):
+            divergence_probe(lambda t: 1.0, t0)
+
     def test_zero_integrand_converges(self):
         verdict = divergence_probe(lambda t: 0.0, 1.0)
         assert verdict.status == CONVERGING
