@@ -405,7 +405,9 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
     where one raises anything, a sample is not a float, the sum of the samples
     is not finite or p0 <= 0 is evaluated again through the wrapped fields, so
     it raises or returns exactly what they do.  Opaque fields are only called
-    through the wrapped fields, once per point.
+    through the wrapped fields, once per point.  The residual oracles sample
+    (p0, q0, r0) through a function compiled from the same source
+    (:func:`_coefficient_sampler`).
     """
 
     p0, q0, r0 = eq.p0, eq.q0, eq.r0
@@ -416,22 +418,41 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
             raise DomainError(f"p0 is not positive at (t={t!r}, w={w!r}): {p!r}")
         return v / p, -r0(t, w) * w - q0(t, w) / p * v
 
-    if p0.products is None or q0.products is None or r0.products is None:
-        return f
-    env, lines = {"f": f}, []
-    for name, fld in (("p", p0), ("r", r0), ("q", q0)):
+    return _compiled_triple(eq, "rhs(t, w, v)", "v / p, -r * w - q / p * v", "f(t, w, v)", {"f": f}) or f
+
+
+def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[float, float, float] | None]:
+    """(p0, q0, r0) at (t, w) in one call, or None where the caller must call the wrapped fields.
+
+    Compiled on each call with the source and acceptance rule of :func:`system_rhs`, so the three
+    are the wrapped fields' values; None everywhere unless all three fields are closed forms.
+    """
+    return _compiled_triple(eq, "pqr(t, w)", "p, q, r", "None", {}) or (lambda t, w: None)
+
+
+def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: str, env: dict) -> Callable | None:
+    """``def {signature}`` over the samples p, r and q of p0, r0 and q0; None if a field is opaque.
+
+    The samples are taken in that order, each with its field's ``fn`` source.
+    It returns ``result`` where none raises, all are floats, their sum is
+    finite and p > 0, and ``fallback`` elsewhere.
+    """
+    if eq.p0.products is None or eq.q0.products is None or eq.r0.products is None:
+        return None
+    lines = []
+    for name, fld in (("p", eq.p0), ("r", eq.r0), ("q", eq.q0)):
         form_env, value, _, _ = _form_source(fld.products, fld.start, f"{name}_")
         env.update(form_env)
         lines.append(f"        {name} = {value}\n")
     # 0.0 * x == 0.0 holds for a finite float x and fails for inf and NaN (0.0 * inf is NaN).
     source = (
-        "def rhs(t, w, v):\n"
+        f"def {signature}:\n"
         "    try:\n"
         f"{''.join(lines)}"
         "    except Exception:\n"
-        "        return f(t, w, v)\n"
+        f"        return {fallback}\n"
         "    if type(p) is type(r) is type(q) is float and 0.0 * (p + r + q) == 0.0 and p > 0.0:\n"
-        "        return v / p, -r * w - q / p * v\n"
-        "    return f(t, w, v)\n"
+        f"        return {result}\n"
+        f"    return {fallback}\n"
     )
-    return _run(source, env)["rhs"]
+    return _run(source, env)[signature.partition("(")[0]]

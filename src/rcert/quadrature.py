@@ -219,9 +219,12 @@ class CumulativeChain:
         The first panel spans the whole gap and sets level k's budget
         ``max(abs_tols[k], rel_k * |its increment|)``; every panel gets the
         share of it that its length is of the gap.  A rejected panel is halved
-        and the half nearer a is taken first.
+        and the half nearer a is taken first.  Limits without a finite gap
+        (a nan or infinite limit) raise :class:`DomainError`.
         """
         gap = abs(b - a)
+        if not gap < math.inf:
+            raise DomainError(f"integration limits {a!r} and {b!r} do not bound a finite interval")
         ys = start
         scales = None
         lo = a

@@ -11,6 +11,12 @@ linearly with the integrator tolerance.
 All five oracles live here and check the nodes of ``_mesh`` (the gap oracle
 takes 65 even points).  The momentum psi, the ratio y and the gap y1 - y0
 each solve x' = -k x - s, so their oracles share ``_transfer_residual``.
+
+Each quadrature node is sampled in one pass: one dense-output lookup gives
+(phi, psi) and y = psi / phi, unless the path's ``y`` is not the ratio
+:func:`transform` built (then ``y`` is called), and one compiled call gives
+closed-form p0, q0 and r0.  Where it cannot, the wrapped fields are called in
+the order the oracle's formula reaches them, so it raises what they raise.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .dynamics import Trajectory
 from .errors import DomainError
+from .fields import _coefficient_sampler
 from .quadrature import CumulativeIntegral, weighted_chain
 
 __all__ = [
@@ -74,11 +82,18 @@ def transform(traj: Trajectory, segment: tuple[float, float]) -> RiccatiPath:
         if abs(traj.phi_at(t)) <= ztol:
             raise DomainError(f"|phi| is not bounded away from zero near t={t!r}")
 
-    def y(t: float) -> float:
-        phi, psi = traj.state_at(t)
-        return psi / phi
+    return RiccatiPath(traj=traj, a=a, b=b, y=partial(_ratio, traj))
 
-    return RiccatiPath(traj=traj, a=a, b=b, y=y)
+
+def _ratio(traj: Trajectory, t: float) -> float:
+    phi, psi = traj.state_at(t)
+    return psi / phi
+
+
+def _own_ratio(path: RiccatiPath) -> bool:
+    """Whether ``path.y`` is the ratio :func:`transform` built for ``path.traj``, so a sampler may read y from its own (phi, psi)."""
+    y = path.y
+    return isinstance(y, partial) and y.func is _ratio and y.args[0] is path.traj
 
 
 def auto_segments(traj: Trajectory) -> list[tuple[float, float]]:
@@ -119,10 +134,11 @@ def _transfer_residual(chain: Callable[[float], tuple[float, float]], x_a: float
 def representation_residual(path: RiccatiPath) -> float:
     """Max deviation of phi from phi(a) * exp(integral of y / p0), over max |phi|."""
     traj = path.traj
-    eq = traj.eq
+    p0, state_at, y, ratio = traj.eq.p0, traj.state_at, path.y, _own_ratio(path)
 
     def integrand(tau: float) -> float:
-        return path.y(tau) / eq.p0(tau, traj.phi_at(tau))
+        phi, psi = state_at(tau)
+        return (psi / phi if ratio else y(tau)) / p0(tau, phi)
 
     acc = CumulativeIntegral(integrand, path.a, abs_rate=1e-13, rel_tol=1e-11)
     phi_a = traj.phi_at(path.a)
@@ -143,10 +159,15 @@ def cauchy_residual(path: RiccatiPath) -> float:
     """
     traj = path.traj
     eq = traj.eq
+    state_at, y, ratio, pqr = traj.state_at, path.y, _own_ratio(path), _coefficient_sampler(eq)
 
     def coefficients(s: float) -> tuple[float, float]:
-        phi = traj.phi_at(s)
-        return (path.y(s) + eq.q0(s, phi)) / eq.p0(s, phi), eq.r0(s, phi)
+        phi, psi = state_at(s)
+        ys = psi / phi if ratio else y(s)
+        c = pqr(s, phi)
+        if c is None:
+            return (ys + eq.q0(s, phi)) / eq.p0(s, phi), eq.r0(s, phi)
+        return (ys + c[1]) / c[0], c[2]
 
     return _transfer_residual(weighted_chain(coefficients, path.a), path.y(path.a), path.y, path.mesh)
 
@@ -166,21 +187,24 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
     if not a < b:
         raise DomainError("paths do not share a segment")
 
-    traj0, traj1 = path0.traj, path1.traj
-    eq0, eq1 = traj0.eq, traj1.eq
+    eq0, eq1 = path0.traj.eq, path1.traj.eq
+    at0, at1, ratio0, ratio1 = path0.traj.state_at, path1.traj.state_at, _own_ratio(path0), _own_ratio(path1)
+    pqr0, pqr1 = _coefficient_sampler(eq0), _coefficient_sampler(eq1)
 
     def coefficients(s: float) -> tuple[float, float]:
-        phi0 = traj0.phi_at(s)
-        phi1 = traj1.phi_at(s)
-        p0v = eq0.p0(s, phi0)
-        p1v = eq1.p0(s, phi1)
-        q0v = eq0.q0(s, phi0)
-        q1v = eq1.q0(s, phi1)
-        y0 = path0.y(s)
-        y1 = path1.y(s)
+        phi0, psi0 = at0(s)
+        phi1, psi1 = at1(s)
+        c0, c1 = pqr0(s, phi0), pqr1(s, phi1)
+        wrapped = c0 is None or c1 is None  # r0 is then sampled last, as the bracket reaches it
+        if wrapped:
+            p0v, p1v, q0v, q1v = eq0.p0(s, phi0), eq1.p0(s, phi1), eq0.q0(s, phi0), eq1.q0(s, phi1)
+        else:
+            (p0v, q0v, r0v), (p1v, q1v, r1v) = c0, c1
+        y0 = psi0 / phi0 if ratio0 else path0.y(s)
+        y1 = psi1 / phi1 if ratio1 else path1.y(s)
         yv = y0 if j == 0 else y1
         kernel = (y0 + y1 + q1v) / p1v if j == 0 else (y0 + y1 + q0v) / p0v
-        bracket = (1.0 / p1v - 1.0 / p0v) * yv * yv + (q1v / p1v - q0v / p0v) * yv + eq1.r0(s, phi1) - eq0.r0(s, phi0)
+        bracket = (1.0 / p1v - 1.0 / p0v) * yv * yv + (q1v / p1v - q0v / p0v) * yv + (eq1.r0(s, phi1) if wrapped else r1v) - (eq0.r0(s, phi0) if wrapped else r0v)
         return kernel, bracket
 
     def gap(t: float) -> float:
@@ -192,11 +216,15 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
 def _weighted_coefficients(traj: Trajectory) -> Callable[[float], tuple[float, float, float]]:
     """(q0/p0, r0*phi, p0) along ``traj``: the K/W chain of the flux and Volterra identities."""
     eq = traj.eq
+    phi_at, pqr = traj.phi_at, _coefficient_sampler(eq)
 
     def coefficients(s: float) -> tuple[float, float, float]:
-        phi = traj.phi_at(s)
-        p = eq.p0(s, phi)
-        return eq.q0(s, phi) / p, eq.r0(s, phi) * phi, p
+        phi = phi_at(s)
+        c = pqr(s, phi)
+        if c is None:
+            p = eq.p0(s, phi)
+            return eq.q0(s, phi) / p, eq.r0(s, phi) * phi, p
+        return c[1] / c[0], c[2] * phi, c[0]
 
     return coefficients
 

@@ -176,6 +176,27 @@ def at(value):
 W_INVERSE = _Product(1.0, g="w^b", b=-1.0)  # ZeroDivisionError at w = 0
 W_ROOT = _Product(1.0, g="w^b", b=0.5)  # complex at w < 0
 
+#: The (p0, q0, r0) products, at w in (0.0, 0.5, -0.5) and t = 1.0, of the
+#: points that the evaluators compiled from closed forms must hand back to
+#: the wrapped fields.
+ODD_SAMPLES = {
+    "zero_division": (at(2.0), at(1.0), W_INVERSE),
+    "overflow": (at(2.0), _Product(1.0, tau=lambda t: math.exp(1e3 * t)), at(1.0)),
+    "nan": (at(2.0), at(math.nan), at(1.0)),
+    "inf": (at(2.0), at(1.0), at(math.inf)),
+    "minus_inf": (at(2.0), at(-math.inf), at(1.0)),
+    "ints": (at(3), at(2 ** 53 + 1), at(1.0)),  # converted as float() does
+    "huge_int": (at(2.0), at(10 ** 400), at(1.0)),  # an int past the float range
+    "bool": (at(True), at(1.0), at(1.0)),
+    "complex": (at(2.0), at(1.0), W_ROOT),  # complex at w < 0
+    "p0_zero": (at(0.0), at(1.0), at(1.0)),
+    "p0_minus_zero": (at(-0.0), at(1.0), at(1.0)),
+    "p0_negative_first": (at(-1.0), W_INVERSE, at(1.0)),  # p0 <= 0 is found before q0 raises
+    "p0_negative_before_key_error": (at(-1.0), at(1.0), _Product(1.0, tau=lambda t: {}[t])),  # ... and before r0 raises a KeyError
+    "p0_inf": (at(math.inf), at(1.0), at(1.0)),  # v / p would be 0.0
+    "sum_overflows": (at(1e308), at(1e308), at(1e308)),  # the sum overflows, each sample is finite
+}
+
 
 class TestSystemRhs:
     def test_components_match_hand_values(self):
@@ -215,43 +236,7 @@ class TestSystemRhs:
         """Closed forms of one product each, named p, q and r."""
         return EquationSpec(p0=_closed_form_field([p], "p"), q0=_closed_form_field([q], "q"), r0=_closed_form_field([r], "r"), t0=0.0)
 
-    @pytest.mark.parametrize(
-        "p, q, r",
-        [
-            (at(2.0), at(1.0), W_INVERSE),  # ZeroDivisionError at w = 0
-            (at(2.0), _Product(1.0, tau=lambda t: math.exp(1e3 * t)), at(1.0)),  # OverflowError
-            (at(2.0), at(math.nan), at(1.0)),
-            (at(2.0), at(1.0), at(math.inf)),
-            (at(2.0), at(-math.inf), at(1.0)),
-            (at(3), at(2 ** 53 + 1), at(1.0)),  # ints, converted as float() does
-            (at(2.0), at(10 ** 400), at(1.0)),  # an int past the float range
-            (at(True), at(1.0), at(1.0)),
-            (at(2.0), at(1.0), W_ROOT),  # complex at w < 0
-            (at(0.0), at(1.0), at(1.0)),
-            (at(-0.0), at(1.0), at(1.0)),
-            (at(-1.0), W_INVERSE, at(1.0)),  # p0 <= 0 is found before q0 raises
-            (at(-1.0), at(1.0), _Product(1.0, tau=lambda t: {}[t])),  # ... and before r0 raises a KeyError
-            (at(math.inf), at(1.0), at(1.0)),  # v / p would be 0.0
-            (at(1e308), at(1e308), at(1e308)),  # the sum overflows, each sample is finite
-        ],
-        ids=[
-            "zero_division",
-            "overflow",
-            "nan",
-            "inf",
-            "minus_inf",
-            "ints",
-            "huge_int",
-            "bool",
-            "complex",
-            "p0_zero",
-            "p0_minus_zero",
-            "p0_negative_first",
-            "p0_negative_before_key_error",
-            "p0_inf",
-            "sum_overflows",
-        ],
-    )
+    @pytest.mark.parametrize("p, q, r", ODD_SAMPLES.values(), ids=ODD_SAMPLES)
     def test_odd_samples_match_the_wrapped_rhs(self, p, q, r):
         row, wrapped = self.row_and_wrapped(self.point_eq(p, q, r))
         assert (row.__name__, wrapped.__name__) == ("rhs", "f")

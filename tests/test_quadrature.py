@@ -13,6 +13,7 @@ from rcert import (
     CumulativeIntegral,
     DomainError,
     FBound,
+    GBound,
     NegativeIntegrandError,
     NonPositiveWeightError,
     QuadratureBudgetError,
@@ -136,6 +137,25 @@ def test_adaptive_quad_raises_at_the_first_non_finite_panel():
     with pytest.raises(QuadratureBudgetError):
         adaptive_quad(nan, 0.0, 1.0)
     assert len(calls) == 15
+
+
+#: Each entry point of the chain at a limit that is not finite, with an integrand finite everywhere.
+NON_FINITE_LIMITS = {
+    "adaptive_quad": lambda: adaptive_quad(ONE, 0.0, math.nan),
+    "adaptive_quad_from_minus_inf": lambda: adaptive_quad(ONE, -math.inf, 0.0),
+    "cumulative_integral": lambda: CumulativeIntegral(ONE, 0.0)(math.inf),
+    "i_plus": lambda: i_plus(ONE, ZERO, 0.0, math.inf),
+    "i_minus": lambda: i_minus(ONE, ONE, math.nan, 1.0),
+    "f_bound": lambda: FBound(BoundTriple(ONE, ZERO, ONE), 0.0, 1.0, 0.0)(math.nan),
+    "g_bound": lambda: GBound(BoundTriple(ONE, ZERO), ONE, 0.0, 1.0, 0.0)(math.nan),
+    "weighted_tail_integrand": lambda: weighted_tail_integrand(ONE, ONE, ONE, 0.0)(math.inf),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_LIMITS)
+def test_a_non_finite_limit_is_a_domain_error(case):
+    with pytest.raises(DomainError, match=r"integration limits .* do not bound a finite interval"):
+        NON_FINITE_LIMITS[case]()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

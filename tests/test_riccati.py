@@ -1,22 +1,32 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from rcert import (
     DomainError,
+    EquationSpec,
     GridSpec,
     InitialData,
     IntegrationOptions,
     Rectangle,
+    ScalarField,
+    Trajectory,
     auto_segments,
     cauchy_residual,
     difference_residual,
+    equation_from_json,
+    flux_residual,
     integrate,
     representation_residual,
     transform,
+    volterra_residual,
 )
+from rcert import riccati
 from rcert.applications import EFParams, ef_equation, kneser_majorant
+from rcert.fields import _closed_form_field
+from test_fields import ODD_SAMPLES, at
 
 SEG = (0.0, math.pi / 4)
 
@@ -157,3 +167,117 @@ class TestResidualConvergence:
 
     def test_kneser_solution_satisfies_cauchy_identity(self, kneser_path):
         assert cauchy_residual(kneser_path) <= 1e-6
+
+
+class _Captured(Exception):
+    pass
+
+
+class _Still:
+    """A trajectory stub held at one state: (phi, psi) = (w, 0.25) at every t in [0, 2]."""
+
+    t_start, t_end = 0.0, 2.0
+
+    def __init__(self, eq, w):
+        self.eq, self.w = eq, w
+
+    def state_at(self, t):
+        return self.w, 0.25
+
+    def phi_at(self, t):
+        return self.w
+
+
+class TestOnePassSampler:
+    """Each oracle samples a Kronrod node with one dense-output lookup and, when
+    p0, q0 and r0 are closed forms, one compiled call for the three."""
+
+    @staticmethod
+    def node_functions(monkeypatch, path, other):
+        """The node function of every oracle on ``path`` (paired with ``other`` in both difference orders)."""
+        captured = []
+
+        def capture(fn, *args, **kwargs):
+            captured.append(fn)
+            raise _Captured
+
+        monkeypatch.setattr(riccati, "weighted_chain", capture)
+        monkeypatch.setattr(riccati, "CumulativeIntegral", capture)
+        oracles = (
+            representation_residual,
+            cauchy_residual,
+            lambda p: flux_residual(p.traj),
+            lambda p: volterra_residual(p.traj),
+            lambda p: difference_residual(p, other, 0),
+            lambda p: difference_residual(other, p, 1),
+        )
+        for oracle in oracles:
+            with pytest.raises(_Captured):
+                oracle(path)
+        return captured
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            values = fn(1.0)
+        except Exception as exc:
+            return type(exc), str(exc), type(exc.__cause__)
+        return [v.hex() for v in (values if isinstance(values, tuple) else (values,))]
+
+    @pytest.mark.parametrize("p, q, r", ODD_SAMPLES.values(), ids=ODD_SAMPLES)
+    def test_odd_samples_match_the_wrapped_fields(self, monkeypatch, p, q, r):
+        closed = EquationSpec(p0=_closed_form_field([p], "p"), q0=_closed_form_field([q], "q"), r0=_closed_form_field([r], "r"), t0=0.0)
+        wrapped = EquationSpec(**{k: replace(getattr(closed, k), row_fn=None, products=None) for k in ("p0", "q0", "r0")}, t0=0.0)
+        plain = _Still(EquationSpec(*(_closed_form_field([at(1.0)]) for _ in range(3)), t0=0.0), 0.75)
+        other = riccati.RiccatiPath(plain, 0.0, 2.0, partial(riccati._ratio, plain))
+        for w in (0.0, 0.5, -0.5):
+            outcomes = []
+            for eq in (closed, wrapped):
+                traj = _Still(eq, w)
+                # The ratio transform builds, read from the node's own lookup, and a replaced one.
+                for y in (partial(riccati._ratio, traj), lambda t: 0.75):
+                    path = riccati.RiccatiPath(traj, 0.0, 2.0, y)
+                    outcomes.append([self.outcome(fn) for fn in self.node_functions(monkeypatch, path, other)])
+            assert outcomes[:2] == outcomes[2:], w
+
+    @staticmethod
+    def count_calls(monkeypatch, oracle, path):
+        """The oracle's value, and the dense-output lookups and field calls of each node it samples."""
+        lookups, field_calls, per_node = [], [], []
+        for name in ("phi_at", "psi_at", "state_at"):
+            method = getattr(Trajectory, name)
+            monkeypatch.setattr(Trajectory, name, lambda self, t, method=method: lookups.append(t) or method(self, t))
+        call = ScalarField.__call__
+        monkeypatch.setattr(ScalarField, "__call__", lambda self, t, w: field_calls.append(t) or call(self, t, w))
+        chain = riccati.weighted_chain
+
+        def counted(coefficients, base, **kwargs):
+            def node(s):
+                before = len(lookups), len(field_calls)
+                values = coefficients(s)
+                per_node.append((len(lookups) - before[0], len(field_calls) - before[1]))
+                return values
+
+            return chain(node, base, **kwargs)
+
+        monkeypatch.setattr(riccati, "weighted_chain", counted)
+        return oracle(path), set(per_node)
+
+    def test_cauchy_looks_up_each_node_once(self, monkeypatch, harmonic_path):
+        expected = cauchy_residual(harmonic_path)
+        # Opaque fields: one lookup and the three wrapped field calls per node.
+        assert self.count_calls(monkeypatch, cauchy_residual, harmonic_path) == (expected, {(1, 3)})
+
+    def test_closed_forms_are_sampled_in_one_compiled_call(self, monkeypatch):
+        doc = {"kind": "custom", "t0": 0.0}
+        doc.update((k, {"kind": "constant", "value": v}) for k, v in (("p0", 1.0), ("q0", 0.0), ("r0", 1.0)))
+        path = transform(integrate(equation_from_json(doc), InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=2.0)), SEG)
+        expected = cauchy_residual(path)
+        assert self.count_calls(monkeypatch, cauchy_residual, path) == (expected, {(1, 0)})
+
+    def test_a_replaced_ratio_is_sampled_through_itself(self, monkeypatch, harmonic_path):
+        shifted = replace(harmonic_path, y=lambda t: harmonic_path.y(t) + 0.1)
+        expected = cauchy_residual(shifted)
+        assert expected > 0.01
+        # The node's own lookup, then the replaced y's.
+        assert self.count_calls(monkeypatch, cauchy_residual, shifted) == (expected, {(2, 3)})
