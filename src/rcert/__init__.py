@@ -90,8 +90,6 @@ from .quadrature import (
     GBound,
     adaptive_quad,
     divergence_probe,
-    eval_F,
-    eval_G,
     i_minus,
     i_plus,
 )

@@ -192,16 +192,6 @@ class EFTransform:
             return ((rho - 1.0) * s) ** (1.0 / (rho - 1.0))
         return ((1.0 - rho) * s) ** (1.0 / (1.0 - rho))
 
-    def psi_of_phi(self, t: float, phi: float) -> float:
-        if self.branch == "rho>1":
-            return phi * self.s_of_t(t) / self._scale
-        return phi / self._scale
-
-    def phi_of_psi(self, s: float, psi: float) -> float:
-        if self.branch == "rho>1":
-            return self._scale * psi / s
-        return self._scale * psi
-
     def map_state(self, t: float, phi: float, dphi: float) -> tuple[float, float, float]:
         rho = self.params.rho
         s = self.s_of_t(t)

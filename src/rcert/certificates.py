@@ -55,6 +55,7 @@ from .quadrature import (
     CumulativeIntegral,
     FBound,
     GBound,
+    ORACLE_BUDGET,
     REL_TOL,
     TimeFunction,
     divergence_probe,
@@ -123,10 +124,6 @@ class Certificate:
     heuristic_flags: tuple[str, ...] = ()
     details: dict = dc_field(default_factory=dict)
     parts: list["Certificate"] = dc_field(default_factory=list)
-
-    @property
-    def verified(self) -> bool:
-        return self.status == VERIFIED
 
     def to_dict(self) -> dict:
         doc = {
@@ -713,7 +710,7 @@ def check_t3_5(
             return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=inconclusive, heuristic_flags=flags, details=details)
         return None
 
-    VQ = CumulativeIntegral(b.Q, eq.t0, abs_rate=1e-13, rel_tol=1e-11)
+    VQ = CumulativeIntegral(b.Q, eq.t0, *ORACLE_BUDGET)
 
     def reciprocal_tail(tau: float) -> float:
         p = b.P(tau)

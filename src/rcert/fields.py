@@ -421,13 +421,20 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
     return _compiled_triple(eq, "rhs(t, w, v)", "v / p, -r * w - q / p * v", "f(t, w, v)", {"f": f}) or f
 
 
-def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[float, float, float] | None]:
-    """(p0, q0, r0) at (t, w) in one call, or None where the caller must call the wrapped fields.
+def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[float, float, float]]:
+    """(p0, q0, r0) at (t, w) in one call: the wrapped fields' values, or what they raise.
 
-    Compiled on each call with the source and acceptance rule of :func:`system_rhs`, so the three
-    are the wrapped fields' values; None everywhere unless all three fields are closed forms.
+    Compiled on each call with the source and acceptance rule of :func:`system_rhs`.  Where
+    that rule fails, or a field is opaque, the wrapped fields are called in the rhs order
+    p0, r0, q0 (p0 <= 0 is no error here).
     """
-    return _compiled_triple(eq, "pqr(t, w)", "p, q, r", "None", {}) or (lambda t, w: None)
+    p0, q0, r0 = eq.p0, eq.q0, eq.r0
+
+    def f(t: float, w: float) -> tuple[float, float, float]:
+        p, r = p0(t, w), r0(t, w)
+        return p, q0(t, w), r
+
+    return _compiled_triple(eq, "pqr(t, w)", "p, q, r", "f(t, w)", {"f": f}) or f
 
 
 def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: str, env: dict) -> Callable | None:

@@ -69,8 +69,6 @@ __all__ = [
     "i_minus",
     "FBound",
     "GBound",
-    "eval_F",
-    "eval_G",
     "DivergenceVerdict",
     "divergence_probe",
     "weighted_tail_integrand",
@@ -377,15 +375,7 @@ def _positive(fn: TimeFunction, tau: float, label: str) -> float:
     return value
 
 
-def i_plus(
-    u: TimeFunction,
-    v: TimeFunction,
-    t1: float,
-    t: float,
-    *,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
-) -> float:
+def i_plus(u: TimeFunction, v: TimeFunction, t1: float, t: float) -> float:
     """Exponentially weighted reciprocal integral of a positive function u.
 
     Requires t >= t1 and u > 0 on [t1, t]; a non-positive u sample raises
@@ -397,7 +387,7 @@ def i_plus(
     if t == t1:
         return 0.0
     chain = CumulativeChain(
-        lambda s: (v(s), 0.0, _positive(u, s, "u")), (_K, _T1), t1, (MEMO_BUDGET, (abs_tol / (t - t1), rel_tol))
+        lambda s: (v(s), 0.0, _positive(u, s, "u")), (_K, _T1), t1, (MEMO_BUDGET, (ABS_TOL / (t - t1), REL_TOL))
     )
     return chain(t)[1]
 
@@ -429,15 +419,7 @@ def _anchored(
     return chain(t1)
 
 
-def i_minus(
-    v: TimeFunction,
-    x: TimeFunction,
-    t1: float,
-    t: float,
-    *,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
-) -> float:
+def i_minus(v: TimeFunction, x: TimeFunction, t1: float, t: float) -> float:
     """Weighted integral of x with the exponential weight anchored at t.
 
     The chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x runs backward from t, so
@@ -450,7 +432,7 @@ def i_minus(
         raise DomainError("i_minus needs t >= t1")
     if t == t1:
         return 0.0
-    return -_anchored(v, x, t1, t, adaptive_quad(v, t1, t), abs_tol, rel_tol)[1]
+    return -_anchored(v, x, t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
 
 
 class FBound:
@@ -546,35 +528,6 @@ class GBound:
         return abs(self.c1) * math.exp(self.exponent(t))
 
 
-def eval_F(
-    b: BoundTriple,
-    t1: float,
-    t: float,
-    c1: float,
-    c2: float,
-    *,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
-) -> float:
-    """One-shot evaluation of the F envelope at a single time."""
-    return FBound(b, t1, c1, c2, abs_tol=abs_tol, rel_tol=rel_tol)(t)
-
-
-def eval_G(
-    b: BoundTriple,
-    x: TimeFunction,
-    t1: float,
-    t: float,
-    c1: float,
-    c2: float,
-    *,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
-) -> float:
-    """One-shot evaluation of the G envelope at a single time."""
-    return GBound(b, x, t1, c1, c2, abs_tol=abs_tol, rel_tol=rel_tol)(t)
-
-
 # ---------------------------------------------------------------------------
 # Divergence probes
 # ---------------------------------------------------------------------------
@@ -595,7 +548,6 @@ class DivergenceVerdict:
     status: str
     horizons: tuple[tuple[float, float], ...]
     ratios: tuple[float, ...]
-    heuristic: bool = True
 
 
 #: The divergence probe integrates over the horizons T_k = start * _HORIZON_FACTOR**k,
@@ -617,6 +569,8 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     Increments over [T, 2T] that decay geometrically with ratio at most
     one half vote Converging; increments bounded away from geometric decay
     (ratio >= ``_DIV_RATIO``) vote Diverging; anything else is Inconclusive.
+    A tail at or below 1e-15 of the largest increment is Converging, so the
+    verdict does not change when the integrand is scaled.
     The verdict is a numerical heuristic: no finite computation decides
     behaviour at infinity, and certificates must record it as heuristic.
     A non-finite ``t0`` raises :class:`DomainError`.
@@ -641,7 +595,7 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
         partial += inc
         pairs.append((ts[k + 1], partial))
 
-    floor = 1e-15 * max(1.0, max(increments, default=0.0))
+    floor = 1e-15 * max(increments, default=0.0)
     tail = increments[-min(_TAIL_WINDOW, len(increments)):]
     if max(tail, default=0.0) <= floor:
         return DivergenceVerdict(CONVERGING, tuple(pairs), ())

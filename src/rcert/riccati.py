@@ -16,7 +16,7 @@ Each quadrature node is sampled in one pass: one dense-output lookup gives
 (phi, psi) and y = psi / phi, unless the path's ``y`` is not the ratio
 :func:`transform` built (then ``y`` is called), and one compiled call gives
 closed-form p0, q0 and r0.  Where it cannot, the wrapped fields are called in
-the order the oracle's formula reaches them, so it raises what they raise.
+the rhs order p0, r0, q0, so it raises what they raise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 from .dynamics import Trajectory
 from .errors import DomainError
 from .fields import _coefficient_sampler
-from .quadrature import CumulativeIntegral, weighted_chain
+from .quadrature import ORACLE_BUDGET, CumulativeIntegral, weighted_chain
 
 __all__ = [
     "RiccatiPath",
@@ -140,7 +140,7 @@ def representation_residual(path: RiccatiPath) -> float:
         phi, psi = state_at(tau)
         return (psi / phi if ratio else y(tau)) / p0(tau, phi)
 
-    acc = CumulativeIntegral(integrand, path.a, abs_rate=1e-13, rel_tol=1e-11)
+    acc = CumulativeIntegral(integrand, path.a, *ORACLE_BUDGET)
     phi_a = traj.phi_at(path.a)
     worst = 0.0
     scale = 0.0
@@ -158,16 +158,13 @@ def cauchy_residual(path: RiccatiPath) -> float:
     for true solutions, so the normalized residual measures solver error.
     """
     traj = path.traj
-    eq = traj.eq
-    state_at, y, ratio, pqr = traj.state_at, path.y, _own_ratio(path), _coefficient_sampler(eq)
+    state_at, y, ratio, pqr = traj.state_at, path.y, _own_ratio(path), _coefficient_sampler(traj.eq)
 
     def coefficients(s: float) -> tuple[float, float]:
         phi, psi = state_at(s)
         ys = psi / phi if ratio else y(s)
-        c = pqr(s, phi)
-        if c is None:
-            return (ys + eq.q0(s, phi)) / eq.p0(s, phi), eq.r0(s, phi)
-        return (ys + c[1]) / c[0], c[2]
+        p, q, r = pqr(s, phi)
+        return (ys + q) / p, r
 
     return _transfer_residual(weighted_chain(coefficients, path.a), path.y(path.a), path.y, path.mesh)
 
@@ -187,24 +184,18 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
     if not a < b:
         raise DomainError("paths do not share a segment")
 
-    eq0, eq1 = path0.traj.eq, path1.traj.eq
     at0, at1, ratio0, ratio1 = path0.traj.state_at, path1.traj.state_at, _own_ratio(path0), _own_ratio(path1)
-    pqr0, pqr1 = _coefficient_sampler(eq0), _coefficient_sampler(eq1)
+    pqr0, pqr1 = _coefficient_sampler(path0.traj.eq), _coefficient_sampler(path1.traj.eq)
 
     def coefficients(s: float) -> tuple[float, float]:
         phi0, psi0 = at0(s)
         phi1, psi1 = at1(s)
-        c0, c1 = pqr0(s, phi0), pqr1(s, phi1)
-        wrapped = c0 is None or c1 is None  # r0 is then sampled last, as the bracket reaches it
-        if wrapped:
-            p0v, p1v, q0v, q1v = eq0.p0(s, phi0), eq1.p0(s, phi1), eq0.q0(s, phi0), eq1.q0(s, phi1)
-        else:
-            (p0v, q0v, r0v), (p1v, q1v, r1v) = c0, c1
+        (p0v, q0v, r0v), (p1v, q1v, r1v) = pqr0(s, phi0), pqr1(s, phi1)
         y0 = psi0 / phi0 if ratio0 else path0.y(s)
         y1 = psi1 / phi1 if ratio1 else path1.y(s)
         yv = y0 if j == 0 else y1
         kernel = (y0 + y1 + q1v) / p1v if j == 0 else (y0 + y1 + q0v) / p0v
-        bracket = (1.0 / p1v - 1.0 / p0v) * yv * yv + (q1v / p1v - q0v / p0v) * yv + (eq1.r0(s, phi1) if wrapped else r1v) - (eq0.r0(s, phi0) if wrapped else r0v)
+        bracket = (1.0 / p1v - 1.0 / p0v) * yv * yv + (q1v / p1v - q0v / p0v) * yv + r1v - r0v
         return kernel, bracket
 
     def gap(t: float) -> float:
@@ -215,43 +206,37 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
 
 def _weighted_coefficients(traj: Trajectory) -> Callable[[float], tuple[float, float, float]]:
     """(q0/p0, r0*phi, p0) along ``traj``: the K/W chain of the flux and Volterra identities."""
-    eq = traj.eq
-    phi_at, pqr = traj.phi_at, _coefficient_sampler(eq)
+    phi_at, pqr = traj.phi_at, _coefficient_sampler(traj.eq)
 
     def coefficients(s: float) -> tuple[float, float, float]:
         phi = phi_at(s)
-        c = pqr(s, phi)
-        if c is None:
-            p = eq.p0(s, phi)
-            return eq.q0(s, phi) / p, eq.r0(s, phi) * phi, p
-        return c[1] / c[0], c[2] * phi, c[0]
+        p, q, r = pqr(s, phi)
+        return q / p, r * phi, p
 
     return coefficients
 
 
-def flux_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
+def flux_residual(traj: Trajectory) -> float:
     """Deviation of psi from its exponential-weighted integral representation.
 
-    Normalized by max(|psi|, 1) over the window; small values certify that the
-    computed momentum actually satisfies the first-order balance the equation
-    implies.
+    Normalized by max(|psi|, 1) over the whole trajectory; small values certify
+    that the computed momentum actually satisfies the first-order balance the
+    equation implies.
     """
-    a = traj.t_start if a is None else a
-    b = traj.t_end if b is None else b
-    return _transfer_residual(weighted_chain(_weighted_coefficients(traj), a), traj.psi_at(a), traj.psi_at, _mesh(traj, a, b))
+    a = traj.t_start
+    return _transfer_residual(weighted_chain(_weighted_coefficients(traj), a), traj.psi_at(a), traj.psi_at, _mesh(traj, a, traj.t_end))
 
 
-def volterra_residual(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
-    """Deviation of phi from its double-integral representation, scaled by max(|phi|, 1)."""
-    a = traj.t_start if a is None else a
-    b = traj.t_end if b is None else b
+def volterra_residual(traj: Trajectory) -> float:
+    """Deviation of phi from its double-integral representation over the whole trajectory, scaled by max(|phi|, 1)."""
+    a = traj.t_start
     chain = weighted_chain(_weighted_coefficients(traj), a, lead=True)
     phi_a = traj.phi_at(a)
     psi_a = traj.psi_at(a)
 
     worst = 0.0
     scale = 1.0
-    for t in _mesh(traj, a, b):
+    for t in _mesh(traj, a, traj.t_end):
         _, _, T1, T2 = chain(t)
         phi = traj.phi_at(t)
         scale = max(scale, abs(phi))

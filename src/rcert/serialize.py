@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["format_float", "canonical_json", "write_json", "validate_certificate_dict"]
+__all__ = ["format_float", "canonical_json", "write_json"]
 
 
 def format_float(x: float) -> str:
@@ -68,42 +68,3 @@ def canonical_json(obj) -> str:
 def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(obj) + "\n")
-
-
-_CERT_REQUIRED = {
-    "theorem": str,
-    "status": str,
-    "hypotheses": list,
-    "region": dict,
-    "heuristic_flags": list,
-}
-_CERT_OPTIONAL = {
-    "conclusion": (str, type(None)),
-    "epsilon": (int, float, type(None)),
-    "witness": (dict, type(None)),
-    "reason": (str, type(None)),
-    "bound_samples": (list, type(None)),
-    "uniform_bound": (int, float, type(None)),
-    "details": dict,
-    "parts": list,
-}
-
-
-def validate_certificate_dict(doc: dict, path: str = "certificate") -> None:
-    """Raise ValueError when a serialized certificate misses its contract."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected an object")
-    for key, typ in _CERT_REQUIRED.items():
-        if key not in doc:
-            raise ValueError(f"{path}.{key}: missing")
-        if not isinstance(doc[key], typ):
-            raise ValueError(f"{path}.{key}: wrong type {type(doc[key]).__name__}")
-    if doc["status"] not in ("Verified", "Falsified", "Inconclusive"):
-        raise ValueError(f"{path}.status: unknown status {doc['status']!r}")
-    for key, typs in _CERT_OPTIONAL.items():
-        if key in doc and not isinstance(doc[key], typs):
-            raise ValueError(f"{path}.{key}: wrong type {type(doc[key]).__name__}")
-    if doc["status"] == "Falsified" and not doc.get("witness") and not doc.get("parts"):
-        raise ValueError(f"{path}: falsified certificates must carry a witness")
-    for i, part in enumerate(doc.get("parts", [])):
-        validate_certificate_dict(part, f"{path}.parts[{i}]")

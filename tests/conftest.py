@@ -69,3 +69,42 @@ def rk4_system(f, t0, y0, h, t_end, stop_norm=None):
         if not all(math.isfinite(v) for v in y):
             break
     return ts, ys
+
+
+_CERT_REQUIRED = {
+    "theorem": str,
+    "status": str,
+    "hypotheses": list,
+    "region": dict,
+    "heuristic_flags": list,
+}
+_CERT_OPTIONAL = {
+    "conclusion": (str, type(None)),
+    "epsilon": (int, float, type(None)),
+    "witness": (dict, type(None)),
+    "reason": (str, type(None)),
+    "bound_samples": (list, type(None)),
+    "uniform_bound": (int, float, type(None)),
+    "details": dict,
+    "parts": list,
+}
+
+
+def validate_certificate_dict(doc: dict, path: str = "certificate") -> None:
+    """Raise ValueError when a serialized certificate misses its contract."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object")
+    for key, typ in _CERT_REQUIRED.items():
+        if key not in doc:
+            raise ValueError(f"{path}.{key}: missing")
+        if not isinstance(doc[key], typ):
+            raise ValueError(f"{path}.{key}: wrong type {type(doc[key]).__name__}")
+    if doc["status"] not in ("Verified", "Falsified", "Inconclusive"):
+        raise ValueError(f"{path}.status: unknown status {doc['status']!r}")
+    for key, typs in _CERT_OPTIONAL.items():
+        if key in doc and not isinstance(doc[key], typs):
+            raise ValueError(f"{path}.{key}: wrong type {type(doc[key]).__name__}")
+    if doc["status"] == "Falsified" and not doc.get("witness") and not doc.get("parts"):
+        raise ValueError(f"{path}: falsified certificates must carry a witness")
+    for i, part in enumerate(doc.get("parts", [])):
+        validate_certificate_dict(part, f"{path}.parts[{i}]")

@@ -13,6 +13,8 @@ import pytest
 
 from rcert import (
     BoundTriple,
+    FBound,
+    GBound,
     GridSpec,
     InitialData,
     IntegrationOptions,
@@ -24,8 +26,6 @@ from rcert import (
     check_t3_6,
     classify,
     difference_residual,
-    eval_F,
-    eval_G,
     i_minus,
     i_plus,
     integrate,
@@ -68,12 +68,12 @@ def test_criterion_01_quadrature_closed_forms():
         (i_minus(ONE, ZERO, 0.0, 2.0), 0.0),
         (i_minus(ZERO, ONE, 0.0, 3.0), 3.0),
         (i_minus(ONE, ONE, 0.0, 1.0), 1.0 - math.exp(-1.0)),
-        (eval_F(b0, 0.0, 2.0, -3.0, 0.0), 3.0),
-        (eval_F(b0, 0.0, 1.0, 2.0, 1.0), 2.0 * math.e),
-        (eval_F(bR, 0.0, 1.0, 1.0, 0.0), math.exp(0.5)),
-        (eval_G(BoundTriple(P=ONE, Q=ZERO), ZERO, 0.0, 2.0, -7.0, 0.0), 7.0),
-        (eval_G(BoundTriple(P=ONE, Q=ZERO), ONE, 0.0, 2.0, 1.0, 0.0), math.exp(2.0)),
-        (eval_G(BoundTriple(P=lambda t: 2.0, Q=ZERO), ONE, 0.0, 2.0, 3.0, 2.0), 3.0 * math.exp(3.0)),
+        (FBound(b0, 0.0, -3.0, 0.0)(2.0), 3.0),
+        (FBound(b0, 0.0, 2.0, 1.0)(1.0), 2.0 * math.e),
+        (FBound(bR, 0.0, 1.0, 0.0)(1.0), math.exp(0.5)),
+        (GBound(BoundTriple(P=ONE, Q=ZERO), ZERO, 0.0, -7.0, 0.0)(2.0), 7.0),
+        (GBound(BoundTriple(P=ONE, Q=ZERO), ONE, 0.0, 1.0, 0.0)(2.0), math.exp(2.0)),
+        (GBound(BoundTriple(P=lambda t: 2.0, Q=ZERO), ONE, 0.0, 3.0, 2.0)(2.0), 3.0 * math.exp(3.0)),
     ]
     for got, expect in cases:
         assert got == pytest.approx(expect, rel=1e-8, abs=1e-10)
@@ -200,7 +200,7 @@ def test_criterion_06_transform_equivalence():
     worst = 0.0
     for t in np.linspace(1.0, 9.0, 200):
         s = tr.s_of_t(t)
-        worst = max(worst, abs(tr.phi_of_psi(s, mapped.phi_at(s)) - direct.phi_at(t)))
+        worst = max(worst, abs(tr.unmap_state(s, mapped.phi_at(s), 0.0)[1] - direct.phi_at(t)))
     assert worst <= 1e-5
     report(6, f"normal-form and direct solutions agree to {worst:.2e} (<= 1e-5); sigma1 = -4 exactly")
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from rcert import (
     DomainError,
     FALSIFIED,
+    FBound,
     FieldEvaluationError,
     InitialData,
     IntegrationOptions,
     VERIFIED,
-    eval_F,
     integrate,
 )
 from rcert.applications import (
@@ -95,7 +95,7 @@ class TestClosedFormCaps:
             cap = out.A if out.A is not None else out.B
             b = ef_bound_triple(params)
             for t in (1.0, 2.0, 5.0, 20.0, 80.0):
-                assert eval_F(b, 1.0, t, c1, 0.0) <= cap * (1.0 + 1e-9)
+                assert FBound(b, 1.0, c1, 0.0)(t) <= cap * (1.0 + 1e-9)
 
 
 class TestExplicitPowerSolution:
@@ -130,7 +130,7 @@ class TestNormalFormTransform:
         tr = ef_transform(EFParams(rho=0.0, sigma=-6.0, n=3.0))
         assert tr.sigma1 == -6.0
         assert tr.s_of_t(2.5) == 2.5
-        assert tr.psi_of_phi(2.5, 1.25) == 1.25
+        assert tr.map_state(2.5, 1.25, 0.0)[1] == 1.25
 
     def test_rho_one_rejected(self):
         with pytest.raises(DomainError):
@@ -147,7 +147,7 @@ class TestNormalFormTransform:
         worst = 0.0
         for t in np.linspace(1.0, 9.0, 100):
             s = tr.s_of_t(t)
-            worst = max(worst, abs(tr.phi_of_psi(s, mapped.phi_at(s)) - direct.phi_at(t)))
+            worst = max(worst, abs(tr.unmap_state(s, mapped.phi_at(s), 0.0)[1] - direct.phi_at(t)))
         assert worst <= 1e-5
 
     @settings(max_examples=40, deadline=None, derandomize=True)

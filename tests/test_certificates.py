@@ -39,8 +39,7 @@ from rcert.applications import (
     vdp_family,
 )
 from rcert.classify import SINGULAR_SECOND_KIND
-from rcert.serialize import validate_certificate_dict
-from conftest import make_eq
+from conftest import make_eq, validate_certificate_dict
 
 INF_REGION = Rectangle(1.0, 50.0, -math.inf, math.inf)
 

@@ -10,7 +10,7 @@ import pytest
 import rcert.cli
 from rcert.cli import main
 from rcert.config import load_config
-from rcert.serialize import validate_certificate_dict
+from conftest import validate_certificate_dict
 
 EF_CONFIG = {
     "version": 1,
@@ -365,6 +365,30 @@ class TestTheoremRuns:
         (cert,) = json.loads((out / "report.json").read_text())["certificates"]
         assert (cert["status"], cert["witness"]) == (status, witness)
         validate_certificate_dict(cert)
+
+    def test_t3_5_does_not_depend_on_the_equation_scale(self, tmp_path):
+        # lambda = 1e16 t, mu = 1, nu = 1e16 is lambda = t, mu = 1e-16, nu = 1 times 1e16: int dt / (1e16 t)
+        # diverges, so both pass the reciprocal tail probe and fail only at the zero count.
+        witnesses = []
+        for scale in (1e16, 1.0):
+            doc = with_keys(
+                VDP_CONFIG,
+                region={"t": [1.0, 21.0], "w": [-8.0, 8.0]},
+                grid={"nt": 33, "nw": 33},
+                options={"eps0": 1.0, "osc_horizon": 50.0, "osc_min_zeros": 5},
+            )
+            doc["equation"] = {
+                "kind": "van_der_pol",
+                "lambda": {"kind": "power", "coeff": scale, "power": 1.0},
+                "mu": {"kind": "constant", "value": scale * 1e-16},
+                "nu": {"kind": "constant", "value": scale},
+                "t0": 1.0,
+            }
+            out = tmp_path / str(scale)
+            assert run_cli(["certify", "t3_5", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+            (cert,) = json.loads((out / "report.json").read_text())["certificates"]
+            witnesses.append((cert["status"], cert["witness"]["detail"]))
+        assert witnesses == [("Falsified", "comparison equation at eps=1.0 produced 4 zero(s) < 5 on horizon 50.0")] * 2
 
     @pytest.mark.parametrize("args", [["certify", "t3_3"], ["emden"]], ids=["t3_3", "emden"])
     def test_kneser_self_comparison_not_falsified(self, tmp_path, args):

@@ -158,6 +158,17 @@ class TestFiniteEscape:
         traj = integrate(constant_eq, InitialData(0.0, 1.0, 1e9), IntegrationOptions(horizon=10.0))
         assert traj.terminal.kind == REACHED_HORIZON
 
+    @pytest.mark.xfail(strict=True, reason="stage times quantized to the ulp of t saturate the error estimate (ROADMAP item 2(b))")
+    def test_pole_at_one_is_a_finite_escape(self):
+        # phi = 1/(1 - t) - k solves phi'' = 2 phi'/(1 - t) from (0, 1 - k, 1) and escapes at T* = 1.
+        # Each run ends step_collapse at 1 - t ~ 1.06e-4, its norm 8.7-9.0e7 below escape_threshold 1e8.
+        eq = make_eq(q_fn=lambda t, w: -2.0 / (1.0 - t))
+        outcomes = []
+        for k in (0.0, 12000.0, 15000.0, 25000.0):
+            term = integrate(eq, InitialData(0.0, 1.0 - k, 1.0), IntegrationOptions(horizon=2.0)).terminal
+            outcomes.append((term.kind, term.bracket is not None and term.time < 1.0 < term.time + term.bracket))
+        assert outcomes == [(FINITE_ESCAPE, True)] * 4
+
     def test_gaussian_growth_not_flagged(self):
         # phi = e^{t^2} solves phi'' = (4t^2 + 2) phi: its crossing times of the
         # doubling norm levels approach no limit, so it is never an escape.

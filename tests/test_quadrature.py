@@ -20,8 +20,6 @@ from rcert import (
     RangeOverflowError,
     adaptive_quad,
     divergence_probe,
-    eval_F,
-    eval_G,
     i_minus,
     i_plus,
 )
@@ -185,54 +183,54 @@ def test_i_minus_split_additivity(m):
 class TestEvalF:
     def test_zero_exponent_returns_abs_c1(self):
         b = BoundTriple(P=ONE, Q=ZERO, R=ZERO)
-        assert eval_F(b, 0.0, 2.0, -3.0, 0.0) == pytest.approx(3.0, rel=1e-10)
+        assert FBound(b, 0.0, -3.0, 0.0)(2.0) == pytest.approx(3.0, rel=1e-10)
 
     def test_at_base_point_exact(self):
         b = BoundTriple(P=ONE, Q=ZERO, R=ZERO)
-        assert eval_F(b, 0.5, 0.5, -7.25, 4.0) == 7.25
+        assert FBound(b, 0.5, -7.25, 4.0)(0.5) == 7.25
 
     def test_unit_exponent(self):
         b = BoundTriple(P=ONE, Q=ZERO, R=ZERO)
-        assert eval_F(b, 0.0, 1.0, 2.0, 1.0) == pytest.approx(2.0 * math.e, rel=1e-10)
+        assert FBound(b, 0.0, 2.0, 1.0)(1.0) == pytest.approx(2.0 * math.e, rel=1e-10)
 
     def test_negative_r_contributes(self):
         b = BoundTriple(P=ONE, Q=ZERO, R=lambda t: -1.0)
-        assert eval_F(b, 0.0, 1.0, 1.0, 0.0) == pytest.approx(math.exp(0.5), rel=1e-10)
+        assert FBound(b, 0.0, 1.0, 0.0)(1.0) == pytest.approx(math.exp(0.5), rel=1e-10)
 
     def test_monotone_in_t_for_nonpositive_r(self):
         b = BoundTriple(P=lambda t: 1.0 + t, Q=ZERO, R=lambda t: -math.exp(-t))
-        values = [eval_F(b, 0.0, t, 1.0, 0.5) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        values = [FBound(b, 0.0, 1.0, 0.5)(t) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a <= b_ + 1e-12 for a, b_ in zip(values, values[1:]))
 
     def test_tolerance_halving_is_stable(self):
         b = BoundTriple(P=lambda t: 1.0 + t * t, Q=math.sin, R=lambda t: -1.0 / (1.0 + t))
-        coarse = eval_F(b, 0.0, 3.0, 1.0, 1.0, rel_tol=1e-8)
-        fine = eval_F(b, 0.0, 3.0, 1.0, 1.0, rel_tol=5e-9)
+        coarse = FBound(b, 0.0, 1.0, 1.0, rel_tol=1e-8)(3.0)
+        fine = FBound(b, 0.0, 1.0, 1.0, rel_tol=5e-9)(3.0)
         assert abs(coarse - fine) <= 1e-8 * abs(fine) + 1e-12
 
     def test_overflow_raises_range_error(self):
         b = BoundTriple(P=ONE, Q=ZERO, R=lambda t: -1e6)
         with pytest.raises(RangeOverflowError):
-            eval_F(b, 0.0, 10.0, 1.0, 0.0)
+            FBound(b, 0.0, 1.0, 0.0)(10.0)
 
     def test_zero_c1_rejected(self):
         b = BoundTriple(P=ONE, Q=ZERO, R=ZERO)
         with pytest.raises(Exception):
-            eval_F(b, 0.0, 1.0, 0.0, 0.0)
+            FBound(b, 0.0, 0.0, 0.0)(1.0)
 
 
 class TestEvalG:
     def test_zero_exponent(self):
         b = BoundTriple(P=ONE, Q=ZERO)
-        assert eval_G(b, ZERO, 0.0, 5.0, -4.0, 0.0) == pytest.approx(4.0, rel=1e-10)
+        assert GBound(b, ZERO, 0.0, -4.0, 0.0)(5.0) == pytest.approx(4.0, rel=1e-10)
 
     def test_running_integral(self):
         b = BoundTriple(P=ONE, Q=ZERO)
-        assert eval_G(b, ONE, 0.0, 2.0, 1.0, 0.0) == pytest.approx(math.exp(2.0), rel=1e-10)
+        assert GBound(b, ONE, 0.0, 1.0, 0.0)(2.0) == pytest.approx(math.exp(2.0), rel=1e-10)
 
     def test_combined_exponent(self):
         b = BoundTriple(P=lambda t: 2.0, Q=ZERO)
-        assert eval_G(b, ONE, 0.0, 2.0, 3.0, 2.0) == pytest.approx(3.0 * math.exp(3.0), rel=1e-10)
+        assert GBound(b, ONE, 0.0, 3.0, 2.0)(2.0) == pytest.approx(3.0 * math.exp(3.0), rel=1e-10)
 
 
 class TestCumulativeIntegral:
@@ -400,6 +398,17 @@ class TestDivergenceProbe:
 
     def test_inverse_square_converges(self):
         verdict = divergence_probe(lambda t: 1.0 / (t * t), 1.0)
+        assert verdict.status == CONVERGING
+        assert all(r == pytest.approx(0.5, rel=1e-5) for r in verdict.ratios)
+
+    # The zero floor is relative to the largest increment: scaling the integrand keeps the verdict.
+    @pytest.mark.parametrize("c", [1e-16, 1e-300])
+    def test_a_scaled_harmonic_tail_diverges(self, c):
+        assert divergence_probe(lambda t: c / t, 1.0).status == DIVERGING
+
+    @pytest.mark.parametrize("c", [1e-16, 1e-300])
+    def test_a_scaled_inverse_square_converges(self, c):
+        verdict = divergence_probe(lambda t: c / (t * t), 1.0)
         assert verdict.status == CONVERGING
         assert all(r == pytest.approx(0.5, rel=1e-5) for r in verdict.ratios)
 

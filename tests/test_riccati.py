@@ -7,6 +7,7 @@ import pytest
 from rcert import (
     DomainError,
     EquationSpec,
+    FieldEvaluationError,
     GridSpec,
     InitialData,
     IntegrationOptions,
@@ -239,6 +240,18 @@ class TestOnePassSampler:
                     path = riccati.RiccatiPath(traj, 0.0, 2.0, y)
                     outcomes.append([self.outcome(fn) for fn in self.node_functions(monkeypatch, path, other)])
             assert outcomes[:2] == outcomes[2:], w
+
+    def test_r0_is_sampled_before_q0(self, monkeypatch):
+        # q0 and r0 both raise: every oracle that samples them raises r0's error, as the rhs does.
+        closed = EquationSpec(p0=_closed_form_field([at(2.0)], "p"), q0=_closed_form_field([at(math.inf)], "q"), r0=_closed_form_field([at(math.nan)], "r"), t0=0.0)
+        wrapped = EquationSpec(**{k: replace(getattr(closed, k), row_fn=None, products=None) for k in ("p0", "q0", "r0")}, t0=0.0)
+        r0_error = self.outcome(lambda s: closed.r0(s, 0.5))
+        assert r0_error[0] is FieldEvaluationError and r0_error != self.outcome(lambda s: closed.q0(s, 0.5))
+        for eq in (closed, wrapped):
+            traj = _Still(eq, 0.5)
+            path = riccati.RiccatiPath(traj, 0.0, 2.0, partial(riccati._ratio, traj))
+            # Every node function but the representation's, which samples p0 alone.
+            assert [self.outcome(fn) for fn in self.node_functions(monkeypatch, path, path)[1:]] == [r0_error] * 5
 
     @staticmethod
     def count_calls(monkeypatch, oracle, path):
