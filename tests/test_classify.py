@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from rcert import (
@@ -12,6 +15,7 @@ from rcert.classify import (
     GLOBAL_MONOTONE_NONVANISHING,
     GLOBAL_NON_OSCILLATORY,
     OSCILLATORY,
+    SINGULAR_FIRST_KIND_CANDIDATE,
     SINGULAR_SECOND_KIND,
     UNDETERMINED,
 )
@@ -138,3 +142,26 @@ class TestThresholds:
         # a finite escape needs accumulating sign changes to be called singular
         assert (c.kind, c.zero_count, c.zero_gap_ratios) == (UNDETERMINED, 0, ())
         assert c.detail == "finite escape without accumulating sign changes"
+
+
+class TestDeadBand:
+    """|phi|, |phi'| <= 10 * zero_tol (1e-8 by default) held over the last 5% of the span: a first-kind candidate."""
+
+    def test_flat_start_is_a_candidate_from_t0(self, constant_eq):
+        c = classify(integrate(constant_eq, InitialData(0.0, 5e-9, 0.0), IntegrationOptions(horizon=10.0)))
+        assert (c.kind, c.zero_count, c.terminal) == (SINGULAR_FIRST_KIND_CANDIDATE, 0, "reached_horizon")
+        assert c.detail == "phi and phi' inside the dead band from t=0.0; candidate only"
+
+    def test_decay_into_the_band_is_a_candidate_from_its_entry(self):
+        # phi = 5e-9 + 1e-3 e^-t: |phi'| <= 1e-8 from ln(1e5) ~ 11.51, |phi| <= 1e-8 from ln(2e5) ~ 12.21.
+        eq = make_eq(q=1.0)
+        c = classify(integrate(eq, InitialData(0.0, 1e-3 + 5e-9, -1e-3), IntegrationOptions(horizon=20.0)))
+        assert c.kind == SINGULAR_FIRST_KIND_CANDIDATE
+        entry = float(re.fullmatch(r"phi and phi' inside the dead band from t=(.*); candidate only", c.detail).group(1))
+        assert math.log(2e5) <= entry < 12.3
+
+    def test_entry_in_the_last_five_percent_is_not_a_candidate(self):
+        # The same decay to horizon 12.7: it stays in the band for 0.45 < 0.05 * 12.7 of the span.
+        eq = make_eq(q=1.0)
+        c = classify(integrate(eq, InitialData(0.0, 1e-3 + 5e-9, -1e-3), IntegrationOptions(horizon=12.7)))
+        assert (c.kind, c.zero_count, c.detail) == (GLOBAL_NON_OSCILLATORY, 0, "")

@@ -127,6 +127,38 @@ class TestCertifyCommand:
         assert [p["status"] for p in cert["parts"]] == ["Verified", "Verified"]
         validate_certificate_dict(cert)
 
+    def test_aggregate_with_an_inconclusive_part_is_inconclusive(self, tmp_path):
+        # On w in [2, 8] T3_6 holds, but T3_5's unit band |w| <= 1 holds no grid point.
+        doc = with_keys(
+            VDP_CONFIG,
+            region={"t": [0.0, 20.0], "w": [2.0, 8.0]},
+            options={"eps0": 1.0, "osc_horizon": 50.0, "osc_min_zeros": 5},
+        )
+        code = run_cli(["certify", "t4_2", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert code == 2
+        (cert,) = json.loads((tmp_path / "out" / "report.json").read_text())["certificates"]
+        assert (cert["status"], cert["reason"], cert["conclusion"]) == ("Inconclusive", "a component certificate is inconclusive", None)
+        assert [p["status"] for p in cert["parts"]] == ["Verified", "Inconclusive"]
+        assert "coverage" not in cert["region"]
+        assert cert["details"] == {"existence_status": "Verified", "oscillation_status": "Inconclusive"}
+        validate_certificate_dict(cert)
+
+    @pytest.mark.parametrize("phi1, nonvanishing", [(0.2, True), (0.0, None)])
+    def test_verified_t3_1_records_a_nonvanishing_derivative(self, tmp_path, phi1, nonvanishing):
+        doc = with_keys(
+            EF_CONFIG,
+            initial={"t1": 1.0, "phi0": 0.5, "phi1": phi1},
+            region={"t": [1.0, 30.0]},
+            grid={"nt": 65, "nw": 65},
+        )
+        code = run_cli(["certify", "t3_1", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert code == 0
+        (cert,) = json.loads((tmp_path / "out" / "report.json").read_text())["certificates"]
+        assert (cert["status"], cert["region"]["coverage"]) == ("Verified", "rows")
+        assert cert["details"].get("derivative_nonvanishing") is nonvanishing
+        assert cert["details"]["c2"] == (0.4 if phi1 else 0.0)
+        validate_certificate_dict(cert)
+
 
     def test_t4_2_builds_the_equation_once(self, tmp_path, monkeypatch):
         # the config builds the Van der Pol equation; certify t4_2 must not build it again
