@@ -52,9 +52,9 @@ class RunOptions(IntegrationOptions):
 
 # Options that must be positive, options that must not be negative, and the
 # smallest value of integer options that have one.
-_POSITIVE_OPTIONS = ("rel_tol", "abs_tol", "escape_threshold", "min_step", "quad_abs_tol", "quad_rel_tol")
+_POSITIVE_OPTIONS = ("rel_tol", "abs_tol", "escape_threshold", "min_step", "eps0", "osc_horizon", "stability_eps", "quad_abs_tol", "quad_rel_tol")
 _NONNEGATIVE_OPTIONS = ("epsilon", "zero_tol")
-_MIN_INT_OPTIONS = {"seed": 0, "max_zeros": 1, "osc_min_zeros": 1}
+_MIN_INT_OPTIONS = {"seed": 0, "max_zeros": 1, "osc_min_zeros": 1, "n_random_ics": 0, "n_stability_ics": 0}
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,14 @@ VDP = {
     "options": {"horizon": 10.0, "n_random_ics": 1},
 }
 
+# rho > 1 and sigma < -1: emden runs the conditional stability experiment.
+STABLE_EF = {
+    "version": 1,
+    "equation": {"kind": "emden_fowler", "rho": 4.0, "sigma": -3.0, "n": 3.0, "variant": "absolute", "t0": 1.0},
+    "initial": {"t1": 1.0, "phi0": 0.1, "phi1": 0.0},
+    "options": {"horizon": 20.0},
+}
+
 CUSTOM = {
     "version": 1,
     "equation": {
@@ -214,6 +222,12 @@ CASES = [
         {"options": {"osc_min_zeros": 0, "osc_horizon": 0.5}},
         "options.osc_min_zeros: expected an integer >= 1, got 0",
     ),
+    # Run options without a range: each ran to a late error after the scans, or to an empty batch.
+    ("osc_horizon_negative", ["certify", "t4_2"], VDP, {"options.osc_horizon": -5.0}, "options.osc_horizon: expected a positive number, got -5.0"),
+    ("eps0_negative", ["certify", "t3_5"], VDP, {"options.eps0": -1.0}, "options.eps0: expected a positive number, got -1.0"),
+    ("stability_eps_negative", ["emden"], STABLE_EF, {"options.stability_eps": -1.0}, "options.stability_eps: expected a positive number, got -1.0"),
+    ("n_random_ics_negative", ["vdp"], VDP, {"options.n_random_ics": -3}, "options.n_random_ics: expected an integer >= 0, got -3"),
+    ("n_stability_ics_negative", ["emden"], STABLE_EF, {"options.n_stability_ics": -2}, "options.n_stability_ics: expected an integer >= 0, got -2"),
 ]
 
 
