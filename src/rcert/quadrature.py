@@ -569,8 +569,10 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     Increments over [T, 2T] that decay geometrically with ratio at most
     one half vote Converging; increments bounded away from geometric decay
     (ratio >= ``_DIV_RATIO``) vote Diverging; anything else is Inconclusive.
-    A tail at or below 1e-15 of the largest increment is Converging, so the
-    verdict does not change when the integrand is scaled.
+    A tail at or below 1e-15 of the largest increment is Converging, and a
+    sample below -1e-12 times the largest |sample| raises
+    :class:`NegativeIntegrandError` once every horizon is integrated, so
+    neither rule changes when the integrand is scaled.
     The verdict is a numerical heuristic: no finite computation decides
     behaviour at infinity, and certificates must record it as heuristic.
     A non-finite ``t0`` raises :class:`DomainError`.
@@ -578,10 +580,15 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     if not math.isfinite(t0):
         raise DomainError(f"divergence_probe needs a finite t0, got {t0!r}")
 
+    size = least = 0.0  # the largest |sample|, and the least sample at ``at``
+    at = None
+
     def checked(tau: float) -> float:
+        nonlocal size, least, at
         v = integrand(tau)
-        if v < -1e-12:
-            raise NegativeIntegrandError(f"integrand({tau!r}) = {v!r} < 0")
+        size = max(size, abs(v))
+        if v < least:
+            least, at = v, tau
         return v
 
     start = t0 if t0 > 0 else 1.0
@@ -594,6 +601,8 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
         increments.append(inc)
         partial += inc
         pairs.append((ts[k + 1], partial))
+    if least < -1e-12 * size:
+        raise NegativeIntegrandError(f"integrand({at!r}) = {least!r} < 0")
 
     floor = 1e-15 * max(increments, default=0.0)
     tail = increments[-min(_TAIL_WINDOW, len(increments)):]

@@ -416,6 +416,18 @@ class TestDivergenceProbe:
         with pytest.raises(NegativeIntegrandError):
             divergence_probe(lambda t: -1.0, 1.0)
 
+    # The sign check is relative to the largest |sample|: a negative integrand is rejected at every scale,
+    # and round-off below 1e-12 of the integrand's size is let through at every scale.
+    @pytest.mark.parametrize("c", [1.0, 1e-13, 1e-300])
+    @pytest.mark.parametrize("shape", [lambda t: 1.0, lambda t: 1.0 / t], ids=["constant", "harmonic"])
+    def test_a_negative_integrand_is_rejected_at_every_scale(self, shape, c):
+        with pytest.raises(NegativeIntegrandError, match=r"^integrand\(.*\) = -.* < 0$"):
+            divergence_probe(lambda t: -c * shape(t), 1.0)
+
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    def test_a_slightly_negative_tail_is_accepted_at_every_scale(self, c):
+        assert divergence_probe(lambda t: c * (1.0 / (t * t) if t < 1e5 else -1e-13), 1.0).status == CONVERGING
+
     def test_horizons_strictly_increasing(self):
         verdict = divergence_probe(lambda t: 1.0 / t, 1.0)
         ts = [T for T, _ in verdict.horizons]
