@@ -22,14 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certificates import (
-    Certificate,
-    FALSIFIED,
-    INCONCLUSIVE,
-    VERIFIED,
-    check_t3_5,
-    check_t3_6,
-)
+from .certificates import FALSIFIED, INCONCLUSIVE, Certificate, _verdict, check_t3_5, check_t3_6
 from .dynamics import IntegrationOptions, Trajectory, integrate
 from .errors import DomainError
 from .fields import BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, _closed_form_field, _closed_form_time, _Product
@@ -383,30 +376,15 @@ def check_t4_2(
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
     existence = check_t3_6(eq, region=region, grid=grid)
     oscillation = _vdp_oscillation(eq, v, eps0=eps0, region=region, grid=grid, osc_horizon=osc_horizon, osc_min_zeros=osc_min_zeros)
-    if existence.status == VERIFIED and oscillation.status == VERIFIED:
-        status = VERIFIED
-        conclusion = "GLOBAL_AND_OSCILLATORY"
-        reason = None
-    elif FALSIFIED in (existence.status, oscillation.status):
-        status = FALSIFIED
-        conclusion = None
-        reason = None
-    else:
-        status = INCONCLUSIVE
-        conclusion = None
-        reason = "a component certificate is inconclusive"
-    region = {k: v for k, v in existence.region.items() if k != "coverage"}
-    if status == VERIFIED:
-        region["coverage"] = "rows" if existence.region["coverage"] == oscillation.region["coverage"] == "rows" else "grid"
-    return Certificate(
-        theorem="T4_2",
-        status=status,
-        hypotheses=("existence part", "oscillation part"),
-        region=region,
-        conclusion=conclusion,
-        reason=reason,
-        witness=oscillation.witness or existence.witness,
-        heuristic_flags=oscillation.heuristic_flags,
-        details={"existence_status": existence.status, "oscillation_status": oscillation.status},
-        parts=[existence, oscillation],
-    )
+    parts = [existence, oscillation]
+    statuses = [p.status for p in parts]
+    outcome = None
+    if FALSIFIED in statuses:
+        outcome = oscillation.witness or existence.witness
+    elif INCONCLUSIVE in statuses:
+        outcome = "a component certificate is inconclusive"
+    covered = all(p.region.get("coverage") == "rows" for p in parts)
+    rec = {k: v for k, v in existence.region.items() if k != "coverage"}
+    details = {"existence_status": existence.status, "oscillation_status": oscillation.status}
+    common = {"heuristic_flags": oscillation.heuristic_flags, "details": details, "parts": parts}
+    return _verdict("T4_2", ("existence part", "oscillation part"), rec, outcome, covered, common, conclusion="GLOBAL_AND_OSCILLATORY")

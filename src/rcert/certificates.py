@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import compress, count, repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -105,7 +105,7 @@ class Witness:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"hypothesis": self.hypothesis, "t": self.t, "w": self.w, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -162,9 +162,18 @@ def _region_record(ts, w_lo, w_hi, nw: int, sampled: tuple[float, float] | None)
     return rec
 
 
-def _covered(rec: dict, covered: bool) -> dict:
-    """A Verified region record: "rows" when every row was cleared at every float w, "grid" when at its points."""
-    return {**rec, "coverage": "rows" if covered else "grid"}
+def _verdict(theorem, hypotheses, rec: dict, outcome, covered: bool, common: dict, **verified) -> Certificate:
+    """The certificate of a scan outcome: a :class:`Witness` is Falsified, a reason Inconclusive.
+
+    None is Verified, with ``verified`` and the region's coverage: "rows" when
+    every row was cleared at every float w, "grid" when at its points.
+    ``common`` goes into every certificate.
+    """
+    if isinstance(outcome, Witness):
+        return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=outcome, **common)
+    if outcome is not None:
+        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=outcome, **common)
+    return Certificate(theorem, VERIFIED, hypotheses, {**rec, "coverage": "rows" if covered else "grid"}, **common, **verified)
 
 
 def _ratio_precondition(ic: InitialData) -> str | None:
@@ -369,24 +378,11 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     rec = _region_record(ts, region.w_min, region.w_max, nw, sampled)
     if outcome is None and sampled is None:
         outcome = "no grid point sampled: the band |w| <= envelope + epsilon is empty on the region"
-    if isinstance(outcome, str):
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=outcome)
-    if outcome is not None:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, epsilon=eps, witness=outcome)
     details = {"c1": c1, "c2": c2}
     if ic.phi1 != 0.0:
         details["derivative_nonvanishing"] = True
-    return Certificate(
-        theorem,
-        VERIFIED,
-        hypotheses,
-        _covered(rec, covered),
-        conclusion=GLOBAL_MONOTONE,
-        epsilon=eps,
-        bound=envelope,
-        bound_samples=list(zip(ts, bound_vals)),
-        details=details,
-    )
+    verified = {"conclusion": GLOBAL_MONOTONE, "bound": envelope, "bound_samples": list(zip(ts, bound_vals)), "details": details}
+    return _verdict(theorem, hypotheses, rec, outcome, covered, {"epsilon": eps}, **verified)
 
 
 def check_t3_1(
@@ -557,18 +553,24 @@ def check_t3_3(
 
     fields = {**_eq_fields(eq0, *_PQR), "p1": eq1.p0, "q1": eq1.q0, "r1": eq1.r0, "q1/p1": _ratio("q1", "p1")}
     stages = [p_match, _even_monotone(hypotheses[2], "p0"), band]
-    witness, covered = _scan(_rows(ts, ws), fields, stages)
+    outcome, covered = _scan(_rows(ts, ws), fields, stages)
     rec = _region_record(ts, -W, W, nw, (-W, W))
-    if witness is not None:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
-    return Certificate(
-        theorem,
-        VERIFIED,
-        hypotheses,
-        _covered(rec, covered),
-        conclusion=GLOBAL_MONOTONE,
-        details={"y0": y0, "y1": y1, "majorant_span": [majorant.t_start, majorant.t_end]},
-    )
+    details = {"y0": y0, "y1": y1, "majorant_span": [majorant.t_start, majorant.t_end]}
+    return _verdict(theorem, hypotheses, rec, outcome, covered, {}, conclusion=GLOBAL_MONOTONE, details=details)
+
+
+def _fixed_axes(region: Rectangle, grid: GridSpec) -> tuple[list[float], list[float], dict]:
+    """The t and w axes of a scan over the whole region, and its region record."""
+    ts = grid.t_axis(region.t_min, region.t_max)
+    ws = grid.w_axis(region.w_min, region.w_max)
+    return ts, ws, _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
+
+
+def _fixed_axis_check(theorem, hypotheses, region, grid, fields, stages, conclusion) -> Certificate:
+    """T3_4 and T3_6: one scan of the region's (t, w) grid."""
+    ts, ws, rec = _fixed_axes(region, grid)
+    outcome, covered = _scan(_rows(ts, ws), fields, stages)
+    return _verdict(theorem, hypotheses, rec, outcome, covered, {}, conclusion=conclusion)
 
 
 def check_t3_4(
@@ -585,21 +587,14 @@ def check_t3_4(
     whose integration actually ends in finite escape.
     """
     hypotheses = ("p0 >= P", "q0/p0 >= Q", "r0 >= 0")
-    theorem = "T3_4"
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 50.0, -10.0, 10.0)
-    ts = grid.t_axis(region.t_min, region.t_max)
-    ws = grid.w_axis(region.w_min, region.w_max)
     points = _points(
         _Check("p0 >= P", "p0", "<", b.P, "P"),
         _Check("q0/p0 >= Q", "q0/p0", "<", b.Q, "Q"),
         _Check("r0 >= 0", "r0", "<", 0.0, "0"),
     )
-    witness, covered = _scan(_rows(ts, ws), _eq_fields(eq, *_PQR), [points])
-    rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
-    if witness is not None:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
-    return Certificate(theorem, VERIFIED, hypotheses, _covered(rec, covered), conclusion=SINGULAR_SECOND_KIND_IF_NONEXTENDABLE)
+    return _fixed_axis_check("T3_4", hypotheses, region, grid, _eq_fields(eq, *_PQR), [points], SINGULAR_SECOND_KIND_IF_NONEXTENDABLE)
 
 
 def _family_checks(hypothesis: str, eps: float, p_e: TimeFunction, ratio: tuple, r_e: TimeFunction) -> list[_Check]:
@@ -656,14 +651,8 @@ def check_t3_5(
         raise DomainError("check_t3_5 needs eps0 > 0 and N > 0")
     eps_list = list(eps_samples) if eps_samples is not None else [eps0 * 0.5 ** k for k in range(5)]
     eps_tail = list(eps_tail_samples) if eps_tail_samples is not None else [N, 2.0 * N, 4.0 * N]
-    ts = grid.t_axis(region.t_min, region.t_max)
-    ws = grid.w_axis(region.w_min, region.w_max)
-    rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
+    ts, ws, rec = _fixed_axes(region, grid)
     details: dict = {"eps_samples": eps_list, "eps_tail_samples": eps_tail, "N": N, "eps0": eps0}
-    flags = ("comparison_oscillation_zero_count", "tail_divergence_probe")
-
-    def falsified(witness: Witness) -> Certificate:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness, heuristic_flags=flags, details=details)
 
     # Phase 1, the grid: one band scan per row, in order (hypothesis, lo <= |w| <= hi, fields, checks).
     pqr = _eq_fields(eq, *_PQR)
@@ -691,24 +680,21 @@ def check_t3_5(
         band = [w for w in ws if lo <= abs(w) <= hi]  # with lo > 0, two runs: ranges leave out the gap
         halves = ([w for w in band if w < 0.0], [w for w in band if w >= 0.0]) if lo > 0.0 else (band,)
         rows = _rows(ts, band, tuple((h[0], h[-1]) for h in halves if h))
-        witness, band_covered = _scan(rows, fields, [_points(*checks)], seen.get(hypothesis))
-        if witness is not None:
-            return falsified(witness)
+        outcome, band_covered = _scan(rows, fields, [_points(*checks)], seen.get(hypothesis))
+        if outcome is not None:
+            break
         covered = covered and band_covered
     unsampled = [h for h, (lo, hi) in seen.items() if lo > hi]
-    if unsampled:
-        reason = f"no grid point sampled for '{unsampled[0]}'"
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=reason, heuristic_flags=flags, details=details)
+    if outcome is None and unsampled:
+        outcome = f"no grid point sampled for '{unsampled[0]}'"
 
     # Phase 2, the heuristics: the tail probes, then the zero counts.
-    def probe(integrand, statuses: dict, key: str, hypothesis: str, converged: str, inconclusive: str) -> Certificate | None:
+    def probe(integrand, statuses: dict, key: str, hypothesis: str, converged: str, inconclusive: str):
         # A converging tail falsifies its hypothesis; only a diverging one lets the check go on.
         status = statuses[key] = divergence_probe(integrand, eq.t0).status
         if status == CONVERGING:
-            return falsified(Witness(hypothesis, eq.t0, None, converged))
-        if status != DIVERGING:
-            return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=inconclusive, heuristic_flags=flags, details=details)
-        return None
+            return Witness(hypothesis, eq.t0, None, converged)
+        return None if status == DIVERGING else inconclusive
 
     VQ = CumulativeIntegral(b.Q, eq.t0, *ORACLE_BUDGET)
 
@@ -718,36 +704,33 @@ def check_t3_5(
             raise DomainError(f"P({tau!r}) = {p!r} <= 0")
         return math.exp(-VQ(tau)) / p
 
-    converged, inconclusive = "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive"
-    outcome = probe(reciprocal_tail, details, "reciprocal_tail_status", capped, converged, inconclusive)
-    if outcome is not None:
-        return outcome
-    tail_status = details["double_tail_status"] = {}
-    for eps, (p_e, q_e, r_e) in tail_family:
-        integrand = weighted_tail_integrand(b.P, q_e, r_e, eq.t0)
-        at = f" at eps={eps!r}"
-        converged, inconclusive = "double-integral tail probe converged" + at, "double tail probe inconclusive" + at
-        outcome = probe(integrand, tail_status, repr(eps), annulus, converged, inconclusive)
-        if outcome is not None:
-            return outcome
+    def heuristics():
+        converged, inconclusive = "reciprocal-weight tail probe converged", "reciprocal tail probe inconclusive"
+        found = probe(reciprocal_tail, details, "reciprocal_tail_status", capped, converged, inconclusive)
+        if found is not None:
+            return found
+        tail_status = details["double_tail_status"] = {}
+        for eps, (p_e, q_e, r_e) in tail_family:
+            integrand = weighted_tail_integrand(b.P, q_e, r_e, eq.t0)
+            at = f" at eps={eps!r}"
+            converged, inconclusive = "double-integral tail probe converged" + at, "double tail probe inconclusive" + at
+            found = probe(integrand, tail_status, repr(eps), annulus, converged, inconclusive)
+            if found is not None:
+                return found
 
-    # Oscillation of each sampled comparison equation, by zero counting.
-    zero_counts = details["comparison_zero_counts"] = {}
-    for eps, (p_e, q_e, r_e) in outer_family:
-        count = zero_counts[repr(eps)] = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon)
-        if count < osc_min_zeros:
-            detail = f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}"
-            return falsified(Witness(oscillate, eq.t0, None, detail))
+        # Oscillation of each sampled comparison equation, by zero counting.
+        zero_counts = details["comparison_zero_counts"] = {}
+        for eps, (p_e, q_e, r_e) in outer_family:
+            count = zero_counts[repr(eps)] = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon)
+            if count < osc_min_zeros:
+                detail = f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}"
+                return Witness(oscillate, eq.t0, None, detail)
+        return None
 
-    return Certificate(
-        theorem,
-        VERIFIED,
-        hypotheses,
-        _covered(rec, covered),
-        conclusion=OSC_OR_SINGULAR_FIRST_KIND,
-        heuristic_flags=flags,
-        details=details,
-    )
+    if outcome is None:
+        outcome = heuristics()
+    common = {"heuristic_flags": ("comparison_oscillation_zero_count", "tail_divergence_probe"), "details": details}
+    return _verdict(theorem, hypotheses, rec, outcome, covered, common, conclusion=OSC_OR_SINGULAR_FIRST_KIND)
 
 
 def _comparison_zero_count(
@@ -780,15 +763,8 @@ def check_t3_6(
     pair on the sampled region.
     """
     hypotheses = ("r0 >= 0", "p0, q0/p0, -r0 even-monotone in w")
-    theorem = "T3_6"
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 50.0, -10.0, 10.0)
-    ts = grid.t_axis(region.t_min, region.t_max)
-    ws = grid.w_axis(region.w_min, region.w_max)
     fields = {**_eq_fields(eq, *_PQR), "-r0": lambda t, ws, row: ([-v for v in row["r0"]], None)}
     stages = [_points(_Check("r0 >= 0", "r0", "<", 0.0, "0")), _even_monotone(hypotheses[1], "p0", "q0/p0", "-r0")]
-    witness, covered = _scan(_rows(ts, ws), fields, stages)
-    rec = _region_record(ts, region.w_min, region.w_max, len(ws), (ws[0], ws[-1]))
-    if witness is not None:
-        return Certificate(theorem, FALSIFIED, hypotheses, rec, witness=witness)
-    return Certificate(theorem, VERIFIED, hypotheses, _covered(rec, covered), conclusion=GLOBAL_FOR_ALL_IC)
+    return _fixed_axis_check("T3_6", hypotheses, region, grid, fields, stages, GLOBAL_FOR_ALL_IC)

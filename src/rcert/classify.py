@@ -12,7 +12,7 @@ flatlining, never a confirmed first-kind solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dynamics import (
     FINITE_ESCAPE,
@@ -73,15 +73,7 @@ class Classification:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "zero_count": self.zero_count,
-            "terminal": self.terminal,
-            "monotone": self.monotone,
-            "zero_gap_ratios": list(self.zero_gap_ratios),
-            "escape_time": self.escape_time,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _is_nondecreasing_abs(traj: Trajectory) -> bool:

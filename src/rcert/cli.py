@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import applications as apps
@@ -150,16 +151,7 @@ def _ic_outcomes(cfg: RunConfig, eq: EquationSpec, ics: list[InitialData]) -> li
     for ic in ics:
         traj = integrate(eq, ic, cfg.options)
         c = classify(traj)
-        outcomes.append(
-            {
-                "t1": ic.t1,
-                "phi0": ic.phi0,
-                "phi1": ic.phi1,
-                "kind": c.kind,
-                "zero_count": c.zero_count,
-                "terminal": traj.terminal.to_dict(),
-            }
-        )
+        outcomes.append({**asdict(ic), "kind": c.kind, "zero_count": c.zero_count, "terminal": traj.terminal.to_dict()})
     return outcomes
 
 
@@ -225,11 +217,11 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
     p = cfg.params
     eq = cfg.equation
     ic = cfg.initial
-    report["parameters"] = {"rho": p.rho, "sigma": p.sigma, "n": p.n, "variant": p.variant, "t0": eq.t0}
+    report["parameters"] = {**asdict(p), "t0": eq.t0}
 
     if p.rho > 1.0:
         cert, ab = _t3_1(cfg)
-        report["closed_form_bounds"] = {"A": ab.A, "B": ab.B, "case": ab.case}
+        report["closed_form_bounds"] = asdict(ab)
         certificates.append(cert)
     if p.rho != 1.0:
         tr = apps.ef_transform(p)
@@ -244,10 +236,7 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
         report["conditional_stability"] = {
             "eps": cfg.options.stability_eps,
             "delta": delta,
-            "outcomes": [
-                {"phi0": o.phi0, "sup_norm": o.sup_norm, "within_eps": o.within_eps, "terminal": o.terminal}
-                for o in outcomes
-            ],
+            "outcomes": [asdict(o) for o in outcomes],
         }
         summaries.append(
             f"conditional stability: delta={delta:.6g}, {sum(o.within_eps for o in outcomes)}/{len(outcomes)} within eps"

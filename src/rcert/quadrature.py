@@ -435,7 +435,43 @@ def i_minus(v: TimeFunction, x: TimeFunction, t1: float, t: float) -> float:
     return -_anchored(v, x, t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
 
 
-class FBound:
+class _Envelope:
+    """What F and G share: one chain from t1 over the samples (Q(tau), x(tau), P(tau) > 0), and the exponent's range.
+
+    Its last two levels are iplus and the envelope's own outer integral, taken
+    to ``(0.1 * abs_tol, rel_tol)``; the levels before them to ``MEMO_BUDGET``.
+    The subclasses define ``__init__``, ``exponent`` and ``__call__`` in their
+    own ``__dict__``, where the benchmark's tracer wraps them.
+    """
+
+    def _start(self, b: BoundTriple, x: TimeFunction, t1: float, c1: float, c2: float, levels: tuple, abs_tol: float, rel_tol: float):
+        if c1 == 0.0:
+            raise DomainError("c1 must be nonzero")
+        self.t1 = t1
+        self.c1 = c1
+        self.c2 = c2
+        P, Q = b.P, b.Q
+        budgets = (MEMO_BUDGET,) * (len(levels) - 2) + ((0.1 * abs_tol, rel_tol),) * 2
+        self._chain = CumulativeChain(lambda tau: (Q(tau), x(tau), _positive(P, tau, "P")), levels, t1, budgets)
+
+    def _levels(self, t: float) -> tuple[float, ...]:
+        if t < self.t1:
+            raise DomainError("envelope evaluated left of its base point")
+        return self._chain(t)
+
+    @staticmethod
+    def _in_range(e: float, t: float) -> float:
+        if not math.isfinite(e) or abs(e) > EXP_CAP:
+            raise RangeOverflowError(f"envelope exponent {e!r} out of range at t={t!r}")
+        return e
+
+    def __call__(self, t: float) -> float:
+        if t == self.t1:
+            return abs(self.c1)
+        return abs(self.c1) * math.exp(self.exponent(t))
+
+
+class FBound(_Envelope):
     """Growth envelope F(t1; t; c1; c2) as a reusable evaluator.
 
     One chain from t1 holds V = int Q, W = int e^V R, iplus = int e^-V / P and
@@ -444,88 +480,34 @@ class FBound:
     :class:`RangeOverflowError` instead of silently wrapping to infinity.
     """
 
-    def __init__(
-        self,
-        b: BoundTriple,
-        t1: float,
-        c1: float,
-        c2: float,
-        *,
-        abs_tol: float = ABS_TOL,
-        rel_tol: float = REL_TOL,
-    ):
+    def __init__(self, b: BoundTriple, t1: float, c1: float, c2: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL):
         if b.R is None:
             raise DomainError("this envelope needs the R component of the bound triple")
-        if c1 == 0.0:
-            raise DomainError("c1 must be nonzero")
-        self.t1 = t1
-        self.c1 = c1
-        self.c2 = c2
-        P, Q, R = b.P, b.Q, b.R
-        outer = (0.1 * abs_tol, rel_tol)
-        self._chain = CumulativeChain(
-            lambda tau: (Q(tau), R(tau), _positive(P, tau, "P")), (_K, _W, _T1, _T2), t1, (MEMO_BUDGET, MEMO_BUDGET, outer, outer)
-        )
+        self._start(b, b.R, t1, c1, c2, (_K, _W, _T1, _T2), abs_tol, rel_tol)
 
     def exponent(self, t: float) -> float:
-        if t < self.t1:
-            raise DomainError("envelope evaluated left of its base point")
-        _, _, iplus, outer = self._chain(t)
-        e = self.c2 * iplus - outer
-        if not math.isfinite(e) or abs(e) > EXP_CAP:
-            raise RangeOverflowError(f"envelope exponent {e!r} out of range at t={t!r}")
-        return e
+        _, _, iplus, outer = self._levels(t)
+        return self._in_range(self.c2 * iplus - outer, t)
 
-    def __call__(self, t: float) -> float:
-        if t == self.t1:
-            return abs(self.c1)
-        return abs(self.c1) * math.exp(self.exponent(t))
+    __call__ = _Envelope.__call__
 
 
-class GBound:
+class GBound(_Envelope):
     """Growth envelope G_x(t1; t; c1; c2); same contracts as :class:`FBound`.
 
     One chain from t1 holds V = int Q, iplus = int e^-V / P and int x / P.
     """
 
     def __init__(
-        self,
-        b: BoundTriple,
-        x: TimeFunction,
-        t1: float,
-        c1: float,
-        c2: float,
-        *,
-        abs_tol: float = ABS_TOL,
-        rel_tol: float = REL_TOL,
+        self, b: BoundTriple, x: TimeFunction, t1: float, c1: float, c2: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL
     ):
-        if c1 == 0.0:
-            raise DomainError("c1 must be nonzero")
-        self.t1 = t1
-        self.c1 = c1
-        self.c2 = c2
-        P, Q = b.P, b.Q
-        outer = (0.1 * abs_tol, rel_tol)
-        self._chain = CumulativeChain(
-            lambda tau: (Q(tau), x(tau), _positive(P, tau, "P")),
-            (_K, _T1, lambda c, y: [u / p for u, p in zip(c[1], c[2])]),
-            t1,
-            (MEMO_BUDGET, outer, outer),
-        )
+        self._start(b, x, t1, c1, c2, (_K, _T1, lambda c, y: [u / p for u, p in zip(c[1], c[2])]), abs_tol, rel_tol)
 
     def exponent(self, t: float) -> float:
-        if t < self.t1:
-            raise DomainError("envelope evaluated left of its base point")
-        _, iplus, xint = self._chain(t)
-        e = self.c2 * iplus + xint
-        if not math.isfinite(e) or abs(e) > EXP_CAP:
-            raise RangeOverflowError(f"envelope exponent {e!r} out of range at t={t!r}")
-        return e
+        _, iplus, xint = self._levels(t)
+        return self._in_range(self.c2 * iplus + xint, t)
 
-    def __call__(self, t: float) -> float:
-        if t == self.t1:
-            return abs(self.c1)
-        return abs(self.c1) * math.exp(self.exponent(t))
+    __call__ = _Envelope.__call__
 
 
 # ---------------------------------------------------------------------------
