@@ -444,7 +444,7 @@ class _Envelope:
     own ``__dict__``, where the benchmark's tracer wraps them.
     """
 
-    def _start(self, b: BoundTriple, x: TimeFunction, t1: float, c1: float, c2: float, levels: tuple, abs_tol: float, rel_tol: float):
+    def __init__(self, b: BoundTriple, x: TimeFunction, t1: float, c1: float, c2: float, levels: tuple, abs_tol: float, rel_tol: float):
         if c1 == 0.0:
             raise DomainError("c1 must be nonzero")
         self.t1 = t1
@@ -483,7 +483,7 @@ class FBound(_Envelope):
     def __init__(self, b: BoundTriple, t1: float, c1: float, c2: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL):
         if b.R is None:
             raise DomainError("this envelope needs the R component of the bound triple")
-        self._start(b, b.R, t1, c1, c2, (_K, _W, _T1, _T2), abs_tol, rel_tol)
+        super().__init__(b, b.R, t1, c1, c2, (_K, _W, _T1, _T2), abs_tol, rel_tol)
 
     def exponent(self, t: float) -> float:
         _, _, iplus, outer = self._levels(t)
@@ -501,7 +501,7 @@ class GBound(_Envelope):
     def __init__(
         self, b: BoundTriple, x: TimeFunction, t1: float, c1: float, c2: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL
     ):
-        self._start(b, x, t1, c1, c2, (_K, _T1, lambda c, y: [u / p for u, p in zip(c[1], c[2])]), abs_tol, rel_tol)
+        super().__init__(b, x, t1, c1, c2, (_K, _T1, lambda c, y: [u / p for u, p in zip(c[1], c[2])]), abs_tol, rel_tol)
 
     def exponent(self, t: float) -> float:
         _, iplus, xint = self._levels(t)
