@@ -552,9 +552,9 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     one half vote Converging; increments bounded away from geometric decay
     (ratio >= ``_DIV_RATIO``) vote Diverging; anything else is Inconclusive.
     A tail at or below 1e-15 of the largest increment is Converging, and a
-    sample below -1e-12 times the largest |sample| raises
-    :class:`NegativeIntegrandError` once every horizon is integrated, so
-    neither rule changes when the integrand is scaled.
+    sample below -1e-12 times the largest |sample| before it raises
+    :class:`NegativeIntegrandError` at once (so does any negative first
+    sample), so neither rule changes when the integrand is scaled.
     The verdict is a numerical heuristic: no finite computation decides
     behaviour at infinity, and certificates must record it as heuristic.
     A non-finite ``t0`` raises :class:`DomainError`.
@@ -562,15 +562,14 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
     if not math.isfinite(t0):
         raise DomainError(f"divergence_probe needs a finite t0, got {t0!r}")
 
-    size = least = 0.0  # the largest |sample|, and the least sample at ``at``
-    at = None
+    size = 0.0  # the largest |sample| so far
 
     def checked(tau: float) -> float:
-        nonlocal size, least, at
+        nonlocal size
         v = integrand(tau)
+        if v < -1e-12 * size:
+            raise NegativeIntegrandError(f"integrand({tau!r}) = {v!r} < 0")
         size = max(size, abs(v))
-        if v < least:
-            least, at = v, tau
         return v
 
     start = t0 if t0 > 0 else 1.0
@@ -583,8 +582,6 @@ def divergence_probe(integrand: TimeFunction, t0: float) -> DivergenceVerdict:
         increments.append(inc)
         partial += inc
         pairs.append((ts[k + 1], partial))
-    if least < -1e-12 * size:
-        raise NegativeIntegrandError(f"integrand({at!r}) = {least!r} < 0")
 
     floor = 1e-15 * max(increments, default=0.0)
     tail = increments[-min(_TAIL_WINDOW, len(increments)):]

@@ -428,6 +428,29 @@ class TestDivergenceProbe:
     def test_a_slightly_negative_tail_is_accepted_at_every_scale(self, c):
         assert divergence_probe(lambda t: c * (1.0 / (t * t) if t < 1e5 else -1e-13), 1.0).status == CONVERGING
 
+    # A sample is checked against the samples before it, so the probe stops at the first one that fails.
+    def test_a_negative_infinite_integrand_is_rejected(self):
+        with pytest.raises(NegativeIntegrandError, match=r"^integrand\(.*\) = -inf < 0$"):
+            divergence_probe(lambda t: -math.inf, 1.0)
+
+    def test_a_negative_integrand_is_rejected_at_its_first_sample(self):
+        calls = []
+
+        def integrand(t):
+            calls.append(t)
+            return -1.0
+
+        with pytest.raises(NegativeIntegrandError):
+            divergence_probe(integrand, 1.0)
+        assert len(calls) == 1
+
+    # With no earlier sample to set the scale, a negative first sample fails at every size.
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+    def test_a_negative_first_sample_is_rejected_at_every_scale(self, c):
+        samples = iter([-1e-20 * c])
+        with pytest.raises(NegativeIntegrandError):
+            divergence_probe(lambda t: next(samples, c / (t * t)), 1.0)
+
     def test_horizons_strictly_increasing(self):
         verdict = divergence_probe(lambda t: 1.0 / t, 1.0)
         ts = [T for T, _ in verdict.horizons]
