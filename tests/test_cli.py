@@ -328,6 +328,45 @@ class TestCaseStudyCommands:
         assert names == ["T3_6", "T4_2"]
 
 
+class TestReportRecordKeys:
+    # These records are written from dataclass fields in field order, so a new field changes the
+    # report bytes; each key list here is the report format, and a change to it must be deliberate.
+    def test_emden_record_keys(self, tmp_path):
+        doc = json.loads(json.dumps(EF_CONFIG))
+        doc["equation"].update({"rho": 2.0, "sigma": -2.0})
+        doc["initial"] = {"t1": 1.0, "phi0": 0.05, "phi1": 0.0}
+        doc["grid"] = {"nt": 9, "nw": 9}
+        doc["options"] = {"horizon": 30.0, "n_stability_ics": 1}
+        out = tmp_path / "out"
+        assert run_cli(["emden", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["parameters"]) == ["rho", "sigma", "n", "variant", "t0"]
+        assert list(report["closed_form_bounds"]) == ["A", "B", "case"]
+        assert list(report["classification"]) == [
+            "kind", "zero_count", "terminal", "monotone", "zero_gap_ratios", "escape_time", "detail"
+        ]
+        assert list(report["conditional_stability"]) == ["eps", "delta", "outcomes"]
+        assert [list(o) for o in report["conditional_stability"]["outcomes"]] == [
+            ["phi0", "sup_norm", "within_eps", "terminal"]
+        ]
+
+    def test_vdp_record_keys(self, tmp_path):
+        doc = json.loads(json.dumps(VDP_CONFIG))
+        doc["grid"] = {"nt": 9, "nw": 9}
+        doc["options"].update({"n_random_ics": 1, "horizon": 5.0})
+        out = tmp_path / "out"
+        assert run_cli(["vdp", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [list(o) for o in report["ic_outcomes"]] == [["t1", "phi0", "phi1", "kind", "zero_count", "terminal"]]
+        assert list(report["ic_outcomes"][0]["terminal"]) == ["kind", "time"]
+
+    def test_witness_record_keys(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["certify", "t3_6", "--config", write_config(tmp_path, NEGATIVE_R_CONFIG), "--out", str(out)]) == 2
+        witness = json.loads((out / "report.json").read_text())["certificates"][0]["witness"]
+        assert list(witness) == ["hypothesis", "t", "w", "detail"]
+
+
 KNESER_CONFIG = {
     "version": 1,
     "equation": {"kind": "emden_fowler", "rho": 0.0, "sigma": -5.0, "n": 3.0, "variant": "absolute", "t0": 1.0},
