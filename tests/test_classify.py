@@ -80,6 +80,81 @@ class TestClassify:
             assert traj.phi_at(z - eps) * traj.phi_at(z + eps) < 0
 
 
+def _record_cases():
+    """One trajectory per branch of ``classify``: (equation, initial data, options, full record)."""
+    def record(kind, zero_count, terminal, monotone, ratios=(), escape_time=None, detail=""):
+        return {
+            "kind": kind,
+            "zero_count": zero_count,
+            "terminal": terminal,
+            "monotone": monotone,
+            "zero_gap_ratios": ratios,
+            "escape_time": escape_time,
+            "detail": detail,
+        }
+
+    return {
+        # phi = 1/(1 - t) ends step_collapse short of its pole (ROADMAP item 2(b)).
+        "collapse": (
+            make_eq(q_fn=lambda t, w: -2.0 / (1.0 - t)),
+            InitialData(0.0, 1.0, 1.0),
+            IntegrationOptions(horizon=2.0),
+            record(UNDETERMINED, 0, "step_collapse", True, detail="step collapse or tangential zero"),
+        ),
+        # (1 - t)^-2 cos(5 log(1 - t)): zero gaps shrink by e^{-pi/5} toward t = 1.
+        "second_kind": (
+            make_eq(q_fn=lambda t, w: -5.0 / (1.0 - t), r_fn=lambda t, w: 29.0 / (1.0 - t) ** 2),
+            InitialData(0.0, 1.0, 0.0),
+            IntegrationOptions(horizon=2.0, rel_tol=1e-6),
+            record(
+                SINGULAR_SECOND_KIND,
+                15,
+                "finite_escape",
+                False,
+                (0.533488091090047, 0.5334880910891405, 0.5334880911008669),
+                0.9999192633545009,
+                "zero gaps contract geometrically toward the escape time",
+            ),
+        ),
+        "escape": (
+            make_eq(r_fn=lambda t, w: -abs(w) ** 2),
+            InitialData(0.0, 1.0, 1.0),
+            IntegrationOptions(horizon=10.0),
+            record(UNDETERMINED, 0, "finite_escape", True, (), 1.3109867432415323, "finite escape without accumulating sign changes"),
+        ),
+        "dead_band": (
+            make_eq(),
+            InitialData(0.0, 5e-9, 0.0),
+            IntegrationOptions(horizon=10.0),
+            record(
+                SINGULAR_FIRST_KIND_CANDIDATE, 0, "reached_horizon", True, detail="phi and phi' inside the dead band from t=0.0; candidate only"
+            ),
+        ),
+        "oscillatory": (make_eq(r=1.0), InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=15.0), record(OSCILLATORY, 5, "reached_horizon", False)),
+        "monotone": (
+            ef_equation(EFParams(rho=4.0, sigma=0.0, n=3.0), t0=1.0),
+            InitialData(1.0, 0.5, 0.0),
+            IntegrationOptions(horizon=50.0),
+            record(GLOBAL_MONOTONE_NONVANISHING, 0, "reached_horizon", True),
+        ),
+        "non_oscillatory": (
+            make_eq(),
+            InitialData(0.0, 1.0, -1.0),
+            IntegrationOptions(horizon=50.0),
+            record(GLOBAL_NON_OSCILLATORY, 1, "reached_horizon", False),
+        ),
+    }
+
+
+class TestClassificationRecords:
+    """The whole record of one trajectory per branch of ``classify``."""
+
+    @pytest.mark.parametrize("case", list(_record_cases()))
+    def test_record(self, case):
+        eq, ic, opts, expected = _record_cases()[case]
+        assert classify(integrate(eq, ic, opts)).to_dict() == expected
+
+
 class TestSweep:
     def test_linear_drift_cells(self, constant_eq):
         cells = sweep(constant_eq, ((0.5, 1.5), (-1.0, 1.0)), (3, 3), IntegrationOptions(horizon=20.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 import rcert.cli
 from rcert.cli import main
 from rcert.config import load_config
+from rcert.errors import ConfigError
 from conftest import validate_certificate_dict
 
 EF_CONFIG = {
@@ -555,6 +557,24 @@ class TestConfigValidation:
         code = run_cli(["certify", "t3_6", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error: p0 is not positive at (t=0.0, w=0.0): 0.0" in capsys.readouterr().err
+
+
+class TestDispatchGuards:
+    """A config that names no command or theorem ``run`` knows is refused before anything runs."""
+
+    @pytest.mark.parametrize(
+        "command, doc, change, message",
+        [
+            ("certify", VDP_CONFIG, {"theorem": "t9"}, "command: unhandled theorem 't9'"),
+            ("vdp", VDP_CONFIG, {"command": "nope"}, "command: unhandled command 'nope'"),
+        ],
+        ids=["theorem", "command"],
+    )
+    def test_unhandled_name(self, tmp_path, command, doc, change, message):
+        cfg = load_config(write_config(tmp_path, doc), command, "t3_6" if command == "certify" else None)
+        with pytest.raises(ConfigError) as err:
+            rcert.cli.run(dataclasses.replace(cfg, **change), tmp_path / "out", echo=lambda line: None)
+        assert str(err.value) == message
 
 
 class TestWithoutNumpy:
