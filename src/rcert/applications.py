@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certificates import FALSIFIED, INCONCLUSIVE, Certificate, _verdict, check_t3_5, check_t3_6
+from .certificates import FALSIFIED, INCONCLUSIVE, Certificate, _oscillation_options, _verdict, check_t3_5, check_t3_6
 from .dynamics import IntegrationOptions, Trajectory, integrate
 from .errors import DomainError
 from .fields import BoundTriple, EquationSpec, GridSpec, InitialData, Rectangle, _closed_form_field, _closed_form_time, _Product
@@ -370,8 +370,9 @@ def check_t4_2(
     the existence part to the even-monotone-structure check and the
     oscillation part to the comparison-family check with the unit band N = 1.
     The aggregate is Verified only if both parts are; heuristic flags of the
-    oscillation part propagate.
+    oscillation part propagate.  Options out of range raise before either part runs.
     """
+    _oscillation_options(eps0, osc_horizon, osc_min_zeros)
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
     existence = check_t3_6(eq, region=region, grid=grid)

@@ -607,6 +607,14 @@ def _family_checks(hypothesis: str, eps: float, p_e: TimeFunction, ratio: tuple,
     ]
 
 
+def _oscillation_options(eps0: float, osc_horizon: float, osc_min_zeros: int, N: float = 1.0) -> None:
+    """Raise :class:`DomainError` unless eps0 > 0, N > 0, 0 < osc_horizon < inf and osc_min_zeros >= 1."""
+    if not (eps0 > 0 and N > 0):
+        raise DomainError("check_t3_5 needs eps0 > 0 and N > 0")
+    if not (0.0 < osc_horizon < math.inf and osc_min_zeros >= 1):
+        raise DomainError(f"check_t3_5 needs 0 < osc_horizon < inf and osc_min_zeros >= 1, got {osc_horizon!r} and {osc_min_zeros!r}")
+
+
 def check_t3_5(
     eq: EquationSpec,
     b: BoundTriple,
@@ -634,8 +642,9 @@ def check_t3_5(
 
     The grid decides first: every band scan of (a) runs, in that order, before
     any probe or zero count, and a band that sampled no grid point is
-    Inconclusive without running them.
+    Inconclusive without running them.  Options out of range raise before any scan.
     """
+    _oscillation_options(eps0, osc_horizon, osc_min_zeros, N)
     hypotheses = (
         "r0 >= 0",
         "band ordering vs family for |w| >= eps",
@@ -647,8 +656,6 @@ def check_t3_5(
     theorem = "T3_5"
     if region is None:
         region = Rectangle(eq.t0, eq.t0 + 20.0, -8.0, 8.0)
-    if eps0 <= 0 or N <= 0:
-        raise DomainError("check_t3_5 needs eps0 > 0 and N > 0")
     eps_list = list(eps_samples) if eps_samples is not None else [eps0 * 0.5 ** k for k in range(5)]
     eps_tail = list(eps_tail_samples) if eps_tail_samples is not None else [N, 2.0 * N, 4.0 * N]
     ts, ws, rec = _fixed_axes(region, grid)

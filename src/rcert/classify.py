@@ -120,54 +120,28 @@ def classify(traj: Trajectory) -> Classification:
     zeros = traj.zeros
     terminal = traj.terminal.kind
     monotone = _is_nondecreasing_abs(traj)
+    ratios, escape_time, detail = (), None, ""
 
     if terminal == STEP_COLLAPSE or traj.tangential:
-        return Classification(
-            UNDETERMINED,
-            len(zeros),
-            terminal,
-            monotone,
-            detail="step collapse or tangential zero",
-        )
-
-    if terminal == FINITE_ESCAPE:
-        ratios = _gap_ratios(zeros)
+        kind, detail = UNDETERMINED, "step collapse or tangential zero"
+    elif terminal == FINITE_ESCAPE:
+        ratios, escape_time = _gap_ratios(zeros), traj.terminal.time
         if len(ratios) == GAP_COUNT - 1 and all(r <= GAP_RATIO for r in ratios):
-            return Classification(
-                SINGULAR_SECOND_KIND,
-                len(zeros),
-                terminal,
-                monotone,
-                zero_gap_ratios=ratios,
-                escape_time=traj.terminal.time,
-                detail="zero gaps contract geometrically toward the escape time",
-            )
-        return Classification(
-            UNDETERMINED,
-            len(zeros),
-            terminal,
-            monotone,
-            zero_gap_ratios=ratios,
-            escape_time=traj.terminal.time,
-            detail="finite escape without accumulating sign changes",
-        )
-
-    # Reached the horizon.
-    entry = _dead_band_entry(traj)
-    if entry is not None:
-        return Classification(
-            SINGULAR_FIRST_KIND_CANDIDATE,
-            len(zeros),
-            terminal,
-            monotone,
-            detail=f"phi and phi' inside the dead band from t={entry!r}; candidate only",
-        )
-    span = traj.t_end - traj.t_start
-    if len(zeros) >= MIN_ZEROS and zeros[-1] >= traj.t_end - WINDOW * span:
-        return Classification(OSCILLATORY, len(zeros), terminal, monotone)
-    if not zeros and monotone and max(map(abs, traj.phis)) > traj.opts.zero_tol:
-        return Classification(GLOBAL_MONOTONE_NONVANISHING, len(zeros), terminal, monotone)
-    return Classification(GLOBAL_NON_OSCILLATORY, len(zeros), terminal, monotone)
+            kind, detail = SINGULAR_SECOND_KIND, "zero gaps contract geometrically toward the escape time"
+        else:
+            kind, detail = UNDETERMINED, "finite escape without accumulating sign changes"
+    else:  # reached the horizon
+        entry = _dead_band_entry(traj)
+        span = traj.t_end - traj.t_start
+        if entry is not None:
+            kind, detail = SINGULAR_FIRST_KIND_CANDIDATE, f"phi and phi' inside the dead band from t={entry!r}; candidate only"
+        elif len(zeros) >= MIN_ZEROS and zeros[-1] >= traj.t_end - WINDOW * span:
+            kind = OSCILLATORY
+        elif not zeros and monotone and max(map(abs, traj.phis)) > traj.opts.zero_tol:
+            kind = GLOBAL_MONOTONE_NONVANISHING
+        else:
+            kind = GLOBAL_NON_OSCILLATORY
+    return Classification(kind, len(zeros), terminal, monotone, ratios, escape_time, detail)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,35 +29,46 @@ from .certificates import (
     check_t3_6,
 )
 from .classify import classify, export_raster_csv, sweep
-from .config import RunConfig, load_config
+from .config import _COMMANDS, _THEOREMS, RunConfig, load_config
 from .dynamics import Trajectory, export_trajectory_csv, integrate
 from .errors import ConfigError, RcertError
-from .fields import EquationSpec, InitialData, Rectangle
+from .fields import InitialData, Rectangle
 from .serialize import write_json
 
 __all__ = ["run", "main"]
 
 
-def _horizon_region(cfg: RunConfig) -> Rectangle:
-    """The configured region, or [t1, horizon] with an unbounded w axis: the envelope scans start at t1
-    and end where ``integrate`` does."""
-    return cfg.region or Rectangle(cfg.initial.t1, cfg.options.horizon, -float("inf"), float("inf"))
+def _envelope(cfg: RunConfig, check, *extra) -> Certificate:
+    """``check_t3_1``, or ``check_t3_2`` with ``qtilde`` as ``extra``, with the configured options and region or, without
+    a region, [t1, horizon] with an unbounded w axis: the envelope scans start at t1 and end where ``integrate`` does."""
+    opts = cfg.options
+    region = cfg.region or Rectangle(cfg.initial.t1, opts.horizon, -float("inf"), float("inf"))
+    return check(
+        cfg.equation,
+        cfg.initial,
+        cfg.bounds,
+        *extra,
+        region=region,
+        grid=cfg.grid,
+        epsilon=opts.epsilon,
+        quad_abs_tol=opts.quad_abs_tol,
+        quad_rel_tol=opts.quad_rel_tol,
+    )
+
+
+def _oscillation(cfg: RunConfig, check) -> Certificate:
+    """T3_5 (``applications._vdp_oscillation``) or T4_2 (``applications.check_t4_2``) with the configured options."""
+    opts = cfg.options
+    return check(
+        cfg.equation, cfg.params, eps0=opts.eps0, region=cfg.region, grid=cfg.grid, osc_horizon=opts.osc_horizon, osc_min_zeros=opts.osc_min_zeros
+    )
 
 
 def _t3_1(cfg: RunConfig) -> tuple[Certificate, apps.EFBounds | None]:
     """The T3_1 certificate and, for Emden-Fowler with rho > 1, the closed-form A/B bound,
     which caps the certificate only when it is Verified."""
     ic = cfg.initial
-    cert = check_t3_1(
-        cfg.equation,
-        ic,
-        cfg.bounds,
-        region=_horizon_region(cfg),
-        grid=cfg.grid,
-        epsilon=cfg.options.epsilon,
-        quad_abs_tol=cfg.options.quad_abs_tol,
-        quad_rel_tol=cfg.options.quad_rel_tol,
-    )
+    cert = _envelope(cfg, check_t3_1)
     ab = None
     p = cfg.params
     if isinstance(p, apps.EFParams) and p.rho > 1.0:
@@ -78,18 +90,6 @@ def _t3_3(cfg: RunConfig, region: Rectangle | None) -> tuple[Certificate, Trajec
     return check_t3_3(eq, eq, majorant, cfg.initial, region=region, grid=cfg.grid), majorant
 
 
-def _t4_2(cfg: RunConfig) -> Certificate:
-    return apps.check_t4_2(
-        cfg.equation,
-        cfg.params,
-        eps0=cfg.options.eps0,
-        region=cfg.region,
-        grid=cfg.grid,
-        osc_horizon=cfg.options.osc_horizon,
-        osc_min_zeros=cfg.options.osc_min_zeros,
-    )
-
-
 def _cert_summary(cert: Certificate) -> str:
     bits = [f"{cert.theorem}: {cert.status}"]
     if cert.conclusion:
@@ -106,53 +106,26 @@ def _cert_summary(cert: Certificate) -> str:
     return " | ".join(bits)
 
 
-def _certify(cfg: RunConfig) -> tuple[list[Certificate], dict]:
+def _certify(cfg: RunConfig, report: dict) -> Certificate:
+    """The certificate of ``cfg.theorem``; T3_3 also writes its majorant's t span into ``report``."""
     eq = cfg.equation
     theorem = cfg.theorem
     region = cfg.region
-    extra: dict = {}
     if theorem == "t3_1":
-        return [_t3_1(cfg)[0]], extra
+        return _t3_1(cfg)[0]
     if theorem == "t3_2":
-        return [
-            check_t3_2(
-                eq,
-                cfg.initial,
-                cfg.bounds,
-                cfg.qtilde,
-                region=_horizon_region(cfg),
-                grid=cfg.grid,
-                epsilon=cfg.options.epsilon,
-                quad_abs_tol=cfg.options.quad_abs_tol,
-                quad_rel_tol=cfg.options.quad_rel_tol,
-            )
-        ], extra
+        return _envelope(cfg, check_t3_2, cfg.qtilde)
     if theorem == "t3_3":
         cert, majorant = _t3_3(cfg, region)
-        extra["majorant_span"] = [majorant.t_start, majorant.t_end]
-        return [cert], extra
+        report["majorant_span"] = [majorant.t_start, majorant.t_end]
+        return cert
     if theorem == "t3_4":
-        return [check_t3_4(eq, cfg.bounds, region=region, grid=cfg.grid)], extra
-    if theorem == "t3_5":
-        opts = cfg.options
-        cert = apps._vdp_oscillation(
-            eq, cfg.params, eps0=opts.eps0, region=region, grid=cfg.grid, osc_horizon=opts.osc_horizon, osc_min_zeros=opts.osc_min_zeros
-        )
-        return [cert], extra
+        return check_t3_4(eq, cfg.bounds, region=region, grid=cfg.grid)
+    if theorem in ("t3_5", "t4_2"):
+        return _oscillation(cfg, apps._vdp_oscillation if theorem == "t3_5" else apps.check_t4_2)
     if theorem == "t3_6":
-        return [check_t3_6(eq, region=region, grid=cfg.grid)], extra
-    if theorem == "t4_2":
-        return [_t4_2(cfg)], extra
+        return check_t3_6(eq, region=region, grid=cfg.grid)
     raise ConfigError("command", f"unhandled theorem {theorem!r}")
-
-
-def _ic_outcomes(cfg: RunConfig, eq: EquationSpec, ics: list[InitialData]) -> list[dict]:
-    outcomes = []
-    for ic in ics:
-        traj = integrate(eq, ic, cfg.options)
-        c = classify(traj)
-        outcomes.append({**asdict(ic), "kind": c.kind, "zero_count": c.zero_count, "terminal": traj.terminal.to_dict()})
-    return outcomes
 
 
 def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
@@ -168,8 +141,7 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
     artifacts: dict = {}
 
     if cfg.command == "certify":
-        certificates, extra = _certify(cfg)
-        report.update(extra)
+        certificates = [_certify(cfg, report)]
     elif cfg.command == "integrate":
         traj = integrate(cfg.equation, cfg.initial, cfg.options)
         export_trajectory_csv(traj, out / "trajectory.csv", out / "trajectory.meta.json")
@@ -186,11 +158,9 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
         cells = sweep(cfg.equation, (cfg.sweep.phi, cfg.sweep.dphi), cfg.sweep.resolution, cfg.options)
         export_raster_csv(cells, out / "raster.csv")
         artifacts["raster_csv"] = "raster.csv"
-        hist: dict[str, int] = {}
-        for c in cells:
-            hist[c.kind] = hist.get(c.kind, 0) + 1
-        report["raster"] = {"cells": len(cells), "kinds": {k: hist[k] for k in sorted(hist)}}
-        summaries.append("sweep: " + ", ".join(f"{k}={v}" for k, v in sorted(hist.items())))
+        kinds = dict(sorted(Counter(c.kind for c in cells).items()))
+        report["raster"] = {"cells": len(cells), "kinds": kinds}
+        summaries.append("sweep: " + ", ".join(f"{k}={v}" for k, v in kinds.items()))
     elif cfg.command == "emden":
         report_emden(cfg, out, report, summaries, certificates, artifacts)
     elif cfg.command == "vdp":
@@ -200,8 +170,7 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
 
     if certificates:
         report["certificates"] = [c.to_dict() for c in certificates]
-        for c in certificates:
-            summaries.append(_cert_summary(c))
+        summaries.extend(map(_cert_summary, certificates))
     if artifacts:
         report["artifacts"] = artifacts
     report["summaries"] = summaries
@@ -216,7 +185,6 @@ def run(cfg: RunConfig, out_dir, echo=print) -> tuple[int, dict]:
 def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], certificates: list[Certificate], artifacts: dict) -> None:
     p = cfg.params
     eq = cfg.equation
-    ic = cfg.initial
     report["parameters"] = {**asdict(p), "t0": eq.t0}
 
     if p.rho > 1.0:
@@ -242,7 +210,7 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
             f"conditional stability: delta={delta:.6g}, {sum(o.within_eps for o in outcomes)}/{len(outcomes)} within eps"
         )
 
-    traj = integrate(eq, ic, cfg.options)
+    traj = integrate(eq, cfg.initial, cfg.options)
     export_trajectory_csv(traj, out / "trajectory.csv", out / "trajectory.meta.json")
     artifacts["trajectory_csv"] = "trajectory.csv"
     c = classify(traj)
@@ -253,15 +221,15 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
 def report_vdp(cfg: RunConfig, out: Path, report: dict, summaries: list[str], certificates: list[Certificate], artifacts: dict) -> None:
     eq = cfg.equation
     certificates.append(check_t3_6(eq, region=cfg.region, grid=cfg.grid))
-    certificates.append(_t4_2(cfg))
+    certificates.append(_oscillation(cfg, apps.check_t4_2))
     rng = random.Random(cfg.options.seed)
     (p_lo, p_hi), (d_lo, d_hi) = cfg.options.ic_box
-    ics = [
-        InitialData(t1=eq.t0, phi0=rng.uniform(p_lo, p_hi), phi1=rng.uniform(d_lo, d_hi))
-        for _ in range(cfg.options.n_random_ics)
-    ]
-    outcomes = _ic_outcomes(cfg, eq, ics)
-    report["ic_outcomes"] = outcomes
+    outcomes = report["ic_outcomes"] = []
+    for _ in range(cfg.options.n_random_ics):
+        ic = InitialData(t1=eq.t0, phi0=rng.uniform(p_lo, p_hi), phi1=rng.uniform(d_lo, d_hi))
+        traj = integrate(eq, ic, cfg.options)
+        c = classify(traj)
+        outcomes.append({**asdict(ic), "kind": c.kind, "zero_count": c.zero_count, "terminal": traj.terminal.to_dict()})
     escapes = sum(1 for o in outcomes if o["terminal"]["kind"] != "reached_horizon")
     summaries.append(f"ic batch: {len(outcomes)} trajectories, {escapes} failed to reach the horizon")
 
@@ -277,10 +245,11 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--tol", type=float, default=None, help="override options.rel_tol")
 
     certify = sub.add_parser("certify", help="check the hypotheses of one criterion")
-    certify.add_argument("theorem", choices=["t3_1", "t3_2", "t3_3", "t3_4", "t3_5", "t3_6", "t4_2"])
+    certify.add_argument("theorem", choices=_THEOREMS)
     common(certify)
-    for name in ("integrate", "classify", "sweep", "emden", "vdp"):
-        common(sub.add_parser(name))
+    for name in _COMMANDS:
+        if name != "certify":
+            common(sub.add_parser(name))
 
     args = parser.parse_args(argv)
     theorem = getattr(args, "theorem", None)

@@ -25,10 +25,12 @@ __all__ = ["RunOptions", "SweepSpec", "RunConfig", "parse_config", "load_config"
 
 _COMMANDS = ("certify", "integrate", "classify", "sweep", "emden", "vdp")
 _THEOREMS = ("t3_1", "t3_2", "t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
-# Theorems whose hypotheses are sampled on a fixed w axis (t3_1 and t3_2 clip w to their envelope).
-_FIXED_W_THEOREMS = ("t3_3", "t3_4", "t3_5", "t3_6", "t4_2")
-# Theorems that check the coefficients against the bound triple P, Q, R.
-_BOUNDED_THEOREMS = ("t3_1", "t3_2", "t3_4")
+# The builtin equation each command, or each theorem under certify, needs.
+_NEEDED_EQUATION = {
+    "emden": (EFParams, "an emden_fowler equation"),
+    "t3_3": (EFParams, "an emden_fowler equation (explicit-power majorant)"),
+    **dict.fromkeys(("vdp", "t3_5", "t4_2"), (VdPParams, "a van_der_pol equation")),
+}
 _EQUATION_KINDS = ("custom", "emden_fowler", "van_der_pol")
 
 
@@ -354,39 +356,29 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
             resolution=(res[0], res[1]),
         )
 
-    # Per-command requirements.
-    needs_initial = command in ("integrate", "classify", "emden") or (
-        command == "certify" and theorem in ("t3_1", "t3_2", "t3_3")
-    )
-    if needs_initial and initial is None:
+    # Per-command requirements, keyed by the theorem under certify and by the command otherwise.
+    key = theorem if command == "certify" else command
+    what = f"certify {theorem}" if command == "certify" else f"command {command!r}"
+    if key in ("integrate", "classify", "emden", "t3_1", "t3_2", "t3_3") and initial is None:
         raise ConfigError("config.initial", f"required by command {command!r}" + (f" {theorem}" if theorem else ""))
-    if command == "sweep" and sweep_spec is None:
-        raise ConfigError("config.sweep", "required by command 'sweep'")
-    if command == "certify" and theorem == "t3_2" and qtilde is None:
-        raise ConfigError("config.qtilde", "required by certify t3_2")
-    fixed_w = command == "vdp" or (command == "certify" and theorem in _FIXED_W_THEOREMS)
+    if key == "sweep" and sweep_spec is None:
+        raise ConfigError("config.sweep", f"required by {what}")
+    if key == "t3_2" and qtilde is None:
+        raise ConfigError("config.qtilde", f"required by {what}")
+    # Hypotheses sampled on a fixed w axis (t3_1 and t3_2 clip w to their envelope).
+    fixed_w = key in ("t3_3", "t3_4", "t3_5", "t3_6", "t4_2", "vdp")
     if fixed_w and region is not None and not (math.isfinite(region.w_min) and math.isfinite(region.w_max)):
-        what = f"certify {theorem}" if command == "certify" else f"command {command!r}"
         raise ConfigError("config.region.w", f"a finite w range is required by {what} when a region is given")
-    scans_from_t1 = (command == "certify" and theorem in ("t3_1", "t3_2")) or (
-        command == "emden" and isinstance(params, EFParams) and params.rho > 1.0
-    )
-    if scans_from_t1:
-        what = f"certify {theorem}" if command == "certify" else "command 'emden' with rho > 1"
-        scan = f"{what} scans its envelope from initial.t1 = {initial.t1!r}"
+    if key in ("t3_1", "t3_2") or (key == "emden" and isinstance(params, EFParams) and params.rho > 1.0):
+        scan = f"{what}{' with rho > 1' if key == 'emden' else ''} scans its envelope from initial.t1 = {initial.t1!r}"
         if region is not None and region.t_min != initial.t1:
             raise ConfigError("config.region.t", f"{scan}, so the lower bound must equal it, got {region.t_min!r}")
         if region is None and initial.t1 > options.horizon:
             raise ConfigError("config.options.horizon", f"{scan}, so the horizon must not lie before it, got {options.horizon!r}")
-    if command == "emden" and not isinstance(params, EFParams):
-        raise ConfigError("config.equation.kind", "command 'emden' needs an emden_fowler equation")
-    if command == "vdp" and not isinstance(params, VdPParams):
-        raise ConfigError("config.equation.kind", "command 'vdp' needs a van_der_pol equation")
-    if command == "certify" and theorem in ("t3_5", "t4_2") and not isinstance(params, VdPParams):
-        raise ConfigError("config.equation.kind", f"certify {theorem} needs a van_der_pol equation")
-    if command == "certify" and theorem == "t3_3" and not isinstance(params, EFParams):
-        raise ConfigError("config.equation.kind", "certify t3_3 needs an emden_fowler equation (explicit-power majorant)")
-    if command == "certify" and theorem in _BOUNDED_THEOREMS and bounds is None:
+    if key in _NEEDED_EQUATION and not isinstance(params, _NEEDED_EQUATION[key][0]):
+        raise ConfigError("config.equation.kind", f"{what} needs {_NEEDED_EQUATION[key][1]}")
+    # Coefficients checked against the bound triple P, Q, R.
+    if key in ("t3_1", "t3_2", "t3_4") and bounds is None:
         raise ConfigError("config.bounds", "required for custom equations")
 
     return RunConfig(

@@ -117,18 +117,27 @@ def auto_segments(traj: Trajectory) -> list[tuple[float, float]]:
     return segments
 
 
-def _transfer_residual(chain: Callable[[float], tuple[float, float]], x_a: float, x: Callable[[float], float], mesh: list[float]) -> float:
-    """max |x(t) - (x_a e^-K - e^-K W)| over ``mesh``, over max(1, max |x|): with
-    (K, W) = chain(t) from :func:`weighted_chain`, the model solves x' = -k x - s."""
+def _deviation(x: Callable[[float], float], model: Callable[[float], float], mesh: list[float], scale: float = 1.0) -> float:
+    """max |x(t) - model(t)| over ``mesh``, over max(scale, max |x|); model(t) is taken before x(t)."""
     worst = 0.0
-    scale = 1.0
     for t in mesh:
-        K, W = chain(t)
-        expk = math.exp(-K)
+        m = model(t)
         xt = x(t)
         scale = max(scale, abs(xt))
-        worst = max(worst, abs(xt - (x_a * expk - expk * W)))
+        worst = max(worst, abs(xt - m))
     return worst / scale
+
+
+def _transfer_residual(chain: Callable[[float], tuple[float, float]], x_a: float, x: Callable[[float], float], mesh: list[float]) -> float:
+    """The deviation of x from x_a e^-K - e^-K W over ``mesh``: with
+    (K, W) = chain(t) from :func:`weighted_chain`, the model solves x' = -k x - s."""
+
+    def model(t: float) -> float:
+        K, W = chain(t)
+        expk = math.exp(-K)
+        return x_a * expk - expk * W
+
+    return _deviation(x, model, mesh)
 
 
 def representation_residual(path: RiccatiPath) -> float:
@@ -142,13 +151,7 @@ def representation_residual(path: RiccatiPath) -> float:
 
     acc = CumulativeIntegral(integrand, path.a, *ORACLE_BUDGET)
     phi_a = traj.phi_at(path.a)
-    worst = 0.0
-    scale = 0.0
-    for t in path.mesh:
-        phi = traj.phi_at(t)
-        scale = max(scale, abs(phi))
-        worst = max(worst, abs(phi - phi_a * math.exp(acc(t))))
-    return worst / max(scale, 1e-300)
+    return _deviation(traj.phi_at, lambda t: phi_a * math.exp(acc(t)), path.mesh, 1e-300)
 
 
 def cauchy_residual(path: RiccatiPath) -> float:
@@ -234,11 +237,8 @@ def volterra_residual(traj: Trajectory) -> float:
     phi_a = traj.phi_at(a)
     psi_a = traj.psi_at(a)
 
-    worst = 0.0
-    scale = 1.0
-    for t in _mesh(traj, a, traj.t_end):
+    def model(t: float) -> float:
         _, _, T1, T2 = chain(t)
-        phi = traj.phi_at(t)
-        scale = max(scale, abs(phi))
-        worst = max(worst, abs(phi - (phi_a + psi_a * T1 - T2)))
-    return worst / scale
+        return phi_a + psi_a * T1 - T2
+
+    return _deviation(traj.phi_at, model, _mesh(traj, a, traj.t_end))

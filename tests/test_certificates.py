@@ -31,6 +31,7 @@ from rcert import (
 from rcert.applications import (
     EFParams,
     VdPParams,
+    check_t4_2,
     ef_bound_triple,
     ef_equation,
     kneser_majorant,
@@ -388,6 +389,46 @@ class TestOscillationExits:
         v, eq = vdp_from_one
         with pytest.raises(DomainError) as info:
             check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), grid=GridSpec(9, 9), **kwargs)
+        assert str(info.value) == message
+
+
+class TestOscillationOptions:
+    """Out-of-range oscillation options raise before any grid scan, in check_t3_5 and in check_t4_2 before its T3_6 part."""
+
+    NEEDS = "check_t3_5 needs 0 < osc_horizon < inf and osc_min_zeros >= 1, got "
+    BAD = [
+        (dict(osc_horizon=-5.0), NEEDS + "-5.0 and 5"),
+        (dict(osc_horizon=0.0), NEEDS + "0.0 and 5"),
+        (dict(osc_horizon=math.inf), NEEDS + "inf and 5"),
+        (dict(osc_horizon=math.nan), NEEDS + "nan and 5"),
+        (dict(osc_min_zeros=0), NEEDS + "50.0 and 0"),
+        (dict(osc_min_zeros=-1), NEEDS + "50.0 and -1"),
+    ]
+    IDS = ["horizon_negative", "horizon_zero", "horizon_inf", "horizon_nan", "min_zeros_zero", "min_zeros_negative"]
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a grid scan ran")
+
+        monkeypatch.setattr("rcert.certificates._scan", scan)
+
+    @pytest.mark.parametrize("kwargs, message", BAD, ids=IDS)
+    def test_check_t3_5(self, vdp_from_one, no_scan, kwargs, message):
+        v, eq = vdp_from_one
+        with pytest.raises(DomainError) as info:
+            check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(17, 17), **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        BAD + [(dict(eps0=0.0), "check_t3_5 needs eps0 > 0 and N > 0"), (dict(eps0=math.nan), "check_t3_5 needs eps0 > 0 and N > 0")],
+        ids=IDS + ["eps0_zero", "eps0_nan"],
+    )
+    def test_check_t4_2(self, vdp_from_one, no_scan, kwargs, message):
+        v, eq = vdp_from_one
+        with pytest.raises(DomainError) as info:
+            check_t4_2(eq, v, **{"eps0": 1.0, "grid": GridSpec(17, 17), **kwargs})
         assert str(info.value) == message
 
 
