@@ -220,8 +220,10 @@ def report_emden(cfg: RunConfig, out: Path, report: dict, summaries: list[str], 
 
 def report_vdp(cfg: RunConfig, out: Path, report: dict, summaries: list[str], certificates: list[Certificate], artifacts: dict) -> None:
     eq = cfg.equation
-    certificates.append(check_t3_6(eq, region=cfg.region, grid=cfg.grid))
-    certificates.append(_oscillation(cfg, apps.check_t4_2))
+    # On a configured region T4_2's existence part is the T3_6 certificate of that region and grid; their default regions differ.
+    standalone = check_t3_6(eq, grid=cfg.grid) if cfg.region is None else None
+    aggregate = _oscillation(cfg, apps.check_t4_2)
+    certificates += [aggregate.parts[0] if standalone is None else standalone, aggregate]
     rng = random.Random(cfg.options.seed)
     (p_lo, p_hi), (d_lo, d_hi) = cfg.options.ic_box
     outcomes = report["ic_outcomes"] = []

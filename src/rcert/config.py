@@ -282,6 +282,8 @@ def parse_config(doc: dict, command: str, theorem: str | None = None) -> RunConf
             raise ConfigError("command", "certify needs a theorem id")
         if theorem not in _THEOREMS:
             raise ConfigError("command", f"unknown theorem id {theorem!r}")
+    elif theorem is not None:
+        raise ConfigError("command", f"theorem id {theorem!r} given to command {command!r}, which takes none")
 
     _require_keys(doc, {"version", "equation", "initial", "bounds", "qtilde", "region", "grid", "options", "sweep"}, set(), "config")
     version = doc.get("version")

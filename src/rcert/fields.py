@@ -188,8 +188,13 @@ def _closed_form_field(products: Sequence[_Product], name: str = "", start: floa
 
 
 def _closed_form_time(products: Sequence[_Product], start: float | None = None) -> Callable[[float], float]:
-    """The time function of a sum of products without w-factors (see :func:`_closed_form`)."""
-    return _closed_form(products, start)["time"]
+    """The time function of a sum of products without w-factors (see :func:`_closed_form`).
+
+    It keeps ``products`` and ``start`` as attributes, for the envelope's closed form (``quadrature.FBound``).
+    """
+    time = _closed_form(products, start)["time"]
+    time.products, time.start = tuple(products), start
+    return time
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,12 @@ taken first.  The users:
 
 * the envelopes, one chain each: ``FBound`` (V = int Q, iplus, W = int e^V R
   and the outer integral of e^-V W / P) and ``GBound`` (V, iplus and
-  int x / P);
+  int x / P).  A power-law ``FBound`` triple walks no chain: when P, Q and R
+  are closed-form time functions (``fields._closed_form_time``) without
+  ``tau`` factors, Q = 0, P = c t^a with c > 0, R is a sum of powers, no
+  exponent is within 1/16 of a logarithmic case and t1 > 0, iplus and the
+  outer integral are sums of power and log terms (``_power_law``), and only
+  a t where one of them is not finite walks it;
 * ``i_plus`` (V and iplus) and ``i_minus``, which walks backward from its
   upper limit t, so the exponent is anchored at t as in the definition;
   ``weighted_tail_integrand`` steps its inner integral from sample to
@@ -471,22 +476,87 @@ class _Envelope:
         return abs(self.c1) * math.exp(self.exponent(t))
 
 
+def _powers(fn: TimeFunction) -> list[tuple[float, float]] | None:
+    """The (coefficient, exponent) terms of a closed-form time function without ``tau`` factors, a nonzero ``start``
+    as a t^0 term; None for any other function."""
+    products = getattr(fn, "products", None)
+    if products is None or any(p.tau is not None or p.g is not None for p in products):
+        return None
+    return [(p.c, p.a) for p in products] + [(fn.start, 0.0)] * bool(fn.start)
+
+
+def _power_law(b: BoundTriple, t1: float) -> Callable[[float], tuple[float, float]] | None:
+    """``t -> (iplus, outer)`` of :class:`FBound` in closed form, or None.
+
+    It needs Q = 0 (no term, or every coefficient 0), P = c t^a with c > 0,
+    R = sum_k r_k t^(m_k - 1) and t1 > 0.  With u = ln(t / t1) and
+    L(m) = int_{t1}^{t} tau^(m-1) = t1^m expm1(m u) / m (u for m = 0),
+    iplus = L(1 - a) / c and outer = sum_k r_k J_k / c, where
+    J_k = int_{t1}^{t} (tau^m_k - t1^m_k) / m_k tau^-a = (L(m_k - a + 1) - t1^m_k L(1 - a)) / m_k,
+    or, for m_k = 0, J_k = int_{t1}^{t} ln(tau / t1) tau^-a = t1^n int_0^u s e^(n s) ds with n = 1 - a.
+    Each J_k divides a cancelling difference by m_k (by n when m_k = 0), so its
+    rounding error grows like the divisor's reciprocal: a triple with a
+    divisor of magnitude in (0, 1/16), near a logarithmic case, gets None.
+    Where t / t1, a power or an exponential overflows, both are nan.
+    """
+    P, Q, R = _powers(b.P), _powers(b.Q), _powers(b.R)
+    if P is None or Q is None or R is None or len(P) != 1 or any(q != 0.0 for q, _ in Q) or not t1 > 0.0:
+        return None
+    (c, a), = P
+    if not 0.0 < c < math.inf:
+        return None
+    n = 1.0 - a
+    terms = [(r, e + 1.0) for r, e in R]
+    if any(0.0 < abs(m or n) < 0.0625 for _, m in terms):
+        return None
+
+    def L(m: float, u: float) -> float:
+        return u if m == 0.0 else t1 ** m * math.expm1(m * u) / m
+
+    def parts(t: float) -> tuple[float, float]:
+        u = math.log1p((t - t1) / t1)
+        if u == math.inf:
+            return math.nan, math.nan
+        try:
+            base = L(n, u)
+            outer = 0.0
+            for r, m in terms:
+                if m != 0.0:
+                    j = (L(m + n, u) - t1 ** m * base) / m
+                else:
+                    j = t1 ** n * (0.5 * u * u if n == 0.0 else (u * math.exp(n * u) - math.expm1(n * u) / n) / n)
+                outer += r * j
+        except OverflowError:
+            return math.nan, math.nan
+        return base / c, outer / c
+
+    return parts
+
+
 class FBound(_Envelope):
     """Growth envelope F(t1; t; c1; c2) as a reusable evaluator.
 
     One chain from t1 holds V = int Q, W = int e^V R, iplus = int e^-V / P and
     the outer integral int e^-V W / P, so evaluating the envelope along an
-    ascending time grid walks each grid gap once.  Exponent overflow raises
-    :class:`RangeOverflowError` instead of silently wrapping to infinity.
+    ascending time grid walks each grid gap once.  A power-law triple takes
+    iplus and the outer integral in closed form instead (:func:`_power_law`);
+    a t where one of them is not finite walks the chain, so its errors are the
+    chain's.  Exponent overflow raises :class:`RangeOverflowError` instead of
+    silently wrapping to infinity.
     """
 
     def __init__(self, b: BoundTriple, t1: float, c1: float, c2: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL):
         if b.R is None:
             raise DomainError("this envelope needs the R component of the bound triple")
         super().__init__(b, b.R, t1, c1, c2, (_K, _W, _T1, _T2), abs_tol, rel_tol)
+        self._closed = _power_law(b, t1)
 
     def exponent(self, t: float) -> float:
-        _, _, iplus, outer = self._levels(t)
+        iplus = outer = math.nan
+        if self._closed is not None and self.t1 <= t < math.inf:
+            iplus, outer = self._closed(t)
+        if not (math.isfinite(iplus) and math.isfinite(outer)):
+            _, _, iplus, outer = self._levels(t)
         return self._in_range(self.c2 * iplus - outer, t)
 
     __call__ = _Envelope.__call__

@@ -329,6 +329,26 @@ class TestCaseStudyCommands:
         names = [c["theorem"] for c in report["certificates"]]
         assert names == ["T3_6", "T4_2"]
 
+    @pytest.mark.parametrize("region, scans", [({"t": [0.0, 20.0], "w": [-8.0, 8.0]}, 1), (None, 2)], ids=["region", "default"])
+    def test_vdp_scans_t3_6_once_on_a_region(self, tmp_path, monkeypatch, region, scans):
+        # With a region, T4_2's existence part is the standalone T3_6 certificate; the two default regions differ.
+        doc = {**VDP_CONFIG, "grid": {"nt": 65, "nw": 65}, "options": {"eps0": 1.0, "osc_horizon": 50.0, "osc_min_zeros": 5, "n_random_ics": 1}}
+        if region is not None:
+            doc["region"] = region
+        seen = []
+        scan = rcert.certificates._fixed_axis_check
+
+        def counting(theorem, *args):
+            seen.append(theorem)
+            return scan(theorem, *args)
+
+        monkeypatch.setattr(rcert.certificates, "_fixed_axis_check", counting)
+        out = tmp_path / "out"
+        assert run_cli(["vdp", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert seen.count("T3_6") == scans
+        standalone, aggregate = json.loads((out / "report.json").read_text())["certificates"]
+        assert (standalone == aggregate["parts"][0]) == (region is not None)
+
 
 class TestReportRecordKeys:
     # These records are written from dataclass fields in field order, so a new field changes the

@@ -12,6 +12,8 @@ import json
 import pytest
 
 from rcert.cli import main
+from rcert.config import _COMMANDS, parse_config
+from rcert.errors import ConfigError
 
 DROP = object()
 
@@ -283,6 +285,14 @@ def test_tags_are_a_no_op(tmp_path, capsys):
         runs.append((code, captured.out.replace(str(out), "OUT"), report))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == 0
+
+
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c != "certify"])
+def test_a_theorem_is_refused_outside_certify(command):
+    # Only certify takes a theorem; another command kept it in RunConfig.theorem and wrote it into its report.
+    with pytest.raises(ConfigError) as err:
+        parse_config(copy.deepcopy(EF), command, "t3_1")
+    assert str(err.value) == f"command: theorem id 't3_1' given to command {command!r}, which takes none"
 
 
 def test_every_base_config_is_valid(tmp_path, capsys):
