@@ -477,8 +477,10 @@ class _Envelope:
 
 
 def _powers(fn: TimeFunction) -> list[tuple[float, float]] | None:
-    """The (coefficient, exponent) terms of a closed-form time function without ``tau`` factors, a nonzero ``start``
-    as a t^0 term; None for any other function."""
+    """The (coefficient, exponent) terms of a closed-form time function, a nonzero ``start`` as a t^0 term.
+
+    None for a function without products, or with a ``tau`` factor.
+    """
     products = getattr(fn, "products", None)
     if products is None or any(p.tau is not None or p.g is not None for p in products):
         return None

@@ -30,8 +30,15 @@ MATRIX = [(rho, sigma, t1) for rho, sigma in EXPONENTS for t1 in (0.5, 1.0, 2.0)
 C2S = (0.0, 0.3, -1.0, 0.7)
 
 
-def spec(kind, **fields):
-    return time_function_from_json({"kind": kind, **fields}, "bounds")
+def json_triple(**changes):
+    """P = t^2, Q = 0 and R = -1 + 0.5 t from JSON time-function specs, with ``changes`` in their place."""
+    docs = {"P": {"kind": "power", "coeff": 1.0, "power": 2.0}, "Q": {"kind": "constant", "value": 0.0}, "R": {"kind": "polynomial", "coeffs": [-1.0, 0.5]}}
+    return BoundTriple(**{k: time_function_from_json(doc, f"bounds.{k}") for k, doc in {**docs, **changes}.items()})
+
+
+def power_triple(a, tau=None):
+    """P = t^a, Q = 0, R = -1 (times ``tau``)."""
+    return BoundTriple(P=_closed_form_time([_Product(1.0, a=a)]), Q=_closed_form_time([_Product(0.0)]), R=_closed_form_time([_Product(-1.0, tau=tau)]))
 
 
 def wrapped(b: BoundTriple) -> BoundTriple:
@@ -41,6 +48,10 @@ def wrapped(b: BoundTriple) -> BoundTriple:
 
 def grid(t1, n=64, span=29.0):
     return [t1 + span * i / n for i in range(1, n + 1)]
+
+
+def ef(rho, sigma):
+    return ef_bound_triple(EFParams(rho=rho, sigma=sigma, n=3.0))
 
 
 def no_panel(*args):
@@ -71,19 +82,19 @@ def assert_parity(b, t1, c2, ts, monkeypatch):
 class TestParity:
     @pytest.mark.parametrize("rho, sigma, t1", MATRIX, ids=[f"rho{r}-sigma{s}-t1_{t}" for r, s, t in MATRIX])
     def test_emden_fowler_triple(self, rho, sigma, t1, monkeypatch):
-        b = ef_bound_triple(EFParams(rho=rho, sigma=sigma, n=3.0))
+        b = ef(rho, sigma)
         for c2 in C2S:
             assert_parity(b, t1, c2, grid(t1), monkeypatch)
 
     def test_json_triple_with_a_polynomial_r(self, monkeypatch):
         # P = 2 t^3, R = -1 + 0.5 t - 0.25 t^2: its t term has m - a + 1 = 0, a logarithm.
-        b = BoundTriple(P=spec("power", coeff=2.0, power=3.0), Q=spec("constant", value=0.0), R=spec("polynomial", coeffs=[-1.0, 0.5, -0.25]))
+        b = json_triple(P={"kind": "power", "coeff": 2.0, "power": 3.0}, R={"kind": "polynomial", "coeffs": [-1.0, 0.5, -0.25]})
         for c2 in C2S:
             assert_parity(b, 1.0, c2, grid(1.0), monkeypatch)
 
     @pytest.mark.parametrize("rho, sigma", [(2.0, -0.93), (2.0, -1.07), (6.0, -1.07), (0.93, -1.0), (1.07, -1.0)])
     def test_just_outside_the_logarithmic_margin(self, rho, sigma, monkeypatch):
-        b = ef_bound_triple(EFParams(rho=rho, sigma=sigma, n=3.0))
+        b = ef(rho, sigma)
         for t1 in (0.5, 2.0):
             for c2 in C2S:
                 assert_parity(b, t1, c2, grid(t1), monkeypatch)
@@ -95,114 +106,81 @@ class TestParity:
         assert_parity(b, 1.0, 0.3, grid(1.0), monkeypatch)
 
 
-class TestFallback:
-    """Each triple outside the closed form walks the chain, to the bits of the same triple through lambdas."""
-
-    POWER = {"kind": "power", "coeff": 1.0, "power": 2.0}
-    CASES = {
-        "q_nonzero": ({"Q": {"kind": "constant", "value": 0.5}}, 1.0),
-        "two_term_p": ({"P": {"kind": "polynomial", "coeffs": [1.0, 1.0]}}, 1.0),
-        "p_coefficient_zero": ({"P": {"kind": "power", "coeff": 0.0, "power": 2.0}}, 1.0),
-        "p_coefficient_negative": ({"P": {"kind": "power", "coeff": -1.0, "power": 2.0}}, 1.0),
-        "t1_zero": ({"P": {"kind": "constant", "value": 1.0}}, 0.0),
-        "t1_negative": ({"P": {"kind": "constant", "value": 1.0}}, -1.0),
-    }
-
-    def triple(self, changes):
-        docs = {"P": self.POWER, "Q": {"kind": "constant", "value": 0.0}, "R": {"kind": "polynomial", "coeffs": [-1.0, 0.5]}, **changes}
-        return BoundTriple(**{k: time_function_from_json(doc, f"bounds.{k}") for k, doc in docs.items()})
-
-    @staticmethod
-    def outcomes(b, t1):
-        """The exponent, or the error's type and text, at four times from t1, and the panels walked."""
-        panels = 0
-        walk = CumulativeChain._panel
-
-        def counting(self, *args):
-            nonlocal panels
-            panels += 1
-            return walk(self, *args)
-
-        F = FBound(b, t1, 1.0, 0.3)
-        results = []
-        CumulativeChain._panel = counting
-        try:
-            for t in (t1 + 0.5, t1 + 1.0, t1 + 3.0, t1 + 7.0):
-                try:
-                    results.append(F.exponent(t).hex())
-                except Exception as exc:
-                    results.append((type(exc).__name__, str(exc)))
-        finally:
-            CumulativeChain._panel = walk
-        return F._closed, results, panels
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_walks_the_chain(self, case):
-        changes, t1 = self.CASES[case]
-        b = self.triple(changes)
-        closed, results, panels = self.outcomes(b, t1)
-        assert closed is None and panels > 0
-        assert results == self.outcomes(wrapped(b), t1)[1]
-
-    @pytest.mark.parametrize("rho, sigma", [(2.0, -1.0 + 1e-12), (2.0, -1.05), (1.0 - 1e-9, -1.0)], ids=["m_tiny", "m_within_margin", "n_tiny"])
-    def test_near_a_logarithmic_case_walks_the_chain(self, rho, sigma):
-        # Within 1/16 of m_k = 0 (of n = 0 when m_k = 0) the closed form would divide a cancelling difference by it.
-        b = ef_bound_triple(EFParams(rho=rho, sigma=sigma, n=3.0))
-        closed, results, panels = self.outcomes(b, 1.0)
-        assert closed is None and panels > 0
-        assert results == self.outcomes(wrapped(b), 1.0)[1]
-
-    def test_a_tau_factor_walks_the_chain(self):
-        b = BoundTriple(
-            P=_closed_form_time([_Product(1.0, a=2.0)]), Q=_closed_form_time([_Product(0.0)]), R=_closed_form_time([_Product(-1.0, tau=math.exp)])
-        )
-        closed, results, panels = self.outcomes(b, 1.0)
-        assert closed is None and panels > 0
-        assert results == self.outcomes(wrapped(b), 1.0)[1]
-
-    def test_a_non_positive_p_raises_the_chains_error(self):
-        _, results, _ = self.outcomes(self.triple(self.CASES["p_coefficient_negative"][0]), 1.0)
-        assert results[0][0] == NonPositiveWeightError.__name__
-
-    def test_an_overflowing_closed_form_raises_the_chains_error(self):
-        # P = t^-300: iplus = (t^301 - 1) / 301 overflows at t = 20, and there P underflows to 0 at the chain's nodes.
-        b = BoundTriple(P=_closed_form_time([_Product(1.0, a=-300.0)]), Q=_closed_form_time([_Product(0.0)]), R=_closed_form_time([_Product(-1.0)]))
-        F = FBound(b, 1.0, 1.0, 0.0)
-        assert F._closed is not None
-        with pytest.raises(NonPositiveWeightError) as closed:
-            F.exponent(20.0)
-        with pytest.raises(NonPositiveWeightError) as chain:
-            FBound(wrapped(b), 1.0, 1.0, 0.0).exponent(20.0)
-        assert str(closed.value) == str(chain.value)
+ONE = {"kind": "constant", "value": 1.0}
+# (triple, t1) outside the closed form.  Within 1/16 of m_k = 0 (of n = 0 when m_k = 0) it would divide a
+# cancelling difference by that small number.
+FALLBACKS = {
+    "q_nonzero": (json_triple(Q={"kind": "constant", "value": 0.5}), 1.0),
+    "two_term_p": (json_triple(P={"kind": "polynomial", "coeffs": [1.0, 1.0]}), 1.0),
+    "p_coefficient_zero": (json_triple(P={"kind": "power", "coeff": 0.0, "power": 2.0}), 1.0),
+    "p_coefficient_negative": (json_triple(P={"kind": "power", "coeff": -1.0, "power": 2.0}), 1.0),
+    "t1_zero": (json_triple(P=ONE), 0.0),
+    "t1_negative": (json_triple(P=ONE), -1.0),
+    "tau_factor": (power_triple(2.0, tau=math.exp), 1.0),
+    "m_tiny": (ef(2.0, -1.0 + 1e-12), 1.0),
+    "m_within_margin": (ef(2.0, -1.05), 1.0),
+    "n_tiny": (ef(1.0 - 1e-9, -1.0), 1.0),
+}
 
 
-    def test_an_overflowing_time_ratio_raises_the_chains_error(self):
-        # t / t1 = 1e310 overflows, and ln(t / t1) = inf would give iplus its t -> inf limit, 140 times its value here.
-        b = BoundTriple(P=_closed_form_time([_Product(1.0, a=1.00001)]), Q=_closed_form_time([_Product(0.0)]), R=_closed_form_time([_Product(-1.0)]))
-        F = FBound(b, 1e-300, 1.0, 1.0)
-        assert F._closed is not None
-        with pytest.raises(QuadratureBudgetError) as closed:
-            F.exponent(1e10)
-        with pytest.raises(QuadratureBudgetError) as chain:
-            FBound(wrapped(b), 1e-300, 1.0, 1.0).exponent(1e10)
-        assert str(closed.value) == str(chain.value)
+def outcomes(b, t1, monkeypatch):
+    """Whether ``FBound`` took the closed form, its exponent (or error type and text) at four times from t1, and the panels walked."""
+    panels = 0
+    walk = CumulativeChain._panel
 
-    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.5], ids=["inf", "nan", "left_of_t1"])
-    def test_a_time_outside_the_walk_raises_the_chains_error(self, t):
-        # From t1 = 1, P = t^4 and R = -1 have finite limits at t = inf, but the chain has no interval to walk.
-        b = ef_bound_triple(EFParams(rho=4.0, sigma=0.0, n=3.0))
-        F = FBound(b, 1.0, 1.0, 0.0)
-        assert F._closed is not None
-        with pytest.raises(DomainError) as closed:
-            F.exponent(t)
-        with pytest.raises(DomainError) as chain:
-            FBound(wrapped(b), 1.0, 1.0, 0.0).exponent(t)
-        assert str(closed.value) == str(chain.value)
+    def counting(self, *args):
+        nonlocal panels
+        panels += 1
+        return walk(self, *args)
+
+    F = FBound(b, t1, 1.0, 0.3)
+    results = []
+    with monkeypatch.context() as m:
+        m.setattr(CumulativeChain, "_panel", counting)
+        for t in (t1 + 0.5, t1 + 1.0, t1 + 3.0, t1 + 7.0):
+            try:
+                results.append(F.exponent(t).hex())
+            except Exception as exc:
+                results.append((type(exc).__name__, str(exc)))
+    return F._closed is not None, results, panels
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_any_other_triple_walks_the_chain(case, monkeypatch):
+    # To the bits of the same triple through lambdas, errors included.
+    b, t1 = FALLBACKS[case]
+    closed, results, panels = outcomes(b, t1, monkeypatch)
+    assert not closed and panels > 0
+    assert results == outcomes(wrapped(b), t1, monkeypatch)[1]
+
+
+ERRORS = {
+    # P = t^-300: iplus = (t^301 - 1) / 301 overflows at t = 20, where P underflows to 0 at the chain's nodes.
+    "overflow": (power_triple(-300.0), 1.0, 20.0, NonPositiveWeightError),
+    # t / t1 = 1e310 overflows, and ln(t / t1) = inf would give iplus its t -> inf limit, 140 times its value here.
+    "ratio_overflow": (power_triple(1.00001), 1e-300, 1e10, QuadratureBudgetError),
+    # P = t^4 and R = -1 have finite limits at t = inf, but the chain has no interval to walk.
+    "inf": (ef(4.0, 0.0), 1.0, math.inf, DomainError),
+    "nan": (ef(4.0, 0.0), 1.0, math.nan, DomainError),
+    "left_of_t1": (ef(4.0, 0.0), 1.0, 0.5, DomainError),
+}
+
+
+@pytest.mark.parametrize("case", ERRORS)
+def test_where_the_closed_form_fails_the_chain_raises(case):
+    b, t1, t, error = ERRORS[case]
+    F = FBound(b, t1, 1.0, 1.0)
+    assert F._closed is not None
+    with pytest.raises(error) as closed:
+        F.exponent(t)
+    with pytest.raises(error) as chain:
+        FBound(wrapped(b), t1, 1.0, 1.0).exponent(t)
+    assert str(closed.value) == str(chain.value)
 
 
 def test_range_overflow_falls_at_the_chains_grid_time():
     # P = t^2, R = -t^3 from t1 = 1: the exponent (t^3 - 1) / 12 + (1/t - 1) / 4 passes 690 near t = 20.2.
-    b = ef_bound_triple(EFParams(rho=2.0, sigma=3.0, n=3.0))
+    b = ef(2.0, 3.0)
     ts = [1.0 + 49.0 * i / 128 for i in range(129)]
 
     def first_overflow(F):
