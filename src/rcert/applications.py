@@ -20,6 +20,7 @@ equation to the rho = 0 form with a shifted exponent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .certificates import FALSIFIED, INCONCLUSIVE, Certificate, _oscillation_options, _verdict, check_t3_5, check_t3_6
@@ -93,7 +94,9 @@ class EFBounds:
     """Closed-form t-uniform caps of the growth envelope with the case label.
 
     ``case`` is "A<1" / "B<1" when the corresponding sufficient condition for
-    global existence holds, otherwise "neither".
+    global existence holds, otherwise "neither".  A cap that does not
+    evaluate to a finite float (its exp, or a power in its exponent,
+    overflows) is None, and its case "neither".
     """
 
     A: float | None
@@ -113,18 +116,22 @@ def ef_bounds_A_B(p: EFParams, t0: float, c1: float, c2: float) -> EFBounds:
         raise DomainError("the closed-form caps need rho > 1")
     if t0 <= 0.0:
         raise DomainError("t0 must be positive")
-    A = B = None
-    case = "neither"
-    lead = c2 / (rho - 1.0) * t0 ** (1.0 - rho)
-    if -1.0 < sigma < rho - 2.0:
-        A = abs(c1) * math.exp(lead - t0 ** (sigma + 2.0 - rho) / ((sigma + 1.0) * (sigma + 2.0 - rho)))
-        if A < 1.0:
-            case = "A<1"
-    elif sigma < -1.0:
-        B = abs(c1) * math.exp(lead - t0 ** (sigma + 2.0 - rho) / ((sigma + 1.0) * (rho - 1.0)))
-        if B < 1.0:
-            case = "B<1"
-    return EFBounds(A=A, B=B, case=case)
+    label = "A" if -1.0 < sigma < rho - 2.0 else "B" if sigma < -1.0 else None
+    if label is None:
+        return EFBounds(A=None, B=None, case="neither")
+    try:
+        tail = t0 ** (sigma + 2.0 - rho) / ((sigma + 1.0) * (sigma + 2.0 - rho)) if label == "A" else _b_exponent(p, t0)
+        cap = abs(c1) * math.exp(c2 / (rho - 1.0) * t0 ** (1.0 - rho) - tail)
+    except OverflowError:
+        cap = math.inf
+    cap = cap if math.isfinite(cap) else None
+    case = f"{label}<1" if cap is not None and cap < 1.0 else "neither"
+    return EFBounds(A=cap if label == "A" else None, B=cap if label == "B" else None, case=case)
+
+
+def _b_exponent(p: EFParams, t0: float) -> float:
+    """t0 ** (sigma + 2 - rho) / ((sigma + 1) * (rho - 1)): minus the t-free part of B's exponent, and the log of the stability cap."""
+    return t0 ** (p.sigma + 2.0 - p.rho) / ((p.sigma + 1.0) * (p.rho - 1.0))
 
 
 def kneser_solution(p: EFParams) -> tuple[TimeFunction, TimeFunction]:
@@ -173,17 +180,14 @@ class EFTransform:
     def transformed_params(self) -> EFParams:
         return EFParams(rho=0.0, sigma=self.sigma1, n=self.params.n, variant=self.params.variant)
 
+    # With k = |rho - 1| on both branches: 1.0 - rho == -(rho - 1.0) in floats, as rounding is sign-symmetric.
     def s_of_t(self, t: float) -> float:
-        rho = self.params.rho
-        if rho > 1.0:
-            return t ** (rho - 1.0) / (rho - 1.0)
-        return t ** (1.0 - rho) / (1.0 - rho)
+        k = abs(self.params.rho - 1.0)
+        return t ** k / k
 
     def t_of_s(self, s: float) -> float:
-        rho = self.params.rho
-        if rho > 1.0:
-            return ((rho - 1.0) * s) ** (1.0 / (rho - 1.0))
-        return ((1.0 - rho) * s) ** (1.0 / (1.0 - rho))
+        k = abs(self.params.rho - 1.0)
+        return (k * s) ** (1.0 / k)
 
     def map_state(self, t: float, phi: float, dphi: float) -> tuple[float, float, float]:
         rho = self.params.rho
@@ -234,12 +238,7 @@ def conditional_stability_delta(p: EFParams, t0: float, eps: float) -> float:
         raise DomainError("eps must be positive")
     if t0 <= 0.0:
         raise DomainError("t0 must be positive")
-    return (
-        eps
-        / 2.0
-        * (1.0 - t0 ** (sigma + 1.0) / (sigma + 1.0)) ** -1.0
-        * math.exp(t0 ** (sigma + 2.0 - rho) / ((sigma + 1.0) * (rho - 1.0)))
-    )
+    return eps / 2.0 * (1.0 - t0 ** (sigma + 1.0) / (sigma + 1.0)) ** -1.0 * math.exp(_b_exponent(p, t0))
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,7 @@ def conditional_stability_experiment(
     experiment keeps that one-sidedness and does not generalize it.
     """
     delta = conditional_stability_delta(p, t0, eps)
-    cap = math.exp(t0 ** (p.sigma + 2.0 - p.rho) / ((p.sigma + 1.0) * (p.rho - 1.0)))
+    cap = math.exp(_b_exponent(p, t0))
     hi = min(delta, cap)
     eq = ef_equation(p, t0=t0)
     opts = IntegrationOptions(horizon=horizon)
@@ -297,17 +296,14 @@ _SIGN_SAMPLES = 257
 
 
 def _check_vdp_signs(v: VdPParams, t0: float) -> None:
+    # (name, function, the test that fails it against 0, the sign it needs); a NaN fails none.
+    signs = (("lambda", v.lam, operator.le, "positive"), ("mu", v.mu, operator.lt, "nonnegative"), ("nu", v.nu, operator.lt, "nonnegative"))
     for k in range(_SIGN_SAMPLES):
         t = t0 + _SIGN_SPAN * k / (_SIGN_SAMPLES - 1)
-        lam = v.lam(t)
-        if lam <= 0.0:
-            raise DomainError(f"lambda({t!r}) = {lam!r} must be positive")
-        mu = v.mu(t)
-        if mu < 0.0:
-            raise DomainError(f"mu({t!r}) = {mu!r} must be nonnegative")
-        nu = v.nu(t)
-        if nu < 0.0:
-            raise DomainError(f"nu({t!r}) = {nu!r} must be nonnegative")
+        for name, fn, fails, sign in signs:
+            value = fn(t)
+            if fails(value, 0.0):
+                raise DomainError(f"{name}({t!r}) = {value!r} must be {sign}")
 
 
 def vdp_equation(v: VdPParams, t0: float = 0.0) -> EquationSpec:

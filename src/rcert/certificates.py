@@ -351,8 +351,7 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     ts = grid.t_axis(ic.t1, region.t_max)
     pre = _ratio_precondition(ic)
     if pre is not None:
-        rec = _region_record(ts, None, None, 0, None)
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, reason=f"precondition: {pre}")
+        return _verdict(theorem, hypotheses, _region_record(ts, None, None, 0, None), f"precondition: {pre}", False, {})
     eps = 1e-3 * abs(ic.phi0) if epsilon is None else epsilon
     c1 = ic.phi0
     c2 = eq.p0(ic.t1, ic.phi0) * ic.phi1 / ic.phi0
@@ -360,8 +359,7 @@ def _envelope_check(theorem, hypotheses, eq, ic, region, grid, epsilon, make_env
     try:
         bound_vals = [envelope(t) for t in ts]
     except RangeOverflowError as exc:
-        rec = _region_record(ts, None, None, 0, None)
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, rec, epsilon=eps, reason=f"range: {exc}")
+        return _verdict(theorem, hypotheses, _region_record(ts, None, None, 0, None), f"range: {exc}", False, {"epsilon": eps})
 
     nw = 0
 
@@ -500,7 +498,7 @@ def check_t3_3(
     ts = grid.t_axis(region.t_min, region.t_max)
     whole = _region_record(ts, None, None, 0, None)
     if majorant.zeros or majorant.tangential:
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason="majorant has a zero on its span")
+        return _verdict(theorem, hypotheses, whole, "majorant has a zero on its span", False, {})
     t_base = majorant.t_start
     if abs(ic0.t1 - t_base) > 1e-12 * max(1.0, abs(t_base)):
         raise DomainError("comparison initial data must start where the majorant starts")
@@ -510,13 +508,11 @@ def check_t3_3(
     positive_branch = phi1_0 >= ic0.phi0 > 0.0 and dphi1_0 > ic0.phi1 >= 0.0
     negative_branch = phi1_0 <= ic0.phi0 < 0.0 and dphi1_0 < ic0.phi1 <= 0.0
     if not (positive_branch or negative_branch):
-        reason = "precondition: initial ordering of values/derivatives fails"
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason=reason)
+        return _verdict(theorem, hypotheses, whole, "precondition: initial ordering of values/derivatives fails", False, {})
     y0 = eq0.p0(ic0.t1, ic0.phi0) * ic0.phi1 / ic0.phi0
     y1 = eq1.p0(t_base, phi1_0) * dphi1_0 / phi1_0
     if not y0 < y1:
-        reason = f"precondition: initial ratio ordering fails (y0={y0!r} >= y1={y1!r})"
-        return Certificate(theorem, INCONCLUSIVE, hypotheses, whole, reason=reason)
+        return _verdict(theorem, hypotheses, whole, f"precondition: initial ratio ordering fails (y0={y0!r} >= y1={y1!r})", False, {})
 
     W = max(abs(region.w_min), abs(region.w_max))
     nw = grid.nw if grid.nw % 2 == 1 else grid.nw + 1

@@ -12,8 +12,10 @@ and grid on which its hypotheses were actually checked.
 
 This is the bottom layer of the package: it imports nothing from it but
 ``errors``.  It holds the row-wise hypothesis scan, its ranges and axes, and
-is the one place that turns a closed form (a sum of products
-c * tau(t) * t**a * g(w)) into evaluators.
+is the one place that compiles a closed form (a sum of products
+c * tau(t) * t**a * g(w)): into one function ``fn(t, w=0.0)``, which is the
+field's evaluator, its row sampler's and, without a w-factor, the time
+function ``fn(t)``.
 Building fields and equations from JSON specs belongs to the config schema,
 in ``config``.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import CodeType
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,15 +48,13 @@ class ScalarField:
     Evaluation through :meth:`__call__` enforces finiteness: a NaN/inf sample
     raises :class:`FieldEvaluationError`.
 
-    ``row_fn``, when given, evaluates a whole row ``(t, ws) -> list[float]``
-    for :meth:`sample_row` and must give every sample bit for bit as
-    ``__call__`` would.  Closed forms get theirs from :func:`_closed_form_field`
-    and keep ``products`` and ``start``, for :func:`_enclose`; opaque callables have none.
+    Closed forms come from :func:`_closed_form_field` and keep ``products``
+    and ``start``, for :meth:`sample_row` and :func:`_enclose`; opaque
+    callables have none.
     """
 
     fn: Callable[[float, float], float]
     name: str = ""
-    row_fn: Callable[[float, Sequence[float]], list[float]] | None = None
     products: tuple[_Product, ...] | None = None
     start: float | None = None
 
@@ -68,18 +68,20 @@ class ScalarField:
         return value
 
     def sample_row(self, t: float, ws: Sequence[float]) -> list[float]:
-        """``[self(t, w) for w in ws]``, in one call when the field has a row evaluator.
+        """``[self(t, w) for w in ws]``; a closed form calls its ``fn`` unwrapped, once per row without a w-factor.
 
-        A row the evaluator cannot give (it raises, or a sample is not a
+        A row the closed form cannot give (it raises, or a sample is not a
         finite float) is sampled again point by point, so the error names the
         first failing w, its value and its cause exactly as the scalar loop
         does.  The test sums the row: any non-finite or complex sample makes
         the sum non-finite or complex, and a finite row whose sum overflows
         only takes the slow path.
         """
-        if self.row_fn is not None:
+        if self.products is not None:
+            fn = self.fn
             try:
-                values = self.row_fn(t, ws)
+                # float(): a time factor may give an int (an empty polynomial is the integer 0)
+                values = [float(fn(t))] * len(ws) if self._w_free else [fn(t, w) for w in ws]
             except (OverflowError, TypeError, ValueError, ZeroDivisionError):
                 pass
             else:
@@ -87,6 +89,10 @@ class ScalarField:
                 if type(total) is float and math.isfinite(total):
                     return values
         return [self(t, w) for w in ws]
+
+    @cached_property
+    def _w_free(self) -> bool:
+        return all(p.w_free for p in self.products)
 
 
 class _Product(NamedTuple):
@@ -104,6 +110,11 @@ class _Product(NamedTuple):
     b: float = 0.0
     tau: Callable[[float], float] | None = None
     w_first: bool = False
+
+    @property
+    def w_free(self) -> bool:
+        """Whether the product has no w-factor: ``|w| ** 0.0 == w ** 0.0 == 1.0``."""
+        return self.g is None or (self.b == 0.0 and self.g != "w^2-1")
 
 
 #: The source of each w-factor at w, with ``{b}`` its exponent.
@@ -128,45 +139,33 @@ def _compiled(source: str) -> CodeType:
     return compile(source, "<closed form>", "exec")
 
 
-def _closed_form(products: Sequence[_Product], start: float | None = None) -> dict:
-    """Compile ``start + P0 + P1 + ...`` into ``fn(t, w)``, ``row(t, ws)`` and, without w-factors, ``time(t)``.
+def _closed_form(products: Sequence[_Product], start: float | None = None) -> Callable[..., float]:
+    """Compile ``start + P0 + P1 + ...`` into one ``fn(t, w=0.0)``; without a w-factor, ``fn(t)`` is its time function.
 
     Sums and products run left to right, and with ``start`` None the value is
     the one product.  As :mod:`dataclasses` compiles ``__init__``, the source
     holds only the operations the products need: it leaves out zero exponents
     and coefficients of +-1, since ``x ** 0.0 == 1.0`` and ``+-1.0 * x == +-x``
-    for every float.  ``row`` takes each product's time part once per row, as
-    a float, so a time part that is not a real number sends the row to the
-    scalar loop.  A form without a w-factor is evaluated once per row.
+    for every float.
     """
-    env, value, terms, scales = _form_source(products, start)
-    row = " + ".join(terms)
-    source = f"def fn(t, w):\n    return {value}\ndef row(t, ws):\n{''.join(scales)}"
-    if "w" in row:  # a w-factor: ``start`` and ``s<k>`` hold no w
-        source += f"    return [{row} for w in ws]\n"
-    else:  # no w-factor: one value for the whole row
-        source += f"    return [{row}] * len(ws)\ndef time(t):\n    return {value}\n"
-    return _run(source, env)
+    env, value = _form_source(products, start)
+    return _run(f"def fn(t, w=0.0):\n    return {value}\n", env)["fn"]
 
 
-def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "") -> tuple[dict, str, list[str], list[str]]:
-    """The namespace, value source, row terms and row scale lines of a closed form; every name in them starts with ``prefix``."""
+def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "") -> tuple[dict, str]:
+    """The namespace and value source of a closed form; every name in them starts with ``prefix``."""
     env = {f"{prefix}start": start}
-    values, terms, scales = [f"{prefix}start"] * (start is not None), [f"{prefix}start"] * (start is not None), []
+    values = [f"{prefix}start"] * (start is not None)
     for k, p in enumerate(products):
-        c, a, b, tau, s = (f"{prefix}{n}{k}" for n in ("c", "a", "b", "tau", "s"))
+        c, a, b, tau = (f"{prefix}{n}{k}" for n in ("c", "a", "b", "tau"))
         env.update({c: p.c, a: p.a, b: p.b, tau: p.tau})
         factors = [f"{tau}(t)"] * (p.tau is not None) + [f"t ** {a}"] * (p.a != 0.0)
-        time_part = _times(c, p.c, factors)
-        scales.append(f"    {s} = float({time_part})\n")
-        if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):  # |w| ** 0.0 == w ** 0.0 == 1.0
-            values.append(time_part)
-            terms.append(s)
+        if p.w_free:
+            values.append(_times(c, p.c, factors))
         else:
             at_w = _W_FACTORS[p.g].format(b=b)
-            values.append(f"{at_w} * ({time_part})" if p.w_first and factors else _times(c, p.c, factors + [at_w]))
-            terms.append(f"{s} * {at_w}")
-    return env, " + ".join(values), terms, scales
+            values.append(f"{at_w} * ({_times(c, p.c, factors)})" if p.w_first and factors else _times(c, p.c, factors + [at_w]))
+    return env, " + ".join(values)
 
 
 def _run(source: str, env: dict) -> dict:
@@ -182,9 +181,8 @@ def _run(source: str, env: dict) -> dict:
 
 
 def _closed_form_field(products: Sequence[_Product], name: str = "", start: float | None = None) -> ScalarField:
-    """The field ``name`` of a sum of products, with its row evaluator and, for :func:`_enclose`, its products (see :func:`_closed_form`)."""
-    env = _closed_form(products, start)
-    return ScalarField(env["fn"], name, env["row"], tuple(products), start)
+    """The field ``name`` of a sum of products, keeping them for :meth:`ScalarField.sample_row` and :func:`_enclose` (see :func:`_closed_form`)."""
+    return ScalarField(_closed_form(products, start), name, tuple(products), start)
 
 
 def _closed_form_time(products: Sequence[_Product], start: float | None = None) -> Callable[[float], float]:
@@ -192,7 +190,9 @@ def _closed_form_time(products: Sequence[_Product], start: float | None = None) 
 
     It keeps ``products`` and ``start`` as attributes, for the envelope's closed form (``quadrature.FBound``).
     """
-    time = _closed_form(products, start)["time"]
+    if not all(p.w_free for p in products):
+        raise ValueError("a time function takes no w-factor")
+    time = _closed_form(products, start)
     time.products, time.start = tuple(products), start
     return time
 
@@ -369,9 +369,9 @@ def _enclose(fld: ScalarField, t: float, spans) -> tuple[float, float] | None:
 
     Each w-factor is monotone on either side of 0, so has its extremes at the
     ends of the spans or at 0 inside one.  ``w * w - 1.0``, products and sums
-    are correctly rounded, so monotone: the row evaluator's operations on the
+    are correctly rounded, so monotone: the evaluator's operations on the
     ranges bound its samples.  Only pow's range is widened, but not below 0
-    where no power is negative.  The time part is the row evaluator's to the
+    where no power is negative.  The time part is the evaluator's to the
     bit (``x * 1.0 == x``, ``t ** 0.0 == 1.0``).  A pole, an overflow or a
     complex power raises.
     """
@@ -380,7 +380,7 @@ def _enclose(fld: ScalarField, t: float, spans) -> tuple[float, float] | None:
     try:
         for p in fld.products:
             s = float(p.c * (1.0 if p.tau is None else p.tau(t)) * t ** p.a)
-            if p.g is None or (p.b == 0.0 and p.g != "w^2-1"):
+            if p.w_free:
                 low = high = 1.0
             elif p.g == "w^2-1":
                 low, high = min(w * w for w in ends) - 1.0, max(w * w for w in ends) - 1.0
@@ -453,7 +453,7 @@ def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: st
         return None
     lines = []
     for name, fld in (("p", eq.p0), ("r", eq.r0), ("q", eq.q0)):
-        form_env, value, _, _ = _form_source(fld.products, fld.start, f"{name}_")
+        form_env, value = _form_source(fld.products, fld.start, f"{name}_")
         env.update(form_env)
         lines.append(f"        {name} = {value}\n")
     # 0.0 * x == 0.0 holds for a finite float x and fails for inf and NaN (0.0 * inf is NaN).

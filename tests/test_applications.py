@@ -16,6 +16,7 @@ from rcert import (
     integrate,
 )
 from rcert.applications import (
+    EFBounds,
     EFParams,
     VdPParams,
     check_t4_2,
@@ -88,6 +89,13 @@ class TestClosedFormCaps:
         with pytest.raises(DomainError):
             ef_bounds_A_B(EFParams(rho=1.0, sigma=0.0, n=3.0), t0=1.0, c1=1.0, c2=0.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -3.0], ids=["A", "B"])
+    @pytest.mark.parametrize("c2", [4000.0, math.inf])
+    def test_a_cap_that_is_not_a_finite_float_is_none(self, sigma, c2):
+        # exp(c2 / 3 - ...) overflows at c2 = 4000 (an OverflowError), and is inf at c2 = inf
+        out = ef_bounds_A_B(EFParams(rho=4.0, sigma=sigma, n=3.0), t0=1.0, c1=0.5, c2=c2)
+        assert out == EFBounds(A=None, B=None, case="neither")
+
     def test_caps_dominate_envelope(self):
         # A and B are t-uniform caps of the growth envelope on their branches
         for params, c1 in ((EFParams(rho=4.0, sigma=0.0, n=3.0), 0.5), (EFParams(rho=2.0, sigma=-2.0, n=3.0), 0.3)):
@@ -135,6 +143,15 @@ class TestNormalFormTransform:
     def test_rho_one_rejected(self):
         with pytest.raises(DomainError):
             ef_transform(EFParams(rho=1.0, sigma=0.0, n=3.0))
+
+    @pytest.mark.parametrize("rho", [-3.0, 0.0, 0.1, 0.5, 1.0 - 2.0**-40, 1.0 + 2.0**-40, 1.7, 2.0, 4.0, 7.25])
+    def test_change_of_variables_is_each_branch_formula(self, rho):
+        # to the bit: rho - 1 on the rho > 1 branch and 1 - rho on the other
+        tr = ef_transform(EFParams(rho=rho, sigma=-5.0, n=3.0))
+        k = rho - 1.0 if rho > 1.0 else 1.0 - rho
+        for t in (0.3, 1.0, 2.5, 9.0, 1e5):
+            assert tr.s_of_t(t) == t**k / k
+            assert tr.t_of_s(t) == (k * t) ** (1.0 / k)
 
     def test_mapped_solutions_agree(self):
         p = EFParams(rho=2.0, sigma=0.0, n=3.0)

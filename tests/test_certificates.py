@@ -584,7 +584,7 @@ class TestScanOrder:
         # p0 >= P fails at w = -1, the first point of the row.  The row path
         # cannot give the row, so it is sampled point by point and raises at
         # the first non-finite w, as the scalar loop does.
-        assert eq.r0.row_fn is not None and eq.q0.row_fn is not None
+        assert eq.r0.products is not None and eq.q0.products is not None
         b = BoundTriple(P=lambda t: 2.0, Q=lambda t: -10.0)
         with pytest.raises(FieldEvaluationError) as err:
             check_t3_4(eq, b, region=Rectangle(1.0, 4.0, -1.0, 1e200), grid=GridSpec(5, 5))

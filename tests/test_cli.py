@@ -109,6 +109,21 @@ class TestCertifyCommand:
         if command == ["emden"]:
             assert report["closed_form_bounds"]["case"] == "A<1"
 
+    @pytest.mark.parametrize("command", [["certify", "t3_1"], ["emden"]], ids=["certify", "emden"])
+    @pytest.mark.parametrize("phi0, phi1, status", [(0.5, 2000.0, "Verified"), (1e-300, 1e300, "Inconclusive")], ids=["overflow", "inf"])
+    def test_a_cap_that_is_not_a_finite_float_is_null(self, tmp_path, capsys, command, phi0, phi1, status):
+        # c2 = 4000 overflows exp in the A cap; c2 = inf makes it inf, which no report may hold
+        doc = {**EF_CONFIG, "initial": {"t1": 1.0, "phi0": phi0, "phi1": phi1}, "region": {"t": [1.0, 1.001], "w": [-1.0, 1.0]}, "grid": {"nt": 9, "nw": 9}}
+        code = run_cli(command + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+        assert code == (0 if status == "Verified" else 2)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        cert = report["certificates"][0]
+        assert (cert["theorem"], cert["status"], cert["uniform_bound"]) == ("T3_1", status, None)
+        assert cert["details"]["closed_form_case"] == "neither"
+        assert "bound=" not in capsys.readouterr().out
+        if command == ["emden"]:
+            assert report["closed_form_bounds"] == {"A": None, "B": None, "case": "neither"}
+
     def test_falsified_exits_2_with_witness(self, tmp_path):
         cfg = write_config(tmp_path, NEGATIVE_R_CONFIG)
         code = run_cli(["certify", "t3_6", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rcert import (
     DomainError,
+    FieldEvaluationError,
     FINITE_ESCAPE,
     REACHED_HORIZON,
     STEP_COLLAPSE,
@@ -243,6 +244,42 @@ class TestFiniteEscape:
         eq = make_eq(r_fn=lambda t, w: -1e300 * w * w)
         traj = integrate(eq, InitialData(0.0, 1.0, 1.0), IntegrationOptions(horizon=5.0))
         assert traj.terminal.kind in (FINITE_ESCAPE, STEP_COLLAPSE)
+
+
+class TestNonFiniteEvaluation:
+    # r0 is 0 (phi'' = 0 from phi = 2) but on one call, where 1.7e308 * w overflows the rhs to -inf.
+    # Call 1 is the first rhs, call 2 the initial-step probe, calls 3 to 8 the six stages of the first step (h = 1e-6).
+    @pytest.mark.parametrize("poisoned", [None, 3, 4, 5, 6, 7, 8])
+    def test_a_non_finite_stage_rejects_the_step(self, poisoned):
+        calls = []
+
+        def r(t, w):
+            calls.append(t)
+            return 1.7e308 if len(calls) == poisoned else 0.0
+
+        traj = integrate(make_eq(r_fn=r), InitialData(0.0, 2.0, 0.0), IntegrationOptions(horizon=1.0))
+        stages = [2e-07, 3e-07, 8e-07, 8.888888888888888e-07, 1e-06, 1e-06]
+        if poisoned is None:
+            assert (calls[2:8], traj.ts[1]) == (stages, 1e-06)
+        else:  # the step stops at the poisoned stage and is retried at h / 4, from its k2 at 0.2 * h / 4
+            assert (calls[2 : poisoned + 1], traj.ts[1]) == (stages[: poisoned - 2] + [5e-08], 2.5e-07)
+        assert (len(traj.ts), traj.terminal.to_dict(), set(traj.phis)) == (11 if poisoned is None else 13, {"kind": REACHED_HORIZON, "time": 1.0}, {2.0})
+
+    def test_a_step_that_never_clears_its_stages_collapses(self):
+        traj = integrate(make_eq(r=-1e300), InitialData(0.0, 1.0, 0.0), IntegrationOptions(horizon=1.0))
+        assert len(traj.ts) == 1
+        assert traj.terminal.to_dict() == {"kind": STEP_COLLAPSE, "time": 0.0, "reason": "non-finite evaluation"}
+
+    def test_a_non_finite_first_rhs_raises(self):
+        with pytest.raises(FieldEvaluationError) as err:
+            integrate(make_eq(r=-1e300), InitialData(0.0, 1e10, 0.0), IntegrationOptions(horizon=1.0))
+        assert (err.value.name, err.value.t, err.value.w, math.isnan(err.value.value)) == ("rhs", 0.0, 1e10, True)
+
+    def test_an_escape_writes_its_reason_and_bracket(self, cube_blowup_eq):
+        traj = integrate(cube_blowup_eq, InitialData(0.0, 1.0, 1.0), IntegrationOptions(horizon=10.0))
+        doc = traj.terminal.to_dict()
+        assert doc == {"kind": FINITE_ESCAPE, "time": doc["time"], "reason": "blow-up rate stable", "bracket": doc["bracket"]}
+        assert (doc["time"].hex(), doc["bracket"].hex()) == ("0x1.4f9cd3c3b6411p+0", "0x1.60a09f1bdb9cap-15")
 
 
 class TestOptionRanges:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import CodeType
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +54,15 @@ class TestClosedFormCompileCache:
         assert f.fn.__code__ == g.fn.__code__ and f.fn.__code__ is not g.fn.__code__
         assert (f(2.0, -3.0), g(2.0, -3.0)) == (36.5, 35.0)
         assert (f.sample_row(2.0, [1.0, -3.0]), g.sample_row(2.0, [1.0, -3.0])) == ([4.5, 36.5], [11.0, 35.0])
+
+    def test_each_closed_form_compiles_one_function(self, compiles):
+        fld = _closed_form_field([_Product(2.0, a=1.0, g="|w|^b", b=2.0)], "f")
+        time = _closed_form_time([_Product(3.0, a=0.5)])
+        functions = [[c.co_name for c in compile(source, "", "exec").co_consts if isinstance(c, CodeType)] for source in compiles]
+        assert functions == [["fn"], ["fn"]]
+        assert (fld.fn(2.0, 3.0), time(4.0)) == (36.0, 6.0)
+        with pytest.raises(ValueError, match="no w-factor"):
+            _closed_form_time([_Product(1.0, g="w^2-1")])
 
     def test_same_source_keeps_each_forms_time_factor(self, compiles):
         f = _closed_form_time([_Product(2.0, tau=math.cos)])
@@ -220,7 +230,7 @@ class TestSystemRhs:
     @staticmethod
     def row_and_wrapped(eq):
         """The rhs of ``eq`` and of the same fields as opaque callables."""
-        opaque = {part: dataclasses.replace(getattr(eq, part), row_fn=None, products=None) for part in ("p0", "q0", "r0")}
+        opaque = {part: dataclasses.replace(getattr(eq, part), products=None) for part in ("p0", "q0", "r0")}
         return system_rhs(eq), system_rhs(EquationSpec(t0=eq.t0, **opaque))
 
     @staticmethod

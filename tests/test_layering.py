@@ -71,34 +71,34 @@ def test_only_the_front_ends_import_config():
     assert importers == {"cli.py", "__init__.py"}
 
 
-#: What ``fields`` uses to write evaluators.  Other modules build a closed-form
-#: field through ``_closed_form_field`` or ``_closed_form_time`` only.
-EVALUATOR_INTERNALS = {"_closed_form", "_times", "_W_FACTORS"}
+#: What ``fields`` uses to compile a closed form.  Other modules build a
+#: closed-form field through ``_closed_form_field`` or ``_closed_form_time`` only.
+EVALUATOR_INTERNALS = {"_closed_form", "_form_source", "_run", "_compiled", "_times", "_W_FACTORS"}
 
 
 def row_evaluator_uses(source: str) -> list[str]:
-    """Each ``row_fn=`` argument, ``ScalarField`` call with a third positional
-    argument, and import of an evaluator internal of ``fields`` in ``source``."""
+    """Each ``products=`` argument, ``ScalarField`` call with a third positional
+    argument (its products), and import of an evaluator internal of ``fields`` in ``source``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            found.extend(f"row_fn= at line {node.lineno}" for k in node.keywords if k.arg == "row_fn")
+            found.extend(f"products= at line {node.lineno}" for k in node.keywords if k.arg == "products")
             callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
             if callee == "ScalarField" and len(node.args) > 2:
-                found.append(f"ScalarField with a row evaluator at line {node.lineno}")
+                found.append(f"ScalarField with products at line {node.lineno}")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fields":
             found.extend(f"imports {a.name}" for a in node.names if a.name in EVALUATOR_INTERNALS)
     return sorted(found)
 
 
 def test_the_row_scan_finds_row_evaluators():
-    source = "from .fields import ScalarField, _closed_form\nScalarField(f, 'f', row)\nreplace(fld, row_fn=None)\n"
-    assert row_evaluator_uses(source) == ["ScalarField with a row evaluator at line 2", "imports _closed_form", "row_fn= at line 3"]
+    source = "from .fields import ScalarField, _closed_form, _run\nScalarField(f, 'f', products)\nreplace(fld, products=ps)\n"
+    assert row_evaluator_uses(source) == ["ScalarField with products at line 2", "imports _closed_form", "imports _run", "products= at line 3"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=[p.name for p in MODULES if p.name != "fields.py"])
 def test_only_fields_builds_row_evaluators(path):
-    # A closed-form field is a list of products; fields alone turns it into evaluators.
+    # A closed-form field is a list of products; fields alone compiles it into its evaluator.
     assert row_evaluator_uses(path.read_text(encoding="utf-8")) == []
 
 

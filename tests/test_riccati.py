@@ -228,7 +228,7 @@ class TestOnePassSampler:
     @pytest.mark.parametrize("p, q, r", ODD_SAMPLES.values(), ids=ODD_SAMPLES)
     def test_odd_samples_match_the_wrapped_fields(self, monkeypatch, p, q, r):
         closed = EquationSpec(p0=_closed_form_field([p], "p"), q0=_closed_form_field([q], "q"), r0=_closed_form_field([r], "r"), t0=0.0)
-        wrapped = EquationSpec(**{k: replace(getattr(closed, k), row_fn=None, products=None) for k in ("p0", "q0", "r0")}, t0=0.0)
+        wrapped = EquationSpec(**{k: replace(getattr(closed, k), products=None) for k in ("p0", "q0", "r0")}, t0=0.0)
         plain = _Still(EquationSpec(*(_closed_form_field([at(1.0)]) for _ in range(3)), t0=0.0), 0.75)
         other = riccati.RiccatiPath(plain, 0.0, 2.0, partial(riccati._ratio, plain))
         for w in (0.0, 0.5, -0.5):
@@ -244,7 +244,7 @@ class TestOnePassSampler:
     def test_r0_is_sampled_before_q0(self, monkeypatch):
         # q0 and r0 both raise: every oracle that samples them raises r0's error, as the rhs does.
         closed = EquationSpec(p0=_closed_form_field([at(2.0)], "p"), q0=_closed_form_field([at(math.inf)], "q"), r0=_closed_form_field([at(math.nan)], "r"), t0=0.0)
-        wrapped = EquationSpec(**{k: replace(getattr(closed, k), row_fn=None, products=None) for k in ("p0", "q0", "r0")}, t0=0.0)
+        wrapped = EquationSpec(**{k: replace(getattr(closed, k), products=None) for k in ("p0", "q0", "r0")}, t0=0.0)
         r0_error = self.outcome(lambda s: closed.r0(s, 0.5))
         assert r0_error[0] is FieldEvaluationError and r0_error != self.outcome(lambda s: closed.q0(s, 0.5))
         for eq in (closed, wrapped):

@@ -1,7 +1,8 @@
 """The row path of ``ScalarField.sample_row`` against the scalar loop, and row ranges against the samples.
 
-Every builtin and JSON field kind has a row evaluator.  On any row it must
-give the scalar loop's samples bit for bit, and on a row the scalar loop
+Every builtin and JSON field kind is a closed form, whose row path calls its
+compiled ``fn`` unwrapped.  On any row it must give the scalar loop's samples
+bit for bit, and on a row the scalar loop
 cannot sample it must raise the same :class:`FieldEvaluationError`: the same
 first (t, w), the same value and the same cause.  Every kind also has a range
 over a row (``fields._enclose``): where it is finite, every sample of the row,
@@ -22,7 +23,7 @@ from rcert import FieldEvaluationError, ScalarField, equation_from_json
 from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
 from rcert.certificates import _Check, _first_where, _points, _ratio
 from rcert.config import _scalar_field_from_json
-from rcert.fields import _axis_ends, _enclose, _linspace, _scan
+from rcert.fields import _axis_ends, _closed_form_field, _enclose, _linspace, _Product, _scan
 
 JSON_FIELDS = {
     "constant": {"kind": "constant", "value": 2.5},
@@ -111,7 +112,7 @@ TS = st.one_of(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), st.sam
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_every_kind_has_a_row_evaluator(name):
-    assert FIELDS[name].row_fn is not None
+    assert FIELDS[name].products is not None
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -128,7 +129,7 @@ def test_row_path_matches_scalar_loop(name, t, ws):
         row = outcome(lambda: fld.sample_row(t, ws))
     assert row == scalar
     if scalar[0] == "ok" and math.isfinite(sum(fld(t, w) for w in ws)):
-        assert calls == []  # the row came from the row evaluator
+        assert calls == []  # the row came from the compiled form
 
 
 #: Row ends: signed zeros, subnormals, the smallest normal, and ends whose powers overflow.
@@ -243,10 +244,29 @@ def test_failing_row_raises_at_the_first_bad_w(name, ws, bad):
 
 
 def test_finite_row_with_overflowing_sum_takes_the_scalar_loop():
-    big = ScalarField(lambda t, w: 1e308, row_fn=lambda t, ws: [1e308] * len(ws))
+    big = _closed_form_field([_Product(1e308)], "big")
     with counted_calls() as calls:
         assert big.sample_row(0.0, [0.0, 1.0]) == [1e308, 1e308]
     assert len(calls) == 2
+
+
+def test_w_free_row_is_floats_of_one_call():
+    # An empty polynomial nu is the integer 0: the row holds floats, as the scalar loop does.
+    nu = {"kind": "polynomial", "coeffs": []}
+    eq = equation_from_json({"kind": "van_der_pol", "lambda": {"kind": "constant", "value": 1.0}, "mu": nu, "nu": nu, "t0": 0.0})
+    ws = [-1.0, 0.0, 0.5, 2.0]
+    for fld in (eq.r0, eq.q0):
+        values = fld.sample_row(1.5, ws)
+        assert values == [fld(1.5, w) for w in ws] and all(type(v) is float for v in values)
+    calls = []
+
+    def tau(t):
+        calls.append(t)
+        return 3.0
+
+    fld = _closed_form_field([_Product(2.0, a=1.0, tau=tau), _Product(-1.0, g="w^b", b=0.0)], "w-free")
+    assert fld.sample_row(2.0, ws) == [11.0] * len(ws)
+    assert calls == [2.0]  # one call per row
 
 
 def test_empty_row():
@@ -255,7 +275,7 @@ def test_empty_row():
 
 def test_opaque_callable_goes_through_call():
     fld = ScalarField(lambda t, w: t + w, name="opaque")
-    assert fld.row_fn is None
+    assert fld.products is None
     with counted_calls() as calls:
         values = fld.sample_row(1.0, [0.0, 0.5, -1.0])
     assert values == [1.0, 1.5, 0.0]
