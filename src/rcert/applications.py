@@ -238,7 +238,12 @@ def conditional_stability_delta(p: EFParams, t0: float, eps: float) -> float:
         raise DomainError("eps must be positive")
     if t0 <= 0.0:
         raise DomainError("t0 must be positive")
-    return eps / 2.0 * (1.0 - t0 ** (sigma + 1.0) / (sigma + 1.0)) ** -1.0 * math.exp(_b_exponent(p, t0))
+    # sigma + 2 - rho < sigma + 1 < 0, so where t0 ** (sigma + 1) overflows this power has already.
+    try:
+        exponent = _b_exponent(p, t0)
+    except OverflowError:
+        raise DomainError(f"t0 ** (sigma + 2 - rho) overflows at t0={t0!r}, exponent {sigma + 2.0 - rho!r}") from None
+    return eps / 2.0 * (1.0 - t0 ** (sigma + 1.0) / (sigma + 1.0)) ** -1.0 * math.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -296,13 +301,13 @@ _SIGN_SAMPLES = 257
 
 
 def _check_vdp_signs(v: VdPParams, t0: float) -> None:
-    # (name, function, the test that fails it against 0, the sign it needs); a NaN fails none.
-    signs = (("lambda", v.lam, operator.le, "positive"), ("mu", v.mu, operator.lt, "nonnegative"), ("nu", v.nu, operator.lt, "nonnegative"))
+    # (name, function, the test it must pass against 0, the sign it needs); a NaN passes none.
+    signs = (("lambda", v.lam, operator.gt, "positive"), ("mu", v.mu, operator.ge, "nonnegative"), ("nu", v.nu, operator.ge, "nonnegative"))
     for k in range(_SIGN_SAMPLES):
         t = t0 + _SIGN_SPAN * k / (_SIGN_SAMPLES - 1)
-        for name, fn, fails, sign in signs:
+        for name, fn, holds, sign in signs:
             value = fn(t)
-            if fails(value, 0.0):
+            if not holds(value, 0.0):
                 raise DomainError(f"{name}({t!r}) = {value!r} must be {sign}")
 
 

@@ -639,6 +639,10 @@ def check_t3_5(
     The grid decides first: every band scan of (a) runs, in that order, before
     any probe or zero count, and a band that sampled no grid point is
     Inconclusive without running them.  Options out of range raise before any scan.
+
+    Each comparison integration of (b) stops at its ``osc_min_zeros``-th zero,
+    so ``details["comparison_zero_counts"]`` reads ``osc_min_zeros`` for a
+    passing eps and the full count for the failing one.
     """
     _oscillation_options(eps0, osc_horizon, osc_min_zeros, N)
     hypotheses = (
@@ -724,7 +728,7 @@ def check_t3_5(
         # Oscillation of each sampled comparison equation, by zero counting.
         zero_counts = details["comparison_zero_counts"] = {}
         for eps, (p_e, q_e, r_e) in outer_family:
-            count = zero_counts[repr(eps)] = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon)
+            count = zero_counts[repr(eps)] = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon, osc_min_zeros)
             if count < osc_min_zeros:
                 detail = f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}"
                 return Witness(oscillate, eq.t0, None, detail)
@@ -742,6 +746,7 @@ def _comparison_zero_count(
     q_e: TimeFunction,
     r_e: TimeFunction,
     osc_horizon: float,
+    osc_min_zeros: int,
 ) -> int:
     eq = EquationSpec(
         p0=_closed_form_field([_Product(1.0, tau=p_e)], "p_eps"),
@@ -749,7 +754,9 @@ def _comparison_zero_count(
         r0=_closed_form_field([_Product(1.0, tau=r_e)], "r_eps"),
         t0=t0,
     )
-    opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30)
+    # The horizon stays t0 + osc_horizon, so the stepper's per-unit-step target and every step
+    # up to the cap are the uncapped run's: the count is min(full count, osc_min_zeros).
+    opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30, max_zeros=osc_min_zeros)
     traj = integrate(eq, InitialData(t1=t0, phi0=1.0, phi1=0.0), opts)
     return len(traj.zeros)
 

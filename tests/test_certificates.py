@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rcert import (
     InitialData,
     IntegrationOptions,
     OSC_OR_SINGULAR_FIRST_KIND,
+    REACHED_HORIZON,
     Rectangle,
     SINGULAR_SECOND_KIND_IF_NONEXTENDABLE,
     VERIFIED,
@@ -390,6 +392,73 @@ class TestOscillationExits:
         with pytest.raises(DomainError) as info:
             check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), grid=GridSpec(9, 9), **kwargs)
         assert str(info.value) == message
+
+
+OSCILLATE = "comparison equations oscillate (zero count)"
+
+
+def recording_integrate(monkeypatch):
+    """Route check_t3_5's comparison integrations through integrate, keeping each call and its trajectory."""
+    runs = []
+
+    def recording(*args):
+        runs.append((args, integrate(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr("rcert.certificates.integrate", recording)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def uncapped_comparison_runs(vdp_setup):
+    """The five comparison integrations of the unit Van der Pol family, each rerun to its horizon without a zero cap."""
+    v, eq = vdp_setup
+    with pytest.MonkeyPatch.context() as mp:
+        runs = recording_integrate(mp)
+        check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9), osc_min_zeros=1)
+    uncapped = IntegrationOptions().max_zeros
+    return [integrate(ceq, ic, replace(opts, max_zeros=uncapped)) for (ceq, ic, opts), _ in runs]
+
+
+class TestComparisonZeroCap:
+    """Each comparison integration stops at its osc_min_zeros-th zero; the verdict is that of the full count."""
+
+    EPS = [1.0, 0.5, 0.25, 0.125, 0.0625]
+
+    @pytest.mark.parametrize("m", [1, 5, 14, 15, 16, 100])
+    def test_verdict_is_the_uncapped_counts(self, vdp_setup, uncapped_comparison_runs, m):
+        v, eq = vdp_setup
+        full = [len(traj.zeros) for traj in uncapped_comparison_runs]
+        assert full == [16, 15, 14, 14, 14]
+        # The reference verdict: the first eps whose full count is below m falsifies.
+        counts, witness = {}, None
+        for eps, n in zip(self.EPS, full):
+            counts[repr(eps)] = min(n, m)
+            if n < m:
+                witness = (OSCILLATE, 0.0, None, f"comparison equation at eps={eps!r} produced {n} zero(s) < {m} on horizon 50.0")
+                break
+        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9), osc_min_zeros=m)
+        assert cert.status == (VERIFIED if witness is None else FALSIFIED)
+        got = None if cert.witness is None else (cert.witness.hypothesis, cert.witness.t, cert.witness.w, cert.witness.detail)
+        assert got == witness
+        assert cert.heuristic_flags == ("comparison_oscillation_zero_count", "tail_divergence_probe")
+        assert cert.details["comparison_zero_counts"] == counts
+
+    def test_capped_run_is_the_uncapped_runs_prefix(self, vdp_setup, uncapped_comparison_runs, monkeypatch):
+        v, eq = vdp_setup
+        runs = recording_integrate(monkeypatch)
+        check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9), osc_min_zeros=5)
+        capped, full = runs[0][1], uncapped_comparison_runs[0]  # eps = 1
+        assert capped.zeros == full.zeros[:5]
+        assert capped.ts == full.ts[: len(capped.ts)]
+        assert (capped.terminal.kind, capped.terminal.reason) == (REACHED_HORIZON, "zero cap reached")
+        assert capped.t_end < eq.t0 + 50.0 and full.t_end == eq.t0 + 50.0
+
+    def test_count_below_the_cap_reads_in_full(self, vdp_setup):
+        v, eq = vdp_setup
+        cert = check_t3_5(eq, vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9), osc_min_zeros=15)
+        assert cert.witness.detail == "comparison equation at eps=0.25 produced 14 zero(s) < 15 on horizon 50.0"
+        assert cert.details["comparison_zero_counts"] == {"1.0": 15, "0.5": 15, "0.25": 14}
 
 
 class TestOscillationOptions:

@@ -59,9 +59,18 @@ RAISES = [
     ("ef_bounds_A_B t0", lambda tmp: ef_bounds_A_B(EFParams(rho=4.0, sigma=0.0, n=3.0), 0.0, 1.0, 0.0), DomainError, "t0 must be positive"),
     ("stability eps", lambda tmp: conditional_stability_delta(POWER_LAW, 1.0, 0.0), DomainError, "eps must be positive"),
     ("stability t0", lambda tmp: conditional_stability_delta(POWER_LAW, -1.0, 0.1), DomainError, "t0 must be positive"),
+    (
+        "stability t0 overflow",
+        lambda tmp: conditional_stability_delta(POWER_LAW, 1e-70, 0.1),
+        DomainError,
+        "t0 ** (sigma + 2 - rho) overflows at t0=1e-70, exponent -5.0",
+    ),
     ("vdp lambda", lambda tmp: vdp_equation(VdPParams(lam=lambda t: 0.0, mu=one, nu=one)), DomainError, "lambda(0.0) = 0.0 must be positive"),
     ("vdp mu", lambda tmp: vdp_equation(VdPParams(lam=one, mu=lambda t: t - 1.0, nu=one)), DomainError, "mu(0.0) = -1.0 must be nonnegative"),
     ("vdp nu", lambda tmp: vdp_equation(VdPParams(lam=one, mu=one, nu=lambda t: -1.0)), DomainError, "nu(0.0) = -1.0 must be nonnegative"),
+    ("vdp lambda nan", lambda tmp: vdp_equation(VdPParams(lam=lambda t: math.nan, mu=one, nu=one)), DomainError, "lambda(0.0) = nan must be positive"),
+    ("vdp mu nan", lambda tmp: vdp_equation(VdPParams(lam=one, mu=lambda t: math.nan, nu=one)), DomainError, "mu(0.0) = nan must be nonnegative"),
+    ("vdp nu nan", lambda tmp: vdp_equation(VdPParams(lam=one, mu=one, nu=lambda t: math.nan)), DomainError, "nu(0.0) = nan must be nonnegative"),
     (
         "check_t3_3 start",
         lambda tmp: check_t3_3(HARMONIC, HARMONIC, harmonic_run(), InitialData(0.5, 0.5, 0.0)),
