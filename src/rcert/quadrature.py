@@ -16,10 +16,13 @@ nodes, which matters because the envelopes are evaluated on whole time grids
 inside hypothesis sweeps.  One memo, :class:`CumulativeChain`, carries every
 such integral.  It holds the antiderivatives of a lower-triangular chain of
 integrands on a growing set of knots, and a query walks only the gap from the
-nearest knot.  Each level is evaluated once per panel on the samples at the
-15 Kronrod nodes, and the inner levels are read at the same nodes through the
-panel's node integration matrix, so no integrand ever queries another memo.
-A node integral is one left-to-right sum, the same bits on every interpreter.
+nearest knot.  Each level is a node-wise expression over the samples'
+columns and the inner levels, and the inner levels are read at the 15
+Kronrod nodes through the panel's node integration matrix, so no integrand
+ever queries another memo.  Each layout of levels has one GK15 panel, written
+out as straight code and compiled on its first use (``_compiled_panel``, a
+few milliseconds per layout; nothing is compiled at import).  A node
+integral is one left-to-right sum, the same bits on every interpreter.
 
 Every integral here is one walk of the chain's: adaptive GK15 panels taken in
 order from one end of a gap to the other, with the QUADPACK acceptance test
@@ -52,8 +55,11 @@ taken first.  The users:
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from math import exp
 from operator import add, gt
 from typing import Callable, Sequence
 
@@ -126,8 +132,6 @@ _WG = (
     0.381830050505119,
     0.417959183673469,
 )
-_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
-_G0, _G1, _G2, _G3 = _WG
 
 # The 15 Kronrod nodes in ascending order.
 _NODES = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
@@ -161,12 +165,82 @@ def _exp(x: float) -> float:
     return math.exp(x)
 
 
+def _finite_gap(a: float, b: float) -> None:
+    if not abs(b - a) < math.inf:
+        raise DomainError(f"integration limits {a!r} and {b!r} do not bound a finite interval")
+
+
+# Chain levels: node-wise expressions over the sample columns c0..c2 and the
+# node values y0..y2 of the inner levels.  The envelopes and the functionals
+# report an exponent beyond EXP_CAP as RangeOverflowError; the residual
+# oracles (_ORACLE_LEVELS) let math.exp raise OverflowError.
+_K = "c0"
+_W = "(exp(y0) if y0 <= EXP_CAP else _exp(y0)) * c1"
+_T1 = "(exp(-y0) if -y0 <= EXP_CAP else _exp(-y0)) / c2"
+_T2 = "(exp(-y0) if -y0 <= EXP_CAP else _exp(-y0)) * y1 / c2"
+_ORACLE_LEVELS = (_K, "exp(y0) * c1", "exp(-y0) / c2", "exp(-y0) * y1 / c2")
+
+
+@lru_cache(maxsize=None)
+def _compiled_panel(levels: tuple[str, ...]) -> Callable:
+    """The GK15 panel of a chain with these levels, written out as straight code and compiled on first use.
+
+    ``panel(sample, lo, hi, start, budget)`` returns the K15 increments and
+    the |K15 - G7| errors per level on [lo, hi], or no increments and the
+    errors so far at the first level over ``budget``.  It calls ``sample``
+    at the 15 Kronrod nodes in ascending order.  Column cj at a node is the
+    j-th item of that node's sample, or in a chain of one level the sample
+    itself.  Each level's node values are its expression at each node in
+    turn; its node pairs are summed outermost first, both sums left to
+    right from the centre term.  A level that a later one reads is
+    integrated to every node by :func:`_node_integrals`.  The panel runs in
+    this module's namespace, so the expressions see ``exp``, ``_exp`` and
+    ``EXP_CAP``.  It is kept for the life of the process: the levels come
+    from this module's few layouts, not from inputs.
+    """
+    n = len(_NODES)
+    read = {int(k) for k in re.findall(r"\by(\d)\b", " ".join(levels))}
+
+    def at(expr: str, i: int) -> str:
+        column = rf"d{i}" if len(levels) == 1 else rf"d{i}[\1]"
+        return re.sub(r"\by(\d)\b", rf"y\1_{i}", re.sub(r"\bc(\d)\b", column, expr))
+
+    lines = ["c = 0.5 * (lo + hi)", "h = 0.5 * (hi - lo)"]
+    lines += [f"d{i} = sample(c + h * {x!r})" for i, x in enumerate(_NODES)]
+    lines.append("ah = abs(h)")
+    for k, expr in enumerate(levels):
+        fv = [at(expr, i) for i in range(n)]
+        if not re.fullmatch(r"c\d", expr):
+            lines += [f"f{k}_{i} = {v}" for i, v in enumerate(fv)]
+            fv = [f"f{k}_{i}" for i in range(n)]
+        lines += [f"s{j} = {fv[j]} + {fv[-1 - j]}" for j in (1, 3, 5)]
+        pairs = [f"s{j}" if j % 2 else f"({fv[j]} + {fv[-1 - j]})" for j in range(7)]
+        lines += [
+            f"resk = {_WGK[7]!r} * {fv[7]} + " + " + ".join(f"{w!r} * {p}" for w, p in zip(_WGK, pairs)),
+            f"resg = {_WG[3]!r} * {fv[7]} + " + " + ".join(f"{w!r} * s{j}" for j, w in zip((1, 3, 5), _WG)),
+            f"err{k} = abs(resk - resg) * ah",
+            f"if not math.isfinite(err{k}):",
+            f"    raise QuadratureBudgetError(f'level {k} integrand is not finite on [{{lo!r}}, {{hi!r}}]')",
+            f"if budget is not None and err{k} > budget[{k}]:",
+            f"    return None, [{', '.join(f'err{j}' for j in range(k))}]",
+            f"inc{k} = resk * h",
+        ]
+        if k in read:
+            lines.append(f"{', '.join(f'y{k}_{i}' for i in range(n))} = _node_integrals(start[{k}], h, ({', '.join(fv)}))")
+    ks = range(len(levels))
+    lines.append(f"return [{', '.join(f'inc{k}' for k in ks)}], [{', '.join(f'err{k}' for k in ks)}]")
+    scope: dict = {}
+    exec("def panel(sample, lo, hi, start, budget):\n" + "".join(f"    {line}\n" for line in lines), globals(), scope)
+    return scope["panel"]
+
+
 class CumulativeChain:
     """Memoized antiderivatives Y_0..Y_{m-1} of a lower-triangular chain of integrands.
 
-    ``Y_k(t) = integral_base^t f_k(sample(s), [Y_0(s), ..., Y_{k-1}(s)]) ds``;
-    ``sample`` runs once per node for the work the levels share, and each f_k
-    once per panel, on all 15 nodes (see :meth:`_panel`).  A query
+    ``Y_k(t) = integral_base^t f_k(sample(s), Y_0(s), ..., Y_{k-1}(s)) ds``;
+    ``sample`` runs once per node for the work the levels share, and each
+    f_k is an expression over the sample columns c0..c2 and the inner levels
+    y0..y2 (see :func:`_compiled_panel`).  A query
     returns the tuple (Y_0(t), ..., Y_{m-1}(t)).  Every query integrates only
     the gap between ``t`` and the nearest known knot, in either direction, then
     records ``t`` as a new knot, so repeated and monotone query patterns cost
@@ -183,24 +257,27 @@ class CumulativeChain:
     error chained through any sequence of gaps stays below
     ``abs_rate * |t - base| + rel_tol * (total variation)`` however many knots
     accumulate.  A non-finite integrand sample raises
-    :class:`QuadratureBudgetError`, so no nan is ever recorded.
+    :class:`QuadratureBudgetError`, so no nan is ever recorded, and a base
+    that is not finite raises :class:`DomainError`.
     """
 
     def __init__(
         self,
         sample: Callable[[float], object],
-        integrands: Sequence[Callable[[list, list], Sequence[float]]],
+        integrands: Sequence[str],
         base: float,
         budgets: Sequence[tuple[float, float]] | None = None,
     ):
+        _finite_gap(base, base)
         self._sample = sample
-        self._fns = tuple(integrands)
+        self._layout = tuple(integrands)
+        self._compiled = None
         if budgets is None:
-            budgets = (ORACLE_BUDGET,) * len(self._fns)
+            budgets = (ORACLE_BUDGET,) * len(self._layout)
         self._rates, self._rels = zip(*budgets)
         self.base = base
         self._ts = [base]
-        self._vals = [(0.0,) * len(self._fns)]
+        self._vals = [(0.0,) * len(self._layout)]
 
     def __call__(self, t: float) -> tuple[float, ...]:
         ts = self._ts
@@ -225,9 +302,8 @@ class CumulativeChain:
         and the half nearer a is taken first.  Limits without a finite gap
         (a nan or infinite limit) raise :class:`DomainError`.
         """
+        _finite_gap(a, b)
         gap = abs(b - a)
-        if not gap < math.inf:
-            raise DomainError(f"integration limits {a!r} and {b!r} do not bound a finite interval")
         ys = start
         scales = None
         lo = a
@@ -256,42 +332,15 @@ class CumulativeChain:
     def _panel(
         self, lo: float, hi: float, start: tuple[float, ...], budget: list[float] | None
     ) -> tuple[list[float] | None, list[float]]:
-        """The K15 increments and |K15 - G7| errors per level on [lo, hi].
+        """The K15 increments and |K15 - G7| errors per level on [lo, hi], from the levels' values ``start`` at lo.
 
-        No increments at the first level over ``budget``.  Each level's node
-        pairs are summed outermost first, both sums left to right from the
-        centre term.  Level k is called once, as ``f_k(cols, ys)``, and
-        returns its 15 node values in node order: ``cols`` holds the sample
-        columns (the samples themselves in a chain of one level) and ``ys``
-        the node values of levels 0..k-1, from :func:`_node_integrals`.
+        No increments at the first level over ``budget``: one call of the
+        layout's compiled panel (:func:`_compiled_panel`), looked up at the
+        chain's first panel, so a chain that walks no panel compiles nothing.
         """
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        sample = self._sample
-        data = [sample(c + h * x) for x in _NODES]
-        last = len(self._fns) - 1
-        cols = list(zip(*data)) if last else data
-        ys = []
-        incs = []
-        errs = []
-        for k, f in enumerate(self._fns):
-            fv = data if f is _sampled else f(cols, ys)
-            f0, f1, f2, f3, f4, f5, f6, fc, g6, g5, g4, g3, g2, g1, g0 = fv
-            s1 = f1 + g1
-            s3 = f3 + g3
-            s5 = f5 + g5
-            resk = _K7 * fc + _K0 * (f0 + g0) + _K1 * s1 + _K2 * (f2 + g2) + _K3 * s3 + _K4 * (f4 + g4) + _K5 * s5 + _K6 * (f6 + g6)
-            resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
-            err = abs(resk - resg) * abs(h)
-            if not math.isfinite(err):
-                raise QuadratureBudgetError(f"level {k} integrand is not finite on [{lo!r}, {hi!r}]")
-            if budget is not None and err > budget[k]:
-                return None, errs
-            incs.append(resk * h)
-            errs.append(err)
-            if k < last:
-                ys.append(_node_integrals(start[k], h, fv))
-        return incs, errs
+        if self._compiled is None:
+            self._compiled = _compiled_panel(self._layout)
+        return self._compiled(self._sample, lo, hi, start, budget)
 
 
 def _node_integrals(y: float, h: float, fv: Sequence[float]) -> tuple[float, ...]:
@@ -310,10 +359,6 @@ def _node_integrals(y: float, h: float, fv: Sequence[float]) -> tuple[float, ...
     return _node_integrals(y, h, fv)
 
 
-def _sampled(cols: list, ys: list) -> list:
-    return cols
-
-
 class CumulativeIntegral(CumulativeChain):
     """Memoized antiderivative ``t -> integral_base^t fn``: the one-level chain.
 
@@ -325,7 +370,7 @@ class CumulativeIntegral(CumulativeChain):
     """
 
     def __init__(self, fn: TimeFunction, base: float, abs_rate: float = MEMO_BUDGET[0], rel_tol: float = MEMO_BUDGET[1]):
-        super().__init__(fn, (_sampled,), base, ((abs_rate, rel_tol),))
+        super().__init__(fn, (_K,), base, ((abs_rate, rel_tol),))
 
     def __call__(self, t: float) -> float:
         return CumulativeChain.__call__(self, t)[0]
@@ -338,27 +383,12 @@ def adaptive_quad(f: TimeFunction, a: float, b: float, abs_tol: float = ABS_TOL,
     acceptance test shares ``max(abs_tol, rel_tol * |I|)`` out over the panels
     by length.  Raises :class:`QuadratureBudgetError` when ``f`` is not
     finite at a node or the tolerance cannot be met within ``MAX_INTERVALS``
-    panels.
+    panels, and :class:`DomainError` when a limit is not finite.
     """
+    _finite_gap(a, b)
     if a == b:
         return 0.0
     return CumulativeIntegral(f, a, rel_tol=rel_tol)._walk(a, b, (0.0,), (abs_tol,))[0]
-
-
-def _weighted_levels(exp: Callable[[float], float]) -> tuple[Callable[[list, list], Sequence[float]], ...]:
-    """The chain K' = k, W' = e^K s, T1' = e^-K / p, T2' = e^-K W / p on sample columns (k, s, p)."""
-    return (
-        lambda c, y: c[0],
-        lambda c, y: [exp(v) * s for v, s in zip(y[0], c[1])],
-        lambda c, y: [exp(-v) / p for v, p in zip(y[0], c[2])],
-        lambda c, y: [exp(-v) * w / p for v, w, p in zip(y[0], y[1], c[2])],
-    )
-
-
-# The oracles let math.exp raise OverflowError; the envelopes and the
-# functionals report exponents beyond EXP_CAP as RangeOverflowError.
-_WEIGHTED_LEVELS = _weighted_levels(math.exp)
-_K, _W, _T1, _T2 = _weighted_levels(_exp)
 
 
 def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: float, *, lead: bool = False) -> CumulativeChain:
@@ -370,7 +400,7 @@ def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: flo
     T2 = int e^-K W / p.  So x(base) e^-K - e^-K W solves x' = -k x - s, and
     phi(base) + psi(base) T1 - T2 integrates that solution against 1/p.
     """
-    return CumulativeChain(coefficients, _WEIGHTED_LEVELS if lead else _WEIGHTED_LEVELS[:2], base)
+    return CumulativeChain(coefficients, _ORACLE_LEVELS if lead else _ORACLE_LEVELS[:2], base)
 
 
 def _positive(fn: TimeFunction, tau: float, label: str) -> float:
@@ -389,6 +419,7 @@ def i_plus(u: TimeFunction, v: TimeFunction, t1: float, t: float) -> float:
     """
     if t < t1:
         raise DomainError("i_plus needs t >= t1")
+    _finite_gap(t1, t)
     if t == t1:
         return 0.0
     chain = CumulativeChain(
@@ -406,9 +437,10 @@ def _anchored(
 ) -> tuple[float, ...]:
     """(Y0(t1), Y1(t1)) of the chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x, walked backward from t.
 
-    The chain is first queried at t - (t - t1) / 2^k, k = levels..1: each
-    query walks only its own gap, so a kernel concentrated near t, which one
-    panel over [t1, t] would miss, is resolved.  levels = ceil(log2 max(1,
+    The chain is walked from t to t - (t - t1) / 2^k, k = levels..1, then to
+    t1, each walk from the end of the one before (an empty gap is skipped):
+    so a kernel concentrated near t, which one panel over [t1, t] would
+    miss, is resolved.  levels = ceil(log2 max(1,
     folds)) + ``_ANCHOR_MARGIN`` for the kernel's e-folds max((t - t1) |v(t)|,
     |v_integral|), v_integral = int_{t1}^{t} v, so the innermost gap is at
     most 1/|v(t)| and (t - t1)/|v_integral|; the second sees a kernel that
@@ -419,9 +451,14 @@ def _anchored(
     if not math.isfinite(folds):
         raise QuadratureBudgetError(f"kernel e-folds {folds!r} on [{t1!r}, {t!r}] are not finite")
     chain = CumulativeChain(lambda s: (v(s), x(s)), (_K, _W), t, (MEMO_BUDGET, (abs_tol / length, rel_tol)))
-    for k in range(math.ceil(math.log2(max(1.0, folds))) + _ANCHOR_MARGIN, 0, -1):
-        chain(t - length * 0.5 ** k)
-    return chain(t1)
+    ends = [t - length * 0.5 ** k for k in range(math.ceil(math.log2(max(1.0, folds))) + _ANCHOR_MARGIN, 0, -1)]
+    a, ys = t, (0.0, 0.0)
+    for b in ends + [t1]:
+        if b != a:
+            width = max(abs(b - a), 1e-30)
+            ys = chain._walk(a, b, ys, [rate * width for rate in chain._rates])
+            a = b
+    return ys
 
 
 def i_minus(v: TimeFunction, x: TimeFunction, t1: float, t: float) -> float:
@@ -435,6 +472,7 @@ def i_minus(v: TimeFunction, x: TimeFunction, t1: float, t: float) -> float:
     """
     if t < t1:
         raise DomainError("i_minus needs t >= t1")
+    _finite_gap(t1, t)
     if t == t1:
         return 0.0
     return -_anchored(v, x, t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
@@ -573,7 +611,7 @@ class GBound(_Envelope):
     def __init__(
         self, b: BoundTriple, x: TimeFunction, t1: float, c1: float, c2: float, *, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL
     ):
-        super().__init__(b, x, t1, c1, c2, (_K, _T1, lambda c, y: [u / p for u, p in zip(c[1], c[2])]), abs_tol, rel_tol)
+        super().__init__(b, x, t1, c1, c2, (_K, _T1, "c1 / c2"), abs_tol, rel_tol)
 
     def exponent(self, t: float) -> float:
         _, iplus, xint = self._levels(t)

@@ -11,6 +11,12 @@ one pass (one dense-output lookup, one compiled call for p0, q0 and r0), so
 they show that pass changed no bit: on the closed-form ``validate_oracles``
 equations, on opaque and closed-form harmonic pairs, and on paths whose ratio
 ``y`` was replaced and must still be sampled through itself.
+
+Each chain layout compiles its own straight-line panel.  The interpreted
+panel it replaced, a loop over level callables, is kept here as the
+reference: every production layout gives its bits, raises its exceptions
+and calls ``sample`` and the exponentials with the same arguments in the
+same order.
 """
 
 import math
@@ -20,7 +26,10 @@ from dataclasses import replace
 import pytest
 
 import rcert
-from rcert.quadrature import _NODES, _S, _WGK, weighted_chain
+import rcert.quadrature as quadrature
+from rcert import BoundTriple, NonPositiveWeightError, QuadratureBudgetError, RangeOverflowError
+from rcert.applications import ef_bound_triple
+from rcert.quadrature import _NODES, _S, _WG, _WGK, EXP_CAP, CumulativeChain, weighted_chain
 
 PANELS = 10_000
 SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1.5e-310)
@@ -76,6 +85,226 @@ def test_two_level_panel_sums_node_integrals_left_to_right():
         if incs != expect:
             wrong.append((n, [v.hex() for v in incs], [v.hex() for v in expect]))
     assert not wrong, f"{len(wrong)} of {PANELS} panels differ, first {wrong[0]}"
+
+
+def _reference_panel(sample, fns, lo, hi, start, budget):
+    """The K15 increments and |K15 - G7| errors per level on [lo, hi], by the interpreted loop the chain ran before.
+
+    No increments at the first level over ``budget``.  Level k is called
+    once, as ``f_k(cols, ys)``, and returns its 15 node values in node order:
+    ``cols`` holds the sample columns (the samples themselves in a chain of
+    one level) and ``ys`` the node values of levels 0..k-1.
+    """
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0w, g1w, g2w, g3w = _WG
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    data = [sample(c + h * x) for x in _NODES]
+    last = len(fns) - 1
+    cols = list(zip(*data)) if last else data
+    ys = []
+    incs = []
+    errs = []
+    for k, f in enumerate(fns):
+        fv = f(cols, ys)
+        f0, f1, f2, f3, f4, f5, f6, fc, g6, g5, g4, g3, g2, g1, g0 = fv
+        s1 = f1 + g1
+        s3 = f3 + g3
+        s5 = f5 + g5
+        resk = k7 * fc + k0 * (f0 + g0) + k1 * s1 + k2 * (f2 + g2) + k3 * s3 + k4 * (f4 + g4) + k5 * s5 + k6 * (f6 + g6)
+        resg = g3w * fc + g0w * s1 + g1w * s3 + g2w * s5
+        err = abs(resk - resg) * abs(h)
+        if not math.isfinite(err):
+            raise QuadratureBudgetError(f"level {k} integrand is not finite on [{lo!r}, {hi!r}]")
+        if budget is not None and err > budget[k]:
+            return None, errs
+        incs.append(resk * h)
+        errs.append(err)
+        if k < last:
+            ys.append(_node_integrals(start[k], h, fv))
+    return incs, errs
+
+
+def _weighted_levels(exp):
+    """K' = k, W' = e^K s, T1' = e^-K / p and T2' = e^-K W / p on the sample columns (k, s, p), as level callables."""
+    return (
+        lambda c, y: c[0],
+        lambda c, y: [exp(v) * s for v, s in zip(y[0], c[1])],
+        lambda c, y: [exp(-v) / p for v, p in zip(y[0], c[2])],
+        lambda c, y: [exp(-v) * w / p for v, w, p in zip(y[0], y[1], c[2])],
+    )
+
+
+#: Each production layout: its sample columns (0 for a float), its levels, and
+#: the reference's level callables given the exponential they call (the
+#: capped one for every layout but the oracles').
+LAYOUTS = {
+    "one_level": (0, ("c0",), lambda exp: (lambda c, y: c,)),
+    "anchored": (2, ("c0", quadrature._W), lambda exp: _weighted_levels(exp)[:2]),
+    "i_plus": (3, ("c0", quadrature._T1), lambda exp: _weighted_levels(exp)[::2]),
+    "f_bound": (3, ("c0", quadrature._W, quadrature._T1, quadrature._T2), _weighted_levels),
+    "g_bound": (3, ("c0", quadrature._T1, "c1 / c2"), lambda exp: (*_weighted_levels(exp)[::2], lambda c, y: [u / p for u, p in zip(c[1], c[2])])),
+    "oracle": (2, quadrature._ORACLE_LEVELS[:2], lambda exp: _weighted_levels(exp)[:2]),
+    "oracle_lead": (3, quadrature._ORACLE_LEVELS, _weighted_levels),
+}
+ORACLES = ("oracle", "oracle_lead")
+
+
+def test_the_layouts_are_every_production_layout(monkeypatch):
+    seen = set()
+    compiled = quadrature._compiled_panel
+
+    def spy(levels):
+        seen.add(levels)
+        return compiled(levels)
+
+    monkeypatch.setattr(quadrature, "_compiled_panel", spy)
+    one = lambda t: 1.0
+    b = BoundTriple(one, one, one)
+    rcert.adaptive_quad(one, 0.0, 1.0)
+    rcert.CumulativeIntegral(one, 0.0)(1.0)
+    rcert.i_plus(one, one, 0.0, 1.0)
+    rcert.i_minus(one, one, 0.0, 1.0)
+    rcert.FBound(b, 0.0, 1.0, 1.0)(1.0)
+    rcert.GBound(b, one, 0.0, 1.0, 1.0)(1.0)
+    weighted_chain(lambda t: (1.0, 1.0), 0.0)(1.0)
+    weighted_chain(lambda t: (1.0, 1.0, 1.0), 0.0, lead=True)(1.0)
+    assert seen == {levels for _, levels, _ in LAYOUTS.values()}
+
+
+def test_a_chain_that_walks_no_panel_compiles_none(monkeypatch):
+    def refuse(levels):
+        raise AssertionError(f"compiled the panel of {levels}")
+
+    monkeypatch.setattr(quadrature, "_compiled_panel", refuse)
+    # A power-law FBound builds its four-level chain and takes the exponent in closed form.
+    F = rcert.FBound(ef_bound_triple(rcert.EFParams(rho=4.0, sigma=0.0, n=3.0)), 1.0, 0.5, 0.3)
+    assert F._closed is not None
+    assert math.isfinite(F(2.0))
+
+
+def _outcome(name, rows, start, budget, h, reference, monkeypatch):
+    """What one panel over [-h, h] does, by the layout's compiled panel or by the reference.
+
+    ``rows`` holds each node's sample; a third column goes through the
+    envelopes' positivity check.  Returns the increments and errors as hex
+    (or the exception's type and text) and the arguments of every sample and
+    exponential call, in order.
+    """
+    columns, levels, fns = LAYOUTS[name]
+    calls = []
+
+    def record(fn):
+        def recorded(x):
+            calls.append(("exp", x.hex()))
+            return fn(x)
+
+        return recorded
+
+    it = iter(rows)
+
+    def sample(t):
+        calls.append(("sample", t.hex()))
+        row = next(it)
+        if columns == 3:
+            return row[0], row[1], quadrature._positive(lambda _: row[2], t, "P")
+        return row[0] if columns == 0 else row
+
+    try:
+        if reference:
+            result = _reference_panel(sample, fns(record(math.exp if name in ORACLES else quadrature._exp)), -h, h, start, budget)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "exp", record(math.exp))
+                m.setattr(quadrature, "_exp", record(quadrature._exp))
+                result = CumulativeChain(sample, levels, 0.0)._panel(-h, h, start, budget)
+    except Exception as exc:
+        return (type(exc), str(exc)), calls
+    incs, errs = result
+    return (incs if incs is None else [v.hex() for v in incs], [v.hex() for v in errs]), calls
+
+
+def _both(name, rows, start, budget, h, monkeypatch):
+    """The compiled panel's outcome, asserted equal to the reference's."""
+    got = _outcome(name, rows, start, budget, h, False, monkeypatch)
+    assert got == _outcome(name, rows, start, budget, h, True, monkeypatch)
+    return got[0]
+
+
+def _value(rng, special=0.1, signs=(1.0, -1.0)):
+    if rng.random() < special:
+        return rng.choice(SPECIALS + (math.inf, math.nan))
+    return rng.choice(signs) * 10.0 ** rng.uniform(-5.0, 5.0)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_every_layout_is_the_reference_panel(name, monkeypatch):
+    # Exponents within a few hundred, a start that sometimes overflows them,
+    # weights of either sign and budgets that reject at any level.
+    rng = random.Random(f"{name}-20261020")
+    levels = len(LAYOUTS[name][1])
+    kinds = set()
+    for _ in range(1_000):
+        ks, h, start0 = _panel_case(rng)
+        rows = [(k, _value(rng), _value(rng, 0.005, (1.0,))) for k in ks]
+        start = (rng.choice((start0, rng.uniform(-720.0, 720.0))),) + tuple(_value(rng) for _ in range(levels - 1))
+        budget = None if rng.random() < 0.5 else [10.0 ** rng.uniform(-25.0, 5.0) for _ in range(levels)]
+        result = _both(name, rows, start, budget, h, monkeypatch)
+        kinds.add(result[0] if isinstance(result[0], type) else "rejected" if result[0] is None else "accepted")
+    assert "accepted" in kinds and "rejected" in kinds
+
+
+def _flat(levels, start0, columns=(1.5, 2.0)):
+    """Rows with k = 0, so every node's inner level is ``start0`` exactly, and the start of every level."""
+    return [(0.0, *columns)] * len(_NODES), (start0,) + (0.25,) * (levels - 1)
+
+
+@pytest.mark.parametrize("name", [n for n in LAYOUTS if n != "one_level"])
+def test_an_exponent_of_exactly_the_cap_passes(name, monkeypatch):
+    levels = len(LAYOUTS[name][1])
+    for start0 in (EXP_CAP, -EXP_CAP):
+        incs, errs = _both(name, *_flat(levels, start0), None, 0.5, monkeypatch)
+        assert incs is not None and len(errs) == levels
+
+
+@pytest.mark.parametrize("name", [n for n in LAYOUTS if n != "one_level"])
+def test_an_exponent_beyond_the_cap_is_a_range_overflow(name, monkeypatch):
+    beyond = math.nextafter(EXP_CAP, math.inf)
+    levels = LAYOUTS[name][1]
+    for start0, level in ((beyond, quadrature._W), (-beyond, quadrature._T1)):
+        result = _both(name, *_flat(len(levels), start0), None, 0.5, monkeypatch)
+        if level in levels:
+            assert result == (RangeOverflowError, f"exponent overflow: exp({beyond!r})")
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_a_nan_exponent_is_a_non_finite_level(name, monkeypatch):
+    rows, start = _flat(len(LAYOUTS[name][1]), math.nan)
+    if name == "one_level":
+        rows = [(math.nan,)] * len(_NODES)
+    level = 0 if name == "one_level" else 1
+    assert _both(name, rows, start, None, 0.5, monkeypatch) == (QuadratureBudgetError, f"level {level} integrand is not finite on [-0.5, 0.5]")
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_the_oracle_exponential_overflows(name, monkeypatch):
+    assert _both(name, *_flat(len(LAYOUTS[name][1]), 710.0), None, 0.5, monkeypatch) == (OverflowError, "math range error")
+
+
+@pytest.mark.parametrize("name", [n for n, (columns, _, _) in LAYOUTS.items() if columns == 3])
+def test_a_non_positive_weight_stops_the_samples(name, monkeypatch):
+    rows = [(0.0, 1.0, 1.0 if i != 9 else -0.0) for i in range(len(_NODES))]
+    start = (0.0,) * len(LAYOUTS[name][1])
+    kind, text = _both(name, rows, start, None, 0.5, monkeypatch)
+    assert kind is NonPositiveWeightError and text == f"P({0.5 * _NODES[9]!r}) = -0.0 <= 0"
+
+
+@pytest.mark.parametrize("name", [n for n in LAYOUTS if n != "one_level"])
+def test_a_budget_exit_on_level_one_returns_level_zeros_error(name, monkeypatch):
+    rows = [(float(i), 1.0 + i, 2.0) for i in range(len(_NODES))]
+    start = (0.0,) * len(LAYOUTS[name][1])
+    incs, errs = _both(name, rows, start, [math.inf, 0.0, 0.0, 0.0], 0.5, monkeypatch)
+    assert incs is None and len(errs) == 1
 
 
 def _oracle_trajectories():

@@ -156,6 +156,27 @@ def test_a_non_finite_limit_is_a_domain_error(case):
         NON_FINITE_LIMITS[case]()
 
 
+#: Equal limits, or a chain base, that are not finite: each is a DomainError naming the limits, never an empty integral.
+EQUAL_NON_FINITE_LIMITS = {
+    "adaptive_quad": (lambda: adaptive_quad(ONE, math.inf, math.inf), "inf and inf"),
+    "adaptive_quad_minus_inf": (lambda: adaptive_quad(ONE, -math.inf, -math.inf), "-inf and -inf"),
+    "adaptive_quad_nan": (lambda: adaptive_quad(ONE, math.nan, math.nan), "nan and nan"),
+    "i_plus": (lambda: i_plus(ONE, ZERO, math.inf, math.inf), "inf and inf"),
+    "i_minus": (lambda: i_minus(ONE, ONE, math.inf, math.inf), "inf and inf"),
+    "cumulative_integral": (lambda: CumulativeIntegral(ONE, math.inf), "inf and inf"),
+    "cumulative_integral_nan": (lambda: CumulativeIntegral(ONE, math.nan), "nan and nan"),
+    "f_bound": (lambda: FBound(BoundTriple(ONE, ZERO, ONE), math.inf, 1.0, 0.0), "inf and inf"),
+}
+
+
+@pytest.mark.parametrize("case", EQUAL_NON_FINITE_LIMITS)
+def test_equal_non_finite_limits_are_a_domain_error(case):
+    call, limits = EQUAL_NON_FINITE_LIMITS[case]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == f"integration limits {limits} do not bound a finite interval"
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=st.floats(0.05, 2.95))
 def test_i_plus_split_additivity(m):
@@ -289,13 +310,12 @@ class TestCumulativeChain:
     def test_each_level_honours_its_own_budget(self):
         peak = lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2)
         exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
-        # A one-level chain's integrand sees the samples, a longer chain's the sample columns.
-        loose = CumulativeChain(peak, [lambda cols, ys: cols], 0.0, [(0.1, 0.1)])(1.0)[0]
+        # A one-level chain's c0 is the sample, a longer chain's the sample's first column.
+        loose = CumulativeChain(peak, ("c0",), 0.0, [(0.1, 0.1)])(1.0)[0]
         assert 1e-8 < abs(loose / exact - 1.0) <= 0.1
         # The panels are shared, so a tight budget on either level makes both levels tight.
-        same = lambda cols, ys: cols[0]
         for budgets in ([(0.1, 0.1), (1e-14, 1e-13)], [(1e-14, 1e-13), (0.1, 0.1)]):
-            for value in CumulativeChain(lambda t: (peak(t),), [same, same], 0.0, budgets)(1.0):
+            for value in CumulativeChain(lambda t: (peak(t),), ("c0", "c0"), 0.0, budgets)(1.0):
                 assert value == pytest.approx(exact, rel=1e-12)
 
     def test_node_matrix_integrates_degree_14_exactly(self):
@@ -333,8 +353,7 @@ class TestCumulativeChain:
                 assert abs(Fraction(s) - aug[j][n + i]) <= Fraction(1e-15)
 
     def test_nan_integrand_raises(self):
-        levels = [lambda cols, ys: [1.0] * 15, lambda cols, ys: [math.nan if t > 0.5 else y for t, y in zip(cols[0], ys[0])]]
-        chain = CumulativeChain(lambda t: (t,), levels, 0.0)
+        chain = CumulativeChain(lambda t: (t,), ("1.0", "float('nan') if c0 > 0.5 else y0"), 0.0)
         assert chain(0.25) == pytest.approx((0.25, 0.03125), rel=1e-14)
         for _ in range(2):
             with pytest.raises(QuadratureBudgetError):
@@ -348,7 +367,7 @@ class TestCumulativeChain:
 
     def test_budget_exhaustion_raises(self):
         # About 16k periods on [0, 1] need more panels than the budget allows.
-        chain = CumulativeChain(float, [lambda cols, ys: [math.sin(1e5 * t) for t in cols]], 0.0)
+        chain = CumulativeChain(lambda t: math.sin(1e5 * t), ("c0",), 0.0)
         with pytest.raises(QuadratureBudgetError):
             chain(1.0)
 
