@@ -10,10 +10,9 @@ an embedded Dormand-Prince 5(4) pair with a fourth-degree continuous extension
 and a proportional-integral controller working in error-per-unit-step form:
 the accepted local error is proportional to the step length, which makes the
 accumulated error (and hence every residual oracle built on trajectories)
-scale linearly with the requested tolerance.  The stepper is written out for
-the two components (phi, psi), and takes the right-hand side of
-:func:`rcert.fields.system_rhs`: for closed-form equations one function
-compiled per equation, so each stage is one call.
+scale linearly with the requested tolerance.  The step is generated from the
+tableau and compiled at import (:func:`_compiled_step`); its rhs, from
+:func:`rcert.fields.system_rhs`, is one function per closed-form equation.
 
 Finite escape is only declared once the state norm |phi| + |psi| has passed
 ``escape_threshold``, and then on one of two signals:
@@ -70,26 +69,22 @@ REACHED_HORIZON = "reached_horizon"
 FINITE_ESCAPE = "finite_escape"
 STEP_COLLAPSE = "step_collapse"
 
-# Dormand-Prince 5(4) tableau.  The zero entries a72, e2 and d2 are left out of
-# the written-out sums below: with every stage value finite, each would add a
-# signed zero to a partial sum that is never -0.0, which changes nothing.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-# The seventh row is also the fifth-order solution (first same as last).
-_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# Fifth-order minus fourth-order weights: the local error estimate.
-_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-# Coefficients of the quartic continuous extension.
-_D1 = -12715105075 / 11282082432
-_D3 = 87487479700 / 32700410799
-_D4 = -10690763975 / 1880347072
-_D5 = 701980252875 / 199316789632
-_D6 = -1453857185 / 822651844
-_D7 = 69997945 / 29380423
+# Dormand-Prince 5(4) (Dormand & Prince, 1980) for _compiled_step: the stage times c2..c7, the rows
+# a2..a7 (the seventh is also the fifth-order weights: first same as last), the error weights (fifth
+# minus fourth order) and the quartic continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+_DP5 = (
+    (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ),
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+    (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072, 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
+)
 
 _SAFETY = 0.9
 _KI = 0.175
@@ -243,6 +238,40 @@ class _NonFiniteStage(ArithmeticError):
     """A stage derivative or the propagated solution is not finite; the step is rejected."""
 
 
+def _compiled_step(c: tuple, a: tuple, e: tuple, d: tuple) -> Callable:
+    """One explicit Runge-Kutta step on (ya, yb), written out from its tables as straight code.
+
+    ``step(f, t, h, ya, yb, k1a, k1b)`` returns the new node, its stage (the
+    next step's first), the error pair and the dense tuple of :func:`_dense_at`:
+    h, then per component the increment, the two Hermite corrections and the
+    quartic term.  Each sum is ``h * (0.0 + w_1 * k1 + ...)``, left to right.
+    A zero weight (DP5's a72, e2 and d2) is left out: with every stage finite
+    its term is a signed zero, which changes no sum that starts from ``0.0 +``,
+    as such a sum is never -0.0.  A stage that raises propagates; a stage, or
+    the new node, that is not finite raises :class:`_NonFiniteStage`, tested as
+    ``0.0 * x * y == 0.0``: 0.0 times a finite float is +-0.0, and 0.0 times inf
+    or NaN is NaN, which stays NaN through every later product and is not 0.0.
+    """
+
+    def total(weights: tuple, s: str) -> str:
+        return "h * (0.0 + " + " + ".join(f"{w!r} * k{j}{s}" for j, w in enumerate(weights, 1) if w != 0.0) + ")"
+
+    lines = []
+    for i, (ci, row) in enumerate(zip(c, a), 2):  # u is each stage's node, the new node last; then i is the last stage
+        lines += [f"u{s} = y{s} + {total(row, s)}" for s in "ab"]
+        node = " * ua * ub" if i == len(a) + 1 else ""
+        lines += [f"k{i}a, k{i}b = f(t + {ci!r} * h, ua, ub)", f"if not 0.0 * k{i}a * k{i}b{node} == 0.0:", "    raise _NonFiniteStage"]
+    for s in "ab":
+        lines += [f"e{s} = {total(e, s)}", f"d{s} = u{s} - y{s}", f"b{s} = h * k1{s} - d{s}", f"q{s} = {total(d, s)}"]
+    lines.append(f"return ua, ub, k{i}a, k{i}b, ea, eb, (h, da, ba, da - h * k{i}a - ba, qa, db, bb, db - h * k{i}b - bb, qb)")
+    scope: dict = {}
+    exec("def step(f, t, h, ya, yb, k1a, k1b):\n" + "".join(f"    {line}\n" for line in lines), globals(), scope)
+    return scope["step"]
+
+
+_step = _compiled_step(*_DP5)
+
+
 def _rms(ra: float, rb: float) -> float:
     """Root mean square of the two scaled components."""
     return math.sqrt((ra * ra + rb * rb) / 2.0)
@@ -310,10 +339,8 @@ def _solve(
     """Dormand-Prince 5(4) on the two components (ya, yb) with rhs ``f(t, ya, yb)``,
     recording the zeros of ``ya``.
 
-    Every sum is written out in the tableau's left-to-right order, starting
-    from ``0.0 +``, so the trajectory does not depend on how the sums are grouped.
-    The loop tests each stage for finiteness without a function call and keeps
-    each accepted step's dense output as a plain tuple (see :func:`_dense_at`).
+    Each attempt is one call of the step compiled from ``_DP5`` (:func:`_compiled_step`);
+    the loop is the controller, the rejections, the events and the blow-up signal.
     """
     horizon = opts.horizon
     if not horizon > t0:
@@ -325,10 +352,8 @@ def _solve(
     tol_rate = 1.0 / span  # accepted scaled error per unit step
     # The step loop inlines _rms and _floor_at, and writes max(a, b) as ``b if b > a else a``
     # and min(a, b) as ``b if b < a else a``: the values the builtins return, without the calls.
-    # It tests floats for finiteness as ``0.0 * a * b == 0.0``, isfinite(a) and isfinite(b)
-    # without the calls: 0.0 times a finite float is +-0.0, and 0.0 times inf or NaN is NaN,
-    # which stays NaN through every later product and compares unequal to 0.0.
-    sqrt, copysign, floor_eps = math.sqrt, math.copysign, 32.0 * _EPS
+    # It tests the error ratio for finiteness as the step tests its stages (see _compiled_step).
+    step, sqrt, copysign, floor_eps = _step, math.sqrt, math.copysign, 32.0 * _EPS
 
     t, ya, yb = float(t0), float(ya), float(yb)
     k1a, k1b = f(t, ya, yb)
@@ -380,44 +405,9 @@ def _solve(
             terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", crossings)
             break
 
-        # Stage sweep; a non-finite stage rejects the step outright.
+        # One attempt; a stage that raises or is not finite rejects the step outright.
         try:
-            k2a, k2b = f(t + _C2 * h, ya + h * (0.0 + _A21 * k1a), yb + h * (0.0 + _A21 * k1b))
-            if not 0.0 * k2a * k2b == 0.0:
-                raise _NonFiniteStage
-            k3a, k3b = f(
-                t + _C3 * h,
-                ya + h * (0.0 + _A31 * k1a + _A32 * k2a),
-                yb + h * (0.0 + _A31 * k1b + _A32 * k2b),
-            )
-            if not 0.0 * k3a * k3b == 0.0:
-                raise _NonFiniteStage
-            k4a, k4b = f(
-                t + _C4 * h,
-                ya + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-                yb + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
-            )
-            if not 0.0 * k4a * k4b == 0.0:
-                raise _NonFiniteStage
-            k5a, k5b = f(
-                t + _C5 * h,
-                ya + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-                yb + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-            )
-            if not 0.0 * k5a * k5b == 0.0:
-                raise _NonFiniteStage
-            k6a, k6b = f(
-                t + h,
-                ya + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-                yb + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-            )
-            if not 0.0 * k6a * k6b == 0.0:
-                raise _NonFiniteStage
-            yna = ya + h * (0.0 + _A71 * k1a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a)
-            ynb = yb + h * (0.0 + _A71 * k1b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b)
-            k7a, k7b = f(t + h, yna, ynb)
-            if not 0.0 * k7a * k7b * yna * ynb == 0.0:
-                raise _NonFiniteStage
+            yna, ynb, k7a, k7b, ea, eb, d = step(f, t, h, ya, yb, k1a, k1b)
         except (FieldEvaluationError, OverflowError, _NonFiniteStage):
             h *= 0.25
             rejected = True
@@ -426,8 +416,6 @@ def _solve(
                 break
             continue
 
-        ea = h * (0.0 + _E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-        eb = h * (0.0 + _E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
         ma, mna, mb, mnb = abs(ya), abs(yna), abs(yb), abs(ynb)
         ra = ea / (atol + rtol * (mna if mna > ma else ma))
         rb = eb / (atol + rtol * (mnb if mnb > mb else mb))
@@ -441,25 +429,7 @@ def _solve(
             fac = (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
             if rejected:
                 fac = fac if fac < 1.0 else 1.0
-            # Dense coefficients: the node value, the increment, the two
-            # Hermite corrections and the quartic term.
-            da = yna - ya
-            db = ynb - yb
-            ba = h * k1a - da
-            bb = h * k1b - db
-            dense.append(
-                (
-                    h,
-                    da,
-                    ba,
-                    da - h * k7a - ba,
-                    h * (0.0 + _D1 * k1a + _D3 * k3a + _D4 * k4a + _D5 * k5a + _D6 * k6a + _D7 * k7a),
-                    db,
-                    bb,
-                    db - h * k7b - bb,
-                    h * (0.0 + _D1 * k1b + _D3 * k3b + _D4 * k4b + _D5 * k5b + _D6 * k6b + _D7 * k7b),
-                )
-            )
+            dense.append(d)
             t = t + h
             ya, yb, k1a, k1b = yna, ynb, k7a, k7b  # stage 7 is the next step's stage 1
             ts.append(t)
