@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from itertools import compress, count, repeat
 from typing import Callable, NamedTuple, Sequence
 
-from .dynamics import IntegrationOptions, integrate
+from .dynamics import REACHED_HORIZON, IntegrationOptions, TerminalStatus, integrate
 from .errors import DomainError, FieldEvaluationError, RangeOverflowError
 from .fields import (
     BoundTriple,
@@ -642,7 +642,10 @@ def check_t3_5(
 
     Each comparison integration of (b) stops at its ``osc_min_zeros``-th zero,
     so ``details["comparison_zero_counts"]`` reads ``osc_min_zeros`` for a
-    passing eps and the full count for the failing one.
+    passing eps and the full count for the failing one.  A count below
+    ``osc_min_zeros`` falsifies only from a run that reached its horizon; a
+    run that ended otherwise (a step collapse, an escape) is Inconclusive,
+    and the reason names its eps, terminal kind, reason and time.
     """
     _oscillation_options(eps0, osc_horizon, osc_min_zeros, N)
     hypotheses = (
@@ -728,9 +731,12 @@ def check_t3_5(
         # Oscillation of each sampled comparison equation, by zero counting.
         zero_counts = details["comparison_zero_counts"] = {}
         for eps, (p_e, q_e, r_e) in outer_family:
-            count = zero_counts[repr(eps)] = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon, osc_min_zeros)
+            count, end = _comparison_zero_count(eq.t0, p_e, q_e, r_e, osc_horizon, osc_min_zeros)
+            zero_counts[repr(eps)] = count
             if count < osc_min_zeros:
                 detail = f"comparison equation at eps={eps!r} produced {count} zero(s) < {osc_min_zeros} on horizon {osc_horizon!r}"
+                if end.kind != REACHED_HORIZON:
+                    return f"{detail}: the run ended {end.kind} ({end.reason}) at t={end.time!r}"
                 return Witness(oscillate, eq.t0, None, detail)
         return None
 
@@ -747,7 +753,8 @@ def _comparison_zero_count(
     r_e: TimeFunction,
     osc_horizon: float,
     osc_min_zeros: int,
-) -> int:
+) -> tuple[int, TerminalStatus]:
+    """The zero count of the comparison equation from (t0, 1, 0), at most ``osc_min_zeros``, and how its run ended."""
     eq = EquationSpec(
         p0=_closed_form_field([_Product(1.0, tau=p_e)], "p_eps"),
         q0=_closed_form_field([_Product(1.0, tau=q_e)], "q_eps"),
@@ -758,7 +765,7 @@ def _comparison_zero_count(
     # up to the cap are the uncapped run's: the count is min(full count, osc_min_zeros).
     opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, horizon=t0 + osc_horizon, escape_threshold=1e30, max_zeros=osc_min_zeros)
     traj = integrate(eq, InitialData(t1=t0, phi0=1.0, phi1=0.0), opts)
-    return len(traj.zeros)
+    return len(traj.zeros), traj.terminal
 
 
 def check_t3_6(

@@ -15,7 +15,9 @@ This is the bottom layer of the package: it imports nothing from it but
 is the one place that compiles a closed form (a sum of products
 c * tau(t) * t**a * g(w)): into one function ``fn(t, w=0.0)``, which is the
 field's evaluator, its row sampler's and, without a w-factor, the time
-function ``fn(t)``.
+function ``fn(t)``.  A tau that is itself a closed form is written into the
+source of its product, so a sample makes one call at any depth; the chains'
+(v, x) samplers are compiled here too (``_time_sampler``).
 Building fields and equations from JSON specs belongs to the config schema,
 in ``config``.
 """
@@ -99,7 +101,8 @@ class _Product(NamedTuple):
     """One product ``c * tau(t) * t**a * g(w)`` of a closed-form coefficient.
 
     ``g`` names a w-factor of :data:`_W_FACTORS` (None for none) and ``b`` is
-    its exponent; ``tau`` is an opaque time factor, or None.  ``w_first``
+    its exponent; ``tau`` is a time factor, or None (a closed-form one is
+    written into the product's source, see :func:`_form_source`).  ``w_first``
     evaluates g(w) before the time part: the value is the same, but a sample
     that fails in both parts raises from g(w).
     """
@@ -153,13 +156,25 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> Ca
 
 
 def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "") -> tuple[dict, str]:
-    """The namespace and value source of a closed form; every name in them starts with ``prefix``."""
+    """The namespace and value source of a closed form; every name in them starts with ``prefix``.
+
+    A ``tau`` that is itself a closed-form time function (it has ``products``)
+    is written in, in parentheses and under the prefix ``{prefix}tau{k}_``, in
+    place of the call ``tau{k}(t)``: the same operations on the same t.
+    """
     env = {f"{prefix}start": start}
     values = [f"{prefix}start"] * (start is not None)
     for k, p in enumerate(products):
         c, a, b, tau = (f"{prefix}{n}{k}" for n in ("c", "a", "b", "tau"))
-        env.update({c: p.c, a: p.a, b: p.b, tau: p.tau})
-        factors = [f"{tau}(t)"] * (p.tau is not None) + [f"t ** {a}"] * (p.a != 0.0)
+        env.update({c: p.c, a: p.a, b: p.b})
+        if getattr(p.tau, "products", None) is not None:
+            tau_env, tau_value = _form_source(p.tau.products, p.tau.start, f"{tau}_")
+            env.update(tau_env)
+            time = [f"({tau_value})"]
+        else:
+            env[tau] = p.tau
+            time = [f"{tau}(t)"] * (p.tau is not None)
+        factors = time + [f"t ** {a}"] * (p.a != 0.0)
         if p.w_free:
             values.append(_times(c, p.c, factors))
         else:
@@ -195,6 +210,18 @@ def _closed_form_time(products: Sequence[_Product], start: float | None = None) 
     time = _closed_form(products, start)
     time.products, time.start = tuple(products), start
     return time
+
+
+def _time_sampler(f1: Callable[[float], float], f2: Callable[[float], float]) -> Callable[[float], tuple[float, float]] | None:
+    """``t -> (f1(t), f2(t))`` compiled from two closed-form time functions; None if one is opaque.
+
+    f1 is taken first, each with its function's source, so the sampler returns
+    or raises exactly what the two calls in turn do.
+    """
+    if getattr(f1, "products", None) is None or getattr(f2, "products", None) is None:
+        return None
+    (env1, value1), (env2, value2) = (_form_source(f.products, f.start, f"f{k}_") for k, f in enumerate((f1, f2)))
+    return _run(f"def sample(t):\n    return ({value1}, {value2})\n", {**env1, **env2})["sample"]
 
 
 @dataclass(frozen=True)

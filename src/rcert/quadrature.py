@@ -41,7 +41,10 @@ taken first.  The users:
 * ``i_plus`` (V and iplus) and ``i_minus``, which walks backward from its
   upper limit t, so the exponent is anchored at t as in the definition;
   ``weighted_tail_integrand`` steps its inner integral from sample to
-  sample, each step one such backward walk;
+  sample, each step one such backward walk.  A node of these walks samples
+  (v, x) in one call, compiled from both sources when both are closed-form
+  time functions (``fields._time_sampler``, built once per integrand or
+  ``i_minus`` call);
 * the residual oracles' K/W integrals (``weighted_chain``:
   ``riccati.flux_residual``, ``riccati.volterra_residual``,
   ``riccati.cauchy_residual`` and ``riccati.difference_residual``);
@@ -70,7 +73,7 @@ from .errors import (
     QuadratureBudgetError,
     RangeOverflowError,
 )
-from .fields import BoundTriple
+from .fields import BoundTriple, _time_sampler
 
 __all__ = [
     "TimeFunction",
@@ -432,10 +435,17 @@ def i_plus(u: TimeFunction, v: TimeFunction, t1: float, t: float) -> float:
 _ANCHOR_MARGIN = 1
 
 
+def _pair(v: TimeFunction, x: TimeFunction) -> Callable[[float], tuple[float, float]]:
+    """``s -> (v(s), x(s))``: one compiled call when both are closed forms (``fields._time_sampler``)."""
+    return _time_sampler(v, x) or (lambda s: (v(s), x(s)))
+
+
 def _anchored(
-    v: TimeFunction, x: TimeFunction, t1: float, t: float, v_integral: float, abs_tol: float, rel_tol: float
+    v: TimeFunction, sample: Callable[[float], tuple[float, float]], t1: float, t: float, v_integral: float, abs_tol: float, rel_tol: float
 ) -> tuple[float, ...]:
     """(Y0(t1), Y1(t1)) of the chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x, walked backward from t.
+
+    ``sample`` gives (v(s), x(s)) (see :func:`_pair`).
 
     The chain is walked from t to t - (t - t1) / 2^k, k = levels..1, then to
     t1, each walk from the end of the one before (an empty gap is skipped):
@@ -450,7 +460,7 @@ def _anchored(
     folds = max(length * abs(v(t)), abs(v_integral))
     if not math.isfinite(folds):
         raise QuadratureBudgetError(f"kernel e-folds {folds!r} on [{t1!r}, {t!r}] are not finite")
-    chain = CumulativeChain(lambda s: (v(s), x(s)), (_K, _W), t, (MEMO_BUDGET, (abs_tol / length, rel_tol)))
+    chain = CumulativeChain(sample, (_K, _W), t, (MEMO_BUDGET, (abs_tol / length, rel_tol)))
     ends = [t - length * 0.5 ** k for k in range(math.ceil(math.log2(max(1.0, folds))) + _ANCHOR_MARGIN, 0, -1)]
     a, ys = t, (0.0, 0.0)
     for b in ends + [t1]:
@@ -475,7 +485,7 @@ def i_minus(v: TimeFunction, x: TimeFunction, t1: float, t: float) -> float:
     _finite_gap(t1, t)
     if t == t1:
         return 0.0
-    return -_anchored(v, x, t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
+    return -_anchored(v, _pair(v, x), t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
 
 
 class _Envelope:
@@ -743,6 +753,7 @@ def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t
     would lose all precision once it grows past ~1e9.
     """
     V = CumulativeIntegral(q, t0, rel_tol=1e-13)  # coarse: the window and the dyadic depth
+    sample = _pair(q, r)
     knots, us, vs = [t0], [0.0], [0.0]  # (k, u(k), V(k)), ascending in k
 
     def inner(tau: float) -> float:
@@ -754,7 +765,7 @@ def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t
         k, u_k, v_k = knots[i - 1], us[i - 1], vs[i - 1]
         v_tau = V(tau)
         if v_tau - v_k <= _WINDOW_LOG:
-            decay, w = _anchored(q, r, k, tau, v_tau - v_k, _TAIL_ABS_TOL, _TAIL_REL_TOL)
+            decay, w = _anchored(q, sample, k, tau, v_tau - v_k, _TAIL_ABS_TOL, _TAIL_REL_TOL)
             u = _exp(decay) * u_k - w
         else:
             # Keep V(tau) - V(lo) > _WINDOW_LOG >= V(tau) - V(hi) until lo is
@@ -775,7 +786,7 @@ def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t
                     hi, v_hi = mid, v_mid
                 else:
                     lo, v_lo = mid, v_mid
-            u = -_anchored(q, r, lo, tau, v_tau - v_lo, _TAIL_ABS_TOL, _TAIL_REL_TOL)[1]
+            u = -_anchored(q, sample, lo, tau, v_tau - v_lo, _TAIL_ABS_TOL, _TAIL_REL_TOL)[1]
         knots.insert(i, tau)
         us.insert(i, u)
         vs.insert(i, v_tau)

@@ -29,6 +29,7 @@ from rcert import (
     classify,
     equation_from_json,
     integrate,
+    time_function_from_json,
 )
 from rcert.applications import (
     EFParams,
@@ -348,6 +349,20 @@ class TestOscillationExits:
         assert cert.witness.detail == "comparison equation at eps=1.0 produced 16 zero(s) < 100 on horizon 50.0"
         assert list(cert.details) == BASE_DETAILS + ["reciprocal_tail_status", "double_tail_status", "comparison_zero_counts"]
         assert cert.details["comparison_zero_counts"] == {"1.0": 16}
+
+    def test_collapsed_comparison_run_is_inconclusive(self):
+        # phi'' + sqrt(t) phi = 0 oscillates, but its run from t0 = 0 ends step_collapse at t = 0 after one
+        # node (tests/test_dynamics.py::TestFractionalPowerStart): no zero count, so no witness.
+        root = time_function_from_json({"kind": "power", "coeff": 1.0, "power": 0.5}, "nu")
+        v = VdPParams(lam=lambda t: 1.0, mu=lambda t: 1.0, nu=root)
+        cert = check_t3_5(vdp_equation(v, t0=0.0), vdp_bound_triple(v), vdp_family(v), N=1.0, eps0=1.0, grid=GridSpec(9, 9))
+        assert cert.status == INCONCLUSIVE
+        assert cert.witness is None
+        assert cert.reason == (
+            "comparison equation at eps=1.0 produced 0 zero(s) < 5 on horizon 50.0: "
+            "the run ended step_collapse (local error saturated) at t=0.0"
+        )
+        assert cert.details["comparison_zero_counts"] == {"1.0": 0}
 
     def test_converging_reciprocal_tail_falsified(self, vdp_from_one):
         v, eq = vdp_from_one

@@ -75,12 +75,23 @@ VDP_JSON = {
     "nu": {"kind": "constant", "value": 1.5},
     "t0": 1.0,
 }
+# Polynomial mu and nu: q0's time factor and q_eps's are sums with a start, written into their products.
+VDP_POLYNOMIAL_JSON = {
+    "kind": "van_der_pol",
+    "lambda": {"kind": "power", "coeff": 1.5, "power": 1.0},
+    "mu": {"kind": "polynomial", "coeffs": [1.0, 0.01, 0.1]},
+    "nu": {"kind": "polynomial", "coeffs": [0.5, 0.005]},
+    "t0": 1.0,
+}
 VDP_UNIT = VdPParams(lam=unit, mu=unit, nu=unit)
-VDP_TIME = VdPParams(
-    lam=time_function_from_json(VDP_JSON["lambda"], "lam"),
-    mu=time_function_from_json(VDP_JSON["mu"], "mu"),
-    nu=time_function_from_json(VDP_JSON["nu"], "nu"),
-)
+
+
+def vdp_params(doc: dict) -> VdPParams:
+    return VdPParams(**{key: time_function_from_json(doc[name], key) for key, name in (("lam", "lambda"), ("mu", "mu"), ("nu", "nu"))})
+
+
+VDP_TIME = vdp_params(VDP_JSON)
+VDP_POLYNOMIAL = vdp_params(VDP_POLYNOMIAL_JSON)
 EF = {
     "ef_absolute": EFParams(rho=4.0, sigma=0.0, n=3.0),
     "ef_absolute_fractional": EFParams(rho=2.5, sigma=-1.5, n=2.5),
@@ -95,6 +106,7 @@ def fields():
     equations = {name: ef_equation(p) for name, p in EF.items()}
     equations["vdp_unit"] = vdp_equation(VDP_UNIT)
     equations["vdp_json"] = equation_from_json(VDP_JSON)
+    equations["vdp_polynomial"] = equation_from_json(VDP_POLYNOMIAL_JSON)
     for eq_name, eq in equations.items():
         for part in ("p0", "q0", "r0"):
             found[f"{eq_name}.{part}"] = getattr(eq, part)
@@ -106,7 +118,7 @@ def time_functions():
     for name, p in EF.items():
         b = ef_bound_triple(p)
         found.update({f"{name}.P": b.P, f"{name}.Q": b.Q, f"{name}.R": b.R})
-    for name, v in (("vdp_unit", VDP_UNIT), ("vdp_json", VDP_TIME)):
+    for name, v in (("vdp_unit", VDP_UNIT), ("vdp_json", VDP_TIME), ("vdp_polynomial", VDP_POLYNOMIAL)):
         b, family = vdp_bound_triple(v), vdp_family(v)
         found.update({f"{name}.P": b.P, f"{name}.Q": b.Q, f"{name}.R": b.R})
         for eps in (0.0, 0.5, 1.0, 2.0):
