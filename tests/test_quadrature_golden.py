@@ -12,8 +12,9 @@ import math
 
 import pytest
 
+import rcert
 from rcert import BoundTriple, CumulativeIntegral, FBound, GBound, adaptive_quad, i_minus, i_plus
-from rcert.quadrature import weighted_tail_integrand
+from rcert.quadrature import weighted_chain, weighted_tail_integrand
 
 
 def bumpy(x):
@@ -42,6 +43,26 @@ def queries(memo, ts):
     return [memo(t) for t in ts]
 
 
+def oracle_residuals(name):
+    """The validate_oracles residuals of one unperturbed start: representation and Cauchy per segment, then flux and Volterra."""
+    one = rcert.time_function_from_json({"kind": "constant", "value": 1.0}, "test")
+    eq, start, horizon = {
+        "van_der_pol": (rcert.vdp_equation(rcert.VdPParams(lam=one, mu=one, nu=one), t0=0.0), (0.0, 1.0, 0.5), 10.0),
+        "power_law": (rcert.ef_equation(rcert.EFParams(rho=4.0, sigma=0.0, n=3.0), t0=1.0), (1.0, 0.5, 0.2), 20.0),
+    }[name]
+    traj = rcert.integrate(eq, rcert.InitialData(*start), rcert.IntegrationOptions(horizon=horizon))
+    got = []
+    for seg in rcert.auto_segments(traj):
+        path = rcert.transform(traj, seg)
+        got += [rcert.representation_residual(path), rcert.cauchy_residual(path)]
+    return got + [rcert.flux_residual(traj), rcert.volterra_residual(traj)]
+
+
+# (k, s, p) of the oracle chains: a sign-changing kernel, so e^K both grows and decays.
+COEFFICIENTS = (math.cos, lambda t: 1.0 / (1.0 + t * t), lambda t: 2.0 + math.sin(3.0 * t))
+# Forward and backward gaps, a repeated knot, and gaps from 1 to 3 and from 3 to 7 whose first panels are rejected.
+CHAIN_TS = (0.5, 1.0, 1.0, 3.0, 2.0, -0.5, 7.0, 0.25)
+
 # The certify_grid envelope (rho=4, sigma=0) and one with every level nonzero.
 POWER_LAW = BoundTriple(P=lambda t: t ** 4, Q=lambda t: 0.0, R=lambda t: -1.0)
 DECAYING = BoundTriple(P=lambda t: 1.0 + t * t, Q=lambda t: 0.5 / (1.0 + t), R=lambda t: -math.exp(-t))
@@ -60,6 +81,12 @@ CASES = {
     "i_plus": lambda: [i_plus(lambda t: t * t, lambda t: 1.0 / t, 1.0, 4.0), i_plus(lambda t: 1.0, math.cos, 0.0, 10.0)],
     "i_minus": lambda: [i_minus(lambda t: 2.0, lambda t: t, 0.0, 5.0), i_minus(math.exp, math.cos, 0.0, 3.0)],
     "weighted_tail": lambda: [weighted_tail_integrand(lambda t: 1.0 + t, lambda t: 4.0, math.cos, 0.0)(30.0)],
+    "weighted_chain": lambda: [v for ys in queries(weighted_chain(lambda t: tuple(c(t) for c in COEFFICIENTS[:2]), 0.0), CHAIN_TS) for v in ys],
+    "weighted_chain_lead": lambda: [
+        v for ys in queries(weighted_chain(lambda t: tuple(c(t) for c in COEFFICIENTS), 0.0, lead=True), CHAIN_TS) for v in ys
+    ],
+    "oracles_van_der_pol": lambda: oracle_residuals("van_der_pol"),
+    "oracles_power_law": lambda: oracle_residuals("power_law"),
 }
 
 GOLDEN = {
@@ -128,6 +155,30 @@ GOLDEN = {
     "i_plus": ["0x1.dffffffffffeep-2", "0x1.4f169c8522684p+3"],
     "i_minus": ["0x1.20005f35e6d52p+1", "-0x1.a5733303d8cc9p-5"],
     "weighted_tail": ["-0x1.711dd1f2e8eabp-11"],
+    "weighted_chain": [
+        "0x1.eaee8744b05d6p-2", "0x1.2f677ccae0e6bp-1", "0x1.aed548f090cd7p-1", "0x1.37fe32d98c486p+0",
+        "0x1.aed548f090cd7p-1", "0x1.37fe32d98c486p+0", "0x1.210386db6d54cp-3", "0x1.2912da55444b8p+1",
+        "0x1.d18f6ead1b42dp-1", "0x1.069248fe79a05p+1", "-0x1.eaee8744b05d6p-2", "-0x1.7a99a2fe60726p-2",
+        "0x1.50608c26d09f7p-1", "0x1.38dbaadae9de2p+1", "0x1.faaeed4f3155bp-3", "0x1.1c713942ffc52p-2",
+    ],
+    "weighted_chain_lead": [
+        "0x1.eaee8744b05d6p-2", "0x1.2f677ccae0e6bp-1", "0x1.3ed628bddad40p-3", "0x1.3194ae3d65e73p-5",
+        "0x1.aed548f090cd7p-1", "0x1.37fe32d98c486p+0", "0x1.004c90c3c7d8cp-2", "0x1.f963f58c102ccp-4",
+        "0x1.aed548f090cd7p-1", "0x1.37fe32d98c486p+0", "0x1.004c90c3c7d8cp-2", "0x1.f963f58c102ccp-4",
+        "0x1.210386db6d548p-3", "0x1.2912da55444b8p+1", "0x1.891e095337f53p-1", "0x1.1f797b318eb74p+0",
+        "0x1.d18f6ead1b42cp-1", "0x1.069248fe79a05p+1", "0x1.180ca729f0f22p-1", "0x1.433b0eb525482p-1",
+        "-0x1.eaee8744b05d6p-2", "-0x1.7a99a2fe60729p-2", "-0x1.01d841b76b5d5p-1", "0x1.f3583f79e2c3fp-4",
+        "0x1.50608c26d09f4p-1", "0x1.38dbaadae9de2p+1", "0x1.2fcdeb98a150bp+2", "0x1.547d1856e8b39p+3",
+        "0x1.faaeed4f3155bp-3", "0x1.1c713942ffc52p-2", "0x1.85ab9696d054dp-4", "0x1.7c7aa1483a494p-7",
+    ],
+    "oracles_van_der_pol": [
+        "0x1.00e66f49a2270p-43", "0x1.58e5230268be1p-41", "0x1.c7cf7cec0a4eap-43", "0x1.54104c4b1a977p-41",
+        "0x1.3676faa0807f5p-41", "0x1.dd7ad575eae7bp-41", "0x1.a4bac0ec9088fp-43", "0x1.2725d4b97fa5bp-44",
+        "0x1.d3613c8e5374fp-43", "0x1.027a1cbc2de0cp-41",
+    ],
+    "oracles_power_law": [
+        "0x1.196c005619c91p-39", "0x1.549220d78b414p-41", "0x1.09a1e30c64799p-41", "0x1.4b88000000000p-40",
+    ],
 }
 
 
