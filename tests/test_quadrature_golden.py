@@ -9,6 +9,7 @@ queries that moves any of them has to say why.
 """
 
 import math
+import struct
 
 import pytest
 
@@ -22,10 +23,45 @@ def bumpy(x):
     return 1.0 / (1e-3 + (x - 0.3) ** 2)
 
 
+class _SecondPanel(Exception):
+    pass
+
+
+def _first_panel(f, a, b, tol):
+    """The one-level walk of f over [a, b] from 0 with tolerance ``tol``, or None where it rejects its first panel."""
+    calls = 0
+
+    def sample(x):
+        nonlocal calls
+        calls += 1
+        if calls > 15:
+            raise _SecondPanel
+        return f(x)
+
+    try:
+        return CumulativeIntegral(sample, a, rel_tol=0.0)._walk(a, b, (0.0,), (tol,))[0]
+    except _SecondPanel:
+        return None
+
+
 def panel(f, a, b):
-    """(value, error) of one GK15 panel over [a, b], as the chain computes it."""
-    incs, errs = CumulativeIntegral(f, a)._panel(a, b, (0.0,), None)
-    return [*incs, *errs]
+    """(value, error) of one GK15 panel over [a, b], as the walk computes it.
+
+    With no relative tolerance the walk accepts its first panel exactly when
+    the panel's error is at most the tolerance, so the error is the least
+    float tolerance that is accepted: a bisection of the bit patterns.
+    """
+    lo, hi = 0, 0x7FF0000000000000  # 0.0 and inf as bit patterns: order-preserving on non-negative floats
+    tol = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
+    if _first_panel(f, a, b, 0.0) is not None:
+        hi = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _first_panel(f, a, b, tol(mid)) is None:
+            lo = mid
+        else:
+            hi = mid
+    return [_first_panel(f, a, b, math.inf), tol(hi)]
 
 
 def calls_in_order(a, b):
