@@ -19,10 +19,12 @@ integrands on a growing set of knots, and a query walks only the gap from the
 nearest knot.  Each level is a node-wise expression over the samples'
 columns and the inner levels, and the inner levels are read at the 15
 Kronrod nodes through the panel's node integration matrix, so no integrand
-ever queries another memo.  Each layout of levels has one GK15 panel, written
-out as straight code and compiled on its first use (``_compiled_panel``, a
-few milliseconds per layout; nothing is compiled at import).  A node
-integral is one left-to-right sum, the same bits on every interpreter.
+ever queries another memo.  Each layout of levels has one adaptive walk,
+its GK15 panel written into the loop, as straight code compiled on its
+first use (``_compiled_walk``, a few milliseconds per layout; nothing is
+compiled at import); a chain's query, ``adaptive_quad`` and each anchored
+gap are one call of it.  A node integral is one left-to-right sum, the same
+bits on every interpreter.
 
 Every integral here is one walk of the chain's: adaptive GK15 panels taken in
 order from one end of a gap to the other, with the QUADPACK acceptance test
@@ -63,7 +65,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp
-from operator import add, gt
 from typing import Callable, Sequence
 
 from .errors import (
@@ -185,56 +186,84 @@ _ORACLE_LEVELS = (_K, "exp(y0) * c1", "exp(-y0) / c2", "exp(-y0) * y1 / c2")
 
 
 @lru_cache(maxsize=None)
-def _compiled_panel(levels: tuple[str, ...]) -> Callable:
-    """The GK15 panel of a chain with these levels, written out as straight code and compiled on first use.
+def _compiled_walk(levels: tuple[str, ...]) -> Callable:
+    """The adaptive GK15 walk of a chain with these levels, written out as straight code and compiled on first use.
 
-    ``panel(sample, lo, hi, start, budget)`` returns the K15 increments and
-    the |K15 - G7| errors per level on [lo, hi], or no increments and the
-    errors so far at the first level over ``budget``.  It calls ``sample``
-    at the 15 Kronrod nodes in ascending order.  Column cj at a node is the
-    j-th item of that node's sample, or in a chain of one level the sample
-    itself.  Each level's node values are its expression at each node in
-    turn; its node pairs are summed outermost first, both sums left to
-    right from the centre term.  A level that a later one reads is
-    integrated to every node by :func:`_node_integrals`.  The panel runs in
-    this module's namespace, so the expressions see ``exp``, ``_exp`` and
-    ``EXP_CAP``.  It is kept for the life of the process: the levels come
-    from this module's few layouts, not from inputs.
+    ``walk(sample, a, b, start, abs_tols, rels)`` returns the levels at b
+    from their values ``start`` at a, by the test and in the panel order of
+    :class:`CumulativeChain`.  Its loop holds one panel, which calls
+    ``sample`` at the 15 Kronrod nodes in ascending order; column cj at a
+    node is the j-th item of its sample, or in a chain of one level the
+    sample itself.  Each level's node values are its expression at each node
+    in turn; its node pairs are summed outermost first, both sums left to
+    right from the centre term.  A level over its budget skips the levels
+    after it, and a level that a later one reads is integrated to every node
+    by :func:`_node_integrals`.  The walk runs in this module's namespace
+    (``exp``, ``_exp``, ``EXP_CAP``, ``MAX_INTERVALS``) and is kept for the
+    life of the process: the levels come from this module's few layouts.
     """
     n = len(_NODES)
     read = {int(k) for k in re.findall(r"\by(\d)\b", " ".join(levels))}
+    ks = range(len(levels))
+
+    def each(name: str) -> str:
+        return "".join(f"{name}{k}, " for k in ks)
 
     def at(expr: str, i: int) -> str:
         column = rf"d{i}" if len(levels) == 1 else rf"d{i}[\1]"
         return re.sub(r"\by(\d)\b", rf"y\1_{i}", re.sub(r"\bc(\d)\b", column, expr))
 
-    lines = ["c = 0.5 * (lo + hi)", "h = 0.5 * (hi - lo)"]
-    lines += [f"d{i} = sample(c + h * {x!r})" for i, x in enumerate(_NODES)]
-    lines.append("ah = abs(h)")
+    panel = [f"d{i} = sample(c + h * {x!r})" for i, x in enumerate(_NODES)] + ["ah = abs(h)"]
+    pad = ""
     for k, expr in enumerate(levels):
         fv = [at(expr, i) for i in range(n)]
         if not re.fullmatch(r"c\d", expr):
-            lines += [f"f{k}_{i} = {v}" for i, v in enumerate(fv)]
+            panel += [f"{pad}f{k}_{i} = {v}" for i, v in enumerate(fv)]
             fv = [f"f{k}_{i}" for i in range(n)]
-        lines += [f"s{j} = {fv[j]} + {fv[-1 - j]}" for j in (1, 3, 5)]
+        panel += [f"{pad}s{j} = {fv[j]} + {fv[-1 - j]}" for j in (1, 3, 5)]
         pairs = [f"s{j}" if j % 2 else f"({fv[j]} + {fv[-1 - j]})" for j in range(7)]
-        lines += [
-            f"resk = {_WGK[7]!r} * {fv[7]} + " + " + ".join(f"{w!r} * {p}" for w, p in zip(_WGK, pairs)),
-            f"resg = {_WG[3]!r} * {fv[7]} + " + " + ".join(f"{w!r} * s{j}" for j, w in zip((1, 3, 5), _WG)),
-            f"err{k} = abs(resk - resg) * ah",
-            f"if not math.isfinite(err{k}):",
-            f"    raise QuadratureBudgetError(f'level {k} integrand is not finite on [{{lo!r}}, {{hi!r}}]')",
-            f"if budget is not None and err{k} > budget[{k}]:",
-            f"    return None, [{', '.join(f'err{j}' for j in range(k))}]",
-            f"inc{k} = resk * h",
+        panel += [
+            f"{pad}resk = {_WGK[7]!r} * {fv[7]} + " + " + ".join(f"{w!r} * {p}" for w, p in zip(_WGK, pairs)),
+            f"{pad}resg = {_WG[3]!r} * {fv[7]} + " + " + ".join(f"{w!r} * s{j}" for j, w in zip((1, 3, 5), _WG)),
+            f"{pad}err{k} = abs(resk - resg) * ah",
+            f"{pad}if not math.isfinite(err{k}):",
+            f"{pad}    raise QuadratureBudgetError(f'level {k} integrand is not finite on [{{lo!r}}, {{hi!r}}]')",
+            f"{pad}if not (check and err{k} > sc{k} * span / gap):",
+            f"{pad}    inc{k} = resk * h",
         ]
+        pad += "    "
         if k in read:
-            lines.append(f"{', '.join(f'y{k}_{i}' for i in range(n))} = _node_integrals(start[{k}], h, ({', '.join(fv)}))")
-    ks = range(len(levels))
-    lines.append(f"return [{', '.join(f'inc{k}' for k in ks)}], [{', '.join(f'err{k}' for k in ks)}]")
+            panel.append(f"{pad}{', '.join(f'y{k}_{i}' for i in range(n))} = _node_integrals(val{k}, h, ({', '.join(fv)}))")
+    panel += [f"{pad}keep = True", f"{pad}if first:", f"{pad}    first = False"]
+    panel += [f"{pad}    sc{k} = max(tol{k}, rel{k} * abs(inc{k}))" for k in ks]
+    panel += [f"{pad}    keep = floor or not ({' or '.join(f'err{k} > sc{k}' for k in ks)})", f"{pad}if keep:"]
+    panel += [f"{pad}    val{k} += inc{k}" for k in ks] + [f"{pad}    lo = hi", f"{pad}    ends.pop()", f"{pad}    continue"]
+    body = "".join(f"        {line}\n" for line in panel)
+    source = f"""def walk(sample, a, b, start, abs_tols, rels):
+    gap = abs(b - a)
+    if not gap < math.inf:
+        _finite_gap(a, b)
+    {each("val")}= start
+    {each("tol")}= abs_tols
+    {each("rel")}= rels
+    first, lo, ends, used = True, a, [b], 1
+    while ends:
+        hi = ends[-1]
+        span = abs(hi - lo)
+        floor = span <= 1e-15 * max(abs(lo), abs(hi), 1.0)
+        check = not (first or floor)
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+{body}\
+        if used >= MAX_INTERVALS:
+            raise QuadratureBudgetError(f'tolerance not reached within {{MAX_INTERVALS}} subintervals on [{{a!r}}, {{b!r}}]')
+        ends.append(0.5 * (lo + hi))
+        used += 2
+    return ({each("val")})
+"""
     scope: dict = {}
-    exec("def panel(sample, lo, hi, start, budget):\n" + "".join(f"    {line}\n" for line in lines), globals(), scope)
-    return scope["panel"]
+    exec(source, globals(), scope)
+    return scope["walk"]
 
 
 class CumulativeChain:
@@ -243,25 +272,31 @@ class CumulativeChain:
     ``Y_k(t) = integral_base^t f_k(sample(s), Y_0(s), ..., Y_{k-1}(s)) ds``;
     ``sample`` runs once per node for the work the levels share, and each
     f_k is an expression over the sample columns c0..c2 and the inner levels
-    y0..y2 (see :func:`_compiled_panel`).  A query
+    y0..y2 (see :func:`_compiled_walk`).  A query
     returns the tuple (Y_0(t), ..., Y_{m-1}(t)).  Every query integrates only
     the gap between ``t`` and the nearest known knot, in either direction, then
     records ``t`` as a new knot, so repeated and monotone query patterns cost
     amortized O(1) panels per query.
 
-    The gap is walked in order in adaptive GK15 panels.  The inner levels are
-    read at the panel's 15 Kronrod nodes through the node integration matrix,
-    one left-to-right sum per node on every interpreter, so no integrand
-    queries another memo.  ``budgets`` holds one (abs_rate, rel_tol) pair per
-    level (the oracles' budget on every level by default).  A panel is
-    accepted when every level's |K15 - G7| error is within its own budget
-    ``max(abs_rate * gap, rel_tol * |whole gap estimate|)``, shared out by
-    length.  ``abs_rate`` is a budget per unit length, so the
-    error chained through any sequence of gaps stays below
+    A query is one call of the layout's compiled walk, looked up on the
+    chain's first query that walks, so a chain that walks nothing compiles
+    nothing.  The walk takes adaptive GK15 panels in order from the knot to
+    ``t``.  The inner levels are read at the panel's 15 Kronrod nodes through
+    the node integration matrix, one left-to-right sum per node on every
+    interpreter, so no integrand queries another memo.  ``budgets`` holds one
+    (abs_rate, rel_tol) pair per level (the oracles' budget on every level by
+    default).  The first panel spans the whole gap and sets each level's
+    budget ``max(abs_rate * gap, rel_tol * |its increment|)``; a panel is
+    accepted when every level's |K15 - G7| error is within the share of its
+    budget that the panel's length is of the gap, or unchecked when its span
+    is at most 1e-15 max(1, |ends|).  A rejected panel is halved and
+    the half nearer the knot is taken first, up to ``MAX_INTERVALS`` panels.
+    ``abs_rate`` is a budget per unit length, so the error chained through
+    any sequence of gaps stays below
     ``abs_rate * |t - base| + rel_tol * (total variation)`` however many knots
     accumulate.  A non-finite integrand sample raises
-    :class:`QuadratureBudgetError`, so no nan is ever recorded, and a base
-    that is not finite raises :class:`DomainError`.
+    :class:`QuadratureBudgetError`, so no nan is ever recorded, and a base or
+    query that is not finite raises :class:`DomainError`.
     """
 
     def __init__(
@@ -274,7 +309,7 @@ class CumulativeChain:
         _finite_gap(base, base)
         self._sample = sample
         self._layout = tuple(integrands)
-        self._compiled = None
+        self._walk = None  # the layout's compiled walk, looked up on the first walk
         if budgets is None:
             budgets = (ORACLE_BUDGET,) * len(self._layout)
         self._rates, self._rels = zip(*budgets)
@@ -291,59 +326,12 @@ class CumulativeChain:
         if j < 0 or (i < len(ts) and (ts[i] - t) < (t - ts[j])):
             j = i
         width = max(abs(t - ts[j]), 1e-30)
-        val = self._walk(ts[j], t, self._vals[j], [rate * width for rate in self._rates])
+        if self._walk is None:
+            self._walk = _compiled_walk(self._layout)
+        val = self._walk(self._sample, ts[j], t, self._vals[j], [rate * width for rate in self._rates], self._rels)
         ts.insert(i, t)
         self._vals.insert(i, val)
         return val
-
-    def _walk(self, a: float, b: float, start: tuple[float, ...], abs_tols: Sequence[float]) -> tuple[float, ...]:
-        """The levels at b, from their values ``start`` at a, in GK15 panels walked from a to b.
-
-        The first panel spans the whole gap and sets level k's budget
-        ``max(abs_tols[k], rel_k * |its increment|)``; every panel gets the
-        share of it that its length is of the gap.  A rejected panel is halved
-        and the half nearer a is taken first.  Limits without a finite gap
-        (a nan or infinite limit) raise :class:`DomainError`.
-        """
-        _finite_gap(a, b)
-        gap = abs(b - a)
-        ys = start
-        scales = None
-        lo = a
-        ends = [b]
-        used = 1
-        while ends:
-            hi = ends[-1]
-            span = abs(hi - lo)
-            floor = span <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-            incs, errs = self._panel(lo, hi, ys, None if floor or scales is None else [s * span / gap for s in scales])
-            if scales is None:
-                scales = [max(tol, rel * abs(v)) for v, tol, rel in zip(incs, abs_tols, self._rels)]
-                if not floor and any(map(gt, errs, scales)):
-                    incs = None
-            if incs is not None:
-                ys = tuple(map(add, ys, incs))
-                lo = hi
-                ends.pop()
-                continue
-            if used >= MAX_INTERVALS:
-                raise QuadratureBudgetError(f"tolerance not reached within {MAX_INTERVALS} subintervals on [{a!r}, {b!r}]")
-            ends.append(0.5 * (lo + hi))
-            used += 2
-        return ys
-
-    def _panel(
-        self, lo: float, hi: float, start: tuple[float, ...], budget: list[float] | None
-    ) -> tuple[list[float] | None, list[float]]:
-        """The K15 increments and |K15 - G7| errors per level on [lo, hi], from the levels' values ``start`` at lo.
-
-        No increments at the first level over ``budget``: one call of the
-        layout's compiled panel (:func:`_compiled_panel`), looked up at the
-        chain's first panel, so a chain that walks no panel compiles nothing.
-        """
-        if self._compiled is None:
-            self._compiled = _compiled_panel(self._layout)
-        return self._compiled(self._sample, lo, hi, start, budget)
 
 
 def _node_integrals(y: float, h: float, fv: Sequence[float]) -> tuple[float, ...]:
@@ -382,7 +370,7 @@ class CumulativeIntegral(CumulativeChain):
 def adaptive_quad(f: TimeFunction, a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> float:
     """Adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
-    One walk of the one-level chain over the gap, with nothing memoized: the
+    One call of the one-level chain's walk over the gap, with nothing memoized: the
     acceptance test shares ``max(abs_tol, rel_tol * |I|)`` out over the panels
     by length.  Raises :class:`QuadratureBudgetError` when ``f`` is not
     finite at a node or the tolerance cannot be met within ``MAX_INTERVALS``
@@ -391,7 +379,7 @@ def adaptive_quad(f: TimeFunction, a: float, b: float, abs_tol: float = ABS_TOL,
     _finite_gap(a, b)
     if a == b:
         return 0.0
-    return CumulativeIntegral(f, a, rel_tol=rel_tol)._walk(a, b, (0.0,), (abs_tol,))[0]
+    return _compiled_walk((_K,))(f, a, b, (0.0,), (abs_tol,), (rel_tol,))[0]
 
 
 def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: float, *, lead: bool = False) -> CumulativeChain:
@@ -460,13 +448,15 @@ def _anchored(
     folds = max(length * abs(v(t)), abs(v_integral))
     if not math.isfinite(folds):
         raise QuadratureBudgetError(f"kernel e-folds {folds!r} on [{t1!r}, {t!r}] are not finite")
-    chain = CumulativeChain(sample, (_K, _W), t, (MEMO_BUDGET, (abs_tol / length, rel_tol)))
+    walk = _compiled_walk((_K, _W))
+    rate = abs_tol / length
+    rels = (MEMO_BUDGET[1], rel_tol)
     ends = [t - length * 0.5 ** k for k in range(math.ceil(math.log2(max(1.0, folds))) + _ANCHOR_MARGIN, 0, -1)]
     a, ys = t, (0.0, 0.0)
     for b in ends + [t1]:
         if b != a:
             width = max(abs(b - a), 1e-30)
-            ys = chain._walk(a, b, ys, [rate * width for rate in chain._rates])
+            ys = walk(sample, a, b, ys, (MEMO_BUDGET[0] * width, rate * width), rels)
             a = b
     return ys
 

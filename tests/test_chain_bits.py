@@ -20,6 +20,7 @@ and calls ``sample`` and the exponentials with the same arguments in the
 same order.
 """
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -30,7 +31,7 @@ import rcert
 import rcert.quadrature as quadrature
 from rcert import BoundTriple, DomainError, NonPositiveWeightError, QuadratureBudgetError, RangeOverflowError
 from rcert.applications import ef_bound_triple
-from rcert.quadrature import _NODES, _ORACLE_LEVELS, _S, _WG, _WGK, EXP_CAP, CumulativeChain, weighted_chain
+from rcert.quadrature import _NODES, _ORACLE_LEVELS, _S, _WG, _WGK, EXP_CAP, weighted_chain
 
 PANELS = 10_000
 SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1.5e-310)
@@ -72,19 +73,9 @@ def _panel_case(rng):
     return ks, h, start
 
 
-def _walk_of(levels):
-    """The production walk of a chain with these levels: ``walk(sample, a, b, start, abs_tols, rels)``."""
-
-    def walk(sample, a, b, start, abs_tols, rels):
-        chain = CumulativeChain(sample, levels, 0.0, [(0.0, rel) for rel in rels])
-        return chain._walk(a, b, start, abs_tols)
-
-    return walk
-
-
 def test_two_level_panel_sums_node_integrals_left_to_right():
     rng = random.Random(20240)
-    walk = _walk_of(_ORACLE_LEVELS[:2])
+    walk = quadrature._compiled_walk(_ORACLE_LEVELS[:2])
     wrong = []
     for n in range(PANELS):
         ks, h, start = _panel_case(rng)
@@ -202,13 +193,13 @@ ORACLES = ("oracle", "oracle_lead")
 
 def test_the_layouts_are_every_production_layout(monkeypatch):
     seen = set()
-    compiled = quadrature._compiled_panel
+    compiled = quadrature._compiled_walk
 
     def spy(levels):
         seen.add(levels)
         return compiled(levels)
 
-    monkeypatch.setattr(quadrature, "_compiled_panel", spy)
+    monkeypatch.setattr(quadrature, "_compiled_walk", spy)
     one = lambda t: 1.0
     b = BoundTriple(one, one, one)
     rcert.adaptive_quad(one, 0.0, 1.0)
@@ -224,9 +215,9 @@ def test_the_layouts_are_every_production_layout(monkeypatch):
 
 def test_a_chain_that_walks_no_panel_compiles_none(monkeypatch):
     def refuse(levels):
-        raise AssertionError(f"compiled the panel of {levels}")
+        raise AssertionError(f"compiled the walk of {levels}")
 
-    monkeypatch.setattr(quadrature, "_compiled_panel", refuse)
+    monkeypatch.setattr(quadrature, "_compiled_walk", refuse)
     # A power-law FBound builds its four-level chain and takes the exponent in closed form.
     F = rcert.FBound(ef_bound_triple(rcert.EFParams(rho=4.0, sigma=0.0, n=3.0)), 1.0, 0.5, 0.3)
     assert F._closed is not None
@@ -254,8 +245,10 @@ def _outcome(name, rows, start, tols, a, b, reference, monkeypatch):
 
         return recorded
 
+    index = itertools.count()
+
     def sample(t):
-        row = rows(t) if callable(rows) else rows[sum(kind == "sample" for kind, _ in calls) % len(rows)]
+        row = rows(t) if callable(rows) else rows[next(index) % len(rows)]
         calls.append(("sample", t.hex()))
         if columns == 3:
             return row[0], row[1], quadrature._positive(lambda _: row[2], t, "P")
@@ -269,25 +262,27 @@ def _outcome(name, rows, start, tols, a, b, reference, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(quadrature, "exp", record(math.exp))
                 m.setattr(quadrature, "_exp", record(quadrature._exp))
-                result = _walk_of(levels)(sample, a, b, start, abs_tols, rels)
+                result = quadrature._compiled_walk(levels)(sample, a, b, start, abs_tols, rels)
     except Exception as exc:
         return (type(exc), str(exc)), calls
     return tuple(v.hex() for v in result), calls
 
 
 def _both(name, rows, start, tols, a, b, monkeypatch):
-    """The compiled walk's outcome, asserted equal to the reference's."""
+    """The compiled walk's outcome and calls, asserted equal to the reference's."""
     got = _outcome(name, rows, start, tols, a, b, False, monkeypatch)
     assert got == _outcome(name, rows, start, tols, a, b, True, monkeypatch)
-    return got[0]
+    return got
 
 
 def _panels(calls):
     """The calls split per panel, each panel's 15 samples first."""
-    out = []
+    out, samples = [], 0
     for call in calls:
-        if call[0] == "sample" and (not out or sum(c[0] == "sample" for c in out[-1]) == len(_NODES)):
-            out.append([])
+        if call[0] == "sample":
+            if samples % len(_NODES) == 0:
+                out.append([])
+            samples += 1
         out[-1].append(call)
     return out
 
@@ -318,8 +313,7 @@ def test_every_layout_is_the_reference_walk(name, monkeypatch):
         tols = None
         if rng.random() < 0.5:
             tols = [10.0 ** rng.uniform(-25.0, 5.0) for _ in range(levels)], [rng.choice((0.0, 10.0 ** rng.uniform(-12.0, 0.0))) for _ in range(levels)]
-        result, calls = _outcome(name, rows, start, tols, -h, h, False, monkeypatch)
-        assert (result, calls) == _outcome(name, rows, start, tols, -h, h, True, monkeypatch)
+        result, calls = _both(name, rows, start, tols, -h, h, monkeypatch)
         if isinstance(result[0], type):
             kinds.add(result[0])
         else:
@@ -337,11 +331,10 @@ def test_a_walk_halves_in_both_directions(name, monkeypatch):
     levels = len(LAYOUTS[name][1])
     tight = (1e-13,) * levels, (1e-12,) * levels
     for a, b in ((0.0, 6.0), (6.0, 0.0), (-1.0, 2.5)):
-        outcome = _outcome(name, _smooth, (0.25,) * levels, tight, a, b, False, monkeypatch)
-        assert outcome == _outcome(name, _smooth, (0.25,) * levels, tight, a, b, True, monkeypatch)
-        assert len(_panels(outcome[1])) > 3
+        _, calls = _both(name, _smooth, (0.25,) * levels, tight, a, b, monkeypatch)
+        assert len(_panels(calls)) > 3
     # A short gap with loose tolerances: the first panel is accepted.
-    _, calls = _outcome(name, _smooth, (0.25,) * levels, ((1e-3,) * levels, (1e-3,) * levels), 0.0, 0.1, False, monkeypatch)
+    _, calls = _both(name, _smooth, (0.25,) * levels, ((1e-3,) * levels, (1e-3,) * levels), 0.0, 0.1, monkeypatch)
     assert len(_panels(calls)) == 1
 
 
@@ -352,7 +345,7 @@ def test_floor_spans_are_accepted_unchecked(name, monkeypatch):
     rows = [(float(i), 1.0 + i, 2.0) for i in range(len(_NODES))]
     # A gap at the floor from the start, and one that zero tolerances halve down to it.
     for b in (math.nextafter(1.0, 2.0), 1.0 + 8e-15, 1.0 - 8e-15):
-        result = _both(name, rows, (0.5,) * levels, zero, 1.0, b, monkeypatch)
+        result = _both(name, rows, (0.5,) * levels, zero, 1.0, b, monkeypatch)[0]
         assert not isinstance(result[0], type)
 
 
@@ -369,12 +362,24 @@ def test_a_budget_rejection_at_each_level_skips_the_later_levels(name, level, mo
     levels = LAYOUTS[name][1]
     abs_tols = tuple(0.0 if k == level else math.inf for k in range(len(levels)))
     rows = [(float(i), 1.0 + i, 2.0) for i in range(len(_NODES))]
-    result, calls = _outcome(name, rows, (0.0,) * len(levels), (abs_tols, (0.0,) * len(levels)), -0.5, 0.5, False, monkeypatch)
-    assert (result, calls) == _outcome(name, rows, (0.0,) * len(levels), (abs_tols, (0.0,) * len(levels)), -0.5, 0.5, True, monkeypatch)
+    result, calls = _both(name, rows, (0.0,) * len(levels), (abs_tols, (0.0,) * len(levels)), -0.5, 0.5, monkeypatch)
     assert result == (QuadratureBudgetError, "tolerance not reached within 5 subintervals on [-0.5, 0.5]")
     exps = [sum(c[0] == "exp" for c in panel) for panel in _panels(calls)]
     upto = sum(k <= level for k in _exp_levels(levels))
     assert exps == [len(_NODES) * len(_exp_levels(levels)), len(_NODES) * upto, len(_NODES) * upto]
+
+
+@pytest.mark.parametrize("name", [n for n in LAYOUTS if n != "one_level"])
+def test_an_error_equal_to_its_budget_passes(name, monkeypatch):
+    # k = 0 gives level 0 an error of exactly 0 against a budget of exactly 0, so it passes on every panel, and
+    # level 1, over its zero budget, rejects each one.
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 5)
+    levels = LAYOUTS[name][1]
+    zero = (0.0,) * len(levels), (0.0,) * len(levels)
+    rows = [(0.0, 1.0 + i, 2.0 + i) for i in range(len(_NODES))]
+    result, calls = _both(name, rows, (0.0,) * len(levels), zero, -0.5, 0.5, monkeypatch)
+    assert result == (QuadratureBudgetError, "tolerance not reached within 5 subintervals on [-0.5, 0.5]")
+    assert [sum(c[0] == "exp" for c in panel) for panel in _panels(calls)][1:] == [len(_NODES), len(_NODES)]
 
 
 @pytest.mark.parametrize("name", LAYOUTS)
@@ -383,15 +388,14 @@ def test_a_non_finite_sample_in_mid_walk_stops_it(name, monkeypatch):
     rows = [(float(i % 15), 1.0, 2.0) for i in range(45)]
     rows[20] = (math.nan, 1.0, 2.0)
     zero = (0.0,) * levels, (0.0,) * levels
-    assert _both(name, rows, (0.0,) * levels, zero, -0.5, 0.5, monkeypatch) == (QuadratureBudgetError, "level 0 integrand is not finite on [-0.5, 0.0]")
+    assert _both(name, rows, (0.0,) * levels, zero, -0.5, 0.5, monkeypatch)[0] == (QuadratureBudgetError, "level 0 integrand is not finite on [-0.5, 0.0]")
 
 
 @pytest.mark.parametrize("name", LAYOUTS)
 def test_non_finite_limits_are_a_domain_error(name, monkeypatch):
     levels = len(LAYOUTS[name][1])
     for a, b in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, math.inf), (math.inf, math.inf)):
-        result, calls = _outcome(name, _smooth, (0.0,) * levels, None, a, b, False, monkeypatch)
-        assert (result, calls) == _outcome(name, _smooth, (0.0,) * levels, None, a, b, True, monkeypatch)
+        result, calls = _both(name, _smooth, (0.0,) * levels, None, a, b, monkeypatch)
         assert result == (DomainError, f"integration limits {a!r} and {b!r} do not bound a finite interval") and calls == []
 
 
@@ -404,7 +408,7 @@ def _flat(levels, start0, columns=(1.5, 2.0)):
 def test_an_exponent_of_exactly_the_cap_passes(name, monkeypatch):
     levels = len(LAYOUTS[name][1])
     for start0 in (EXP_CAP, -EXP_CAP):
-        ys = _both(name, *_flat(levels, start0), None, -0.5, 0.5, monkeypatch)
+        ys = _both(name, *_flat(levels, start0), None, -0.5, 0.5, monkeypatch)[0]
         assert not isinstance(ys[0], type) and len(ys) == levels
 
 
@@ -413,7 +417,7 @@ def test_an_exponent_beyond_the_cap_is_a_range_overflow(name, monkeypatch):
     beyond = math.nextafter(EXP_CAP, math.inf)
     levels = LAYOUTS[name][1]
     for start0, level in ((beyond, quadrature._W), (-beyond, quadrature._T1)):
-        result = _both(name, *_flat(len(levels), start0), None, -0.5, 0.5, monkeypatch)
+        result = _both(name, *_flat(len(levels), start0), None, -0.5, 0.5, monkeypatch)[0]
         if level in levels:
             assert result == (RangeOverflowError, f"exponent overflow: exp({beyond!r})")
 
@@ -424,19 +428,19 @@ def test_a_nan_exponent_is_a_non_finite_level(name, monkeypatch):
     if name == "one_level":
         rows = [(math.nan,)] * len(_NODES)
     level = 0 if name == "one_level" else 1
-    assert _both(name, rows, start, None, -0.5, 0.5, monkeypatch) == (QuadratureBudgetError, f"level {level} integrand is not finite on [-0.5, 0.5]")
+    assert _both(name, rows, start, None, -0.5, 0.5, monkeypatch)[0] == (QuadratureBudgetError, f"level {level} integrand is not finite on [-0.5, 0.5]")
 
 
 @pytest.mark.parametrize("name", ORACLES)
 def test_the_oracle_exponential_overflows(name, monkeypatch):
-    assert _both(name, *_flat(len(LAYOUTS[name][1]), 710.0), None, -0.5, 0.5, monkeypatch) == (OverflowError, "math range error")
+    assert _both(name, *_flat(len(LAYOUTS[name][1]), 710.0), None, -0.5, 0.5, monkeypatch)[0] == (OverflowError, "math range error")
 
 
 @pytest.mark.parametrize("name", [n for n, (columns, _, _) in LAYOUTS.items() if columns == 3])
 def test_a_non_positive_weight_stops_the_samples(name, monkeypatch):
     rows = [(0.0, 1.0, 1.0 if i != 9 else -0.0) for i in range(len(_NODES))]
     start = (0.0,) * len(LAYOUTS[name][1])
-    kind, text = _both(name, rows, start, None, -0.5, 0.5, monkeypatch)
+    kind, text = _both(name, rows, start, None, -0.5, 0.5, monkeypatch)[0]
     assert kind is NonPositiveWeightError and text == f"P({0.5 * _NODES[9]!r}) = -0.0 <= 0"
 
 

@@ -162,15 +162,20 @@ def test_tail_chains_never_call_mu(monkeypatch, closed):
     # its calls inside (K, W) chain walks; with its closed form kept, every chain reads mu's source.
     one = time_function_from_json({"kind": "constant", "value": 1.0}, "f")
     kw_walks, in_kw, mu_calls = [], [], []
-    walk = quadrature.CumulativeChain._walk
+    compiled = quadrature._compiled_walk
 
-    def recording_walk(self, *args):
-        in_kw.append(self._layout == (quadrature._K, quadrature._W))
-        kw_walks.append(in_kw[-1])
-        try:
-            return walk(self, *args)
-        finally:
-            in_kw.pop()
+    def recording(levels):
+        walk = compiled(levels)
+
+        def recording_walk(*args):
+            in_kw.append(levels == (quadrature._K, quadrature._W))
+            kw_walks.append(in_kw[-1])
+            try:
+                return walk(*args)
+            finally:
+                in_kw.pop()
+
+        return recording_walk
 
     def mu(t, w=0.0):
         if in_kw and in_kw[-1]:
@@ -179,7 +184,7 @@ def test_tail_chains_never_call_mu(monkeypatch, closed):
 
     if closed:
         mu.products, mu.start = one.products, one.start
-    monkeypatch.setattr(quadrature.CumulativeChain, "_walk", recording_walk)
+    monkeypatch.setattr(quadrature, "_compiled_walk", recording)
     v = VdPParams(lam=one, mu=mu, nu=one)
     cert = check_t4_2(vdp_equation(v), v, eps0=1.0, grid=GridSpec(9, 9))
     assert cert.status == VERIFIED

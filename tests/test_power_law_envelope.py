@@ -14,12 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from rcert import BoundTriple, DomainError, FBound, NonPositiveWeightError, QuadratureBudgetError, RangeOverflowError
+from rcert import BoundTriple, DomainError, FBound, NonPositiveWeightError, QuadratureBudgetError, RangeOverflowError, quadrature
 from rcert.applications import EFParams, ef_bound_triple
 from rcert.cli import main
 from rcert.config import time_function_from_json
 from rcert.fields import _closed_form_time, _Product
-from rcert.quadrature import CumulativeChain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,8 +53,13 @@ def ef(rho, sigma):
     return ef_bound_triple(EFParams(rho=rho, sigma=sigma, n=3.0))
 
 
-def no_panel(*args):
-    raise AssertionError("a chain panel was walked")
+def no_panel(levels):
+    """A stand-in for ``quadrature._compiled_walk`` whose walks fail."""
+
+    def walk(*args):
+        raise AssertionError("a chain panel was walked")
+
+    return walk
 
 
 def assert_parity(b, t1, c2, ts, monkeypatch):
@@ -72,7 +76,7 @@ def assert_parity(b, t1, c2, ts, monkeypatch):
         expected.append((chain.exponent(t), max(abs(c2 * iplus), abs(outer))))
     closed = FBound(b, t1, 1.0, c2)
     with monkeypatch.context() as m:
-        m.setattr(CumulativeChain, "_panel", no_panel)
+        m.setattr(quadrature, "_compiled_walk", no_panel)
         got = [closed.exponent(t) for t in ts]
     worst = max(abs(g - e) / scale for g, (e, scale) in zip(got, expected))
     assert worst <= 1e-12
@@ -124,33 +128,38 @@ FALLBACKS = {
 
 
 def outcomes(b, t1, monkeypatch):
-    """Whether ``FBound`` took the closed form, its exponent (or error type and text) at four times from t1, and the panels walked."""
-    panels = 0
-    walk = CumulativeChain._panel
+    """Whether ``FBound`` took the closed form, its exponent (or error type and text) at four times from t1, and the walks taken."""
+    walks = 0
+    compiled = quadrature._compiled_walk
 
-    def counting(self, *args):
-        nonlocal panels
-        panels += 1
-        return walk(self, *args)
+    def counting(levels):
+        walk = compiled(levels)
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return walk(*args)
+
+        return counted
 
     F = FBound(b, t1, 1.0, 0.3)
     results = []
     with monkeypatch.context() as m:
-        m.setattr(CumulativeChain, "_panel", counting)
+        m.setattr(quadrature, "_compiled_walk", counting)
         for t in (t1 + 0.5, t1 + 1.0, t1 + 3.0, t1 + 7.0):
             try:
                 results.append(F.exponent(t).hex())
             except Exception as exc:
                 results.append((type(exc).__name__, str(exc)))
-    return F._closed is not None, results, panels
+    return F._closed is not None, results, walks
 
 
 @pytest.mark.parametrize("case", FALLBACKS)
 def test_any_other_triple_walks_the_chain(case, monkeypatch):
     # To the bits of the same triple through lambdas, errors included.
     b, t1 = FALLBACKS[case]
-    closed, results, panels = outcomes(b, t1, monkeypatch)
-    assert not closed and panels > 0
+    closed, results, walks = outcomes(b, t1, monkeypatch)
+    assert not closed and walks > 0
     assert results == outcomes(wrapped(b), t1, monkeypatch)[1]
 
 
@@ -202,7 +211,7 @@ def test_certify_t3_1_on_the_readme_example_walks_no_chain_panel(tmp_path, monke
     example = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     config = tmp_path / "example.json"
     config.write_text(example, encoding="utf-8")
-    monkeypatch.setattr(CumulativeChain, "_panel", no_panel)
+    monkeypatch.setattr(quadrature, "_compiled_walk", no_panel)
     assert main(["certify", "t3_1", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     cert = json.loads((tmp_path / "out" / "report.json").read_text())["certificates"][0]
     assert cert["status"] == "Verified"

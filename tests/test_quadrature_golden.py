@@ -39,7 +39,7 @@ def _first_panel(f, a, b, tol):
         return f(x)
 
     try:
-        return CumulativeIntegral(sample, a, rel_tol=0.0)._walk(a, b, (0.0,), (tol,))[0]
+        return adaptive_quad(sample, a, b, tol, 0.0)
     except _SecondPanel:
         return None
 
