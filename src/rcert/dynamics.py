@@ -14,22 +14,49 @@ scale linearly with the requested tolerance.  The step is generated from the
 tableau and compiled at import (:func:`_compiled_step`); its rhs, from
 :func:`rcert.fields.system_rhs`, is one function per closed-form equation.
 
-Finite escape is only declared once the state norm |phi| + |psi| has passed
-``escape_threshold``, and then on one of two signals:
+An attempt that starts above the norm |phi| + |psi| = ``_PER_STEP_NORM``
+(1e3) is tested against a per-step target instead: its scaled error itself,
+not the error per unit step, must be at most 1.  Near a blow-up at distance
+d = T* - t the DP5 local error is about |y| (h/d)**5, so the per-unit-step
+target shrinks h like d**(5/4) and the steps per e-fold of d grow like
+d**(-1/4); relative to |y| per step, h stays about rel_tol**(1/5) d and the
+steps per e-fold stay fixed (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+A run whose norm never passes that level takes the same steps, bit for bit.
+
+Finite escape is only declared once the norm has passed ``escape_threshold``,
+and then on one of three signals:
 
 * a stable blow-up rate.  The stepper records the time at which the norm
-  first passes each level ``escape_threshold * 2**k``, interpolated linearly
-  between the two nodes around the crossing.  Under a power-law blow-up,
-  norm ~ C (T* - t)**-p, these times approach T* geometrically with ratio
-  2**(-1/p).  When the last two ratios of successive gaps agree and are well
-  below 1, and no zero has been recorded since the first of the four
-  crossings used, the run stops at the node that passed the level, and
-  Aitken extrapolation of the crossing times brackets T* (Stuart & Floater,
-  "On the computation of blow-up", 1990; :func:`_blowup_estimate`);
+  first passes each level ``escape_threshold * 2**k``, bisected on the dense
+  output of the step that passed it (:func:`_level_crossing`).  Under a
+  power-law blow-up, norm ~ C (T* - t)**-p, these times approach T*
+  geometrically with ratio 2**(-1/p).  When the last two ratios of
+  successive gaps agree and are well below 1, and no zero has been recorded
+  since the first of the four crossings used, the run stops at the node that
+  passed the level, and Aitken extrapolation of the crossing times brackets
+  T* (Stuart & Floater, "On the computation of blow-up", 1990;
+  :func:`_blowup_estimate`);
+* an escape time within the integration's own error.  A step tested per
+  step keeps its relative error at most about rel_tol (abs_tol is negligible
+  past the switch, and the propagated fifth-order solution is more accurate
+  than the fourth-order estimate the test bounds).  A relative error eps of
+  the state at distance d from a power-law pole moves the pole by about
+  eps d / p, with p >= 1 for the norm, which holds psi ~ phi'.  So those
+  steps move T* by at most about ``drift = rel_tol * sum(T^ - t_i)`` over
+  their start times t_i; its first term also covers the error-per-unit-step
+  part of the run before them, whose accumulated relative error is about
+  rel_tol.  On phi'' = phi**3 from (0, 1, 1), ``drift`` is 316 (rel_tol 1e-9)
+  and 400 (1e-7) times the shift of the run's pole from the energy
+  integral's T*.  When the crossings give an estimate T^ with
+  T^ - t <= drift, and no zero was recorded since the first of their four
+  crossings, no later node could be told from T* within the run's own
+  error, and the run stops at the node that passed the level;
 * a collapse: the step size has fallen below ``min_step``, with the local
   error estimate still saturated or the stages not finite.  This ends
   escapes whose rate never settles, such as those whose zeros accumulate at
   the escape time.
+
+Every bracket adds ``drift`` to the Aitken bracket (see :class:`TerminalStatus`).
 
 A pure threshold would misfire on large-but-global solutions (e**t, e**(t**2)
 and polynomials give gap ratios of at least 1, or ratios that keep drifting);
@@ -97,6 +124,8 @@ _MAX_STEPS = 2_000_000
 _LEVEL_FACTOR = 2.0
 _RATE_CAP = 0.9
 _RATE_AGREEMENT = 0.01
+#: Past this norm |phi| + |psi| at the start of an attempt, the step is tested against a per-step target.
+_PER_STEP_NORM = 1e3
 
 
 @dataclass(frozen=True)
@@ -104,12 +133,13 @@ class IntegrationOptions:
     """Tolerances and guards for :func:`integrate`.
 
     ``rel_tol``/``abs_tol`` target the accumulated error over the whole run
-    (error-per-unit-step control).  A finite escape is declared only past the
-    norm ``escape_threshold``, on a stable blow-up rate or on a step below
-    ``min_step`` (see the module docstring); ``zero_tol`` bounds |phi| at
-    recorded zero crossings.  A value on which the stepper's arithmetic would
-    invent a verdict (a NaN or infinite tolerance or horizon, ``max_zeros`` < 1)
-    raises ``ValueError`` naming the option.
+    (error-per-unit-step control), and the error of each step past the norm
+    1e3.  A finite escape is declared only past the norm ``escape_threshold``,
+    on a stable blow-up rate, on an escape time within the run's own error or
+    on a step below ``min_step`` (see the module docstring); ``zero_tol``
+    bounds |phi| at recorded zero crossings.  A value on which the stepper's
+    arithmetic would invent a verdict (a NaN or infinite tolerance or horizon,
+    ``max_zeros`` < 1) raises ``ValueError`` naming the option.
     """
 
     rel_tol: float = 1e-9
@@ -142,9 +172,11 @@ class TerminalStatus:
     ``time`` is the last computed node.  ``bracket`` is only set for finite
     escapes whose norm-level crossing times give an Aitken estimate T^ of the
     escape time: the true escape time lies in (time, time + bracket), with
-    ``bracket = (T^ - time) + err`` and ``err`` the error bound of
-    :func:`_blowup_estimate`.  An escape that collapses before that estimate
-    exists has no bracket.
+    ``bracket = (T^ - time) + err + drift``, ``err`` the error bound of
+    :func:`_blowup_estimate` and ``drift = rel_tol * sum(T^ - t_i)`` over the
+    start times t_i of the steps tested per step, the integration's own error
+    in T* (see the module docstring).  An escape that collapses before that
+    estimate exists has no bracket.
     """
 
     kind: str
@@ -316,11 +348,11 @@ def _blowup_estimate(crossings: list[float], last_zero: float | None) -> tuple[f
 
 
 def _escape_or_collapse(
-    t: float, ya: float, yb: float, opts: IntegrationOptions, reason: str, crossings: list[float]
+    t: float, ya: float, yb: float, opts: IntegrationOptions, reason: str, crossings: list[float], past: int, past_t: float
 ) -> TerminalStatus:
     if abs(ya) + abs(yb) > opts.escape_threshold:
         estimate = _blowup_estimate(crossings, None)
-        bracket = None if estimate is None else (estimate[0] - t) + estimate[1]
+        bracket = None if estimate is None else (estimate[0] - t) + estimate[1] + opts.rel_tol * (past * estimate[0] - past_t)
         if bracket is not None and bracket <= 0.0:  # the estimate lies behind the collapse
             bracket = None
         return TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=bracket)
@@ -353,7 +385,7 @@ def _solve(
     # The step loop inlines _rms and _floor_at, and writes max(a, b) as ``b if b > a else a``
     # and min(a, b) as ``b if b < a else a``: the values the builtins return, without the calls.
     # It tests the error ratio for finiteness as the step tests its stages (see _compiled_step).
-    step, sqrt, copysign, floor_eps = _step, math.sqrt, math.copysign, 32.0 * _EPS
+    step, sqrt, copysign, floor_eps, switch = _step, math.sqrt, math.copysign, 32.0 * _EPS, _PER_STEP_NORM
 
     t, ya, yb = float(t0), float(ya), float(yb)
     k1a, k1b = f(t, ya, yb)
@@ -394,6 +426,7 @@ def _solve(
     t_sign = t  # time of the last node with a definite sign of component 0
     pending_zero: float | None = None
 
+    past, past_t = 0, 0.0  # the accepted steps tested per step, and the sum of their start times
     for _ in range(_MAX_STEPS):
         remaining = horizon - t
         if remaining <= floor:
@@ -402,7 +435,7 @@ def _solve(
         if remaining < h:
             h = remaining
         if h < floor or t + h == t:
-            terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", crossings)
+            terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", crossings, past, past_t)
             break
 
         # One attempt; a stage that raises or is not finite rejects the step outright.
@@ -412,14 +445,17 @@ def _solve(
             h *= 0.25
             rejected = True
             if h < floor:
-                terminal = _escape_or_collapse(t, ya, yb, opts, "non-finite evaluation", crossings)
+                terminal = _escape_or_collapse(t, ya, yb, opts, "non-finite evaluation", crossings, past, past_t)
                 break
             continue
 
         ma, mna, mb, mnb = abs(ya), abs(yna), abs(yb), abs(ynb)
         ra = ea / (atol + rtol * (mna if mna > ma else ma))
         rb = eb / (atol + rtol * (mnb if mnb > mb else mb))
-        ratio = sqrt((ra * ra + rb * rb) / 2.0) / (tol_rate * h)
+        ratio = sqrt((ra * ra + rb * rb) / 2.0)
+        per_step = ma + mb > switch  # then the error itself is the ratio, not the error per unit step
+        if not per_step:
+            ratio = ratio / (tol_rate * h)
         if not 0.0 * ratio == 0.0:
             ratio = math.inf
 
@@ -429,6 +465,9 @@ def _solve(
             fac = (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
             if rejected:
                 fac = fac if fac < 1.0 else 1.0
+            if per_step:
+                past += 1
+                past_t += t
             dense.append(d)
             t = t + h
             ya, yb, k1a, k1b = yna, ynb, k7a, k7b  # stage 7 is the next step's stage 1
@@ -467,29 +506,47 @@ def _solve(
 
             # --- blow-up signal, checked only when the norm passes a new level ---
             if mna + mnb > level:
-                # Each level crossed in this step gets the time at which the norm,
-                # linear between the two nodes, passes it; no earlier node passed it.
-                t_prev, n_prev, n_new = ts[-2], ma + mb, mna + mnb
-                while n_new > level:
-                    crossings.append(t_prev + (t - t_prev) * ((level - n_prev) / (n_new - n_prev)))
+                # Each level crossed in this step gets the time at which the norm of
+                # the step's dense output passes it; no earlier node passed it.
+                t_cross = ts[-2]
+                while mna + mnb > level:
+                    t_cross = _level_crossing(ts, ys0, ys1, dense, t_cross, t, level)
+                    crossings.append(t_cross)
                     level *= _LEVEL_FACTOR
                 estimate = _blowup_estimate(crossings, zeros[-1] if zeros else None)
-                if estimate is not None and estimate[2]:
-                    t_hat, err, _ = estimate
-                    terminal = TerminalStatus(FINITE_ESCAPE, t, reason="blow-up rate stable", bracket=(t_hat - t) + err)
-                    break
+                if estimate is not None:
+                    t_hat, err, stable = estimate
+                    drift = rtol * (past * t_hat - past_t)
+                    if stable or (t_hat - t <= drift and not (zeros and zeros[-1] >= crossings[-4])):
+                        reason = "blow-up rate stable" if stable else "escape time within integration error"
+                        terminal = TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=(t_hat - t) + err + drift)
+                        break
         else:
             rejected = True
             fac = max(0.1, min(0.5, _SAFETY * ratio ** -0.25))
             h_new = h * fac
             if h_new < floor:
-                terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", crossings)
+                terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", crossings, past, past_t)
                 break
             h = h_new
     else:  # no terminal status within the step budget
         raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
 
     return Trajectory(eq, ic, opts, ts, ys0, ys1, fs0, zeros, terminal, tangential, zeros_truncated, dense)
+
+
+def _level_crossing(ts: list[float], phis: list[float], psis: list[float], dense: list[tuple], t_lo: float, t_hi: float, level: float) -> float:
+    """Bisect the dense output's norm |phi| + |psi|, at most ``level`` at ``t_lo`` and above it at ``t_hi``, for where it passes ``level``."""
+    lo, hi = t_lo, t_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if abs(_dense_at(ts, phis, dense, 1, mid)) + abs(_dense_at(ts, psis, dense, 5, mid)) > level:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _locate_zero(ts: list[float], phis: list[float], dense: list[tuple], t_lo: float, t_hi: float, zero_tol: float) -> float:

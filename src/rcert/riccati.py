@@ -96,18 +96,30 @@ def _own_ratio(path: RiccatiPath) -> bool:
     return isinstance(y, partial) and y.func is _ratio and y.args[0] is path.traj
 
 
+#: A segment end must lie at least this share of the step that holds the zero away from that zero.
+_ZERO_CLEARANCE = 0.02
+
+
 def auto_segments(traj: Trajectory) -> list[tuple[float, float]]:
     """Maximal inter-zero intervals, shrunk by one mesh cell at each end.
 
-    The ratio is singular at zeros of phi, so each natural segment backs off
-    one accepted step from the surrounding zero crossings.
+    The ratio is singular at zeros of phi, so each natural segment ends at
+    the nodes of the steps that hold its bounding zeros, or one node further
+    in where such a node lies within ``_ZERO_CLEARANCE`` (0.02) of its step
+    from the zero.  Near a zero z the ratio behaves like 1 / (t - z), and a
+    segment that ends a small share of a step from z asks more of the
+    oracles' chains than ``MAX_INTERVALS`` panels give.
     """
     cuts = [traj.t_start] + list(traj.zeros) + [traj.t_end]
     ts = traj.ts
     segments = []
     for lo, hi in zip(cuts, cuts[1:]):
-        left = bisect_right(ts, lo)
-        right = bisect_left(ts, hi) - 1
+        left = bisect_right(ts, lo)  # ts[left - 1] <= lo < ts[left]
+        right = bisect_left(ts, hi) - 1  # ts[right] < hi <= ts[right + 1]
+        if lo != traj.t_start and ts[left] - lo < _ZERO_CLEARANCE * (ts[left] - ts[left - 1]):
+            left += 1
+        if hi != traj.t_end and hi - ts[right] < _ZERO_CLEARANCE * (ts[right + 1] - ts[right]):
+            right -= 1
         if right - left < 2:
             continue
         a = ts[left] if lo != traj.t_start else lo

@@ -94,11 +94,19 @@ def _record_cases():
         }
 
     return {
-        # phi = 1/(1 - t) ends step_collapse short of its pole (ROADMAP item 2(b)).
+        # phi = 1/(1 - t) ended step_collapse at 1 - t ~ 1.06e-4, short of its pole (ROADMAP item 2(b)),
+        # until steps past norm 1e3 were tested per step; it now escapes with T* = 1 inside its bracket.
         "collapse": (
             make_eq(q_fn=lambda t, w: -2.0 / (1.0 - t)),
             InitialData(0.0, 1.0, 1.0),
             IntegrationOptions(horizon=2.0),
+            record(UNDETERMINED, 0, "finite_escape", True, (), 0.9999655792292174, "finite escape without accumulating sign changes"),
+        ),
+        # r0 = -1e300: no stage of the first step is finite, so the run collapses at t = 0.
+        "non_finite_collapse": (
+            make_eq(r=-1e300),
+            InitialData(0.0, 1.0, 0.0),
+            IntegrationOptions(horizon=1.0),
             record(UNDETERMINED, 0, "step_collapse", True, detail="step collapse or tangential zero"),
         ),
         # (1 - t)^-2 cos(5 log(1 - t)): zero gaps shrink by e^{-pi/5} toward t = 1.
@@ -108,11 +116,11 @@ def _record_cases():
             IntegrationOptions(horizon=2.0, rel_tol=1e-6),
             record(
                 SINGULAR_SECOND_KIND,
-                15,
+                38,
                 "finite_escape",
                 False,
-                (0.533488091090047, 0.5334880910891405, 0.5334880911008669),
-                0.9999192633545009,
+                (0.533486239372562, 0.5334881849335651, 0.5334892653669946),
+                0.999999999955955,
                 "zero gaps contract geometrically toward the escape time",
             ),
         ),
@@ -120,7 +128,7 @@ def _record_cases():
             make_eq(r_fn=lambda t, w: -abs(w) ** 2),
             InitialData(0.0, 1.0, 1.0),
             IntegrationOptions(horizon=10.0),
-            record(UNDETERMINED, 0, "finite_escape", True, (), 1.3109867432415323, "finite escape without accumulating sign changes"),
+            record(UNDETERMINED, 0, "finite_escape", True, (), 1.3109872371542097, "finite escape without accumulating sign changes"),
         ),
         "dead_band": (
             make_eq(),

@@ -71,9 +71,9 @@ PINS = {
         ],
     ),
     "sweep_escape_lower": Pin(
-        14114,
-        ("finite_escape", "blow-up rate stable", "0x1.8a08508994c8cp+1"),
-        ("0x1.8a08508994c8cp+1", "0x1.06ccc1afd890fp+15", "0x1.7d86e49ffd99bp+29"),
+        2157,
+        ("finite_escape", "blow-up rate stable", "0x1.8a0855358aa73p+1"),
+        ("0x1.8a0855358aa73p+1", "0x1.0a53ebf62a26bp+15", "0x1.87d6e2a2fa0e3p+29"),
         ["0x1.dfd00c2394257p-2"],
     ),
     "sweep_oscillating_upper": Pin(
@@ -91,9 +91,9 @@ PINS = {
         ],
     ),
     "sweep_escape_upper": Pin(
-        13912,
-        ("finite_escape", "blow-up rate stable", "0x1.fe03abf847500p+0"),
-        ("0x1.fe03abf847500p+0", "0x1.06c9d422a3fc9p+15", "0x1.7d7e644ecce4ep+29"),
+        1955,
+        ("finite_escape", "blow-up rate stable", "0x1.fe03b516d5e8bp+0"),
+        ("0x1.fe03b516d5e8bp+0", "0x1.0a3af91b11eaep+15", "0x1.878d7c8815d5bp+29"),
         [],
     ),
     "van_der_pol": Pin(

@@ -25,7 +25,7 @@ from rcert import (
     volterra_residual,
 )
 from rcert import riccati
-from rcert.applications import EFParams, ef_equation, kneser_majorant
+from rcert.applications import EFParams, VdPParams, ef_equation, kneser_majorant, vdp_equation
 from rcert.fields import _closed_form_field
 from test_fields import ODD_SAMPLES, at
 
@@ -71,6 +71,29 @@ class TestTransform:
         for (a, b) in segs:
             for z in harmonic_traj.zeros:
                 assert not (a <= z <= b)
+
+    def test_segment_ends_clear_a_zero_between_close_nodes(self):
+        # The unit Van der Pol start that validate_oracles draws at seed 139 has a zero at
+        # t = 1.889666028194242, 3e-4 of its step after the node 1.889665238534103.  A segment
+        # that ended at that node, 7.9e-7 short of the zero, left both segment oracles over
+        # their quadrature budget.
+        def one(t):
+            return 1.0
+
+        eq = vdp_equation(VdPParams(lam=one, mu=one, nu=one))
+        traj = integrate(eq, InitialData(0.0, 0.9800604069112069, 0.5077994911718943), IntegrationOptions(horizon=10.0))
+        assert traj.zeros[0] == pytest.approx(1.889666028194242, abs=1e-12)
+        segs = auto_segments(traj)
+        assert len(segs) == len(traj.zeros) + 1
+        for seg in segs:
+            path = transform(traj, seg)
+            assert representation_residual(path) <= 1e-6
+            assert cauchy_residual(path) <= 1e-6
+        ts = traj.ts
+        for z in traj.zeros:
+            k = next(i for i, t in enumerate(ts) if t >= z)
+            step = ts[k] - ts[k - 1]
+            assert all(abs(end - z) >= riccati._ZERO_CLEARANCE * step for seg in segs for end in seg)
 
 
 class TestRepresentationResidual:
