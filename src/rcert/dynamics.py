@@ -10,9 +10,12 @@ an embedded Dormand-Prince 5(4) pair with a fourth-degree continuous extension
 and a proportional-integral controller working in error-per-unit-step form:
 the accepted local error is proportional to the step length, which makes the
 accumulated error (and hence every residual oracle built on trajectories)
-scale linearly with the requested tolerance.  The step is generated from the
-tableau and compiled at import (:func:`_compiled_step`); its rhs, from
-:func:`rcert.fields.system_rhs`, is one function per closed-form equation.
+scale linearly with the requested tolerance.  Each run is one call of the
+whole loop, generated and compiled on the first run of each rhs shape
+(:func:`_loop_source`): the step is written out from the tableau, and each
+rhs evaluation is written in place from the closed forms of the fields, whose
+coefficients are the loop's locals, so equations that differ only in their
+constants share one compile.
 
 An attempt that starts above the norm |phi| + |psi| = ``_PER_STEP_NORM``
 (1e3) is tested against a per-step target instead: its scaled error itself,
@@ -45,29 +48,25 @@ and then on one of three signals:
   steps move T* by at most about ``drift = rel_tol * sum(T^ - t_i)`` over
   their start times t_i; its first term also covers the error-per-unit-step
   part of the run before them, whose accumulated relative error is about
-  rel_tol.  On phi'' = phi**3 from (0, 1, 1), ``drift`` is 316 (rel_tol 1e-9)
-  and 400 (1e-7) times the shift of the run's pole from the energy
-  integral's T*.  When the crossings give an estimate T^ with
-  T^ - t <= drift, and no zero was recorded since the first of their four
-  crossings, no later node could be told from T* within the run's own
-  error, and the run stops at the node that passed the level;
+  rel_tol.  When the crossings give an estimate T^ with T^ - t <= drift, and
+  no zero was recorded since the first of their four crossings, no later
+  node could be told from T* within the run's own error, and the run stops
+  at the node that passed the level;
 * a collapse: the step size has fallen below ``min_step``, with the local
   error estimate still saturated or the stages not finite.  This ends
   escapes whose rate never settles, such as those whose zeros accumulate at
   the escape time.
 
 Every bracket adds ``drift`` to the Aitken bracket (see :class:`TerminalStatus`).
-
 A pure threshold would misfire on large-but-global solutions (e**t, e**(t**2)
 and polynomials give gap ratios of at least 1, or ratios that keep drifting);
 a pure collapse would misfire on singular coefficients.
 
 :func:`integrate` returns one :class:`Trajectory`: the nodes, the zeros, the
 terminal status and the dense output, one tuple of coefficients per accepted
-step.  At t the dense output is the step that
-starts at the last node <= t, the last step at t_end, and the stored initial
-values at t_start.  The residual oracles that check trajectories live in
-:mod:`rcert.riccati`.
+step.  At t the dense output is the step that starts at the last node <= t,
+the last step at t_end, and the stored initial values at t_start.  The
+residual oracles that check trajectories live in :mod:`rcert.riccati`.
 """
 
 from __future__ import annotations
@@ -75,10 +74,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
 
 from .errors import DomainError, FieldEvaluationError, RcertError
-from .fields import EquationSpec, InitialData, system_rhs
+from .fields import EquationSpec, InitialData, _at_point, _compiled_points, _wrapped_rhs
 from .serialize import canonical_json, format_float
 
 __all__ = [
@@ -96,7 +95,7 @@ REACHED_HORIZON = "reached_horizon"
 FINITE_ESCAPE = "finite_escape"
 STEP_COLLAPSE = "step_collapse"
 
-# Dormand-Prince 5(4) (Dormand & Prince, 1980) for _compiled_step: the stage times c2..c7, the rows
+# Dormand-Prince 5(4) (Dormand & Prince, 1980) for _step_lines: the stage times c2..c7, the rows
 # a2..a7 (the seventh is also the fifth-order weights: first same as last), the error weights (fifth
 # minus fourth order) and the quartic continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
 _DP5 = (
@@ -270,48 +269,9 @@ class _NonFiniteStage(ArithmeticError):
     """A stage derivative or the propagated solution is not finite; the step is rejected."""
 
 
-def _compiled_step(c: tuple, a: tuple, e: tuple, d: tuple) -> Callable:
-    """One explicit Runge-Kutta step on (ya, yb), written out from its tables as straight code.
-
-    ``step(f, t, h, ya, yb, k1a, k1b)`` returns the new node, its stage (the
-    next step's first), the error pair and the dense tuple of :func:`_dense_at`:
-    h, then per component the increment, the two Hermite corrections and the
-    quartic term.  Each sum is ``h * (0.0 + w_1 * k1 + ...)``, left to right.
-    A zero weight (DP5's a72, e2 and d2) is left out: with every stage finite
-    its term is a signed zero, which changes no sum that starts from ``0.0 +``,
-    as such a sum is never -0.0.  A stage that raises propagates; a stage, or
-    the new node, that is not finite raises :class:`_NonFiniteStage`, tested as
-    ``0.0 * x * y == 0.0``: 0.0 times a finite float is +-0.0, and 0.0 times inf
-    or NaN is NaN, which stays NaN through every later product and is not 0.0.
-    """
-
-    def total(weights: tuple, s: str) -> str:
-        return "h * (0.0 + " + " + ".join(f"{w!r} * k{j}{s}" for j, w in enumerate(weights, 1) if w != 0.0) + ")"
-
-    lines = []
-    for i, (ci, row) in enumerate(zip(c, a), 2):  # u is each stage's node, the new node last; then i is the last stage
-        lines += [f"u{s} = y{s} + {total(row, s)}" for s in "ab"]
-        node = " * ua * ub" if i == len(a) + 1 else ""
-        lines += [f"k{i}a, k{i}b = f(t + {ci!r} * h, ua, ub)", f"if not 0.0 * k{i}a * k{i}b{node} == 0.0:", "    raise _NonFiniteStage"]
-    for s in "ab":
-        lines += [f"e{s} = {total(e, s)}", f"d{s} = u{s} - y{s}", f"b{s} = h * k1{s} - d{s}", f"q{s} = {total(d, s)}"]
-    lines.append(f"return ua, ub, k{i}a, k{i}b, ea, eb, (h, da, ba, da - h * k{i}a - ba, qa, db, bb, db - h * k{i}b - bb, qb)")
-    scope: dict = {}
-    exec("def step(f, t, h, ya, yb, k1a, k1b):\n" + "".join(f"    {line}\n" for line in lines), globals(), scope)
-    return scope["step"]
-
-
-_step = _compiled_step(*_DP5)
-
-
 def _rms(ra: float, rb: float) -> float:
     """Root mean square of the two scaled components."""
     return math.sqrt((ra * ra + rb * rb) / 2.0)
-
-
-def _floor_at(t: float, min_step: float) -> float:
-    """The smallest step length allowed at ``t``."""
-    return max(min_step, 32.0 * _EPS * max(1.0, abs(t)))
 
 
 def _blowup_estimate(crossings: list[float], last_zero: float | None) -> tuple[float, float, bool] | None:
@@ -359,75 +319,48 @@ def _escape_or_collapse(
     return TerminalStatus(STEP_COLLAPSE, t, reason=reason)
 
 
-def _solve(
-    f: Callable[[float, float, float], tuple[float, float]],
-    t0: float,
-    ya: float,
-    yb: float,
-    opts: IntegrationOptions,
-    eq: EquationSpec,
-    ic: InitialData,
-) -> Trajectory:
-    """Dormand-Prince 5(4) on the two components (ya, yb) with rhs ``f(t, ya, yb)``,
-    recording the zeros of ``ya``.
-
-    Each attempt is one call of the step compiled from ``_DP5`` (:func:`_compiled_step`);
-    the loop is the controller, the rejections, the events and the blow-up signal.
-    """
+#: The integration loop of _loop_source: "@stage K W V T" sets (Ka, Kb) to the rhs at (T, W, V), and "@step" is _step_lines.
+_LOOP = """
     horizon = opts.horizon
     if not horizon > t0:
         raise DomainError("horizon must exceed the start time")
     span = horizon - t0
-    rtol, atol = opts.rel_tol, opts.abs_tol
-    min_step = opts.min_step
-    zero_tol = opts.zero_tol
+    rtol, atol, min_step, zero_tol = opts.rel_tol, opts.abs_tol, opts.min_step, opts.zero_tol
     tol_rate = 1.0 / span  # accepted scaled error per unit step
-    # The step loop inlines _rms and _floor_at, and writes max(a, b) as ``b if b > a else a``
-    # and min(a, b) as ``b if b < a else a``: the values the builtins return, without the calls.
-    # It tests the error ratio for finiteness as the step tests its stages (see _compiled_step).
-    step, sqrt, copysign, floor_eps, switch = _step, math.sqrt, math.copysign, 32.0 * _EPS, _PER_STEP_NORM
-
+    # max(a, b) is written ``b if b > a else a`` and min(a, b) ``b if b < a else a`` in the step loop: the values
+    # the builtins return, without the calls.  The error ratio is tested for finiteness as the stages are.
+    sqrt, copysign, floor_eps, switch = math.sqrt, math.copysign, 32.0 * _EPS, _PER_STEP_NORM
     t, ya, yb = float(t0), float(ya), float(yb)
-    k1a, k1b = f(t, ya, yb)
+    @stage k1 ya yb t
     if not (math.isfinite(k1a) and math.isfinite(k1b)):
         raise FieldEvaluationError("rhs", t, ya, float("nan"))
-
     ts, ys0, ys1, fs0 = [t], [ya], [yb], [k1a]
-    dense: list[tuple] = []  # dense[k]: the step from ts[k], see _dense_at
-    zeros: list[float] = []
-    tangential = zeros_truncated = False
+    dense, zeros, tangential, zeros_truncated = [], [], False, False  # dense[k]: the step from ts[k], see _dense_at
     # Times at which the norm first passed escape_threshold * _LEVEL_FACTOR**k, and the next level.
-    crossings: list[float] = []
-    level = opts.escape_threshold
+    crossings, level = [], opts.escape_threshold
     while abs(ya) + abs(yb) > level:
         crossings.append(t)
         level *= _LEVEL_FACTOR
-
     # Initial step length, then the controller takes over.
     sa, sb = atol + rtol * abs(ya), atol + rtol * abs(yb)
-    d0 = _rms(ya / sa, yb / sb)
-    d1 = _rms(k1a / sa, k1b / sb)
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = min(h, span)
+    d0, d1 = _rms(ya / sa, yb / sb), _rms(k1a / sa, k1b / sb)
+    h = min(0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6, span)
     try:
-        fa, fb = f(t + h, ya + h * k1a, yb + h * k1b)
+        ua, ub = ya + h * k1a, yb + h * k1b
+        @stage f ua ub t + h
         d2 = _rms((fa - k1a) / sa, (fb - k1b) / sb) / h
         if max(d1, d2) > 1e-15:
             h = min(100.0 * h, (0.01 / max(d1, d2)) ** 0.2, span)
     except (FieldEvaluationError, OverflowError, ZeroDivisionError):
-        # h is 0 when d1 overflows to inf; the floor below then sets the first step.
-        pass
-    floor = _floor_at(t, min_step)
+        pass  # h is 0 when d1 overflows to inf; the floor below then sets the first step
+    floor = floor_eps * (abs(t) if abs(t) > 1.0 else 1.0)
+    floor = floor if floor > min_step else min_step
     h = max(h, floor)
-
-    ratio_prev = 1.0
-    rejected = False
+    ratio_prev, rejected = 1.0, False
     s_last = 0.0 if ya == 0.0 else math.copysign(1.0, ya)
-    t_sign = t  # time of the last node with a definite sign of component 0
-    pending_zero: float | None = None
-
+    t_sign, pending_zero = t, None  # the time of the last node with a definite sign of component 0
     past, past_t = 0, 0.0  # the accepted steps tested per step, and the sum of their start times
-    for _ in range(_MAX_STEPS):
+    for _ in range(max_steps):
         remaining = horizon - t
         if remaining <= floor:
             terminal = TerminalStatus(REACHED_HORIZON, horizon)
@@ -437,19 +370,16 @@ def _solve(
         if h < floor or t + h == t:
             terminal = _escape_or_collapse(t, ya, yb, opts, "step size collapsed", crossings, past, past_t)
             break
-
         # One attempt; a stage that raises or is not finite rejects the step outright.
         try:
-            yna, ynb, k7a, k7b, ea, eb, d = step(f, t, h, ya, yb, k1a, k1b)
+            @step
         except (FieldEvaluationError, OverflowError, _NonFiniteStage):
-            h *= 0.25
-            rejected = True
+            h, rejected = h * 0.25, True
             if h < floor:
                 terminal = _escape_or_collapse(t, ya, yb, opts, "non-finite evaluation", crossings, past, past_t)
                 break
             continue
-
-        ma, mna, mb, mnb = abs(ya), abs(yna), abs(yb), abs(ynb)
+        ma, mna, mb, mnb = abs(ya), abs(ua), abs(yb), abs(ub)
         ra = ea / (atol + rtol * (mna if mna > ma else ma))
         rb = eb / (atol + rtol * (mnb if mnb > mb else mb))
         ratio = sqrt((ra * ra + rb * rb) / 2.0)
@@ -458,7 +388,6 @@ def _solve(
             ratio = ratio / (tol_rate * h)
         if not 0.0 * ratio == 0.0:
             ratio = math.inf
-
         if ratio <= 1.0:
             ratio_c = 1e-10 if 1e-10 > ratio else ratio
             fac = _SAFETY * ratio_c ** (-_KI) * ratio_prev ** _KP
@@ -470,17 +399,14 @@ def _solve(
                 past_t += t
             dense.append(d)
             t = t + h
-            ya, yb, k1a, k1b = yna, ynb, k7a, k7b  # stage 7 is the next step's stage 1
+            ya, yb, k1a, k1b = ua, ub, k7a, k7b  # stage 7 is the next step's stage 1
             ts.append(t)
             ys0.append(ya)
             ys1.append(yb)
             fs0.append(k1a)
             floor = floor_eps * (abs(t) if abs(t) > 1.0 else 1.0)
             floor = floor if floor > min_step else min_step
-            ratio_prev = ratio_c
-            rejected = False
-            h = h * fac
-
+            ratio_prev, rejected, h = ratio_c, False, h * fac
             # --- event bookkeeping on the accepted node -------------------
             s_new = 0.0 if ya == 0.0 else copysign(1.0, ya)
             if abs(ya) <= zero_tol and abs(k1a) <= zero_tol:
@@ -488,22 +414,16 @@ def _solve(
             if s_new == 0.0:
                 pending_zero = t
             elif s_last != 0.0 and s_new != s_last:
-                if pending_zero is not None:
-                    zeros.append(pending_zero)
-                else:
-                    zeros.append(_locate_zero(ts, ys0, dense, t_sign, t, zero_tol))
+                zeros.append(pending_zero if pending_zero is not None else _locate_zero(ts, ys0, dense, t_sign, t, zero_tol))
                 pending_zero = None
                 s_last, t_sign = s_new, t
                 if len(zeros) >= opts.max_zeros:
-                    zeros_truncated = True
-                    terminal = TerminalStatus(REACHED_HORIZON, t, reason="zero cap reached")
+                    zeros_truncated, terminal = True, TerminalStatus(REACHED_HORIZON, t, reason="zero cap reached")
                     break
             else:
                 if s_new == s_last and pending_zero is not None:
-                    tangential = True
-                    pending_zero = None
+                    tangential, pending_zero = True, None
                 s_last, t_sign = s_new, t
-
             # --- blow-up signal, checked only when the norm passes a new level ---
             if mna + mnb > level:
                 # Each level crossed in this step gets the time at which the norm of
@@ -522,17 +442,64 @@ def _solve(
                         terminal = TerminalStatus(FINITE_ESCAPE, t, reason=reason, bracket=(t_hat - t) + err + drift)
                         break
         else:
-            rejected = True
-            fac = max(0.1, min(0.5, _SAFETY * ratio ** -0.25))
-            h_new = h * fac
+            rejected, h_new = True, h * max(0.1, min(0.5, _SAFETY * ratio ** -0.25))
             if h_new < floor:
                 terminal = _escape_or_collapse(t, ya, yb, opts, "local error saturated", crossings, past, past_t)
                 break
             h = h_new
     else:  # no terminal status within the step budget
-        raise RcertError(f"step budget of {_MAX_STEPS} exceeded at t={t!r}")
-
+        raise RcertError(f"step budget of {max_steps} steps exceeded at t={t!r}, with rel_tol={rtol!r} and horizon={horizon!r}")
     return Trajectory(eq, ic, opts, ts, ys0, ys1, fs0, zeros, terminal, tangential, zeros_truncated, dense)
+"""
+
+
+@lru_cache(maxsize=64)
+def _loop_source(names: tuple[str, ...], bind: tuple[str, ...], stage: tuple[str, ...]) -> str:
+    """The source of ``solve(f, t0, ya, yb, opts, eq, ic, max_steps)``: :data:`_LOOP` without its comments, its directives written out.
+
+    ``names``, ``bind`` and ``stage`` are those of :func:`rcert.fields._compiled_points`; each name is a parameter
+    whose default is its value in the env, so the loop reads it as a local.
+    """
+    lines = [f"def solve(f, t0, ya, yb, opts, eq, ic, max_steps{''.join(f', {n}={n}' for n in names)}):", *(f"    {line}" for line in bind)]
+    for line in _LOOP.splitlines():
+        line = line.partition("  # ")[0].rstrip()  # no line of _LOOP holds "  # " but before a comment
+        code = line.lstrip()
+        if code.startswith("@"):
+            lines += [line[: len(line) - len(code)] + x for x in (_step_lines(stage) if code == "@step" else _rhs_lines(stage, *code.split(" ", 4)[1:]))]
+        elif code:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _rhs_lines(stage: tuple[str, ...], k: str, w: str, v: str, t: str) -> list[str]:
+    """The lines that set (``k``a, ``k``b) to the rhs at (t, w, v): the samples of ``stage`` in place, and ``f(t, w, v)`` as its fallback."""
+    return _at_point(stage, t, w, f"{k}a, {k}b = {v} / p, -r * {w} - q / p * {v}", f"{k}a, {k}b = f({t}, {w}, {v})")
+
+
+def _step_lines(stage: tuple[str, ...]) -> list[str]:
+    """One explicit Runge-Kutta attempt from (t, ya, yb) and stage 1 (k1a, k1b), written out from the tables of ``_DP5``.
+
+    It leaves the new node in (ua, ub), its stage (the next step's first) in
+    the last k, the error pair in (ea, eb) and the dense tuple of
+    :func:`_dense_at` in ``d``.  Each sum is ``h * (0.0 + w_1 * k1 + ...)``,
+    left to right; a zero weight (DP5's a72, e2 and d2) is left out, since
+    with every stage finite its term is a signed zero, which changes no sum
+    that starts from ``0.0 +``.  A stage, or the new node, that is not finite
+    raises :class:`_NonFiniteStage`, tested as ``0.0 * x * y == 0.0``: 0.0
+    times inf or NaN is NaN, which stays NaN through every later product.
+    """
+    c, a, e, d = _DP5
+
+    def total(weights: tuple, s: str) -> str:
+        return "h * (0.0 + " + " + ".join(f"{w!r} * k{j}{s}" for j, w in enumerate(weights, 1) if w != 0.0) + ")"
+
+    lines = []
+    for i, (ci, row) in enumerate(zip(c, a), 2):  # u is each stage's node, the new node last; then i is the last stage
+        lines += [f"u{s} = y{s} + {total(row, s)}" for s in "ab"] + _rhs_lines(stage, f"k{i}", "ua", "ub", f"t + {ci!r} * h")
+        lines += [f"if not 0.0 * k{i}a * k{i}b{' * ua * ub' * (i == len(a) + 1)} == 0.0:", "    raise _NonFiniteStage"]
+    for s in "ab":
+        lines += [f"e{s} = {total(e, s)}", f"d{s} = u{s} - y{s}", f"b{s} = h * k1{s} - d{s}", f"q{s} = {total(d, s)}"]
+    return lines + [f"d = (h, da, ba, da - h * k{i}a - ba, qa, db, bb, db - h * k{i}b - bb, qb)"]
 
 
 def _level_crossing(ts: list[float], phis: list[float], psis: list[float], dense: list[tuple], t_lo: float, t_hi: float, level: float) -> float:
@@ -578,7 +545,8 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
     if p_init <= 0.0:
         raise DomainError(f"p0 is not positive at the initial point: {p_init!r}")
 
-    return _solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, opts, eq, ic)
+    solve = _compiled_points(eq, _loop_source, globals())["solve"]
+    return solve(_wrapped_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, opts, eq, ic, _MAX_STEPS)
 
 
 def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:

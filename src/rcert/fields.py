@@ -17,7 +17,8 @@ c * tau(t) * t**a * g(w)): into one function ``fn(t, w=0.0)``, which is the
 field's evaluator, its row sampler's and, without a w-factor, the time
 function ``fn(t)``.  A tau that is itself a closed form is written into the
 source of its product, so a sample makes one call at any depth; the chains'
-(v, x) samplers are compiled here too (``_time_sampler``).
+(v, x) samplers and the rhs samples are compiled here too (``_time_sampler``,
+``_compiled_points``).
 Building fields and equations from JSON specs belongs to the config schema,
 in ``config``.
 """
@@ -120,9 +121,9 @@ class _Product(NamedTuple):
         return self.g is None or (self.b == 0.0 and self.g != "w^2-1")
 
 
-#: The source of each w-factor at w, with ``{b}`` its exponent.
+#: The source of each w-factor at ``{w}``, with ``{b}`` its exponent.
 #: libm ``pow`` is not correctly rounded, so ``w * w`` is a factor of its own.
-_W_FACTORS = {"|w|^b": "abs(w) ** {b}", "w^b": "w ** {b}", "w^2-1": "(w * w - 1.0)"}
+_W_FACTORS = {"|w|^b": "abs({w}) ** {b}", "w^b": "{w} ** {b}", "w^2-1": "({w} * {w} - 1.0)"}
 
 
 def _times(c: str, value: float, factors: list[str]) -> str:
@@ -155,8 +156,8 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> Ca
     return _run(f"def fn(t, w=0.0):\n    return {value}\n", env)["fn"]
 
 
-def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "") -> tuple[dict, str]:
-    """The namespace and value source of a closed form; every name in them starts with ``prefix``.
+def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "", t: str = "t", w: str = "w") -> tuple[dict, str]:
+    """The namespace and value source of a closed form at the variables ``t`` and ``w``; every name in the namespace starts with ``prefix``.
 
     A ``tau`` that is itself a closed-form time function (it has ``products``)
     is written in, in parentheses and under the prefix ``{prefix}tau{k}_``, in
@@ -168,17 +169,17 @@ def _form_source(products: Sequence[_Product], start: float | None, prefix: str 
         c, a, b, tau = (f"{prefix}{n}{k}" for n in ("c", "a", "b", "tau"))
         env.update({c: p.c, a: p.a, b: p.b})
         if getattr(p.tau, "products", None) is not None:
-            tau_env, tau_value = _form_source(p.tau.products, p.tau.start, f"{tau}_")
+            tau_env, tau_value = _form_source(p.tau.products, p.tau.start, f"{tau}_", t)
             env.update(tau_env)
             time = [f"({tau_value})"]
         else:
             env[tau] = p.tau
-            time = [f"{tau}(t)"] * (p.tau is not None)
-        factors = time + [f"t ** {a}"] * (p.a != 0.0)
+            time = [f"{tau}({t})"] * (p.tau is not None)
+        factors = time + [f"{t} ** {a}"] * (p.a != 0.0)
         if p.w_free:
             values.append(_times(c, p.c, factors))
         else:
-            at_w = _W_FACTORS[p.g].format(b=b)
+            at_w = _W_FACTORS[p.g].format(b=b, w=w)
             values.append(f"{at_w} * ({_times(c, p.c, factors)})" if p.w_first and factors else _times(c, p.c, factors + [at_w]))
     return env, " + ".join(values)
 
@@ -429,19 +430,19 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
     """First-order right-hand side (f1, f2) of the equivalent system.
 
     f1 = v / p0(t, w) and f2 = -r0(t, w) w - q0(t, w) / p0(t, w) * v, in the
-    state variables w = phi and v = psi = p0 * phi'.
-
-    When all three fields are closed forms (the builtins and the JSON kinds),
-    the rhs is one function compiled from their products: it evaluates p0, r0
-    and q0 in that order, each with the source of its field's ``fn``.  A point
-    where one raises anything, a sample is not a float, the sum of the samples
-    is not finite or p0 <= 0 is evaluated again through the wrapped fields, so
-    it raises or returns exactly what they do.  Opaque fields are only called
-    through the wrapped fields, once per point.  The residual oracles sample
-    (p0, q0, r0) through a function compiled from the same source
-    (:func:`_coefficient_sampler`).
+    state variables w = phi and v = psi = p0 * phi'.  When all three fields
+    are closed forms (the builtins and the JSON kinds), the rhs is one
+    function compiled with the samples and acceptance rule of
+    :func:`_compiled_points`, which the stepper writes into its loop and the
+    residual oracles into :func:`_coefficient_sampler`: it raises or returns
+    exactly what the wrapped fields do.  Opaque fields are only called through
+    the wrapped fields, once per point.
     """
+    return _compiled_triple(eq, "rhs(t, w, v)", "v / p, -r * w - q / p * v", "f(t, w, v)", {"f": _wrapped_rhs(eq)})
 
+
+def _wrapped_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float, float]]:
+    """The rhs of :func:`system_rhs` through the wrapped fields, p0, r0 and q0 in that order; p0 <= 0 raises :class:`DomainError`."""
     p0, q0, r0 = eq.p0, eq.q0, eq.r0
 
     def f(t: float, w: float, v: float) -> tuple[float, float]:
@@ -450,13 +451,13 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
             raise DomainError(f"p0 is not positive at (t={t!r}, w={w!r}): {p!r}")
         return v / p, -r0(t, w) * w - q0(t, w) / p * v
 
-    return _compiled_triple(eq, "rhs(t, w, v)", "v / p, -r * w - q / p * v", "f(t, w, v)", {"f": f}) or f
+    return f
 
 
 def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[float, float, float]]:
     """(p0, q0, r0) at (t, w) in one call: the wrapped fields' values, or what they raise.
 
-    Compiled on each call with the source and acceptance rule of :func:`system_rhs`.  Where
+    Compiled on each call with the source and acceptance rule of :func:`_compiled_points`.  Where
     that rule fails, or a field is opaque, the wrapped fields are called in the rhs order
     p0, r0, q0 (p0 <= 0 is no error here).
     """
@@ -466,32 +467,63 @@ def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[flo
         p, r = p0(t, w), r0(t, w)
         return p, q0(t, w), r
 
-    return _compiled_triple(eq, "pqr(t, w)", "p, q, r", "f(t, w)", {"f": f}) or f
+    return _compiled_triple(eq, "pqr(t, w)", "p, q, r", "f(t, w)", {"f": f})
 
 
-def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: str, env: dict) -> Callable | None:
-    """``def {signature}`` over the samples p, r and q of p0, r0 and q0; None if a field is opaque.
-
-    The samples are taken in that order, each with its field's ``fn`` source.
-    It returns ``result`` where none raises, all are floats, their sum is
-    finite and p > 0, and ``fallback`` elsewhere.
-    """
+def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: str, env: dict) -> Callable:
+    """``def {signature}`` returning ``result`` at the samples of :func:`_compiled_points`, or ``fallback`` where they fail its rule; ``env["f"]`` if a field is opaque."""
     if eq.p0.products is None or eq.q0.products is None or eq.r0.products is None:
-        return None
-    lines = []
+        return env["f"]
+
+    def write(names, bind, stage):
+        return f"def {signature}:\n" + "".join(f"    {line}\n" for line in [*bind, *_at_point(stage, "t", "w", f"return {result}", f"return {fallback}")])
+
+    return _compiled_points(eq, write, env)[signature.partition("(")[0]]
+
+
+def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], str], env: dict) -> dict:
+    """A copy of ``env``, with the ``names`` of the coefficients it reads, after running the source ``write(names, bind, stage)``.
+
+    ``stage`` holds the lines of a point at ({t}, {w}) (see :func:`_at_point`):
+    they take the samples p, r and q of p0, r0 and q0 in that order, each
+    with its field's ``fn`` source, then run {result} where none raises, all
+    are floats, their sum is finite and p > 0, and {fallback} elsewhere.  A
+    constant sample (its source reads no t and no w) is taken once, by the
+    lines ``bind``, and left out of the tests, which are decided here on its
+    value: a point's path changes only where all samples are finite floats,
+    p > 0 and a sum overflows, where {fallback} gives what {result} does.
+    If a constant fails, or a field is opaque, every point runs {fallback}.
+    """
+    bind, samples, coefficients = [], [], {}
     for name, fld in (("p", eq.p0), ("r", eq.r0), ("q", eq.q0)):
-        form_env, value = _form_source(fld.products, fld.start, f"{name}_")
-        env.update(form_env)
-        lines.append(f"        {name} = {value}\n")
-    # 0.0 * x == 0.0 holds for a finite float x and fails for inf and NaN (0.0 * inf is NaN).
-    source = (
-        f"def {signature}:\n"
-        "    try:\n"
-        f"{''.join(lines)}"
-        "    except Exception:\n"
-        f"        return {fallback}\n"
-        "    if type(p) is type(r) is type(q) is float and 0.0 * (p + r + q) == 0.0 and p > 0.0:\n"
-        f"        return {result}\n"
-        f"    return {fallback}\n"
-    )
-    return _run(source, env)[signature.partition("(")[0]]
+        if fld.products is None:
+            break
+        form_env, value = _form_source(fld.products, fld.start, f"{name}_", "{t}", "{w}")
+        coefficients.update(form_env)
+        if "{t}" in value or "{w}" in value:
+            samples.append((name, value))
+            continue
+        try:
+            x = fld.fn(0.0)
+        except Exception:
+            break
+        if not (type(x) is float and math.isfinite(x) and (x > 0.0 or name != "p")):
+            break
+        bind.append(f"{name} = {value}")
+    else:
+        taken = [name for name, _ in samples]
+        # 0.0 * x == 0.0 holds for a finite float x and fails for inf and NaN (0.0 * inf is NaN).
+        rule = f"type({') is type('.join(taken)}) is float and 0.0 * ({' + '.join(taken)}) == 0.0" + " and p > 0.0" * ("p" in taken)
+        stage = ("{result}",)
+        if samples:  # a sample that raises leaves None in each, which fails the rule
+            stage = ("try:", *(f"    {name} = {value}" for name, value in samples), "except Exception:", f"    {' = '.join(taken)} = None")
+            stage += (f"if {rule}:", "    {result}", "else:", "    {fallback}")
+        names = {n: v for n, v in coefficients.items() if n in "".join(bind + list(stage))}
+        return _run(write(tuple(names), tuple(bind), stage), {**env, **names})
+    return _run(write((), (), ("{fallback}",)), dict(env))
+
+
+def _at_point(stage: tuple[str, ...], t: str, w: str, result: str, fallback: str) -> list[str]:
+    """The lines of a :func:`_compiled_points` stage at (t, w); an expression ``t`` that a sample reads is bound to ``tk`` first."""
+    timed = not t.isidentifier() and any("{t}" in line for line in stage)
+    return [f"tk = {t}"] * timed + [line.format(t="tk" if timed else t, w=w, result=result, fallback=fallback) for line in stage]

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from rcert import (
     DomainError,
     FieldEvaluationError,
+    RcertError,
     FINITE_ESCAPE,
     REACHED_HORIZON,
     STEP_COLLAPSE,
@@ -21,11 +25,13 @@ from rcert import (
     integrate,
     volterra_residual,
 )
-from rcert import dynamics
+from rcert import dynamics, fields
 from rcert.classify import SINGULAR_SECOND_KIND, classify
 from rcert.dynamics import _blowup_estimate
 from conftest import make_eq, rk4_system
 from test_rhs_golden import SWEEP_EQ
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def gauss(f, a, b, pieces=4):
@@ -527,3 +533,46 @@ class TestBlowupRule:
         t_hat, err, stable = _blowup_estimate(times, None)
         assert t_hat == pytest.approx(21.0)
         assert not stable
+
+
+class TestCompiledLoop:
+    # integrate runs one loop generated and compiled per rhs shape, with the coefficients' values
+    # bound as locals: only the first run of a shape compiles, and nothing is compiled at import.
+
+    @staticmethod
+    def cubic(c):
+        r0 = {"kind": "polynomial", "terms": [{"c": c}, {"c": -1.0, "w": 2}]}
+        return equation_from_json({**SWEEP_EQ, "r0": r0})
+
+    def test_equations_differing_in_constants_compile_one_loop(self):
+        fields._compiled.cache_clear()
+        eqs = [self.cubic(c) for c in (1.0, 2.0)]  # r0 = c - w^2
+        misses = fields._compiled.cache_info().misses
+        one, two = (integrate(eq, InitialData(0.0, 0.5, 0.0), IntegrationOptions(horizon=5.0)) for eq in eqs)
+        assert fields._compiled.cache_info().misses == misses + 1
+        assert one.phis[-1] != two.phis[-1]  # each ran with its own c
+
+    def test_import_compiles_no_step(self):
+        # Record every generated source that exec or compile sees while the package is imported
+        # (dataclasses compile their methods from source too, so a step is found by its rejection).
+        script = (
+            "import builtins\n"
+            "seen = []\n"
+            "for name in ('exec', 'compile'):\n"
+            "    def spy(source, *args, _real=getattr(builtins, name), **kwargs):\n"
+            "        if isinstance(source, str) and '_NonFiniteStage' in source:\n"
+            "            seen.append(source)\n"
+            "        return _real(source, *args, **kwargs)\n"
+            "    setattr(builtins, name, spy)\n"
+            "import rcert.dynamics\n"
+            "print(len(seen), rcert.fields._compiled.cache_info().misses)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.stdout.split() == ["0", "0"]
+
+    def test_a_run_past_the_step_budget_names_its_tolerance_and_horizon(self, monkeypatch):
+        eq, ic = self.cubic(1.0), InitialData(0.0, 0.5, 0.0)
+        assert len(integrate(eq, ic, IntegrationOptions(horizon=50.0)).ts) > 200  # compiles this shape first
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 100)  # read at each call
+        with pytest.raises(RcertError, match=r"^step budget of 100 steps exceeded at t=.*, with rel_tol=1e-09 and horizon=50\.0$"):
+            integrate(eq, ic, IntegrationOptions(horizon=50.0))
