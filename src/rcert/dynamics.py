@@ -484,9 +484,9 @@ def _step_lines(stage: tuple[str, ...]) -> list[str]:
     :func:`_dense_at` in ``d``.  Each sum is ``h * (0.0 + w_1 * k1 + ...)``,
     left to right; a zero weight (DP5's a72, e2 and d2) is left out, since
     with every stage finite its term is a signed zero, which changes no sum
-    that starts from ``0.0 +``.  A stage, or the new node, that is not finite
-    raises :class:`_NonFiniteStage`, tested as ``0.0 * x * y == 0.0``: 0.0
-    times inf or NaN is NaN, which stays NaN through every later product.
+    that starts from ``0.0 +``.  A stage that is not finite raises :class:`_NonFiniteStage`, tested as
+    ``0.0 * x * y == 0.0`` (0.0 times inf or NaN is NaN); so does a new node that is not, whose stage,
+    with ``psi / p0`` and ``r0 * phi`` in it, is not finite either, or raises.
     """
     c, a, e, d = _DP5
 
@@ -496,7 +496,7 @@ def _step_lines(stage: tuple[str, ...]) -> list[str]:
     lines = []
     for i, (ci, row) in enumerate(zip(c, a), 2):  # u is each stage's node, the new node last; then i is the last stage
         lines += [f"u{s} = y{s} + {total(row, s)}" for s in "ab"] + _rhs_lines(stage, f"k{i}", "ua", "ub", f"t + {ci!r} * h")
-        lines += [f"if not 0.0 * k{i}a * k{i}b{' * ua * ub' * (i == len(a) + 1)} == 0.0:", "    raise _NonFiniteStage"]
+        lines += [f"if not 0.0 * k{i}a * k{i}b == 0.0:", "    raise _NonFiniteStage"]
     for s in "ab":
         lines += [f"e{s} = {total(e, s)}", f"d{s} = u{s} - y{s}", f"b{s} = h * k1{s} - d{s}", f"q{s} = {total(d, s)}"]
     return lines + [f"d = (h, da, ba, da - h * k{i}a - ba, qa, db, bb, db - h * k{i}b - bb, qb)"]

@@ -17,7 +17,7 @@ c * tau(t) * t**a * g(w)): into one function ``fn(t, w=0.0)``, which is the
 field's evaluator, its row sampler's and, without a w-factor, the time
 function ``fn(t)``.  A tau that is itself a closed form is written into the
 source of its product, so a sample makes one call at any depth; the chains'
-(v, x) samplers and the rhs samples are compiled here too (``_time_sampler``,
+columns and the rhs samples are compiled here too (``_compiled_columns``,
 ``_compiled_points``).
 Building fields and equations from JSON specs belongs to the config schema,
 in ``config``.
@@ -26,6 +26,7 @@ in ``config``.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import CodeType
@@ -152,12 +153,12 @@ def _closed_form(products: Sequence[_Product], start: float | None = None) -> Ca
     and coefficients of +-1, since ``x ** 0.0 == 1.0`` and ``+-1.0 * x == +-x``
     for every float.
     """
-    env, value = _form_source(products, start)
-    return _run(f"def fn(t, w=0.0):\n    return {value}\n", env)["fn"]
+    env, terms = _form_source(products, start)
+    return _run(f"def fn(t, w=0.0):\n    return {' + '.join(terms)}\n", env)["fn"]
 
 
-def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "", t: str = "t", w: str = "w") -> tuple[dict, str]:
-    """The namespace and value source of a closed form at the variables ``t`` and ``w``; every name in the namespace starts with ``prefix``.
+def _form_source(products: Sequence[_Product], start: float | None, prefix: str = "", t: str = "t", w: str = "w") -> tuple[dict, list[str]]:
+    """The namespace and the terms of the value source, ``" + ".join(terms)``, of a closed form at the variables ``t`` and ``w``; every name in the namespace starts with ``prefix``.
 
     A ``tau`` that is itself a closed-form time function (it has ``products``)
     is written in, in parentheses and under the prefix ``{prefix}tau{k}_``, in
@@ -169,9 +170,9 @@ def _form_source(products: Sequence[_Product], start: float | None, prefix: str 
         c, a, b, tau = (f"{prefix}{n}{k}" for n in ("c", "a", "b", "tau"))
         env.update({c: p.c, a: p.a, b: p.b})
         if getattr(p.tau, "products", None) is not None:
-            tau_env, tau_value = _form_source(p.tau.products, p.tau.start, f"{tau}_", t)
+            tau_env, tau_terms = _form_source(p.tau.products, p.tau.start, f"{tau}_", t)
             env.update(tau_env)
-            time = [f"({tau_value})"]
+            time = [f"({' + '.join(tau_terms)})"]
         else:
             env[tau] = p.tau
             time = [f"{tau}({t})"] * (p.tau is not None)
@@ -181,19 +182,19 @@ def _form_source(products: Sequence[_Product], start: float | None, prefix: str 
         else:
             at_w = _W_FACTORS[p.g].format(b=b, w=w)
             values.append(f"{at_w} * ({_times(c, p.c, factors)})" if p.w_first and factors else _times(c, p.c, factors + [at_w]))
-    return env, " + ".join(values)
+    return env, values
 
 
-def _run(source: str, env: dict) -> dict:
-    """``env`` after running ``source`` in it (compiled once per text, see :func:`_compiled`).
+def _run(source: str, env: dict, scope: dict | None = None) -> dict:
+    """``env`` after running ``source`` in it, or ``scope`` after running it there with the globals ``env`` (compiled once per text, see :func:`_compiled`).
 
     Each run gets its own copy of the functions' code: the interpreter keeps
     its caches of global lookups in the code object, so forms sharing one
     would evict each other's caches whenever they are called in turn.
     """
     code = _compiled(source)
-    exec(code.replace(co_consts=tuple(c.replace() if isinstance(c, CodeType) else c for c in code.co_consts)), env)
-    return env
+    exec(code.replace(co_consts=tuple(c.replace() if isinstance(c, CodeType) else c for c in code.co_consts)), env, scope)
+    return env if scope is None else scope
 
 
 def _closed_form_field(products: Sequence[_Product], name: str = "", start: float | None = None) -> ScalarField:
@@ -213,16 +214,25 @@ def _closed_form_time(products: Sequence[_Product], start: float | None = None) 
     return time
 
 
-def _time_sampler(f1: Callable[[float], float], f2: Callable[[float], float]) -> Callable[[float], tuple[float, float]] | None:
-    """``t -> (f1(t), f2(t))`` compiled from two closed-form time functions; None if one is opaque.
+def _compiled_columns(fns: Sequence[Callable[[float], float]], write: Callable[[tuple], str], env: dict) -> dict | None:
+    """The namespace of ``write(sources)`` run with the globals ``env``, ``sources[j]`` the source of ``fns[j]`` at ``{t}``; None if one is opaque.
 
-    f1 is taken first, each with its function's source, so the sampler returns
-    or raises exactly what the two calls in turn do.
+    A source's names start with ``col{j}_``.  One that reads no t and whose
+    ``fns[j](0.0)`` is a finite float is None, that value ``col{j}``.
     """
-    if getattr(f1, "products", None) is None or getattr(f2, "products", None) is None:
+    if any(getattr(f, "products", None) is None for f in fns):
         return None
-    (env1, value1), (env2, value2) = (_form_source(f.products, f.start, f"f{k}_") for k, f in enumerate((f1, f2)))
-    return _run(f"def sample(t):\n    return ({value1}, {value2})\n", {**env1, **env2})["sample"]
+    scope, sources = {}, []
+    for j, f in enumerate(fns):
+        form_env, terms = _form_source(f.products, f.start, f"col{j}_", "{t}")
+        scope.update(form_env)
+        value = " + ".join(terms)
+        with suppress(Exception):  # a constant that raises is sampled at each node
+            x = None if "{t}" in value else f(0.0)
+            if type(x) is float and math.isfinite(x):
+                scope[f"col{j}"], value = x, None
+        sources.append(value)
+    return _run(write(tuple(sources)), env, scope)
 
 
 @dataclass(frozen=True)
@@ -471,12 +481,12 @@ def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[flo
 
 
 def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: str, env: dict) -> Callable:
-    """``def {signature}`` returning ``result`` at the samples of :func:`_compiled_points`, or ``fallback`` where they fail its rule; ``env["f"]`` if a field is opaque."""
+    """``def {signature}`` returning ``result`` at the samples of :func:`_compiled_points`, or ``fallback`` where they fail its rule, its ``bind`` run once before it; ``env["f"]`` if a field is opaque."""
     if eq.p0.products is None or eq.q0.products is None or eq.r0.products is None:
         return env["f"]
 
     def write(names, bind, stage):
-        return f"def {signature}:\n" + "".join(f"    {line}\n" for line in [*bind, *_at_point(stage, "t", "w", f"return {result}", f"return {fallback}")])
+        return "".join(f"{line}\n" for line in bind) + f"def {signature}:\n" + "".join(f"    {line}\n" for line in _at_point(stage, "t", "w", f"return {result}", f"return {fallback}"))
 
     return _compiled_points(eq, write, env)[signature.partition("(")[0]]
 
@@ -493,14 +503,21 @@ def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], st
     value: a point's path changes only where all samples are finite floats,
     p > 0 and a sum overflows, where {fallback} gives what {result} does.
     If a constant fails, or a field is opaque, every point runs {fallback}.
+    ``bind`` also sums the leading terms of a sample that read no t and no w,
+    two or more of float coefficients: sums run left to right, and never raise.
     """
     bind, samples, coefficients = [], [], {}
     for name, fld in (("p", eq.p0), ("r", eq.r0), ("q", eq.q0)):
         if fld.products is None:
             break
-        form_env, value = _form_source(fld.products, fld.start, f"{name}_", "{t}", "{w}")
+        form_env, terms = _form_source(fld.products, fld.start, f"{name}_", "{t}", "{w}")
         coefficients.update(form_env)
+        value = " + ".join(terms)
         if "{t}" in value or "{w}" in value:
+            lead = next(k for k, term in enumerate(terms) if "{" in term)
+            if lead > 1 and all(type(v) is float for v in form_env.values() if v is not None and not callable(v)):
+                bind.append(f"{name}_lead = {' + '.join(terms[:lead])}")
+                value = " + ".join([f"{name}_lead", *terms[lead:]])
             samples.append((name, value))
             continue
         try:

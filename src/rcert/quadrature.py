@@ -21,10 +21,12 @@ columns and the inner levels, and the inner levels are read at the 15
 Kronrod nodes through the panel's node integration matrix, so no integrand
 ever queries another memo.  Each layout of levels has one adaptive walk,
 its GK15 panel written into the loop, as straight code compiled on its
-first use (``_compiled_walk``, a few milliseconds per layout; nothing is
-compiled at import); a chain's query, ``adaptive_quad`` and each anchored
-gap are one call of it.  A node integral is one left-to-right sum, the same
-bits on every interpreter.
+first use (``_walk_source``; nothing is compiled at import); a chain's
+query, ``adaptive_quad`` and each anchored gap are one call of it.  A walk
+over closed-form columns writes their sources into its nodes and takes a
+constant one, and the sums of a level that is one, once per walk built
+(``_walker``); walks of one shape share a compile.  A node integral is one
+left-to-right sum, the same bits on every interpreter.
 
 Every integral here is one walk of the chain's: adaptive GK15 panels taken in
 order from one end of a gap to the other, with the QUADPACK acceptance test
@@ -43,10 +45,8 @@ taken first.  The users:
 * ``i_plus`` (V and iplus) and ``i_minus``, which walks backward from its
   upper limit t, so the exponent is anchored at t as in the definition;
   ``weighted_tail_integrand`` steps its inner integral from sample to
-  sample, each step one such backward walk.  A node of these walks samples
-  (v, x) in one call, compiled from both sources when both are closed-form
-  time functions (``fields._time_sampler``, built once per integrand or
-  ``i_minus`` call);
+  sample, each step one such backward walk, built once per integrand or
+  ``i_minus`` call over the columns (v, x);
 * the residual oracles' K/W integrals (``weighted_chain``:
   ``riccati.flux_residual``, ``riccati.volterra_residual``,
   ``riccati.cauchy_residual`` and ``riccati.difference_residual``);
@@ -63,7 +63,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import exp
 from typing import Callable, Sequence
 
@@ -74,7 +74,7 @@ from .errors import (
     QuadratureBudgetError,
     RangeOverflowError,
 )
-from .fields import BoundTriple, _time_sampler
+from .fields import BoundTriple, _compiled_columns
 
 __all__ = [
     "TimeFunction",
@@ -185,22 +185,24 @@ _T2 = "(exp(-y0) if -y0 <= EXP_CAP else _exp(-y0)) * y1 / c2"
 _ORACLE_LEVELS = (_K, "exp(y0) * c1", "exp(-y0) / c2", "exp(-y0) * y1 / c2")
 
 
-@lru_cache(maxsize=None)
-def _compiled_walk(levels: tuple[str, ...]) -> Callable:
-    """The adaptive GK15 walk of a chain with these levels, written out as straight code and compiled on first use.
+@lru_cache(maxsize=64)
+def _walk_source(levels: tuple[str, ...], sources: tuple[str | None, ...] | None = None) -> str:
+    """The adaptive GK15 walk of a chain with these levels, written out as straight code.
 
     ``walk(sample, a, b, start, abs_tols, rels)`` returns the levels at b
     from their values ``start`` at a, by the test and in the panel order of
-    :class:`CumulativeChain`.  Its loop holds one panel, which calls
-    ``sample`` at the 15 Kronrod nodes in ascending order; column cj at a
-    node is the j-th item of its sample, or in a chain of one level the
-    sample itself.  Each level's node values are its expression at each node
-    in turn; its node pairs are summed outermost first, both sums left to
-    right from the centre term.  A level over its budget skips the levels
-    after it, and a level that a later one reads is integrated to every node
-    by :func:`_node_integrals`.  The walk runs in this module's namespace
-    (``exp``, ``_exp``, ``EXP_CAP``, ``MAX_INTERVALS``) and is kept for the
-    life of the process: the levels come from this module's few layouts.
+    :class:`CumulativeChain`.  A panel calls ``sample`` at the 15 Kronrod
+    nodes in ascending order; column cj is the j-th item of a sample, or in a
+    chain of one level the sample itself.  Given the columns' ``sources`` at
+    ``{t}`` (:func:`_walker`), it is ``walk(a, b, start, abs_tols, rels)``: a
+    node writes the varying columns in place, in column order, and reads a
+    constant one (None in ``sources``) as ``col{j}``; a level that is one
+    constant column has its K15 sum, |K15 - G7| and node sums taken before
+    the def, by the panel's operations.  A level's node pairs are summed
+    outermost first, left to right from the centre term.  A level over its
+    budget skips the later levels, and one that a later level reads is
+    integrated to every node (:func:`_node_integrals`).  The walk reads this
+    module's globals, and the names bound before it as parameter defaults.
     """
     n = len(_NODES)
     read = {int(k) for k in re.findall(r"\by(\d)\b", " ".join(levels))}
@@ -211,35 +213,54 @@ def _compiled_walk(levels: tuple[str, ...]) -> Callable:
 
     def at(expr: str, i: int) -> str:
         column = rf"d{i}" if len(levels) == 1 else rf"d{i}[\1]"
+        if sources is not None:  # a varying column cj is d{i}_{j} at node i, a constant one col{j}
+            column = lambda m: f"d{i}_{m[1]}" if sources[int(m[1])] else f"col{m[1]}"
         return re.sub(r"\by(\d)\b", rf"y\1_{i}", re.sub(r"\bc(\d)\b", column, expr))
 
-    panel = [f"d{i} = sample(c + h * {x!r})" for i, x in enumerate(_NODES)] + ["ah = abs(h)"]
-    pad = ""
+    panel, once, bound, pad = [], [], [], ""
+    for i, x in enumerate(_NODES):
+        if sources is None:
+            panel.append(f"d{i} = sample(c + h * {x!r})")
+        elif any(sources):
+            panel += [f"tk = c + h * {x!r}"] + [f"d{i}_{j} = {s.format(t='tk')}" for j, s in enumerate(sources) if s]
+    panel.append("ah = abs(h)")
     for k, expr in enumerate(levels):
         fv = [at(expr, i) for i in range(n)]
-        if not re.fullmatch(r"c\d", expr):
+        fixed = re.fullmatch(r"col\d", fv[0])
+        if not (fixed or re.fullmatch(r"c\d", expr)):
             panel += [f"{pad}f{k}_{i} = {v}" for i, v in enumerate(fv)]
             fv = [f"f{k}_{i}" for i in range(n)]
-        panel += [f"{pad}s{j} = {fv[j]} + {fv[-1 - j]}" for j in (1, 3, 5)]
         pairs = [f"s{j}" if j % 2 else f"({fv[j]} + {fv[-1 - j]})" for j in range(7)]
+        sums = [f"s{j} = {fv[j]} + {fv[-1 - j]}" for j in (1, 3, 5)] + [
+            f"resk{k} = {_WGK[7]!r} * {fv[7]} + " + " + ".join(f"{w!r} * {p}" for w, p in zip(_WGK, pairs)),
+            f"resg = {_WG[3]!r} * {fv[7]} + " + " + ".join(f"{w!r} * s{j}" for j, w in zip((1, 3, 5), _WG)),
+            f"dif{k} = abs(resk{k} - resg)",
+        ]
+        if fixed:  # every node value is the constant: the panel's sums, taken once
+            sig = [f"sig{k}_{i}" for i in range(n)] * (k in read)  # each node sum s from 0.0 + is never -0.0, so 0.0 + 1.0 * s is s
+            once += sums + [f"{', '.join(sig)} = _node_integrals(0.0, 1.0, ({fv[0]},) * {n})"] * (k in read)
+            integrals = [f"y{k}_{i} = val{k} + h * {s}" for i, s in enumerate(sig)]
+            bound += [f"resk{k}", f"dif{k}", *sig]
+        else:
+            panel += [pad + line for line in sums]
+            integrals = [f"{', '.join(f'y{k}_{i}' for i in range(n))} = _node_integrals(val{k}, h, ({', '.join(fv)}))"]
         panel += [
-            f"{pad}resk = {_WGK[7]!r} * {fv[7]} + " + " + ".join(f"{w!r} * {p}" for w, p in zip(_WGK, pairs)),
-            f"{pad}resg = {_WG[3]!r} * {fv[7]} + " + " + ".join(f"{w!r} * s{j}" for j, w in zip((1, 3, 5), _WG)),
-            f"{pad}err{k} = abs(resk - resg) * ah",
+            f"{pad}err{k} = dif{k} * ah",
             f"{pad}if not math.isfinite(err{k}):",
             f"{pad}    raise QuadratureBudgetError(f'level {k} integrand is not finite on [{{lo!r}}, {{hi!r}}]')",
             f"{pad}if not (check and err{k} > sc{k} * span / gap):",
-            f"{pad}    inc{k} = resk * h",
+            f"{pad}    inc{k} = resk{k} * h",
         ]
         pad += "    "
-        if k in read:
-            panel.append(f"{pad}{', '.join(f'y{k}_{i}' for i in range(n))} = _node_integrals(val{k}, h, ({', '.join(fv)}))")
+        panel += [pad + line for line in integrals] * (k in read)
     panel += [f"{pad}keep = True", f"{pad}if first:", f"{pad}    first = False"]
     panel += [f"{pad}    sc{k} = max(tol{k}, rel{k} * abs(inc{k}))" for k in ks]
     panel += [f"{pad}    keep = floor or not ({' or '.join(f'err{k} > sc{k}' for k in ks)})", f"{pad}if keep:"]
     panel += [f"{pad}    val{k} += inc{k}" for k in ks] + [f"{pad}    lo = hi", f"{pad}    ends.pop()", f"{pad}    continue"]
     body = "".join(f"        {line}\n" for line in panel)
-    source = f"""def walk(sample, a, b, start, abs_tols, rels):
+    names = dict.fromkeys(re.findall(r"\bcol\d\w*", body) + bound)
+    head = f"walk({'sample, ' * (sources is None)}a, b, start, abs_tols, rels{''.join(f', {name}={name}' for name in names)})"
+    return "".join(f"{line}\n" for line in once) + f"""def {head}:
     gap = abs(b - a)
     if not gap < math.inf:
         _finite_gap(a, b)
@@ -261,24 +282,38 @@ def _compiled_walk(levels: tuple[str, ...]) -> Callable:
         used += 2
     return ({each("val")})
 """
-    scope: dict = {}
-    exec(source, globals(), scope)
+
+
+@lru_cache(maxsize=None)
+def _compiled_walk(levels: tuple[str, ...]) -> Callable:
+    """``walk(sample, a, b, start, abs_tols, rels)`` of :func:`_walk_source`, compiled on first use and kept for the life of the process: the levels come from this module's few layouts."""
+    exec(_walk_source(levels), globals(), scope := {})
     return scope["walk"]
+
+
+def _walker(levels: tuple[str, ...], sample) -> Callable:
+    """``walk(a, b, start, abs_tols, rels)`` over ``sample``, a node's columns in one call or a tuple of their time functions: closed forms written in (:func:`_walk_source`), else called in turn."""
+    if isinstance(sample, tuple):
+        scope = _compiled_columns(sample, partial(_walk_source, levels), globals())
+        if scope is not None:
+            return scope["walk"]
+        sample = sample[0] if len(sample) == 1 else lambda s, v=sample[0], x=sample[1]: (v(s), x(s))
+    return partial(_compiled_walk(levels), sample)
 
 
 class CumulativeChain:
     """Memoized antiderivatives Y_0..Y_{m-1} of a lower-triangular chain of integrands.
 
     ``Y_k(t) = integral_base^t f_k(sample(s), Y_0(s), ..., Y_{k-1}(s)) ds``;
-    ``sample`` runs once per node for the work the levels share, and each
-    f_k is an expression over the sample columns c0..c2 and the inner levels
-    y0..y2 (see :func:`_compiled_walk`).  A query
+    ``sample`` runs once per node for the work the levels share (or is the
+    tuple of the columns' time functions, :func:`_walker`), and each f_k is
+    an expression over the columns c0..c2 and the inner levels y0..y2.  A query
     returns the tuple (Y_0(t), ..., Y_{m-1}(t)).  Every query integrates only
     the gap between ``t`` and the nearest known knot, in either direction, then
     records ``t`` as a new knot, so repeated and monotone query patterns cost
     amortized O(1) panels per query.
 
-    A query is one call of the layout's compiled walk, looked up on the
+    A query is one call of the layout's walk over ``sample``, built on the
     chain's first query that walks, so a chain that walks nothing compiles
     nothing.  The walk takes adaptive GK15 panels in order from the knot to
     ``t``.  The inner levels are read at the panel's 15 Kronrod nodes through
@@ -309,7 +344,7 @@ class CumulativeChain:
         _finite_gap(base, base)
         self._sample = sample
         self._layout = tuple(integrands)
-        self._walk = None  # the layout's compiled walk, looked up on the first walk
+        self._walk = None  # the layout's walk over sample, built on the first walk
         if budgets is None:
             budgets = (ORACLE_BUDGET,) * len(self._layout)
         self._rates, self._rels = zip(*budgets)
@@ -327,8 +362,8 @@ class CumulativeChain:
             j = i
         width = max(abs(t - ts[j]), 1e-30)
         if self._walk is None:
-            self._walk = _compiled_walk(self._layout)
-        val = self._walk(self._sample, ts[j], t, self._vals[j], [rate * width for rate in self._rates], self._rels)
+            self._walk = _walker(self._layout, self._sample)
+        val = self._walk(ts[j], t, self._vals[j], [rate * width for rate in self._rates], self._rels)
         ts.insert(i, t)
         self._vals.insert(i, val)
         return val
@@ -361,7 +396,7 @@ class CumulativeIntegral(CumulativeChain):
     """
 
     def __init__(self, fn: TimeFunction, base: float, abs_rate: float = MEMO_BUDGET[0], rel_tol: float = MEMO_BUDGET[1]):
-        super().__init__(fn, (_K,), base, ((abs_rate, rel_tol),))
+        super().__init__((fn,), (_K,), base, ((abs_rate, rel_tol),))
 
     def __call__(self, t: float) -> float:
         return CumulativeChain.__call__(self, t)[0]
@@ -423,17 +458,10 @@ def i_plus(u: TimeFunction, v: TimeFunction, t1: float, t: float) -> float:
 _ANCHOR_MARGIN = 1
 
 
-def _pair(v: TimeFunction, x: TimeFunction) -> Callable[[float], tuple[float, float]]:
-    """``s -> (v(s), x(s))``: one compiled call when both are closed forms (``fields._time_sampler``)."""
-    return _time_sampler(v, x) or (lambda s: (v(s), x(s)))
-
-
-def _anchored(
-    v: TimeFunction, sample: Callable[[float], tuple[float, float]], t1: float, t: float, v_integral: float, abs_tol: float, rel_tol: float
-) -> tuple[float, ...]:
+def _anchored(v: TimeFunction, walk: Callable, t1: float, t: float, v_integral: float, abs_tol: float, rel_tol: float) -> tuple[float, ...]:
     """(Y0(t1), Y1(t1)) of the chain Y0 = int_t^s v, Y1 = int_t^s e^Y0 x, walked backward from t.
 
-    ``sample`` gives (v(s), x(s)) (see :func:`_pair`).
+    ``walk`` is the chain's walk over the columns (v, x) (``_walker((_K, _W), (v, x))``).
 
     The chain is walked from t to t - (t - t1) / 2^k, k = levels..1, then to
     t1, each walk from the end of the one before (an empty gap is skipped):
@@ -448,7 +476,6 @@ def _anchored(
     folds = max(length * abs(v(t)), abs(v_integral))
     if not math.isfinite(folds):
         raise QuadratureBudgetError(f"kernel e-folds {folds!r} on [{t1!r}, {t!r}] are not finite")
-    walk = _compiled_walk((_K, _W))
     rate = abs_tol / length
     rels = (MEMO_BUDGET[1], rel_tol)
     ends = [t - length * 0.5 ** k for k in range(math.ceil(math.log2(max(1.0, folds))) + _ANCHOR_MARGIN, 0, -1)]
@@ -456,7 +483,7 @@ def _anchored(
     for b in ends + [t1]:
         if b != a:
             width = max(abs(b - a), 1e-30)
-            ys = walk(sample, a, b, ys, (MEMO_BUDGET[0] * width, rate * width), rels)
+            ys = walk(a, b, ys, (MEMO_BUDGET[0] * width, rate * width), rels)
             a = b
     return ys
 
@@ -475,7 +502,7 @@ def i_minus(v: TimeFunction, x: TimeFunction, t1: float, t: float) -> float:
     _finite_gap(t1, t)
     if t == t1:
         return 0.0
-    return -_anchored(v, _pair(v, x), t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
+    return -_anchored(v, _walker((_K, _W), (v, x)), t1, t, adaptive_quad(v, t1, t), ABS_TOL, REL_TOL)[1]
 
 
 class _Envelope:
@@ -743,7 +770,7 @@ def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t
     would lose all precision once it grows past ~1e9.
     """
     V = CumulativeIntegral(q, t0, rel_tol=1e-13)  # coarse: the window and the dyadic depth
-    sample = _pair(q, r)
+    walk = _walker((_K, _W), (q, r))
     knots, us, vs = [t0], [0.0], [0.0]  # (k, u(k), V(k)), ascending in k
 
     def inner(tau: float) -> float:
@@ -755,7 +782,7 @@ def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t
         k, u_k, v_k = knots[i - 1], us[i - 1], vs[i - 1]
         v_tau = V(tau)
         if v_tau - v_k <= _WINDOW_LOG:
-            decay, w = _anchored(q, sample, k, tau, v_tau - v_k, _TAIL_ABS_TOL, _TAIL_REL_TOL)
+            decay, w = _anchored(q, walk, k, tau, v_tau - v_k, _TAIL_ABS_TOL, _TAIL_REL_TOL)
             u = _exp(decay) * u_k - w
         else:
             # Keep V(tau) - V(lo) > _WINDOW_LOG >= V(tau) - V(hi) until lo is
@@ -776,7 +803,7 @@ def weighted_tail_integrand(P: TimeFunction, q: TimeFunction, r: TimeFunction, t
                     hi, v_hi = mid, v_mid
                 else:
                     lo, v_lo = mid, v_mid
-            u = -_anchored(q, sample, lo, tau, v_tau - v_lo, _TAIL_ABS_TOL, _TAIL_REL_TOL)[1]
+            u = -_anchored(q, walk, lo, tau, v_tau - v_lo, _TAIL_ABS_TOL, _TAIL_REL_TOL)[1]
         knots.insert(i, tau)
         us.insert(i, u)
         vs.insert(i, v_tau)

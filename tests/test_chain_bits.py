@@ -23,6 +23,7 @@ same order.
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -193,13 +194,13 @@ ORACLES = ("oracle", "oracle_lead")
 
 def test_the_layouts_are_every_production_layout(monkeypatch):
     seen = set()
-    compiled = quadrature._compiled_walk
+    walker = quadrature._walker
 
-    def spy(levels):
+    def spy(levels, sample):
         seen.add(levels)
-        return compiled(levels)
+        return walker(levels, sample)
 
-    monkeypatch.setattr(quadrature, "_compiled_walk", spy)
+    monkeypatch.setattr(quadrature, "_walker", spy)
     one = lambda t: 1.0
     b = BoundTriple(one, one, one)
     rcert.adaptive_quad(one, 0.0, 1.0)
@@ -537,3 +538,193 @@ def test_harmonic_oracle_residuals_are_pinned(closed):
         "0x1.d94b4e471e2e0p-5",
         "0x1.231f6f898a188p-4",
     ]
+
+
+# Walks over closed-form columns.  A chain whose columns are closed-form time
+# functions writes their sources into its nodes, and takes a constant column,
+# and the sums of a level that is one, once per walk it builds; each such walk
+# must be the reference walk over the one-call sample of the same functions.
+
+
+def _closed(c, tau=None):
+    return rcert.fields._closed_form_time([rcert.fields._Product(c, tau=tau)])
+
+
+def _logged(name, fn, calls):
+    """An opaque time factor that records its calls."""
+
+    def tau(t):
+        calls.append((name, t.hex()))
+        return fn(t)
+
+    return tau
+
+
+def _column(kind, name, calls):
+    """A closed-form time function: a constant, a varying one (a polynomial or a logged opaque factor), or a constant the walk must sample per node."""
+    mu = rcert.time_function_from_json({"kind": "constant", "value": 8.0}, "mu")
+    return {
+        "constant": lambda: _closed(-0.75, tau=mu),  # (eps^2 - 1) mu at eps 0.5: a kernel steep enough to halve panels
+        "zero": lambda: _closed(-0.0),  # its node sums are signed zeros
+        "polynomial": lambda: rcert.time_function_from_json({"kind": "polynomial", "coeffs": [1.0, 0.25, -0.125]}, name),
+        "logged": lambda: _closed(-0.5, tau=_logged(name, lambda t: 1.0 + 0.5 * math.cos(3.0 * t), calls)),
+        "nan": lambda: _closed(math.nan),
+        "inf": lambda: _closed(math.inf),
+        "int": lambda: _closed(2),
+        "raises": lambda: _closed(10**400, tau=_closed(1.5)),  # int * float overflows at every node
+    }[kind]()
+
+
+#: (v, x) columns of the (K, W) walk, and the one-level walk's column, by kind.
+COLUMN_CASES = {
+    "both_constant": ("constant", "constant"),
+    "constant_q": ("constant", "polynomial"),
+    "constant_r": ("logged", "constant"),
+    "zero_q": ("zero", "logged"),
+    "both_varying": ("polynomial", "logged"),
+    "nan_constant": ("nan", "constant"),
+    "inf_constant": ("constant", "inf"),
+    "int_constant": ("int", "polynomial"),
+    "raising_constant": ("raises", "constant"),
+}
+ONE_LEVEL_CASES = ("constant", "polynomial", "logged", "nan", "int", "raises")
+
+
+def _column_outcome(levels, kinds, start, tols, a, b, reference, monkeypatch):
+    """What a walk over closed-form columns of these kinds does on [a, b]: the levels at b as hex or the exception's type and text, the time-factor and exponential calls in order, and the walk's parameter and local names."""
+    calls = []
+    fns = tuple(_column(kind, f"col{j}", calls) for j, kind in enumerate(kinds))
+    abs_tols, rels = tols or ((math.inf,) * len(levels), (0.0,) * len(levels))
+
+    def record(fn):
+        def recorded(x):
+            calls.append(("exp", x.hex()))
+            return fn(x)
+
+        return recorded
+
+    names = ((), ())
+    try:
+        if reference:
+            sample = fns[0] if len(fns) == 1 else lambda s: (fns[0](s), fns[1](s))
+            level_fns = (lambda c, y: c,) if len(levels) == 1 else _weighted_levels(record(quadrature._exp))[:2]
+            result = _reference_walk(sample, level_fns, a, b, start, abs_tols, rels)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "exp", record(math.exp))
+                m.setattr(quadrature, "_exp", record(quadrature._exp))
+                walk = quadrature._walker(levels, fns)
+                code = walk.__code__
+                names = code.co_varnames[: code.co_argcount], code.co_varnames[code.co_argcount :]
+                result = walk(a, b, start, abs_tols, rels)
+    except Exception as exc:
+        return ((type(exc), str(exc)), calls), names
+    return (tuple(v.hex() for v in result), calls), names
+
+
+def _columns_both(levels, kinds, start, tols, a, b, monkeypatch):
+    """The specialised walk's outcome and calls, asserted equal to the reference's, and its parameter and local names."""
+    got, names = _column_outcome(levels, kinds, start, tols, a, b, False, monkeypatch)
+    assert got == _column_outcome(levels, kinds, start, tols, a, b, True, monkeypatch)[0]
+    return got, names
+
+
+def _column_draws(levels, kinds, monkeypatch, draws=150):
+    """Random gaps either way, starts (some past the exponent cap) and tolerances that reject at any level; returns the outcome kinds seen and the walk's parameter and local names."""
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 7)
+    rng = random.Random(f"{levels}-{kinds}-20261020")
+    seen, names = set(), ((), ())
+    for _ in range(draws):
+        a = rng.uniform(-3.0, 3.0)
+        b = a + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 0.7)
+        start = (rng.choice((0.0, rng.uniform(-1.0, 1.0), rng.uniform(-720.0, 720.0))),) + tuple(_value(rng) for _ in levels[1:])
+        tols = None
+        if rng.random() < 0.7:
+            tols = [10.0 ** rng.uniform(-25.0, 0.0) for _ in levels], [rng.choice((0.0, 10.0 ** rng.uniform(-14.0, 0.0))) for _ in levels]
+        (result, calls), names = _columns_both(levels, kinds, start, tols, a, b, monkeypatch)
+        if isinstance(result[0], type):
+            seen.add(result[0])
+        else:
+            # A panel that reaches the W level makes 15 exponential calls, and one that samples a logged column 15 calls of it.
+            seen.add("halved" if max(Counter(c[0] for c in calls).values(), default=0) > len(_NODES) else "accepted")
+    return seen, names
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES)
+def test_a_walk_over_closed_form_columns_is_the_reference_walk(case, monkeypatch):
+    kinds = COLUMN_CASES[case]
+    seen, (params, local) = _column_draws(("c0", quadrature._W), kinds, monkeypatch)
+    # The walk samples a column at its nodes exactly when it is not a finite float constant, and then
+    # takes the K level's sums once when K's column is one.
+    constant = [kind in ("constant", "zero") for kind in kinds]
+    assert ["d0_0" not in local, "d0_1" not in local] == constant
+    assert ("sig0_0" in params) == constant[0] and ("tk" in local) == (not all(constant))
+    if case == "raising_constant":
+        assert seen == {OverflowError}
+    elif case in ("nan_constant", "inf_constant"):
+        assert QuadratureBudgetError in seen and seen <= {QuadratureBudgetError, RangeOverflowError}
+    else:
+        assert {"accepted", "halved", QuadratureBudgetError} <= seen
+
+
+@pytest.mark.parametrize("kind", ONE_LEVEL_CASES)
+def test_a_one_level_walk_over_a_closed_form_is_the_reference_walk(kind, monkeypatch):
+    seen, (params, local) = _column_draws(("c0",), (kind,), monkeypatch)
+    assert ("d0_0" not in local) == ("resk0" in params) == (kind == "constant")
+    if kind == "raises":
+        assert seen == {OverflowError}
+    elif kind == "nan":
+        assert seen == {QuadratureBudgetError}
+    else:
+        # Only a logged column's calls show a halving.  A constant column has the same error per unit length
+        # on every panel, so its walk is accepted on the first or exhausts.
+        assert {"accepted", QuadratureBudgetError} <= seen and ("halved" in seen) == (kind == "logged")
+
+
+@pytest.mark.parametrize("case", ["both_constant", "constant_q", "both_varying"])
+def test_a_walk_over_closed_form_columns_halves_in_both_directions(case, monkeypatch):
+    levels = ("c0", quadrature._W)
+    tight = (1e-13, 1e-13), (1e-12, 1e-12)
+    for a, b in ((0.0, 6.0), (6.0, 0.0), (-1.0, 2.5)):
+        result = _columns_both(levels, COLUMN_CASES[case], (0.25, 0.25), tight, a, b, monkeypatch)[0][0]
+        assert not isinstance(result[0], type)
+
+
+def test_unit_coefficient_tail_walks_sample_no_node(monkeypatch):
+    # certify t4_2 on unit coefficients from t0 = 0, the benchmark's Van der Pol config: both tail columns
+    # are constants, so no (K, W) walk reads a column or integrates K at a node.
+    built, in_kw, node_integrals, walks = [], [], [], []
+    walker = quadrature._walker
+
+    def recording(levels, sample):
+        walk = walker(levels, sample)
+        if levels != ("c0", quadrature._W):
+            return walk
+        built.append(walk)
+
+        def recording_walk(*args):
+            in_kw.append(True)
+            walks.append(args[:2])
+            try:
+                return walk(*args)
+            finally:
+                in_kw.pop()
+
+        return recording_walk
+
+    quadrature._node_integrals(0.0, 1.0, (0.0,) * len(_NODES))  # compiles it, so it no longer replaces itself
+    compiled = quadrature._node_integrals
+
+    def counted(*args):
+        if in_kw:
+            node_integrals.append(args)
+        return compiled(*args)
+
+    monkeypatch.setattr(quadrature, "_walker", recording)
+    monkeypatch.setattr(quadrature, "_node_integrals", counted)
+    one = rcert.time_function_from_json({"kind": "constant", "value": 1.0}, "f")
+    v = rcert.VdPParams(lam=one, mu=one, nu=one)
+    cert = rcert.check_t4_2(rcert.vdp_equation(v), v, eps0=1.0, grid=rcert.GridSpec(9, 9))
+    assert cert.status == rcert.VERIFIED
+    assert built and all(not {"sample", "tk", "d0_0", "d0_1"} & set(walk.__code__.co_varnames) for walk in built)
+    assert len(walks) > len(built) and node_integrals == []

@@ -2,7 +2,7 @@
 
 A product whose ``tau`` is itself a closed-form time function has tau's
 source written into its own, so a sample makes no call of tau; the chain of
-an anchored walk samples (v(s), x(s)) in one compiled call.  Both must give
+an anchored walk writes the sources of v and x into its nodes.  Both must give
 exactly the values and exceptions of the nested calls.  The reference for a
 flattened form is the same product with tau wrapped in an opaque
 ``lambda t: tau(t)``, which the compiler cannot see into.
@@ -10,13 +10,14 @@ flattened form is the same product with tau wrapped in an opaque
 
 import math
 import random
+import re
 
 import pytest
 
 from rcert import VERIFIED, GridSpec, time_function_from_json
 from rcert import quadrature
 from rcert.applications import VdPParams, check_t4_2, vdp_equation, vdp_family
-from rcert.fields import EquationSpec, _closed_form_field, _closed_form_time, _Product, _time_sampler, system_rhs
+from rcert.fields import EquationSpec, _closed_form_field, _closed_form_time, _compiled_columns, _Product, system_rhs
 
 TIME_JSON = {
     "constant": {"kind": "constant", "value": 1.5},
@@ -139,20 +140,35 @@ PAIRS = [("constant", "power_root"), ("q_eps.power_root", "constant"), ("q_eps.p
          ("log.opaque", "power_reciprocal")]
 
 
+def column_sampler(v, x):
+    """``t -> (v(t), x(t))`` as a walk's node reads its two columns (``fields._compiled_columns``); None if one is opaque.
+
+    A varying column is its source at t, and a constant one its value taken once.
+    """
+
+    def write(sources):
+        values = ", ".join(f"col{j}" if source is None else source.format(t="t") for j, source in enumerate(sources))
+        names = dict.fromkeys(re.findall(r"\bcol\d\w*", values))
+        return f"def sample(t{''.join(f', {n}={n}' for n in names)}):\n    return ({values})\n"
+
+    scope = _compiled_columns((v, x), write, {})
+    return None if scope is None else scope["sample"]
+
+
 @pytest.mark.parametrize("v_name, x_name", PAIRS)
 def test_sampler_matches_the_two_calls(v_name, x_name):
     v, x = TAUS[v_name], TAUS[x_name]
-    sample = _time_sampler(v, x)
+    sample = column_sampler(v, x)
     assert sample is not None
     assert [outcome(sample, t) for t in TS] == [outcome(lambda s: (v(s), x(s)), t) for t in TS]
 
 
 def test_sampler_of_an_opaque_function_is_none():
     closed = TAUS["constant"]
-    assert _time_sampler(closed, math.exp) is None
-    assert _time_sampler(opaque(closed), closed) is None
+    assert column_sampler(closed, math.exp) is None
+    assert column_sampler(opaque(closed), closed) is None
     # A closed form whose tau is opaque is still a closed form: it calls its tau.
-    sample = _time_sampler(TAUS["q_eps.opaque"], closed)
+    sample = column_sampler(TAUS["q_eps.opaque"], closed)
     assert sample(2.0) == (TAUS["q_eps.opaque"](2.0), 1.5)
 
 
@@ -162,10 +178,10 @@ def test_tail_chains_never_call_mu(monkeypatch, closed):
     # its calls inside (K, W) chain walks; with its closed form kept, every chain reads mu's source.
     one = time_function_from_json({"kind": "constant", "value": 1.0}, "f")
     kw_walks, in_kw, mu_calls = [], [], []
-    compiled = quadrature._compiled_walk
+    walker = quadrature._walker
 
-    def recording(levels):
-        walk = compiled(levels)
+    def recording(levels, sample):
+        walk = walker(levels, sample)
 
         def recording_walk(*args):
             in_kw.append(levels == (quadrature._K, quadrature._W))
@@ -184,7 +200,7 @@ def test_tail_chains_never_call_mu(monkeypatch, closed):
 
     if closed:
         mu.products, mu.start = one.products, one.start
-    monkeypatch.setattr(quadrature, "_compiled_walk", recording)
+    monkeypatch.setattr(quadrature, "_walker", recording)
     v = VdPParams(lam=one, mu=mu, nu=one)
     cert = check_t4_2(vdp_equation(v), v, eps0=1.0, grid=GridSpec(9, 9))
     assert cert.status == VERIFIED
