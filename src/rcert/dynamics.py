@@ -265,6 +265,28 @@ class Trajectory:
         return _dense_at(self.ts, self.psis, self._dense, 5, t)
 
 
+def _dense_lines(psi: bool) -> list[str]:
+    """Straight code that sets ``phi`` (and ``psi``) to :meth:`Trajectory.state_at` at ``t``, for a loop over t.
+
+    Inside (t_start, t_end) it is that formula on the step [lo, hi), whose
+    coefficients are unpacked again only when t leaves it (``lo = hi = t_start``
+    at first); elsewhere it calls ``state_at`` (``phi_at`` without ``psi``).
+    """
+    return [
+        "if t_start < t < t_end:",
+        "    if not lo <= t < hi:",
+        "        k = bisect_right(ts, t) - 1",
+        "        lo, hi, phik, psik = ts[k], ts[k + 1], phis[k], psis[k]",
+        "        sh, a2, a3, a4, a5, b2, b3, b4, b5 = dense[k]",
+        "    th = (t - lo) / sh",
+        "    th1 = 1.0 - th",
+        "    phi = phik + th * (a2 + th1 * (a3 + th * (a4 + th1 * a5)))",
+        *["    psi = psik + th * (b2 + th1 * (b3 + th * (b4 + th1 * b5)))"] * psi,
+        "else:",
+        "    phi, psi = state_at(t)" if psi else "    phi = phi_at(t)",
+    ]
+
+
 class _NonFiniteStage(ArithmeticError):
     """A stage derivative or the propagated solution is not finite; the step is rejected."""
 
@@ -545,7 +567,7 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
     if p_init <= 0.0:
         raise DomainError(f"p0 is not positive at the initial point: {p_init!r}")
 
-    solve = _compiled_points(eq, _loop_source, globals())["solve"]
+    solve = _compiled_points(eq, _loop_source, globals(), "<rcert.dynamics loop>")["solve"]
     return solve(_wrapped_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, opts, eq, ic, _MAX_STEPS)
 
 

@@ -135,13 +135,13 @@ def _times(c: str, value: float, factors: list[str]) -> str:
 
 
 @lru_cache(maxsize=256)
-def _compiled(source: str) -> CodeType:
-    """The code of a closed form's source, compiled once per source text.
+def _compiled(source: str, filename: str = "<rcert.fields closed form>") -> CodeType:
+    """The code of a generated source, compiled once per source text under ``filename``, the kind it names in a profile.
 
     The source names its coefficients and time factors (``c0``, ``tau0``, ...)
     rather than holding their values, so closed forms of one shape share it.
     """
-    return compile(source, "<closed form>", "exec")
+    return compile(source, filename, "exec")
 
 
 def _closed_form(products: Sequence[_Product], start: float | None = None) -> Callable[..., float]:
@@ -185,14 +185,14 @@ def _form_source(products: Sequence[_Product], start: float | None, prefix: str 
     return env, values
 
 
-def _run(source: str, env: dict, scope: dict | None = None) -> dict:
+def _run(source: str, env: dict, scope: dict | None = None, filename: str = "<rcert.fields closed form>") -> dict:
     """``env`` after running ``source`` in it, or ``scope`` after running it there with the globals ``env`` (compiled once per text, see :func:`_compiled`).
 
     Each run gets its own copy of the functions' code: the interpreter keeps
     its caches of global lookups in the code object, so forms sharing one
     would evict each other's caches whenever they are called in turn.
     """
-    code = _compiled(source)
+    code = _compiled(source, filename)
     exec(code.replace(co_consts=tuple(c.replace() if isinstance(c, CodeType) else c for c in code.co_consts)), env, scope)
     return env if scope is None else scope
 
@@ -214,8 +214,8 @@ def _closed_form_time(products: Sequence[_Product], start: float | None = None) 
     return time
 
 
-def _compiled_columns(fns: Sequence[Callable[[float], float]], write: Callable[[tuple], str], env: dict) -> dict | None:
-    """The namespace of ``write(sources)`` run with the globals ``env``, ``sources[j]`` the source of ``fns[j]`` at ``{t}``; None if one is opaque.
+def _compiled_columns(fns: Sequence[Callable[[float], float]], write: Callable[[tuple], str], env: dict, filename: str = "<rcert.fields closed form>") -> dict | None:
+    """The namespace of ``write(sources)`` run with the globals ``env`` (compiled as ``filename``), ``sources[j]`` the source of ``fns[j]`` at ``{t}``; None if one is opaque.
 
     A source's names start with ``col{j}_``.  One that reads no t and whose
     ``fns[j](0.0)`` is a finite float is None, that value ``col{j}``.
@@ -232,7 +232,7 @@ def _compiled_columns(fns: Sequence[Callable[[float], float]], write: Callable[[
             if type(x) is float and math.isfinite(x):
                 scope[f"col{j}"], value = x, None
         sources.append(value)
-    return _run(write(tuple(sources)), env, scope)
+    return _run(write(tuple(sources)), env, scope, filename)
 
 
 @dataclass(frozen=True)
@@ -444,7 +444,7 @@ def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float,
     are closed forms (the builtins and the JSON kinds), the rhs is one
     function compiled with the samples and acceptance rule of
     :func:`_compiled_points`, which the stepper writes into its loop and the
-    residual oracles into :func:`_coefficient_sampler`: it raises or returns
+    residual oracles into their panel samplers: it raises or returns
     exactly what the wrapped fields do.  Opaque fields are only called through
     the wrapped fields, once per point.
     """
@@ -465,7 +465,7 @@ def _wrapped_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[floa
 
 
 def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[float, float, float]]:
-    """(p0, q0, r0) at (t, w) in one call: the wrapped fields' values, or what they raise.
+    """(p0, q0, r0) at (t, w) in one call: the wrapped fields' values, or what they raise; ``riccati.difference_residual``'s node function calls it.
 
     Compiled on each call with the source and acceptance rule of :func:`_compiled_points`.  Where
     that rule fails, or a field is opaque, the wrapped fields are called in the rhs order
@@ -491,13 +491,13 @@ def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: st
     return _compiled_points(eq, write, env)[signature.partition("(")[0]]
 
 
-def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], str], env: dict) -> dict:
-    """A copy of ``env``, with the ``names`` of the coefficients it reads, after running the source ``write(names, bind, stage)``.
+def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], str], env: dict, filename: str = "<rcert.fields closed form>", which: str = "prq") -> dict:
+    """A copy of ``env``, with the ``names`` of the coefficients it reads, after running the source ``write(names, bind, stage)`` compiled as ``filename``.
 
     ``stage`` holds the lines of a point at ({t}, {w}) (see :func:`_at_point`):
-    they take the samples p, r and q of p0, r0 and q0 in that order, each
-    with its field's ``fn`` source, then run {result} where none raises, all
-    are floats, their sum is finite and p > 0, and {fallback} elsewhere.  A
+    they take the samples p, r and q of p0, r0 and q0 named in ``which``, in
+    that order, each with its field's ``fn`` source, then run {result} where
+    none raises, all are floats, their sum is finite and p > 0, and {fallback} elsewhere.  A
     constant sample (its source reads no t and no w) is taken once, by the
     lines ``bind``, and left out of the tests, which are decided here on its
     value: a point's path changes only where all samples are finite floats,
@@ -507,7 +507,8 @@ def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], st
     two or more of float coefficients: sums run left to right, and never raise.
     """
     bind, samples, coefficients = [], [], {}
-    for name, fld in (("p", eq.p0), ("r", eq.r0), ("q", eq.q0)):
+    for name in which:
+        fld = getattr(eq, f"{name}0")
         if fld.products is None:
             break
         form_env, terms = _form_source(fld.products, fld.start, f"{name}_", "{t}", "{w}")
@@ -536,8 +537,8 @@ def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], st
             stage = ("try:", *(f"    {name} = {value}" for name, value in samples), "except Exception:", f"    {' = '.join(taken)} = None")
             stage += (f"if {rule}:", "    {result}", "else:", "    {fallback}")
         names = {n: v for n, v in coefficients.items() if n in "".join(bind + list(stage))}
-        return _run(write(tuple(names), tuple(bind), stage), {**env, **names})
-    return _run(write((), (), ("{fallback}",)), dict(env))
+        return _run(write(tuple(names), tuple(bind), stage), {**env, **names}, None, filename)
+    return _run(write((), (), ("{fallback}",)), dict(env), None, filename)
 
 
 def _at_point(stage: tuple[str, ...], t: str, w: str, result: str, fallback: str) -> list[str]:

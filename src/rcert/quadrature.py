@@ -22,7 +22,8 @@ Kronrod nodes through the panel's node integration matrix, so no integrand
 ever queries another memo.  Each layout of levels has one adaptive walk,
 its GK15 panel written into the loop, as straight code compiled on its
 first use (``_walk_source``; nothing is compiled at import); a chain's
-query, ``adaptive_quad`` and each anchored gap are one call of it.  A walk
+query, ``adaptive_quad`` and each anchored gap are one call of it, and the
+oracles' samplers are called once per panel, not per node.  A walk
 over closed-form columns writes their sources into its nodes and takes a
 constant one, and the sums of a level that is one, once per walk built
 (``_walker``); walks of one shape share a compile.  A node integral is one
@@ -186,14 +187,15 @@ _ORACLE_LEVELS = (_K, "exp(y0) * c1", "exp(-y0) / c2", "exp(-y0) * y1 / c2")
 
 
 @lru_cache(maxsize=64)
-def _walk_source(levels: tuple[str, ...], sources: tuple[str | None, ...] | None = None) -> str:
+def _walk_source(levels: tuple[str, ...], sources: tuple[str | None, ...] | None = None, per_panel: bool = False) -> str:
     """The adaptive GK15 walk of a chain with these levels, written out as straight code.
 
     ``walk(sample, a, b, start, abs_tols, rels)`` returns the levels at b
     from their values ``start`` at a, by the test and in the panel order of
     :class:`CumulativeChain`.  A panel calls ``sample`` at the 15 Kronrod
     nodes in ascending order; column cj is the j-th item of a sample, or in a
-    chain of one level the sample itself.  Given the columns' ``sources`` at
+    chain of one level the sample itself; ``per_panel``, it calls ``sample(c, h)``
+    once for every column of its nodes, node by node.  Given the columns' ``sources`` at
     ``{t}`` (:func:`_walker`), it is ``walk(a, b, start, abs_tols, rels)``: a
     node writes the varying columns in place, in column order, and reads a
     constant one (None in ``sources``) as ``col{j}``; a level that is one
@@ -213,12 +215,15 @@ def _walk_source(levels: tuple[str, ...], sources: tuple[str | None, ...] | None
 
     def at(expr: str, i: int) -> str:
         column = rf"d{i}" if len(levels) == 1 else rf"d{i}[\1]"
-        if sources is not None:  # a varying column cj is d{i}_{j} at node i, a constant one col{j}
-            column = lambda m: f"d{i}_{m[1]}" if sources[int(m[1])] else f"col{m[1]}"
+        if sources is not None or per_panel:  # a varying column cj is d{i}_{j} at node i, a constant one col{j}
+            column = lambda m: f"d{i}_{m[1]}" if per_panel or sources[int(m[1])] else f"col{m[1]}"
         return re.sub(r"\by(\d)\b", rf"y\1_{i}", re.sub(r"\bc(\d)\b", column, expr))
 
     panel, once, bound, pad = [], [], [], ""
-    for i, x in enumerate(_NODES):
+    if per_panel:
+        columns = range(1 + max(int(j) for j in re.findall(r"\bc(\d)\b", " ".join(levels))))
+        panel.append(", ".join(f"d{i}_{j}" for i in range(n) for j in columns) + " = sample(c, h)")
+    for i, x in enumerate(() if per_panel else _NODES):
         if sources is None:
             panel.append(f"d{i} = sample(c + h * {x!r})")
         elif any(sources):
@@ -285,28 +290,29 @@ def _walk_source(levels: tuple[str, ...], sources: tuple[str | None, ...] | None
 
 
 @lru_cache(maxsize=None)
-def _compiled_walk(levels: tuple[str, ...]) -> Callable:
+def _compiled_walk(levels: tuple[str, ...], per_panel: bool = False) -> Callable:
     """``walk(sample, a, b, start, abs_tols, rels)`` of :func:`_walk_source`, compiled on first use and kept for the life of the process: the levels come from this module's few layouts."""
-    exec(_walk_source(levels), globals(), scope := {})
+    exec(compile(_walk_source(levels, None, per_panel), "<rcert.quadrature walk>", "exec"), globals(), scope := {})
     return scope["walk"]
 
 
 def _walker(levels: tuple[str, ...], sample) -> Callable:
-    """``walk(a, b, start, abs_tols, rels)`` over ``sample``, a node's columns in one call or a tuple of their time functions: closed forms written in (:func:`_walk_source`), else called in turn."""
+    """``walk(a, b, start, abs_tols, rels)`` over ``sample``: a node's columns in one call (a panel's if ``sample.panel``), or a
+    tuple of their time functions, closed forms written in (:func:`_walk_source`), else called in turn."""
     if isinstance(sample, tuple):
-        scope = _compiled_columns(sample, partial(_walk_source, levels), globals())
+        scope = _compiled_columns(sample, partial(_walk_source, levels), globals(), "<rcert.quadrature walk>")
         if scope is not None:
             return scope["walk"]
         sample = sample[0] if len(sample) == 1 else lambda s, v=sample[0], x=sample[1]: (v(s), x(s))
-    return partial(_compiled_walk(levels), sample)
+    return partial(_compiled_walk(levels, True) if getattr(sample, "panel", False) else _compiled_walk(levels), sample)
 
 
 class CumulativeChain:
     """Memoized antiderivatives Y_0..Y_{m-1} of a lower-triangular chain of integrands.
 
     ``Y_k(t) = integral_base^t f_k(sample(s), Y_0(s), ..., Y_{k-1}(s)) ds``;
-    ``sample`` runs once per node for the work the levels share (or is the
-    tuple of the columns' time functions, :func:`_walker`), and each f_k is
+    ``sample`` runs once per node, or per panel, for the work the levels share
+    (or is the tuple of the columns' time functions, :func:`_walker`); each f_k is
     an expression over the columns c0..c2 and the inner levels y0..y2.  A query
     returns the tuple (Y_0(t), ..., Y_{m-1}(t)).  Every query integrates only
     the gap between ``t`` and the nearest known knot, in either direction, then
@@ -380,7 +386,7 @@ def _node_integrals(y: float, h: float, fv: Sequence[float]) -> tuple[float, ...
     names = ", ".join(f"f{j}" for j in range(len(_NODES)))
     sums = ", ".join("y + h * (0.0 + " + " + ".join(f"{s!r} * f{j}" for j, s in enumerate(row)) + ")" for row in _S)
     scope: dict = {}
-    exec(f"def _node_integrals(y, h, fv):\n    {names} = fv\n    return ({sums})\n", scope)
+    exec(compile(f"def _node_integrals(y, h, fv):\n    {names} = fv\n    return ({sums})\n", "<rcert.quadrature node integrals>", "exec"), scope)
     _node_integrals = scope["_node_integrals"]
     return _node_integrals(y, h, fv)
 
@@ -420,8 +426,8 @@ def adaptive_quad(f: TimeFunction, a: float, b: float, abs_tol: float = ABS_TOL,
 def weighted_chain(coefficients: Callable[[float], tuple[float, ...]], base: float, *, lead: bool = False) -> CumulativeChain:
     """The exponentially weighted integrals of the residual oracles, from ``base``.
 
-    ``coefficients(t)`` returns (k, s) or, with ``lead``, (k, s, p); it runs
-    once per quadrature node.  The chain yields (K, W) and with ``lead``
+    ``coefficients(t)`` returns (k, s) or, with ``lead``, (k, s, p), at each
+    quadrature node (or a panel's, see :func:`_walker`).  The chain yields (K, W) and with ``lead``
     (K, W, T1, T2), where K = int k, W = int e^K s, T1 = int e^-K / p and
     T2 = int e^-K W / p.  So x(base) e^-K - e^-K W solves x' = -k x - s, and
     phi(base) + psi(base) T1 - T2 integrates that solution against 1/p.

@@ -12,11 +12,12 @@ All five oracles live here and check the nodes of ``_mesh`` (the gap oracle
 takes 65 even points).  The momentum psi, the ratio y and the gap y1 - y0
 each solve x' = -k x - s, so their oracles share ``_transfer_residual``.
 
-Each quadrature node is sampled in one pass: one dense-output lookup gives
-(phi, psi) and y = psi / phi, unless the path's ``y`` is not the ratio
-:func:`transform` built (then ``y`` is called), and one compiled call gives
-closed-form p0, q0 and r0.  Where it cannot, the wrapped fields are called in
-the rhs order p0, r0, q0, so it raises what they raise.
+Each oracle but the difference oracle (two trajectories, a node function)
+samples a GK15 panel in one compiled call: at each node the dense formula
+gives (phi, psi) (``state_at`` off (t_start, t_end)) and y = psi / phi, or
+the path's ``y`` if :func:`transform` did not build it; closed-form p0, r0
+and q0 (p0 alone for the representation) are written in, and where they fail
+the wrapped fields are called in that rhs order, so it raises what they raise.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _dense_lines
 from .errors import DomainError
-from .fields import _coefficient_sampler
-from .quadrature import ORACLE_BUDGET, CumulativeIntegral, weighted_chain
+from .fields import _at_point, _coefficient_sampler, _compiled_points
+from .quadrature import _NODES, ORACLE_BUDGET, CumulativeIntegral, weighted_chain
 
 __all__ = [
     "RiccatiPath",
@@ -129,12 +130,37 @@ def auto_segments(traj: Trajectory) -> list[tuple[float, float]]:
     return segments
 
 
+def _panel_sampler(traj: Trajectory, columns: str, path: RiccatiPath | None = None, which: str = "prq") -> Callable[[float, float], list]:
+    """``sample(c, h)``, marked ``panel``: the ``columns`` at the Kronrod nodes ``c + h * x``, node by node, in one compiled call.
+
+    A node t takes phi (and psi, given ``path``) by ``dynamics._dense_lines``,
+    ``ys = psi / phi`` (or ``path.y(t)``, see :func:`_own_ratio`), then the
+    samples named in ``which`` of ``fields._compiled_points``' stage at
+    (t, phi): where its rule fails, the wrapped fields in that order.
+    """
+    y = "" if path is None else "ys = psi / phi" if _own_ratio(path) else "ys = y(t)"
+    fallback = "; ".join(f"{name} = {name}0(t, phi)" for name in which)
+    env = {"ts": traj.ts, "phis": traj.phis, "psis": traj.psis, "dense": traj._dense, "t_start": traj.t_start, "t_end": traj.t_end}
+    env.update(bisect_right=bisect_right, state_at=traj.state_at, phi_at=traj.phi_at, y=path and path.y, nodes=_NODES, p0=traj.eq.p0, q0=traj.eq.q0, r0=traj.eq.r0)
+
+    def write(names, bind, stage):
+        node = _dense_lines(path is not None) + [y] * bool(y) + _at_point(stage, "t", "phi", "pass", fallback) + [f"out += ({columns},)"]
+        head = f"def sample(c, h{''.join(f', {n}={n}' for n in (*names, *env))}):"
+        return "\n".join([head, *(f"    {line}" for line in bind), "    out, lo, hi = [], t_start, t_start", "    for x in nodes:", "        t = c + h * x", *(f"        {line}" for line in node), "    return out\n"])
+
+    sample = _compiled_points(traj.eq, write, env, "<rcert.riccati panel sampler>", which).pop("sample")  # out of its globals: no cycle keeps traj
+    sample.panel = True
+    return sample
+
+
 def _deviation(x: Callable[[float], float], model: Callable[[float], float], mesh: list[float], scale: float = 1.0) -> float:
-    """max |x(t) - model(t)| over ``mesh``, over max(scale, max |x|); model(t) is taken before x(t)."""
+    """max |x(t) - model(t)| over ``mesh``, over max(scale, max |x|); model(t) is taken before x(t), and a non-finite one raises :class:`DomainError`."""
     worst = 0.0
     for t in mesh:
         m = model(t)
         xt = x(t)
+        if not (math.isfinite(m) and math.isfinite(xt)):
+            raise DomainError(f"a sample at t={t!r} is not finite: x(t) = {xt!r}, model(t) = {m!r}")
         scale = max(scale, abs(xt))
         worst = max(worst, abs(xt - m))
     return worst / scale
@@ -155,13 +181,7 @@ def _transfer_residual(chain: Callable[[float], tuple[float, float]], x_a: float
 def representation_residual(path: RiccatiPath) -> float:
     """Max deviation of phi from phi(a) * exp(integral of y / p0), over max |phi|."""
     traj = path.traj
-    p0, state_at, y, ratio = traj.eq.p0, traj.state_at, path.y, _own_ratio(path)
-
-    def integrand(tau: float) -> float:
-        phi, psi = state_at(tau)
-        return (psi / phi if ratio else y(tau)) / p0(tau, phi)
-
-    acc = CumulativeIntegral(integrand, path.a, *ORACLE_BUDGET)
+    acc = CumulativeIntegral(_panel_sampler(traj, "ys / p", path, "p"), path.a, *ORACLE_BUDGET)
     phi_a = traj.phi_at(path.a)
     return _deviation(traj.phi_at, lambda t: phi_a * math.exp(acc(t)), path.mesh, 1e-300)
 
@@ -172,16 +192,7 @@ def cauchy_residual(path: RiccatiPath) -> float:
     The kernel is (y + q0) / p0 along the path; the representation is exact
     for true solutions, so the normalized residual measures solver error.
     """
-    traj = path.traj
-    state_at, y, ratio, pqr = traj.state_at, path.y, _own_ratio(path), _coefficient_sampler(traj.eq)
-
-    def coefficients(s: float) -> tuple[float, float]:
-        phi, psi = state_at(s)
-        ys = psi / phi if ratio else y(s)
-        p, q, r = pqr(s, phi)
-        return (ys + q) / p, r
-
-    return _transfer_residual(weighted_chain(coefficients, path.a), path.y(path.a), path.y, path.mesh)
+    return _transfer_residual(weighted_chain(_panel_sampler(path.traj, "(ys + q) / p, r", path), path.a), path.y(path.a), path.y, path.mesh)
 
 
 def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float:
@@ -219,18 +230,6 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
     return _transfer_residual(weighted_chain(coefficients, a), gap(a), gap, [a + (b - a) * k / 64 for k in range(65)])
 
 
-def _weighted_coefficients(traj: Trajectory) -> Callable[[float], tuple[float, float, float]]:
-    """(q0/p0, r0*phi, p0) along ``traj``: the K/W chain of the flux and Volterra identities."""
-    phi_at, pqr = traj.phi_at, _coefficient_sampler(traj.eq)
-
-    def coefficients(s: float) -> tuple[float, float, float]:
-        phi = phi_at(s)
-        p, q, r = pqr(s, phi)
-        return q / p, r * phi, p
-
-    return coefficients
-
-
 def flux_residual(traj: Trajectory) -> float:
     """Deviation of psi from its exponential-weighted integral representation.
 
@@ -239,13 +238,13 @@ def flux_residual(traj: Trajectory) -> float:
     equation implies.
     """
     a = traj.t_start
-    return _transfer_residual(weighted_chain(_weighted_coefficients(traj), a), traj.psi_at(a), traj.psi_at, _mesh(traj, a, traj.t_end))
+    return _transfer_residual(weighted_chain(_panel_sampler(traj, "q / p, r * phi"), a), traj.psi_at(a), traj.psi_at, _mesh(traj, a, traj.t_end))
 
 
 def volterra_residual(traj: Trajectory) -> float:
     """Deviation of phi from its double-integral representation over the whole trajectory, scaled by max(|phi|, 1)."""
     a = traj.t_start
-    chain = weighted_chain(_weighted_coefficients(traj), a, lead=True)
+    chain = weighted_chain(_panel_sampler(traj, "q / p, r * phi, p"), a, lead=True)
     phi_a = traj.phi_at(a)
     psi_a = traj.psi_at(a)
 
