@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError, FieldEvaluationError, RcertError
-from .fields import EquationSpec, InitialData, _at_point, _compiled_points, _wrapped_rhs
+from .fields import EquationSpec, InitialData, _at_point, _compiled_points, system_rhs
 from .serialize import canonical_json, format_float
 
 __all__ = [
@@ -248,15 +248,7 @@ class Trajectory:
         return self.ts[-1]
 
     def state_at(self, t: float) -> tuple[float, float]:
-        ts = self.ts
-        if not ts[0] < t < ts[-1]:  # t_start, t_end or outside
-            return _dense_at(ts, self.phis, self._dense, 1, t), _dense_at(ts, self.psis, self._dense, 5, t)
-        k = bisect_right(ts, t) - 1
-        h, a2, a3, a4, a5, b2, b3, b4, b5 = self._dense[k]
-        th = (t - ts[k]) / h
-        th1 = 1.0 - th
-        phi = self.phis[k] + th * (a2 + th1 * (a3 + th * (a4 + th1 * a5)))
-        return phi, self.psis[k] + th * (b2 + th1 * (b3 + th * (b4 + th1 * b5)))
+        return _dense_at(self.ts, self.phis, self._dense, 1, t), _dense_at(self.ts, self.psis, self._dense, 5, t)
 
     def phi_at(self, t: float) -> float:
         return _dense_at(self.ts, self.phis, self._dense, 1, t)
@@ -268,7 +260,7 @@ class Trajectory:
 def _dense_lines(psi: bool) -> list[str]:
     """Straight code that sets ``phi`` (and ``psi``) to :meth:`Trajectory.state_at` at ``t``, for a loop over t.
 
-    Inside (t_start, t_end) it is that formula on the step [lo, hi), whose
+    Inside (t_start, t_end) it is :func:`_dense_at` on the step [lo, hi), whose
     coefficients are unpacked again only when t leaves it (``lo = hi = t_start``
     at first); elsewhere it calls ``state_at`` (``phi_at`` without ``psi``).
     """
@@ -568,7 +560,7 @@ def integrate(eq: EquationSpec, ic: InitialData, opts: IntegrationOptions = Inte
         raise DomainError(f"p0 is not positive at the initial point: {p_init!r}")
 
     solve = _compiled_points(eq, _loop_source, globals(), "<rcert.dynamics loop>")["solve"]
-    return solve(_wrapped_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, opts, eq, ic, _MAX_STEPS)
+    return solve(system_rhs(eq), ic.t1, ic.phi0, p_init * ic.phi1, opts, eq, ic, _MAX_STEPS)
 
 
 def export_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:

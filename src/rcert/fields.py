@@ -16,9 +16,10 @@ is the one place that compiles a closed form (a sum of products
 c * tau(t) * t**a * g(w)): into one function ``fn(t, w=0.0)``, which is the
 field's evaluator, its row sampler's and, without a w-factor, the time
 function ``fn(t)``.  A tau that is itself a closed form is written into the
-source of its product, so a sample makes one call at any depth; the chains'
-columns and the rhs samples are compiled here too (``_compiled_columns``,
-``_compiled_points``).
+source of its product, so a sample makes one call at any depth.  It writes
+the chains' columns (``_compiled_columns``) and the samples at a point of the
+loop's in-place rhs and the oracles' panel samplers (``_compiled_points``);
+:func:`system_rhs` is the reference rhs, through the wrapped fields.
 Building fields and equations from JSON specs belongs to the config schema,
 in ``config``.
 """
@@ -239,8 +240,8 @@ def _compiled_columns(fns: Sequence[Callable[[float], float]], write: Callable[[
 class EquationSpec:
     """The coefficient triple (p0, q0, r0) plus the start time t0.
 
-    p0 > 0 is not declared but enforced where it is used: the rhs
-    (:func:`system_rhs`) and the scans' ``q0/p0`` row raise
+    p0 > 0 is not declared but enforced where it is used: the rhs (both
+    :func:`system_rhs` and the loop's) and the scans' ``q0/p0`` row raise
     :class:`DomainError` at a point where p0 <= 0.
     """
 
@@ -437,22 +438,13 @@ def _enclose(fld: ScalarField, t: float, spans) -> tuple[float, float] | None:
 
 
 def system_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float, float]]:
-    """First-order right-hand side (f1, f2) of the equivalent system.
+    """First-order right-hand side (f1, f2) of the equivalent system: the reference rhs, through the wrapped fields.
 
     f1 = v / p0(t, w) and f2 = -r0(t, w) w - q0(t, w) / p0(t, w) * v, in the
-    state variables w = phi and v = psi = p0 * phi'.  When all three fields
-    are closed forms (the builtins and the JSON kinds), the rhs is one
-    function compiled with the samples and acceptance rule of
-    :func:`_compiled_points`, which the stepper writes into its loop and the
-    residual oracles into their panel samplers: it raises or returns
-    exactly what the wrapped fields do.  Opaque fields are only called through
-    the wrapped fields, once per point.
+    state variables w = phi and v = psi = p0 * phi'; p0, r0 and q0 are sampled
+    in that order, and p0 <= 0 raises :class:`DomainError`.  The integration
+    loop writes the only compiled rhs in place, and falls back on this one.
     """
-    return _compiled_triple(eq, "rhs(t, w, v)", "v / p, -r * w - q / p * v", "f(t, w, v)", {"f": _wrapped_rhs(eq)})
-
-
-def _wrapped_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[float, float]]:
-    """The rhs of :func:`system_rhs` through the wrapped fields, p0, r0 and q0 in that order; p0 <= 0 raises :class:`DomainError`."""
     p0, q0, r0 = eq.p0, eq.q0, eq.r0
 
     def f(t: float, w: float, v: float) -> tuple[float, float]:
@@ -464,34 +456,7 @@ def _wrapped_rhs(eq: EquationSpec) -> Callable[[float, float, float], tuple[floa
     return f
 
 
-def _coefficient_sampler(eq: EquationSpec) -> Callable[[float, float], tuple[float, float, float]]:
-    """(p0, q0, r0) at (t, w) in one call: the wrapped fields' values, or what they raise; ``riccati.difference_residual``'s node function calls it.
-
-    Compiled on each call with the source and acceptance rule of :func:`_compiled_points`.  Where
-    that rule fails, or a field is opaque, the wrapped fields are called in the rhs order
-    p0, r0, q0 (p0 <= 0 is no error here).
-    """
-    p0, q0, r0 = eq.p0, eq.q0, eq.r0
-
-    def f(t: float, w: float) -> tuple[float, float, float]:
-        p, r = p0(t, w), r0(t, w)
-        return p, q0(t, w), r
-
-    return _compiled_triple(eq, "pqr(t, w)", "p, q, r", "f(t, w)", {"f": f})
-
-
-def _compiled_triple(eq: EquationSpec, signature: str, result: str, fallback: str, env: dict) -> Callable:
-    """``def {signature}`` returning ``result`` at the samples of :func:`_compiled_points`, or ``fallback`` where they fail its rule, its ``bind`` run once before it; ``env["f"]`` if a field is opaque."""
-    if eq.p0.products is None or eq.q0.products is None or eq.r0.products is None:
-        return env["f"]
-
-    def write(names, bind, stage):
-        return "".join(f"{line}\n" for line in bind) + f"def {signature}:\n" + "".join(f"    {line}\n" for line in _at_point(stage, "t", "w", f"return {result}", f"return {fallback}"))
-
-    return _compiled_points(eq, write, env)[signature.partition("(")[0]]
-
-
-def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], str], env: dict, filename: str = "<rcert.fields closed form>", which: str = "prq") -> dict:
+def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], str], env: dict, filename: str, which: str = "prq") -> dict:
     """A copy of ``env``, with the ``names`` of the coefficients it reads, after running the source ``write(names, bind, stage)`` compiled as ``filename``.
 
     ``stage`` holds the lines of a point at ({t}, {w}) (see :func:`_at_point`):
@@ -505,6 +470,7 @@ def _compiled_points(eq: EquationSpec, write: Callable[[tuple, tuple, tuple], st
     If a constant fails, or a field is opaque, every point runs {fallback}.
     ``bind`` also sums the leading terms of a sample that read no t and no w,
     two or more of float coefficients: sums run left to right, and never raise.
+    The integration loop (its rhs) and ``riccati._panel_sampler`` call it.
     """
     bind, samples, coefficients = [], [], {}
     for name in which:

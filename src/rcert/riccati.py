@@ -12,8 +12,8 @@ All five oracles live here and check the nodes of ``_mesh`` (the gap oracle
 takes 65 even points).  The momentum psi, the ratio y and the gap y1 - y0
 each solve x' = -k x - s, so their oracles share ``_transfer_residual``.
 
-Each oracle but the difference oracle (two trajectories, a node function)
-samples a GK15 panel in one compiled call: at each node the dense formula
+Each oracle but the difference oracle (two trajectories, the wrapped fields
+at each node) samples a GK15 panel in one compiled call: the dense formula
 gives (phi, psi) (``state_at`` off (t_start, t_end)) and y = psi / phi, or
 the path's ``y`` if :func:`transform` did not build it; closed-form p0, r0
 and q0 (p0 alone for the representation) are written in, and where they fail
@@ -30,7 +30,7 @@ from typing import Callable
 
 from .dynamics import Trajectory, _dense_lines
 from .errors import DomainError
-from .fields import _at_point, _coefficient_sampler, _compiled_points
+from .fields import _at_point, _compiled_points
 from .quadrature import _NODES, ORACLE_BUDGET, CumulativeIntegral, weighted_chain
 
 __all__ = [
@@ -201,7 +201,8 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
     For ``j`` in {0, 1} the identity propagates the initial gap with the
     kernel (y0 + y1 + q_{1-j}) / p_{1-j} evaluated along the (1-j)-th path and
     collects the coefficient mismatches against y_j.  Exact for true solution
-    pairs; both j choices must agree to quadrature accuracy.
+    pairs; both j choices must agree to quadrature accuracy.  A node calls
+    each path's wrapped p0, r0 and q0, in the rhs order.
     """
     if j not in (0, 1):
         raise DomainError("j must be 0 or 1")
@@ -211,12 +212,13 @@ def difference_residual(path0: RiccatiPath, path1: RiccatiPath, j: int) -> float
         raise DomainError("paths do not share a segment")
 
     at0, at1, ratio0, ratio1 = path0.traj.state_at, path1.traj.state_at, _own_ratio(path0), _own_ratio(path1)
-    pqr0, pqr1 = _coefficient_sampler(path0.traj.eq), _coefficient_sampler(path1.traj.eq)
+    eq0, eq1 = path0.traj.eq, path1.traj.eq
 
     def coefficients(s: float) -> tuple[float, float]:
         phi0, psi0 = at0(s)
         phi1, psi1 = at1(s)
-        (p0v, q0v, r0v), (p1v, q1v, r1v) = pqr0(s, phi0), pqr1(s, phi1)
+        p0v, r0v, q0v = eq0.p0(s, phi0), eq0.r0(s, phi0), eq0.q0(s, phi0)  # the rhs order
+        p1v, r1v, q1v = eq1.p0(s, phi1), eq1.r0(s, phi1), eq1.q0(s, phi1)
         y0 = psi0 / phi0 if ratio0 else path0.y(s)
         y1 = psi1 / phi1 if ratio1 else path1.y(s)
         yv = y0 if j == 0 else y1

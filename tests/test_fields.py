@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import CodeType
 
@@ -17,7 +16,7 @@ from rcert import (
     equation_from_json,
     system_rhs,
 )
-from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
+from rcert.applications import VdPParams, vdp_equation
 from rcert.fields import _axis_ends, _closed_form_field, _closed_form_time, _compiled, _Product
 from conftest import make_eq
 
@@ -222,37 +221,6 @@ class TestSystemRhs:
         with pytest.raises(DomainError):
             f(0.0, -1.0, 0.0)
 
-    # --- the compiled rhs against the wrapped rhs ---------------------------
-    # Closed-form fields get one rhs compiled from their products; an odd
-    # sample sends the point back through the wrapped fields, so every point
-    # must give the wrapped rhs's floats or its exception, message and cause.
-
-    @staticmethod
-    def row_and_wrapped(eq):
-        """The rhs of ``eq`` and of the same fields as opaque callables."""
-        opaque = {part: dataclasses.replace(getattr(eq, part), products=None) for part in ("p0", "q0", "r0")}
-        return system_rhs(eq), system_rhs(EquationSpec(t0=eq.t0, **opaque))
-
-    @staticmethod
-    def outcome(f, t, u, v):
-        try:
-            a, b = f(t, u, v)
-        except Exception as exc:
-            return type(exc), str(exc), type(exc.__cause__)
-        return type(a), type(b), a.hex(), b.hex()
-
-    @staticmethod
-    def point_eq(p, q, r):
-        """Closed forms of one product each, named p, q and r."""
-        return EquationSpec(p0=_closed_form_field([p], "p"), q0=_closed_form_field([q], "q"), r0=_closed_form_field([r], "r"), t0=0.0)
-
-    @pytest.mark.parametrize("p, q, r", ODD_SAMPLES.values(), ids=ODD_SAMPLES)
-    def test_odd_samples_match_the_wrapped_rhs(self, p, q, r):
-        row, wrapped = self.row_and_wrapped(self.point_eq(p, q, r))
-        assert (row.__name__, wrapped.__name__) == ("rhs", "f")
-        for u in (0.0, 0.5, -0.5):
-            assert self.outcome(row, 1.0, u, 0.25) == self.outcome(wrapped, 1.0, u, 0.25)
-
     def test_fields_are_called_once_per_point(self):
         calls = []
 
@@ -263,75 +231,20 @@ class TestSystemRhs:
 
             return fn
 
-        def closed(name, value):
-            return _closed_form_field([_Product(1.0, tau=counting(name, value))], name)
-
-        q0 = closed("q0", 1.0)
-        # one opaque field sends every point through the wrapped fields
+        q0 = _closed_form_field([_Product(1.0, tau=counting("q0", 1.0))], "q0")
         f = system_rhs(EquationSpec(p0=ScalarField(counting("p0", 1.0)), q0=q0, r0=ScalarField(counting("r0", 2.0)), t0=0.0))
         for k in range(1, 4):
             assert f(0.0, 1.0, 1.0) == (1.0, -3.0)
             assert calls == ["p0", "r0", "q0"] * k
-        calls.clear()
-        f = system_rhs(EquationSpec(p0=closed("p0", 1.0), q0=q0, r0=closed("r0", 2.0), t0=0.0))
-        assert f(0.0, 1.0, 1.0) == (1.0, -3.0)
-        assert calls == ["p0", "r0", "q0"]
 
-    def test_equations_of_one_shape_share_the_rhs_source(self, monkeypatch):
-        _compiled.cache_clear()
+    def test_closed_forms_compile_no_rhs(self, monkeypatch):
+        # The loop writes the only compiled rhs: system_rhs of closed forms compiles and runs no generated source.
+        eq = vdp_equation(VdPParams(lam=lambda t: 1.0, mu=lambda t: 1.0, nu=lambda t: 1.0))
+        assert all(f.products is not None for f in (eq.p0, eq.q0, eq.r0))
         sources = []
         monkeypatch.setattr("rcert.fields.compile", lambda source, *args: sources.append(source) or compile(source, *args), raising=False)
-        eqs = [vdp_equation(VdPParams(lam=lambda t, c=c: c, mu=lambda t: 1.0, nu=lambda t: 1.0)) for c in (1.0, 2.0)]
-        assert not any("def rhs" in source for source in sources)  # building the equations compiles no rhs
-        del sources[:]
-        one, two = (system_rhs(eq) for eq in eqs)
-        assert len(sources) == 1 and sources[0].startswith("def rhs(t, w, v):")
-        assert one.__code__ == two.__code__ and one.__code__ is not two.__code__
-        assert (one(0.0, 2.0, 1.0), two(0.0, 2.0, 1.0)) == ((1.0, -5.0), (0.5, -3.5))
-
-    def test_row_fields_are_not_wrapped_on_plain_points(self, monkeypatch):
-        row, wrapped = self.row_and_wrapped(self.ROW_EQUATIONS["sweep"])
-        expected = wrapped(0.0, 0.5, 0.25)
-
-        def wrapper(self, t, w):
-            raise AssertionError("ScalarField.__call__ reached")
-
-        monkeypatch.setattr(ScalarField, "__call__", wrapper)
-        assert row(0.0, 0.5, 0.25) == expected
-
-    ROW_EQUATIONS = {
-        "sweep": equation_from_json(
-            {
-                "kind": "custom",
-                "t0": 0.0,
-                "p0": {"kind": "constant", "value": 1.0, "tags": ["positive"]},
-                "q0": {"kind": "constant", "value": 0.0},
-                "r0": {"kind": "polynomial", "terms": [{"c": 1.0}, {"c": -1.0, "w": 2}]},
-            }
-        ),
-        "power_fields": equation_from_json(
-            {
-                "kind": "custom",
-                "t0": 0.0,
-                "p0": {"kind": "power", "coeff": 2.0, "t_power": 1.5, "tags": ["positive"]},
-                "q0": {"kind": "power", "coeff": -0.5, "w_power": 2.5, "w_abs": False},
-                "r0": {"kind": "polynomial", "terms": [{"c": 1e300, "t": 2.0, "w": 4.0}, {"c": -1.0, "w": 1.0}]},
-            }
-        ),
-        "power_law": ef_equation(EFParams(rho=4.0, sigma=0.0, n=3.0)),
-        "power_law_signed_fractional": ef_equation(EFParams(rho=1.0, sigma=0.5, n=2.5, variant="signed")),
-        "van_der_pol": vdp_equation(VdPParams(lam=lambda t: 1.0 + t * t, mu=lambda t: 2.0, nu=lambda t: 0.5)),
-    }
-
-    @pytest.mark.parametrize("name", sorted(ROW_EQUATIONS))
-    @settings(max_examples=150, deadline=None)
-    @given(t=st.floats(-1e3, 1e3), u=st.floats(allow_nan=False), v=st.floats(allow_nan=False))
-    @example(t=1.0, u=-0.0, v=-0.0)
-    @example(t=-0.0, u=0.5, v=1.0)
-    @example(t=2.0, u=-0.5, v=-0.0)
-    @example(t=0.0, u=1e200, v=1e300)
-    def test_row_path_agrees_bit_for_bit(self, name, t, u, v):
-        eq = self.ROW_EQUATIONS[name]
-        assert all(f.products is not None for f in (eq.p0, eq.q0, eq.r0))
-        row, wrapped = self.row_and_wrapped(eq)
-        assert self.outcome(row, t, u, v) == self.outcome(wrapped, t, u, v)
+        info = _compiled.cache_info()
+        f = system_rhs(eq)
+        assert sources == [] and _compiled.cache_info()[:2] == info[:2]
+        assert f.__code__.co_filename.endswith("fields.py")
+        assert f(0.0, 2.0, 1.0) == (1.0, -5.0)

@@ -17,7 +17,8 @@ import pytest
 from rcert import VERIFIED, GridSpec, time_function_from_json
 from rcert import quadrature
 from rcert.applications import VdPParams, check_t4_2, vdp_equation, vdp_family
-from rcert.fields import EquationSpec, _closed_form_field, _closed_form_time, _compiled_columns, _Product, system_rhs
+from rcert.fields import EquationSpec, _closed_form_field, _closed_form_time, _compiled_columns, _Product
+from test_step_bits import _in_place
 
 TIME_JSON = {
     "constant": {"kind": "constant", "value": 1.5},
@@ -119,19 +120,20 @@ def test_flattened_time_function_matches_the_nested_call(shape, tau_name):
 
 @pytest.mark.parametrize("mu_name", ["constant", "power_root", "polynomial"])
 def test_flattened_rhs_matches_the_nested_call(mu_name):
-    # The comparison equations' rhs: 1.0 * tau for each coefficient, with q_eps = (eps^2 - 1) mu.
+    # The comparison equations' rhs as the integration loop writes it in place: 1.0 * tau for each
+    # coefficient, with q_eps = (eps^2 - 1) mu; h = -0.0 leaves t as it is.
     mu, nu = TAUS[mu_name], TAUS["power_root"]
     lam, q_eps, _ = vdp_family(VdPParams(lam=TAUS["polynomial"], mu=mu, nu=nu))(0.5)
 
     def rhs(wrap):
         fields = [_closed_form_field([_Product(1.0, tau=wrap(f))], name) for f, name in ((lam, "p"), (q_eps, "q"), (nu, "r"))]
-        return system_rhs(EquationSpec(*fields, t0=0.0))
+        return _in_place(EquationSpec(*fields, t0=0.0))
 
     flat, nested = rhs(lambda f: f), rhs(opaque)
     rng = random.Random(7)
     for t in TS:
         for w, v in ((1.0, 0.0), (rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)), (1e200, -1e200)):
-            assert outcome(flat, t, w, v) == outcome(nested, t, w, v), (t, w, v)
+            assert outcome(flat, t, -0.0, w, v) == outcome(nested, t, -0.0, w, v), (t, w, v)
 
 
 PAIRS = [("constant", "power_root"), ("q_eps.power_root", "constant"), ("q_eps.polynomial", "power_square"),

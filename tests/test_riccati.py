@@ -32,7 +32,7 @@ from rcert import (
 )
 from rcert import riccati
 from rcert.applications import EFParams, VdPParams, ef_equation, kneser_majorant, vdp_equation
-from rcert.fields import _closed_form_field, _coefficient_sampler
+from rcert.fields import _closed_form_field
 from rcert.quadrature import _NODES
 from test_fields import ODD_SAMPLES, at
 
@@ -210,8 +210,9 @@ def _still(eq, w):
     return Trajectory(eq, ic, opts, [0.0, 2.0], [w, w], [0.25, 0.25], [0.0, 0.0], [], TerminalStatus(REACHED_HORIZON, 2.0), False, False, [(2.0,) + (0.0,) * 8])
 
 
-# Reference node functions of the oracles, one Python call per node: each panel sampler must give their bits or
-# their exception, with the same wrapped field and y calls in order.
+# Reference node functions of the oracles, one Python call per node through the wrapped fields (p0, r0, q0, the
+# rhs order): each panel sampler must give their bits or their exception, with the same wrapped field and y
+# calls in order (on closed forms, the same y calls and some of the field calls; see _same_panels).
 
 
 def _reference_representation(path):
@@ -227,23 +228,23 @@ def _reference_representation(path):
 
 def _reference_cauchy(path):
     traj = path.traj
-    state_at, y, ratio, pqr = traj.state_at, path.y, riccati._own_ratio(path), _coefficient_sampler(traj.eq)
+    state_at, y, ratio, eq = traj.state_at, path.y, riccati._own_ratio(path), traj.eq
 
     def coefficients(s):
         phi, psi = state_at(s)
         ys = psi / phi if ratio else y(s)
-        p, q, r = pqr(s, phi)
+        p, r, q = eq.p0(s, phi), eq.r0(s, phi), eq.q0(s, phi)
         return (ys + q) / p, r
 
     return coefficients
 
 
 def _reference_weighted(traj, lead):
-    phi_at, pqr = traj.phi_at, _coefficient_sampler(traj.eq)
+    phi_at, eq = traj.phi_at, traj.eq
 
     def coefficients(s):
         phi = phi_at(s)
-        p, q, r = pqr(s, phi)
+        p, r, q = eq.p0(s, phi), eq.r0(s, phi), eq.q0(s, phi)
         return (q / p, r * phi, p) if lead else (q / p, r * phi)
 
     return coefficients
@@ -425,7 +426,10 @@ def _panels(traj, rng):
 
 
 def _same_panels(monkeypatch, path, panels):
-    """Assert each oracle's sampler gives the reference's bits, or its exception, with the same wrapped calls in order."""
+    """Assert each oracle's sampler gives the reference's bits, or its exception, with the same wrapped calls in order.
+
+    On closed forms the sampler's calls need only be some of the reference's, in order, with the same y calls.
+    """
     path, log = _logged(monkeypatch, path)
     closed = path.traj.eq.p0.products is not None
     samplers = TestOnePassSampler.node_functions(monkeypatch, path, path)[:4]
@@ -435,8 +439,10 @@ def _same_panels(monkeypatch, path, panels):
             got = _panel_outcome(lambda: sampler(c, h)), list(log)
             del log[:]
             want = _panel_outcome(lambda: _reference_panel(reference, c, h)), list(log)
-            if kind == 0 and closed:  # the reference calls the wrapped p0 at every node, the sampler only where its rule fails
-                got, want = got[0], want[0]
+            if closed:  # the reference calls the wrapped fields at every node, the sampler only where its rule fails
+                calls = iter(want[1])
+                assert all(call in calls for call in got[1]), (kind, c.hex(), h.hex())
+                got, want = (got[0], [e for e in got[1] if e[0] == "y"]), (want[0], [e for e in want[1] if e[0] == "y"])
             assert got == want, (kind, c.hex(), h.hex())
 
 
@@ -471,6 +477,48 @@ def test_samplers_match_the_node_functions_on_odd_samples(monkeypatch, p, q, r):
             for y in (partial(riccati._ratio, traj), lambda t: 0.75, lambda t: 1.0 / (t - 1.0)):
                 with monkeypatch.context() as m:
                     _same_panels(m, riccati.RiccatiPath(traj, 0.0, 2.0, y), panels)
+
+
+def _difference_outcomes(path0, path1):
+    """``difference_residual`` for j = 0 and 1: its hex, or its exception's type and message."""
+    outcomes = []
+    for j in (0, 1):
+        try:
+            outcomes.append(difference_residual(path0, path1, j).hex())
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _vdp_mu(mu):
+    return equation_from_json({"kind": "van_der_pol", "lambda": {"kind": "constant", "value": 1.0}, "mu": {"kind": "constant", "value": mu}, "nu": {"kind": "constant", "value": 1.0}, "t0": 0.0})
+
+
+def test_the_difference_oracle_is_the_same_on_opaque_fields():
+    # Closed-form and opaque fields give the same difference residual bits, or the same exception.
+    def paths(eq0, eq1, still):
+        made = []
+        for eq in (eq0, eq1):
+            traj = _still(eq, still) if still is not None else integrate(eq, InitialData(0.0, 1.0, 0.5), IntegrationOptions(horizon=2.0))
+            made.append(riccati.RiccatiPath(traj, 0.0, 2.0, partial(riccati._ratio, traj)) if still is not None else transform(traj, (0.0, 0.5)))
+        return made
+
+    def point_eq(p, q, r):
+        return EquationSpec(p0=_closed_form_field([p], "p"), q0=_closed_form_field([q], "q"), r0=_closed_form_field([r], "r"), t0=0.0)
+
+    plain = point_eq(at(1.0), at(0.0), at(1.0))
+    # q0 is inf and r0 is NaN at every node: r0's error is raised, as the rhs raises it.
+    both_raise = (point_eq(at(2.0), at(math.inf), at(math.nan)), plain, 0.5)
+    for kind, message in _difference_outcomes(*paths(*both_raise)):
+        assert kind is FieldEvaluationError and message.startswith("r returned non-finite value nan at ")
+    pairs = [(_vdp_mu(1.0), _vdp_mu(1.5), None), (_vdp_json(), plain, None), both_raise]
+    pairs += [(point_eq(p, q, r), plain, w) for p, q, r in ODD_SAMPLES.values() for w in (0.5, -0.5)]
+    seen = set()
+    for eq0, eq1, still in pairs:
+        closed = _difference_outcomes(*paths(eq0, eq1, still))
+        assert closed == _difference_outcomes(*paths(_opaque(eq0), _opaque(eq1), still)), (eq0, still)
+        seen.update(x[0] if isinstance(x, tuple) else "value" for x in closed)
+    assert {"value", FieldEvaluationError, ZeroDivisionError} <= seen
 
 
 class TestDeviation:

@@ -24,10 +24,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcert import DomainError, EquationSpec, FieldEvaluationError, InitialData, IntegrationOptions, RcertError, ScalarField, equation_from_json, integrate
 from rcert import dynamics, fields
-from rcert.applications import EFParams, ef_equation
+from rcert.applications import EFParams, VdPParams, ef_equation, vdp_equation
 from rcert.dynamics import (
     _EPS,
     _KI,
@@ -46,6 +48,7 @@ from rcert.dynamics import (
     _rms,
 )
 from rcert.fields import _closed_form_field, _Product, system_rhs
+from test_fields import ODD_SAMPLES
 
 _NonFiniteStage = dynamics._NonFiniteStage
 
@@ -511,7 +514,10 @@ def test_scripted_fields_run_as_the_reference(seed):
     assert (got, calls) == expected
 
 
-# --- the rhs written in place against system_rhs and the wrapped fields -----------
+# --- the rhs written in place against system_rhs of the wrapped fields -----------
+# The loop writes the only compiled rhs: the closed forms' samples in place, and system_rhs(eq) of the
+# wrapped fields where a sample fails its rule.  At every point it must give the wrapped rhs's floats,
+# or its exception with the same message and cause.
 
 
 def _in_place(eq):
@@ -521,7 +527,7 @@ def _in_place(eq):
         lines = [*bind, *dynamics._rhs_lines(stage, "k2", "ua", "ub", "t + 0.2 * h"), "return k2a, k2b"]
         return f"def point(f, t, h, ua, ub{''.join(f', {n}={n}' for n in names)}):\n" + "".join(f"    {line}\n" for line in lines)
 
-    point = fields._compiled_points(eq, write, {})["point"]
+    point = fields._compiled_points(eq, write, {}, "<rcert.dynamics loop>")["point"]
     f = system_rhs(_opaque(eq))
     return lambda t, h, w, v: point(f, t, h, w, v)
 
@@ -529,8 +535,8 @@ def _in_place(eq):
 def _point_outcome(f, *args):
     try:
         a, b = f(*args)
-    except Exception as exc:  # the type is what must agree
-        return type(exc)
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
     return type(a), type(b), float(a).hex(), float(b).hex()
 
 
@@ -540,7 +546,8 @@ def _fields(p, q, r):
 
 #: Closed forms whose in-place rhs takes every path: constant samples taken once (the sweep's, a p0
 #: near the largest float, a p0 <= 0, a NaN), samples that read t (a power of t, a Van der Pol
-#: polynomial, opaque time factors) and samples that raise or are complex (a fractional power of w).
+#: polynomial, opaque time factors) and samples that raise or are complex (a fractional power of w);
+#: and, as ``odd_...``, every point sample of ``test_fields.ODD_SAMPLES``, one product per field.
 DIFFERENTIAL = {
     "sweep": lambda: equation_from_json(CUBIC_EQ),
     "van_der_pol_polynomial": lambda: equation_from_json(VDP_POLYNOMIAL_EQ),
@@ -552,24 +559,81 @@ DIFFERENTIAL = {
     "p0_constant_zero": lambda: _fields([_Product(0.0)], [_Product(1.0)], [_Product(1.0, g="w^b", b=1.0)]),
     "r0_constant_nan": lambda: _fields([_Product(1.0)], [_Product(0.0)], [_Product(math.nan)]),
     "opaque_time_factor": lambda: _fields([_Product(1.0, tau=lambda t: 1.0 + t * t)], [_Product(1.0, tau=math.sin)], [_Product(1.0, g="w^2-1", tau=math.cos)]),
+    **{f"odd_{name}": lambda p=p, q=q, r=r: _fields([p], [q], [r]) for name, (p, q, r) in ODD_SAMPLES.items()},
 }
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_the_rhs_in_place_is_system_rhs(name):
     eq = DIFFERENTIAL[name]()
-    in_place, compiled, wrapped = _in_place(eq), system_rhs(eq), system_rhs(_opaque(eq))
+    in_place, wrapped = _in_place(eq), system_rhs(_opaque(eq))
     rng = random.Random(f"in-place-{name}")
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.8e308, -1.8e308, 1.7e308, -1.7e308, -1.0, -0.5]
-    outcomes = set()
+    points = [(1.0, 0.0, w, 0.25) for w in (0.0, 0.5, -0.5)]  # where ODD_SAMPLES fail
     for i in range(3000):
         t, h = rng.uniform(-2.0, 3.0), rng.choice((0.0, 1.0, 10.0 ** rng.uniform(-10, 1)))
         w = rng.choice(specials) if i % 3 == 0 else _magnitude(rng, -5, 5) if i % 3 == 1 else _magnitude(rng)
-        v = rng.choice(specials) if i % 5 == 0 else _magnitude(rng)
-        expected = _point_outcome(compiled, t + 0.2 * h, w, v)
-        assert _point_outcome(in_place, t, h, w, v) == expected == _point_outcome(wrapped, t + 0.2 * h, w, v), (t, h, w, v)
-        outcomes.add(expected if isinstance(expected, type) else "finite" if "n" not in expected[2] + expected[3] else "non-finite")
-    assert "finite" in outcomes or name in ("p0_constant_zero", "r0_constant_nan")
+        points.append((t, h, w, rng.choice(specials) if i % 5 == 0 else _magnitude(rng)))
+    outcomes = set()
+    for t, h, w, v in points:
+        expected = _point_outcome(wrapped, t + 0.2 * h, w, v)
+        assert _point_outcome(in_place, t, h, w, v) == expected, (t, h, w, v)
+        outcomes.add(expected[0] if issubclass(expected[0], Exception) else "finite" if "n" not in expected[2] + expected[3] else "non-finite")
+    assert "finite" in outcomes or name in ("p0_constant_zero", "r0_constant_nan") or name.startswith("odd_")
+
+
+def test_row_fields_are_not_wrapped_on_plain_points(monkeypatch):
+    in_place, wrapped = _in_place(ROW_EQUATIONS["sweep"]), system_rhs(_opaque(ROW_EQUATIONS["sweep"]))
+    expected = wrapped(0.0, 0.5, 0.25)
+
+    def wrapper(self, t, w):
+        raise AssertionError("ScalarField.__call__ reached")
+
+    monkeypatch.setattr(ScalarField, "__call__", wrapper)
+    assert in_place(0.0, -0.0, 0.5, 0.25) == expected
+
+
+def test_closed_forms_in_place_are_called_once_per_point():
+    calls = []
+
+    def closed(name, value):
+        return _closed_form_field([_Product(1.0, tau=lambda t: calls.append(name) or value)], name)
+
+    in_place = _in_place(EquationSpec(p0=closed("p0", 1.0), q0=closed("q0", 1.0), r0=closed("r0", 2.0), t0=0.0))
+    for k in range(1, 4):
+        assert in_place(0.0, -0.0, 1.0, 1.0) == (1.0, -3.0)
+        assert calls == ["p0", "r0", "q0"] * k
+
+
+ROW_EQUATIONS = {
+    "sweep": equation_from_json(CUBIC_EQ),
+    "power_fields": equation_from_json(
+        {
+            "kind": "custom",
+            "t0": 0.0,
+            "p0": {"kind": "power", "coeff": 2.0, "t_power": 1.5, "tags": ["positive"]},
+            "q0": {"kind": "power", "coeff": -0.5, "w_power": 2.5, "w_abs": False},
+            "r0": {"kind": "polynomial", "terms": [{"c": 1e300, "t": 2.0, "w": 4.0}, {"c": -1.0, "w": 1.0}]},
+        }
+    ),
+    "power_law": ef_equation(EFParams(rho=4.0, sigma=0.0, n=3.0)),
+    "power_law_signed_fractional": ef_equation(EFParams(rho=1.0, sigma=0.5, n=2.5, variant="signed")),
+    "van_der_pol": vdp_equation(VdPParams(lam=lambda t: 1.0 + t * t, mu=lambda t: 2.0, nu=lambda t: 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_EQUATIONS))
+@settings(max_examples=150, deadline=None)
+@given(t=st.floats(-1e3, 1e3), u=st.floats(allow_nan=False), v=st.floats(allow_nan=False))
+@example(t=1.0, u=-0.0, v=-0.0)
+@example(t=-0.0, u=0.5, v=1.0)
+@example(t=2.0, u=-0.5, v=-0.0)
+@example(t=0.0, u=1e200, v=1e300)
+def test_row_path_agrees_bit_for_bit(name, t, u, v):
+    # h = -0.0 leaves every t as it is: t + 0.2 * -0.0 == t, for t = -0.0 too.
+    eq = ROW_EQUATIONS[name]
+    assert all(f.products is not None for f in (eq.p0, eq.q0, eq.r0))
+    assert _point_outcome(_in_place(eq), t, -0.0, u, v) == _point_outcome(system_rhs(_opaque(eq)), t, u, v)
 
 
 # --- the tableau in exact arithmetic ---------------------------------------------
